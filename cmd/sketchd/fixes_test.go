@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -8,8 +9,10 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"skimsketch/internal/cluster"
 	"skimsketch/internal/core"
 	"skimsketch/internal/engine"
+	"skimsketch/internal/serve"
 )
 
 // Regression tests for the three sketchd bug fixes: /update batch
@@ -105,6 +108,17 @@ func TestUpdateExplicitZeroWeight(t *testing.T) {
 	}
 }
 
+// failingSnapshot is a node whose snapshot writes a partial payload
+// and then fails.
+type failingSnapshot struct{ *cluster.Node }
+
+func (failingSnapshot) Snapshot(_ context.Context, _ string, w io.Writer) error {
+	if _, err := w.Write([]byte(`{"version":1,"stre`)); err != nil {
+		return err
+	}
+	return errors.New("synopsis marshal failed")
+}
+
 // A snapshot that fails mid-serialization must yield a clean 500 JSON
 // error, never a 200 with truncated snapshot bytes glued to an error
 // fragment. The failing producer below writes a partial payload before
@@ -114,14 +128,7 @@ func TestSnapshotMidStreamErrorIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(eng)
-	srv.snapshot = func(w io.Writer) error {
-		if _, err := w.Write([]byte(`{"version":1,"stre`)); err != nil {
-			return err
-		}
-		return errors.New("synopsis marshal failed")
-	}
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(serve.New(failingSnapshot{cluster.NewNode(eng)}))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL + "/snapshot")

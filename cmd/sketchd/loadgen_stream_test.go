@@ -48,18 +48,18 @@ func TestLoadHarnessSkimpProto(t *testing.T) {
 	}
 	defer eng.StopIngest()
 
-	// Both front ends share one server value, hence one dedupe window.
+	// Both front ends share one node backend, hence one dedupe window.
 	srv := newServer(eng)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.stream = newStreamServer(eng, srv.dedupe, ln)
+	sksp := srv.Listen(ln)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
 	done := make(chan struct{})
-	go func() { defer close(done); _ = srv.stream.serve() }()
-	defer func() { srv.stream.shutdown(); <-done }()
+	go func() { defer close(done); _ = sksp.Serve() }()
+	defer func() { sksp.Shutdown(); <-done }()
 
 	const totalUpdates = 6000
 	cfg := loadtest.Config{
@@ -102,10 +102,10 @@ func TestLoadHarnessSkimpProto(t *testing.T) {
 		t.Fatalf("tenant counters sum to %d, client ACKed %d", tenantSum, res.Ingest.Updates)
 	}
 	// The listener's own counters saw the traffic.
-	if got := srv.stream.updates.Load(); got != res.Ingest.Updates {
+	if got := sksp.Updates.Load(); got != res.Ingest.Updates {
 		t.Fatalf("stream listener counted %d updates, client ACKed %d", got, res.Ingest.Updates)
 	}
-	if srv.stream.frames.Load() == 0 || srv.stream.connsTotal.Load() == 0 {
+	if sksp.Frames.Load() == 0 || sksp.ConnsTotal.Load() == 0 {
 		t.Fatal("stream listener saw no frames/connections")
 	}
 

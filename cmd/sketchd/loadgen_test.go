@@ -238,7 +238,7 @@ func TestHealthzLifecycle(t *testing.T) {
 	if err := client.WaitReady(ctx); err != nil {
 		t.Fatalf("WaitReady against a live server: %v", err)
 	}
-	srv.draining.Store(true)
+	srv.SetDraining()
 	if code, _ := httpJSON(t, "GET", ts.URL+"/healthz", ""); code != 503 {
 		t.Fatalf("healthz while draining: %d, want 503", code)
 	}

@@ -5,14 +5,21 @@
 //
 //	sketchd -addr :8080 -tables 7 -buckets 2048 -seed 42
 //
-// With -ingest.workers N (N > 0) updates are ingested through the
-// engine's concurrent batched pipeline: batches are decoded, grouped by
-// stream, and enqueued to N shard workers over bounded queues
-// (-ingest.batch and -ingest.queue size them); /answer, /stats and
-// /snapshot drain the pipeline first, so reads always observe every
-// previously accepted update. When every queue slot is full, /update
-// sheds load with 429 + Retry-After instead of blocking (the rejection
-// counter is in /stats under ingest.rejected).
+// This package is flags plus lifecycle. The serving surface — the HTTP
+// API below and the SKSP binary ingest listener (-listen.stream, see
+// docs/FORMATS.md) — is internal/serve, written once over a backend;
+// internal/cluster supplies the two backends: a Node over an in-process
+// engine (-role=single, the default, and -role=shard) and a Merger over
+// a shard ring (-role=merger). Every endpoint therefore behaves the same
+// in every role.
+//
+// With -ingest.workers N (N > 0) a node ingests through the engine's
+// concurrent batched pipeline: batches are grouped by stream and
+// enqueued to N shard workers over bounded queues (-ingest.batch and
+// -ingest.queue size them); /answer, /stats and /snapshot drain the
+// pipeline first, so reads always observe every previously accepted
+// update. When every queue slot is full, /update sheds load with 429 +
+// Retry-After instead of blocking (counted in /stats ingest.rejected).
 //
 // With -query.workers N the estimation behind /answer runs on N
 // goroutines (-1 = one per CPU) with bit-identical answers; /answer
@@ -20,9 +27,9 @@
 // answer never stalls ingestion, and repeated answers with no
 // intervening updates are served from an epoch-keyed cache.
 //
-// With -checkpoint.dir the engine state (and the range predicates
-// needed to restore it) is persisted crash-safely: restored at boot,
-// saved every -checkpoint.interval, and saved once more on shutdown.
+// With -checkpoint.dir a node's state (and the range predicates needed
+// to restore it) is persisted crash-safely: restored at boot, saved
+// every -checkpoint.interval, and saved once more on shutdown.
 // SIGINT/SIGTERM trigger a graceful exit — stop accepting connections,
 // drain in-flight requests and the ingest pipeline, write the final
 // checkpoint, exit 0 — so `kill -TERM` during active ingestion loses
@@ -30,14 +37,16 @@
 // replayed tail is bit-identical to uninterrupted ingestion. See
 // docs/OPERATIONS.md for the full lifecycle contract.
 //
-// Cluster mode (-role, docs/OPERATIONS.md "Cluster mode"): shards are
-// ordinary sketchds named in a static JSON membership file; a merger
+// Cluster mode (docs/OPERATIONS.md "Cluster mode"): shards are ordinary
+// sketchds named in a static JSON membership file; a merger
 // (`-role=merger -cluster.config ring.json`) serves the same API,
 // hash-routing ingest across the ring (HTTP and SKSP both), keeping
 // registrations schema-uniform by broadcast, and answering global
 // /answer by pulling each shard's slim /sketch payload and merging
 // through sketch linearity. A dead shard degrades the answer (reported
-// shard coverage + widened confidence) instead of failing it.
+// shard coverage + widened confidence) instead of failing it. A
+// merger's standing watches evaluate that global answer; they live in
+// the stateless merger, so a merger restart forgets them.
 //
 // Every piece of state is scoped to a tenant namespace. The flat API
 // below operates on the "default" tenant, so single-tenant deployments
@@ -60,14 +69,16 @@
 //	                     "right":{"stream":"G","windowLen":100000,"windowBuckets":4}}
 //	DELETE /queries/q
 //	POST   /update      {"stream":"F","value":7,"weight":1}
-//	                    or a JSON array of such objects (batch)
+//	                    or a JSON array of such objects (batch);
+//	                    optional header Idempotency-Key: clientID:seq
 //	GET    /answer?query=q
 //	GET    /sketch?query=q  (slim SKSL cluster payload: both synopses + metadata)
 //	POST   /flush       (drain the ingest pipeline; shared, drains all tenants)
 //	GET    /healthz     (readiness: 200 serving, 503 draining)
 //	GET    /stats       (global + per-tenant; scoped: one tenant's slice)
-//	GET    /snapshot    (checkpoint: engine state as JSON; scoped: one tenant)
-//	POST   /restore     (load a snapshot into an empty engine/tenant)
+//	GET    /snapshot    (checkpoint: engine state as JSON; scoped: one tenant;
+//	                     501 from a merger)
+//	POST   /restore     (load a snapshot into an empty engine/tenant; 501 from a merger)
 //	GET    /tenants     (list tenants with quotas and counters)
 //	POST   /tenants     {"name":"acme","quota":{"maxSynopsisWords":65536,
 //	                     "maxPendingUpdates":100000}}
@@ -97,6 +108,7 @@ import (
 	"skimsketch/internal/core"
 	"skimsketch/internal/engine"
 	"skimsketch/internal/monitor"
+	"skimsketch/internal/serve"
 )
 
 // options collects every flag so run is testable without a flag set.
@@ -175,220 +187,96 @@ func main() {
 	}
 }
 
-// run dispatches on role: single and shard are the same standalone
-// server lifecycle (a shard IS a sketchd — the cluster layer above it
-// is schema broadcasts, hash-routed ingest, and /sketch pulls); merger
-// runs the stateless routing/merging tier from internal/cluster.
+// run is the whole server lifecycle for every role: build the backend
+// (for a node: engine, restored checkpoint, ingest pipeline), serve
+// until ctx is canceled (the signal handler), then shut down gracefully
+// — stop the listeners, drain in-flight requests, and for a node drain
+// and stop the ingest pipeline and write the final checkpoint. A nil
+// return is a clean exit (process status 0).
 func run(ctx context.Context, opts options, out io.Writer) error {
+	var (
+		backend serve.Backend
+		desc    string
+		eng     *engine.Engine // a node's; nil on a merger
+		node    *cluster.Node
+		mgr     *checkpoint.Manager
+	)
 	switch opts.role {
 	case "", "single", "shard":
-		return runNode(ctx, opts, out)
+		var err error
+		if eng, node, mgr, err = startNode(opts, out); err != nil {
+			return err
+		}
+		backend, desc = node, fmt.Sprintf("default sketch %dx%d", opts.tables, opts.buckets)
 	case "merger":
-		return runMerger(ctx, opts, out)
+		if opts.clusterConfig == "" {
+			return errors.New("-role=merger requires -cluster.config")
+		}
+		cfg, err := cluster.LoadConfig(opts.clusterConfig)
+		if err != nil {
+			return err
+		}
+		m, err := cluster.NewMerger(cfg, cluster.MergerOptions{Timeout: opts.clusterTimeout, Epoch: opts.clusterEpoch})
+		if err != nil {
+			return err
+		}
+		backend = m
+		desc = fmt.Sprintf("merger: %d shards, epoch %s, timeout %s", len(cfg.Shards), opts.clusterEpoch, opts.clusterTimeout)
 	default:
 		return fmt.Errorf("unknown -role %q: want single, shard, or merger", opts.role)
 	}
-}
 
-// runMerger is the merger lifecycle: load the static membership ring,
-// serve the routing/merging API until ctx is canceled, then drain.
-// The merger holds no sketch state — shards own persistence — so its
-// shutdown is just a connection drain.
-func runMerger(ctx context.Context, opts options, out io.Writer) error {
-	if opts.clusterConfig == "" {
-		return errors.New("-role=merger requires -cluster.config")
-	}
-	cfg, err := cluster.LoadConfig(opts.clusterConfig)
-	if err != nil {
-		return err
-	}
-	m, err := cluster.NewMerger(cfg, cluster.MergerOptions{
-		Timeout: opts.clusterTimeout,
-		Epoch:   opts.clusterEpoch,
-	})
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{
-		Handler:           m,
-		ReadHeaderTimeout: opts.readHeaderTimeout,
-		WriteTimeout:      opts.writeTimeout,
-		IdleTimeout:       opts.idleTimeout,
-	}
+	srv := serve.New(backend)
 	ln, err := net.Listen("tcp", opts.addr)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "sketchd merger listening on %s (%d shards, epoch %s, timeout %s)\n",
-		ln.Addr(), len(cfg.Shards), opts.clusterEpoch, opts.clusterTimeout)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	// SKSP ingress: same binary protocol as a single node, frames
-	// hash-routed across the ring.
-	var fwd *cluster.StreamForwarder
-	streamErr := make(chan error, 1)
+	// The SKSP listener shares the backend (for a node: the engine and
+	// the dedupe window) and the shutdown drain with the HTTP front end.
+	var sksp *serve.Listener
 	if opts.streamAddr != "" {
 		sln, err := net.Listen("tcp", opts.streamAddr)
 		if err != nil {
+			ln.Close()
 			return err
 		}
-		fwd = cluster.NewStreamForwarder(m, sln)
-		fmt.Fprintf(out, "sketchd %s\n", fwd)
-		go func() { streamErr <- fwd.Serve() }()
+		sksp = srv.Listen(sln)
 	}
-
-	select {
-	case err := <-serveErr:
-		return err
-	case err := <-streamErr:
-		return fmt.Errorf("sksp forwarder: %w", err)
-	case <-ctx.Done():
-	}
-	fmt.Fprintln(out, "sketchd merger shutting down")
-	m.SetDraining()
-	shCtx, cancel := context.WithTimeout(context.Background(), opts.shutdownTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(shCtx); err != nil {
-		log.Print("sketchd: merger shutdown grace period expired: ", err)
-		httpSrv.Close()
-	}
-	<-serveErr
-	if fwd != nil {
-		fwd.Shutdown()
-	}
-	return nil
-}
-
-// runNode is the whole standalone/shard server lifecycle: build the
-// engine, restore the newest checkpoint, serve until ctx is canceled
-// (the signal handler), then shut down gracefully — stop the listener,
-// drain in-flight requests, drain and stop the ingest pipeline, write
-// the final checkpoint. A nil return is a clean exit (process status 0).
-func runNode(ctx context.Context, opts options, out io.Writer) error {
-	eng, err := engine.New(engine.Options{
-		SketchConfig: core.Config{Tables: opts.tables, Buckets: opts.buckets, Seed: opts.seed},
-		QueryWorkers: opts.qworkers,
-		DefaultQuota: engine.Quota{
-			MaxSynopsisWords:  opts.tenantMaxWords,
-			MaxPendingUpdates: opts.tenantMaxPending,
-		},
-	})
-	if err != nil {
-		return err
-	}
-	srv := newServer(eng)
-
-	// Restore before the ingest pipeline starts and before the listener
-	// opens: Engine.Restore requires an empty, quiescent engine.
-	var mgr *checkpoint.Manager
-	if opts.checkpointDir != "" {
-		mgr, err = checkpoint.NewManager(opts.checkpointDir)
-		if err != nil {
-			return err
-		}
-		switch path, err := mgr.Load(srv.readCheckpoint); {
-		case err == nil:
-			fmt.Fprintf(out, "sketchd restored checkpoint %s\n", path)
-		case errors.Is(err, checkpoint.ErrNoCheckpoint):
-			fmt.Fprintf(out, "sketchd starting fresh (no checkpoint in %s)\n", opts.checkpointDir)
-		default:
-			return err
-		}
-	}
-
-	if opts.workers > 0 {
-		err := eng.StartIngest(engine.IngestConfig{
-			Workers:    opts.workers,
-			BatchSize:  opts.batch,
-			QueueDepth: opts.queue,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "sketchd ingest pipeline: %d workers, batch %d, queue %d\n", opts.workers, opts.batch, opts.queue)
-	}
-
 	httpSrv := &http.Server{
 		Handler:           srv,
 		ReadHeaderTimeout: opts.readHeaderTimeout,
 		WriteTimeout:      opts.writeTimeout,
 		IdleTimeout:       opts.idleTimeout,
 	}
-	ln, err := net.Listen("tcp", opts.addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "sketchd listening on %s (default sketch %dx%d)\n", ln.Addr(), opts.tables, opts.buckets)
-
+	fmt.Fprintf(out, "sketchd listening on %s (%s)\n", ln.Addr(), desc)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	// The SKSP binary ingest listener shares the engine, the dedupe
-	// window, and the shutdown drain with the HTTP front end.
 	streamErr := make(chan error, 1)
-	if opts.streamAddr != "" {
-		sln, err := net.Listen("tcp", opts.streamAddr)
-		if err != nil {
-			return err
-		}
-		srv.stream = newStreamServer(eng, srv.dedupe, sln)
-		fmt.Fprintf(out, "sketchd %s\n", srv.stream)
-		go func() { streamErr <- srv.stream.serve() }()
+	if sksp != nil {
+		fmt.Fprintf(out, "sketchd %s\n", sksp)
+		go func() { streamErr <- sksp.Serve() }()
 	}
 
-	// Periodic checkpoints, stopped (and awaited) before the final save
-	// so the two writers never interleave on the shutdown path.
-	var cpWG sync.WaitGroup
-	cpCtx, cpCancel := context.WithCancel(ctx)
-	defer cpCancel()
+	// Periodic checkpoints and watch evaluation, stopped (and awaited)
+	// before the final drain so no tick runs during it and the two
+	// checkpoint writers never interleave.
+	var loops sync.WaitGroup
+	loopCtx, stopLoops := context.WithCancel(ctx)
+	defer stopLoops()
 	if mgr != nil && opts.checkpointInterval > 0 {
-		cpWG.Add(1)
+		loops.Add(1)
 		go func() {
-			defer cpWG.Done()
-			mgr.Run(cpCtx, opts.checkpointInterval, srv.writeCheckpoint, func(err error) {
+			defer loops.Done()
+			mgr.Run(loopCtx, opts.checkpointInterval, node.WriteCheckpoint, func(err error) {
 				log.Print("sketchd: periodic checkpoint: ", err)
 			})
 		}()
 	}
-
-	// Periodic standing-watch evaluation: every tick answers each watched
-	// query (cache-served when its synopses are unchanged) and runs the
-	// alert state machines, logging transitions. Shares the checkpointer's
-	// quiesce point so no evaluation runs during the shutdown drain.
 	if opts.watchInterval > 0 {
-		cpWG.Add(1)
+		loops.Add(1)
 		go func() {
-			defer cpWG.Done()
-			ticker := time.NewTicker(opts.watchInterval)
-			defer ticker.Stop()
-			// Log only state flips, not every tick spent in alert: compare
-			// each watch's cumulative transition count against the last tick.
-			lastTransitions := make(map[monitor.WatchKey]int64)
-			for {
-				select {
-				case <-cpCtx.Done():
-					return
-				case <-ticker.C:
-					sts, err := eng.EvaluateAllWatches()
-					if err != nil {
-						log.Print("sketchd: watch evaluation: ", err)
-						continue
-					}
-					for _, st := range sts {
-						key := monitor.WatchKey{Tenant: st.Tenant, Query: st.Query}
-						if st.Transitions != lastTransitions[key] {
-							lastTransitions[key] = st.Transitions
-							state := "cleared"
-							if st.State == monitor.Alert {
-								state = "raised"
-							}
-							log.Printf("sketchd: watch %s/%s %s: estimate %d vs band [low %d, high %d]",
-								st.Tenant, st.Query, state, st.LastEstimate, st.Low, st.High)
-						}
-					}
-				}
-			}
+			defer loops.Done()
+			evaluateWatches(loopCtx, srv, opts.watchInterval)
 		}()
 	}
 
@@ -403,7 +291,7 @@ func runNode(ctx context.Context, opts options, out io.Writer) error {
 	fmt.Fprintln(out, "sketchd shutting down")
 	// Flip readiness first: /healthz now answers 503, steering load
 	// balancers and harnesses away while in-flight requests drain.
-	srv.draining.Store(true)
+	srv.SetDraining()
 
 	// 1. Stop accepting connections and drain in-flight requests.
 	shCtx, cancel := context.WithTimeout(context.Background(), opts.shutdownTimeout)
@@ -416,28 +304,109 @@ func runNode(ctx context.Context, opts options, out io.Writer) error {
 	}
 	<-serveErr // Serve has returned (http.ErrServerClosed)
 
-	// Drain the SKSP listener after the HTTP one: stop accepting, close
-	// every session (handlers finish their in-flight frame), wait. Every
-	// ACKed frame is now in the ingest queues for the Flush below;
-	// un-ACKed frames will be replayed by their clients on reconnect.
-	if srv.stream != nil {
-		srv.stream.shutdown()
+	// Drain the SKSP listener after the HTTP one: every ACKed frame is
+	// now admitted for the Flush below; un-ACKed frames will be replayed
+	// by their clients on reconnect.
+	if sksp != nil {
+		sksp.Shutdown()
+	}
+	stopLoops()
+	loops.Wait()
+	if eng == nil {
+		return nil // a merger holds no synopses: shards own persistence
 	}
 
-	// 2. Quiesce the periodic checkpointer, then drain the ingest
-	// pipeline so every accepted update is folded into its synopsis.
-	cpCancel()
-	cpWG.Wait()
+	// 2. Drain the ingest pipeline so every accepted update is folded
+	// into its synopsis.
 	eng.Flush()
 	eng.StopIngest()
 
 	// 3. Final checkpoint: the state a restarted sketchd resumes from,
 	// bit-identical to what this process would have answered.
 	if mgr != nil {
-		if err := mgr.Save(srv.writeCheckpoint); err != nil {
+		if err := mgr.Save(node.WriteCheckpoint); err != nil {
 			return fmt.Errorf("final checkpoint: %w", err)
 		}
 		fmt.Fprintf(out, "sketchd final checkpoint written to %s\n", mgr.CurrentPath())
 	}
 	return nil
+}
+
+// startNode builds a node's engine, restores the newest checkpoint
+// (before the ingest pipeline starts and the listeners open:
+// Engine.Restore requires an empty, quiescent engine) and starts the
+// pipeline.
+func startNode(opts options, out io.Writer) (*engine.Engine, *cluster.Node, *checkpoint.Manager, error) {
+	eng, err := engine.New(engine.Options{
+		SketchConfig: core.Config{Tables: opts.tables, Buckets: opts.buckets, Seed: opts.seed},
+		QueryWorkers: opts.qworkers,
+		DefaultQuota: engine.Quota{
+			MaxSynopsisWords:  opts.tenantMaxWords,
+			MaxPendingUpdates: opts.tenantMaxPending,
+		},
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	node := cluster.NewNode(eng)
+	var mgr *checkpoint.Manager
+	if opts.checkpointDir != "" {
+		if mgr, err = checkpoint.NewManager(opts.checkpointDir); err != nil {
+			return nil, nil, nil, err
+		}
+		switch path, err := mgr.Load(node.ReadCheckpoint); {
+		case err == nil:
+			fmt.Fprintf(out, "sketchd restored checkpoint %s\n", path)
+		case errors.Is(err, checkpoint.ErrNoCheckpoint):
+			fmt.Fprintf(out, "sketchd starting fresh (no checkpoint in %s)\n", opts.checkpointDir)
+		default:
+			return nil, nil, nil, err
+		}
+	}
+	if opts.workers > 0 {
+		err := eng.StartIngest(engine.IngestConfig{
+			Workers:    opts.workers,
+			BatchSize:  opts.batch,
+			QueueDepth: opts.queue,
+		})
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		fmt.Fprintf(out, "sketchd ingest pipeline: %d workers, batch %d, queue %d\n", opts.workers, opts.batch, opts.queue)
+	}
+	return eng, node, mgr, nil
+}
+
+// evaluateWatches runs every standing watch each interval until ctx is
+// done — through the backend's answer, so a merger's watches see the
+// global estimate and a node's hit its answer cache when nothing
+// changed — logging state flips, not every tick spent in alert.
+func evaluateWatches(ctx context.Context, srv *serve.Server, interval time.Duration) {
+	ticker := time.NewTicker(interval)
+	defer ticker.Stop()
+	lastTransitions := make(map[monitor.WatchKey]int64)
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-ticker.C:
+		}
+		sts, err := srv.EvaluateWatches(ctx, "")
+		if err != nil {
+			log.Print("sketchd: watch evaluation: ", err)
+		}
+		for _, st := range sts {
+			key := monitor.WatchKey{Tenant: st.Tenant, Query: st.Query}
+			if st.Transitions == lastTransitions[key] {
+				continue
+			}
+			lastTransitions[key] = st.Transitions
+			state := "cleared"
+			if st.State == monitor.Alert {
+				state = "raised"
+			}
+			log.Printf("sketchd: watch %s/%s %s: estimate %d vs band [low %d, high %d]",
+				st.Tenant, st.Query, state, st.LastEstimate, st.Low, st.High)
+		}
+	}
 }

@@ -3,11 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -265,20 +263,5 @@ func TestBadJSONBody(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Fatalf("status = %d", resp.StatusCode)
-	}
-}
-
-// TestParseIdempotencyKeyUnwraps: a non-numeric seq wraps the strconv
-// error with %w so handlers can errors.As to *strconv.NumError.
-func TestParseIdempotencyKeyUnwraps(t *testing.T) {
-	r := httptest.NewRequest(http.MethodPost, "/update", nil)
-	r.Header.Set("Idempotency-Key", "client-1:notanumber")
-	_, _, _, err := parseIdempotencyKey(r)
-	if err == nil {
-		t.Fatal("malformed seq accepted")
-	}
-	var ne *strconv.NumError
-	if !errors.As(err, &ne) {
-		t.Errorf("error %q does not unwrap to *strconv.NumError", err)
 	}
 }

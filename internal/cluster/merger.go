@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -18,29 +19,27 @@ import (
 
 	"skimsketch/internal/core"
 	"skimsketch/internal/distributed"
+	"skimsketch/internal/monitor"
+	"skimsketch/internal/serve"
+	"skimsketch/internal/stream"
 )
 
-// Merger is the cluster's front tier: an http.Handler that hash-routes
-// ingest to the shard ring, broadcasts registrations so every shard
-// holds the same schema, and answers global joins by pulling each
-// shard's slim SKSL payload and merging the synopses through
-// distributed.Merge.
+// Merger is the serving backend of the cluster's front tier: it
+// hash-routes ingest to the shard ring, broadcasts registrations so
+// every shard holds the same schema, and answers global joins by
+// pulling each shard's slim SKSL payload and merging the synopses
+// through distributed.Merge. It holds no synopsis state, only its
+// standing watches, which evaluate the global estimate.
 //
 // Failure handling is first-class. Every cross-node call carries a
-// context deadline — there are no deadline-less dials anywhere in the
-// path — and a lagging or dead shard degrades an answer instead of
-// failing it: the merger estimates over the shards it has and reports
-//
-//	"shards":     {"answered": k, "of": n, "missing": [...]}
-//	"confidence": {"coverage": k/n, "errorWidening": n/k, "degraded": true}
-//
-// Because routing partitions values (see Config.Route), the degraded
-// estimate is exactly the join over the surviving value partition: the
-// merge of k shard synopses is bit-identical to a synopsis maintained
-// over precisely those shards' updates, so coverage k/n is an honest
-// statement of what the number means. The paper's ±ε guarantee applies
-// to the covered partition; errorWidening = n/k is the factor by which
-// the missing mass could scale the true total in the uniform case.
+// context deadline, and a lagging or dead shard degrades an answer
+// instead of failing it: the merger estimates over the shards it has
+// and reports their coverage (serve.Coverage). Because routing
+// partitions values (see Config.Route), the degraded estimate is
+// exactly the join over the surviving value partition: the merge of k
+// shard synopses is bit-identical to a synopsis maintained over
+// precisely those shards' updates, so coverage k/n is an honest
+// statement of what the number means.
 type Merger struct {
 	cfg     Config
 	client  *http.Client
@@ -48,15 +47,13 @@ type Merger struct {
 	epoch   time.Duration
 	retry   distributed.Backoff
 	now     func() time.Time
-	mux     *http.ServeMux
+	watches *monitor.Registry
 
-	// cacheMu guards cache, the epoch-TTL store of pulled global
-	// answers. With epoch 0 every /answer pulls fresh payloads — the
-	// deterministic mode the integration harness uses.
+	// cacheMu guards cache, the epoch-TTL store of global answers. With
+	// epoch 0 every answer pulls fresh payloads — the deterministic mode
+	// the integration harness uses.
 	cacheMu sync.Mutex
 	cache   map[string]cachedAnswer
-
-	draining atomic.Bool
 
 	// Counters for /stats.
 	updateCalls    atomic.Int64
@@ -67,20 +64,9 @@ type Merger struct {
 	degraded       atomic.Int64
 	pulls          atomic.Int64
 	pullFailures   atomic.Int64
-	start          time.Time
-
-	// stream is the SKSP ingress forwarder, when one is attached; its
-	// counters render under /stats "stream".
-	stream *StreamForwarder
 }
 
-// mergerRetryAfterSeconds is the Retry-After hint the merger attaches
-// to its own 429/503 responses when the shards did not supply a larger
-// one: cross-node retries are more expensive than local ones, so the
-// floor matches sketchd's single-node hint.
-const mergerRetryAfterSeconds = 1
-
-// maxPayloadBytes caps one shard's SKSL response. The largest sensible
+// maxPayloadBytes caps one shard's response. The largest sensible
 // payload (two 64×(1<<18) sketches) is well under this; a response
 // exceeding it is a broken or hostile peer, not a big sketch.
 const maxPayloadBytes = 1 << 28
@@ -106,11 +92,11 @@ type MergerOptions struct {
 }
 
 type cachedAnswer struct {
-	resp map[string]any
-	at   time.Time
+	ans serve.Answer
+	at  time.Time
 }
 
-// NewMerger validates the membership config and builds the handler.
+// NewMerger validates the membership config and builds the backend.
 func NewMerger(cfg Config, opts MergerOptions) (*Merger, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -139,105 +125,16 @@ func NewMerger(cfg Config, opts MergerOptions) (*Merger, error) {
 	if now == nil {
 		now = time.Now
 	}
-	m := &Merger{
+	return &Merger{
 		cfg:     cfg,
 		client:  client,
 		timeout: timeout,
 		epoch:   opts.Epoch,
 		retry:   retry,
 		now:     now,
-		mux:     http.NewServeMux(),
+		watches: monitor.NewRegistry(),
 		cache:   make(map[string]cachedAnswer),
-		start:   time.Now(),
-	}
-	// Registration and admin endpoints broadcast to every shard so the
-	// ring stays schema-uniform; reads of the (uniform) schema are
-	// answered by the first shard.
-	m.mux.HandleFunc("/streams", m.handleBroadcast)
-	m.mux.HandleFunc("/predicates", m.handleBroadcast)
-	m.mux.HandleFunc("/queries", m.handleBroadcast)
-	m.mux.HandleFunc("/queries/", m.handleBroadcast)
-	m.mux.HandleFunc("/tenants", m.handleBroadcast)
-	m.mux.HandleFunc("/watches", m.handleBroadcast)
-	m.mux.HandleFunc("/watches/", m.handleBroadcast)
-	m.mux.HandleFunc("/flush", m.handleBroadcast)
-	m.mux.HandleFunc("/update", m.handleUpdate)
-	m.mux.HandleFunc("/answer", m.handleAnswer)
-	m.mux.HandleFunc("/sketch", m.handleSketch)
-	m.mux.HandleFunc("/stats", m.handleStats)
-	m.mux.HandleFunc("/healthz", m.handleHealthz)
-	return m, nil
-}
-
-// SetDraining flips the readiness probe to 503 during shutdown drain.
-func (m *Merger) SetDraining() { m.draining.Store(true) }
-
-// AttachStream registers a StreamForwarder for /stats reporting.
-func (m *Merger) AttachStream(f *StreamForwarder) { m.stream = f }
-
-// Shards returns the membership list (a copy).
-func (m *Merger) Shards() []Shard { return append([]Shard(nil), m.cfg.Shards...) }
-
-// ServeHTTP resolves the tenant scope exactly like sketchd's flat API
-// (path prefix /t/{tenant}/ or ?tenant=), then muxes. The resolved
-// tenant travels to shards as a ?tenant= query parameter.
-func (m *Merger) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	tenant := ""
-	if rest, ok := strings.CutPrefix(r.URL.Path, "/t/"); ok {
-		name, tail, found := strings.Cut(rest, "/")
-		if !found || name == "" {
-			mWriteErr(w, http.StatusNotFound, errors.New("tenant-scoped paths are /t/{tenant}/{endpoint}"))
-			return
-		}
-		tenant = name
-		r2 := r.Clone(r.Context())
-		r2.URL.Path = "/" + tail
-		r = r2
-	}
-	if q := r.URL.Query().Get("tenant"); q != "" {
-		if tenant != "" && q != tenant {
-			mWriteErr(w, http.StatusBadRequest, fmt.Errorf("conflicting tenants %q (path) and %q (query)", tenant, q))
-			return
-		}
-		tenant = q
-	}
-	if tenant != "" {
-		r = r.WithContext(context.WithValue(r.Context(), mergerTenantKey{}, tenant))
-	}
-	m.mux.ServeHTTP(w, r)
-}
-
-type mergerTenantKey struct{}
-
-func mergerTenant(r *http.Request) string {
-	t, _ := r.Context().Value(mergerTenantKey{}).(string)
-	return t
-}
-
-func mWriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func mWriteErr(w http.ResponseWriter, status int, err error) {
-	mWriteJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// writeRetryable renders a 429 or 503 with its Retry-After hint — the
-// pair travels together so well-behaved clients never fall back to
-// blind backoff.
-func writeRetryable(w http.ResponseWriter, status int, after time.Duration, err error) {
-	secs := int(after / time.Second)
-	if secs < mergerRetryAfterSeconds {
-		secs = mergerRetryAfterSeconds
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	if status == http.StatusTooManyRequests {
-		mWriteErr(w, http.StatusTooManyRequests, err)
-		return
-	}
-	mWriteErr(w, status, err)
+	}, nil
 }
 
 // shardURL builds a shard API URL with the tenant (if any) and extra
@@ -290,273 +187,261 @@ func (m *Merger) forward(ctx context.Context, method, u string, body []byte, hea
 	return resp.StatusCode, b, resp.Header, nil
 }
 
-// handleBroadcast forwards a registration/admin request to every shard
-// (POST/DELETE) or to the first shard (GET — the schema is uniform by
-// construction, so any shard can answer). All shards must accept a
-// mutation; the first refusal or transport failure is propagated and
-// the caller retries the whole request (registrations are idempotent on
-// the shard side).
-func (m *Merger) handleBroadcast(w http.ResponseWriter, r *http.Request) {
-	tenant := mergerTenant(r)
-	if r.Method == http.MethodGet {
-		status, body, hdr, err := m.forward(r.Context(), http.MethodGet, m.shardURL(m.cfg.Shards[0], r.URL.Path, tenant, nil), nil, nil)
-		if err != nil {
-			writeRetryable(w, http.StatusServiceUnavailable, 0, fmt.Errorf("shard %s: %w", m.cfg.Shards[0].Name, err))
-			return
+// unreachable is a transport failure to a shard: a 503 the caller
+// retries whole.
+func unreachable(s Shard, err error) error {
+	return &serve.Error{Status: http.StatusServiceUnavailable, Err: fmt.Errorf("shard %s unreachable: %w", s.Name, err)}
+}
+
+// refused turns a shard's error response into the same error at the
+// merger: status, Retry-After hint, and the failing stream it named.
+func (m *Merger) refused(s Shard, status int, body []byte, hdr http.Header) error {
+	var e struct {
+		Error  string `json:"error"`
+		Stream string `json:"stream"`
+	}
+	if json.Unmarshal(body, &e) != nil || e.Error == "" {
+		e.Error = strings.TrimSpace(string(body))
+	}
+	return &serve.Error{
+		Status:     status,
+		RetryAfter: distributed.ParseRetryAfter(hdr.Get("Retry-After"), m.now()),
+		Stream:     e.Stream,
+		Err:        fmt.Errorf("shard %s refused: %s", s.Name, e.Error),
+	}
+}
+
+// broadcast sends one registration or admin call to every shard so the
+// ring stays schema-uniform. All shards must accept; a transport failure
+// wins (a 503: the mutation may be half-applied across the ring), then
+// the first shard-side refusal.
+func (m *Merger) broadcast(ctx context.Context, method, path, tenant string, req any) error {
+	var body []byte
+	if req != nil {
+		var err error
+		if body, err = json.Marshal(req); err != nil {
+			return err
 		}
-		copyResponse(w, status, body, hdr)
-		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxPayloadBytes+1))
-	if err != nil || len(body) > maxPayloadBytes {
-		mWriteErr(w, http.StatusBadRequest, errors.New("unreadable or oversized request body"))
-		return
-	}
-	type result struct {
-		shard  Shard
-		status int
-		body   []byte
-		header http.Header
-		err    error
-	}
-	results := make([]result, len(m.cfg.Shards))
+	errs := make([]error, len(m.cfg.Shards))
 	var wg sync.WaitGroup
 	for i, s := range m.cfg.Shards {
 		wg.Add(1)
 		go func(i int, s Shard) {
 			defer wg.Done()
-			st, b, h, err := m.forward(r.Context(), r.Method, m.shardURL(s, r.URL.Path, tenant, nil), body, nil)
-			results[i] = result{shard: s, status: st, body: b, header: h, err: err}
+			status, b, hdr, err := m.forward(ctx, method, m.shardURL(s, path, tenant, nil), body, nil)
+			switch {
+			case err != nil:
+				errs[i] = unreachable(s, err)
+			case status >= 300:
+				errs[i] = m.refused(s, status, b, hdr)
+			}
 		}(i, s)
 	}
 	wg.Wait()
-	// Transport failures dominate (the mutation may be half-applied
-	// across the ring; the client must retry it everywhere), then the
-	// first shard-side refusal, then success.
-	for _, res := range results {
-		if res.err != nil {
-			writeRetryable(w, http.StatusServiceUnavailable, 0, fmt.Errorf("shard %s: %w", res.shard.Name, res.err))
-			return
+	var refusal error
+	for _, err := range errs {
+		var e *serve.Error
+		switch {
+		case err == nil:
+		case errors.As(err, &e) && e.Status == http.StatusServiceUnavailable:
+			return err
+		case refusal == nil:
+			refusal = err
 		}
 	}
-	for _, res := range results {
-		if res.status >= 300 {
-			if res.status == http.StatusTooManyRequests {
-				writeRetryable(w, http.StatusTooManyRequests, distributed.ParseRetryAfter(res.header.Get("Retry-After"), m.now()), fmt.Errorf("shard %s refused", res.shard.Name))
-				return
-			}
-			copyResponse(w, res.status, res.body, res.header)
-			return
-		}
-	}
-	copyResponse(w, results[0].status, results[0].body, results[0].header)
+	return refusal
 }
 
-func copyResponse(w http.ResponseWriter, status int, body []byte, hdr http.Header) {
-	if ct := hdr.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
+// readFirst answers a schema read from the first shard: the schema is
+// uniform by construction, so any shard can.
+func (m *Merger) readFirst(ctx context.Context, path, tenant string, out any) error {
+	s := m.cfg.Shards[0]
+	status, body, hdr, err := m.forward(ctx, http.MethodGet, m.shardURL(s, path, tenant, nil), nil, nil)
+	switch {
+	case err != nil:
+		return unreachable(s, err)
+	case status >= 300:
+		return m.refused(s, status, body, hdr)
 	}
-	if ra := hdr.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
+	return json.Unmarshal(body, out)
 }
 
-// mergerUpdate mirrors sketchd's update object. Weight stays a pointer
-// so an omitted weight (default 1) survives re-encoding unchanged.
-type mergerUpdate struct {
-	Tenant string `json:"tenant,omitempty"`
-	Stream string `json:"stream"`
-	Value  uint64 `json:"value"`
-	Weight *int64 `json:"weight,omitempty"`
+func (m *Merger) DeclareStream(ctx context.Context, tenant string, req serve.StreamReq) error {
+	return m.broadcast(ctx, http.MethodPost, "/streams", tenant, req)
 }
 
-// handleUpdate routes a JSON update batch across the ring: each element
-// goes to the shard Route picks for its (tenant, stream, value), so the
-// per-shard sub-batches partition the request. Sub-batches are
-// forwarded concurrently, each under the cross-node deadline, with
-// per-shard idempotency keys derived from the caller's (see deriveKey)
-// so a retried batch is exactly-once on every shard even when the first
-// attempt half-landed.
-func (m *Merger) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		mWriteErr(w, http.StatusMethodNotAllowed, errors.New("use POST"))
-		return
+func (m *Merger) Streams(ctx context.Context, tenant string) ([]string, error) {
+	var out struct{ Streams []string }
+	err := m.readFirst(ctx, "/streams", tenant, &out)
+	return out.Streams, err
+}
+
+func (m *Merger) RegisterPredicate(ctx context.Context, tenant string, req serve.PredicateReq) error {
+	return m.broadcast(ctx, http.MethodPost, "/predicates", tenant, req)
+}
+
+func (m *Merger) RegisterQuery(ctx context.Context, tenant string, req serve.QueryReq) error {
+	return m.broadcast(ctx, http.MethodPost, "/queries", tenant, req)
+}
+
+func (m *Merger) Queries(ctx context.Context, tenant string) ([]string, error) {
+	var out struct{ Queries []string }
+	err := m.readFirst(ctx, "/queries", tenant, &out)
+	return out.Queries, err
+}
+
+// RemoveQuery drops the query on every shard and the merger's watch on
+// it, as a node drops a watch with its query.
+func (m *Merger) RemoveQuery(ctx context.Context, tenant, query string) error {
+	err := m.broadcast(ctx, http.MethodDelete, "/queries/"+url.PathEscape(query), tenant, nil)
+	if err == nil {
+		m.watches.Remove(monitor.WatchKey{Tenant: tenant, Query: query})
 	}
+	return err
+}
+
+func (m *Merger) SetQuota(ctx context.Context, req serve.TenantReq) error {
+	return m.broadcast(ctx, http.MethodPost, "/tenants", "", req)
+}
+
+func (m *Merger) Tenants(ctx context.Context) (any, error) {
+	var out struct{ Tenants any }
+	err := m.readFirst(ctx, "/tenants", "", &out)
+	return out.Tenants, err
+}
+
+func (m *Merger) Flush(ctx context.Context) error {
+	return m.broadcast(ctx, http.MethodPost, "/flush", "", nil)
+}
+
+// Shed never refuses at the merger: the shards shed load, and their
+// 429s come back through IngestGroups with their hints.
+func (m *Merger) Shed(serve.Key) bool { return false }
+
+// IngestGroups routes one request across the ring: each element goes to
+// the shard Route picks for its (tenant, stream, value), so the
+// per-shard sub-batches partition the request. The request is not
+// atomic across shards, but it is exactly-once per shard under retry:
+// the client's key is derived per shard (deriveKey), so the shard
+// dedupe windows carry the promise across merger restarts and replays,
+// and the merger remembers nothing. A replay is re-forwarded in full;
+// shards that already applied their slice answer from memory, and the
+// result is a duplicate only when every shard's was.
+func (m *Merger) IngestGroups(ctx context.Context, tenant string, key serve.Key, groups []stream.Group, release func()) (int64, bool, error) {
 	m.updateCalls.Add(1)
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxPayloadBytes+1))
-	if err != nil || len(body) > maxPayloadBytes {
-		mWriteErr(w, http.StatusBadRequest, errors.New("unreadable or oversized request body"))
-		return
-	}
-	var batch []mergerUpdate
-	if err := json.Unmarshal(body, &batch); err != nil {
-		var one mergerUpdate
-		if err := json.Unmarshal(body, &one); err != nil {
-			mWriteErr(w, http.StatusBadRequest, errors.New("expected a JSON update object or array of them"))
-			return
+	perShard := make(map[int][]serve.UpdateReq)
+	var total int64
+	for _, g := range groups {
+		for _, u := range g.Updates {
+			si := m.cfg.Route(tenant, g.Name, u.Value)
+			w := u.Weight
+			perShard[si] = append(perShard[si], serve.UpdateReq{Stream: g.Name, Value: u.Value, Weight: &w})
 		}
-		batch = []mergerUpdate{one}
+		total += int64(len(g.Updates))
 	}
-	tenant := mergerTenant(r)
-	for _, u := range batch {
-		if u.Tenant == "" {
-			continue
-		}
-		if tenant != "" && u.Tenant != tenant {
-			mWriteErr(w, http.StatusBadRequest, fmt.Errorf("batch mixes tenants %q and %q; one tenant per request", tenant, u.Tenant))
-			return
-		}
-		tenant = u.Tenant
+	baseKey := ""
+	if key.Client != "" {
+		baseKey = key.Client + ":" + strconv.FormatUint(key.Seq, 10)
 	}
-	perShard := make(map[int][]mergerUpdate)
-	for _, u := range batch {
-		u.Tenant = "" // already carried in the forwarded URL
-		si := m.cfg.Route(tenant, u.Stream, u.Value)
-		perShard[si] = append(perShard[si], u)
+	dup, err := m.fanOutUpdate(ctx, tenant, perShard, baseKey)
+	if err != nil {
+		m.updateRejected.Add(1)
+		return 0, false, err
 	}
-	baseKey := r.Header.Get("Idempotency-Key")
-	out := m.fanOutUpdate(r.Context(), tenant, perShard, baseKey)
-	if out.err != nil {
-		switch out.kind {
-		case fanPermanent:
-			copyResponse(w, out.status, out.body, out.header)
-		case fanRejected:
-			m.updateRejected.Add(1)
-			writeRetryable(w, http.StatusTooManyRequests, out.retryAfter, out.err)
-		default:
-			m.updateRejected.Add(1)
-			writeRetryable(w, http.StatusServiceUnavailable, out.retryAfter, out.err)
-		}
-		return
+	if release != nil {
+		release()
 	}
-	m.updatesRouted.Add(int64(len(batch)))
-	resp := map[string]any{"applied": len(batch), "shards": len(perShard)}
-	if out.allDup {
-		resp["deduplicated"] = true
-	}
-	mWriteJSON(w, http.StatusOK, resp)
+	m.updatesRouted.Add(total)
+	return total, dup, nil
 }
 
 // deriveKey scopes a client idempotency key "client:seq" to one shard:
-// "client.s<i>:seq". The merger fans one logical batch out to several
-// shards, and a retry after a partial failure must not double-apply on
-// the shards that already accepted — each shard's dedupe window sees a
-// stable per-shard identity, so replays are answered from memory there.
-// Batches without a key are at-least-once per shard under merger-level
-// retry, exactly like keyless single-node batches.
+// "client.s<i>:seq". A retry after a partial failure must not
+// double-apply on the shards that already accepted, so each shard's
+// dedupe window sees a stable per-shard identity. Batches without a key
+// are at-least-once per shard under retry, exactly like keyless
+// single-node batches.
 func deriveKey(baseKey string, shard int) string {
-	if baseKey == "" {
-		return ""
-	}
 	i := strings.LastIndexByte(baseKey, ':')
 	if i <= 0 {
-		return "" // malformed; let the shard reject or treat as keyless
+		return ""
 	}
 	return fmt.Sprintf("%s.s%d%s", baseKey[:i], shard, baseKey[i:])
-}
-
-type fanKind int
-
-const (
-	fanPermanent fanKind = iota + 1 // 4xx from a shard: do not retry
-	fanRejected                     // 429: nothing applied there, retry whole batch
-	fanUnreachable                  // transport failure: retry whole batch
-)
-
-type fanResult struct {
-	err        error
-	kind       fanKind
-	status     int
-	body       []byte
-	header     http.Header
-	retryAfter time.Duration
-	allDup     bool
 }
 
 // fanOutUpdate forwards per-shard sub-batches concurrently and folds
 // the outcomes: permanent refusals dominate (the request itself is
 // bad), then 429s (retryable, with the largest shard hint), then
 // transport failures. Success requires every involved shard to accept.
-func (m *Merger) fanOutUpdate(ctx context.Context, tenant string, perShard map[int][]mergerUpdate, baseKey string) fanResult {
+func (m *Merger) fanOutUpdate(ctx context.Context, tenant string, perShard map[int][]serve.UpdateReq, baseKey string) (allDup bool, err error) {
 	type shardOut struct {
-		shard      Shard
-		status     int
-		body       []byte
-		header     http.Header
-		dup        bool
-		err        error
-		retryAfter time.Duration
+		dup bool
+		err error
 	}
-	outs := make([]shardOut, 0, len(perShard))
-	var mu sync.Mutex
+	outs := make([]shardOut, len(m.cfg.Shards))
 	var wg sync.WaitGroup
 	for si, items := range perShard {
 		wg.Add(1)
-		go func(si int, items []mergerUpdate) {
+		go func(si int, items []serve.UpdateReq) {
 			defer wg.Done()
-			s := m.cfg.Shards[si]
-			body, err := json.Marshal(items)
-			if err != nil {
-				mu.Lock()
-				outs = append(outs, shardOut{shard: s, err: err})
-				mu.Unlock()
-				return
-			}
-			hdr := http.Header{}
-			if key := deriveKey(baseKey, si); key != "" {
-				hdr.Set("Idempotency-Key", key)
-			}
-			status, respBody, respHdr, err := m.forward(ctx, http.MethodPost, m.shardURL(s, "/update", tenant, nil), body, hdr)
-			o := shardOut{shard: s, status: status, body: respBody, header: respHdr, err: err}
-			if err == nil {
-				o.retryAfter = distributed.ParseRetryAfter(respHdr.Get("Retry-After"), m.now())
-				var ack struct {
-					Deduplicated bool `json:"deduplicated"`
-				}
-				if json.Unmarshal(respBody, &ack) == nil {
-					o.dup = ack.Deduplicated
-				}
-			}
-			mu.Lock()
-			outs = append(outs, o)
-			mu.Unlock()
+			dup, err := m.sendUpdate(ctx, m.cfg.Shards[si], tenant, items, deriveKey(baseKey, si))
+			outs[si] = shardOut{dup, err}
 		}(si, items)
 	}
 	wg.Wait()
-	res := fanResult{allDup: len(outs) > 0}
-	for _, o := range outs {
-		if o.err == nil && o.status < 300 && !o.dup {
-			res.allDup = false
-		}
-	}
-	for _, o := range outs {
-		if o.err == nil && o.status >= 300 && o.status != http.StatusTooManyRequests {
-			return fanResult{err: fmt.Errorf("shard %s refused: %s", o.shard.Name, strings.TrimSpace(string(o.body))), kind: fanPermanent, status: o.status, body: o.body, header: o.header}
-		}
-	}
-	for _, o := range outs {
-		if o.err == nil && o.status == http.StatusTooManyRequests {
-			if res.retryAfter < o.retryAfter {
-				res.retryAfter = o.retryAfter
+	allDup = len(perShard) > 0
+	var permanent, rejected, failed error
+	var hint time.Duration
+	for si := range perShard {
+		o := outs[si]
+		allDup = allDup && o.err == nil && o.dup
+		var e *serve.Error
+		switch {
+		case o.err == nil:
+		case !errors.As(o.err, &e) || (e.Status != http.StatusTooManyRequests && e.Status != http.StatusServiceUnavailable):
+			if permanent == nil {
+				permanent = o.err
 			}
-			res.err = fmt.Errorf("shard %s saturated; retry whole batch", o.shard.Name)
-			res.kind = fanRejected
+		case e.Status == http.StatusTooManyRequests:
+			if rejected == nil || e.RetryAfter > hint {
+				rejected, hint = o.err, e.RetryAfter
+			}
+		default:
+			failed = o.err
 		}
 	}
-	if res.err != nil {
-		return res
+	if err := cmp.Or(permanent, rejected, failed); err != nil {
+		return false, err
 	}
-	for _, o := range outs {
-		if o.err != nil {
-			return fanResult{err: fmt.Errorf("shard %s unreachable: %w", o.shard.Name, o.err), kind: fanUnreachable}
-		}
-	}
-	return res
+	return allDup, nil
 }
 
-// pullResult is one shard's contribution to a global answer.
+// sendUpdate forwards one shard's sub-batch, reporting whether the
+// shard answered it from its dedupe window.
+func (m *Merger) sendUpdate(ctx context.Context, s Shard, tenant string, items []serve.UpdateReq, key string) (bool, error) {
+	body, err := json.Marshal(items)
+	if err != nil {
+		return false, err
+	}
+	hdr := http.Header{}
+	if key != "" {
+		hdr.Set("Idempotency-Key", key)
+	}
+	status, respBody, respHdr, err := m.forward(ctx, http.MethodPost, m.shardURL(s, "/update", tenant, nil), body, hdr)
+	switch {
+	case err != nil:
+		return false, unreachable(s, err)
+	case status >= 300:
+		return false, m.refused(s, status, respBody, respHdr)
+	}
+	var ack struct {
+		Deduplicated bool `json:"deduplicated"`
+	}
+	return json.Unmarshal(respBody, &ack) == nil && ack.Deduplicated, nil
+}
+
+// pullResult is one shard's contribution to a global result.
 type pullResult struct {
 	shard   Shard
 	payload *Payload
@@ -616,89 +501,50 @@ func (m *Merger) fetchPayload(ctx context.Context, s Shard, tenant, query string
 	}
 }
 
-// globalAnswer pulls, merges, and estimates one query across the ring.
-func (m *Merger) globalAnswer(ctx context.Context, tenant, query string) (map[string]any, int, error) {
-	pulls := m.pullPayloads(ctx, tenant, query)
+// pullMerged pulls one query's payload from every shard and merges the
+// survivors into the global payload: /answer estimates from it, /sketch
+// serves it. Shards that disagree on the query's aggregate or domain
+// mean the ring's schema has diverged, which is an error, not a merge.
+func (m *Merger) pullMerged(ctx context.Context, tenant, query string) (*Payload, *serve.Coverage, error) {
+	internal := func(err error) error { return &serve.Error{Status: http.StatusInternalServerError, Err: err} }
+	cov := &serve.Coverage{Of: len(m.cfg.Shards), Missing: []string{}}
 	var lefts, rights []*core.HashSketch
-	var missing []string
-	var ref *Payload
-	var leftEpoch, rightEpoch uint64
-	for _, pr := range pulls {
+	merged := &Payload{}
+	for _, pr := range m.pullPayloads(ctx, tenant, query) {
 		if pr.err != nil {
-			missing = append(missing, pr.shard.Name)
+			cov.Missing = append(cov.Missing, pr.shard.Name)
 			continue
 		}
 		p := pr.payload
-		if ref == nil {
-			ref = p
-		} else if p.Agg != ref.Agg || p.Domain != ref.Domain {
-			return nil, http.StatusInternalServerError,
-				fmt.Errorf("shard %s disagrees on query metadata (agg %d domain %d vs agg %d domain %d): ring schema has diverged",
-					pr.shard.Name, p.Agg, p.Domain, ref.Agg, ref.Domain)
+		if lefts == nil {
+			merged.Agg, merged.Domain = p.Agg, p.Domain
+		} else if p.Agg != merged.Agg || p.Domain != merged.Domain {
+			return nil, nil, internal(fmt.Errorf("shard %s disagrees on query metadata (agg %d domain %d vs agg %d domain %d): ring schema has diverged",
+				pr.shard.Name, p.Agg, p.Domain, merged.Agg, merged.Domain))
 		}
 		lefts = append(lefts, p.Left)
 		rights = append(rights, p.Right)
-		leftEpoch += p.LeftEpoch
-		rightEpoch += p.RightEpoch
+		merged.LeftEpoch += p.LeftEpoch
+		merged.RightEpoch += p.RightEpoch
 	}
-	n := len(m.cfg.Shards)
-	k := len(lefts)
-	if k == 0 {
-		return nil, http.StatusServiceUnavailable, fmt.Errorf("no shard answered for query %q (%d tried)", query, n)
+	cov.Answered = len(lefts)
+	if cov.Answered == 0 {
+		return nil, nil, &serve.Error{Status: http.StatusServiceUnavailable,
+			Err: fmt.Errorf("no shard answered for query %q (%d tried)", query, cov.Of)}
 	}
-	mergedL, err := distributed.Merge(lefts...)
-	if err != nil {
-		return nil, http.StatusInternalServerError, fmt.Errorf("merge left synopses: %w", err)
+	var err error
+	if merged.Left, err = distributed.Merge(lefts...); err != nil {
+		return nil, nil, internal(fmt.Errorf("merge left synopses: %w", err))
 	}
-	mergedR, err := distributed.Merge(rights...)
-	if err != nil {
-		return nil, http.StatusInternalServerError, fmt.Errorf("merge right synopses: %w", err)
+	if merged.Right, err = distributed.Merge(rights...); err != nil {
+		return nil, nil, internal(fmt.Errorf("merge right synopses: %w", err))
 	}
-	est, err := core.EstimateJoin(mergedL, mergedR, ref.Domain, nil)
-	if err != nil {
-		return nil, http.StatusInternalServerError, fmt.Errorf("estimate over merged synopses: %w", err)
-	}
-	agg := "COUNT"
-	if ref.Agg == AggSum {
-		agg = "SUM"
-	}
-	if missing == nil {
-		missing = []string{} // never null on the wire
-	}
-	resp := map[string]any{
-		"query":    query,
-		"agg":      agg,
-		"estimate": est.Total,
-		"detail": map[string]any{
-			"denseDense":   est.DenseDense,
-			"denseSparse":  est.DenseSparse,
-			"sparseDense":  est.SparseDense,
-			"sparseSparse": est.SparseSparse,
-			"denseCountF":  est.DenseCountF,
-			"denseCountG":  est.DenseCountG,
-		},
-		"shards": map[string]any{"answered": k, "of": n, "missing": missing},
-		"confidence": map[string]any{
-			"coverage":      float64(k) / float64(n),
-			"errorWidening": float64(n) / float64(k),
-			"degraded":      k < n,
-		},
-		"epochs": map[string]uint64{"left": leftEpoch, "right": rightEpoch},
-	}
-	return resp, http.StatusOK, nil
+	return merged, cov, nil
 }
 
-func (m *Merger) handleAnswer(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		mWriteErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
-	query := r.URL.Query().Get("query")
-	if query == "" {
-		mWriteErr(w, http.StatusBadRequest, errors.New("missing ?query="))
-		return
-	}
-	tenant := mergerTenant(r)
+// Answer estimates the join over the merged shard synopses, serving an
+// answer younger than the epoch from cache.
+func (m *Merger) Answer(ctx context.Context, tenant, query string) (serve.Answer, error) {
 	m.answers.Add(1)
 	key := tenant + "\x00" + query
 	if m.epoch > 0 {
@@ -707,102 +553,84 @@ func (m *Merger) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		m.cacheMu.Unlock()
 		if ok && m.now().Sub(c.at) < m.epoch {
 			m.answersCached.Add(1)
-			mWriteJSON(w, http.StatusOK, c.resp)
-			return
+			return c.ans, nil
 		}
 	}
-	resp, status, err := m.globalAnswer(r.Context(), tenant, query)
+	p, cov, err := m.pullMerged(ctx, tenant, query)
 	if err != nil {
-		if status == http.StatusServiceUnavailable {
-			writeRetryable(w, status, 0, err)
-			return
-		}
-		mWriteErr(w, status, err)
-		return
+		return serve.Answer{}, err
 	}
-	if deg, _ := resp["confidence"].(map[string]any)["degraded"].(bool); deg {
+	est, err := core.EstimateJoin(p.Left, p.Right, p.Domain, nil)
+	if err != nil {
+		return serve.Answer{}, &serve.Error{Status: http.StatusInternalServerError, Err: fmt.Errorf("estimate over merged synopses: %w", err)}
+	}
+	agg := "COUNT"
+	if p.Agg == AggSum {
+		agg = "SUM"
+	}
+	ans := serve.Answer{
+		Query: query, Agg: agg, Estimate: est.Total, Detail: est,
+		Shards: cov, LeftEpoch: p.LeftEpoch, RightEpoch: p.RightEpoch,
+	}
+	if cov.Answered < cov.Of {
 		m.degraded.Add(1)
 	}
 	if m.epoch > 0 {
 		m.cacheMu.Lock()
-		m.cache[key] = cachedAnswer{resp: resp, at: m.now()}
+		m.cache[key] = cachedAnswer{ans: ans, at: m.now()}
 		m.cacheMu.Unlock()
 	}
-	mWriteJSON(w, http.StatusOK, resp)
+	return ans, nil
 }
 
-// handleSketch serves the MERGED global SKSL payload for a query — the
-// same format the shards serve — which makes merger tiers stackable: a
-// higher-level merger can pull a whole sub-cluster through one address.
-// Degraded coverage is reported in X-Cluster-Shards ("k/n") rather than
-// an error, mirroring /answer.
-func (m *Merger) handleSketch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		mWriteErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
-	query := r.URL.Query().Get("query")
-	if query == "" {
-		mWriteErr(w, http.StatusBadRequest, errors.New("missing ?query="))
-		return
-	}
-	tenant := mergerTenant(r)
-	pulls := m.pullPayloads(r.Context(), tenant, query)
-	var lefts, rights []*core.HashSketch
-	var ref *Payload
-	var leftEpoch, rightEpoch uint64
-	for _, pr := range pulls {
-		if pr.err != nil || pr.payload == nil {
-			continue
-		}
-		if ref == nil {
-			ref = pr.payload
-		}
-		lefts = append(lefts, pr.payload.Left)
-		rights = append(rights, pr.payload.Right)
-		leftEpoch += pr.payload.LeftEpoch
-		rightEpoch += pr.payload.RightEpoch
-	}
-	if ref == nil {
-		writeRetryable(w, http.StatusServiceUnavailable, 0, fmt.Errorf("no shard answered for query %q", query))
-		return
-	}
-	mergedL, err := distributed.Merge(lefts...)
+// Sketch serves the merged global SKSL payload — the same format the
+// shards serve — which makes merger tiers stackable: a higher-level
+// merger can pull a whole sub-cluster through one address.
+func (m *Merger) Sketch(ctx context.Context, tenant, query string) ([]byte, *serve.Coverage, error) {
+	p, cov, err := m.pullMerged(ctx, tenant, query)
 	if err != nil {
-		mWriteErr(w, http.StatusInternalServerError, err)
-		return
+		return nil, nil, err
 	}
-	mergedR, err := distributed.Merge(rights...)
+	blob, err := EncodePayload(p)
 	if err != nil {
-		mWriteErr(w, http.StatusInternalServerError, err)
-		return
+		return nil, nil, &serve.Error{Status: http.StatusInternalServerError, Err: err}
 	}
-	blob, err := EncodePayload(&Payload{
-		Agg: ref.Agg, Domain: ref.Domain,
-		LeftEpoch: leftEpoch, RightEpoch: rightEpoch,
-		Left: mergedL, Right: mergedR,
-	})
-	if err != nil {
-		mWriteErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
-	w.Header().Set("X-Cluster-Shards", fmt.Sprintf("%d/%d", len(lefts), len(m.cfg.Shards)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(blob)
+	return blob, cov, nil
 }
 
-func (m *Merger) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		mWriteErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
+// RegisterWatch installs a watch on a query the ring has registered.
+// Watches live in the (stateless) merger, so a merger restart forgets
+// them.
+func (m *Merger) RegisterWatch(ctx context.Context, tenant string, req serve.WatchReq) error {
+	queries, err := m.Queries(ctx, tenant)
+	if err != nil {
+		return err
 	}
+	for _, q := range queries {
+		if q == req.Query {
+			return m.watches.Register(monitor.WatchKey{Tenant: tenant, Query: req.Query}, monitor.WatchConfig{High: req.High, Low: req.Low})
+		}
+	}
+	return fmt.Errorf("watch: unknown query %q", req.Query)
+}
+
+func (m *Merger) Watches() *monitor.Registry { return m.watches }
+
+// errStateless answers /snapshot and /restore: the synopses live on the
+// shards, which snapshot, checkpoint and restore themselves.
+var errStateless = &serve.Error{Status: http.StatusNotImplemented,
+	Err: errors.New("a merger holds no synopses; snapshot and restore each shard")}
+
+func (m *Merger) Snapshot(context.Context, string, io.Writer) error { return errStateless }
+func (m *Merger) Restore(context.Context, string, io.Reader) error  { return errStateless }
+
+// Stats reports the merger's own counters (the shards report theirs).
+func (m *Merger) Stats(context.Context, string) (map[string]any, error) {
 	shards := make([]map[string]any, 0, len(m.cfg.Shards))
 	for _, s := range m.cfg.Shards {
 		shards = append(shards, map[string]any{"name": s.Name, "addr": s.Addr})
 	}
-	resp := map[string]any{
+	return map[string]any{
 		"role":   "merger",
 		"shards": shards,
 		"ingest": map[string]int64{
@@ -819,23 +647,7 @@ func (m *Merger) handleStats(w http.ResponseWriter, r *http.Request) {
 			"total":    m.pulls.Load(),
 			"failures": m.pullFailures.Load(),
 		},
-		"epochSeconds":  m.epoch.Seconds(),
-		"uptimeSeconds": time.Since(m.start).Seconds(),
-	}
-	if m.stream != nil {
-		resp["stream"] = m.stream.statsJSON()
-	}
-	mWriteJSON(w, http.StatusOK, resp)
-}
-
-func (m *Merger) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		mWriteErr(w, http.StatusMethodNotAllowed, errors.New("use GET"))
-		return
-	}
-	if m.draining.Load() {
-		mWriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
-	mWriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		"watches":      m.watches.Len(),
+		"epochSeconds": m.epoch.Seconds(),
+	}, nil
 }

@@ -17,6 +17,7 @@ import (
 	"skimsketch/internal/core"
 	"skimsketch/internal/distributed"
 	"skimsketch/internal/engine"
+	"skimsketch/internal/serve"
 	"skimsketch/internal/stream"
 	wclient "skimsketch/internal/wire/client"
 )
@@ -137,7 +138,7 @@ func (ts *testShard) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var batch []mergerUpdate
+	var batch []testUpdate
 	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -196,11 +197,19 @@ func (ts *testShard) handleSketch(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(blob)
 }
 
-// cluster boots n test shards plus a merger over them.
+// testUpdate is one element of a JSON /update batch.
+type testUpdate struct {
+	Stream string `json:"stream"`
+	Value  uint64 `json:"value"`
+	Weight *int64 `json:"weight,omitempty"`
+}
+
+// cluster boots n test shards plus a merger over them, served by the
+// same surface as a node.
 type testCluster struct {
-	shards []*testShard
-	merger *Merger
-	srv    *httptest.Server
+	shards  []*testShard
+	surface *serve.Server
+	srv     *httptest.Server
 }
 
 func newTestCluster(t *testing.T, n int, opts MergerOptions) *testCluster {
@@ -222,8 +231,8 @@ func newTestCluster(t *testing.T, n int, opts MergerOptions) *testCluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc.merger = m
-	tc.srv = httptest.NewServer(m)
+	tc.surface = serve.New(m)
+	tc.srv = httptest.NewServer(tc.surface)
 	t.Cleanup(tc.srv.Close)
 	return tc
 }
@@ -257,18 +266,18 @@ func (tc *testCluster) registerSchema(t *testing.T) {
 
 // seededBatch is the deterministic workload the bit-identity tests
 // ingest: skewed on F, mildly weighted on G.
-func seededBatch(n int) []mergerUpdate {
+func seededBatch(n int) []testUpdate {
 	w2 := int64(2)
-	batch := make([]mergerUpdate, 0, 2*n)
+	batch := make([]testUpdate, 0, 2*n)
 	for i := 0; i < n; i++ {
 		v := uint64(i*i%512 + i%7)
-		batch = append(batch, mergerUpdate{Stream: "F", Value: v})
-		batch = append(batch, mergerUpdate{Stream: "G", Value: uint64((i*13 + 5) % 512), Weight: &w2})
+		batch = append(batch, testUpdate{Stream: "F", Value: v})
+		batch = append(batch, testUpdate{Stream: "G", Value: uint64((i*13 + 5) % 512), Weight: &w2})
 	}
 	return batch
 }
 
-func marshalBatch(t *testing.T, batch []mergerUpdate) string {
+func marshalBatch(t *testing.T, batch []testUpdate) string {
 	t.Helper()
 	b, err := json.Marshal(batch)
 	if err != nil {
@@ -313,7 +322,7 @@ func (tc *testCluster) answer(t *testing.T, wantStatus int) answerResp {
 
 // referenceEngine ingests the same batch into one engine — the
 // single-node ground truth the cluster answer must match bit-for-bit.
-func referenceEngine(t *testing.T, batch []mergerUpdate) *engine.Engine {
+func referenceEngine(t *testing.T, batch []testUpdate) *engine.Engine {
 	t.Helper()
 	eng, err := engine.New(engine.Options{SketchConfig: testCfg()})
 	if err != nil {
@@ -578,7 +587,7 @@ func TestStreamForwarderEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fwd := NewStreamForwarder(tc.merger, ln)
+	fwd := tc.surface.Listen(ln)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- fwd.Serve() }()
 	defer func() {
@@ -632,5 +641,62 @@ func TestStreamForwarderEndToEnd(t *testing.T) {
 	ar := tc.answer(t, http.StatusOK)
 	if ar.Estimate != want.Estimate {
 		t.Fatalf("SKSP-ingested cluster estimate %d != reference %d (replay double-applied?)", ar.Estimate, want.Estimate)
+	}
+}
+
+// TestMergerRejectsMalformedIdempotencyKey: the merger parses
+// Idempotency-Key exactly like a node, so a key it cannot derive
+// per-shard keys from is a 400 that applies nothing — not a batch
+// silently forwarded without exactly-once protection.
+func TestMergerRejectsMalformedIdempotencyKey(t *testing.T) {
+	tc := newTestCluster(t, 2, MergerOptions{})
+	tc.registerSchema(t)
+	for _, bad := range []string{"nocolon", ":7", "c:", "c:notanumber"} {
+		req, err := http.NewRequest(http.MethodPost, tc.srv.URL+"/update", bytes.NewReader([]byte(marshalBatch(t, seededBatch(5)))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Idempotency-Key", bad)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("Idempotency-Key %q: status %d, want 400", bad, resp.StatusCode)
+		}
+	}
+	for i, sh := range tc.shards {
+		if n := sh.updates.Load(); n != 0 {
+			t.Fatalf("shard %d applied %d updates from rejected batches", i, n)
+		}
+	}
+}
+
+// TestMergerSketchRefusesDivergedSchema: /sketch shares /answer's
+// pull-and-merge, so shards that disagree on a query's domain are an
+// error on both, never a merged payload.
+func TestMergerSketchRefusesDivergedSchema(t *testing.T) {
+	tc := newTestCluster(t, 2, MergerOptions{})
+	for i, domain := range []uint64{1024, 2048} {
+		tn := tc.shards[i].eng.Tenant(engine.DefaultTenant)
+		for _, s := range []string{"F", "G"} {
+			if err := tn.DeclareStream(s, domain); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tn.RegisterQuery(engine.QuerySpec{Name: "q", Left: engine.Side{Stream: "F"}, Right: engine.Side{Stream: "G"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, path := range []string{"/answer?query=q", "/sketch?query=q"} {
+		resp, err := http.Get(tc.srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("GET %s over diverged shards: status %d, want 500", path, resp.StatusCode)
+		}
 	}
 }

@@ -1,0 +1,357 @@
+package cluster
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"strings"
+	"sync"
+
+	"skimsketch/internal/engine"
+	"skimsketch/internal/monitor"
+	"skimsketch/internal/serve"
+	"skimsketch/internal/stream"
+	"skimsketch/internal/wire"
+)
+
+// Node is the serving backend over one in-process engine: the single
+// and shard roles. Beyond the engine it keeps two things the engine
+// cannot: the (clientID, seq) dedupe window shared by HTTP
+// Idempotency-Keys and SKSP frames, and the wire definitions of range
+// predicates, which the engine holds only as opaque functions — so a
+// node checkpoint can re-register them before restoring.
+type Node struct {
+	eng *engine.Engine
+	// dedupe answers a replayed (clientID, seq) — a client that lost a
+	// response retries under the same identity — without re-applying.
+	dedupe *wire.Window
+
+	predMu sync.Mutex
+	preds  []serve.PredicateReq // Tenant "" is the default tenant
+}
+
+// NewNode wraps eng. The caller owns eng's lifecycle (StartIngest,
+// checkpoints, StopIngest).
+func NewNode(eng *engine.Engine) *Node {
+	return &Node{eng: eng, dedupe: wire.NewWindow(0, 0)}
+}
+
+func (n *Node) DeclareStream(_ context.Context, tenant string, req serve.StreamReq) error {
+	return n.eng.Tenant(tenant).DeclareStream(req.Name, req.Domain)
+}
+
+func (n *Node) Streams(_ context.Context, tenant string) ([]string, error) {
+	return n.eng.Tenant(tenant).Streams(), nil
+}
+
+// RegisterPredicate registers a [Min, Max] value-range predicate and
+// records its definition for checkpointing. Re-registering an identical
+// definition is a no-op, so checkpoint restore is idempotent; a
+// conflicting one under an existing (tenant, name) is an error.
+func (n *Node) RegisterPredicate(_ context.Context, tenant string, def serve.PredicateReq) error {
+	if def.Max < def.Min {
+		return fmt.Errorf("max %d below min %d", def.Max, def.Min)
+	}
+	def.Tenant = tenant
+	if tenant == engine.DefaultTenant {
+		def.Tenant = "" // canonical spelling, so dedup and checkpoints agree
+	}
+	n.predMu.Lock()
+	defer n.predMu.Unlock()
+	for _, p := range n.preds {
+		if p.Name == def.Name && p.Tenant == def.Tenant {
+			if p == def {
+				return nil
+			}
+			return fmt.Errorf("predicate %q already registered with range [%d,%d]", p.Name, p.Min, p.Max)
+		}
+	}
+	lo, hi := def.Min, def.Max
+	if err := n.eng.Tenant(tenant).RegisterPredicate(def.Name, func(v uint64, _ int64) bool { return v >= lo && v <= hi }); err != nil {
+		return err
+	}
+	n.preds = append(n.preds, def)
+	return nil
+}
+
+func (n *Node) RegisterQuery(_ context.Context, tenant string, req serve.QueryReq) error {
+	var agg engine.Aggregate
+	switch strings.ToUpper(req.Agg) {
+	case "COUNT", "":
+		agg = engine.Count
+	case "SUM":
+		agg = engine.Sum
+	default:
+		return fmt.Errorf("unknown aggregate %q", req.Agg)
+	}
+	// A fresh synopsis pair over the memory quota is refused with an
+	// error wrapping engine.ErrQuotaExceeded: a 429.
+	return n.eng.Tenant(tenant).RegisterQuery(engine.QuerySpec{
+		Name:  req.Name,
+		Agg:   agg,
+		Left:  engine.Side(req.Left),
+		Right: engine.Side(req.Right),
+	})
+}
+
+func (n *Node) Queries(_ context.Context, tenant string) ([]string, error) {
+	return n.eng.Tenant(tenant).Queries(), nil
+}
+
+func (n *Node) RemoveQuery(_ context.Context, tenant, query string) error {
+	return n.eng.Tenant(tenant).RemoveQuery(query)
+}
+
+func (n *Node) SetQuota(_ context.Context, req serve.TenantReq) error {
+	return n.eng.SetQuota(req.Name, req.Quota)
+}
+
+// Tenants lists every tenant with its quota and counters.
+func (n *Node) Tenants(context.Context) (any, error) {
+	st := n.eng.Stats()
+	names := n.eng.TenantNames()
+	out := make([]map[string]any, 0, len(names))
+	for _, name := range names {
+		out = append(out, tenantStatsJSON(st.Tenants[name]))
+	}
+	return out, nil
+}
+
+// Shed refuses a request while an ingest queue is full, counting it in
+// the ingest stats' rejections, instead of blocking the front end (and
+// the client, and eventually every connection) on a queue that may stay
+// full. Replays of admitted keys are let through to the dedupe window.
+func (n *Node) Shed(key serve.Key) bool {
+	if !n.eng.IngestSaturated() {
+		return false
+	}
+	if key.Client != "" {
+		if _, replay := n.dedupe.Lookup(key.Client, key.Seq); replay {
+			return false
+		}
+	}
+	n.eng.NoteRejected(1)
+	return true
+}
+
+// IngestGroups is the node's admission path for both /update and SKSP:
+// replays are answered from the dedupe window, and the engine admits
+// every group or none.
+func (n *Node) IngestGroups(_ context.Context, tenant string, key serve.Key, groups []stream.Group, release func()) (int64, bool, error) {
+	if key.Client != "" {
+		if out, ok := n.dedupe.Lookup(key.Client, key.Seq); ok {
+			if release != nil {
+				release()
+			}
+			return out.Applied, true, nil
+		}
+	}
+	var total int64
+	for i := range groups {
+		total += int64(len(groups[i].Updates))
+	}
+	tn := n.eng.Tenant(tenant)
+	if err := tn.IngestGroups(groups, release); err != nil {
+		if errors.Is(err, engine.ErrQuotaExceeded) {
+			return 0, false, err
+		}
+		// Name the failing stream; this path runs only on rejection.
+		e := &serve.Error{Status: http.StatusBadRequest, Err: err}
+		for _, g := range groups {
+			if tn.ValidateBatch(g.Name, g.Updates) != nil {
+				e.Stream = g.Name
+				break
+			}
+		}
+		return 0, false, e
+	}
+	if key.Client != "" {
+		n.dedupe.Record(key.Client, key.Seq, wire.Outcome{Applied: total})
+	}
+	return total, false, nil
+}
+
+func (n *Node) Flush(context.Context) error {
+	n.eng.Flush()
+	return nil
+}
+
+func (n *Node) Answer(_ context.Context, tenant, query string) (serve.Answer, error) {
+	ans, err := n.eng.Tenant(tenant).Answer(query)
+	if err != nil {
+		return serve.Answer{}, err
+	}
+	return serve.Answer{Query: ans.Query, Agg: ans.Agg.String(), Estimate: ans.Estimate, Detail: ans.Detail}, nil
+}
+
+// Sketch serves the shard side of cluster mode: the fat update-side
+// state (hash families, pipeline, intern tables) stays here and only
+// the slim counters travel. The snapshot drains the ingest pipeline
+// first, so a payload reflects every previously accepted update — which
+// is what makes a healthy cluster answer bit-identical to a single
+// node's.
+func (n *Node) Sketch(_ context.Context, tenant, query string) ([]byte, *serve.Coverage, error) {
+	qs, err := n.eng.Tenant(tenant).QuerySketches(query)
+	if err != nil {
+		return nil, nil, err
+	}
+	agg := AggCount
+	if qs.Agg == engine.Sum {
+		agg = AggSum
+	}
+	blob, err := EncodePayload(&Payload{
+		Agg: agg, Domain: qs.Domain,
+		LeftEpoch: qs.LeftEpoch, RightEpoch: qs.RightEpoch,
+		Left: qs.Left, Right: qs.Right,
+	})
+	if err != nil {
+		return nil, nil, &serve.Error{Status: http.StatusInternalServerError, Err: err}
+	}
+	return blob, nil, nil
+}
+
+func (n *Node) RegisterWatch(_ context.Context, tenant string, req serve.WatchReq) error {
+	return n.eng.Tenant(tenant).RegisterWatch(engine.WatchSpec{Query: req.Query, High: req.High, Low: req.Low})
+}
+
+func (n *Node) Watches() *monitor.Registry { return n.eng.Watches() }
+
+// Stats reports one tenant's slice, or, unscoped, the engine-wide
+// figures plus the ingest pipeline's counters.
+func (n *Node) Stats(_ context.Context, tenant string) (map[string]any, error) {
+	if tenant != "" {
+		return tenantStatsJSON(n.eng.Tenant(tenant).Stats()), nil
+	}
+	st := n.eng.Stats()
+	tenants := make(map[string]any, len(st.Tenants))
+	for name, ts := range st.Tenants {
+		tenants[name] = tenantStatsJSON(ts)
+	}
+	return map[string]any{
+		"streams":      st.Streams,
+		"queries":      st.Queries,
+		"synopses":     st.Synopses,
+		"synopsisRefs": st.SynopsisRefs,
+		"totalWords":   st.TotalWords,
+		"updateCounts": st.UpdateCounts,
+		"queryWorkers": st.QueryWorkers,
+		"answerCache": map[string]int64{
+			"hits":   st.AnswerCacheHits,
+			"misses": st.AnswerCacheMisses,
+		},
+		"watches": st.Watches,
+		"tenants": tenants,
+		"ingest":  n.eng.IngestStats(),
+		// saturated mirrors the admission probe behind Shed: true while
+		// at least one ingest queue is full.
+		"saturated":     n.eng.IngestSaturated(),
+		"dedupeClients": n.dedupe.Clients(),
+	}, nil
+}
+
+// tenantStatsJSON renders one tenant's stats slice.
+func tenantStatsJSON(st engine.TenantStats) map[string]any {
+	return map[string]any{
+		"tenant":       st.Tenant,
+		"streams":      st.Streams,
+		"queries":      st.Queries,
+		"synopses":     st.Synopses,
+		"synopsisRefs": st.SynopsisRefs,
+		"totalWords":   st.TotalWords,
+		"updateCounts": st.UpdateCounts,
+		"answerCache": map[string]int64{
+			"hits":   st.AnswerCacheHits,
+			"misses": st.AnswerCacheMisses,
+		},
+		"pendingUpdates": st.PendingUpdates,
+		"rejected":       st.Rejected,
+		"watches":        st.Watches,
+		"quota": map[string]any{
+			"maxSynopsisWords":  st.Quota.MaxSynopsisWords,
+			"maxPendingUpdates": st.Quota.MaxPendingUpdates,
+		},
+	}
+}
+
+// Snapshot writes the engine's JSON snapshot, or one tenant's slice in
+// the single-tenant layout.
+func (n *Node) Snapshot(_ context.Context, tenant string, w io.Writer) error {
+	if tenant != "" {
+		return n.eng.Tenant(tenant).Snapshot(w)
+	}
+	return n.eng.Snapshot(w)
+}
+
+// Restore loads a snapshot into the empty engine, or a single-tenant
+// snapshot into one empty tenant. Range predicates registered via
+// /predicates must be registered before restoring a snapshot that
+// references them.
+func (n *Node) Restore(_ context.Context, tenant string, r io.Reader) error {
+	if tenant != "" {
+		return n.eng.Tenant(tenant).Restore(r)
+	}
+	return n.eng.Restore(r)
+}
+
+// checkpointPayload is what a node stores inside the SKCP checkpoint
+// envelope (internal/checkpoint): the predicate definitions plus the
+// engine's own JSON snapshot. Carrying the predicates makes the
+// checkpoint self-contained — Engine.Restore requires every predicate a
+// snapshot names to be registered first, which a bare engine snapshot
+// cannot do across a restart.
+//
+// Version 2 scopes each predicate to its tenant and may carry a
+// multi-tenant engine snapshot. Version 1 payloads, written before
+// tenants existed, decode with every predicate in the default tenant,
+// and their engine snapshot restores into the default tenant
+// bit-identically.
+type checkpointPayload struct {
+	Version    int                  `json:"version"`
+	Predicates []serve.PredicateReq `json:"predicates,omitempty"`
+	Engine     json.RawMessage      `json:"engine"`
+}
+
+const checkpointVersion = 2
+
+// WriteCheckpoint produces the node's checkpoint payload, for
+// checkpoint.Manager.Save to wrap in the SKCP envelope.
+func (n *Node) WriteCheckpoint(w io.Writer) error {
+	var engBuf bytes.Buffer
+	if err := n.eng.Snapshot(&engBuf); err != nil {
+		return err
+	}
+	n.predMu.Lock()
+	preds := append([]serve.PredicateReq(nil), n.preds...)
+	n.predMu.Unlock()
+	return json.NewEncoder(w).Encode(&checkpointPayload{
+		Version:    checkpointVersion,
+		Predicates: preds,
+		Engine:     engBuf.Bytes(),
+	})
+}
+
+// ReadCheckpoint restores a checkpoint payload (version 1 or 2) into
+// the empty engine: predicates first, then the engine snapshot.
+func (n *Node) ReadCheckpoint(r io.Reader) error {
+	var cp checkpointPayload
+	if err := json.NewDecoder(r).Decode(&cp); err != nil {
+		return fmt.Errorf("decode checkpoint: %w", err)
+	}
+	if cp.Version != 1 && cp.Version != checkpointVersion {
+		return fmt.Errorf("unsupported sketchd checkpoint version %d", cp.Version)
+	}
+	for _, def := range cp.Predicates {
+		tenant := def.Tenant
+		if tenant == "" {
+			tenant = engine.DefaultTenant
+		}
+		if err := n.RegisterPredicate(context.Background(), tenant, def); err != nil {
+			return err
+		}
+	}
+	return n.eng.Restore(bytes.NewReader(cp.Engine))
+}

@@ -8,15 +8,13 @@ import (
 	"net/http"
 	"strconv"
 	"time"
-
-	"skimsketch/internal/core"
 )
 
-// Backoff is a jittered-exponential retry policy for shipping sketches
+// Backoff is a jittered-exponential retry policy for moving sketches
 // between sites. Remote-site merge (the SF-sketch-style deployment in
-// the package comment) rides on flaky links: a shard sketch that fails
-// to reach the merger is simply retried — sketches are idempotent state,
-// not deltas, so re-sending the same blob is always safe.
+// the package comment) rides on flaky links: a cluster merger's pull of
+// a shard sketch that fails is simply retried — sketches are idempotent
+// state, not deltas, so fetching the same blob again is always safe.
 //
 // The zero value is usable: 100ms base delay, doubling, capped at 5s,
 // half of every delay jittered, retrying until the context is done.
@@ -99,7 +97,7 @@ func (b Backoff) Delay(attempt int) time.Duration {
 
 // MaxRetryAfter caps how long a server's Retry-After hint can stall a
 // retry loop: a misconfigured (or adversarial) hint of an hour must not
-// wedge a shipper whose own backoff tops out in seconds.
+// wedge a retry loop whose own backoff tops out in seconds.
 const MaxRetryAfter = 30 * time.Second
 
 // RetryAfterError marks a retryable failure that carries the server's
@@ -213,35 +211,4 @@ func retryErr(attempts int, ctxErr, last error) error {
 		return fmt.Errorf("distributed: retry canceled before first attempt: %w", ctxErr)
 	}
 	return fmt.Errorf("distributed: retry canceled after %d attempts: %w (last error: %w)", attempts, ctxErr, last)
-}
-
-// ShipSketch marshals one sketch and delivers the blob via send under
-// the retry policy. send is typically an HTTP POST to a remote merger;
-// it must treat re-delivery as idempotent (it is: the blob is absolute
-// sketch state, and the merger overwrites the site's slot).
-func ShipSketch(ctx context.Context, b Backoff, sk *core.HashSketch, send func(context.Context, []byte) error) error {
-	if sk == nil {
-		return errors.New("distributed: nothing to ship")
-	}
-	if send == nil {
-		return errors.New("distributed: ShipSketch requires a send function")
-	}
-	blob, err := sk.MarshalBinary()
-	if err != nil {
-		return fmt.Errorf("distributed: marshal for shipping: %w", err)
-	}
-	return b.Retry(ctx, func(ctx context.Context) error {
-		return send(ctx, blob)
-	})
-}
-
-// ShipMerged merges a closed Ingestor's shard sketches and ships the
-// result — the whole remote-site contribution in one blob. The ingestor
-// must be Closed first.
-func ShipMerged(ctx context.Context, b Backoff, in *Ingestor, send func(context.Context, []byte) error) error {
-	merged, err := in.Merged()
-	if err != nil {
-		return err
-	}
-	return ShipSketch(ctx, b, merged, send)
 }

@@ -7,9 +7,6 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-
-	"skimsketch/internal/core"
-	"skimsketch/internal/workload"
 )
 
 // fastBackoff keeps test retries in the microsecond range.
@@ -144,75 +141,5 @@ func TestDelayDefaultsAreSane(t *testing.T) {
 	}
 	if d := b.Delay(30); d > 5*time.Second {
 		t.Fatalf("zero-value delay exceeds the 5s cap: %v", d)
-	}
-}
-
-func TestShipMergedDeliversAfterFailures(t *testing.T) {
-	c := cfg(5, 64, 3)
-	in, err := NewIngestor(3, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, _ := workload.NewZipf(512, 1.1, 4)
-	updates := workload.MakeStream(g, 5000)
-	for _, u := range updates {
-		in.Update(u.Value, u.Weight)
-	}
-	in.Close()
-	want, err := in.Merged()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var delivered []byte
-	fails := 2
-	err = ShipMerged(context.Background(), fastBackoff(10), in, func(_ context.Context, blob []byte) error {
-		if fails > 0 {
-			fails--
-			return errors.New("link down")
-		}
-		delivered = append([]byte{}, blob...)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got core.HashSketch
-	if err := got.UnmarshalBinary(delivered); err != nil {
-		t.Fatal(err)
-	}
-	// The shipped blob must reconstruct the merged shard sketch exactly.
-	wantBlob, err := want.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotBlob, err := got.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(gotBlob) != string(wantBlob) {
-		t.Fatal("shipped sketch differs from the merged shards")
-	}
-}
-
-func TestShipMergedRequiresClose(t *testing.T) {
-	in, err := NewIngestor(2, cfg(3, 8, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer in.Close()
-	err = ShipMerged(context.Background(), fastBackoff(1), in, func(context.Context, []byte) error { return nil })
-	if err == nil {
-		t.Fatal("expected error shipping an open ingestor")
-	}
-}
-
-func TestShipSketchValidation(t *testing.T) {
-	sk := core.MustNewHashSketch(cfg(3, 8, 1))
-	if err := ShipSketch(context.Background(), Backoff{}, nil, func(context.Context, []byte) error { return nil }); err == nil {
-		t.Fatal("expected error for nil sketch")
-	}
-	if err := ShipSketch(context.Background(), Backoff{}, sk, nil); err == nil {
-		t.Fatal("expected error for nil send")
 	}
 }

@@ -8,8 +8,6 @@ import (
 	"net/http"
 	"testing"
 	"time"
-
-	"skimsketch/internal/core"
 )
 
 // TestParseRetryAfter covers both RFC 9110 Retry-After forms. The
@@ -94,18 +92,16 @@ func TestRetryAfterErrorUnwrap(t *testing.T) {
 	}
 }
 
-// TestShipSketchHonorsRetryAfterFloor drives ShipSketch against a send
+// TestRetryHonorsRetryAfterFloor drives Backoff.Retry against a call
 // that rejects with a Retry-After hint well above the (microsecond)
-// backoff: the delivery must not happen before the hint elapses. This is
-// the merger-pulls-shard contract — a shard shedding load with 429 +
-// Retry-After actually holds the retrying peer back.
-func TestShipSketchHonorsRetryAfterFloor(t *testing.T) {
-	sk := core.MustNewHashSketch(cfg(3, 8, 1))
-	sk.Update(7, 1)
+// backoff: the next attempt must not happen before the hint elapses.
+// This is the merger-pulls-shard contract — a shard shedding load with
+// 429 + Retry-After actually holds the retrying peer back.
+func TestRetryHonorsRetryAfterFloor(t *testing.T) {
 	const hint = 50 * time.Millisecond
 	var rejected time.Time
 	var delivered time.Time
-	err := ShipSketch(context.Background(), fastBackoff(5), sk, func(_ context.Context, blob []byte) error {
+	err := fastBackoff(5).Retry(context.Background(), func(context.Context) error {
 		if rejected.IsZero() {
 			rejected = time.Now()
 			return &RetryAfterError{After: hint, Err: errors.New("shard overloaded")}

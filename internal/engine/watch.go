@@ -62,39 +62,14 @@ func (t *Tenant) Watches() []monitor.WatchStatus {
 // resulting statuses sorted by query name. Unchanged queries are served
 // from the answer cache, so an idle tick is cheap.
 func (t *Tenant) EvaluateWatches() ([]monitor.WatchStatus, error) {
-	watches := t.e.watches.List(t.name)
-	out := make([]monitor.WatchStatus, 0, len(watches))
-	for _, w := range watches {
-		ans, err := t.Answer(w.Query)
-		if err != nil {
-			// RemoveQuery drops the watch with the query under e.mu, so an
-			// Answer error here normally means the watch vanished between
-			// List and Answer — skip it. A watch that still exists without
-			// its query is a real fault and is surfaced.
-			if _, ok := t.e.watches.Get(watchKey(t.name, w.Query)); !ok {
-				continue
-			}
-			return nil, fmt.Errorf("engine: watch %q: %w", w.Query, err)
-		}
-		st, _, err := t.e.watches.Observe(watchKey(t.name, w.Query), ans.Estimate)
-		if err != nil {
-			continue // removed between Answer and Observe
-		}
-		out = append(out, st)
-	}
-	return out, nil
+	return t.e.watches.Evaluate(t.name, func(tenant, query string) (int64, error) {
+		ans, err := t.e.answerTenant(tenant, query)
+		return ans.Estimate, err
+	})
 }
 
-// EvaluateAllWatches runs EvaluateWatches for every tenant with at least
-// one watch — the periodic tick behind sketchd's -watch.interval.
-func (e *Engine) EvaluateAllWatches() ([]monitor.WatchStatus, error) {
-	var out []monitor.WatchStatus
-	for _, tenant := range e.watches.Tenants() {
-		sts, err := e.Tenant(tenant).EvaluateWatches()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, sts...)
-	}
-	return out, nil
-}
+// Watches returns the engine's standing-watch registry, for serving
+// layers that list, remove and evaluate watches across tenants.
+// Registration goes through Tenant.RegisterWatch, which checks the
+// query exists.
+func (e *Engine) Watches() *monitor.Registry { return e.watches }

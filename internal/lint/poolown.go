@@ -7,7 +7,7 @@ import (
 )
 
 // PoolOwn tracks the ownership of values drawn from a sync.Pool through
-// each function, flow-sensitively. The SKSP hot path (cmd/sketchd's
+// each function, flow-sensitively. The SKSP hot path (internal/serve's
 // stream listener) decodes every frame into a pooled *wire.Data and
 // hands the buffers to the engine with a release callback; the engine's
 // shard workers touch those buffers concurrently until the callback

@@ -296,7 +296,7 @@ func (c *Client) SendUpdates(ctx context.Context, batch []Update, hist *stats.Hi
 		out.Attempts++
 		if resp.StatusCode == http.StatusTooManyRequests {
 			out.Rejected429++
-			return &retryAfterError{delay: parseRetryAfter(resp.Header.Get("Retry-After"), time.Now())}
+			return &retryAfterError{delay: distributed.ParseRetryAfter(resp.Header.Get("Retry-After"), time.Now())}
 		}
 		if resp.StatusCode/100 != 2 {
 			return &permanentError{fmt.Errorf("loadtest: /update: %s: %s", resp.Status, bytes.TrimSpace(data))}
@@ -330,20 +330,6 @@ type permanentError struct{ err error }
 
 func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
-
-// maxRetryAfter caps how long a server hint can stall a worker: a
-// misconfigured (or adversarial) Retry-After of an hour must not wedge
-// the harness, whose own backoff tops out in seconds.
-const maxRetryAfter = distributed.MaxRetryAfter
-
-// parseRetryAfter reads a Retry-After hint in either RFC 9110 form —
-// delay-seconds ("120") or an HTTP-date, evaluated against now — capped
-// at maxRetryAfter. The parsing lives in the distributed package now so
-// the harness, the wire client, and the cluster merger all read the
-// header identically.
-func parseRetryAfter(v string, now time.Time) time.Duration {
-	return distributed.ParseRetryAfter(v, now)
-}
 
 // retryWithHint extends distributed.Backoff's jittered-exponential
 // retry with the HTTP contract: permanent errors abort immediately, and

@@ -137,6 +137,40 @@ func (r *Registry) Observe(key WatchKey, estimate int64) (WatchStatus, bool, err
 	return w.status, transition, nil
 }
 
+// Evaluate answers every watch of tenant ("" = every tenant) with
+// answer and feeds the estimates through the alert state machines,
+// returning the resulting statuses sorted by (tenant, query). The
+// registry owns only hysteresis state; answer decides what the estimate
+// is — a node's answer cache, or a cluster merger's global merge of its
+// shards' synopses.
+//
+// A watch removed concurrently (its query was deleted) is skipped; an
+// answer failure for a watch that still exists is returned, with the
+// statuses evaluated before it.
+func (r *Registry) Evaluate(tenant string, answer func(tenant, query string) (int64, error)) ([]WatchStatus, error) {
+	tenants := []string{tenant}
+	if tenant == "" {
+		tenants = r.Tenants()
+	}
+	var out []WatchStatus
+	for _, tn := range tenants {
+		for _, w := range r.List(tn) {
+			key := WatchKey{Tenant: tn, Query: w.Query}
+			est, err := answer(tn, w.Query)
+			if err != nil {
+				if _, ok := r.Get(key); !ok {
+					continue
+				}
+				return out, fmt.Errorf("monitor: watch %s/%s: %w", tn, w.Query, err)
+			}
+			if st, _, err := r.Observe(key, est); err == nil {
+				out = append(out, st)
+			}
+		}
+	}
+	return out, nil
+}
+
 // Get returns one watch's status and whether it exists.
 func (r *Registry) Get(key WatchKey) (WatchStatus, bool) {
 	r.mu.Lock()
