@@ -106,13 +106,14 @@ func TestAllPathsAgreeOnTheSameQuery(t *testing.T) {
 	plain := core.MustNewHashSketch(cfg)
 	stream.Apply(updates, plain)
 
-	in, err := distributed.NewIngestor(3, cfg)
-	if err != nil {
-		t.Fatal(err)
+	shards := make([]*core.HashSketch, 3)
+	for i := range shards {
+		shards[i] = core.MustNewHashSketch(cfg)
 	}
-	stream.Apply(updates, in)
-	in.Close()
-	merged, err := in.Merged()
+	for i, u := range updates {
+		shards[i%len(shards)].Update(u.Value, u.Weight)
+	}
+	merged, err := distributed.Merge(shards...)
 	if err != nil {
 		t.Fatal(err)
 	}

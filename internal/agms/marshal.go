@@ -3,58 +3,42 @@ package agms
 import (
 	"encoding/binary"
 	"fmt"
+
+	"skimsketch/internal/binfmt"
 )
 
 // Binary serialization mirrors internal/core's: "SKAG" magic, u32
 // version, u32 s1, u32 s2, u64 seed, then s1·s2 i64 counters,
 // little-endian. The ξ families are rebuilt from the seed on load.
 
-var sketchMagic = [4]byte{'S', 'K', 'A', 'G'}
-
-const sketchVersion = 1
+const (
+	sketchMagic   = "SKAG"
+	sketchVersion = 1
+)
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 24+8*len(s.counters))
-	buf = append(buf, sketchMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, sketchVersion)
+	buf := binfmt.AppendHeader(make([]byte, 0, 24+8*len(s.counters)), sketchMagic, sketchVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.s1))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.s2))
 	buf = binary.LittleEndian.AppendUint64(buf, s.seed)
-	for _, c := range s.counters {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(c))
-	}
-	return buf, nil
+	return binfmt.AppendInt64s(buf, s.counters), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler, replacing the
 // receiver's state entirely.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
-	if len(data) < 24 {
-		return fmt.Errorf("agms: sketch data truncated (%d bytes)", len(data))
+	r := binfmt.Open(data, sketchMagic, sketchVersion)
+	s1, s2, seed := r.U32(), r.U32(), r.U64()
+	counters := r.Int64s(uint64(s1) * uint64(s2))
+	if err := r.Done(); err != nil {
+		return err
 	}
-	if [4]byte(data[:4]) != sketchMagic {
-		return fmt.Errorf("agms: bad sketch magic")
-	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != sketchVersion {
-		return fmt.Errorf("agms: unsupported sketch version %d", v)
-	}
-	s1 := int(binary.LittleEndian.Uint32(data[8:12]))
-	s2 := int(binary.LittleEndian.Uint32(data[12:16]))
-	seed := binary.LittleEndian.Uint64(data[16:24])
-	// Validate length before allocating (hostile headers could demand
-	// gigabytes). The uint64 product cannot overflow.
-	want := 24 + 8*uint64(uint32(s1))*uint64(uint32(s2))
-	if uint64(len(data)) != want {
-		return fmt.Errorf("agms: sketch data is %d bytes, want %d for %dx%d", len(data), want, s1, s2)
-	}
-	fresh, err := New(s1, s2, seed)
+	fresh, err := New(int(s1), int(s2), seed)
 	if err != nil {
 		return fmt.Errorf("agms: unmarshal: %w", err)
 	}
-	for i := range fresh.counters {
-		fresh.counters[i] = int64(binary.LittleEndian.Uint64(data[24+8*i:]))
-	}
+	fresh.counters = counters
 	*s = *fresh
 	return nil
 }

@@ -36,6 +36,8 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+
+	"skimsketch/internal/binfmt"
 )
 
 // Envelope constants. All integers little-endian, matching every other
@@ -66,12 +68,10 @@ var ErrNoCheckpoint = errors.New("checkpoint: no checkpoint found")
 
 // Encode writes payload to w wrapped in the SKCP envelope.
 func Encode(w io.Writer, payload []byte) error {
-	var hdr [headerSize]byte
-	copy(hdr[0:4], Magic)
-	binary.LittleEndian.PutUint32(hdr[4:8], Version)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[16:20], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := binfmt.AppendHeader(make([]byte, 0, headerSize), Magic, Version)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(payload)))
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(payload))
+	if _, err := w.Write(hdr); err != nil {
 		return fmt.Errorf("checkpoint: write header: %w", err)
 	}
 	if _, err := w.Write(payload); err != nil {
@@ -85,22 +85,17 @@ func Encode(w io.Writer, payload []byte) error {
 // is trusted, so truncated (torn) and padded files are both rejected, as
 // is any payload whose CRC does not match.
 func Decode(data []byte) ([]byte, error) {
-	if len(data) < headerSize {
-		return nil, fmt.Errorf("checkpoint: file too short for header: %d bytes", len(data))
+	r := binfmt.Open(data, Magic, Version)
+	declared, crc := r.U64(), r.U32()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	if string(data[0:4]) != Magic {
-		return nil, fmt.Errorf("checkpoint: bad magic %q", data[0:4])
-	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != Version {
-		return nil, fmt.Errorf("checkpoint: unsupported version %d", v)
-	}
-	declared := binary.LittleEndian.Uint64(data[8:16])
-	if got := uint64(len(data) - headerSize); declared != got {
+	if got := uint64(r.Len()); declared != got {
 		return nil, fmt.Errorf("checkpoint: declared payload length %d, file holds %d", declared, got)
 	}
-	payload := data[headerSize:]
-	if want, got := binary.LittleEndian.Uint32(data[16:20]), crc32.ChecksumIEEE(payload); want != got {
-		return nil, fmt.Errorf("checkpoint: CRC mismatch: header %08x, payload %08x", want, got)
+	payload := r.Bytes(r.Len())
+	if got := crc32.ChecksumIEEE(payload); crc != got {
+		return nil, fmt.Errorf("checkpoint: CRC mismatch: header %08x, payload %08x", crc, got)
 	}
 	return payload, nil
 }

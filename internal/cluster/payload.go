@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"skimsketch/internal/binfmt"
 	"skimsketch/internal/core"
 )
 
@@ -36,13 +37,10 @@ const (
 	AggSum   uint8 = 1
 )
 
-var payloadMagic = [4]byte{'S', 'K', 'S', 'L'}
-
-const payloadVersion = 1
-
-// payloadFixedLen is the byte length of everything except the two
-// variable-length sketch blobs.
-const payloadFixedLen = 4 + 4 + 1 + 8 + 8 + 8 + 4 + 4
+const (
+	payloadMagic   = "SKSL"
+	payloadVersion = 1
+)
 
 // Payload is one query's slim cluster payload: the decoded form of an
 // SKSL blob.
@@ -74,18 +72,12 @@ func EncodePayload(p *Payload) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: marshal right sketch: %w", err)
 	}
-	buf := make([]byte, 0, payloadFixedLen+len(left)+len(right))
-	buf = append(buf, payloadMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, payloadVersion)
+	buf := binfmt.AppendHeader(make([]byte, 0, 41+len(left)+len(right)), payloadMagic, payloadVersion)
 	buf = append(buf, p.Agg)
 	buf = binary.LittleEndian.AppendUint64(buf, p.Domain)
 	buf = binary.LittleEndian.AppendUint64(buf, p.LeftEpoch)
 	buf = binary.LittleEndian.AppendUint64(buf, p.RightEpoch)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(left)))
-	buf = append(buf, left...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(right)))
-	buf = append(buf, right...)
-	return buf, nil
+	return binfmt.AppendBlob(binfmt.AppendBlob(buf, left), right), nil
 }
 
 // DecodePayload parses an SKSL blob. Every declared length is bounded
@@ -94,35 +86,14 @@ func EncodePayload(p *Payload) ([]byte, error) {
 // memory the blob never shipped (the same validate-before-alloc
 // discipline as every other decoder in this repository).
 func DecodePayload(data []byte) (*Payload, error) {
-	if len(data) < payloadFixedLen {
-		return nil, fmt.Errorf("cluster: payload truncated (%d bytes)", len(data))
-	}
-	if [4]byte(data[:4]) != payloadMagic {
-		return nil, fmt.Errorf("cluster: bad payload magic")
-	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != payloadVersion {
-		return nil, fmt.Errorf("cluster: unsupported payload version %d", v)
-	}
-	p := &Payload{
-		Agg:        data[8],
-		Domain:     binary.LittleEndian.Uint64(data[9:17]),
-		LeftEpoch:  binary.LittleEndian.Uint64(data[17:25]),
-		RightEpoch: binary.LittleEndian.Uint64(data[25:33]),
+	r := binfmt.Open(data, payloadMagic, payloadVersion)
+	p := &Payload{Agg: r.U8(), Domain: r.U64(), LeftEpoch: r.U64(), RightEpoch: r.U64()}
+	left, right := r.Blob(), r.Blob()
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	if p.Agg != AggCount && p.Agg != AggSum {
 		return nil, fmt.Errorf("cluster: unknown aggregate code %d", p.Agg)
-	}
-	rest := data[33:]
-	left, rest, err := cutBlob(rest, "left")
-	if err != nil {
-		return nil, err
-	}
-	right, rest, err := cutBlob(rest, "right")
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("cluster: %d trailing bytes after payload", len(rest))
 	}
 	p.Left = new(core.HashSketch)
 	if err := p.Left.UnmarshalBinary(left); err != nil {
@@ -133,19 +104,4 @@ func DecodePayload(data []byte) (*Payload, error) {
 		return nil, fmt.Errorf("cluster: right sketch: %w", err)
 	}
 	return p, nil
-}
-
-// cutBlob splits one u32-length-prefixed blob off the front of data.
-// The declared length is checked against the bytes present; the blob
-// aliases data (no copy), which is safe because DecodePayload hands it
-// straight to UnmarshalBinary.
-func cutBlob(data []byte, side string) (blob, rest []byte, err error) {
-	if len(data) < 4 {
-		return nil, nil, fmt.Errorf("cluster: payload truncated before %s sketch length", side)
-	}
-	n := binary.LittleEndian.Uint32(data)
-	if uint64(n) > uint64(len(data)-4) {
-		return nil, nil, fmt.Errorf("cluster: %s sketch declares %d bytes but only %d remain", side, n, len(data)-4)
-	}
-	return data[4 : 4+n], data[4+n:], nil
 }

@@ -66,6 +66,12 @@ func NewHashSketch(cfg Config) (*HashSketch, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return withCounters(cfg, make([]int64, cfg.Tables*cfg.Buckets)), nil
+}
+
+// withCounters builds the hash families for a valid cfg around a
+// tables·buckets counter array.
+func withCounters(cfg Config, counters []int64) *HashSketch {
 	ss := hashfam.NewSeedStream(cfg.Seed)
 	hs := make([]hashfam.Pairwise, cfg.Tables)
 	xs := make([]hashfam.FourWise, cfg.Tables)
@@ -73,12 +79,7 @@ func NewHashSketch(cfg Config) (*HashSketch, error) {
 		hs[j] = hashfam.NewPairwise(ss)
 		xs[j] = hashfam.NewFourWise(ss)
 	}
-	return &HashSketch{
-		cfg:      cfg,
-		counters: make([]int64, cfg.Tables*cfg.Buckets),
-		hs:       hs,
-		xs:       xs,
-	}, nil
+	return &HashSketch{cfg: cfg, counters: counters, hs: hs, xs: xs}
 }
 
 // MustNewHashSketch is NewHashSketch for static configurations.

@@ -2,7 +2,8 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
+
+	"skimsketch/internal/binfmt"
 )
 
 // Binary serialization for checkpointing and shipping sketches between
@@ -13,60 +14,37 @@ import (
 // u32 buckets, u64 seed, i64 net, i64 gross, then tables·buckets i64
 // counters.
 
-var hashSketchMagic = [4]byte{'S', 'K', 'H', 'S'}
-
-const hashSketchVersion = 1
+const (
+	hashSketchMagic   = "SKHS"
+	hashSketchVersion = 1
+)
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (s *HashSketch) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 40+8*len(s.counters))
-	buf = append(buf, hashSketchMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, hashSketchVersion)
+	buf := binfmt.AppendHeader(make([]byte, 0, 40+8*len(s.counters)), hashSketchMagic, hashSketchVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.cfg.Tables))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.cfg.Buckets))
 	buf = binary.LittleEndian.AppendUint64(buf, s.cfg.Seed)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.net))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.gross))
-	for _, c := range s.counters {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(c))
-	}
-	return buf, nil
+	return binfmt.AppendInt64s(buf, s.counters), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler, replacing the
 // receiver's state entirely (including hash families, rebuilt from the
 // serialized seed).
 func (s *HashSketch) UnmarshalBinary(data []byte) error {
-	if len(data) < 36 {
-		return fmt.Errorf("core: sketch data truncated (%d bytes)", len(data))
+	r := binfmt.Open(data, hashSketchMagic, hashSketchVersion)
+	cfg := Config{Tables: int(r.U32()), Buckets: int(r.U32()), Seed: r.U64()}
+	net, gross := r.I64(), r.I64()
+	counters := r.Int64s(uint64(cfg.Tables) * uint64(cfg.Buckets))
+	if err := r.Done(); err != nil {
+		return err
 	}
-	if [4]byte(data[:4]) != hashSketchMagic {
-		return fmt.Errorf("core: bad sketch magic")
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != hashSketchVersion {
-		return fmt.Errorf("core: unsupported sketch version %d", v)
-	}
-	cfg := Config{
-		Tables:  int(binary.LittleEndian.Uint32(data[8:12])),
-		Buckets: int(binary.LittleEndian.Uint32(data[12:16])),
-		Seed:    binary.LittleEndian.Uint64(data[16:24]),
-	}
-	// Validate the length against the declared dimensions BEFORE
-	// allocating: a hostile header could otherwise demand gigabytes.
-	// The uint64 product cannot overflow (both factors < 2^32).
-	want := 40 + 8*uint64(uint32(cfg.Tables))*uint64(uint32(cfg.Buckets))
-	if uint64(len(data)) != want {
-		return fmt.Errorf("core: sketch data is %d bytes, want %d for %dx%d", len(data), want, cfg.Tables, cfg.Buckets)
-	}
-	fresh, err := NewHashSketch(cfg)
-	if err != nil {
-		return fmt.Errorf("core: unmarshal: %w", err)
-	}
-	fresh.net = int64(binary.LittleEndian.Uint64(data[24:32]))
-	fresh.gross = int64(binary.LittleEndian.Uint64(data[32:40]))
-	for i := range fresh.counters {
-		fresh.counters[i] = int64(binary.LittleEndian.Uint64(data[40+8*i:]))
-	}
-	*s = *fresh
+	*s = *withCounters(cfg, counters)
+	s.net, s.gross = net, gross
 	return nil
 }

@@ -3,6 +3,8 @@ package countmin
 import (
 	"encoding/binary"
 	"fmt"
+
+	"skimsketch/internal/binfmt"
 )
 
 // Binary serialization mirrors internal/core's: "SKCM" magic, u32
@@ -11,70 +13,43 @@ import (
 // deterministically from the seed on load, so only dimensions, seed
 // and counters travel.
 
-var sketchMagic = [4]byte{'S', 'K', 'C', 'M'}
-
 const (
+	sketchMagic   = "SKCM"
 	sketchVersion = 1
-	headerLen     = 4 + 4 + 4 + 4 + 8 + 8 + 1
 )
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, headerLen+8*len(s.counters))
-	buf = append(buf, sketchMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, sketchVersion)
+	buf := binfmt.AppendHeader(make([]byte, 0, 33+8*len(s.counters)), sketchMagic, sketchVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.d))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.b))
 	buf = binary.LittleEndian.AppendUint64(buf, s.seed)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.net))
+	var sawNeg byte
 	if s.sawNeg {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+		sawNeg = 1
 	}
-	for _, c := range s.counters {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(c))
-	}
-	return buf, nil
+	return binfmt.AppendInt64s(append(buf, sawNeg), s.counters), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler, replacing the
 // receiver's state entirely (including hash families, rebuilt from the
 // serialized seed).
 func (s *Sketch) UnmarshalBinary(data []byte) error {
-	if len(data) < headerLen {
-		return fmt.Errorf("countmin: sketch data truncated (%d bytes)", len(data))
+	r := binfmt.Open(data, sketchMagic, sketchVersion)
+	d, b, seed, net, sawNeg := r.U32(), r.U32(), r.U64(), r.I64(), r.U8()
+	counters := r.Int64s(uint64(d) * uint64(b))
+	if err := r.Done(); err != nil {
+		return err
 	}
-	if [4]byte(data[:4]) != sketchMagic {
-		return fmt.Errorf("countmin: bad sketch magic")
+	if sawNeg > 1 {
+		return fmt.Errorf("countmin: bad sawNeg flag %d", sawNeg)
 	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != sketchVersion {
-		return fmt.Errorf("countmin: unsupported sketch version %d", v)
-	}
-	d := int(binary.LittleEndian.Uint32(data[8:12]))
-	b := int(binary.LittleEndian.Uint32(data[12:16]))
-	seed := binary.LittleEndian.Uint64(data[16:24])
-	net := int64(binary.LittleEndian.Uint64(data[24:32]))
-	sawNegByte := data[32]
-	if sawNegByte > 1 {
-		return fmt.Errorf("countmin: bad sawNeg flag %d", sawNegByte)
-	}
-	// Validate the length against the declared dimensions BEFORE
-	// allocating: a hostile header could otherwise demand gigabytes.
-	// The uint64 product cannot overflow (both factors < 2^32).
-	want := headerLen + 8*uint64(uint32(d))*uint64(uint32(b))
-	if uint64(len(data)) != want {
-		return fmt.Errorf("countmin: sketch data is %d bytes, want %d for %dx%d", len(data), want, d, b)
-	}
-	fresh, err := New(d, b, seed)
+	fresh, err := New(int(d), int(b), seed)
 	if err != nil {
 		return fmt.Errorf("countmin: unmarshal: %w", err)
 	}
-	fresh.net = net
-	fresh.sawNeg = sawNegByte == 1
-	for i := range fresh.counters {
-		fresh.counters[i] = int64(binary.LittleEndian.Uint64(data[headerLen+8*i:]))
-	}
+	fresh.net, fresh.sawNeg, fresh.counters = net, sawNeg == 1, counters
 	*s = *fresh
 	return nil
 }

@@ -1,118 +1,17 @@
-// Package distributed provides parallel and multi-site ingestion on top
-// of sketch linearity: updates are fanned out to per-worker shard
-// sketches over channels, and shards (or sketches shipped from remote
-// sites) are merged into one synopsis at query time. Because every
-// sketch in this repository is a linear projection of the frequency
-// vector, the merged sketch is bit-identical to one maintained serially
-// over the concatenated stream — the property the tests pin down.
+// Package distributed provides multi-site aggregation on top of sketch
+// linearity: sketches maintained by separate shards or sites are merged
+// into one synopsis at query time, and shipped between processes under
+// a Retry-After-aware backoff. Because every sketch in this repository
+// is a linear projection of the frequency vector, the merged sketch is
+// bit-identical to one maintained serially over the concatenated
+// stream — the property the tests pin down.
 package distributed
 
 import (
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"skimsketch/internal/core"
-	"skimsketch/internal/stream"
 )
-
-// Ingestor ingests one stream with several workers, each owning a shard
-// sketch, so Update never contends on a shared counter array.
-type Ingestor struct {
-	cfg    core.Config
-	shards []*core.HashSketch
-	chans  []chan stream.Update
-	wg     sync.WaitGroup
-	next   atomic.Uint64
-
-	// Lifecycle: closeOnce makes Close exactly-once (concurrent Close
-	// calls block until the first finishes, so none returns before the
-	// shards are drained); closing flips at the start of Close and gates
-	// Update's misuse panic; closed flips after the drain and gates
-	// Merged. Both are atomics so Close/Merged and Close/Close from
-	// different goroutines are race-free.
-	closeOnce sync.Once
-	closing   atomic.Bool
-	closed    atomic.Bool
-}
-
-// NewIngestor starts `workers` shard goroutines for sketches with the
-// given configuration.
-func NewIngestor(workers int, cfg core.Config) (*Ingestor, error) {
-	if workers <= 0 {
-		return nil, fmt.Errorf("distributed: workers must be positive, got %d", workers)
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	in := &Ingestor{cfg: cfg}
-	for i := 0; i < workers; i++ {
-		sk, err := core.NewHashSketch(cfg)
-		if err != nil {
-			return nil, err
-		}
-		ch := make(chan stream.Update, 1024)
-		in.shards = append(in.shards, sk)
-		in.chans = append(in.chans, ch)
-		in.wg.Add(1)
-		go func(sk *core.HashSketch, ch <-chan stream.Update) {
-			defer in.wg.Done()
-			for u := range ch {
-				sk.Update(u.Value, u.Weight)
-			}
-		}(sk, ch)
-	}
-	return in, nil
-}
-
-// ErrUpdateAfterClose is the panic value of Update on a closed
-// Ingestor, so the failure names the misuse instead of surfacing as a
-// raw "send on closed channel" from deep inside the package.
-var ErrUpdateAfterClose = errors.New("distributed: Update on a closed Ingestor")
-
-// Update routes one element to a shard (round-robin). It implements
-// stream.Sink and is safe for concurrent use with other Update calls.
-// Calling Update after (or concurrently with) Close is a misuse and
-// panics with ErrUpdateAfterClose; callers must sequence their last
-// Update before Close. The guard is best-effort under a concurrent
-// Close — an unlucky interleaving can still surface as a send on a
-// closed channel — but a sequenced Update-after-Close always gets the
-// named panic.
-func (in *Ingestor) Update(value uint64, weight int64) {
-	if in.closing.Load() {
-		panic(ErrUpdateAfterClose)
-	}
-	i := in.next.Add(1) % uint64(len(in.chans))
-	in.chans[i] <- stream.Update{Value: value, Weight: weight}
-}
-
-// Close stops the workers and waits for every queued update to be
-// folded. It is idempotent and safe to call from several goroutines:
-// every call returns only after the drain is complete.
-func (in *Ingestor) Close() {
-	in.closeOnce.Do(func() {
-		in.closing.Store(true)
-		for _, ch := range in.chans {
-			close(ch)
-		}
-		in.wg.Wait()
-		in.closed.Store(true)
-	})
-}
-
-// Merged combines the shard sketches into one synopsis. The ingestor
-// must be Closed first so no updates are in flight; a Merged racing a
-// Close cleanly errors until the drain completes.
-func (in *Ingestor) Merged() (*core.HashSketch, error) {
-	if !in.closed.Load() {
-		return nil, fmt.Errorf("distributed: Close the ingestor before merging")
-	}
-	return Merge(in.shards...)
-}
-
-// Workers returns the shard count.
-func (in *Ingestor) Workers() int { return len(in.shards) }
 
 // Merge combines compatible sketches (local shards or sketches shipped
 // from remote sites) into a fresh synopsis of the union of their

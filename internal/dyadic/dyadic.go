@@ -45,11 +45,8 @@ func New(bits int, cfg core.Config) (*Hierarchy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ss := hashfam.NewSeedStream(cfg.Seed)
 	levels := make([]*core.HashSketch, bits+1)
-	for l := range levels {
-		lcfg := cfg
-		lcfg.Seed = ss.Next()
+	for l, lcfg := range levelConfigs(bits, cfg) {
 		sk, err := core.NewHashSketch(lcfg)
 		if err != nil {
 			return nil, err
@@ -57,6 +54,18 @@ func New(bits int, cfg core.Config) (*Hierarchy, error) {
 		levels[l] = sk
 	}
 	return &Hierarchy{bits: bits, cfg: cfg, levels: levels}, nil
+}
+
+// levelConfigs derives the bits+1 level-sketch configs: cfg's
+// dimensions, with one seed per level drawn from cfg.Seed.
+func levelConfigs(bits int, cfg core.Config) []core.Config {
+	ss := hashfam.NewSeedStream(cfg.Seed)
+	out := make([]core.Config, bits+1)
+	for l := range out {
+		out[l] = cfg
+		out[l].Seed = ss.Next()
+	}
+	return out
 }
 
 // MustNew is New for static configurations.

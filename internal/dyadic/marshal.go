@@ -4,22 +4,23 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"skimsketch/internal/binfmt"
 	"skimsketch/internal/core"
 )
 
 // Binary serialization: "SKDY" magic, u32 version, u32 bits, u32 tables,
 // u32 buckets, u64 seed, then bits+1 length-prefixed level-sketch blobs
-// (each produced by core.HashSketch.MarshalBinary).
+// (each produced by core.HashSketch.MarshalBinary). Each level's config
+// must be the one New derives from the header.
 
-var hierarchyMagic = [4]byte{'S', 'K', 'D', 'Y'}
-
-const hierarchyVersion = 1
+const (
+	hierarchyMagic   = "SKDY"
+	hierarchyVersion = 1
+)
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (h *Hierarchy) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 28)
-	buf = append(buf, hierarchyMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, hierarchyVersion)
+	buf := binfmt.AppendHeader(make([]byte, 0, 28), hierarchyMagic, hierarchyVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(h.bits))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(h.cfg.Tables))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(h.cfg.Buckets))
@@ -29,63 +30,42 @@ func (h *Hierarchy) MarshalBinary() ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(blob)))
-		buf = append(buf, blob...)
+		buf = binfmt.AppendBlob(buf, blob)
 	}
 	return buf, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler, replacing the
-// receiver's state entirely.
+// receiver's state entirely. Levels are decoded one bounded blob at a
+// time, so a hostile header cannot make it allocate more counters than
+// the blob carries.
 func (h *Hierarchy) UnmarshalBinary(data []byte) error {
-	if len(data) < 28 {
-		return fmt.Errorf("dyadic: hierarchy data truncated (%d bytes)", len(data))
+	r := binfmt.Open(data, hierarchyMagic, hierarchyVersion)
+	bits := int(r.U32())
+	cfg := core.Config{Tables: int(r.U32()), Buckets: int(r.U32()), Seed: r.U64()}
+	if err := r.Err(); err != nil {
+		return err
 	}
-	if [4]byte(data[:4]) != hierarchyMagic {
-		return fmt.Errorf("dyadic: bad hierarchy magic")
-	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != hierarchyVersion {
-		return fmt.Errorf("dyadic: unsupported hierarchy version %d", v)
-	}
-	bits := int(binary.LittleEndian.Uint32(data[8:12]))
-	cfg := core.Config{
-		Tables:  int(binary.LittleEndian.Uint32(data[12:16])),
-		Buckets: int(binary.LittleEndian.Uint32(data[16:20])),
-		Seed:    binary.LittleEndian.Uint64(data[20:28]),
-	}
-	// Validate the total length against the declared shape BEFORE
-	// allocating bits+1 level sketches: each level blob is a 4-byte
-	// length prefix plus a 40-byte sketch header plus 8·tables·buckets
-	// counter bytes. Hostile headers could otherwise demand gigabytes.
-	if bits < 0 || bits > 62 {
+	if bits > 62 {
 		return fmt.Errorf("dyadic: bits %d out of range", bits)
 	}
-	perLevel := 44 + 8*uint64(uint32(cfg.Tables))*uint64(uint32(cfg.Buckets))
-	if want := 28 + uint64(bits+1)*perLevel; uint64(len(data)) != want {
-		return fmt.Errorf("dyadic: hierarchy data is %d bytes, want %d for bits=%d %dx%d",
-			len(data), want, bits, cfg.Tables, cfg.Buckets)
-	}
-	fresh, err := New(bits, cfg)
-	if err != nil {
-		return fmt.Errorf("dyadic: unmarshal: %w", err)
-	}
-	off := 28
-	for l := range fresh.levels {
-		if off+4 > len(data) {
-			return fmt.Errorf("dyadic: truncated before level %d", l)
-		}
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-		if off+n > len(data) {
-			return fmt.Errorf("dyadic: level %d blob truncated", l)
-		}
-		if err := fresh.levels[l].UnmarshalBinary(data[off : off+n]); err != nil {
+	fresh := &Hierarchy{bits: bits, cfg: cfg}
+	for l, want := range levelConfigs(bits, cfg) {
+		blob := r.Blob()
+		if err := r.Err(); err != nil {
 			return fmt.Errorf("dyadic: level %d: %w", l, err)
 		}
-		off += n
+		sk := new(core.HashSketch)
+		if err := sk.UnmarshalBinary(blob); err != nil {
+			return fmt.Errorf("dyadic: level %d: %w", l, err)
+		}
+		if sk.Config() != want {
+			return fmt.Errorf("dyadic: level %d config %+v, header derives %+v", l, sk.Config(), want)
+		}
+		fresh.levels = append(fresh.levels, sk)
 	}
-	if off != len(data) {
-		return fmt.Errorf("dyadic: %d trailing bytes", len(data)-off)
+	if err := r.Done(); err != nil {
+		return err
 	}
 	*h = *fresh
 	return nil

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 
 	"skimsketch/internal/core"
@@ -248,7 +249,7 @@ func (t *Tenant) Snapshot(w io.Writer) error {
 // their tenants). A version-1 snapshot restores into the default tenant
 // bit-identically; a version-2 snapshot restores every tenant slice,
 // quotas and watches included. On success the engine answers queries
-// exactly as the snapshotted engine did.
+// exactly as the snapshotted engine did; on failure it is unchanged.
 func (e *Engine) Restore(r io.Reader) error {
 	var snap snapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
@@ -260,26 +261,22 @@ func (e *Engine) Restore(r io.Reader) error {
 	if len(e.streams) != 0 || len(e.queries) != 0 {
 		return fmt.Errorf("engine: restore requires an empty engine (no streams or queries)")
 	}
-	e.routes = nil
-	// Restored synopses restart at epoch 0: any answers cached before the
-	// restore would collide with the fresh epochs, so drop them all.
-	e.answers = make(map[nsKey]cachedAnswer)
-
+	st := e.stageLocked(snap.Defaults)
 	switch snap.Version {
 	case snapshotVersionV1:
-		e.defaults = snap.Defaults
-		return e.restoreTenantLocked(DefaultTenant, tenantSnap{
+		if err := st.restoreTenantLocked(DefaultTenant, tenantSnap{
 			Streams:  snap.Streams,
 			Queries:  snap.Queries,
 			Synopses: snap.Synopses,
-		})
+		}); err != nil {
+			return err
+		}
 	case snapshotVersionV2:
-		e.defaults = snap.Defaults
 		if snap.DefaultQuota != nil {
 			if err := snap.DefaultQuota.validate(); err != nil {
 				return fmt.Errorf("engine: restore: default quota: %w", err)
 			}
-			e.defaultQuota = *snap.DefaultQuota
+			st.defaultQuota = *snap.DefaultQuota
 		}
 		tenants := make([]string, 0, len(snap.Tenants))
 		for tenant := range snap.Tenants {
@@ -290,20 +287,24 @@ func (e *Engine) Restore(r io.Reader) error {
 			if err := validTenantName(tenant); err != nil {
 				return fmt.Errorf("engine: restore: %w", err)
 			}
-			if err := e.restoreTenantLocked(tenant, snap.Tenants[tenant]); err != nil {
+			if err := st.restoreTenantLocked(tenant, snap.Tenants[tenant]); err != nil {
 				return err
 			}
 		}
-		return nil
 	default:
 		return fmt.Errorf("engine: restore: unsupported snapshot version %d", snap.Version)
 	}
+	// Restored synopses restart at epoch 0: any answers cached before the
+	// restore would collide with the fresh epochs, so drop them all.
+	e.answers = make(map[nsKey]cachedAnswer)
+	e.commitLocked(st)
+	return nil
 }
 
 // Restore loads a version-1 (single-tenant layout) snapshot into this
 // tenant, which must be empty. The snapshot's default sketch config must
 // match the engine's, since queries without a per-query override rebuild
-// their synopses from it.
+// their synopses from it. On failure the engine is unchanged.
 func (t *Tenant) Restore(r io.Reader) error {
 	if err := validTenantName(t.name); err != nil {
 		return err
@@ -331,23 +332,71 @@ func (t *Tenant) Restore(r io.Reader) error {
 			return fmt.Errorf("engine: restore requires an empty tenant %q (no streams or queries)", t.name)
 		}
 	}
+	st := e.stageLocked(e.defaults)
+	if err := st.restoreTenantLocked(t.name, tenantSnap{
+		Streams:  snap.Streams,
+		Queries:  snap.Queries,
+		Synopses: snap.Synopses,
+	}); err != nil {
+		return err
+	}
 	for key := range e.answers {
 		if key.tenant == t.name {
 			delete(e.answers, key)
 		}
 	}
+	e.commitLocked(st)
+	return nil
+}
+
+// stageLocked returns a private engine for a restore to build into, so
+// a snapshot that fails part-way leaves e untouched. It shares e's
+// predicates and copies its tenant quotas, word charges and synopsis
+// numbering, so every check runs exactly as it would against e itself.
+// Callers hold e.mu.
+func (e *Engine) stageLocked(defaults core.Config) *Engine {
+	st := &Engine{
+		defaults:     defaults,
+		defaultQuota: e.defaultQuota,
+		tenants:      make(map[string]*tenantState, len(e.tenants)),
+		streams:      make(map[nsKey]*streamInfo),
+		predicates:   e.predicates,
+		synopses:     make(map[synKey]*synEntry),
+		queries:      make(map[nsKey]*queryState),
+		nextSynID:    e.nextSynID,
+		watches:      monitor.NewRegistry(),
+	}
+	for name, ts := range e.tenants {
+		st.tenants[name] = &tenantState{quota: ts.quota, words: ts.words}
+	}
+	return st
+}
+
+// commitLocked publishes a restore staged in st. It cannot fail: every
+// check already ran against st, and the tenants it restored had no
+// queries, so no watch of theirs is registered yet. Callers hold e.mu.
+func (e *Engine) commitLocked(st *Engine) {
+	e.defaults, e.defaultQuota, e.nextSynID = st.defaults, st.defaultQuota, st.nextSynID
+	for name, staged := range st.tenants {
+		ts := e.tenantLocked(name)
+		ts.quota, ts.words = staged.quota, staged.words
+	}
+	maps.Copy(e.streams, st.streams)
+	maps.Copy(e.queries, st.queries)
+	maps.Copy(e.synopses, st.synopses)
+	for _, tenant := range st.watches.Tenants() {
+		for _, w := range st.watches.List(tenant) {
+			_ = e.watches.Restore(watchKey(tenant, w.Query), monitor.WatchConfig{High: w.High, Low: w.Low}, w.State)
+		}
+	}
 	e.routes = nil
-	return e.restoreTenantLocked(t.name, tenantSnap{
-		Streams:  snap.Streams,
-		Queries:  snap.Queries,
-		Synopses: snap.Synopses,
-	})
 }
 
 // restoreTenantLocked loads one tenant slice: quota first (so synopsis
 // rebuilding is charged against the restored quota), then streams,
 // queries (rebuilding empty shared synopses), synopsis counters, and
-// watches. Callers hold e.mu.
+// watches. It runs on a staged engine (stageLocked) while the caller
+// holds the live engine's mu.
 func (e *Engine) restoreTenantLocked(tenant string, slice tenantSnap) error {
 	for _, q := range slice.Queries {
 		if q.Left.Predicate != "" {
@@ -405,11 +454,19 @@ func (e *Engine) restoreTenantLocked(tenant string, slice tenantSnap) error {
 			if err := w.UnmarshalBinary(s.Blob); err != nil {
 				return fmt.Errorf("engine: restore: %w", err)
 			}
+			if !w.Compatible(entry.win) {
+				return fmt.Errorf("engine: restore: synopsis %+v: window blob has another shape", key)
+			}
 			*entry.win = w
 		} else {
-			if err := entry.sketch.UnmarshalBinary(s.Blob); err != nil {
+			var sk core.HashSketch
+			if err := sk.UnmarshalBinary(s.Blob); err != nil {
 				return fmt.Errorf("engine: restore: %w", err)
 			}
+			if sk.Config() != s.Config {
+				return fmt.Errorf("engine: restore: synopsis %+v: sketch blob has config %+v", key, sk.Config())
+			}
+			*entry.sketch = sk
 		}
 	}
 	// ...and re-arm the standing watches with their checkpointed state.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -128,5 +129,93 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 	}
 	if err := e.Restore(strings.NewReader(`{"version": 99}`)); err == nil {
 		t.Fatal("expected version error")
+	}
+}
+
+// TestFailedRestoreLeavesEngineRestorable: a snapshot rejected for one
+// truncated SKWN blob must leave the engine as empty as it found it, so
+// the good snapshot that follows restores.
+func TestFailedRestoreLeavesEngineRestorable(t *testing.T) {
+	orig := buildLoadedEngine(t)
+	var good bytes.Buffer
+	if err := orig.Snapshot(&good); err != nil {
+		t.Fatal(err)
+	}
+	var snap snapshot
+	if err := json.Unmarshal(good.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	truncated := 0
+	for i, s := range snap.Synopses {
+		if s.WindowLen > 0 {
+			snap.Synopses[i].Blob = s.Blob[:len(s.Blob)-5]
+			truncated++
+		}
+	}
+	if truncated != 1 {
+		t.Fatalf("truncated %d windowed synopses, want 1", truncated)
+	}
+	bad, err := json.Marshal(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	e := mustEngine(t)
+	if err := e.RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Restore(bytes.NewReader(bad)); err == nil {
+		t.Fatal("restore accepted a truncated SKWN blob")
+	}
+	if err := e.Restore(bytes.NewReader(good.Bytes())); err != nil {
+		t.Fatalf("good snapshot refused after a failed restore: %v", err)
+	}
+	for _, q := range orig.Queries() {
+		a, err := orig.Answer(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := e.Answer(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Estimate != b.Estimate {
+			t.Fatalf("query %q: restored estimate %d differs from %d", q, b.Estimate, a.Estimate)
+		}
+	}
+}
+
+// TestFailedRestoreKeepsDefaults: a rejected snapshot must not install
+// its default sketch config, which later registrations would inherit.
+func TestFailedRestoreKeepsDefaults(t *testing.T) {
+	var buf bytes.Buffer
+	if err := buildLoadedEngine(t).Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap snapshot
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	snap.Defaults.Seed++
+	bad, err := json.Marshal(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := mustEngine(t) // "low" not registered: the restore fails
+	if err := e.Restore(bytes.NewReader(bad)); err == nil {
+		t.Fatal("restore without the predicate succeeded")
+	}
+	if err := e.DeclareStream("F", 64); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RegisterQuery(QuerySpec{Name: "q", Agg: Count, Left: Side{Stream: "F"}, Right: Side{Stream: "F"}}); err != nil {
+		t.Fatal(err)
+	}
+	qs, err := e.Tenant(DefaultTenant).QuerySketches("q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := qs.Left.Config(), defaultOpts().SketchConfig; got != want {
+		t.Fatalf("synopsis config %+v after a failed restore, want the engine default %+v", got, want)
 	}
 }

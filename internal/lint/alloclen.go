@@ -12,15 +12,16 @@ import (
 // attacker-controlled, and passing it to make() before bounding it
 // lets a 20-byte frame demand gigabytes — the classic decompression-
 // bomb allocation. The SKSP reader checks its declared payload length
-// against MaxFramePayload before allocating; the sketch unmarshalers
-// check declared dimensions against the actual blob size. This
+// against MaxFramePayload before allocating; binfmt.Reader bounds
+// every declared length and count by the bytes that remain. This
 // analyzer makes that discipline mechanical for every decoder that
 // clustering and tiered retention will add.
 //
 // Within each function it taints values produced by binary decode
 // primitives — encoding/binary's Uint16/32/64, Uvarint/Varint and
-// ReadUvarint/ReadVarint, and this repo's bounds-checked cursor
-// methods (u8/u16/u32/u64/uvarint/varint) — propagates the taint
+// ReadUvarint/ReadVarint, and the integer reads of this repo's
+// bounds-checked readers (binfmt.Reader's U8/U16/U32/U64/I64/Uvarint/
+// Varint, and any lowercase u8…varint cursor) — propagates the taint
 // through assignments, conversions and arithmetic, and flags any
 // make([]T, n) or make(map[K]V, n) whose size argument is tainted,
 // unless the tainted value was first compared (in an if/switch
@@ -295,8 +296,8 @@ func isErrorObj(obj types.Object) bool {
 }
 
 // decodeSource reports whether call produces a value decoded from
-// input: an encoding/binary read, or a method named like this repo's
-// bounds-checked cursor readers.
+// input: an encoding/binary read, or a method named like the integer
+// reads of this repo's bounds-checked readers.
 func decodeSource(pass *Pass, call *ast.CallExpr) (token.Pos, bool) {
 	f := calleeFunc(pass.Info, call)
 	if f == nil || f.Pkg() == nil {
@@ -310,14 +311,15 @@ func decodeSource(pass *Pass, call *ast.CallExpr) (token.Pos, bool) {
 		}
 		return token.NoPos, false
 	}
-	// Repo cursor idiom: small bounds-checked readers named after the
-	// wire type they decode.
+	// Reader idiom: bounds-checked methods named after the wire type
+	// they decode, exported on binfmt.Reader.
 	sig, ok := f.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
 		return token.NoPos, false
 	}
 	switch f.Name() {
-	case "u8", "u16", "u32", "u64", "uvarint", "varint":
+	case "u8", "u16", "u32", "u64", "uvarint", "varint",
+		"U8", "U16", "U32", "U64", "I64", "Uvarint", "Varint":
 		return call.Pos(), true
 	}
 	return token.NoPos, false

@@ -2,7 +2,11 @@
 // decoded straight from wire/checkpoint input with no bound check.
 package alloclen
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"skimsketch/internal/binfmt"
+)
 
 type cursor struct {
 	buf []byte
@@ -43,4 +47,12 @@ func decodePadded(c *cursor) []byte {
 	n := c.u32()
 	total := int(n) * 8
 	return make([]byte, total) // want `make\(\) size flows from decoded input`
+}
+
+// Bad: binfmt.Reader's exported reads are decode sources too — its
+// bounds checks guard the read, not what the caller allocates with it.
+func decodeRows(data []byte) [][]int64 {
+	r := binfmt.Open(data, "SKXX", 1)
+	rows := r.U32()
+	return make([][]int64, rows) // want `make\(\) size flows from decoded input`
 }

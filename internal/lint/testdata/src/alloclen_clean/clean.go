@@ -6,6 +6,8 @@ package alloclen_clean
 import (
 	"encoding/binary"
 	"errors"
+
+	"skimsketch/internal/binfmt"
 )
 
 const maxFrame = 1 << 20
@@ -61,4 +63,14 @@ func clone(b []byte) []byte {
 	out := make([]byte, len(b))
 	copy(out, b)
 	return out
+}
+
+// binfmt-decoded count, bounded by the bytes that remain.
+func decodeRows(data []byte) [][]int64 {
+	r := binfmt.Open(data, "SKXX", 1)
+	rows := r.U32()
+	if uint64(rows) > uint64(r.Len())/8 {
+		return nil
+	}
+	return make([][]int64, rows)
 }

@@ -3,29 +3,27 @@ package monitor_test
 import (
 	"fmt"
 
-	"skimsketch/internal/core"
 	"skimsketch/internal/monitor"
 )
 
 // Watermark alerting on a join estimate: the alert raises when the
-// correlation spikes and clears only after it falls through the low
+// estimate spikes and clears only after it falls through the low
 // watermark (hysteresis).
 func Example() {
-	m, err := monitor.New(
-		core.Config{Tables: 5, Buckets: 64, Seed: 3},
-		monitor.Config{
-			Domain: 256, Every: 1, High: 100, Low: 20,
-			OnTransition: func(s monitor.Sample) {
-				fmt.Printf("-> %s at estimate %d\n", s.State, s.Estimate)
-			},
-		})
-	if err != nil {
+	r := monitor.NewRegistry()
+	key := monitor.WatchKey{Tenant: "default", Query: "fraud"}
+	if err := r.Register(key, monitor.WatchConfig{High: 100, Low: 20}); err != nil {
 		panic(err)
 	}
-	m.UpdateG(5, 10) // g_5 = 10
-	m.UpdateF(5, 15) // estimate 150: raises
-	m.UpdateF(5, -8) // estimate 70: holds (hysteresis)
-	m.UpdateF(5, -6) // estimate 10: clears
+	for _, estimate := range []int64{150, 70, 10} { // raise, hold, clear
+		st, flipped, err := r.Observe(key, estimate)
+		if err != nil {
+			panic(err)
+		}
+		if flipped {
+			fmt.Printf("-> %s at estimate %d\n", st.State, estimate)
+		}
+	}
 	// Output:
 	// -> ALERT at estimate 150
 	// -> normal at estimate 10

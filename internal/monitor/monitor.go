@@ -1,19 +1,15 @@
 // Package monitor supports the paper's motivating use case — real-time
 // anomaly detection over streams ("for many mission-critical tasks such
 // as fraud/anomaly detection ... it is important to be able to answer
-// queries in real-time") — by re-estimating a join aggregate on a fixed
-// update cadence and raising/clearing an alert when the estimate crosses
-// high/low watermarks. The two watermarks give hysteresis so estimator
-// noise near a single threshold cannot flap the alert state.
+// queries in real-time") — with standing threshold watches over join
+// estimates: a Registry raises an alert when an estimate crosses a high
+// watermark and clears it when the estimate falls back to a low one.
+// The two watermarks give hysteresis so estimator noise near a single
+// threshold cannot flap the alert state. The package also holds the
+// ingest pipeline's counter set (IngestMetrics).
 package monitor
 
-import (
-	"fmt"
-
-	"skimsketch/internal/core"
-)
-
-// State is the monitor's alert state.
+// State is a watch's alert state.
 type State int
 
 const (
@@ -32,134 +28,3 @@ func (s State) String() string {
 	}
 	return "normal"
 }
-
-// Sample is one periodic estimate.
-type Sample struct {
-	// At is the total number of updates (both streams) when the sample
-	// was taken.
-	At int64
-	// Estimate is the join-size estimate.
-	Estimate int64
-	// State is the alert state after applying this sample.
-	State State
-}
-
-// Config tunes a Monitor.
-type Config struct {
-	// Domain is the join value domain [0, Domain).
-	Domain uint64
-	// Every re-estimates after this many updates across both streams.
-	Every int64
-	// High raises the alert when the estimate reaches it; Low clears the
-	// alert when the estimate falls to it or below. Low must not exceed
-	// High.
-	High, Low int64
-	// OnTransition, if set, is called synchronously on every state
-	// change with the triggering sample.
-	OnTransition func(Sample)
-	// HistoryLimit bounds the retained samples (default 256; the oldest
-	// are dropped).
-	HistoryLimit int
-}
-
-// Monitor maintains the sketch pair and the alert state machine.
-type Monitor struct {
-	cfg     Config
-	f, g    *core.HashSketch
-	updates int64
-	state   State
-	history []Sample
-}
-
-// New returns a monitor over a fresh sketch pair.
-func New(sketchCfg core.Config, cfg Config) (*Monitor, error) {
-	if cfg.Domain == 0 {
-		return nil, fmt.Errorf("monitor: domain must be positive")
-	}
-	if cfg.Every <= 0 {
-		return nil, fmt.Errorf("monitor: Every must be positive, got %d", cfg.Every)
-	}
-	if cfg.Low > cfg.High {
-		return nil, fmt.Errorf("monitor: Low watermark %d above High %d", cfg.Low, cfg.High)
-	}
-	if cfg.HistoryLimit <= 0 {
-		cfg.HistoryLimit = 256
-	}
-	f, err := core.NewHashSketch(sketchCfg)
-	if err != nil {
-		return nil, err
-	}
-	g, err := core.NewHashSketch(sketchCfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Monitor{cfg: cfg, f: f, g: g}, nil
-}
-
-// UpdateF folds one F-stream element and samples on cadence.
-func (m *Monitor) UpdateF(value uint64, weight int64) error {
-	m.f.Update(value, weight)
-	return m.tick()
-}
-
-// UpdateG folds one G-stream element and samples on cadence.
-func (m *Monitor) UpdateG(value uint64, weight int64) error {
-	m.g.Update(value, weight)
-	return m.tick()
-}
-
-func (m *Monitor) tick() error {
-	m.updates++
-	if m.updates%m.cfg.Every != 0 {
-		return nil
-	}
-	_, err := m.Sample()
-	return err
-}
-
-// Sample forces an immediate estimate, records it, and applies the state
-// machine. It is also called automatically every cfg.Every updates.
-func (m *Monitor) Sample() (Sample, error) {
-	est, err := core.EstimateJoin(m.f, m.g, m.cfg.Domain, nil)
-	if err != nil {
-		return Sample{}, err
-	}
-	s := Sample{At: m.updates, Estimate: est.Total, State: m.state}
-	switch m.state {
-	case Normal:
-		if est.Total >= m.cfg.High {
-			s.State = Alert
-		}
-	case Alert:
-		if est.Total <= m.cfg.Low {
-			s.State = Normal
-		}
-	}
-	transition := s.State != m.state
-	m.state = s.State
-	m.history = append(m.history, s)
-	if len(m.history) > m.cfg.HistoryLimit {
-		m.history = m.history[len(m.history)-m.cfg.HistoryLimit:]
-	}
-	if transition && m.cfg.OnTransition != nil {
-		m.cfg.OnTransition(s)
-	}
-	return s, nil
-}
-
-// State returns the current alert state.
-func (m *Monitor) State() State { return m.state }
-
-// History returns a copy of the retained samples, oldest first.
-func (m *Monitor) History() []Sample {
-	out := make([]Sample, len(m.history))
-	copy(out, m.history)
-	return out
-}
-
-// Updates returns the total number of updates observed.
-func (m *Monitor) Updates() int64 { return m.updates }
-
-// Sketches exposes the underlying pair for composition (e.g. persisting
-// via MarshalBinary).
-func (m *Monitor) Sketches() (f, g *core.HashSketch) { return m.f, m.g }

@@ -6,12 +6,10 @@ import (
 	"sync"
 )
 
-// Registry is a tenant-keyed collection of standing threshold watches —
-// the scaled-out form of Monitor's alert state machine. Where Monitor
-// owns a private sketch pair, a registry watch owns only the hysteresis
-// state: the estimate is produced elsewhere (the engine's epoch-keyed
-// answer cache, so an unchanged query costs no re-estimation) and fed in
-// via Observe. Keys are (tenant, query), so thousands of small tenants
+// Registry is a tenant-keyed collection of standing threshold watches.
+// A watch owns only its hysteresis state: the estimate is produced
+// elsewhere (the engine's epoch-keyed answer cache, so an unchanged
+// query costs no re-estimation) and fed in via Observe. Keys are (tenant, query), so thousands of small tenants
 // registering identical query names never share alert state.
 type Registry struct {
 	mu      sync.Mutex
@@ -27,7 +25,7 @@ type WatchKey struct {
 
 // WatchConfig tunes one watch's hysteresis band. High raises the alert
 // when the estimate reaches it; Low clears it when the estimate falls to
-// it or below (Low <= High, the same contract as Monitor's Config).
+// it or below (Low <= High).
 type WatchConfig struct {
 	High int64 `json:"high"`
 	Low  int64 `json:"low"`

@@ -136,3 +136,9 @@ func TestRegistryListSorted(t *testing.T) {
 		t.Fatalf("List not sorted by query: %+v", got)
 	}
 }
+
+func TestStateString(t *testing.T) {
+	if Normal.String() != "normal" || Alert.String() != "ALERT" {
+		t.Fatal("state names")
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"skimsketch/internal/binfmt"
 )
 
 // Histogram is a log-bucketed histogram of non-negative int64 samples
@@ -227,9 +229,7 @@ func (h *Histogram) MarshalBinary() ([]byte, error) {
 			nonzero++
 		}
 	}
-	buf := make([]byte, 0, 4+4+4+4*8+4+nonzero*12)
-	buf = append(buf, histMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, histVersion)
+	buf := binfmt.AppendHeader(make([]byte, 0, 4+4+4+4*8+4+nonzero*12), histMagic, histVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, numBuckets)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(h.count))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(h.sum))
@@ -251,25 +251,17 @@ func (h *Histogram) MarshalBinary() ([]byte, error) {
 // strictly increasing in-range bucket indexes, and the header count
 // equal to the bucket total.
 func (h *Histogram) UnmarshalBinary(data []byte) error {
-	const headerLen = 4 + 4 + 4 + 4*8 + 4
-	if len(data) < headerLen {
-		return fmt.Errorf("stats: SKLH blob too short (%d bytes)", len(data))
+	r := binfmt.Open(data, histMagic, histVersion)
+	nb := r.U32()
+	count, sum, minV, maxV := r.I64(), r.I64(), r.I64(), r.I64()
+	entries := r.U32()
+	if err := r.Err(); err != nil {
+		return err
 	}
-	if string(data[:4]) != histMagic {
-		return fmt.Errorf("stats: bad histogram magic %q", data[:4])
-	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != histVersion {
-		return fmt.Errorf("stats: unsupported histogram version %d", v)
-	}
-	if nb := binary.LittleEndian.Uint32(data[8:]); nb != numBuckets {
+	if nb != numBuckets {
 		return fmt.Errorf("stats: histogram layout has %d buckets, want %d", nb, numBuckets)
 	}
-	count := int64(binary.LittleEndian.Uint64(data[12:]))
-	sum := int64(binary.LittleEndian.Uint64(data[20:]))
-	minV := int64(binary.LittleEndian.Uint64(data[28:]))
-	maxV := int64(binary.LittleEndian.Uint64(data[36:]))
-	entries := binary.LittleEndian.Uint32(data[44:])
-	if int64(len(data)-headerLen) != int64(entries)*12 {
+	if uint64(entries)*12 != uint64(r.Len()) {
 		return fmt.Errorf("stats: SKLH blob length %d does not match %d entries", len(data), entries)
 	}
 	if count < 0 {
@@ -281,10 +273,8 @@ func (h *Histogram) UnmarshalBinary(data []byte) error {
 	var nh Histogram
 	var total uint64
 	prev := -1
-	for e := 0; e < int(entries); e++ {
-		off := headerLen + e*12
-		idx := int(binary.LittleEndian.Uint32(data[off:]))
-		c := binary.LittleEndian.Uint64(data[off+4:])
+	for e := uint32(0); e < entries; e++ {
+		idx, c := int(r.U32()), r.U64() // in bounds: the length matches entries
 		if idx <= prev || idx >= numBuckets {
 			return fmt.Errorf("stats: histogram bucket index %d out of order or range", idx)
 		}

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"skimsketch/internal/binfmt"
 )
 
 // Binary stream-file format ("SKS1"): a 16-byte header (4-byte magic,
@@ -14,9 +16,11 @@ import (
 // (value uint64, weight int64), all little-endian. The format is
 // append-friendly: readers consume records until EOF.
 
-var magic = [4]byte{'S', 'K', 'S', '1'}
-
-const headerSize = 16
+const (
+	magic      = "SKS1"
+	version    = 1
+	headerSize = 16
+)
 
 // ErrBadMagic reports a file that is not a stream file.
 var ErrBadMagic = errors.New("stream: bad magic, not a SKS1 stream file")
@@ -32,11 +36,8 @@ type Writer struct {
 // Writer for its records.
 func NewWriter(w io.Writer, domain uint64) (*Writer, error) {
 	bw := bufio.NewWriter(w)
-	var hdr [headerSize]byte
-	copy(hdr[:4], magic[:])
-	binary.LittleEndian.PutUint32(hdr[4:8], 1)
-	binary.LittleEndian.PutUint64(hdr[8:16], domain)
-	if _, err := bw.Write(hdr[:]); err != nil {
+	hdr := binfmt.AppendHeader(make([]byte, 0, headerSize), magic, version)
+	if _, err := bw.Write(binary.LittleEndian.AppendUint64(hdr, domain)); err != nil {
 		return nil, fmt.Errorf("stream: writing header: %w", err)
 	}
 	return &Writer{w: bw}, nil
@@ -73,13 +74,14 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("stream: reading header: %w", err)
 	}
-	if [4]byte(hdr[:4]) != magic {
+	h := binfmt.Open(hdr[:], magic, version)
+	domain := h.U64()
+	if err := h.Done(); errors.Is(err, binfmt.ErrBadMagic) {
 		return nil, ErrBadMagic
+	} else if err != nil {
+		return nil, err
 	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != 1 {
-		return nil, fmt.Errorf("stream: unsupported version %d", v)
-	}
-	return &Reader{r: br, domain: binary.LittleEndian.Uint64(hdr[8:16])}, nil
+	return &Reader{r: br, domain: domain}, nil
 }
 
 // Domain returns the domain size recorded in the header.

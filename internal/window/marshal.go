@@ -3,24 +3,26 @@ package window
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
+	"skimsketch/internal/binfmt"
 	"skimsketch/internal/core"
 )
 
 // Binary serialization: "SKWN" magic, u32 version, u64 bucketCap, u32
 // numBuckets, u32 cur, u64 curCount, u32 live, u64 total, u32 tables,
 // u32 buckets, u64 seed, then numBuckets length-prefixed bucket-sketch
-// blobs. Restoring a window resumes rotation exactly where it left off.
+// blobs, each with the header's config. Restoring a window resumes
+// rotation exactly where it left off.
 
-var windowMagic = [4]byte{'S', 'K', 'W', 'N'}
-
-const windowVersion = 1
+const (
+	windowMagic   = "SKWN"
+	windowVersion = 1
+)
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (w *Window) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 64)
-	buf = append(buf, windowMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, windowVersion)
+	buf := binfmt.AppendHeader(make([]byte, 0, 64), windowMagic, windowVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(w.bucketCap))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(w.buckets)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(w.cur))
@@ -35,61 +37,48 @@ func (w *Window) MarshalBinary() ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(blob)))
-		buf = append(buf, blob...)
+		buf = binfmt.AppendBlob(buf, blob)
 	}
 	return buf, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler, replacing the
-// receiver entirely.
+// receiver entirely. Buckets are decoded one bounded blob at a time, so
+// a hostile header cannot make it allocate more counters than the blob
+// carries.
 func (w *Window) UnmarshalBinary(data []byte) error {
-	const header = 60
-	if len(data) < header {
-		return fmt.Errorf("window: data truncated (%d bytes)", len(data))
+	r := binfmt.Open(data, windowMagic, windowVersion)
+	fresh := &Window{bucketCap: r.I64()}
+	numBuckets := int(r.U32())
+	fresh.cur, fresh.curCount, fresh.live, fresh.total = int(r.U32()), r.I64(), int(r.U32()), r.I64()
+	fresh.cfg = core.Config{Tables: int(r.U32()), Buckets: int(r.U32()), Seed: r.U64()}
+	if err := r.Err(); err != nil {
+		return err
 	}
-	if [4]byte(data[:4]) != windowMagic {
-		return fmt.Errorf("window: bad magic")
+	// bucketCap·numBuckets is the window length; it must fit an int64.
+	if numBuckets <= 0 || fresh.bucketCap <= 0 || fresh.bucketCap > math.MaxInt64/int64(numBuckets) {
+		return fmt.Errorf("window: invalid shape %dx%d", numBuckets, fresh.bucketCap)
 	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != windowVersion {
-		return fmt.Errorf("window: unsupported version %d", v)
-	}
-	bucketCap := int64(binary.LittleEndian.Uint64(data[8:16]))
-	numBuckets := int(binary.LittleEndian.Uint32(data[16:20]))
-	cur := int(binary.LittleEndian.Uint32(data[20:24]))
-	curCount := int64(binary.LittleEndian.Uint64(data[24:32]))
-	live := int(binary.LittleEndian.Uint32(data[32:36]))
-	total := int64(binary.LittleEndian.Uint64(data[36:44]))
-	cfg := core.Config{
-		Tables:  int(binary.LittleEndian.Uint32(data[44:48])),
-		Buckets: int(binary.LittleEndian.Uint32(data[48:52])),
-		Seed:    binary.LittleEndian.Uint64(data[52:60]),
-	}
-	if numBuckets <= 0 || bucketCap <= 0 {
-		return fmt.Errorf("window: invalid shape %dx%d", numBuckets, bucketCap)
-	}
-	// Validate total length before allocating bucket sketches.
-	perBucket := 44 + 8*uint64(uint32(cfg.Tables))*uint64(uint32(cfg.Buckets))
-	if want := 60 + uint64(numBuckets)*perBucket; uint64(len(data)) != want {
-		return fmt.Errorf("window: data is %d bytes, want %d", len(data), want)
-	}
-	if cur < 0 || cur >= numBuckets || live < 0 || live >= numBuckets ||
-		curCount < 0 || curCount >= bucketCap {
+	if fresh.cur >= numBuckets || fresh.live >= numBuckets ||
+		fresh.curCount < 0 || fresh.curCount >= fresh.bucketCap {
 		return fmt.Errorf("window: inconsistent rotation state")
 	}
-	fresh, err := New(bucketCap*int64(numBuckets), numBuckets, cfg)
-	if err != nil {
-		return fmt.Errorf("window: unmarshal: %w", err)
-	}
-	fresh.cur, fresh.curCount, fresh.live, fresh.total = cur, curCount, live, total
-	off := 60
-	for i := range fresh.buckets {
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-		if err := fresh.buckets[i].UnmarshalBinary(data[off : off+n]); err != nil {
+	for i := 0; i < numBuckets; i++ {
+		blob := r.Blob()
+		if err := r.Err(); err != nil {
 			return fmt.Errorf("window: bucket %d: %w", i, err)
 		}
-		off += n
+		sk := new(core.HashSketch)
+		if err := sk.UnmarshalBinary(blob); err != nil {
+			return fmt.Errorf("window: bucket %d: %w", i, err)
+		}
+		if sk.Config() != fresh.cfg {
+			return fmt.Errorf("window: bucket %d config %+v, header says %+v", i, sk.Config(), fresh.cfg)
+		}
+		fresh.buckets = append(fresh.buckets, sk)
+	}
+	if err := r.Done(); err != nil {
+		return err
 	}
 	*w = *fresh
 	return nil

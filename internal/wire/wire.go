@@ -39,6 +39,7 @@ import (
 	"hash/crc32"
 	"io"
 
+	"skimsketch/internal/binfmt"
 	"skimsketch/internal/stream"
 )
 
@@ -66,7 +67,6 @@ const (
 	FrameError  FrameType = 4
 )
 
-const headerLen = 8   // magic + version
 const envelopeLen = 9 // type + length + crc
 
 // Data is a decoded DATA frame. Successive DecodeData calls into the
@@ -124,10 +124,7 @@ func NewWriter(w io.Writer) *Writer {
 // WriteHeader writes the 8-byte connection header. Each side sends it
 // once, before any frame.
 func (w *Writer) WriteHeader() error {
-	var hdr [headerLen]byte
-	copy(hdr[:4], Magic)
-	binary.LittleEndian.PutUint32(hdr[4:], Version)
-	_, err := w.w.Write(hdr[:])
+	_, err := w.w.Write(binfmt.AppendHeader(make([]byte, 0, binfmt.HeaderLen), Magic, Version))
 	return err
 }
 
@@ -241,17 +238,12 @@ func NewReader(r io.Reader) *Reader {
 
 // ReadHeader consumes and validates the 8-byte connection header.
 func (r *Reader) ReadHeader() error {
-	var hdr [headerLen]byte
+	var hdr [binfmt.HeaderLen]byte
 	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
 		return err
 	}
-	if string(hdr[:4]) != Magic {
-		return fmt.Errorf("wire: bad magic %q", hdr[:4])
-	}
-	if v := binary.LittleEndian.Uint32(hdr[4:]); v != Version {
-		return fmt.Errorf("wire: unsupported version %d (want %d)", v, Version)
-	}
-	return nil
+	h := binfmt.Open(hdr[:], Magic, Version)
+	return h.Done()
 }
 
 // Next reads one frame and returns its type and CRC-verified payload.
@@ -287,74 +279,6 @@ func (r *Reader) Next() (FrameType, []byte, error) {
 	return t, r.payload, nil
 }
 
-// cursor is a bounds-checked little-endian payload reader.
-type cursor struct {
-	b []byte
-}
-
-func (c *cursor) u64() (uint64, error) {
-	if len(c.b) < 8 {
-		return 0, fmt.Errorf("wire: truncated u64")
-	}
-	v := binary.LittleEndian.Uint64(c.b)
-	c.b = c.b[8:]
-	return v, nil
-}
-
-func (c *cursor) u32() (uint32, error) {
-	if len(c.b) < 4 {
-		return 0, fmt.Errorf("wire: truncated u32")
-	}
-	v := binary.LittleEndian.Uint32(c.b)
-	c.b = c.b[4:]
-	return v, nil
-}
-
-func (c *cursor) u16() (uint16, error) {
-	if len(c.b) < 2 {
-		return 0, fmt.Errorf("wire: truncated u16")
-	}
-	v := binary.LittleEndian.Uint16(c.b)
-	c.b = c.b[2:]
-	return v, nil
-}
-
-func (c *cursor) u8() (byte, error) {
-	if len(c.b) < 1 {
-		return 0, fmt.Errorf("wire: truncated u8")
-	}
-	v := c.b[0]
-	c.b = c.b[1:]
-	return v, nil
-}
-
-func (c *cursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.b)
-	if n <= 0 {
-		return 0, fmt.Errorf("wire: bad uvarint")
-	}
-	c.b = c.b[n:]
-	return v, nil
-}
-
-func (c *cursor) varint() (int64, error) {
-	v, n := binary.Varint(c.b)
-	if n <= 0 {
-		return 0, fmt.Errorf("wire: bad varint")
-	}
-	c.b = c.b[n:]
-	return v, nil
-}
-
-func (c *cursor) bytes(n int) ([]byte, error) {
-	if len(c.b) < n {
-		return nil, fmt.Errorf("wire: %d bytes declared, %d remain", n, len(c.b))
-	}
-	v := c.b[:n]
-	c.b = c.b[n:]
-	return v, nil
-}
-
 // intern returns b as a string, reusing a previously-built string for
 // the same bytes so a steady-state decode loop does not allocate one
 // string per frame for the (few, recurring) client/tenant/stream names.
@@ -375,37 +299,19 @@ func (d *Data) intern(b []byte) string {
 // update, 3 per group) bound the declared counts against the remaining
 // payload before anything is allocated or appended.
 func DecodeData(payload []byte, d *Data) error {
-	c := cursor{payload}
-	var err error
-	if d.Seq, err = c.u64(); err != nil {
+	r := binfmt.NewReader(Magic, payload)
+	d.Seq = r.U64()
+	id, tenant := r.Bytes(int(r.U8())), r.Bytes(int(r.U8()))
+	groups := r.Uvarint()
+	if err := r.Err(); err != nil {
 		return err
 	}
-	n, err := c.u8()
-	if err != nil {
-		return err
-	}
-	if n == 0 {
+	if len(id) == 0 {
 		return fmt.Errorf("wire: empty clientID")
 	}
-	id, err := c.bytes(int(n))
-	if err != nil {
-		return err
-	}
-	d.ClientID = d.intern(id)
-	if n, err = c.u8(); err != nil {
-		return err
-	}
-	tb, err := c.bytes(int(n))
-	if err != nil {
-		return err
-	}
-	d.Tenant = d.intern(tb)
-	groups, err := c.uvarint()
-	if err != nil {
-		return err
-	}
-	if groups > uint64(len(c.b))/3+1 {
-		return fmt.Errorf("wire: %d groups declared in %d remaining bytes", groups, len(c.b))
+	d.ClientID, d.Tenant = d.intern(id), d.intern(tenant)
+	if groups > uint64(r.Len())/3+1 {
+		return fmt.Errorf("wire: %d groups declared in %d remaining bytes", groups, r.Len())
 	}
 	d.Groups = d.Groups[:0]
 	d.buf = d.buf[:0]
@@ -418,39 +324,28 @@ func DecodeData(payload []byte, d *Data) error {
 	var stackSpans [8]span
 	spans := stackSpans[:0]
 	for gi := uint64(0); gi < groups; gi++ {
-		if n, err = c.u8(); err != nil {
+		nameB := r.Bytes(int(r.U8()))
+		count := r.Uvarint()
+		if err := r.Err(); err != nil {
 			return err
 		}
-		if n == 0 {
+		if len(nameB) == 0 {
 			return fmt.Errorf("wire: group %d has an empty stream name", gi)
 		}
-		nameB, err := c.bytes(int(n))
-		if err != nil {
-			return err
-		}
-		count, err := c.uvarint()
-		if err != nil {
-			return err
-		}
-		if count > uint64(len(c.b))/2+1 {
-			return fmt.Errorf("wire: %d updates declared in %d remaining bytes", count, len(c.b))
+		if count > uint64(r.Len())/2+1 {
+			return fmt.Errorf("wire: %d updates declared in %d remaining bytes", count, r.Len())
 		}
 		start := len(d.buf)
 		for ui := uint64(0); ui < count; ui++ {
-			v, err := c.uvarint()
-			if err != nil {
-				return err
-			}
-			w, err := c.varint()
-			if err != nil {
-				return err
-			}
-			d.buf = append(d.buf, stream.Update{Value: v, Weight: w})
+			d.buf = append(d.buf, stream.Update{Value: r.Uvarint(), Weight: r.Varint()})
+		}
+		if err := r.Err(); err != nil {
+			return err
 		}
 		spans = append(spans, span{d.intern(nameB), start, len(d.buf)})
 	}
-	if len(c.b) != 0 {
-		return fmt.Errorf("wire: %d trailing bytes after data payload", len(c.b))
+	if err := r.Done(); err != nil {
+		return err
 	}
 	for _, s := range spans {
 		d.Groups = append(d.Groups, stream.Group{Name: s.name, Updates: d.buf[s.start:s.end]})
@@ -460,64 +355,22 @@ func DecodeData(payload []byte, d *Data) error {
 
 // DecodeAck decodes an ACK payload.
 func DecodeAck(payload []byte) (Ack, error) {
-	c := cursor{payload}
-	var a Ack
-	var err error
-	if a.Seq, err = c.u64(); err != nil {
-		return a, err
-	}
-	applied, err := c.u64()
-	if err != nil {
-		return a, err
-	}
-	a.Applied = int64(applied)
-	flags, err := c.u8()
-	if err != nil {
-		return a, err
-	}
-	a.Duplicate = flags&1 != 0
-	if len(c.b) != 0 {
-		return a, fmt.Errorf("wire: %d trailing bytes after ack payload", len(c.b))
-	}
-	return a, nil
+	r := binfmt.NewReader(Magic, payload)
+	a := Ack{Seq: r.U64(), Applied: r.I64(), Duplicate: r.U8()&1 != 0}
+	return a, r.Done()
 }
 
 // DecodeReject decodes a REJECT payload.
 func DecodeReject(payload []byte) (Reject, error) {
-	c := cursor{payload}
-	var r Reject
-	var err error
-	if r.Seq, err = c.u64(); err != nil {
-		return r, err
-	}
-	if r.RetryAfter, err = c.u32(); err != nil {
-		return r, err
-	}
-	if len(c.b) != 0 {
-		return r, fmt.Errorf("wire: %d trailing bytes after reject payload", len(c.b))
-	}
-	return r, nil
+	r := binfmt.NewReader(Magic, payload)
+	rj := Reject{Seq: r.U64(), RetryAfter: r.U32()}
+	return rj, r.Done()
 }
 
 // DecodeError decodes an ERROR payload.
 func DecodeError(payload []byte) (ErrorFrame, error) {
-	c := cursor{payload}
-	var e ErrorFrame
-	var err error
-	if e.Seq, err = c.u64(); err != nil {
-		return e, err
-	}
-	n, err := c.u16()
-	if err != nil {
-		return e, err
-	}
-	msg, err := c.bytes(int(n))
-	if err != nil {
-		return e, err
-	}
-	e.Msg = string(msg)
-	if len(c.b) != 0 {
-		return e, fmt.Errorf("wire: %d trailing bytes after error payload", len(c.b))
-	}
-	return e, nil
+	r := binfmt.NewReader(Magic, payload)
+	e := ErrorFrame{Seq: r.U64()}
+	e.Msg = string(r.Bytes(int(r.U16())))
+	return e, r.Done()
 }
