@@ -29,7 +29,8 @@ func testServerConcurrent(t *testing.T) *httptest.Server {
 // TestConcurrentHTTPUpdates hammers /update from many goroutines while
 // /answer and /stats race with them, then reconciles exactly: every
 // update inserts value 0, so the COUNT(F ⋈ G) estimate must equal nF·nG
-// precisely and any lost update would change the product.
+// precisely and any lost update would change the product, and the
+// server's /update latency histogram holds exactly one sample per POST.
 func TestConcurrentHTTPUpdates(t *testing.T) {
 	ts := testServerConcurrent(t)
 	for _, s := range []string{"F", "G"} {
@@ -119,6 +120,10 @@ func TestConcurrentHTTPUpdates(t *testing.T) {
 	}
 	if applied := ingest["updatesApplied"].(float64); applied != 2*perStream {
 		t.Fatalf("ingest counters applied=%v, want %v", applied, 2*perStream)
+	}
+	// The server times every /update request it handled, once each.
+	if n := body["updateLatency"].(map[string]any)["count"].(float64); n != writers*postsEach {
+		t.Fatalf("updateLatency.count = %v, want %d (one per POST)", n, writers*postsEach)
 	}
 	code, body = do(t, "GET", ts.URL+"/answer?query=q", nil)
 	if code != 200 {

@@ -204,8 +204,9 @@ func TestRunListenError(t *testing.T) {
 
 // TestUpdateBackpressure429 pins the degradation contract: with every
 // ingest queue slot full, POST /update returns 429 with a Retry-After
-// header instead of blocking, nothing is applied, and the rejection is
-// counted in /stats.
+// header instead of blocking, nothing is applied, the rejection is
+// counted in /stats, and resending the shed request after the queue
+// drains applies it exactly once.
 func TestUpdateBackpressure429(t *testing.T) {
 	eng, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 3, Buckets: 64, Seed: 1}})
 	if err != nil {
@@ -269,7 +270,9 @@ func TestUpdateBackpressure429(t *testing.T) {
 		t.Fatal("429 without Retry-After header")
 	}
 	close(gate)
-	eng.Flush()
+	if code, body := httpJSON(t, "POST", ts.URL+"/flush", ""); code != 200 {
+		t.Fatalf("flush: %d %s", code, body)
+	}
 	// The shed update was never applied; the two admitted ones were.
 	if got := eng.IngestStats().UpdatesApplied; got != 2 {
 		t.Fatalf("applied %d updates, want 2", got)
@@ -281,6 +284,18 @@ func TestUpdateBackpressure429(t *testing.T) {
 	code, stats := httpJSON(t, "GET", ts.URL+"/stats", "")
 	if code != 200 || !strings.Contains(stats, `"rejected":1`) {
 		t.Fatalf("stats missing rejection counter: %d %s", code, stats)
+	}
+	// 429 meant "nothing applied, resend": once the queue drains, the
+	// resent update lands exactly once — no loss, no double count.
+	if code, body := httpJSON(t, "POST", ts.URL+"/update", `{"stream":"F","value":3}`); code != 200 {
+		t.Fatalf("resent update: %d %s", code, body)
+	}
+	eng.Flush()
+	if got := eng.IngestStats().UpdatesApplied; got != 3 {
+		t.Fatalf("applied %d updates after the resend, want exactly 3", got)
+	}
+	if got := eng.IngestStats().Rejected; got != 1 {
+		t.Fatalf("rejected = %d after the resend, want 1", got)
 	}
 }
 

@@ -265,3 +265,59 @@ func TestBadJSONBody(t *testing.T) {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
 }
+
+// TestHealthzLifecycle pins the readiness contract: ready while
+// serving, 503 draining once shutdown flips the gauge.
+func TestHealthzLifecycle(t *testing.T) {
+	eng, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 3, Buckets: 64, Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(eng)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	if code, body := httpJSON(t, "GET", ts.URL+"/healthz", ""); code != 200 || body == "" {
+		t.Fatalf("healthz while serving: %d %s", code, body)
+	}
+	srv.SetDraining()
+	if code, _ := httpJSON(t, "GET", ts.URL+"/healthz", ""); code != 503 {
+		t.Fatalf("healthz while draining: %d, want 503", code)
+	}
+}
+
+// TestStatsUpdateLatencyHistogram: the /stats latency block counts
+// every /update request (success and 429 alike) with sane monotonic
+// figures.
+func TestStatsUpdateLatencyHistogram(t *testing.T) {
+	ts := testServer(t)
+	if code, _ := do(t, "POST", ts.URL+"/streams", map[string]any{"name": "F", "domain": 64}); code != 201 {
+		t.Fatal("declare")
+	}
+	for i := 0; i < 5; i++ {
+		if code, _ := do(t, "POST", ts.URL+"/update", map[string]any{"stream": "F", "value": i}); code != 200 {
+			t.Fatal("update")
+		}
+	}
+	// A malformed update is timed too — the count is requests, not successes.
+	if code, _ := do(t, "POST", ts.URL+"/update", map[string]any{"stream": "nope", "value": 1}); code != 400 {
+		t.Fatal("expected 400")
+	}
+	code, body := do(t, "GET", ts.URL+"/stats", nil)
+	if code != 200 {
+		t.Fatal("stats")
+	}
+	lat, ok := body["updateLatency"].(map[string]any)
+	if !ok {
+		t.Fatalf("stats missing updateLatency: %v", body)
+	}
+	if got := lat["count"].(float64); got != 6 {
+		t.Fatalf("updateLatency.count = %v, want 6", got)
+	}
+	if lat["maxNs"].(float64) <= 0 || lat["p99Ns"].(float64) <= 0 {
+		t.Fatalf("latency figures not positive: %v", lat)
+	}
+	if body["uptimeSeconds"].(float64) <= 0 {
+		t.Fatal("uptimeSeconds missing or zero")
+	}
+}

@@ -303,9 +303,10 @@ func fastClientBackoff() distributed.Backoff {
 }
 
 // TestStreamIngestEndToEnd drives the SKSP listener with the real
-// client: admitted batches land in the engine exactly once, quota trips
-// come back as retryable REJECTs, bad frames as permanent errors, and
-// raw replays of an admitted seq are answered from the dedupe window.
+// client across two tenants: admitted batches land in the right tenant
+// exactly once and are applied to its synopses, quota trips come back as
+// retryable REJECTs, bad frames as permanent errors, and neither is
+// enqueued.
 func TestStreamIngestEndToEnd(t *testing.T) {
 	eng, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 5, Buckets: 128, Seed: 7}})
 	if err != nil {
@@ -315,12 +316,24 @@ func TestStreamIngestEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(eng.StopIngest)
-	def := eng.Tenant(engine.DefaultTenant)
-	for _, s := range []string{"F", "G"} {
-		if err := def.DeclareStream(s, 64); err != nil {
+	// The empty wire tenant addresses the default one. A query gives F
+	// and G synopses, so every ACKed update must also be applied.
+	tenants := map[string]*engine.Tenant{"": eng.Tenant(engine.DefaultTenant), "t1": eng.Tenant("t1")}
+	for _, tn := range tenants {
+		for _, s := range []string{"F", "G"} {
+			if err := tn.DeclareStream(s, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tn.RegisterQuery(engine.QuerySpec{
+			Name: "q", Agg: engine.Count,
+			Left:  engine.Side{Stream: "F"},
+			Right: engine.Side{Stream: "G"},
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	def := tenants[""]
 	sv, addr := streamListener(t, eng, wire.NewWindow(0, 0))
 
 	c := client.New(addr, client.Options{Backoff: fastClientBackoff()})
@@ -332,10 +345,33 @@ func TestStreamIngestEndToEnd(t *testing.T) {
 	if err != nil || out.Applied != 3 {
 		t.Fatalf("send: %+v %v", out, err)
 	}
+	acked := map[string]int64{"": out.Applied}
+	for i := uint64(0); i < 5; i++ {
+		out, err := c.Send(context.Background(), "t1", []stream.Group{
+			{Name: "F", Updates: []stream.Update{{Value: i, Weight: 1}}},
+			{Name: "G", Updates: []stream.Update{{Value: i, Weight: 1}, {Value: i + 1, Weight: 1}}},
+		})
+		if err != nil {
+			t.Fatalf("t1 send %d: %v", i, err)
+		}
+		acked["t1"] += out.Applied
+	}
 	eng.Flush()
 	st := def.Stats()
 	if st.UpdateCounts["F"] != 2 || st.UpdateCounts["G"] != 1 {
 		t.Fatalf("counts after SKSP ingest: %v", st.UpdateCounts)
+	}
+	for name, tn := range tenants {
+		var sum int64
+		for _, n := range tn.Stats().UpdateCounts {
+			sum += n
+		}
+		if sum != acked[name] {
+			t.Fatalf("tenant %q holds %d updates, client was ACKed %d", name, sum, acked[name])
+		}
+	}
+	if got, want := sv.Updates.Load(), acked[""]+acked["t1"]; got != want {
+		t.Fatalf("listener counted %d updates, client was ACKed %d", got, want)
 	}
 
 	// Unknown stream: permanent ERROR frame, nothing applied.
@@ -381,6 +417,12 @@ func TestStreamIngestEndToEnd(t *testing.T) {
 
 	if sv.frames.Load() == 0 || sv.rejected.Load() != 2 || sv.errored.Load() != 1 {
 		t.Fatalf("listener counters: %+v", sv.statsJSON())
+	}
+	// Only ACKed frames were enqueued, and each was applied.
+	if ist := eng.IngestStats(); ist.UpdatesEnqueued != acked[""]+acked["t1"] ||
+		ist.UpdatesApplied != ist.UpdatesEnqueued || ist.UpdatesUnrouted != 0 {
+		t.Fatalf("ingest counters enqueued=%d applied=%d unrouted=%d, want %d ACKed, all applied",
+			ist.UpdatesEnqueued, ist.UpdatesApplied, ist.UpdatesUnrouted, acked[""]+acked["t1"])
 	}
 }
 

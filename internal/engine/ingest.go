@@ -199,25 +199,18 @@ func (ing *ingester) barrierLocked() {
 }
 
 // enqueue fans the batch out to the shards named by route, splitting it
-// into BatchSize chunks. If the pipeline was stopped between routing and
-// enqueueing, it falls back to a synchronous apply (settling the
-// tenant's pending gauge itself). done, when non-nil, gains one
-// reference per queued item (the worker drops it after applying); the
-// synchronous fallback applies inline and so adds none.
+// into BatchSize chunks. A batch no synopsis listens to is counted as
+// unrouted and never queued. If the pipeline was stopped between routing
+// and enqueueing, it falls back to a synchronous apply. Either way it
+// settles the tenant's pending gauge itself for what it does not queue.
+// done, when non-nil, gains one reference per queued item (the worker
+// drops it after applying); the other paths queue nothing and add none.
 func (ing *ingester) enqueue(e *Engine, ts *tenantState, route [][]*synEntry, updates []stream.Update, done *groupDone) {
 	ing.fanMu.RLock()
 	defer ing.fanMu.RUnlock()
-	if ing.closed {
-		e.applyMu.Lock()
-		for _, entries := range route {
-			for _, en := range entries {
-				en.updateBatch(updates)
-			}
-		}
-		e.applyMu.Unlock()
-		e.metrics.UpdatesApplied.Add(int64(len(updates)))
+	if ing.closed || !routed(route) {
+		e.apply(route, updates)
 		ts.pending.Add(-int64(len(updates)))
-		e.metrics.Batches.Add(1)
 		return
 	}
 	bs := ing.cfg.BatchSize
@@ -245,14 +238,38 @@ func (ing *ingester) enqueue(e *Engine, ts *tenantState, route [][]*synEntry, up
 			e.metrics.QueueDepth.Add(1)
 			ing.chans[shard] <- item
 		}
-		if !counted {
-			// No synopsis anywhere listens to this stream: nothing will
-			// apply the chunk, so settle its pending share immediately
-			// (the applied-updates metric keeps its historical meaning of
-			// "folded into at least one synopsis").
-			ts.pending.Add(-int64(len(chunk)))
+	}
+}
+
+// routed reports whether any synopsis listens to the stream route
+// belongs to.
+func routed(route [][]*synEntry) bool {
+	for _, entries := range route {
+		if len(entries) > 0 {
+			return true
 		}
 	}
+	return false
+}
+
+// apply folds updates into every synopsis on route under the exclusive
+// apply lock and counts them as applied — or, when no synopsis listens,
+// counts them as unrouted without taking the lock.
+func (e *Engine) apply(route [][]*synEntry, updates []stream.Update) {
+	n := int64(len(updates))
+	if !routed(route) {
+		e.metrics.UpdatesUnrouted.Add(n)
+		return
+	}
+	e.applyMu.Lock()
+	for _, entries := range route {
+		for _, en := range entries {
+			en.updateBatch(updates)
+		}
+	}
+	e.applyMu.Unlock()
+	e.metrics.UpdatesApplied.Add(n)
+	e.metrics.Batches.Add(1)
 }
 
 // ValidateBatch checks that a default-tenant batch could be ingested —
@@ -376,17 +393,10 @@ func (t *Tenant) IngestGroups(groups []stream.Group, release func()) error {
 	}
 	e.metrics.UpdatesEnqueued.Add(int64(total))
 	if ing == nil {
-		// Synchronous path: apply inline under the exclusive apply lock,
-		// with e.mu held like Update.
-		e.applyMu.Lock()
+		// Synchronous path: apply inline, with e.mu held like Update.
 		for i := range groups {
-			for _, en := range routes[i][0] {
-				en.updateBatch(groups[i].Updates)
-			}
+			e.apply(routes[i], groups[i].Updates)
 		}
-		e.applyMu.Unlock()
-		e.metrics.UpdatesApplied.Add(int64(total))
-		e.metrics.Batches.Add(int64(len(groups)))
 		e.mu.Unlock()
 		if release != nil {
 			release()

@@ -384,3 +384,82 @@ func TestStartStopIngest(t *testing.T) {
 		t.Fatalf("estimate %d, want 9", a.Estimate)
 	}
 }
+
+// TestUnroutedUpdatesCounted pins one meaning for the ingest counters on
+// every ingest path: an update to a declared stream that no query listens
+// to is counted as unrouted, never as applied, so after a flush
+// enqueued == applied + unrouted — and listened updates are all applied.
+func TestUnroutedUpdatesCounted(t *testing.T) {
+	groups := []stream.Group{
+		{Name: "F", Updates: []stream.Update{stream.Insert(1), stream.Insert(2), stream.Insert(3), stream.Insert(4), stream.Insert(5)}},
+		{Name: "U", Updates: []stream.Update{stream.Insert(1), stream.Insert(2), stream.Insert(3), stream.Insert(4), stream.Insert(5)}},
+		{Name: "G", Updates: []stream.Update{stream.Insert(6), stream.Insert(7), stream.Insert(8), stream.Insert(9)}},
+		{Name: "U", Updates: []stream.Update{stream.Insert(6), stream.Insert(7), stream.Insert(8), stream.Insert(9)}},
+	}
+	const listened, unlistened = 9, 9
+	for _, tc := range []struct {
+		name string
+		feed func(t *testing.T, e *Engine)
+	}{
+		{"Update", func(t *testing.T, e *Engine) {
+			for _, g := range groups {
+				for _, u := range g.Updates {
+					if err := e.Update(g.Name, u.Value, u.Weight); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}},
+		{"synchronous IngestGroups", func(t *testing.T, e *Engine) {
+			if err := e.IngestGroups(groups, nil); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"pipeline", func(t *testing.T, e *Engine) {
+			if err := e.StartIngest(IngestConfig{Workers: 2, BatchSize: 2, QueueDepth: 4}); err != nil {
+				t.Fatal(err)
+			}
+			defer e.StopIngest()
+			if err := e.IngestGroups(groups, nil); err != nil {
+				t.Fatal(err)
+			}
+			e.Flush()
+		}},
+		{"stopped-pipeline fallback", func(t *testing.T, e *Engine) {
+			// StopIngest won the race between admission and enqueue:
+			// admit each group by hand, then enqueue into a closed
+			// pipeline, which applies inline.
+			ing := &ingester{closed: true}
+			for _, g := range groups {
+				e.mu.Lock()
+				route := e.routeLocked(DefaultTenant, g.Name, 2)
+				ts := e.tenantLocked(DefaultTenant)
+				e.mu.Unlock()
+				e.metrics.UpdatesEnqueued.Add(int64(len(g.Updates)))
+				ts.pending.Add(int64(len(g.Updates)))
+				ing.enqueue(e, ts, route, g.Updates, nil)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := mustEngine(t)
+			for _, s := range []string{"F", "G", "U"} {
+				if err := e.DeclareStream(s, 16); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.RegisterQuery(QuerySpec{Name: "q", Agg: Count, Left: Side{Stream: "F"}, Right: Side{Stream: "G"}}); err != nil {
+				t.Fatal(err)
+			}
+			tc.feed(t, e)
+			st := e.IngestStats()
+			if st.UpdatesEnqueued != listened+unlistened || st.UpdatesApplied != listened || st.UpdatesUnrouted != unlistened {
+				t.Fatalf("enqueued=%d applied=%d unrouted=%d, want %d = %d + %d",
+					st.UpdatesEnqueued, st.UpdatesApplied, st.UpdatesUnrouted, listened+unlistened, listened, unlistened)
+			}
+			if p := e.Tenant(DefaultTenant).Stats().PendingUpdates; p != 0 {
+				t.Fatalf("pending gauge %d after flush, want 0", p)
+			}
+		})
+	}
+}

@@ -276,14 +276,20 @@ func (t *Tenant) Update(streamName string, value uint64, weight int64) error {
 	e.metrics.UpdatesEnqueued.Add(1)
 	// Take the exclusive apply lock so a single update is serialized with
 	// both the shard workers and the readers.
+	listened := false
 	e.applyMu.Lock()
 	for _, entry := range e.synopses {
 		if entry.key.tenant == t.name && entry.key.stream == streamName {
 			entry.update(value, weight)
+			listened = true
 		}
 	}
 	e.applyMu.Unlock()
-	e.metrics.UpdatesApplied.Add(1)
+	if listened {
+		e.metrics.UpdatesApplied.Add(1)
+	} else {
+		e.metrics.UpdatesUnrouted.Add(1)
+	}
 	return nil
 }
 

@@ -16,6 +16,10 @@ type IngestMetrics struct {
 	UpdatesEnqueued atomic.Int64
 	// UpdatesApplied counts stream elements folded into synopses.
 	UpdatesApplied atomic.Int64
+	// UpdatesUnrouted counts accepted stream elements that no synopsis
+	// listens to (their stream has no registered query). They are never
+	// applied, so after a flush enqueued == applied + unrouted.
+	UpdatesUnrouted atomic.Int64
 	// Batches counts applied batches; together with UpdatesApplied it
 	// yields the mean batch fill.
 	Batches atomic.Int64
@@ -42,6 +46,7 @@ func NewIngestMetrics() *IngestMetrics {
 type IngestSnapshot struct {
 	UpdatesEnqueued int64   `json:"updatesEnqueued"`
 	UpdatesApplied  int64   `json:"updatesApplied"`
+	UpdatesUnrouted int64   `json:"updatesUnrouted"`
 	Batches         int64   `json:"batches"`
 	QueueDepth      int64   `json:"queueDepth"`
 	Flushes         int64   `json:"flushes"`
@@ -57,6 +62,7 @@ func (m *IngestMetrics) Snapshot() IngestSnapshot {
 	s := IngestSnapshot{
 		UpdatesEnqueued: m.UpdatesEnqueued.Load(),
 		UpdatesApplied:  m.UpdatesApplied.Load(),
+		UpdatesUnrouted: m.UpdatesUnrouted.Load(),
 		Batches:         m.Batches.Load(),
 		QueueDepth:      m.QueueDepth.Load(),
 		Flushes:         m.Flushes.Load(),

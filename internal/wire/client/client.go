@@ -144,12 +144,6 @@ func (c *Conn) Ping(ctx context.Context) error {
 // permanently rejects it, the retry budget is spent, or ctx is done.
 // The groups' buffers are owned by the caller again once Send returns.
 func (c *Conn) Send(ctx context.Context, tenant string, groups []stream.Group) (Outcome, error) {
-	return c.SendTimed(ctx, tenant, groups, nil)
-}
-
-// SendTimed is Send with a per-attempt latency hook (for harnesses
-// recording one histogram sample per wire attempt).
-func (c *Conn) SendTimed(ctx context.Context, tenant string, groups []stream.Group, onAttempt func(time.Duration)) (Outcome, error) {
 	var out Outcome
 	total := 0
 	for i := range groups {
@@ -176,13 +170,9 @@ func (c *Conn) SendTimed(ctx context.Context, tenant string, groups []stream.Gro
 
 	rejects := 0
 	for {
-		start := time.Now()
 		c.writeFrame(p)
 		select {
 		case res := <-p.ch:
-			if onAttempt != nil {
-				onAttempt(time.Since(start))
-			}
 			out.Attempts++
 			switch res.kind {
 			case rAck:

@@ -4,13 +4,12 @@
 #
 #   1. boot sketchd with BOTH listeners: HTTP (-addr) and SKSP
 #      (-listen.stream), sharing one engine and one dedupe window
-#   2. drive the SAME seeded workload twice with loadgen — once over
-#      JSON HTTP, once over -proto=skimp — and require both runs to
-#      finish with zero permanent errors and a schema-valid
-#      BENCH_ingest.json whose per-tenant client/server counters
-#      reconcile EXACTLY (loadgen -validate)
-#   3. reconcile the /stats "stream" section: the listener's updates
-#      counter must equal exactly the updates the skimp run acknowledged
+#   2. two tenants (t0, t1) each declare F, G and a COUNT query, then
+#      ingest JSON batches over HTTP and a loop of streamprobe frames
+#      over SKSP (each frame applies 2 updates)
+#   3. reconcile exactly: the /stats "stream" section counts every
+#      frame update, each tenant's updateCounts equal the JSON plus SKSP
+#      updates sent to it, and every enqueued update was applied
 #   4. kill-mid-run replay: a raw client sends a frame, the server
 #      applies it but the connection dies before the ACK arrives; the
 #      reconnect replays the same (clientID, seq) and must get a
@@ -59,7 +58,7 @@ field() {
 
 echo "== build"
 go build -o "$WORKDIR/sketchd" ./cmd/sketchd
-go build -o "$WORKDIR/loadgen" ./cmd/loadgen
+go build -o "$WORKDIR/streamprobe" ./cmd/streamprobe
 
 echo "== in-process kill/replay exactly-once checks (same listener code)"
 go test -run 'TestStreamReplayDedupe|TestStreamDrainKeepsAckedFrames|TestRetryDoubleApplyThroughProxy' \
@@ -72,44 +71,74 @@ echo "== boot sketchd with HTTP + SKSP listeners"
 PID=$!
 wait_ready
 
-UPDATES=20000
+TENANTS="t0 t1"
+JSON_BATCHES=3 # per tenant, each BATCH_N F + BATCH_N G updates
+BATCH_N=200
+FRAMES=25      # streamprobe frames per tenant, each one F + one G update
 
-echo "== run 1: JSON HTTP baseline ($UPDATES updates, fixed seed)"
-mkdir -p "$WORKDIR/json" "$WORKDIR/skimp"
-"$WORKDIR/loadgen" -target "$BASE" -declare -wait 10s \
-    -seed 42 -domain 4096 -shape zipf:1.0 \
-    -updates "$UPDATES" -tenants 2 \
-    -ingest.workers 3 -ingest.batch 200 -ingest.queue 128 \
-    -out "$WORKDIR/json" | tee "$WORKDIR/json.log" || die "json run failed"
-"$WORKDIR/loadgen" -validate "$WORKDIR/json/BENCH_ingest.json" \
-    || die "json BENCH validation failed"
+post() { # path json
+    curl -fsS -X POST -d "$2" "$BASE$1" >/dev/null || die "POST $1 failed"
+}
+
+make_batch() { # count -> JSON array on stdout (F and G get $1 each)
+    local sep=""
+    printf '['
+    for ((i = 0; i < $1; i++)); do
+        printf '%s{"stream":"F","value":%d},{"stream":"G","value":%d}' "$sep" $((i % 4096)) $(((i * 7) % 4096))
+        sep=","
+    done
+    printf ']'
+}
+
+for tenant in $TENANTS; do
+    post "/t/$tenant/streams" '{"name":"F","domain":4096}'
+    post "/t/$tenant/streams" '{"name":"G","domain":4096}'
+    post "/t/$tenant/queries" '{"name":"q","agg":"COUNT","left":{"stream":"F"},"right":{"stream":"G"}}'
+done
+
+echo "== JSON HTTP batches into both tenants"
+for tenant in $TENANTS; do
+    for ((b = 0; b < JSON_BATCHES; b++)); do
+        make_batch "$BATCH_N" | curl -fsS -X POST --data-binary @- "$BASE/t/$tenant/update" >/dev/null \
+            || die "json batch $b into $tenant failed"
+    done
+done
 
 ST0="$(curl -fsS "$BASE/stats")"
 SKSP_BEFORE="$(field "$(grep -o '"stream":{[^}]*}' <<<"$ST0")" updates)"
-[[ "$SKSP_BEFORE" -eq 0 ]] || die "stream listener counted $SKSP_BEFORE updates before any skimp traffic"
+[[ "$SKSP_BEFORE" -eq 0 ]] || die "stream listener counted $SKSP_BEFORE updates before any SKSP traffic"
 
-echo "== run 2: SKSP binary protocol (same workload, -proto=skimp)"
-"$WORKDIR/loadgen" -target "$BASE" -wait 10s \
-    -proto skimp -stream.addr "$STREAM_ADDR" \
-    -seed 42 -domain 4096 -shape zipf:1.0 \
-    -updates "$UPDATES" -tenants 2 \
-    -ingest.workers 3 -ingest.batch 200 -ingest.queue 128 \
-    -out "$WORKDIR/skimp" | tee "$WORKDIR/skimp.log" || die "skimp run failed"
-"$WORKDIR/loadgen" -validate "$WORKDIR/skimp/BENCH_ingest.json" \
-    || die "skimp BENCH validation failed (per-tenant reconciliation over SKSP)"
-grep -q '"proto": *"skimp"' "$WORKDIR/skimp/BENCH_ingest.json" \
-    || die "skimp BENCH report does not echo its protocol"
+echo "== SKSP frames into both tenants ($FRAMES streamprobe frames each)"
+for tenant in $TENANTS; do
+    for ((i = 1; i <= FRAMES; i++)); do
+        "$WORKDIR/streamprobe" -addr "$STREAM_ADDR" -tenant "$tenant" -client "it-$tenant" -seq "$i" >/dev/null \
+            || die "streamprobe frame $i into $tenant failed"
+    done
+done
+curl -fsS -X POST "$BASE/flush" >/dev/null || die "flush failed"
 
-echo "== /stats stream section reconciles with the skimp run exactly"
+echo "== /stats reconciles both wire paths exactly"
 ST1="$(curl -fsS "$BASE/stats")"
 SECTION="$(grep -o '"stream":{[^}]*}' <<<"$ST1")" || die "no stream section in /stats"
 SKSP_UPDATES="$(field "$SECTION" updates)"
-# Acknowledged updates from the skimp run's own report (client side).
-ACKED="$(sed -n 's/.*"updates": *\([0-9]\{1,\}\).*/\1/p' "$WORKDIR/skimp/BENCH_ingest.json" | head -n1)"
-[[ -n "$ACKED" ]] || die "no updates field in skimp BENCH report"
-[[ "$SKSP_UPDATES" -eq "$ACKED" ]] \
-    || die "listener counted $SKSP_UPDATES updates, skimp client was ACKed $ACKED"
+SKSP_WANT=$((2 * FRAMES * 2))
+[[ "$SKSP_UPDATES" -eq "$SKSP_WANT" ]] \
+    || die "listener counted $SKSP_UPDATES updates, streamprobe sent $SKSP_WANT"
 [[ "$(field "$SECTION" errors)" -eq 0 ]] || die "stream listener recorded protocol errors"
+PER_STREAM=$((JSON_BATCHES * BATCH_N + FRAMES))
+for tenant in $TENANTS; do
+    ST_T="$(curl -fsS "$BASE/t/$tenant/stats")" || die "$tenant stats failed"
+    COUNTS="$(grep -o '"updateCounts":{[^}]*}' <<<"$ST_T")" || die "no updateCounts for $tenant"
+    for s in F G; do
+        [[ "$(field "$COUNTS" "$s")" -eq "$PER_STREAM" ]] \
+            || die "$tenant $s count $(field "$COUNTS" "$s"), sent $PER_STREAM"
+    done
+done
+INGEST="$(grep -o '"ingest":{[^}]*}' <<<"$ST1")" || die "no ingest section in /stats"
+ENQ="$(field "$INGEST" updatesEnqueued)"
+[[ "$ENQ" -eq $((2 * 2 * PER_STREAM)) ]] || die "enqueued $ENQ, sent $((2 * 2 * PER_STREAM))"
+[[ "$(field "$INGEST" updatesApplied)" -eq "$ENQ" ]] || die "applied != enqueued after flush: $INGEST"
+[[ "$(field "$INGEST" updatesUnrouted)" -eq 0 ]] || die "updates went unrouted: $INGEST"
 
 echo "== live replay: a re-sent (clientID, seq) is answered as duplicate"
 DUP_BEFORE="$(field "$SECTION" duplicates)"
@@ -117,7 +146,7 @@ DUP_BEFORE="$(field "$SECTION" duplicates)"
 # replays the SAME frame — the reconnect models a client that never saw
 # the first ACK. Exactly-once means: second ACK is a duplicate, engine
 # applies nothing twice.
-go run ./cmd/streamprobe -addr "$STREAM_ADDR" -client it-probe -seq 7 -replay \
+"$WORKDIR/streamprobe" -addr "$STREAM_ADDR" -tenant t0 -client it-probe -seq 7 -replay \
     || die "streamprobe replay failed"
 ST2="$(curl -fsS "$BASE/stats")"
 SECTION2="$(grep -o '"stream":{[^}]*}' <<<"$ST2")"
