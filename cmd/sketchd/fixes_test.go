@@ -201,3 +201,58 @@ func TestStatsReportsAnswerCache(t *testing.T) {
 		t.Fatalf("missing queryWorkers in %v", body)
 	}
 }
+
+// failingQueries is a node whose query reads fail for a reason other
+// than an unknown query.
+type failingQueries struct{ *cluster.Node }
+
+func (failingQueries) Answer(context.Context, string, string) (serve.Answer, error) {
+	return serve.Answer{}, errors.New("estimate failed")
+}
+
+func (failingQueries) Sketch(context.Context, string, string) ([]byte, *serve.Coverage, error) {
+	return nil, nil, errors.New("snapshot failed")
+}
+
+// /answer and /sketch answer 404 only for a query that is not
+// registered; any other backend failure is a 500, so a failed estimate
+// never reads as "not found".
+func TestQueryReadStatusCodes(t *testing.T) {
+	eng, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 5, Buckets: 128, Seed: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := cluster.NewNode(eng)
+	healthy := httptest.NewServer(serve.New(node))
+	defer healthy.Close()
+	failing := httptest.NewServer(serve.New(failingQueries{node}))
+	defer failing.Close()
+	do(t, "POST", healthy.URL+"/streams", map[string]any{"name": "F", "domain": 64})
+	do(t, "POST", healthy.URL+"/streams", map[string]any{"name": "G", "domain": 64})
+	do(t, "POST", healthy.URL+"/queries", map[string]any{
+		"name": "q",
+		"left": map[string]any{"stream": "F"}, "right": map[string]any{"stream": "G"},
+	})
+	for _, tc := range []struct {
+		srv  *httptest.Server
+		path string
+		want int
+	}{
+		{healthy, "/answer?query=q", http.StatusOK},
+		{healthy, "/sketch?query=q", http.StatusOK},
+		{healthy, "/answer?query=missing", http.StatusNotFound},
+		{healthy, "/sketch?query=missing", http.StatusNotFound},
+		{healthy, "/t/other/answer?query=q", http.StatusNotFound},
+		{failing, "/answer?query=q", http.StatusInternalServerError},
+		{failing, "/sketch?query=q", http.StatusInternalServerError},
+	} {
+		resp, err := http.Get(tc.srv.URL + tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("GET %s%s = %d, want %d", tc.srv.URL, tc.path, resp.StatusCode, tc.want)
+		}
+	}
+}

@@ -82,17 +82,18 @@ func BenchmarkEstimateJoin(b *testing.B) {
 	}
 }
 
-// benchEstimateJoin1M measures the full skimmed-join estimate over a
-// ≥1M-value domain, the regime where the O(m·d) skim scan dominates and
-// the parallel scan pays. Compare the Workers variants for the query-path
-// speedup; outputs are bit-identical by TestQuickEstimateJoinWorkers-
-// Equivalence, so only wall-clock differs.
+// benchEstimateJoin1M measures the full skimmed-join estimate at the
+// answer_m20 workload's shape (d = 7, b = 2048, zipf 1.0, m = 2^20), the
+// regime where the O(m·d) skim scan dominates and the parallel scan
+// pays. Compare the Workers variants for the query-path speedup; outputs
+// are bit-identical by TestQuickEstimateJoinWorkersEquivalence, so only
+// wall-clock differs.
 func benchEstimateJoin1M(b *testing.B, workers int) {
 	const domain = 1 << 20
-	c := cfg(7, 1024, 9)
+	c := cfg(7, 2048, 9)
 	f, g := MustNewHashSketch(c), MustNewHashSketch(c)
-	z1, _ := workload.NewZipf(domain, 1.2, 1)
-	z2, _ := workload.NewZipf(domain, 1.2, 2)
+	z1, _ := workload.NewZipf(domain, 1.0, 1)
+	z2, _ := workload.NewZipf(domain, 1.0, 2)
 	stream.Apply(workload.MakeStream(z1, 200000), f)
 	stream.Apply(workload.MakeStream(z2, 200000), g)
 	opts := &Options{Workers: workers}

@@ -76,16 +76,13 @@ func EstimateJoin(f, g *HashSketch, domain uint64, opts *Options) (Estimate, err
 		tg = g.DefaultSkimThreshold()
 	}
 
+	// F and G share every hash function, so one joint scan skims both.
 	fs, gs := f.Clone(), g.Clone()
-	fd, err := fs.skimDenseParallel(domain, tf, false, workers)
+	dense, err := skim([]*HashSketch{fs, gs}, []int64{tf, tg}, domain, false, workers)
 	if err != nil {
 		return Estimate{}, err
 	}
-	gd, err := gs.skimDenseParallel(domain, tg, false, workers)
-	if err != nil {
-		return Estimate{}, err
-	}
-	return estimateFromSkimmedWorkers(fs, gs, fd, gd, tf, tg, workers), nil
+	return estimateFromSkimmedWorkers(fs, gs, dense[0], dense[1], tf, tg, workers), nil
 }
 
 // EstimateJoinSkimmed is the core of ESTSKIMJOINSIZE for callers that

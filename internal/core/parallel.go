@@ -11,9 +11,9 @@ import (
 // Parallel variants of the query-time estimation procedures. Every
 // function here is bit-for-bit equivalent to its sequential counterpart:
 // the SKIMDENSE extraction test reads counters without mutating them (the
-// subtraction happens once, after the scan), so partitioning the domain
-// across workers changes nothing but wall-clock time; the per-table rows
-// of the subjoin estimators are independent, so computing them
+// subtraction happens once, after the scan; see scan.go), so partitioning
+// the domain across workers changes nothing but wall-clock time; the
+// per-table rows of the subjoin estimators are independent, so computing them
 // concurrently feeds the exact same slice to the median. Property tests
 // in parallel_test.go pin the equivalence for arbitrary streams, domains,
 // thresholds and worker counts.
@@ -47,68 +47,11 @@ func (s *HashSketch) SkimDenseSignedParallel(domain uint64, threshold int64, wor
 }
 
 func (s *HashSketch) skimDenseParallel(domain uint64, threshold int64, signed bool, workers int) (stream.FreqVector, error) {
-	if threshold <= 0 {
-		return nil, errSkimThreshold(threshold)
+	dense, err := skim([]*HashSketch{s}, []int64{threshold}, domain, signed, workers)
+	if err != nil {
+		return nil, err
 	}
-	w := resolveWorkers(workers)
-	if uint64(w) > domain {
-		w = int(domain)
-	}
-	if w <= 1 {
-		dense := stream.NewFreqVector()
-		s.scanDense(0, domain, threshold, signed, dense)
-		s.subtract(dense)
-		return dense, nil
-	}
-	// Each worker scans a contiguous range into its own vector; ranges are
-	// disjoint, so the merge is a plain union and the combined vector is
-	// exactly the sequential scan's.
-	parts := make([]stream.FreqVector, w)
-	chunk, rem := domain/uint64(w), domain%uint64(w)
-	var wg sync.WaitGroup
-	lo := uint64(0)
-	for i := 0; i < w; i++ {
-		size := chunk
-		if uint64(i) < rem {
-			size++
-		}
-		hi := lo + size
-		parts[i] = stream.NewFreqVector()
-		wg.Add(1)
-		go func(lo, hi uint64, out stream.FreqVector) {
-			defer wg.Done()
-			s.scanDense(lo, hi, threshold, signed, out)
-		}(lo, hi, parts[i])
-		lo = hi
-	}
-	wg.Wait()
-	dense := parts[0]
-	for _, p := range parts[1:] {
-		for v, est := range p {
-			dense[v] = est
-		}
-	}
-	s.subtract(dense)
-	return dense, nil
-}
-
-// scanDense runs the SKIMDENSE extraction test over [lo, hi), recording
-// qualifying estimates in out. It only reads the sketch — callers
-// subtract the merged dense vector afterwards — and reuses per-call
-// scratch buffers so the inner loop allocates nothing.
-func (s *HashSketch) scanDense(lo, hi uint64, threshold int64, signed bool, out stream.FreqVector) {
-	d, b := s.cfg.Tables, s.cfg.Buckets
-	ests := make([]int64, d)
-	scratch := make([]int64, d)
-	for v := lo; v < hi; v++ {
-		for j := 0; j < d; j++ {
-			ests[j] = s.counters[j*b+s.bucketOf(j, v)] * s.signOf(j, v)
-		}
-		est := medianScratch(ests, scratch)
-		if est >= threshold || (signed && -est >= threshold) {
-			out[v] = est
-		}
-	}
+	return dense[0], nil
 }
 
 // medianScratch returns stats.MedianInt64(xs) using a caller-provided

@@ -85,9 +85,10 @@ func SuggestBuckets(nf, ng, joinSize int64, targetError float64) int {
 }
 
 // DenseEnergyFraction reports what fraction of the stream's estimated F2
-// is carried by frequencies at or above the threshold — a cheap
-// diagnostic for whether skimming will pay off on this stream. It scans
-// the domain with point estimates and does not mutate the sketch.
+// is carried by frequencies whose |estimate| is at or above the
+// threshold — a cheap diagnostic for whether skimming will pay off on
+// this stream. It runs the signed SKIMDENSE scan and does not mutate
+// the sketch.
 func (s *HashSketch) DenseEnergyFraction(domain uint64, threshold int64) float64 {
 	if threshold <= 0 {
 		threshold = s.DefaultSkimThreshold()
@@ -97,11 +98,8 @@ func (s *HashSketch) DenseEnergyFraction(domain uint64, threshold int64) float64
 		return 0
 	}
 	var dense int64
-	for v := uint64(0); v < domain; v++ {
-		est := s.PointEstimate(v)
-		if est >= threshold || -est >= threshold {
-			dense += est * est
-		}
+	for _, est := range scanDomain([]*HashSketch{s}, []int64{threshold}, domain, true, 1)[0] {
+		dense += est * est
 	}
 	f := float64(dense) / float64(total)
 	if f > 1 {
@@ -117,11 +115,5 @@ func (s *HashSketch) DenseValues(domain uint64, threshold int64) stream.FreqVect
 	if threshold <= 0 {
 		threshold = s.DefaultSkimThreshold()
 	}
-	dense := stream.NewFreqVector()
-	for v := uint64(0); v < domain; v++ {
-		if est := s.PointEstimate(v); est >= threshold {
-			dense[v] = est
-		}
-	}
-	return dense
+	return scanDomain([]*HashSketch{s}, []int64{threshold}, domain, false, 1)[0]
 }

@@ -28,7 +28,7 @@ import (
 // bit-identical results. The sketch is mutated; callers who need to
 // preserve the synopsis should Clone first (EstimateJoin does).
 func (s *HashSketch) SkimDense(domain uint64, threshold int64) (stream.FreqVector, error) {
-	return s.skimDense(domain, threshold, false)
+	return s.skimDenseParallel(domain, threshold, false, 1)
 }
 
 // SkimDenseSigned is SkimDense extracting dense frequencies of either
@@ -36,11 +36,7 @@ func (s *HashSketch) SkimDense(domain uint64, threshold int64) (stream.FreqVecto
 // negative. On insert-dominated streams prefer SkimDense: the two-sided
 // test admits collision phantoms that the one-sided test rejects.
 func (s *HashSketch) SkimDenseSigned(domain uint64, threshold int64) (stream.FreqVector, error) {
-	return s.skimDense(domain, threshold, true)
-}
-
-func (s *HashSketch) skimDense(domain uint64, threshold int64, signed bool) (stream.FreqVector, error) {
-	return s.skimDenseParallel(domain, threshold, signed, 1)
+	return s.skimDenseParallel(domain, threshold, true, 1)
 }
 
 func errSkimThreshold(threshold int64) error {

@@ -152,6 +152,10 @@ type Engine struct {
 	answers      map[nsKey]cachedAnswer
 	cacheHits    int64
 	cacheMisses  int64
+	// beforeEstimate, when set, runs in Answer after the locks are
+	// released and before the estimate: tests hold an answer there to
+	// show that ingestion proceeds meanwhile.
+	beforeEstimate func()
 
 	// watches is the tenant-keyed standing-query registry (watch.go);
 	// its own lock nests strictly inside e.mu.
@@ -472,7 +476,7 @@ func (e *Engine) answerTenant(tenant, name string) (Answer, error) {
 	q, ok := e.queries[qk]
 	if !ok {
 		release()
-		return Answer{}, fmt.Errorf("engine: unknown query %q", name)
+		return Answer{}, fmt.Errorf("engine: %w %q", ErrUnknownQuery, name)
 	}
 	ts := e.tenantLocked(tenant)
 	le, re := q.left.epoch, q.right.epoch
@@ -488,6 +492,9 @@ func (e *Engine) answerTenant(tenant, name string) (Answer, error) {
 	domain, workers, agg := q.domain, e.queryWorkers, q.spec.Agg
 	release()
 
+	if e.beforeEstimate != nil {
+		e.beforeEstimate()
+	}
 	est, err := core.EstimateJoin(fs, gs, domain, &core.Options{Workers: workers})
 	if err != nil {
 		return Answer{}, fmt.Errorf("engine: query %q: %w", name, err)
@@ -536,7 +543,7 @@ func (t *Tenant) QuerySketches(name string) (QuerySnapshot, error) {
 	q, ok := e.queries[nsKey{t.name, name}]
 	if !ok {
 		release()
-		return QuerySnapshot{}, fmt.Errorf("engine: unknown query %q", name)
+		return QuerySnapshot{}, fmt.Errorf("engine: %w %q", ErrUnknownQuery, name)
 	}
 	qs := QuerySnapshot{
 		Query:      name,

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"testing"
+	"time"
 
 	"skimsketch/internal/core"
 	"skimsketch/internal/stream"
@@ -195,13 +196,15 @@ func TestValidateBatch(t *testing.T) {
 	}
 }
 
-// The no-stall regression: with the pipeline running, a long Answer over
-// a large domain must not block ingestion for its whole duration. The
-// old implementation held the quiesce locks across the estimate, so the
-// concurrent IngestBatch+Flush loop below could not complete a single
-// iteration until the answer returned; the snapshot-then-estimate path
-// releases the locks after cloning, so iterations proceed. Run with
-// -race to also certify the clone hand-off.
+// The no-stall regression: with the pipeline running, an Answer must
+// not block ingestion while it estimates. The old implementation held
+// the quiesce locks across the estimate; the snapshot-then-estimate
+// path releases them after cloning. The answer is held in the
+// beforeEstimate hook — past the clone, before the estimate — until an
+// IngestBatch+Flush iteration completes, so the test does not depend on
+// how long the estimate takes; with the locks held there, Flush blocks
+// and the test fails on its deadline. Ingestion then continues while the
+// estimate runs: run with -race to also certify the clone hand-off.
 func TestIngestProceedsDuringAnswer(t *testing.T) {
 	const domain = 1 << 20
 	opts := Options{SketchConfig: core.Config{Tables: 5, Buckets: 1024, Seed: 7}}
@@ -222,22 +225,42 @@ func TestIngestProceedsDuringAnswer(t *testing.T) {
 	}
 	e.Flush()
 
+	held, proceed := make(chan struct{}), make(chan struct{})
+	e.beforeEstimate = func() {
+		close(held)
+		<-proceed
+	}
 	done := make(chan error, 1)
 	go func() {
 		_, err := e.Answer("q")
 		done <- err
 	}()
+	<-held
 
 	small := zipfBatch(t, domain, 64, 3)
-	iters := 0
+	ingested := make(chan error, 1)
+	go func() {
+		err := e.IngestBatch("F", small)
+		e.Flush()
+		ingested <- err
+	}()
+	select {
+	case err := <-ingested:
+		if err != nil {
+			close(proceed)
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		close(proceed) // let the answer release whatever it holds
+		t.Fatal("no ingest iteration completed while Answer was estimating: query path stalls the pipeline")
+	}
+	close(proceed)
+
 	for {
 		select {
 		case err := <-done:
 			if err != nil {
 				t.Fatal(err)
-			}
-			if iters == 0 {
-				t.Fatal("no ingest iteration completed while Answer was estimating: query path stalls the pipeline")
 			}
 			return
 		default:
@@ -246,6 +269,5 @@ func TestIngestProceedsDuringAnswer(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.Flush()
-		iters++
 	}
 }

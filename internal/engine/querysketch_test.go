@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"testing"
 
 	"skimsketch/internal/core"
@@ -71,8 +72,14 @@ func TestQuerySketchesSnapshotIsPrivate(t *testing.T) {
 		t.Fatal("mutating a QuerySketches snapshot changed the live answer")
 	}
 
-	if _, err := tn.QuerySketches("nope"); err == nil {
-		t.Fatal("unknown query must error")
+	if _, err := tn.QuerySketches("nope"); !errors.Is(err, ErrUnknownQuery) {
+		t.Fatalf("QuerySketches on an unknown query: %v, want ErrUnknownQuery", err)
+	}
+	if _, err := tn.Answer("nope"); !errors.Is(err, ErrUnknownQuery) {
+		t.Fatalf("Answer on an unknown query: %v, want ErrUnknownQuery", err)
+	}
+	if err := tn.RemoveQuery("nope"); !errors.Is(err, ErrUnknownQuery) {
+		t.Fatalf("RemoveQuery on an unknown query: %v, want ErrUnknownQuery", err)
 	}
 }
 

@@ -17,6 +17,11 @@ const DefaultTenant = "default"
 // can map the whole family to one wire status (sketchd answers 429).
 var ErrQuotaExceeded = errors.New("tenant quota exceeded")
 
+// ErrUnknownQuery is wrapped by every error that names a query the
+// tenant has not registered, so callers can tell "not found" from a
+// failure (sketchd answers 404 for it, and 500 for any other error).
+var ErrUnknownQuery = errors.New("unknown query")
+
 // Quota bounds one tenant's resource consumption. Zero fields are
 // unlimited.
 type Quota struct {
@@ -248,7 +253,7 @@ func (t *Tenant) RemoveQuery(name string) error {
 	qk := nsKey{t.name, name}
 	q, ok := e.queries[qk]
 	if !ok {
-		return fmt.Errorf("engine: unknown query %q", name)
+		return fmt.Errorf("engine: %w %q", ErrUnknownQuery, name)
 	}
 	e.release(q.left)
 	e.release(q.right)

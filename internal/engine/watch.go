@@ -39,7 +39,7 @@ func (t *Tenant) RegisterWatch(spec WatchSpec) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, ok := e.queries[nsKey{t.name, spec.Query}]; !ok {
-		return fmt.Errorf("engine: watch: unknown query %q", spec.Query)
+		return fmt.Errorf("engine: watch: %w %q", ErrUnknownQuery, spec.Query)
 	}
 	return e.watches.Register(watchKey(t.name, spec.Query), monitor.WatchConfig{High: spec.High, Low: spec.Low})
 }

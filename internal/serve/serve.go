@@ -36,9 +36,10 @@ import (
 // Stats, Snapshot and Restore means the whole process.
 //
 // Errors reach the wire as follows: an *Error carries its own status;
-// an error wrapping engine.ErrQuotaExceeded is a 429; anything else gets
-// the endpoint's default (400 for a mutation, 404 for a named query or
-// watch, 500 otherwise).
+// an error wrapping engine.ErrQuotaExceeded is a 429; on /answer and
+// /sketch, one wrapping engine.ErrUnknownQuery is a 404; anything else
+// gets the endpoint's default (400 for a mutation, 404 for removing a
+// query or watch, 500 otherwise).
 type Backend interface {
 	DeclareStream(ctx context.Context, tenant string, req StreamReq) error
 	Streams(ctx context.Context, tenant string) ([]string, error)
@@ -560,6 +561,16 @@ func queryParam(r *http.Request) (string, error) {
 	return name, nil
 }
 
+// queryReadStatus is the default status of a failed /answer or /sketch:
+// 404 only when the query is unknown, so a failed estimate never reads
+// as "not found".
+func queryReadStatus(err error) int {
+	if errors.Is(err, engine.ErrUnknownQuery) {
+		return http.StatusNotFound
+	}
+	return http.StatusInternalServerError
+}
+
 func (s *Server) answer(w http.ResponseWriter, r *http.Request) {
 	name, err := queryParam(r)
 	var ans Answer
@@ -567,7 +578,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request) {
 		ans, err = s.b.Answer(r.Context(), urlScope(r), name)
 	}
 	if err != nil {
-		writeErr(w, err, http.StatusNotFound)
+		writeErr(w, err, queryReadStatus(err))
 		return
 	}
 	d := ans.Detail
@@ -611,7 +622,7 @@ func (s *Server) sketch(w http.ResponseWriter, r *http.Request) {
 		blob, cov, err = s.b.Sketch(r.Context(), urlScope(r), name)
 	}
 	if err != nil {
-		writeErr(w, err, http.StatusNotFound)
+		writeErr(w, err, queryReadStatus(err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
