@@ -17,7 +17,6 @@ import (
 	"skimsketch/internal/engine"
 	"skimsketch/internal/experiments"
 	"skimsketch/internal/stream"
-	"skimsketch/internal/tracked"
 	"skimsketch/internal/workload"
 )
 
@@ -261,24 +260,6 @@ func BenchmarkSkimDenseDyadic(b *testing.B) {
 			h.Level(l).Unskim(parent)
 		}
 		b.StartTimer()
-	}
-}
-
-// BenchmarkSkimDenseTracked measures the tracker-based extraction (the
-// third strategy: O(k·d) at query time, no domain scan, no hierarchy).
-func BenchmarkSkimDenseTracked(b *testing.B) {
-	const domain = 1 << 14
-	tr := tracked.MustNew(64, core.Config{Tables: 5, Buckets: 1024, Seed: 9})
-	zf, _ := workload.NewZipf(domain, 1.2, 3)
-	for _, u := range workload.MakeStream(zf, 100000) {
-		tr.Update(u.Value, u.Weight)
-	}
-	thr := tr.Base().DefaultSkimThreshold()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := tr.Skim(thr); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -22,23 +22,20 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig5a|fig5b|census|update|ablation|skew|threshold|ingest|all")
+	exp := flag.String("exp", "all", "experiment: fig5a|fig5b|census|update|ablation|skew|threshold|all")
 	full := flag.Bool("full", false, "run at full paper scale (minutes instead of seconds)")
 	seeds := flag.Int("seeds", 0, "override the number of seeds per configuration")
 	csvOut := flag.Bool("csv", false, "emit CSV instead of an aligned table")
 	partitioned := flag.Bool("partitioned", false, "add the Dobra-style partitioned baseline to fig5 experiments (granted exact priors)")
-	workers := flag.Int("ingest.workers", 4, "shard workers for the ingest experiment's pipeline mode")
-	batch := flag.Int("ingest.batch", 256, "batch size for the ingest experiment's batched modes")
-	qworkers := flag.Int("query.workers", 0, "estimation goroutines per answer in the ingest experiment (0 or 1 = sequential, -1 = one per CPU); answers are bit-identical for every setting")
 	flag.Parse()
 
-	if err := run(*exp, *full, *seeds, *csvOut, *partitioned, *workers, *batch, *qworkers); err != nil {
+	if err := run(*exp, *full, *seeds, *csvOut, *partitioned); err != nil {
 		fmt.Fprintln(os.Stderr, "expdriver:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, full bool, seeds int, csvOut, partitioned bool, workers, batch, qworkers int) error {
+func run(exp string, full bool, seeds int, csvOut, partitioned bool) error {
 	switch exp {
 	case "fig5a":
 		return runFig5(pick5a(full), seeds, csvOut, partitioned)
@@ -54,11 +51,9 @@ func run(exp string, full bool, seeds int, csvOut, partitioned bool, workers, ba
 		return runSkew(seeds, csvOut)
 	case "threshold":
 		return runThreshold(seeds, csvOut)
-	case "ingest":
-		return runIngest(full, csvOut, workers, batch, qworkers)
 	case "all":
-		for _, e := range []string{"fig5a", "fig5b", "census", "update", "ablation", "skew", "threshold", "ingest"} {
-			if err := run(e, full, seeds, csvOut, partitioned, workers, batch, qworkers); err != nil {
+		for _, e := range []string{"fig5a", "fig5b", "census", "update", "ablation", "skew", "threshold"} {
+			if err := run(e, full, seeds, csvOut, partitioned); err != nil {
 				return err
 			}
 			fmt.Println()
@@ -67,31 +62,6 @@ func run(exp string, full bool, seeds int, csvOut, partitioned bool, workers, ba
 	default:
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
-}
-
-// runIngest compares sequential, batched and concurrent-pipeline engine
-// ingestion on one workload (see internal/experiments/ingest.go).
-func runIngest(full, csvOut bool, workers, batch, qworkers int) error {
-	cfg := experiments.DefaultIngestThroughput()
-	if full {
-		cfg.StreamLen *= 10
-	}
-	if workers > 0 {
-		cfg.Workers = workers
-	}
-	if batch > 0 {
-		cfg.Batch = batch
-	}
-	cfg.QueryWorkers = qworkers
-	res, err := experiments.RunIngestThroughput(cfg)
-	if err != nil {
-		return err
-	}
-	if csvOut {
-		return res.WriteCSV(os.Stdout)
-	}
-	res.WriteTable(os.Stdout)
-	return nil
 }
 
 func pick5a(full bool) experiments.Fig5Config {

@@ -7,7 +7,7 @@ import (
 )
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("nope", false, 0, false, false, 4, 256, 0); err == nil {
+	if err := run("nope", false, 0, false, false); err == nil {
 		t.Fatal("expected error for unknown experiment")
 	}
 }

@@ -285,6 +285,51 @@ func TestClusterWatchEvaluatesGlobalEstimate(t *testing.T) {
 	}
 }
 
+// TestClusterUnknownQueryParity: a merger answers a name no query has
+// with the status a node answers. Both shards hold the schema the merger
+// broadcast, so the node and the merger read the same registrations.
+// Every shard's 404 on /sketch is its answer, so the merger pulls each
+// shard once instead of retrying.
+func TestClusterUnknownQueryParity(t *testing.T) {
+	shards, mbase := startCluster(t, 2)
+	for _, req := range []struct{ path, body string }{
+		{"/streams", `{"name":"F","domain":64}`},
+		{"/streams", `{"name":"G","domain":64}`},
+		{"/queries", `{"name":"q","left":{"stream":"F"},"right":{"stream":"G"}}`},
+		{"/watches", `{"query":"q","high":1,"low":0}`},
+	} {
+		if code, body := httpJSON(t, "POST", mbase+req.path, req.body); code != 201 {
+			t.Fatalf("POST %s via merger: %d %s", req.path, code, body)
+		}
+	}
+	pulls := func() float64 {
+		t.Helper()
+		_, body := httpJSON(t, "GET", mbase+"/stats", "")
+		var st struct{ Pulls struct{ Total float64 } }
+		if err := json.Unmarshal([]byte(body), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Pulls.Total
+	}
+	for _, row := range []struct{ method, path, body string }{
+		{"GET", "/answer?query=nope", ""},
+		{"GET", "/sketch?query=nope", ""},
+		{"DELETE", "/queries/nope", ""},
+		{"POST", "/watches", `{"query":"nope","high":1,"low":0}`},
+		{"DELETE", "/watches/nope", ""},
+	} {
+		before := pulls()
+		ncode, nbody := httpJSON(t, row.method, shards[0]+row.path, row.body)
+		mcode, mbody := httpJSON(t, row.method, mbase+row.path, row.body)
+		if ncode != mcode {
+			t.Errorf("%s %s: node %d %s, merger %d %s", row.method, row.path, ncode, nbody, mcode, mbody)
+		}
+		if got := pulls() - before; got > float64(len(shards)) {
+			t.Errorf("%s %s: merger pulled %v times from %d shards", row.method, row.path, got, len(shards))
+		}
+	}
+}
+
 // TestMergerWatchInterval: -watch.interval drives a merger's watches
 // exactly as it drives a node's.
 func TestMergerWatchInterval(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"skimsketch/internal/checkpoint"
 	"skimsketch/internal/cluster"
 	"skimsketch/internal/core"
-	"skimsketch/internal/countmin"
 	"skimsketch/internal/dyadic"
 	"skimsketch/internal/stats"
 	"skimsketch/internal/stream"
@@ -52,7 +51,6 @@ func mustEncode(t *testing.T) func([]byte, error) []byte {
 var roundTrips = map[string]roundTrip{
 	"SKHS": viaBinary[core.HashSketch],
 	"SKAG": viaBinary[agms.Sketch],
-	"SKCM": viaBinary[countmin.Sketch],
 	"SKDY": viaBinary[dyadic.Hierarchy],
 	"SKWN": viaBinary[window.Window],
 	"SKLH": viaBinary[stats.Histogram],
@@ -106,13 +104,10 @@ func FuzzDecode(f *testing.F) {
 	hs.Update(3, 5)
 	ag := agms.MustNew(3, 8, 1)
 	ag.Update(3, 5)
-	cm := countmin.MustNew(3, 8, 1)
-	cm.Update(3, 5)
-	cm.Update(9, -2)
 	for _, s := range []struct {
 		magic string
 		sk    encoding.BinaryMarshaler
-	}{{"SKHS", hs}, {"SKAG", ag}, {"SKCM", cm}} {
+	}{{"SKHS", hs}, {"SKAG", ag}} {
 		blob, err := s.sk.MarshalBinary()
 		if err != nil {
 			f.Fatal(err)

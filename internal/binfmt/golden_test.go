@@ -10,7 +10,6 @@ import (
 	"skimsketch/internal/checkpoint"
 	"skimsketch/internal/cluster"
 	"skimsketch/internal/core"
-	"skimsketch/internal/countmin"
 	"skimsketch/internal/dyadic"
 	"skimsketch/internal/stats"
 	"skimsketch/internal/stream"
@@ -24,7 +23,7 @@ type golden struct {
 	blob []byte
 }
 
-// goldenBlobs encodes one fixed value in every SK* format: the seven
+// goldenBlobs encodes one fixed value in every SK* format: the six
 // synopsis formats, an SKSL payload, an SKCP envelope, the opening bytes
 // of an SKSP connection (header plus one DATA frame) and an SKS1 file.
 // Only exported encoders are used, so the digests mean "these bytes on
@@ -46,10 +45,9 @@ func goldenBlobs(t testing.TB) []golden {
 	left := core.MustNewHashSketch(core.Config{Tables: 3, Buckets: 8, Seed: 1})
 	right := core.MustNewHashSketch(core.Config{Tables: 3, Buckets: 8, Seed: 1})
 	ag := agms.MustNew(3, 4, 2)
-	cm := countmin.MustNew(3, 8, 3)
 	dy := dyadic.MustNew(4, core.Config{Tables: 3, Buckets: 4, Seed: 4})
 	win := window.MustNew(28, 4, core.Config{Tables: 3, Buckets: 4, Seed: 5}) // 60 updates end mid-bucket
-	stream.Apply(updates, left, ag, cm, dy, win)
+	stream.Apply(updates, left, ag, dy, win)
 	stream.Apply(updates[:17], right)
 
 	var hist stats.Histogram
@@ -94,7 +92,6 @@ func goldenBlobs(t testing.TB) []golden {
 	return []golden{
 		{"SKHS", must(left.MarshalBinary())},
 		{"SKAG", must(ag.MarshalBinary())},
-		{"SKCM", must(cm.MarshalBinary())},
 		{"SKDY", must(dy.MarshalBinary())},
 		{"SKWN", must(win.MarshalBinary())},
 		{"SKLH", must(hist.MarshalBinary())},
@@ -116,7 +113,6 @@ func TestGoldenEncodings(t *testing.T) {
 	want := map[string]string{
 		"SKHS": "a13540061069c26225eb219e141851b41e3fb1586bf0fedb2ba9e601c312565d",
 		"SKAG": "f62b5cf3882b7b8dd318885fd0992dfa3bbc6c3f0bfe81a87e3037605287fedc",
-		"SKCM": "d1fa091643a32f762797373b2b5cdb511554fdba25a45179c01d3a24bedbbd9d",
 		"SKDY": "04d6de72c5d137a4386e6c393b6e2d0be4a6e979eff202fe0564c50a3c6655c9",
 		"SKWN": "d840bc8b8250472353e5ac3eae314af356999a9ab18dbffe9681bca2433fb134",
 		"SKLH": "a5394f3dcbe0e1b400b7af8c265db65d3cce8162b99c50615ed75d41b8cdd52b",

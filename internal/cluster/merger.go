@@ -19,6 +19,7 @@ import (
 
 	"skimsketch/internal/core"
 	"skimsketch/internal/distributed"
+	"skimsketch/internal/engine"
 	"skimsketch/internal/monitor"
 	"skimsketch/internal/serve"
 	"skimsketch/internal/stream"
@@ -452,7 +453,8 @@ type pullResult struct {
 // pull runs under the merger's retry policy with per-attempt deadlines;
 // a shard 429/503 carries its Retry-After hint into the policy via
 // distributed.RetryAfterError, so the merger honors shard backpressure
-// instead of hammering a recovering node.
+// instead of hammering a recovering node. A shard that does not know
+// the query has answered, so its 404 is not retried.
 func (m *Merger) pullPayloads(ctx context.Context, tenant, query string) []pullResult {
 	results := make([]pullResult, len(m.cfg.Shards))
 	var wg sync.WaitGroup
@@ -461,11 +463,16 @@ func (m *Merger) pullPayloads(ctx context.Context, tenant, query string) []pullR
 		go func(i int, s Shard) {
 			defer wg.Done()
 			var p *Payload
+			var unknown error
 			err := m.retry.Retry(ctx, func(ctx context.Context) error {
 				var ferr error
 				p, ferr = m.fetchPayload(ctx, s, tenant, query)
+				if errors.Is(ferr, engine.ErrUnknownQuery) {
+					unknown, ferr = ferr, nil
+				}
 				return ferr
 			})
+			err = cmp.Or(err, unknown)
 			if err != nil {
 				m.pullFailures.Add(1)
 			}
@@ -491,6 +498,8 @@ func (m *Merger) fetchPayload(ctx context.Context, s Shard, tenant, query string
 			return nil, fmt.Errorf("pull %s: %w", s.Name, err)
 		}
 		return p, nil
+	case status == http.StatusNotFound:
+		return nil, fmt.Errorf("pull %s: %w %q", s.Name, engine.ErrUnknownQuery, query)
 	case status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable:
 		return nil, &distributed.RetryAfterError{
 			After: distributed.ParseRetryAfter(hdr.Get("Retry-After"), m.now()),
@@ -505,13 +514,18 @@ func (m *Merger) fetchPayload(ctx context.Context, s Shard, tenant, query string
 // survivors into the global payload: /answer estimates from it, /sketch
 // serves it. Shards that disagree on the query's aggregate or domain
 // mean the ring's schema has diverged, which is an error, not a merge.
+// A query no shard knows is unknown to the cluster, as to a node.
 func (m *Merger) pullMerged(ctx context.Context, tenant, query string) (*Payload, *serve.Coverage, error) {
 	internal := func(err error) error { return &serve.Error{Status: http.StatusInternalServerError, Err: err} }
 	cov := &serve.Coverage{Of: len(m.cfg.Shards), Missing: []string{}}
 	var lefts, rights []*core.HashSketch
 	merged := &Payload{}
+	unknown := 0
 	for _, pr := range m.pullPayloads(ctx, tenant, query) {
 		if pr.err != nil {
+			if errors.Is(pr.err, engine.ErrUnknownQuery) {
+				unknown++
+			}
 			cov.Missing = append(cov.Missing, pr.shard.Name)
 			continue
 		}
@@ -528,6 +542,9 @@ func (m *Merger) pullMerged(ctx context.Context, tenant, query string) (*Payload
 		merged.RightEpoch += p.RightEpoch
 	}
 	cov.Answered = len(lefts)
+	if unknown == cov.Of {
+		return nil, nil, fmt.Errorf("cluster: %w %q on every shard", engine.ErrUnknownQuery, query)
+	}
 	if cov.Answered == 0 {
 		return nil, nil, &serve.Error{Status: http.StatusServiceUnavailable,
 			Err: fmt.Errorf("no shard answered for query %q (%d tried)", query, cov.Of)}
@@ -611,7 +628,7 @@ func (m *Merger) RegisterWatch(ctx context.Context, tenant string, req serve.Wat
 			return m.watches.Register(monitor.WatchKey{Tenant: tenant, Query: req.Query}, monitor.WatchConfig{High: req.High, Low: req.Low})
 		}
 	}
-	return fmt.Errorf("watch: unknown query %q", req.Query)
+	return fmt.Errorf("watch: %w %q", engine.ErrUnknownQuery, req.Query)
 }
 
 func (m *Merger) Watches() *monitor.Registry { return m.watches }

@@ -447,23 +447,27 @@ func TestMergerDegradedKilledShard(t *testing.T) {
 }
 
 // TestMergerAllShardsDown: zero answering shards is the one case that
-// IS an error — 503 with a Retry-After hint, not a fabricated zero.
+// IS an error — 503 with a Retry-After hint, not a fabricated zero. With
+// no shard reachable, no shard can say a name is unknown either, so an
+// unknown name is a 503 too.
 func TestMergerAllShardsDown(t *testing.T) {
 	tc := newTestCluster(t, 2, MergerOptions{})
 	tc.registerSchema(t)
 	for _, sh := range tc.shards {
 		sh.srv.Close()
 	}
-	resp, err := http.Get(tc.srv.URL + "/answer?query=q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 without a Retry-After hint")
+	for _, query := range []string{"q", "nope"} {
+		resp, err := http.Get(tc.srv.URL + "/answer?query=" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s: status %d, want 503", query, resp.StatusCode)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s: 503 without a Retry-After hint", query)
+		}
 	}
 }
 

@@ -44,14 +44,6 @@ func (t *Tenant) RegisterWatch(spec WatchSpec) error {
 	return e.watches.Register(watchKey(t.name, spec.Query), monitor.WatchConfig{High: spec.High, Low: spec.Low})
 }
 
-// RemoveWatch drops a standing watch (the query stays registered).
-func (t *Tenant) RemoveWatch(query string) error {
-	if !t.e.watches.Remove(watchKey(t.name, query)) {
-		return fmt.Errorf("engine: watch: no watch on query %q", query)
-	}
-	return nil
-}
-
 // Watches lists the tenant's standing watches without evaluating them.
 func (t *Tenant) Watches() []monitor.WatchStatus {
 	return t.e.watches.List(t.name)

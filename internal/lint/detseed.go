@@ -39,7 +39,6 @@ var deterministicPackages = map[string]bool{
 	"hashfam":  true,
 	"core":     true,
 	"agms":     true,
-	"countmin": true,
 	"dyadic":   true,
 	"workload": true,
 	"sampling": true,
@@ -49,10 +48,10 @@ var deterministicPackages = map[string]bool{
 // or parameterize explicit sources rather than drawing from the
 // global one.
 var allowedGlobalRand = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true, // takes an explicit *Rand
-	"NewPCG":    true, // math/rand/v2
+	"New":        true,
+	"NewSource":  true,
+	"NewZipf":    true, // takes an explicit *Rand
+	"NewPCG":     true, // math/rand/v2
 	"NewChaCha8": true,
 }
 

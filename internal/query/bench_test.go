@@ -2,20 +2,20 @@ package query
 
 import "testing"
 
-func BenchmarkChainUpdateS(b *testing.B) {
-	c := MustNewChain(64, 7, 1)
+func BenchmarkMultiChainUpdateInterior(b *testing.B) {
+	c, _ := NewMultiChain(2, 64, 7, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.UpdateS(uint64(i&255), uint64(i&127), 1)
+		c.UpdateInterior(1, uint64(i&255), uint64(i&127), 1)
 	}
 }
 
-func BenchmarkChainEstimate(b *testing.B) {
-	c := MustNewChain(64, 7, 1)
+func BenchmarkMultiChainEstimate(b *testing.B) {
+	c, _ := NewMultiChain(2, 64, 7, 1)
 	for i := 0; i < 10000; i++ {
-		c.UpdateR(uint64(i&255), 1)
-		c.UpdateS(uint64(i&255), uint64(i&127), 1)
-		c.UpdateT(uint64(i&127), 1)
+		c.UpdateEnd(0, uint64(i&255), 1)
+		c.UpdateInterior(1, uint64(i&255), uint64(i&127), 1)
+		c.UpdateEnd(2, uint64(i&127), 1)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

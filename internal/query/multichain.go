@@ -8,7 +8,7 @@ import (
 	"skimsketch/internal/stats"
 )
 
-// MultiChain generalizes Chain to an arbitrary-length chain join
+// MultiChain estimates the size of a chain join of any length
 //
 //	COUNT(R₀(a₁) ⋈ S₁(a₁,a₂) ⋈ S₂(a₂,a₃) ⋈ … ⋈ R_k(a_k))
 //
@@ -32,7 +32,8 @@ type MultiChain struct {
 }
 
 // NewMultiChain returns an empty chain estimator over `attrs` join
-// attributes (attrs = 1 is a plain binary join; attrs = 2 matches Chain).
+// attributes (attrs = 1 is a plain binary join; attrs = 2 is the
+// two-join chain R(a) ⋈ S(a, b) ⋈ T(b) that ExactChain computes).
 func NewMultiChain(attrs, s1, s2 int, seed uint64) (*MultiChain, error) {
 	if attrs < 1 {
 		return nil, fmt.Errorf("query: chain needs at least one join attribute, got %d", attrs)

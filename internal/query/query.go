@@ -6,18 +6,16 @@
 //     sketch update (SumEstimator);
 //   - selection predicates: elements failing the predicate are dropped
 //     before reaching the synopsis (Filtered);
-//   - multi-join aggregates: COUNT(R ⋈_A S ⋈_B T) via the two-dimensional
-//     atomic sketches of Dobra, Garofalakis, Gehrke & Rastogi (SIGMOD
-//     2002), with one ξ family per join attribute (Chain).
+//   - multi-join aggregates: chain joins such as COUNT(R ⋈_A S ⋈_B T)
+//     via the multi-dimensional atomic sketches of Dobra, Garofalakis,
+//     Gehrke & Rastogi (SIGMOD 2002), with one ξ family per join
+//     attribute (MultiChain). ExactChain is the two-join reference.
 package query
 
 import (
 	"fmt"
-	"math"
 
 	"skimsketch/internal/core"
-	"skimsketch/internal/hashfam"
-	"skimsketch/internal/stats"
 	"skimsketch/internal/stream"
 )
 
@@ -84,84 +82,6 @@ func (f Filtered) Update(value uint64, weight int64) {
 		f.Sink.Update(value, weight)
 	}
 }
-
-// Chain estimates the two-join chain aggregate
-// COUNT(R(A) ⋈_A S(A, B) ⋈_B T(B)) = Σ_{a,b} r_a · s_{a,b} · t_b with an
-// s1 × s2 array of atomic sketch triples sharing per-attribute ξ
-// families: X_R = Σ_a r_a ξ₁(a), X_S = Σ_{a,b} s_{a,b} ξ₁(a)ξ₂(b),
-// X_T = Σ_b t_b ξ₂(b), and E[X_R·X_S·X_T] equals the chain size.
-type Chain struct {
-	s1, s2     int
-	xr, xs, xt []int64
-	xi1, xi2   []hashfam.FourWise
-}
-
-// NewChain returns an empty chain-sketch array.
-func NewChain(s1, s2 int, seed uint64) (*Chain, error) {
-	if s1 <= 0 || s2 <= 0 {
-		return nil, fmt.Errorf("query: chain dimensions must be positive, got s1=%d s2=%d", s1, s2)
-	}
-	ss := hashfam.NewSeedStream(seed)
-	n := s1 * s2
-	c := &Chain{
-		s1: s1, s2: s2,
-		xr: make([]int64, n), xs: make([]int64, n), xt: make([]int64, n),
-		xi1: make([]hashfam.FourWise, n), xi2: make([]hashfam.FourWise, n),
-	}
-	for i := 0; i < n; i++ {
-		c.xi1[i] = hashfam.NewFourWise(ss)
-		c.xi2[i] = hashfam.NewFourWise(ss)
-	}
-	return c, nil
-}
-
-// MustNewChain is NewChain for static configurations.
-func MustNewChain(s1, s2 int, seed uint64) *Chain {
-	c, err := NewChain(s1, s2, seed)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// UpdateR folds one R-stream element with join value a.
-func (c *Chain) UpdateR(a uint64, w int64) {
-	for i := range c.xr {
-		c.xr[i] += w * c.xi1[i].Sign(a)
-	}
-}
-
-// UpdateS folds one S-stream element with join values (a, b).
-func (c *Chain) UpdateS(a, b uint64, w int64) {
-	for i := range c.xs {
-		c.xs[i] += w * c.xi1[i].Sign(a) * c.xi2[i].Sign(b)
-	}
-}
-
-// UpdateT folds one T-stream element with join value b.
-func (c *Chain) UpdateT(b uint64, w int64) {
-	for i := range c.xt {
-		c.xt[i] += w * c.xi2[i].Sign(b)
-	}
-}
-
-// Estimate returns the boosted chain-size estimate: median over s2 rows
-// of the mean over s1 columns of X_R·X_S·X_T.
-func (c *Chain) Estimate() int64 {
-	rows := make([]float64, c.s2)
-	for q := 0; q < c.s2; q++ {
-		sum := 0.0
-		for j := 0; j < c.s1; j++ {
-			i := q*c.s1 + j
-			sum += float64(c.xr[i]) * float64(c.xs[i]) * float64(c.xt[i])
-		}
-		rows[q] = sum / float64(c.s1)
-	}
-	return int64(math.Round(stats.MedianFloat64(rows)))
-}
-
-// Words returns the synopsis size in counter words (three per cell).
-func (c *Chain) Words() int { return 3 * c.s1 * c.s2 }
 
 // SPair is one S-stream element for ExactChain.
 type SPair struct {

@@ -12,7 +12,7 @@
 //	5       4     CRC-32 (IEEE) of the payload
 //	9       n     payload
 //
-// Everything is little-endian, following the SKCP/SKCM envelope
+// Everything is little-endian, following the SKCP envelope
 // discipline (docs/FORMATS.md): declared lengths and counts are
 // validated against the remaining payload BEFORE any allocation, and
 // the CRC must match before a single payload byte is interpreted.
