@@ -297,25 +297,8 @@ func benchIngestStream(n int) []stream.Update {
 	return workload.MakeStream(z, n)
 }
 
-// BenchmarkEngineIngestSequential is the pre-pipeline baseline: one
-// engine.Update call per element, fully serialized.
-func BenchmarkEngineIngestSequential(b *testing.B) {
-	e := benchIngestEngine(b)
-	us := benchIngestStream(8192)
-	b.SetBytes(16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := us[i&8191]
-		if err := e.Update("F", u.Value, u.Weight); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "updates/sec")
-}
-
-// BenchmarkEngineIngestParallel drives the concurrent batched pipeline at
-// 4 workers with 256-element batches; compare updates/sec against
-// BenchmarkEngineIngestSequential for the pipeline speedup.
+// BenchmarkEngineIngestParallel drives the concurrent batched pipeline,
+// the engine's only ingest path, at 4 workers with 256-element batches.
 func BenchmarkEngineIngestParallel(b *testing.B) {
 	const batchSize = 256
 	e := benchIngestEngine(b)

@@ -12,6 +12,7 @@ import (
 
 	"skimsketch/internal/core"
 	"skimsketch/internal/engine"
+	"skimsketch/internal/stream"
 )
 
 // TestRunRejectsUnknownRole: a typo'd -role must fail loudly at boot,
@@ -43,7 +44,7 @@ func TestClusterEndToEnd(t *testing.T) {
 		opts, err := parseFlags([]string{
 			"-role", "shard", "-addr", "127.0.0.1:0",
 			"-tables", "5", "-buckets", "256", "-seed", "42",
-			"-ingest.workers", "2", "-ingest.batch", "16",
+			"-ingest.workers", "2",
 			"-shutdown.timeout", "5s",
 		})
 		if err != nil {
@@ -91,10 +92,7 @@ func TestClusterEndToEnd(t *testing.T) {
 
 	// Seeded ingest through the merger, mirrored into a single-node
 	// reference engine.
-	ref, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 5, Buckets: 256, Seed: 42}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newEngine(t, core.Config{Tables: 5, Buckets: 256, Seed: 42}, engine.IngestConfig{Workers: 2})
 	for _, name := range []string{"F", "G"} {
 		if err := ref.DeclareStream(name, 1024); err != nil {
 			t.Fatal(err)
@@ -111,10 +109,10 @@ func TestClusterEndToEnd(t *testing.T) {
 		batch = append(batch,
 			fmt.Sprintf(`{"stream":"F","value":%d}`, fv),
 			fmt.Sprintf(`{"stream":"G","value":%d,"weight":2}`, gv))
-		if err := ref.Update("F", fv, 1); err != nil {
+		if err := ref.IngestBatch("F", []stream.Update{{Value: fv, Weight: 1}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.Update("G", gv, 2); err != nil {
+		if err := ref.IngestBatch("G", []stream.Update{{Value: gv, Weight: 2}}); err != nil {
 			t.Fatal(err)
 		}
 	}

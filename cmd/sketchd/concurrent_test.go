@@ -9,30 +9,18 @@ import (
 	"skimsketch/internal/engine"
 )
 
-// testServerConcurrent builds a server whose engine runs the concurrent
-// ingest pipeline.
-func testServerConcurrent(t *testing.T) *httptest.Server {
-	t.Helper()
-	eng, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 5, Buckets: 128, Seed: 7}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.StartIngest(engine.IngestConfig{Workers: 4, BatchSize: 32, QueueDepth: 8}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(eng.StopIngest)
-	ts := httptest.NewServer(newServer(eng))
-	t.Cleanup(ts.Close)
-	return ts
-}
-
 // TestConcurrentHTTPUpdates hammers /update from many goroutines while
 // /answer and /stats race with them, then reconciles exactly: every
 // update inserts value 0, so the COUNT(F ⋈ G) estimate must equal nF·nG
 // precisely and any lost update would change the product, and the
 // server's /update latency histogram holds exactly one sample per POST.
 func TestConcurrentHTTPUpdates(t *testing.T) {
-	ts := testServerConcurrent(t)
+	// Queues deep enough that a CPU-starved worker does not make the
+	// writers see 429s: this test reconciles counts, not load shedding
+	// (TestUpdateBackpressure429 covers that).
+	eng := newEngine(t, core.Config{Tables: 5, Buckets: 128, Seed: 7}, engine.IngestConfig{Workers: 4, BatchSize: 32, QueueDepth: 64})
+	ts := httptest.NewServer(newServer(eng))
+	defer ts.Close()
 	for _, s := range []string{"F", "G"} {
 		if code, _ := do(t, "POST", ts.URL+"/streams", map[string]any{"name": s, "domain": 64}); code != 201 {
 			t.Fatalf("declare %s: %d", s, code)

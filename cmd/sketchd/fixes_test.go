@@ -124,10 +124,7 @@ func (failingSnapshot) Snapshot(_ context.Context, _ string, w io.Writer) error 
 // fragment. The failing producer below writes a partial payload before
 // erroring — none of it may reach the client.
 func TestSnapshotMidStreamErrorIsClean(t *testing.T) {
-	eng, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 5, Buckets: 128, Seed: 7}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, core.Config{Tables: 5, Buckets: 128, Seed: 7}, engine.IngestConfig{Workers: 1})
 	ts := httptest.NewServer(serve.New(failingSnapshot{cluster.NewNode(eng)}))
 	defer ts.Close()
 
@@ -218,10 +215,7 @@ func (failingQueries) Sketch(context.Context, string, string) ([]byte, *serve.Co
 // registered; any other backend failure is a 500, so a failed estimate
 // never reads as "not found".
 func TestQueryReadStatusCodes(t *testing.T) {
-	eng, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 5, Buckets: 128, Seed: 7}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, core.Config{Tables: 5, Buckets: 128, Seed: 7}, engine.IngestConfig{Workers: 1})
 	node := cluster.NewNode(eng)
 	healthy := httptest.NewServer(serve.New(node))
 	defer healthy.Close()

@@ -5,8 +5,10 @@ import (
 	"io"
 	"net"
 	"sync/atomic"
+	"testing"
 
 	"skimsketch/internal/cluster"
+	"skimsketch/internal/core"
 	"skimsketch/internal/engine"
 	"skimsketch/internal/serve"
 	"skimsketch/internal/wire"
@@ -18,6 +20,21 @@ import (
 type server struct {
 	*serve.Server
 	node *cluster.Node
+}
+
+// newEngine returns an engine over cfg whose ingest pipeline, tuned by
+// ic, runs until the test ends — the shape startNode builds.
+func newEngine(t *testing.T, cfg core.Config, ic engine.IngestConfig) *engine.Engine {
+	t.Helper()
+	eng, err := engine.New(engine.Options{SketchConfig: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.StartIngest(ic); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.StopIngest)
+	return eng
 }
 
 func newServer(eng *engine.Engine) *server {

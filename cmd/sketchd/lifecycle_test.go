@@ -17,6 +17,7 @@ import (
 	"skimsketch/internal/checkpoint"
 	"skimsketch/internal/core"
 	"skimsketch/internal/engine"
+	"skimsketch/internal/stream"
 )
 
 // syncBuffer lets the test read run's log output while run writes it.
@@ -88,7 +89,7 @@ func TestRunGracefulShutdownAndRecovery(t *testing.T) {
 	opts, err := parseFlags([]string{
 		"-addr", "127.0.0.1:0",
 		"-tables", "5", "-buckets", "256",
-		"-ingest.workers", "2", "-ingest.batch", "16",
+		"-ingest.workers", "2",
 		"-checkpoint.dir", dir,
 		"-checkpoint.interval", "50ms",
 		"-shutdown.timeout", "5s",
@@ -168,7 +169,8 @@ func TestRunGracefulShutdownAndRecovery(t *testing.T) {
 }
 
 // TestRunWithoutCheckpointDir: persistence is opt-in; the lifecycle
-// still shuts down cleanly with no checkpoint configured.
+// still shuts down cleanly with no checkpoint configured. With no
+// -ingest.* flag the node still runs its ingest pipeline.
 func TestRunWithoutCheckpointDir(t *testing.T) {
 	opts, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-tables", "3", "-buckets", "64"})
 	if err != nil {
@@ -177,6 +179,15 @@ func TestRunWithoutCheckpointDir(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	out := &syncBuffer{}
 	base, done := startRun(t, ctx, opts, out)
+	if !strings.Contains(out.String(), "sketchd ingest pipeline:") {
+		t.Fatalf("no pipeline banner:\n%s", out.String())
+	}
+	if code, body := httpJSON(t, "POST", base+"/streams", `{"name":"F","domain":64}`); code != 201 {
+		t.Fatalf("streams: %d %s", code, body)
+	}
+	if code, body := httpJSON(t, "POST", base+"/update", `{"stream":"F","value":3}`); code != 200 {
+		t.Fatalf("update: %d %s", code, body)
+	}
 	if code, _ := httpJSON(t, "GET", base+"/stats", ""); code != 200 {
 		t.Fatal("stats failed")
 	}
@@ -188,6 +199,16 @@ func TestRunWithoutCheckpointDir(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("run did not shut down")
+	}
+}
+
+// TestIngestTuningFlagsRemoved: the pipeline's batch size and queue
+// depth are fixed; only its worker count is a flag.
+func TestIngestTuningFlagsRemoved(t *testing.T) {
+	for _, f := range []string{"-ingest.batch", "-ingest.queue"} {
+		if _, err := parseFlags([]string{f, "8"}); err == nil {
+			t.Fatalf("%s accepted", f)
+		}
 	}
 }
 
@@ -208,13 +229,10 @@ func TestRunListenError(t *testing.T) {
 // counted in /stats, and resending the shed request after the queue
 // drains applies it exactly once.
 func TestUpdateBackpressure429(t *testing.T) {
-	eng, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 3, Buckets: 64, Seed: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, core.Config{Tables: 3, Buckets: 64, Seed: 1}, engine.IngestConfig{Workers: 1, BatchSize: 1, QueueDepth: 1})
 	entered := make(chan struct{}, 16)
 	gate := make(chan struct{})
-	err = eng.RegisterPredicate("gate", func(uint64, int64) bool {
+	err := eng.RegisterPredicate("gate", func(uint64, int64) bool {
 		entered <- struct{}{}
 		<-gate
 		return true
@@ -237,12 +255,6 @@ func TestUpdateBackpressure429(t *testing.T) {
 	if code != 201 {
 		t.Fatalf("queries: %d %s", code, body)
 	}
-	if err := eng.StartIngest(engine.IngestConfig{Workers: 1, BatchSize: 1, QueueDepth: 1}); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		eng.StopIngest()
-	}()
 
 	// First update parks the lone worker inside the gated predicate...
 	if code, body := httpJSON(t, "POST", ts.URL+"/update", `{"stream":"F","value":1}`); code != 200 {
@@ -305,10 +317,7 @@ func TestUpdateBackpressure429(t *testing.T) {
 // bare engine snapshot cannot do.
 func TestServerCheckpointRoundTrip(t *testing.T) {
 	mk := func() (*server, *engine.Engine) {
-		eng, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 5, Buckets: 128, Seed: 9}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := newEngine(t, core.Config{Tables: 5, Buckets: 128, Seed: 9}, engine.IngestConfig{Workers: 2})
 		return newServer(eng), eng
 	}
 	srcSrv, srcEng := mk()
@@ -330,10 +339,10 @@ func TestServerCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 300; i++ {
-		if err := srcEng.Update("F", uint64(i%64), 1); err != nil {
+		if err := srcEng.IngestBatch("F", []stream.Update{stream.Insert(uint64(i % 64))}); err != nil {
 			t.Fatal(err)
 		}
-		if err := srcEng.Update("G", uint64((i*3)%64), 1); err != nil {
+		if err := srcEng.IngestBatch("G", []stream.Update{stream.Insert(uint64((i * 3) % 64))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -369,11 +378,7 @@ func TestServerCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestReadCheckpointRejectsBadPayload(t *testing.T) {
-	eng, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 3, Buckets: 64, Seed: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newServer(eng)
+	s := newServer(newEngine(t, core.Config{Tables: 3, Buckets: 64, Seed: 1}, engine.IngestConfig{Workers: 1}))
 	if err := s.readCheckpoint(strings.NewReader("not json")); err == nil {
 		t.Fatal("expected decode error")
 	}

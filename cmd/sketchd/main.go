@@ -13,10 +13,10 @@
 // a shard ring (-role=merger). Every endpoint therefore behaves the same
 // in every role.
 //
-// With -ingest.workers N (N > 0) a node ingests through the engine's
-// concurrent batched pipeline: batches are grouped by stream and
-// enqueued to N shard workers over bounded queues (-ingest.batch and
-// -ingest.queue size them); /answer, /stats and /snapshot drain the
+// A node ingests through the engine's concurrent batched pipeline, its
+// only path from a stream into its synopses: batches are grouped by
+// stream and enqueued to -ingest.workers shard workers (default one per
+// CPU) over bounded queues; /answer, /stats and /snapshot drain the
 // pipeline first, so reads always observe every previously accepted
 // update. When every queue slot is full, /update sheds load with 429 +
 // Retry-After instead of blocking (counted in /stats ingest.rejected).
@@ -99,6 +99,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"sync"
 	"syscall"
 	"time"
@@ -119,8 +120,6 @@ type options struct {
 	buckets    int
 	seed       uint64
 	workers    int
-	batch      int
-	queue      int
 	qworkers   int
 
 	role           string
@@ -149,9 +148,7 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.tables, "tables", 7, "default sketch tables d")
 	fs.IntVar(&o.buckets, "buckets", 2048, "default sketch buckets b")
 	fs.Uint64Var(&o.seed, "seed", 42, "default sketch seed")
-	fs.IntVar(&o.workers, "ingest.workers", 0, "concurrent ingest shard workers (0 = synchronous ingestion)")
-	fs.IntVar(&o.batch, "ingest.batch", 256, "max updates per queued ingest batch")
-	fs.IntVar(&o.queue, "ingest.queue", 64, "per-worker ingest queue capacity in batches")
+	fs.IntVar(&o.workers, "ingest.workers", 0, "ingest pipeline shard workers (<= 0 = one per CPU)")
 	fs.IntVar(&o.qworkers, "query.workers", 0, "estimation goroutines per /answer (0 or 1 = sequential, -1 = one per CPU); answers are bit-identical for every setting")
 	fs.StringVar(&o.role, "role", "single", "process role: single (standalone), shard (cluster member; same server, conventionally with -checkpoint.dir), or merger (routes ingest across -cluster.config shards and answers global joins)")
 	fs.StringVar(&o.clusterConfig, "cluster.config", "", "merger: path to the static JSON membership file {\"shards\":[{\"name\":...,\"addr\":\"http://...\"}]}")
@@ -335,7 +332,7 @@ func run(ctx context.Context, opts options, out io.Writer) error {
 // startNode builds a node's engine, restores the newest checkpoint
 // (before the ingest pipeline starts and the listeners open:
 // Engine.Restore requires an empty, quiescent engine) and starts the
-// pipeline.
+// pipeline, without which the node refuses every update.
 func startNode(opts options, out io.Writer) (*engine.Engine, *cluster.Node, *checkpoint.Manager, error) {
 	eng, err := engine.New(engine.Options{
 		SketchConfig: core.Config{Tables: opts.tables, Buckets: opts.buckets, Seed: opts.seed},
@@ -363,17 +360,14 @@ func startNode(opts options, out io.Writer) (*engine.Engine, *cluster.Node, *che
 			return nil, nil, nil, err
 		}
 	}
-	if opts.workers > 0 {
-		err := eng.StartIngest(engine.IngestConfig{
-			Workers:    opts.workers,
-			BatchSize:  opts.batch,
-			QueueDepth: opts.queue,
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		fmt.Fprintf(out, "sketchd ingest pipeline: %d workers, batch %d, queue %d\n", opts.workers, opts.batch, opts.queue)
+	workers := opts.workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	if err := eng.StartIngest(engine.IngestConfig{Workers: workers}); err != nil {
+		return nil, nil, nil, err
+	}
+	fmt.Fprintf(out, "sketchd ingest pipeline: %d workers\n", workers)
 	return eng, node, mgr, nil
 }
 

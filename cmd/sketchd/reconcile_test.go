@@ -104,11 +104,8 @@ func post(ctx context.Context, url string, body []byte, want int, tally *postTal
 func TestLoadHarnessReconciliation(t *testing.T) {
 	cfg := core.Config{Tables: 3, Buckets: 256, Seed: 11}
 	const domain = 1 << 12
-	newEngine := func() *engine.Engine {
-		eng, err := engine.New(engine.Options{SketchConfig: cfg})
-		if err != nil {
-			t.Fatal(err)
-		}
+	build := func(ic engine.IngestConfig) *engine.Engine {
+		eng := newEngine(t, cfg, ic)
 		for _, s := range []string{"F", "G"} {
 			if err := eng.DeclareStream(s, domain); err != nil {
 				t.Fatal(err)
@@ -123,11 +120,7 @@ func TestLoadHarnessReconciliation(t *testing.T) {
 		}
 		return eng
 	}
-	eng := newEngine()
-	if err := eng.StartIngest(engine.IngestConfig{Workers: 2, BatchSize: 64, QueueDepth: 128}); err != nil {
-		t.Fatal(err)
-	}
-	defer eng.StopIngest()
+	eng := build(engine.IngestConfig{Workers: 2, BatchSize: 64, QueueDepth: 128})
 	ts := httptest.NewServer(newServer(eng))
 	defer ts.Close()
 
@@ -139,7 +132,7 @@ func TestLoadHarnessReconciliation(t *testing.T) {
 		batchSize = 100
 	)
 	batches := make([][][]jsonUpdate, writers)
-	ref := newEngine()
+	ref := build(engine.IngestConfig{Workers: 1})
 	for w := range batches {
 		r := rand.New(rand.NewSource(42 + int64(w)))
 		zipf := rand.NewZipf(r, 1.1, 1, domain-1)
@@ -147,7 +140,7 @@ func TestLoadHarnessReconciliation(t *testing.T) {
 			batch := make([]jsonUpdate, batchSize)
 			for i := range batch {
 				batch[i] = jsonUpdate{Stream: []string{"F", "G"}[r.Intn(2)], Value: zipf.Uint64(), Weight: 1}
-				if err := ref.Update(batch[i].Stream, batch[i].Value, batch[i].Weight); err != nil {
+				if err := ref.IngestBatch(batch[i].Stream, []stream.Update{{Value: batch[i].Value, Weight: batch[i].Weight}}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -255,13 +248,10 @@ func TestLoadHarnessReconciliation(t *testing.T) {
 // the queue drains the batch lands exactly once: no loss, no double
 // count.
 func TestLoadgenClientBackoffOn429(t *testing.T) {
-	eng, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 3, Buckets: 64, Seed: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, core.Config{Tables: 3, Buckets: 64, Seed: 1}, engine.IngestConfig{Workers: 1, BatchSize: 1, QueueDepth: 1})
 	entered := make(chan struct{}, 16)
 	gate := make(chan struct{})
-	err = eng.RegisterPredicate("gate", func(uint64, int64) bool {
+	err := eng.RegisterPredicate("gate", func(uint64, int64) bool {
 		entered <- struct{}{}
 		<-gate
 		return true
@@ -281,10 +271,6 @@ func TestLoadgenClientBackoffOn429(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.StartIngest(engine.IngestConfig{Workers: 1, BatchSize: 1, QueueDepth: 1}); err != nil {
-		t.Fatal(err)
-	}
-	defer eng.StopIngest()
 	ts := httptest.NewServer(newServer(eng))
 	defer ts.Close()
 
@@ -351,10 +337,7 @@ func TestLoadgenClientBackoffOn429(t *testing.T) {
 // right tenant and applied, and the listener's counters, read back
 // through the HTTP /stats "stream" section, agree with the clients.
 func TestLoadHarnessSkimpProto(t *testing.T) {
-	eng, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 3, Buckets: 256, Seed: 11}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, core.Config{Tables: 3, Buckets: 256, Seed: 11}, engine.IngestConfig{Workers: 2, BatchSize: 64, QueueDepth: 64})
 	tenants := []string{"t0", "t1"}
 	for _, name := range tenants {
 		tn := eng.Tenant(name)
@@ -371,11 +354,6 @@ func TestLoadHarnessSkimpProto(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := eng.StartIngest(engine.IngestConfig{Workers: 2, BatchSize: 64, QueueDepth: 64}); err != nil {
-		t.Fatal(err)
-	}
-	defer eng.StopIngest()
-
 	// Both front ends share one node backend, hence one /stats.
 	srv := newServer(eng)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

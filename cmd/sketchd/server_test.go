@@ -15,10 +15,7 @@ import (
 
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	eng, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 5, Buckets: 128, Seed: 7}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, core.Config{Tables: 5, Buckets: 128, Seed: 7}, engine.IngestConfig{Workers: 2})
 	ts := httptest.NewServer(newServer(eng))
 	t.Cleanup(ts.Close)
 	return ts
@@ -269,10 +266,7 @@ func TestBadJSONBody(t *testing.T) {
 // TestHealthzLifecycle pins the readiness contract: ready while
 // serving, 503 draining once shutdown flips the gauge.
 func TestHealthzLifecycle(t *testing.T) {
-	eng, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 3, Buckets: 64, Seed: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newEngine(t, core.Config{Tables: 3, Buckets: 64, Seed: 1}, engine.IngestConfig{Workers: 1})
 	srv := newServer(eng)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -21,19 +21,11 @@ import (
 	"skimsketch/internal/wire/client"
 )
 
-// pipelinedServer boots an httptest server over an engine running the
-// async ingest pipeline — the production shape, where queue-share
-// quotas actually guard something.
+// pipelinedServer boots an httptest server over an engine whose ingest
+// pipeline has room for whole test batches.
 func pipelinedServer(t *testing.T) (*httptest.Server, *engine.Engine) {
 	t.Helper()
-	eng, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 5, Buckets: 128, Seed: 7}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.StartIngest(engine.IngestConfig{Workers: 2, BatchSize: 64, QueueDepth: 64}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(eng.StopIngest)
+	eng := newEngine(t, core.Config{Tables: 5, Buckets: 128, Seed: 7}, engine.IngestConfig{Workers: 2, BatchSize: 64, QueueDepth: 64})
 	ts := httptest.NewServer(newServer(eng))
 	t.Cleanup(ts.Close)
 	return ts, eng
@@ -308,14 +300,7 @@ func fastClientBackoff() distributed.Backoff {
 // retryable REJECTs, bad frames as permanent errors, and neither is
 // enqueued.
 func TestStreamIngestEndToEnd(t *testing.T) {
-	eng, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 5, Buckets: 128, Seed: 7}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.StartIngest(engine.IngestConfig{Workers: 2, BatchSize: 64, QueueDepth: 64}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(eng.StopIngest)
+	eng := newEngine(t, core.Config{Tables: 5, Buckets: 128, Seed: 7}, engine.IngestConfig{Workers: 2, BatchSize: 64, QueueDepth: 64})
 	// The empty wire tenant addresses the default one. A query gives F
 	// and G synopses, so every ACKed update must also be applied.
 	tenants := map[string]*engine.Tenant{"": eng.Tenant(engine.DefaultTenant), "t1": eng.Tenant("t1")}
@@ -431,14 +416,7 @@ func TestStreamIngestEndToEnd(t *testing.T) {
 // reconnect — applies exactly once, and each replay is answered with a
 // duplicate ACK carrying the original count.
 func TestStreamReplayDedupe(t *testing.T) {
-	eng, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 5, Buckets: 128, Seed: 7}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.StartIngest(engine.IngestConfig{Workers: 1, BatchSize: 16, QueueDepth: 16}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(eng.StopIngest)
+	eng := newEngine(t, core.Config{Tables: 5, Buckets: 128, Seed: 7}, engine.IngestConfig{Workers: 1, BatchSize: 16, QueueDepth: 16})
 	def := eng.Tenant(engine.DefaultTenant)
 	if err := def.DeclareStream("F", 64); err != nil {
 		t.Fatal(err)

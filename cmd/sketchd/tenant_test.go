@@ -11,6 +11,7 @@ import (
 
 	"skimsketch/internal/core"
 	"skimsketch/internal/engine"
+	"skimsketch/internal/stream"
 )
 
 // doRaw is do() plus response headers, for contract checks like
@@ -191,17 +192,9 @@ func TestHTTPTenantRouting(t *testing.T) {
 // TestHTTPTenantQuota429 sets a queue-share quota over the admin API and
 // checks the wire contract: 429 + Retry-After, rejected counter on the
 // tenant's slice, other tenants untouched. Queue-share quotas guard the
-// ingest queues, so this server runs the async pipeline like production
-// sketchd does.
+// ingest queues, which this server keeps small.
 func TestHTTPTenantQuota429(t *testing.T) {
-	eng, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 5, Buckets: 128, Seed: 7}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.StartIngest(engine.IngestConfig{Workers: 2, BatchSize: 8, QueueDepth: 8}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(eng.StopIngest)
+	eng := newEngine(t, core.Config{Tables: 5, Buckets: 128, Seed: 7}, engine.IngestConfig{Workers: 2, BatchSize: 8, QueueDepth: 8})
 	ts := httptest.NewServer(newServer(eng))
 	t.Cleanup(ts.Close)
 	capped := ts.URL + "/t/capped"
@@ -354,10 +347,7 @@ func readAll(t *testing.T, resp *http.Response) ([]byte, int) {
 // state.
 func TestCheckpointV1RestoresIntoDefault(t *testing.T) {
 	mk := func() (*server, *engine.Engine) {
-		eng, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 5, Buckets: 128, Seed: 9}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := newEngine(t, core.Config{Tables: 5, Buckets: 128, Seed: 9}, engine.IngestConfig{Workers: 2})
 		return newServer(eng), eng
 	}
 	_, srcEng := mk()
@@ -378,10 +368,10 @@ func TestCheckpointV1RestoresIntoDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		if err := srcEng.Update("F", uint64(i%64), 1); err != nil {
+		if err := srcEng.IngestBatch("F", []stream.Update{stream.Insert(uint64(i % 64))}); err != nil {
 			t.Fatal(err)
 		}
-		if err := srcEng.Update("G", uint64((i*7)%64), 1); err != nil {
+		if err := srcEng.IngestBatch("G", []stream.Update{stream.Insert(uint64((i * 7) % 64))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -412,8 +402,8 @@ func TestCheckpointV1RestoresIntoDefault(t *testing.T) {
 		t.Fatalf("v1 restore diverged: %+v vs %+v", got, want)
 	}
 	// The state landed in the default tenant, nowhere else.
-	if names := dstEng.TenantNames(); len(names) != 1 || names[0] != engine.DefaultTenant {
-		t.Fatalf("v1 restore created tenants %v", names)
+	if tenants := dstEng.Stats().Tenants; len(tenants) != 1 || tenants[engine.DefaultTenant].Tenant != engine.DefaultTenant {
+		t.Fatalf("v1 restore created tenants %v", tenants)
 	}
 	// And the restored server re-checkpoints as version 2 with the same
 	// predicate, default-tenant spelled canonically (no tenant field).

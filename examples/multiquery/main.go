@@ -14,6 +14,7 @@ import (
 
 	"skimsketch/internal/core"
 	"skimsketch/internal/engine"
+	"skimsketch/internal/stream"
 	"skimsketch/internal/workload"
 )
 
@@ -31,6 +32,10 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+	// Every update reaches the synopses through the engine's shard-worker
+	// pipeline; StopIngest drains it on the way out.
+	must(eng.StartIngest(engine.IngestConfig{}))
+	defer eng.StopIngest()
 	must(eng.DeclareStream("impressionsA", domain))
 	must(eng.DeclareStream("impressionsB", domain))
 	must(eng.DeclareStream("clicks", domain))
@@ -57,13 +62,17 @@ func main() {
 	ga := workload.NewMixture(workload.NewUniform(domain, 1), hot, 0.3, 2)
 	gb := workload.NewMixture(workload.NewUniform(domain, 3), hot, 0.2, 4)
 	gc := workload.NewMixture(workload.NewUniform(domain, 5), hot, 0.4, 6)
+	var as, bs, cs []stream.Update
 	for i := 0; i < 100000; i++ {
-		must(eng.Update("impressionsA", ga.Next(), 1))
-		must(eng.Update("impressionsB", gb.Next(), 1))
+		as = append(as, stream.Insert(ga.Next()))
+		bs = append(bs, stream.Insert(gb.Next()))
 		if i%3 == 0 { // clicks are rarer
-			must(eng.Update("clicks", gc.Next(), 1))
+			cs = append(cs, stream.Insert(gc.Next()))
 		}
 	}
+	must(eng.IngestBatch("impressionsA", as))
+	must(eng.IngestBatch("impressionsB", bs))
+	must(eng.IngestBatch("clicks", cs))
 
 	fmt.Println("query            estimate")
 	for _, q := range eng.Queries() {

@@ -18,8 +18,19 @@ import (
 // that end to end through the real Manager (real files, real rotation),
 // over plain, predicated, and windowed synopses, across several seeds.
 
+// startIngest starts e's ingest pipeline, tuned by cfg, until the test
+// ends. A restored engine starts it after Restore, as sketchd does.
+func startIngest(t *testing.T, e *engine.Engine, cfg engine.IngestConfig) {
+	t.Helper()
+	if err := e.StartIngest(cfg); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.StopIngest)
+}
+
 // buildEngine assembles an engine with one plain COUNT query, one
-// predicated query, and one windowed query over two streams.
+// predicated query, and one windowed query over two streams, ingesting
+// through a 3-worker pipeline.
 func buildEngine(t *testing.T, seed uint64) *engine.Engine {
 	t.Helper()
 	e, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 5, Buckets: 256, Seed: seed}})
@@ -49,6 +60,7 @@ func buildEngine(t *testing.T, seed uint64) *engine.Engine {
 			t.Fatal(err)
 		}
 	}
+	startIngest(t, e, engine.IngestConfig{Workers: 3, BatchSize: 64})
 	return e
 }
 
@@ -127,6 +139,7 @@ func TestRecoveryBitIdentical(t *testing.T) {
 		if path != m.CurrentPath() {
 			t.Fatalf("seed %d: restored %s", seed, path)
 		}
+		startIngest(t, recovered, engine.IngestConfig{Workers: 1})
 
 		// Replay the tail into both engines.
 		ingest(t, uninterrupted, fs[cut:], gs[cut:])
@@ -142,9 +155,9 @@ func TestRecoveryBitIdentical(t *testing.T) {
 }
 
 // TestRecoveryThroughConcurrentPipeline: the same property holds when
-// both the head (before the checkpoint) and the tail (after restore) go
-// through the concurrent batched ingestion pipeline — the mode sketchd
-// runs in production.
+// the head (before the checkpoint) and the tail (after restore) go
+// through pipelines of different shapes — sharding and batching never
+// change a synopsis.
 func TestRecoveryThroughConcurrentPipeline(t *testing.T) {
 	const seed = 7
 	m, err := checkpoint.NewManager(t.TempDir())
@@ -155,9 +168,6 @@ func TestRecoveryThroughConcurrentPipeline(t *testing.T) {
 	fs, gs := makeStreams(t, seed, 4000)
 	const cut = 2000
 
-	if err := uninterrupted.StartIngest(engine.IngestConfig{Workers: 3, BatchSize: 64}); err != nil {
-		t.Fatal(err)
-	}
 	ingest(t, uninterrupted, fs[:cut], gs[:cut])
 	// Snapshot quiesces the pipeline itself — no explicit Flush needed.
 	if err := m.Save(uninterrupted.Snapshot); err != nil {
@@ -174,15 +184,11 @@ func TestRecoveryThroughConcurrentPipeline(t *testing.T) {
 	if _, err := m.Load(func(r io.Reader) error { return recovered.Restore(r) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := recovered.StartIngest(engine.IngestConfig{Workers: 2, BatchSize: 32}); err != nil {
-		t.Fatal(err)
-	}
+	startIngest(t, recovered, engine.IngestConfig{Workers: 2, BatchSize: 32})
 
 	ingest(t, uninterrupted, fs[cut:], gs[cut:])
 	ingest(t, recovered, fs[cut:], gs[cut:])
 	want, got := answers(t, uninterrupted), answers(t, recovered)
-	uninterrupted.StopIngest()
-	recovered.StopIngest()
 	for q, w := range want {
 		if g := got[q]; g != w {
 			t.Errorf("query %s: recovered %+v, uninterrupted %+v", q, g, w)

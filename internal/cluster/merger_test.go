@@ -44,12 +44,24 @@ type testShard struct {
 
 func testCfg() core.Config { return core.Config{Tables: 5, Buckets: 128, Seed: 11} }
 
-func newTestShard(t *testing.T) *testShard {
+// newTestEngine returns an engine whose ingest pipeline runs until the
+// test ends.
+func newTestEngine(t *testing.T) *engine.Engine {
 	t.Helper()
 	eng, err := engine.New(engine.Options{SketchConfig: testCfg()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := eng.StartIngest(engine.IngestConfig{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.StopIngest)
+	return eng
+}
+
+func newTestShard(t *testing.T) *testShard {
+	t.Helper()
+	eng := newTestEngine(t)
 	ts := &testShard{eng: eng, applied: make(map[string]int64), satHint: 2}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/streams", ts.handleStreams)
@@ -324,17 +336,14 @@ func (tc *testCluster) answer(t *testing.T, wantStatus int) answerResp {
 // single-node ground truth the cluster answer must match bit-for-bit.
 func referenceEngine(t *testing.T, batch []testUpdate) *engine.Engine {
 	t.Helper()
-	eng, err := engine.New(engine.Options{SketchConfig: testCfg()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newTestEngine(t)
 	if err := eng.DeclareStream("F", 1024); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.DeclareStream("G", 1024); err != nil {
 		t.Fatal(err)
 	}
-	err = eng.RegisterQuery(engine.QuerySpec{Name: "q", Agg: engine.Count,
+	err := eng.RegisterQuery(engine.QuerySpec{Name: "q", Agg: engine.Count,
 		Left: engine.Side{Stream: "F"}, Right: engine.Side{Stream: "G"}})
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +353,7 @@ func referenceEngine(t *testing.T, batch []testUpdate) *engine.Engine {
 		if u.Weight != nil {
 			weight = *u.Weight
 		}
-		if err := eng.Update(u.Stream, u.Value, weight); err != nil {
+		if err := eng.IngestBatch(u.Stream, []stream.Update{{Value: u.Value, Weight: weight}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strings"
 	"sync"
 
@@ -34,8 +35,10 @@ type Node struct {
 	preds  []serve.PredicateReq // Tenant "" is the default tenant
 }
 
-// NewNode wraps eng. The caller owns eng's lifecycle (StartIngest,
-// checkpoints, StopIngest).
+// NewNode wraps eng. The caller owns eng's lifecycle: restore a
+// checkpoint into it, then StartIngest before serving (ingest is refused
+// with a 503 until the pipeline runs), and StopIngest after the
+// listeners drain.
 func NewNode(eng *engine.Engine) *Node {
 	return &Node{eng: eng, dedupe: wire.NewWindow(0, 0)}
 }
@@ -110,10 +113,15 @@ func (n *Node) SetQuota(_ context.Context, req serve.TenantReq) error {
 	return n.eng.SetQuota(req.Name, req.Quota)
 }
 
-// Tenants lists every tenant with its quota and counters.
+// Tenants lists every tenant with its quota and counters, sorted by
+// name, from one quiesced Stats read.
 func (n *Node) Tenants(context.Context) (any, error) {
 	st := n.eng.Stats()
-	names := n.eng.TenantNames()
+	names := make([]string, 0, len(st.Tenants))
+	for name := range st.Tenants {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	out := make([]map[string]any, 0, len(names))
 	for _, name := range names {
 		out = append(out, tenantStatsJSON(st.Tenants[name]))
@@ -158,6 +166,9 @@ func (n *Node) IngestGroups(_ context.Context, tenant string, key serve.Key, gro
 	if err := tn.IngestGroups(groups, release); err != nil {
 		if errors.Is(err, engine.ErrQuotaExceeded) {
 			return 0, false, err
+		}
+		if errors.Is(err, engine.ErrNotIngesting) {
+			return 0, false, &serve.Error{Status: http.StatusServiceUnavailable, Err: err}
 		}
 		// Name the failing stream; this path runs only on rejection.
 		e := &serve.Error{Status: http.StatusBadRequest, Err: err}
@@ -221,7 +232,8 @@ func (n *Node) RegisterWatch(_ context.Context, tenant string, req serve.WatchRe
 func (n *Node) Watches() *monitor.Registry { return n.eng.Watches() }
 
 // Stats reports one tenant's slice, or, unscoped, the engine-wide
-// figures plus the ingest pipeline's counters.
+// figures plus the ingest pipeline's counters, all from one quiesced
+// read.
 func (n *Node) Stats(_ context.Context, tenant string) (map[string]any, error) {
 	if tenant != "" {
 		return tenantStatsJSON(n.eng.Tenant(tenant).Stats()), nil
@@ -245,7 +257,7 @@ func (n *Node) Stats(_ context.Context, tenant string) (map[string]any, error) {
 		},
 		"watches": st.Watches,
 		"tenants": tenants,
-		"ingest":  n.eng.IngestStats(),
+		"ingest":  st.Ingest,
 		// saturated mirrors the admission probe behind Shed: true while
 		// at least one ingest queue is full.
 		"saturated":     n.eng.IngestSaturated(),

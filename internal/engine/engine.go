@@ -32,6 +32,7 @@ package engine
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"skimsketch/internal/core"
 	"skimsketch/internal/monitor"
@@ -115,16 +116,15 @@ type Options struct {
 }
 
 // Engine is the stream query processor. All methods are safe for
-// concurrent use; updates are serialized internally unless the batched
-// ingestion pipeline is running (StartIngest), in which case batches are
-// applied concurrently by shard workers and reads quiesce the pipeline
-// first.
+// concurrent use. Updates reach synopses only through the ingestion
+// pipeline (StartIngest): shard workers apply batches concurrently, and
+// reads quiesce the pipeline first.
 type Engine struct {
 	mu sync.Mutex
 	// applyMu arbitrates synopsis counter access: shard workers hold the
 	// read side while applying (their synopsis sets are disjoint, so
-	// sharing it is safe), and every reader or inline applier holds the
-	// write side — an inverted RWMutex.
+	// sharing it is safe), and readers hold the write side — an inverted
+	// RWMutex.
 	applyMu      sync.RWMutex
 	defaults     core.Config
 	defaultQuota Quota
@@ -134,15 +134,14 @@ type Engine struct {
 	synopses     map[synKey]*synEntry
 	queries      map[nsKey]*queryState
 
-	// Batched-ingestion state (see ingest.go). nextSynID hands each
-	// synopsis its shard-hash identity; routes caches per-(tenant, stream)
-	// shard fan-out lists and is dropped whenever the synopsis set or the
-	// shard count changes.
-	ing          *ingester
-	nextSynID    int
-	routes       map[nsKey][][]*synEntry
-	routesShards int
-	metrics      *monitor.IngestMetrics
+	// Batched-ingestion state (see ingest.go). ing is set once, by
+	// StartIngest, and never cleared; nextSynID hands each synopsis its
+	// shard-hash identity; routes caches per-(tenant, stream) shard
+	// fan-out lists and is dropped whenever the synopsis set changes.
+	ing       atomic.Pointer[ingester]
+	nextSynID int
+	routes    map[nsKey][][]*synEntry
+	metrics   *monitor.IngestMetrics
 
 	// Query-path state (see Answer): the number of estimation workers,
 	// the per-(tenant, query) answer cache keyed on the synopsis epochs
@@ -207,40 +206,34 @@ type synEntry struct {
 	sketch *core.HashSketch
 	win    *window.Window
 	// epoch counts update deliveries to this synopsis. It is written only
-	// under the apply lock's ownership discipline (a synopsis belongs to
-	// exactly one shard worker; inline appliers hold the exclusive side)
-	// and read under the exclusive side, so plain arithmetic is
-	// race-free. Answer snapshots it to key the answer cache.
+	// by the one shard worker that owns the synopsis, under the apply
+	// lock's read side, and read under its exclusive side, so plain
+	// arithmetic is race-free. Answer snapshots it to key the answer
+	// cache.
 	epoch uint64
 }
 
-func (e *synEntry) update(v uint64, w int64) {
-	e.epoch++
-	if e.pred != nil && !e.pred(v, w) {
-		return
-	}
-	if e.win != nil {
-		e.win.Update(v, w)
-		return
-	}
-	e.sketch.Update(v, w)
-}
-
 // updateBatch folds a whole batch, delegating to the synopsis' batched
-// update when no predicate intervenes. Exactly equivalent to calling
-// update once per element in order.
+// update when no predicate intervenes. Exactly equivalent to folding the
+// elements the predicate accepts one at a time, in order.
 func (e *synEntry) updateBatch(batch []stream.Update) {
-	if e.pred == nil {
-		e.epoch += uint64(len(batch))
-		if e.win != nil {
-			e.win.UpdateBatch(batch)
-		} else {
-			e.sketch.UpdateBatch(batch)
+	e.epoch += uint64(len(batch))
+	switch {
+	case e.pred != nil:
+		for _, u := range batch {
+			if !e.pred(u.Value, u.Weight) {
+				continue
+			}
+			if e.win != nil {
+				e.win.Update(u.Value, u.Weight)
+			} else {
+				e.sketch.Update(u.Value, u.Weight)
+			}
 		}
-		return
-	}
-	for _, u := range batch {
-		e.update(u.Value, u.Weight)
+	case e.win != nil:
+		e.win.UpdateBatch(batch)
+	default:
+		e.sketch.UpdateBatch(batch)
 	}
 }
 
@@ -446,13 +439,6 @@ func (e *Engine) RemoveQuery(name string) error {
 	return e.Tenant(DefaultTenant).RemoveQuery(name)
 }
 
-// Update routes one default-tenant stream element to every synopsis
-// attached to the stream. For SUM queries the weight carries the measure;
-// for plain COUNT streams use weight ±1.
-func (e *Engine) Update(streamName string, value uint64, weight int64) error {
-	return e.Tenant(DefaultTenant).Update(streamName, value, weight)
-}
-
 // Answer serves the current approximate answer of a registered
 // default-tenant query. If the ingestion pipeline is running it is
 // drained first, so the answer reflects every batch enqueued before the
@@ -579,6 +565,10 @@ type Stats struct {
 	Watches int
 	// Tenants breaks the same figures down per tenant namespace.
 	Tenants map[string]TenantStats
+	// Ingest is the pipeline's counters, read under the same quiesce as
+	// every figure above: enqueued == applied + unrouted, and every
+	// tenant's PendingUpdates is zero.
+	Ingest monitor.IngestSnapshot
 }
 
 // Stats reports synopsis sharing and memory usage. Like Answer, it
@@ -595,6 +585,7 @@ func (e *Engine) Stats() Stats {
 		AnswerCacheMisses: e.cacheMisses,
 		Watches:           e.watches.Len(),
 		Tenants:           make(map[string]TenantStats),
+		Ingest:            e.metrics.Snapshot(),
 	}
 	for key, info := range e.streams {
 		name := key.name

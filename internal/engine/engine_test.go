@@ -14,13 +14,45 @@ func defaultOpts() Options {
 	return Options{SketchConfig: core.Config{Tables: 5, Buckets: 256, Seed: 7}}
 }
 
+// mustEngine returns an engine whose ingest pipeline runs two workers
+// and stops when the test ends.
 func mustEngine(t *testing.T) *Engine {
 	t.Helper()
-	e, err := New(defaultOpts())
-	if err != nil {
+	return startEngine(t, defaultOpts(), IngestConfig{Workers: 2})
+}
+
+// startEngine returns an engine built from opts whose pipeline, tuned
+// by cfg, runs until the test ends.
+func startEngine(t *testing.T, opts Options, cfg IngestConfig) *Engine {
+	t.Helper()
+	e := idleEngine(t, opts)
+	if err := e.StartIngest(cfg); err != nil {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// idleEngine returns an engine built from opts whose pipeline is not
+// started yet; whatever the test starts is stopped when it ends.
+func idleEngine(t *testing.T, opts Options) *Engine {
+	t.Helper()
+	e, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.StopIngest)
+	return e
+}
+
+// update ingests one element through the pipeline; reads quiesce, so
+// the next Answer, Stats or snapshot sees it.
+func update(t *testing.T, b interface {
+	IngestBatch(string, []stream.Update) error
+}, streamName string, value uint64, weight int64) {
+	t.Helper()
+	if err := b.IngestBatch(streamName, []stream.Update{{Value: value, Weight: weight}}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestNewValidation(t *testing.T) {
@@ -91,15 +123,13 @@ func TestRegisterQueryValidation(t *testing.T) {
 func TestUpdateValidation(t *testing.T) {
 	e := mustEngine(t)
 	e.DeclareStream("F", 16)
-	if err := e.Update("missing", 1, 1); err == nil {
+	if err := e.IngestBatch("missing", []stream.Update{stream.Insert(1)}); err == nil {
 		t.Fatal("expected unknown-stream error")
 	}
-	if err := e.Update("F", 16, 1); err == nil {
+	if err := e.IngestBatch("F", []stream.Update{stream.Insert(16)}); err == nil {
 		t.Fatal("expected out-of-domain error")
 	}
-	if err := e.Update("F", 15, 1); err != nil {
-		t.Fatal(err)
-	}
+	update(t, e, "F", 15, 1)
 }
 
 func TestAnswerUnknownQuery(t *testing.T) {
@@ -123,14 +153,10 @@ func TestCountQueryEndToEnd(t *testing.T) {
 	fv, gv := stream.NewFreqVector(), stream.NewFreqVector()
 	for i := 0; i < 20000; i++ {
 		v := zf.Next()
-		if err := e.Update("F", v, 1); err != nil {
-			t.Fatal(err)
-		}
+		update(t, e, "F", v, 1)
 		fv.Update(v, 1)
 		w := zg.Next()
-		if err := e.Update("G", w, 1); err != nil {
-			t.Fatal(err)
-		}
+		update(t, e, "G", w, 1)
 		gv.Update(w, 1)
 	}
 	ans, err := e.Answer("q")
@@ -152,7 +178,7 @@ func TestSelfJoinQuery(t *testing.T) {
 	e.RegisterQuery(QuerySpec{Name: "f2", Agg: Count,
 		Left: Side{Stream: "F"}, Right: Side{Stream: "F"}})
 	for i := 0; i < 9; i++ {
-		e.Update("F", 5, 1)
+		update(t, e, "F", 5, 1)
 	}
 	ans, err := e.Answer("f2")
 	if err != nil {
@@ -177,10 +203,10 @@ func TestPredicatePushdown(t *testing.T) {
 		Left:  Side{Stream: "F", Predicate: "even"},
 		Right: Side{Stream: "G"}})
 	// Odd F values must be dropped before sketching.
-	e.Update("F", 2, 10)
-	e.Update("F", 3, 10)
-	e.Update("G", 2, 4)
-	e.Update("G", 3, 4)
+	update(t, e, "F", 2, 10)
+	update(t, e, "F", 3, 10)
+	update(t, e, "G", 2, 4)
+	update(t, e, "G", 3, 4)
 	ans, err := e.Answer("q")
 	if err != nil {
 		t.Fatal(err)
@@ -196,11 +222,11 @@ func TestSumQuery(t *testing.T) {
 	e.DeclareStream("sales", 64)
 	e.RegisterQuery(QuerySpec{Name: "rev", Agg: Sum,
 		Left: Side{Stream: "subs"}, Right: Side{Stream: "sales"}})
-	e.Update("subs", 9, 1)
-	e.Update("subs", 9, 1)
-	e.Update("sales", 9, 250) // measure-weighted
-	e.Update("sales", 9, 100)
-	e.Update("sales", 3, 999) // non-joining
+	update(t, e, "subs", 9, 1)
+	update(t, e, "subs", 9, 1)
+	update(t, e, "sales", 9, 250) // measure-weighted
+	update(t, e, "sales", 9, 100)
+	update(t, e, "sales", 3, 999) // non-joining
 	ans, err := e.Answer("rev")
 	if err != nil {
 		t.Fatal(err)
@@ -226,9 +252,9 @@ func TestSynopsisSharingAcrossQueries(t *testing.T) {
 		t.Fatalf("stats wrong: %+v", st)
 	}
 	// An element on F is visible to both queries.
-	e.Update("F", 1, 5)
-	e.Update("G", 1, 2)
-	e.Update("H", 1, 3)
+	update(t, e, "F", 1, 5)
+	update(t, e, "G", 1, 2)
+	update(t, e, "H", 1, 3)
 	fg, _ := e.Answer("fg")
 	fh, _ := e.Answer("fh")
 	if fg.Estimate != 10 || fh.Estimate != 15 {
@@ -273,12 +299,12 @@ func TestWindowedQuerySide(t *testing.T) {
 	}
 	// Heavy early F value must expire from the window.
 	for i := 0; i < 90; i++ {
-		e.Update("F", 7, 1)
+		update(t, e, "F", 7, 1)
 	}
 	for i := 0; i < 500; i++ {
-		e.Update("F", uint64(i%32)+32, 1)
+		update(t, e, "F", uint64(i%32)+32, 1)
 	}
-	e.Update("G", 7, 100)
+	update(t, e, "G", 7, 100)
 	ans, err := e.Answer("w")
 	if err != nil {
 		t.Fatal(err)
@@ -323,8 +349,8 @@ func TestPerQuerySketchConfigOverride(t *testing.T) {
 	if st.Synopses != 4 {
 		t.Fatalf("Synopses = %d, want 4", st.Synopses)
 	}
-	e.Update("F", 1, 2)
-	e.Update("G", 1, 3)
+	update(t, e, "F", 1, 2)
+	update(t, e, "G", 1, 3)
 	a, _ := e.Answer("default")
 	b, _ := e.Answer("big")
 	if a.Estimate != 6 || b.Estimate != 6 {
@@ -343,8 +369,13 @@ func TestConcurrentUpdatesAndAnswers(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				e.Update("F", uint64((i*7+p)%1024), 1)
-				e.Update("G", uint64((i*13+p)%1024), 1)
+				if err := e.IngestGroups([]stream.Group{
+					{Name: "F", Updates: []stream.Update{stream.Insert(uint64((i*7 + p) % 1024))}},
+					{Name: "G", Updates: []stream.Update{stream.Insert(uint64((i*13 + p) % 1024))}},
+				}, nil); err != nil {
+					t.Error(err)
+					return
+				}
 				if i%500 == 0 {
 					if _, err := e.Answer("q"); err != nil {
 						t.Error(err)

@@ -5,6 +5,7 @@ import (
 
 	"skimsketch/internal/core"
 	"skimsketch/internal/engine"
+	"skimsketch/internal/stream"
 )
 
 // The Figure 1 architecture in miniature: declare streams, register a
@@ -16,6 +17,11 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
+	// Updates reach synopses through the shard-worker pipeline.
+	if err := eng.StartIngest(engine.IngestConfig{}); err != nil {
+		panic(err)
+	}
+	defer eng.StopIngest()
 	eng.DeclareStream("F", 1024)
 	eng.DeclareStream("G", 1024)
 	eng.RegisterQuery(engine.QuerySpec{
@@ -24,9 +30,11 @@ func Example() {
 		Right: engine.Side{Stream: "G"},
 	})
 
-	eng.Update("F", 7, 10)
-	eng.Update("G", 7, 4)
-	eng.Update("G", 9, 100) // non-joining
+	eng.IngestBatch("F", []stream.Update{{Value: 7, Weight: 10}})
+	eng.IngestBatch("G", []stream.Update{
+		{Value: 7, Weight: 4},
+		{Value: 9, Weight: 100}, // non-joining
+	})
 
 	ans, err := eng.Answer("overlap")
 	if err != nil {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,16 +24,12 @@ func sameValueBatch(n int, value uint64) []stream.Update {
 // The pre-fix per-group admission applied the first group and rejected
 // the second, so a client retry double-counted the first group.
 func TestIngestGroupsQuotaAtomic(t *testing.T) {
-	e := mustEngine(t)
+	e := startEngine(t, defaultOpts(), IngestConfig{Workers: 2, BatchSize: 16, QueueDepth: 64})
 	tn := e.Tenant("capped")
 	setupTenant(t, tn)
 	if err := e.SetQuota("capped", Quota{MaxPendingUpdates: 150}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.StartIngest(IngestConfig{Workers: 2, BatchSize: 16, QueueDepth: 64}); err != nil {
-		t.Fatal(err)
-	}
-	defer e.StopIngest()
 
 	groups := []stream.Group{
 		{Name: "F", Updates: sameValueBatch(100, 7)},
@@ -80,42 +77,28 @@ func TestIngestGroupsQuotaAtomic(t *testing.T) {
 }
 
 // TestIngestGroupsValidationAtomic: a request whose LATER group fails
-// validation (unknown stream, out-of-domain value) applies nothing,
-// in both the synchronous and the pipelined mode.
+// validation (unknown stream, out-of-domain value) applies nothing.
 func TestIngestGroupsValidationAtomic(t *testing.T) {
-	for _, pipelined := range []bool{false, true} {
-		e := mustEngine(t)
-		tn := e.Tenant("v")
-		setupTenant(t, tn)
-		if pipelined {
-			if err := e.StartIngest(IngestConfig{Workers: 2}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		err := tn.IngestGroups([]stream.Group{
-			{Name: "F", Updates: sameValueBatch(10, 1)},
-			{Name: "missing", Updates: sameValueBatch(1, 1)},
-		}, nil)
-		if err == nil {
-			t.Fatalf("pipelined=%v: unknown stream in second group not rejected", pipelined)
-		}
-		err = tn.IngestGroups([]stream.Group{
-			{Name: "F", Updates: sameValueBatch(10, 1)},
-			{Name: "G", Updates: []stream.Update{{Value: 99999, Weight: 1}}},
-		}, nil)
-		if err == nil {
-			t.Fatalf("pipelined=%v: out-of-domain value in second group not rejected", pipelined)
-		}
-		if pipelined {
-			e.Flush()
-		}
-		st := tn.Stats()
-		if st.UpdateCounts["F"] != 0 || st.UpdateCounts["G"] != 0 {
-			t.Fatalf("pipelined=%v: invalid request partially applied: %+v", pipelined, st.UpdateCounts)
-		}
-		if pipelined {
-			e.StopIngest()
-		}
+	e := mustEngine(t)
+	tn := e.Tenant("v")
+	setupTenant(t, tn)
+	err := tn.IngestGroups([]stream.Group{
+		{Name: "F", Updates: sameValueBatch(10, 1)},
+		{Name: "missing", Updates: sameValueBatch(1, 1)},
+	}, nil)
+	if err == nil {
+		t.Fatal("unknown stream in second group not rejected")
+	}
+	err = tn.IngestGroups([]stream.Group{
+		{Name: "F", Updates: sameValueBatch(10, 1)},
+		{Name: "G", Updates: []stream.Update{{Value: 99999, Weight: 1}}},
+	}, nil)
+	if err == nil {
+		t.Fatal("out-of-domain value in second group not rejected")
+	}
+	st := tn.Stats()
+	if st.UpdateCounts["F"] != 0 || st.UpdateCounts["G"] != 0 {
+		t.Fatalf("invalid request partially applied: %+v", st.UpdateCounts)
 	}
 }
 
@@ -124,13 +107,9 @@ func TestIngestGroupsValidationAtomic(t *testing.T) {
 // synopsis — at which point the caller may overwrite the buffers
 // without corrupting what was ingested.
 func TestIngestGroupsRelease(t *testing.T) {
-	e := mustEngine(t)
+	e := startEngine(t, defaultOpts(), IngestConfig{Workers: 2, BatchSize: 8, QueueDepth: 16})
 	tn := e.Tenant("r")
 	setupTenant(t, tn)
-	if err := e.StartIngest(IngestConfig{Workers: 2, BatchSize: 8, QueueDepth: 16}); err != nil {
-		t.Fatal(err)
-	}
-	defer e.StopIngest()
 
 	buf := sameValueBatch(64, 7)
 	groups := []stream.Group{
@@ -187,30 +166,28 @@ func TestIngestGroupsRelease(t *testing.T) {
 }
 
 // TestIngestGroupsReleaseSyncAndUnlistened covers the two paths that
-// never enqueue: the synchronous (no pipeline) mode, and a stream no
-// synopsis listens to.
+// never enqueue: a request refused because no pipeline runs yet, which
+// keeps no reference and never calls release, and a stream no synopsis
+// listens to.
 func TestIngestGroupsReleaseSyncAndUnlistened(t *testing.T) {
-	e := mustEngine(t)
+	e := idleEngine(t, defaultOpts())
 	tn := e.Tenant("s")
 	setupTenant(t, tn)
 	var calls atomic.Int32
-	if err := tn.IngestGroups([]stream.Group{
+	err := tn.IngestGroups([]stream.Group{
 		{Name: "F", Updates: sameValueBatch(5, 1)},
-	}, func() { calls.Add(1) }); err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("sync-mode release calls %d, want 1", calls.Load())
+	}, func() { calls.Add(1) })
+	if !errors.Is(err, ErrNotIngesting) || calls.Load() != 0 {
+		t.Fatalf("request before StartIngest: err=%v releaseCalls=%d, want ErrNotIngesting and 0 calls", err, calls.Load())
 	}
 
-	// A declared stream with no listening synopsis, under a pipeline.
+	// A declared stream with no listening synopsis.
 	if err := tn.DeclareStream("idle", 1024); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.StartIngest(IngestConfig{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
-	defer e.StopIngest()
 	released := make(chan struct{})
 	if err := tn.IngestGroups([]stream.Group{
 		{Name: "idle", Updates: sameValueBatch(9, 3)},
@@ -228,56 +205,31 @@ func TestIngestGroupsReleaseSyncAndUnlistened(t *testing.T) {
 	}
 }
 
-// TestIngestGroupsMatchesSequentialUpdates: one multi-group request is
-// bit-identical to element-wise Update calls in order.
+// TestIngestGroupsMatchesSequentialUpdates: for every pipeline shape,
+// one multi-group request leaves the tenant's synopses byte-equal to a
+// model that folds the same updates one at a time, in order, into fresh
+// sketches.
 func TestIngestGroupsMatchesSequentialUpdates(t *testing.T) {
-	mk := func() (*Engine, *Tenant) {
-		e := mustEngine(t)
-		tn := e.Tenant("eq")
-		setupTenant(t, tn)
-		return e, tn
-	}
-	e1, t1 := mk()
-	_, t2 := mk()
-
 	var fups, gups []stream.Update
 	for i := 0; i < 200; i++ {
 		fups = append(fups, stream.Update{Value: uint64(i * 13 % 1024), Weight: int64(i%5) - 1})
 		gups = append(gups, stream.Update{Value: uint64(i * 7 % 1024), Weight: 1})
 	}
-
-	if err := e1.StartIngest(IngestConfig{Workers: 3, BatchSize: 32}); err != nil {
-		t.Fatal(err)
-	}
-	if err := t1.IngestGroups([]stream.Group{
-		{Name: "F", Updates: fups},
-		{Name: "G", Updates: gups},
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-	e1.Flush()
-	e1.StopIngest()
-
-	for _, u := range fups {
-		if err := t2.Update("F", u.Value, u.Weight); err != nil {
-			t.Fatal(err)
+	left, right := modelBlob(t, Side{}, nil, fups), modelBlob(t, Side{}, nil, gups)
+	for workers := 1; workers <= 4; workers++ {
+		for _, bs := range []int{1, 7, 64} {
+			t.Run(fmt.Sprintf("workers=%d/batch=%d", workers, bs), func(t *testing.T) {
+				e := startEngine(t, defaultOpts(), IngestConfig{Workers: workers, BatchSize: bs})
+				tn := e.Tenant("eq")
+				setupTenant(t, tn)
+				if err := tn.IngestGroups([]stream.Group{
+					{Name: "F", Updates: fups},
+					{Name: "G", Updates: gups},
+				}, nil); err != nil {
+					t.Fatal(err)
+				}
+				checkModel(t, tn, "q", left, right)
+			})
 		}
-	}
-	for _, u := range gups {
-		if err := t2.Update("G", u.Value, u.Weight); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	a1, err := t1.Answer("q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := t2.Answer("q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1.Estimate != a2.Estimate {
-		t.Fatalf("grouped ingest estimate %d != sequential %d", a1.Estimate, a2.Estimate)
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -25,12 +26,18 @@ import (
 // thousands of small tenants ride one worker pool without one of them
 // starving the rest.
 //
-// Consistency contract: the fan-out of one batch happens atomically under
-// ing.fanMu (read side). Readers quiesce by taking ing.fanMu exclusively,
-// draining every worker queue with a barrier, and only then reading under
-// the exclusive apply lock — so every batch is observed either fully
-// applied to all of its stream's synopses or not at all, never torn
-// across synopses or tables.
+// The pipeline is the engine's only path from a stream into its
+// synopses: every update is admitted by IngestGroups and applied by a
+// shard worker.
+//
+// Consistency contract: a producer holds ing.fanMu's read side from its
+// closed check through admission (validation, quota and counters, under
+// e.mu) to the last enqueue of its request. Readers quiesce by taking
+// ing.fanMu exclusively, draining every worker queue with a barrier, and
+// only then reading under e.mu and the exclusive apply lock — so a
+// quiesced read sees every request whole or not at all: its counters,
+// its tenant's pending gauge and every synopsis it reaches. The lock
+// order is ing.fanMu, e.mu, applyMu.
 
 // IngestConfig tunes the concurrent ingestion pipeline.
 type IngestConfig struct {
@@ -108,52 +115,55 @@ type ingester struct {
 	chans []chan ingestItem
 	wg    sync.WaitGroup
 
-	// fanMu makes the fan-out of one batch atomic with respect to
-	// barriers: producers hold the read side across all shard sends;
-	// Flush/quiesce/Stop hold the write side. closed is guarded by fanMu.
+	// fanMu makes a request's admission and fan-out atomic with respect
+	// to barriers: producers hold the read side from the closed check to
+	// their last shard send; Flush/quiesce/Stop hold the write side.
+	// closed is guarded by fanMu.
 	fanMu  sync.RWMutex
 	closed bool
 }
 
-// StartIngest launches the concurrent ingestion pipeline. Subsequent
-// IngestBatch calls enqueue to the shard workers instead of applying
-// synchronously. It fails if a pipeline is already running.
+// ErrNotIngesting is wrapped by every ingest request refused because no
+// pipeline runs, before StartIngest or after StopIngest. A refused
+// request admitted and counted nothing.
+var ErrNotIngesting = errors.New("ingest pipeline not running")
+
+var errNotIngesting = fmt.Errorf("engine: %w", ErrNotIngesting)
+
+// StartIngest launches the ingestion pipeline, the engine's only path
+// from a stream into its synopses: IngestBatch and IngestGroups are
+// refused until it runs. It fails if a pipeline was already started,
+// including one since stopped.
 func (e *Engine) StartIngest(cfg IngestConfig) error {
 	cfg.applyDefaults()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.ing != nil {
-		return fmt.Errorf("engine: ingest pipeline already running")
-	}
 	ing := &ingester{cfg: cfg, chans: make([]chan ingestItem, cfg.Workers)}
 	for i := range ing.chans {
 		ing.chans[i] = make(chan ingestItem, cfg.QueueDepth)
+	}
+	if !e.ing.CompareAndSwap(nil, ing) {
+		return fmt.Errorf("engine: ingest pipeline already started")
 	}
 	ing.wg.Add(cfg.Workers)
 	for i := range ing.chans {
 		go ing.worker(e, ing.chans[i])
 	}
-	e.ing = ing
-	e.routes = nil // the shard count changed; rebuild routes lazily
 	return nil
 }
 
-// StopIngest drains and shuts down the pipeline. Queued batches are fully
-// applied before it returns; afterwards IngestBatch applies synchronously
-// again. It is a no-op if no pipeline is running.
+// StopIngest drains and shuts down the pipeline: queued batches are
+// fully applied before it returns, and later ingest requests are
+// refused. It is a no-op if no pipeline was started.
 func (e *Engine) StopIngest() {
-	e.mu.Lock()
-	ing := e.ing
-	e.ing = nil
-	e.routes = nil
-	e.mu.Unlock()
+	ing := e.ing.Load()
 	if ing == nil {
 		return
 	}
 	ing.fanMu.Lock()
-	ing.closed = true
-	for _, ch := range ing.chans {
-		close(ch)
+	if !ing.closed {
+		ing.closed = true
+		for _, ch := range ing.chans {
+			close(ch)
+		}
 	}
 	ing.fanMu.Unlock()
 	ing.wg.Wait() // workers drain their queues before exiting
@@ -200,26 +210,19 @@ func (ing *ingester) barrierLocked() {
 
 // enqueue fans the batch out to the shards named by route, splitting it
 // into BatchSize chunks. A batch no synopsis listens to is counted as
-// unrouted and never queued. If the pipeline was stopped between routing
-// and enqueueing, it falls back to a synchronous apply. Either way it
-// settles the tenant's pending gauge itself for what it does not queue.
+// unrouted, settled in the tenant's pending gauge and never queued.
 // done, when non-nil, gains one reference per queued item (the worker
-// drops it after applying); the other paths queue nothing and add none.
+// drops it after applying). Callers hold ing.fanMu's read side and have
+// checked that the pipeline is open.
 func (ing *ingester) enqueue(e *Engine, ts *tenantState, route [][]*synEntry, updates []stream.Update, done *groupDone) {
-	ing.fanMu.RLock()
-	defer ing.fanMu.RUnlock()
-	if ing.closed || !routed(route) {
-		e.apply(route, updates)
+	if !routed(route) {
+		e.metrics.UpdatesUnrouted.Add(int64(len(updates)))
 		ts.pending.Add(-int64(len(updates)))
 		return
 	}
 	bs := ing.cfg.BatchSize
 	for off := 0; off < len(updates); off += bs {
-		end := off + bs
-		if end > len(updates) {
-			end = len(updates)
-		}
-		chunk := updates[off:end]
+		chunk := updates[off:min(off+bs, len(updates))]
 		counted := false
 		for shard, entries := range route {
 			if len(entries) == 0 {
@@ -252,26 +255,6 @@ func routed(route [][]*synEntry) bool {
 	return false
 }
 
-// apply folds updates into every synopsis on route under the exclusive
-// apply lock and counts them as applied — or, when no synopsis listens,
-// counts them as unrouted without taking the lock.
-func (e *Engine) apply(route [][]*synEntry, updates []stream.Update) {
-	n := int64(len(updates))
-	if !routed(route) {
-		e.metrics.UpdatesUnrouted.Add(n)
-		return
-	}
-	e.applyMu.Lock()
-	for _, entries := range route {
-		for _, en := range entries {
-			en.updateBatch(updates)
-		}
-	}
-	e.applyMu.Unlock()
-	e.metrics.UpdatesApplied.Add(n)
-	e.metrics.Batches.Add(1)
-}
-
 // ValidateBatch checks that a default-tenant batch could be ingested —
 // the stream is declared and every value lies inside its domain —
 // without applying anything. Callers staging a multi-stream request can
@@ -286,7 +269,13 @@ func (t *Tenant) ValidateBatch(streamName string, updates []stream.Update) error
 	e := t.e
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	info, ok := e.streams[nsKey{t.name, streamName}]
+	return e.validateLocked(t.name, streamName, updates)
+}
+
+// validateLocked checks that the tenant's stream is declared and every
+// value lies inside its domain. Callers hold e.mu.
+func (e *Engine) validateLocked(tenant, streamName string, updates []stream.Update) error {
+	info, ok := e.streams[nsKey{tenant, streamName}]
 	if !ok {
 		return fmt.Errorf("engine: unknown stream %q", streamName)
 	}
@@ -297,21 +286,21 @@ func (t *Tenant) ValidateBatch(streamName string, updates []stream.Update) error
 }
 
 // IngestBatch validates and ingests a batch of default-tenant updates
-// for one stream. With a running pipeline (StartIngest) the batch is
-// enqueued to the shard workers and applied asynchronously — a following
-// Flush, Answer, Snapshot or Stats call observes it; a full queue blocks
-// (backpressure). Without a pipeline it applies synchronously before
-// returning. In both modes the result is bit-for-bit identical to
-// calling Update once per element in order. Validation is synchronous:
-// on error the whole batch is rejected and nothing is applied.
+// for one stream: the batch is enqueued to the shard workers and applied
+// asynchronously — a following Flush, Answer, Snapshot or Stats call
+// observes it; a full queue blocks (backpressure). The result is
+// bit-for-bit identical to folding the updates into each synopsis one at
+// a time, in order. Validation is synchronous: on error the whole batch
+// is rejected and nothing is applied. Without a running pipeline the
+// batch is refused with an error wrapping ErrNotIngesting.
 func (e *Engine) IngestBatch(streamName string, updates []stream.Update) error {
 	return e.Tenant(DefaultTenant).IngestBatch(streamName, updates)
 }
 
 // IngestBatch is Engine.IngestBatch scoped to this tenant. On top of the
-// validation contract it enforces the tenant's queue-share quota: with a
-// running pipeline, a batch that would push the tenant's pending-update
-// count past Quota.MaxPendingUpdates is rejected with an error wrapping
+// validation contract it enforces the tenant's queue-share quota: a
+// batch that would push the tenant's pending-update count past
+// Quota.MaxPendingUpdates is rejected with an error wrapping
 // ErrQuotaExceeded, and nothing is applied or enqueued.
 func (t *Tenant) IngestBatch(streamName string, updates []stream.Update) error {
 	if len(updates) == 0 {
@@ -332,7 +321,9 @@ func (e *Engine) IngestGroups(groups []stream.Group, release func()) error {
 // request's SUMMED update count before anything is admitted. On error
 // nothing has been applied, enqueued, or counted — a quota rejection
 // (wrapping ErrQuotaExceeded) therefore really means "retry the whole
-// request", never "part of it landed".
+// request", never "part of it landed". Without a running pipeline a
+// request is refused with an error wrapping ErrNotIngesting; an empty
+// request is a no-op either way.
 //
 // release, when non-nil, transfers buffer ownership: on a nil return
 // the engine references the groups' Updates slices until every element
@@ -352,97 +343,82 @@ func (t *Tenant) IngestGroups(groups []stream.Group, release func()) error {
 		}
 		return nil
 	}
-	e := t.e
-	e.mu.Lock()
-	for i := range groups {
-		info, ok := e.streams[nsKey{t.name, groups[i].Name}]
-		if !ok {
-			e.mu.Unlock()
-			return fmt.Errorf("engine: unknown stream %q", groups[i].Name)
-		}
-		if err := stream.Validate(groups[i].Updates, info.domain); err != nil {
-			e.mu.Unlock()
-			return fmt.Errorf("engine: stream %q: %w", groups[i].Name, err)
-		}
-	}
-	ing := e.ing
-	shards := 1
-	if ing != nil {
-		shards = len(ing.chans)
-	}
-	ts := e.tenantLocked(t.name)
-	if ing != nil {
-		if max := ts.quota.MaxPendingUpdates; max > 0 {
-			if pend := ts.pending.Load(); pend+int64(total) > max {
-				ts.rejected.Add(int64(total))
-				e.metrics.Rejected.Add(int64(total))
-				e.mu.Unlock()
-				return fmt.Errorf("engine: tenant %q: %d pending + %d batched updates over queue-share quota %d: %w",
-					t.name, pend, total, max, ErrQuotaExceeded)
-			}
-		}
-	}
-	// Admission is now certain: capture routes and bump counters for every
-	// group under the same e.mu hold, so no concurrent request can wedge
-	// between the groups of this one.
-	var stackRoutes [4][][]*synEntry
-	routes := stackRoutes[:0]
-	for i := range groups {
-		routes = append(routes, e.routeLocked(t.name, groups[i].Name, shards))
-		e.streams[nsKey{t.name, groups[i].Name}].count += int64(len(groups[i].Updates))
-	}
-	e.metrics.UpdatesEnqueued.Add(int64(total))
+	ing := t.e.ing.Load()
 	if ing == nil {
-		// Synchronous path: apply inline, with e.mu held like Update.
-		for i := range groups {
-			e.apply(routes[i], groups[i].Updates)
-		}
-		e.mu.Unlock()
-		if release != nil {
-			release()
-		}
-		return nil
+		return errNotIngesting
 	}
-	ts.pending.Add(int64(total))
-	e.mu.Unlock()
+	ing.fanMu.RLock()
+	if ing.closed {
+		ing.fanMu.RUnlock()
+		return errNotIngesting
+	}
+	var stackRoutes [4][][]*synEntry
+	ts, routes, err := t.admit(groups, total, len(ing.chans), stackRoutes[:0])
+	if err != nil {
+		ing.fanMu.RUnlock()
+		return err
+	}
 	var done *groupDone
 	if release != nil {
 		done = newGroupDone(release)
 	}
 	for i := range groups {
-		ing.enqueue(e, ts, routes[i], groups[i].Updates, done)
+		ing.enqueue(t.e, ts, routes[i], groups[i].Updates, done)
 	}
+	ing.fanMu.RUnlock()
 	if done != nil {
 		done.done() // drop the creator reference
 	}
 	return nil
 }
 
+// admit validates a request and checks the tenant's queue share against
+// its summed size. Once admission is certain it appends every group's
+// route to routes and counts the request as enqueued and pending, all
+// under one e.mu hold, so no concurrent request can wedge between the
+// groups of this one.
+func (t *Tenant) admit(groups []stream.Group, total, shards int, routes [][][]*synEntry) (*tenantState, [][][]*synEntry, error) {
+	e := t.e
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i := range groups {
+		if err := e.validateLocked(t.name, groups[i].Name, groups[i].Updates); err != nil {
+			return nil, nil, err
+		}
+	}
+	ts := e.tenantLocked(t.name)
+	if max := ts.quota.MaxPendingUpdates; max > 0 {
+		if pend := ts.pending.Load(); pend+int64(total) > max {
+			ts.rejected.Add(int64(total))
+			e.metrics.Rejected.Add(int64(total))
+			return nil, nil, fmt.Errorf("engine: tenant %q: %d pending + %d batched updates over queue-share quota %d: %w",
+				t.name, pend, total, max, ErrQuotaExceeded)
+		}
+	}
+	for i := range groups {
+		routes = append(routes, e.routeLocked(t.name, groups[i].Name, shards))
+		e.streams[nsKey{t.name, groups[i].Name}].count += int64(len(groups[i].Updates))
+	}
+	e.metrics.UpdatesEnqueued.Add(int64(total))
+	ts.pending.Add(int64(total))
+	return ts, routes, nil
+}
+
 // Flush blocks until every batch enqueued before the call is fully
 // applied. It is a no-op without a running pipeline.
 func (e *Engine) Flush() {
-	e.mu.Lock()
-	ing := e.ing
-	e.mu.Unlock()
-	if ing == nil {
-		return
+	if ing := e.quiesce(); ing != nil {
+		ing.fanMu.Unlock()
 	}
-	ing.fanMu.Lock()
-	if !ing.closed {
-		ing.barrierLocked()
-		e.metrics.Flushes.Add(1)
-	}
-	ing.fanMu.Unlock()
 }
 
 // routeLocked returns the per-shard synopsis lists for a tenant's
-// stream, computing and caching them on first use. The cache is
-// invalidated whenever the synopsis set or the shard count changes.
-// Callers hold e.mu.
+// stream, computing and caching them on first use. The cache is dropped
+// whenever the synopsis set changes; the shard count is fixed for the
+// engine's life. Callers hold e.mu.
 func (e *Engine) routeLocked(tenant, streamName string, shards int) [][]*synEntry {
-	if e.routes == nil || e.routesShards != shards {
+	if e.routes == nil {
 		e.routes = make(map[nsKey][][]*synEntry)
-		e.routesShards = shards
 	}
 	key := nsKey{tenant, streamName}
 	if r, ok := e.routes[key]; ok {
@@ -459,18 +435,16 @@ func (e *Engine) routeLocked(tenant, streamName string, shards int) [][]*synEntr
 	return r
 }
 
-// IngestSaturated reports whether the ingestion pipeline is running and
-// at least one shard queue is full. It is an admission-control probe for
-// load shedding: a server that checks it before enqueueing can return
-// 429 instead of blocking on a full queue. The answer is advisory — a
-// racing producer can fill (or a worker drain) a queue immediately after
-// the probe — so an admitted batch may still block briefly; what the
-// probe guarantees is that a saturated pipeline is detected without
-// touching the queues.
+// IngestSaturated reports whether the ingestion pipeline has been
+// started and at least one shard queue is full. It is an
+// admission-control probe for load shedding: a server that checks it
+// before enqueueing can return 429 instead of blocking on a full queue.
+// The answer is advisory — a racing producer can fill (or a worker
+// drain) a queue immediately after the probe — so an admitted batch may
+// still block briefly; what the probe guarantees is that a saturated
+// pipeline is detected without touching the queues.
 func (e *Engine) IngestSaturated() bool {
-	e.mu.Lock()
-	ing := e.ing
-	e.mu.Unlock()
+	ing := e.ing.Load()
 	if ing == nil {
 		return false
 	}
@@ -490,26 +464,35 @@ func (e *Engine) NoteRejected(n int64) {
 
 // IngestStats returns the ingestion pipeline counters (updates enqueued
 // and applied, batches, mean batch fill, queue depth, flushes,
-// backpressure rejections, and the lifetime updates/sec rate).
+// backpressure rejections, and the lifetime updates/sec rate) without
+// quiescing, so a request may be counted as enqueued but not yet
+// applied. Stats.Ingest is the quiesced copy.
 func (e *Engine) IngestStats() monitor.IngestSnapshot {
 	return e.metrics.Snapshot()
 }
 
-// readQuiesce drains the pipeline (if running) and acquires the locks a
-// consistent read needs: ing.fanMu exclusively (no batch mid-fan-out),
-// e.mu (map state), and the exclusive side of applyMu (no worker
-// mid-apply). The returned function releases everything.
-func (e *Engine) readQuiesce() func() {
-	e.mu.Lock()
-	ing := e.ing
-	e.mu.Unlock()
-	if ing != nil {
-		ing.fanMu.Lock()
-		if !ing.closed {
-			ing.barrierLocked()
-			e.metrics.Flushes.Add(1)
-		}
+// quiesce takes ing.fanMu exclusively, so no request is mid-admission
+// or mid-fan-out, and drains every worker queue. It returns the pipeline
+// whose fanMu the caller must unlock, or nil if none was started.
+func (e *Engine) quiesce() *ingester {
+	ing := e.ing.Load()
+	if ing == nil {
+		return nil
 	}
+	ing.fanMu.Lock()
+	if !ing.closed {
+		ing.barrierLocked()
+		e.metrics.Flushes.Add(1)
+	}
+	return ing
+}
+
+// readQuiesce drains the pipeline and acquires the locks a consistent
+// read needs: ing.fanMu exclusively (quiesce), e.mu (map state), and the
+// exclusive side of applyMu (no worker mid-apply). It is the only taker
+// of applyMu's write side. The returned function releases everything.
+func (e *Engine) readQuiesce() func() {
+	ing := e.quiesce()
 	e.mu.Lock()
 	e.applyMu.Lock()
 	return func() {

@@ -3,28 +3,33 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
 	"skimsketch/internal/core"
 	"skimsketch/internal/stream"
+	"skimsketch/internal/window"
 	"skimsketch/internal/workload"
 )
+
+// small is the predicate ingestTestEngine registers for query "qp".
+func small(v uint64, _ int64) bool { return v < 512 }
 
 // ingestTestEngine builds an engine with streams F and G, a plain COUNT
 // query, a predicated query and a windowed query, so batches exercise
 // every synopsis flavour (sketch, predicate-filtered sketch, window).
-func ingestTestEngine(t *testing.T) *Engine {
+func ingestTestEngine(t *testing.T, cfg IngestConfig) *Engine {
 	t.Helper()
-	e := mustEngine(t)
+	e := startEngine(t, defaultOpts(), cfg)
 	if err := e.DeclareStream("F", 1024); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.DeclareStream("G", 1024); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RegisterPredicate("small", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
+	if err := e.RegisterPredicate("small", small); err != nil {
 		t.Fatal(err)
 	}
 	for _, spec := range []QuerySpec{
@@ -53,83 +58,94 @@ func ingestWorkload(t *testing.T, n int) (fs, gs []stream.Update) {
 	return workload.MakeStream(zf, n), workload.MakeStream(zg, n)
 }
 
-// answers collects every query's estimate.
-func answers(t *testing.T, e *Engine) map[string]int64 {
+// modelBlob is the reference a served synopsis must match byte for
+// byte: the updates folded one at a time, in order, through pred (nil
+// accepts all) into a fresh synopsis with the engine's seeds — a
+// core.HashSketch, or for a windowed side a window rolled up by
+// Combined, as QuerySketches serves it.
+func modelBlob(t *testing.T, side Side, pred Predicate, updates []stream.Update) string {
 	t.Helper()
-	out := make(map[string]int64)
-	for _, q := range e.Queries() {
-		a, err := e.Answer(q)
+	cfg := defaultOpts().SketchConfig
+	var fold func(v uint64, w int64)
+	var served func() *core.HashSketch
+	if side.WindowLen > 0 {
+		win, err := window.New(side.WindowLen, side.WindowBuckets, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[q] = a.Estimate
+		fold, served = win.Update, win.Combined
+	} else {
+		sk, err := core.NewHashSketch(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fold, served = sk.Update, func() *core.HashSketch { return sk }
 	}
-	return out
+	for _, u := range updates {
+		if pred == nil || pred(u.Value, u.Weight) {
+			fold(u.Value, u.Weight)
+		}
+	}
+	return blob(t, served())
+}
+
+// checkModel compares a query's served synopsis pair with its model.
+func checkModel(t *testing.T, tn *Tenant, query string, left, right string) {
+	t.Helper()
+	qs, err := tn.QuerySketches(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blob(t, qs.Left) != left {
+		t.Errorf("query %s: left synopsis differs from the model", query)
+	}
+	if blob(t, qs.Right) != right {
+		t.Errorf("query %s: right synopsis differs from the model", query)
+	}
 }
 
 // TestIngestBatchSequentialEquivalence pins the exactness guarantee at
-// the engine level: per-element Update, synchronous IngestBatch, and the
-// concurrent pipeline must all produce identical answers for every query
-// flavour.
+// the engine level against a model: for every pipeline shape, batched
+// and sharded ingest leave every synopsis flavour byte-equal to the same
+// updates folded one at a time into fresh synopses.
 func TestIngestBatchSequentialEquivalence(t *testing.T) {
 	const n = 6000
 	fs, gs := ingestWorkload(t, n)
-
-	seq := ingestTestEngine(t)
-	for _, u := range fs {
-		if err := seq.Update("F", u.Value, u.Weight); err != nil {
-			t.Fatal(err)
+	g := modelBlob(t, Side{}, nil, gs)
+	want := map[string]string{
+		"q":  modelBlob(t, Side{}, nil, fs),
+		"qp": modelBlob(t, Side{}, small, fs),
+		"qw": modelBlob(t, Side{WindowLen: 4000, WindowBuckets: 4}, nil, fs),
+	}
+	for workers := 1; workers <= 4; workers++ {
+		for _, bs := range []int{1, 13, 64} {
+			t.Run(fmt.Sprintf("workers=%d/batch=%d", workers, bs), func(t *testing.T) {
+				e := ingestTestEngine(t, IngestConfig{Workers: workers, BatchSize: bs, QueueDepth: 8})
+				const chunk = 97 // deliberately not a divisor of n
+				for off := 0; off < n; off += chunk {
+					end := min(off+chunk, n)
+					if err := e.IngestBatch("F", fs[off:end]); err != nil {
+						t.Fatal(err)
+					}
+					if err := e.IngestBatch("G", gs[off:end]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for q, left := range want {
+					checkModel(t, e.Tenant(DefaultTenant), q, left, g)
+				}
+				st := e.IngestStats()
+				if st.UpdatesEnqueued != 2*n || st.UpdatesApplied != 2*n {
+					t.Fatalf("ingest counters enqueued=%d applied=%d, want both %d", st.UpdatesEnqueued, st.UpdatesApplied, 2*n)
+				}
+				if st.QueueDepth != 0 {
+					t.Fatalf("queue depth %d after drain, want 0", st.QueueDepth)
+				}
+				if st.Batches == 0 || st.AvgBatchFill <= 0 {
+					t.Fatalf("batch counters not populated: %+v", st)
+				}
+			})
 		}
-	}
-	for _, u := range gs {
-		if err := seq.Update("G", u.Value, u.Weight); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := answers(t, seq)
-
-	feedBatched := func(e *Engine, chunk int) {
-		for off := 0; off < n; off += chunk {
-			end := off + chunk
-			if end > n {
-				end = n
-			}
-			if err := e.IngestBatch("F", fs[off:end]); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.IngestBatch("G", gs[off:end]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	sync := ingestTestEngine(t)
-	feedBatched(sync, 97) // deliberately not a divisor of n
-	if got := answers(t, sync); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("synchronous IngestBatch answers %v != sequential %v", got, want)
-	}
-
-	pipe := ingestTestEngine(t)
-	if err := pipe.StartIngest(IngestConfig{Workers: 4, BatchSize: 64, QueueDepth: 8}); err != nil {
-		t.Fatal(err)
-	}
-	feedBatched(pipe, 97)
-	pipe.Flush()
-	got := answers(t, pipe)
-	pipe.StopIngest()
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("pipeline answers %v != sequential %v", got, want)
-	}
-
-	st := pipe.IngestStats()
-	if st.UpdatesEnqueued != 2*n || st.UpdatesApplied != 2*n {
-		t.Fatalf("ingest counters enqueued=%d applied=%d, want both %d", st.UpdatesEnqueued, st.UpdatesApplied, 2*n)
-	}
-	if st.QueueDepth != 0 {
-		t.Fatalf("queue depth %d after drain, want 0", st.QueueDepth)
-	}
-	if st.Batches == 0 || st.AvgBatchFill <= 0 {
-		t.Fatalf("batch counters not populated: %+v", st)
 	}
 }
 
@@ -139,7 +155,7 @@ func TestIngestBatchSequentialEquivalence(t *testing.T) {
 // is exactly nF·nG (a single-value stream is estimated exactly) and any
 // lost update would change the product.
 func TestConcurrentIngestQueryStats(t *testing.T) {
-	e := mustEngine(t)
+	e := startEngine(t, defaultOpts(), IngestConfig{Workers: 4, BatchSize: 16, QueueDepth: 4})
 	if err := e.DeclareStream("F", 16); err != nil {
 		t.Fatal(err)
 	}
@@ -148,9 +164,6 @@ func TestConcurrentIngestQueryStats(t *testing.T) {
 	}
 	err := e.RegisterQuery(QuerySpec{Name: "q", Agg: Count, Left: Side{Stream: "F"}, Right: Side{Stream: "G"}})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.StartIngest(IngestConfig{Workers: 4, BatchSize: 16, QueueDepth: 4}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -216,7 +229,6 @@ func TestConcurrentIngestQueryStats(t *testing.T) {
 	close(stop)
 	readers.Wait()
 	e.Flush()
-	defer e.StopIngest()
 
 	perStream := int64(producers / 2 * batches * batchElems)
 	st := e.Stats()
@@ -243,7 +255,7 @@ func TestConcurrentIngestQueryStats(t *testing.T) {
 // distinct synopsis over F, so with >1 worker the two synopses live on
 // different shards and every batch is fanned out across workers.
 func TestSnapshotNeverTorn(t *testing.T) {
-	e := mustEngine(t)
+	e := startEngine(t, defaultOpts(), IngestConfig{Workers: 4, BatchSize: 8, QueueDepth: 2})
 	if err := e.DeclareStream("F", 16); err != nil {
 		t.Fatal(err)
 	}
@@ -258,10 +270,6 @@ func TestSnapshotNeverTorn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := e.StartIngest(IngestConfig{Workers: 4, BatchSize: 8, QueueDepth: 2}); err != nil {
-		t.Fatal(err)
-	}
-	defer e.StopIngest()
 
 	done := make(chan struct{})
 	var producers sync.WaitGroup
@@ -345,10 +353,10 @@ func TestIngestValidation(t *testing.T) {
 }
 
 // TestStartStopIngest checks the pipeline lifecycle: double-start fails,
-// stop drains, stop twice is a no-op, and ingestion keeps working
-// synchronously after a stop.
+// stop drains, stop twice is a no-op, ingestion is refused after a stop,
+// and the synopses stay readable.
 func TestStartStopIngest(t *testing.T) {
-	e := mustEngine(t)
+	e := idleEngine(t, defaultOpts())
 	if err := e.DeclareStream("F", 8); err != nil {
 		t.Fatal(err)
 	}
@@ -372,23 +380,23 @@ func TestStartStopIngest(t *testing.T) {
 	if got := e.IngestStats().UpdatesApplied; got != 2 {
 		t.Fatalf("applied %d updates after stop, want 2", got)
 	}
-	// Synchronous ingestion still works.
-	if err := e.IngestBatch("F", []stream.Update{stream.Insert(3)}); err != nil {
-		t.Fatal(err)
+	if err := e.IngestBatch("F", []stream.Update{stream.Insert(3)}); !errors.Is(err, ErrNotIngesting) {
+		t.Fatalf("ingest after stop: %v, want ErrNotIngesting", err)
 	}
 	a, err := e.Answer("q")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Estimate != 9 { // f_3 = 3, self join = 9, single value is exact
-		t.Fatalf("estimate %d, want 9", a.Estimate)
+	if a.Estimate != 4 { // f_3 = 2, self join = 4, single value is exact
+		t.Fatalf("estimate %d, want 4", a.Estimate)
 	}
 }
 
-// TestUnroutedUpdatesCounted pins one meaning for the ingest counters on
-// every ingest path: an update to a declared stream that no query listens
-// to is counted as unrouted, never as applied, so after a flush
-// enqueued == applied + unrouted — and listened updates are all applied.
+// TestUnroutedUpdatesCounted pins one meaning for the ingest counters:
+// an update to a declared stream that no query listens to is counted as
+// unrouted, never as applied, so after a flush enqueued == applied +
+// unrouted — and listened updates are all applied. A request refused
+// because no pipeline runs counts nothing.
 func TestUnroutedUpdatesCounted(t *testing.T) {
 	groups := []stream.Group{
 		{Name: "F", Updates: []stream.Update{stream.Insert(1), stream.Insert(2), stream.Insert(3), stream.Insert(4), stream.Insert(5)}},
@@ -397,52 +405,54 @@ func TestUnroutedUpdatesCounted(t *testing.T) {
 		{Name: "U", Updates: []stream.Update{stream.Insert(6), stream.Insert(7), stream.Insert(8), stream.Insert(9)}},
 	}
 	const listened, unlistened = 9, 9
+	start := func(t *testing.T, e *Engine) {
+		if err := e.StartIngest(IngestConfig{Workers: 2, BatchSize: 2, QueueDepth: 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingest := func(t *testing.T, e *Engine) {
+		if err := e.IngestGroups(groups, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		feed func(t *testing.T, e *Engine)
 	}{
 		{"Update", func(t *testing.T, e *Engine) {
+			// One element per request.
+			start(t, e)
 			for _, g := range groups {
 				for _, u := range g.Updates {
-					if err := e.Update(g.Name, u.Value, u.Weight); err != nil {
-						t.Fatal(err)
-					}
+					update(t, e, g.Name, u.Value, u.Weight)
 				}
 			}
 		}},
 		{"synchronous IngestGroups", func(t *testing.T, e *Engine) {
-			if err := e.IngestGroups(groups, nil); err != nil {
-				t.Fatal(err)
+			// Refused before StartIngest, admitted after.
+			if err := e.IngestGroups(groups, nil); !errors.Is(err, ErrNotIngesting) {
+				t.Fatalf("IngestGroups before StartIngest: %v, want ErrNotIngesting", err)
 			}
+			start(t, e)
+			ingest(t, e)
 		}},
 		{"pipeline", func(t *testing.T, e *Engine) {
-			if err := e.StartIngest(IngestConfig{Workers: 2, BatchSize: 2, QueueDepth: 4}); err != nil {
-				t.Fatal(err)
-			}
-			defer e.StopIngest()
-			if err := e.IngestGroups(groups, nil); err != nil {
-				t.Fatal(err)
-			}
+			start(t, e)
+			ingest(t, e)
 			e.Flush()
 		}},
 		{"stopped-pipeline fallback", func(t *testing.T, e *Engine) {
-			// StopIngest won the race between admission and enqueue:
-			// admit each group by hand, then enqueue into a closed
-			// pipeline, which applies inline.
-			ing := &ingester{closed: true}
-			for _, g := range groups {
-				e.mu.Lock()
-				route := e.routeLocked(DefaultTenant, g.Name, 2)
-				ts := e.tenantLocked(DefaultTenant)
-				e.mu.Unlock()
-				e.metrics.UpdatesEnqueued.Add(int64(len(g.Updates)))
-				ts.pending.Add(int64(len(g.Updates)))
-				ing.enqueue(e, ts, route, g.Updates, nil)
+			// StopIngest drains what was admitted and refuses the rest.
+			start(t, e)
+			ingest(t, e)
+			e.StopIngest()
+			if err := e.IngestGroups(groups, nil); !errors.Is(err, ErrNotIngesting) {
+				t.Fatalf("IngestGroups after StopIngest: %v, want ErrNotIngesting", err)
 			}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := mustEngine(t)
+			e := idleEngine(t, defaultOpts())
 			for _, s := range []string{"F", "G", "U"} {
 				if err := e.DeclareStream(s, 16); err != nil {
 					t.Fatal(err)
@@ -452,7 +462,7 @@ func TestUnroutedUpdatesCounted(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.feed(t, e)
-			st := e.IngestStats()
+			st := e.Stats().Ingest
 			if st.UpdatesEnqueued != listened+unlistened || st.UpdatesApplied != listened || st.UpdatesUnrouted != unlistened {
 				t.Fatalf("enqueued=%d applied=%d unrouted=%d, want %d = %d + %d",
 					st.UpdatesEnqueued, st.UpdatesApplied, st.UpdatesUnrouted, listened+unlistened, listened, unlistened)
@@ -461,5 +471,64 @@ func TestUnroutedUpdatesCounted(t *testing.T) {
 				t.Fatalf("pending gauge %d after flush, want 0", p)
 			}
 		})
+	}
+}
+
+// TestStatsReconcileUnderIngest: every quiesced Stats read sees each
+// multi-group request whole, so while producers on several goroutines
+// ingest into several tenants, every read reconciles exactly — enqueued
+// == applied + unrouted, and no tenant has an update pending.
+func TestStatsReconcileUnderIngest(t *testing.T) {
+	e := startEngine(t, defaultOpts(), IngestConfig{Workers: 2, BatchSize: 4, QueueDepth: 2})
+	tenants := []string{DefaultTenant, "a", "b"}
+	for _, name := range tenants {
+		tn := e.Tenant(name)
+		setupTenant(t, tn)
+		if err := tn.DeclareStream("U", 1024); err != nil { // unrouted
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < 4; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			tn := e.Tenant(tenants[p%len(tenants)])
+			for i := 0; i < 200; i++ {
+				v := uint64(i*31+p) % 1024
+				if err := tn.IngestGroups([]stream.Group{
+					{Name: "F", Updates: sameValueBatch(i%7+1, v)},
+					{Name: "U", Updates: sameValueBatch(3, v)},
+					{Name: "G", Updates: sameValueBatch(i%5+1, v)},
+				}, nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(p)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	defer func() { <-done }() // no producer outlives the test
+	for reads := 0; ; reads++ {
+		st := e.Stats()
+		in := st.Ingest
+		if in.UpdatesEnqueued != in.UpdatesApplied+in.UpdatesUnrouted {
+			t.Fatalf("read %d: enqueued %d != applied %d + unrouted %d",
+				reads, in.UpdatesEnqueued, in.UpdatesApplied, in.UpdatesUnrouted)
+		}
+		for name, ts := range st.Tenants {
+			if ts.PendingUpdates != 0 {
+				t.Fatalf("read %d: tenant %q has %d updates pending", reads, name, ts.PendingUpdates)
+			}
+		}
+		select {
+		case <-done:
+			if in.UpdatesEnqueued == 0 {
+				t.Fatal("no update ingested")
+			}
+			return
+		default:
+		}
 	}
 }

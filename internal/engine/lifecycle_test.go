@@ -1,41 +1,74 @@
 package engine
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
 	"skimsketch/internal/stream"
 )
 
-// Regression tests for the shutdown path: sketchd's graceful exit calls
-// Flush and StopIngest unconditionally, so both must be safe no-ops on
-// an engine whose pipeline was never started, already stopped, or is
-// being stopped concurrently.
+// Regression tests for the pipeline lifecycle: sketchd's graceful exit
+// calls Flush and StopIngest unconditionally, so both must be safe
+// no-ops on an engine whose pipeline was never started, already
+// stopped, or is being stopped concurrently; and ingest outside the
+// pipeline's life is refused without counting anything.
+
+// counters is the part of the ingest snapshot that moves only when an
+// update is admitted, applied or refused.
+func counters(e *Engine) [5]int64 {
+	s := e.IngestStats()
+	return [5]int64{s.UpdatesEnqueued, s.UpdatesApplied, s.UpdatesUnrouted, s.Batches, s.Rejected}
+}
+
+// refused asserts that an ingest request fails with ErrNotIngesting and
+// leaves every ingest counter and the stream's count unchanged.
+func refused(t *testing.T, e *Engine) {
+	t.Helper()
+	before, count := counters(e), e.Stats().UpdateCounts["F"]
+	if err := e.IngestBatch("F", []stream.Update{stream.Insert(1)}); !errors.Is(err, ErrNotIngesting) {
+		t.Fatalf("IngestBatch without a running pipeline: %v, want ErrNotIngesting", err)
+	}
+	if after := counters(e); after != before {
+		t.Fatalf("refused batch moved the ingest counters: %v -> %v", before, after)
+	}
+	if got := e.Stats().UpdateCounts["F"]; got != count {
+		t.Fatalf("refused batch counted on F: %d -> %d", count, got)
+	}
+}
 
 func TestStopFlushNeverStartedPipeline(t *testing.T) {
-	e := mustEngine(t)
+	e := idleEngine(t, defaultOpts())
 	if err := e.DeclareStream("F", 8); err != nil {
 		t.Fatal(err)
 	}
-	// None of these may panic or block on an engine started without a
-	// pipeline (sketchd without -ingest.workers).
+	// None of these may panic or block on an engine whose pipeline was
+	// never started.
 	e.StopIngest()
 	e.Flush()
 	e.StopIngest()
 	if e.IngestSaturated() {
 		t.Fatal("a pipeline that does not exist cannot be saturated")
 	}
+	refused(t, e)
+
+	// After a stop, ingest is refused the same way.
+	if err := e.StartIngest(IngestConfig{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
 	if err := e.IngestBatch("F", []stream.Update{stream.Insert(1)}); err != nil {
 		t.Fatal(err)
+	}
+	e.StopIngest()
+	refused(t, e)
+	if got := e.IngestStats().UpdatesEnqueued; got != 1 {
+		t.Fatalf("enqueued %d updates, want 1", got)
 	}
 }
 
 func TestFlushAfterStopIsNoOp(t *testing.T) {
 	e := mustEngine(t)
 	if err := e.DeclareStream("F", 8); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.StartIngest(IngestConfig{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.IngestBatch("F", []stream.Update{stream.Insert(1)}); err != nil {
@@ -53,15 +86,12 @@ func TestFlushAfterStopIsNoOp(t *testing.T) {
 // TestConcurrentStopStop races StopIngest with itself and with Flush;
 // exactly one stop wins and nothing panics. Run with -race.
 func TestConcurrentStopStop(t *testing.T) {
-	e := mustEngine(t)
+	e := startEngine(t, defaultOpts(), IngestConfig{Workers: 2, BatchSize: 8})
 	if err := e.DeclareStream("F", 64); err != nil {
 		t.Fatal(err)
 	}
 	err := e.RegisterQuery(QuerySpec{Name: "q", Agg: Count, Left: Side{Stream: "F"}, Right: Side{Stream: "F"}})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.StartIngest(IngestConfig{Workers: 2, BatchSize: 8}); err != nil {
 		t.Fatal(err)
 	}
 	const n = 2000
@@ -93,8 +123,9 @@ func TestConcurrentStopStop(t *testing.T) {
 	}
 }
 
-// TestRestartIngestAfterStop: the pipeline can be started again after a
-// stop, and the synopses carry over.
+// TestRestartIngestAfterStop: a stopped pipeline cannot be started
+// again — the shard count is fixed for the engine's life — and the
+// synopses stay readable.
 func TestRestartIngestAfterStop(t *testing.T) {
 	e := mustEngine(t)
 	if err := e.DeclareStream("F", 8); err != nil {
@@ -104,26 +135,20 @@ func TestRestartIngestAfterStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.StartIngest(IngestConfig{Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.IngestBatch("F", []stream.Update{stream.Insert(3)}); err != nil {
-		t.Fatal(err)
-	}
-	e.StopIngest()
-	if err := e.StartIngest(IngestConfig{Workers: 3}); err != nil {
-		t.Fatal(err)
-	}
 	if err := e.IngestBatch("F", []stream.Update{stream.Insert(3), stream.Insert(3)}); err != nil {
 		t.Fatal(err)
 	}
 	e.StopIngest()
+	if err := e.StartIngest(IngestConfig{Workers: 3}); err == nil {
+		t.Fatal("StartIngest after StopIngest succeeded")
+	}
+	refused(t, e)
 	a, err := e.Answer("q")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Estimate != 9 { // f_3 = 3 across both pipeline generations
-		t.Fatalf("estimate %d, want 9", a.Estimate)
+	if a.Estimate != 4 { // f_3 = 2, self join = 4, single value is exact
+		t.Fatalf("estimate %d, want 4", a.Estimate)
 	}
 }
 
@@ -132,7 +157,7 @@ func TestRestartIngestAfterStop(t *testing.T) {
 // depth-1 queue, and the probe must report it. Releasing the gate drains
 // everything and the probe clears.
 func TestIngestSaturated(t *testing.T) {
-	e := mustEngine(t)
+	e := idleEngine(t, defaultOpts())
 	if err := e.DeclareStream("F", 8); err != nil {
 		t.Fatal(err)
 	}

@@ -67,16 +67,12 @@ func TestAnswerCacheHitAndInvalidation(t *testing.T) {
 	}
 
 	// An update to the LEFT side invalidates.
-	if err := e.Update("F", 3, 1); err != nil {
-		t.Fatal(err)
-	}
+	update(t, e, "F", 3, 1)
 	if _, err := e.Answer("q"); err != nil {
 		t.Fatal(err)
 	}
 	// An update to the RIGHT side invalidates too.
-	if err := e.Update("G", 3, 1); err != nil {
-		t.Fatal(err)
-	}
+	update(t, e, "G", 3, 1)
 	if _, err := e.Answer("q"); err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +136,7 @@ func TestAnswerParallelMatchesSequential(t *testing.T) {
 	build := func(workers int) Answer {
 		opts := defaultOpts()
 		opts.QueryWorkers = workers
-		e, err := New(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := startEngine(t, opts, IngestConfig{Workers: 2})
 		declareFG(t, e, 1<<14)
 		if err := e.IngestBatch("F", zipfBatch(t, 1<<14, 20000, 5)); err != nil {
 			t.Fatal(err)
@@ -208,15 +201,8 @@ func TestValidateBatch(t *testing.T) {
 func TestIngestProceedsDuringAnswer(t *testing.T) {
 	const domain = 1 << 20
 	opts := Options{SketchConfig: core.Config{Tables: 5, Buckets: 1024, Seed: 7}}
-	e, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := startEngine(t, opts, IngestConfig{Workers: 4})
 	declareFG(t, e, domain)
-	if err := e.StartIngest(IngestConfig{Workers: 4}); err != nil {
-		t.Fatal(err)
-	}
-	defer e.StopIngest()
 	if err := e.IngestBatch("F", zipfBatch(t, domain, 50000, 1)); err != nil {
 		t.Fatal(err)
 	}

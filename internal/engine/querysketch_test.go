@@ -11,10 +11,8 @@ import (
 
 func newSketchTestEngine(t *testing.T) *Engine {
 	t.Helper()
-	e, err := New(Options{SketchConfig: core.Config{Tables: 5, Buckets: 128, Seed: 11}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := startEngine(t, Options{SketchConfig: core.Config{Tables: 5, Buckets: 128, Seed: 11}},
+		IngestConfig{Workers: 2, BatchSize: 8, QueueDepth: 4})
 	if err := e.DeclareStream("F", 1024); err != nil {
 		t.Fatal(err)
 	}
@@ -39,12 +37,8 @@ func blob(t *testing.T, sk *core.HashSketch) string {
 func TestQuerySketchesSnapshotIsPrivate(t *testing.T) {
 	e := newSketchTestEngine(t)
 	for v := uint64(0); v < 100; v++ {
-		if err := e.Update("F", v, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Update("G", v%10, 1); err != nil {
-			t.Fatal(err)
-		}
+		update(t, e, "F", v, 1)
+		update(t, e, "G", v%10, 1)
 	}
 	tn := e.Tenant(DefaultTenant)
 	qs, err := tn.QuerySketches("q")
@@ -92,12 +86,8 @@ func TestQuerySketchesMergeAcrossEngines(t *testing.T) {
 	whole := newSketchTestEngine(t)
 	parts := []*Engine{newSketchTestEngine(t), newSketchTestEngine(t), newSketchTestEngine(t)}
 	feed := func(streamName string, v uint64, w int64) {
-		if err := whole.Update(streamName, v, w); err != nil {
-			t.Fatal(err)
-		}
-		if err := parts[v%3].Update(streamName, v, w); err != nil {
-			t.Fatal(err)
-		}
+		update(t, whole, streamName, v, w)
+		update(t, parts[v%3], streamName, v, w)
 	}
 	for v := uint64(0); v < 600; v++ {
 		feed("F", v%512, 1)
@@ -142,14 +132,10 @@ func TestQuerySketchesMergeAcrossEngines(t *testing.T) {
 	}
 }
 
-// TestQuerySketchesDrainsPipeline: with the concurrent pipeline running,
-// a snapshot must reflect every batch enqueued before the call.
+// TestQuerySketchesDrainsPipeline: a snapshot must reflect every batch
+// enqueued before the call.
 func TestQuerySketchesDrainsPipeline(t *testing.T) {
 	e := newSketchTestEngine(t)
-	if err := e.StartIngest(IngestConfig{Workers: 2, BatchSize: 8, QueueDepth: 4}); err != nil {
-		t.Fatal(err)
-	}
-	defer e.StopIngest()
 	batch := make([]stream.Update, 50)
 	for v := range batch {
 		batch[v] = stream.Update{Value: uint64(v), Weight: 1}

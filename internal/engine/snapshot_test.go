@@ -38,12 +38,8 @@ func buildLoadedEngine(t *testing.T) *Engine {
 	zf, _ := workload.NewZipf(1024, 1.2, 1)
 	zg, _ := workload.NewZipf(1024, 1.2, 2)
 	for i := 0; i < 5000; i++ {
-		if err := e.Update("F", zf.Next(), 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Update("G", zg.Next(), 1); err != nil {
-			t.Fatal(err)
-		}
+		update(t, e, "F", zf.Next(), 1)
+		update(t, e, "G", zg.Next(), 1)
 	}
 	return e
 }
@@ -86,10 +82,10 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 
 	// The restored engine keeps working: further updates shift answers in
 	// both engines identically.
-	orig.Update("F", 3, 100)
-	restored.Update("F", 3, 100)
-	orig.Update("G", 3, 7)
-	restored.Update("G", 3, 7)
+	update(t, orig, "F", 3, 100)
+	update(t, restored, "F", 3, 100)
+	update(t, orig, "G", 3, 7)
+	update(t, restored, "G", 3, 7)
 	a, _ := orig.Answer("plain")
 	b, _ := restored.Answer("plain")
 	if a.Estimate != b.Estimate {

@@ -99,19 +99,6 @@ func (e *Engine) SetQuota(tenant string, q Quota) error {
 	return nil
 }
 
-// TenantNames returns every tenant namespace with any state, sorted.
-func (e *Engine) TenantNames() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	set := e.tenantNamesLocked()
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // TenantStats is the per-tenant slice of Stats plus the tenant's quota
 // and quota-relevant gauges.
 type TenantStats struct {
@@ -260,41 +247,6 @@ func (t *Tenant) RemoveQuery(name string) error {
 	delete(e.queries, qk)
 	delete(e.answers, qk)
 	e.watches.Remove(watchKey(t.name, name))
-	return nil
-}
-
-// Update routes one stream element to every synopsis attached to the
-// tenant's stream.
-func (t *Tenant) Update(streamName string, value uint64, weight int64) error {
-	e := t.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	key := nsKey{t.name, streamName}
-	info, ok := e.streams[key]
-	if !ok {
-		return fmt.Errorf("engine: unknown stream %q", streamName)
-	}
-	if value >= info.domain {
-		return fmt.Errorf("engine: stream %q: value %d outside domain [0,%d)", streamName, value, info.domain)
-	}
-	info.count++
-	e.metrics.UpdatesEnqueued.Add(1)
-	// Take the exclusive apply lock so a single update is serialized with
-	// both the shard workers and the readers.
-	listened := false
-	e.applyMu.Lock()
-	for _, entry := range e.synopses {
-		if entry.key.tenant == t.name && entry.key.stream == streamName {
-			entry.update(value, weight)
-			listened = true
-		}
-	}
-	e.applyMu.Unlock()
-	if listened {
-		e.metrics.UpdatesApplied.Add(1)
-	} else {
-		e.metrics.UpdatesUnrouted.Add(1)
-	}
 	return nil
 }
 

@@ -35,12 +35,8 @@ func feedTenant(t *testing.T, tn *Tenant, n int, seed int64) {
 	zf, _ := workload.NewZipf(1024, 1.2, seed)
 	zg, _ := workload.NewZipf(1024, 1.2, seed+1)
 	for i := 0; i < n; i++ {
-		if err := tn.Update("F", zf.Next(), 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := tn.Update("G", zg.Next(), 1); err != nil {
-			t.Fatal(err)
-		}
+		update(t, tn, "F", zf.Next(), 1)
+		update(t, tn, "G", zg.Next(), 1)
 	}
 }
 
@@ -83,9 +79,7 @@ func TestTenantIsolationSameNames(t *testing.T) {
 
 	// Updating bob must invalidate bob's cache entry only: alice keeps
 	// hitting hers, bob re-estimates.
-	if err := bob.Update("F", 3, 1); err != nil {
-		t.Fatal(err)
-	}
+	update(t, bob, "F", 3, 1)
 	if _, err := alice.Answer("q"); err != nil {
 		t.Fatal(err)
 	}
@@ -134,9 +128,7 @@ func TestDefaultTenantBackCompat(t *testing.T) {
 	if err := def.DeclareStream("F", 64); err == nil {
 		t.Fatal("default-tenant handle sees a different namespace than the flat API")
 	}
-	if err := e.Update("F", 7, 1); err != nil {
-		t.Fatal(err)
-	}
+	update(t, e, "F", 7, 1)
 	st := e.Stats()
 	if st.UpdateCounts["F"] != 1 {
 		t.Fatalf("default tenant update counts keyed %v, want bare \"F\"", st.UpdateCounts)
@@ -221,17 +213,13 @@ func TestTenantMemoryQuota(t *testing.T) {
 }
 
 func TestTenantQueueShareQuota(t *testing.T) {
-	e := mustEngine(t)
+	e := startEngine(t, defaultOpts(), IngestConfig{Workers: 2, BatchSize: 4, QueueDepth: 4})
 	capped, free := e.Tenant("capped"), e.Tenant("free")
 	setupTenant(t, capped)
 	setupTenant(t, free)
 	if err := e.SetQuota("capped", Quota{MaxPendingUpdates: 8}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.StartIngest(IngestConfig{Workers: 2, BatchSize: 4, QueueDepth: 4}); err != nil {
-		t.Fatal(err)
-	}
-	defer e.StopIngest()
 
 	big := make([]stream.Update, 100)
 	for i := range big {
@@ -438,11 +426,6 @@ func TestV1RestoreReplayTailBitIdentical(t *testing.T) {
 	}
 
 	// Replay the same tail through BOTH engines' concurrent pipelines.
-	for _, e := range []*Engine{solid, restored} {
-		if err := e.StartIngest(IngestConfig{Workers: 4, BatchSize: 32, QueueDepth: 8}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	zf, _ := workload.NewZipf(1024, 1.1, 77)
 	zg, _ := workload.NewZipf(1024, 1.1, 78)
 	for i := 0; i < 40; i++ {
@@ -460,9 +443,6 @@ func TestV1RestoreReplayTailBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-	}
-	for _, e := range []*Engine{solid, restored} {
-		e.StopIngest()
 	}
 	for _, q := range solid.Queries() {
 		a, err := solid.Answer(q)
@@ -512,8 +492,8 @@ func TestWatchHysteresisThroughEngine(t *testing.T) {
 	}
 	// Drive the self-join mass over High.
 	for i := 0; i < 20; i++ {
-		tn.Update("F", 1, 1)
-		tn.Update("G", 1, 1)
+		update(t, tn, "F", 1, 1)
+		update(t, tn, "G", 1, 1)
 	}
 	if !eval() {
 		t.Fatal("estimate over High did not raise the alert")

@@ -194,11 +194,10 @@ type Server struct {
 	// draining flips once shutdown begins; /healthz then answers 503 so
 	// load balancers and harnesses stop sending new work.
 	draining atomic.Bool
-	// latMu guards updateLat, the histogram of /update handling latency
-	// (monotonic, 429s and malformed requests included) that load
-	// harnesses reconcile their own measurements against.
-	latMu     sync.Mutex
-	updateLat stats.Histogram
+	// updateLat is the histogram of /update handling latency (429s and
+	// malformed requests included) that load harnesses reconcile their
+	// own measurements against.
+	updateLat latency
 	// sksp is the SKSP listener, if Listen attached one before serving.
 	sksp *Listener
 }
@@ -473,12 +472,7 @@ func (s *Server) update(w http.ResponseWriter, r *http.Request) {
 	// Every outcome, 429s and malformed requests included, is timed: the
 	// request count a harness reconciles against is requests, not
 	// successes.
-	t0 := time.Now()
-	defer func() {
-		s.latMu.Lock()
-		s.updateLat.Record(int64(time.Since(t0)))
-		s.latMu.Unlock()
-	}()
+	defer s.updateLat.since(time.Now())
 	key, err := parseIdempotencyKey(r.Header.Get("Idempotency-Key"))
 	if err != nil {
 		writeErr(w, err, http.StatusBadRequest)
@@ -634,26 +628,46 @@ func (s *Server) sketch(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(blob)
 }
 
+// latency is a goroutine-safe histogram of handling latencies on the
+// monotonic clock, one sample per handled request or frame.
+type latency struct {
+	mu sync.Mutex
+	h  stats.Histogram
+}
+
+// since records the time elapsed since t0.
+func (l *latency) since(t0 time.Time) {
+	d := int64(time.Since(t0))
+	l.mu.Lock()
+	l.h.Record(d)
+	l.mu.Unlock()
+}
+
+// render is the /stats form of the histogram.
+func (l *latency) render() map[string]any {
+	l.mu.Lock()
+	h := l.h // histograms are values: this is a copy
+	l.mu.Unlock()
+	return map[string]any{
+		"count":  h.Count(),
+		"meanNs": h.Mean(),
+		"minNs":  h.Min(),
+		"maxNs":  h.Max(),
+		"p50Ns":  stats.Quantile(&h, 0.50),
+		"p95Ns":  stats.Quantile(&h, 0.95),
+		"p99Ns":  stats.Quantile(&h, 0.99),
+		"p999Ns": stats.Quantile(&h, 0.999),
+	}
+}
+
 // stats serves the backend's counters; unscoped, it adds the surface's
 // own: the /update latency histogram and uptime, both on the monotonic
-// clock, and the SKSP listener's counters.
+// clock, and the SKSP listener's counters and frame latency histogram.
 func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 	tenant := urlTenant(r)
 	st, err := s.b.Stats(r.Context(), tenant)
 	if err == nil && tenant == "" {
-		s.latMu.Lock()
-		h := s.updateLat // histograms are values: this is a copy
-		s.latMu.Unlock()
-		st["updateLatency"] = map[string]any{
-			"count":  h.Count(),
-			"meanNs": h.Mean(),
-			"minNs":  h.Min(),
-			"maxNs":  h.Max(),
-			"p50Ns":  stats.Quantile(&h, 0.50),
-			"p95Ns":  stats.Quantile(&h, 0.95),
-			"p99Ns":  stats.Quantile(&h, 0.99),
-			"p999Ns": stats.Quantile(&h, 0.999),
-		}
+		st["updateLatency"] = s.updateLat.render()
 		st["uptimeSeconds"] = time.Since(s.start).Seconds()
 		if s.sksp != nil {
 			st["stream"] = s.sksp.stats()

@@ -54,6 +54,9 @@ type Listener struct {
 	// Duplicates replayed frames, Rejected REJECT frames and Errors
 	// ERROR frames plus dropped malformed frames.
 	ConnsTotal, ConnsOpen, Frames, Updates, Duplicates, Rejected, Errors atomic.Int64
+	// frameLat times every handled frame, whatever its response, so its
+	// count equals Frames.
+	frameLat latency
 }
 
 // Listen attaches an SKSP listener on ln to the server, whose /stats
@@ -146,6 +149,7 @@ func (l *Listener) serveConn(nc net.Conn) {
 // handleData decodes and admits one DATA frame, writing exactly one
 // response frame. Returns false to drop the connection.
 func (l *Listener) handleData(payload []byte, w *wire.Writer) bool {
+	defer l.frameLat.since(time.Now())
 	d := l.pool.Get().(*wire.Data)
 	if err := wire.DecodeData(payload, d); err != nil {
 		// Framing passed CRC but the payload is malformed: broken peer.
@@ -203,14 +207,15 @@ func (l *Listener) reply(w *wire.Writer, write func() error) bool {
 // stats renders the counters for /stats "stream".
 func (l *Listener) stats() map[string]any {
 	return map[string]any{
-		"addr":       l.ln.Addr().String(),
-		"conns":      l.ConnsOpen.Load(),
-		"connsTotal": l.ConnsTotal.Load(),
-		"frames":     l.Frames.Load(),
-		"updates":    l.Updates.Load(),
-		"duplicates": l.Duplicates.Load(),
-		"rejected":   l.Rejected.Load(),
-		"errors":     l.Errors.Load(),
+		"addr":         l.ln.Addr().String(),
+		"conns":        l.ConnsOpen.Load(),
+		"connsTotal":   l.ConnsTotal.Load(),
+		"frames":       l.Frames.Load(),
+		"updates":      l.Updates.Load(),
+		"duplicates":   l.Duplicates.Load(),
+		"rejected":     l.Rejected.Load(),
+		"errors":       l.Errors.Load(),
+		"frameLatency": l.frameLat.render(),
 	}
 }
 

@@ -43,7 +43,7 @@ wait_ready() {
 
 start_sketchd() {
     "$BIN" -addr "$ADDR" -tables 5 -buckets 512 \
-        -ingest.workers 2 -ingest.batch 32 \
+        -ingest.workers 2 \
         -checkpoint.dir "$CKPT" -checkpoint.interval 1s &
     PID=$!
     wait_ready

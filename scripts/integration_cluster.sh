@@ -77,7 +77,7 @@ echo "== boot 3 shards + reference node"
 for port in $PORT_S0 $PORT_S1 $PORT_S2; do
     "$WORKDIR/sketchd" -role shard -addr "127.0.0.1:$port" \
         -tables 5 -buckets 512 -seed 42 \
-        -ingest.workers 2 -ingest.batch 64 -ingest.queue 16 &
+        -ingest.workers 2 &
     PIDS+=($!)
 done
 S2_PID="${PIDS[2]}"

@@ -56,6 +56,12 @@ field() {
     printf '%s' "$v"
 }
 
+# stream_section STATS_JSON -> the /stats "stream" object, its nested
+# frameLatency histogram included
+stream_section() {
+    grep -o '"stream":{[^{}]*"frameLatency":{[^}]*}[^}]*}' <<<"$1"
+}
+
 echo "== build"
 go build -o "$WORKDIR/sketchd" ./cmd/sketchd
 go build -o "$WORKDIR/streamprobe" ./cmd/streamprobe
@@ -64,10 +70,11 @@ echo "== in-process kill/replay exactly-once checks (same listener code)"
 go test -run 'TestStreamReplayDedupe|TestStreamDrainKeepsAckedFrames|TestRetryDoubleApplyThroughProxy' \
     -count=1 ./cmd/sketchd || die "stream replay/drain unit gates failed"
 
+# No -ingest.* flag: the default deployment, whose pipeline runs one
+# shard worker per CPU.
 echo "== boot sketchd with HTTP + SKSP listeners"
 "$WORKDIR/sketchd" -addr "$ADDR" -listen.stream "$STREAM_ADDR" \
-    -tables 5 -buckets 512 \
-    -ingest.workers 2 -ingest.batch 64 -ingest.queue 32 &
+    -tables 5 -buckets 512 &
 PID=$!
 wait_ready
 
@@ -105,7 +112,7 @@ for tenant in $TENANTS; do
 done
 
 ST0="$(curl -fsS "$BASE/stats")"
-SKSP_BEFORE="$(field "$(grep -o '"stream":{[^}]*}' <<<"$ST0")" updates)"
+SKSP_BEFORE="$(field "$(stream_section "$ST0")" updates)"
 [[ "$SKSP_BEFORE" -eq 0 ]] || die "stream listener counted $SKSP_BEFORE updates before any SKSP traffic"
 
 echo "== SKSP frames into both tenants ($FRAMES streamprobe frames each)"
@@ -119,12 +126,14 @@ curl -fsS -X POST "$BASE/flush" >/dev/null || die "flush failed"
 
 echo "== /stats reconciles both wire paths exactly"
 ST1="$(curl -fsS "$BASE/stats")"
-SECTION="$(grep -o '"stream":{[^}]*}' <<<"$ST1")" || die "no stream section in /stats"
+SECTION="$(stream_section "$ST1")" || die "no stream section in /stats"
 SKSP_UPDATES="$(field "$SECTION" updates)"
 SKSP_WANT=$((2 * FRAMES * 2))
 [[ "$SKSP_UPDATES" -eq "$SKSP_WANT" ]] \
     || die "listener counted $SKSP_UPDATES updates, streamprobe sent $SKSP_WANT"
 [[ "$(field "$SECTION" errors)" -eq 0 ]] || die "stream listener recorded protocol errors"
+[[ "$(field "$SECTION" count)" -eq "$(field "$SECTION" frames)" ]] \
+    || die "frameLatency timed $(field "$SECTION" count) frames, listener handled $(field "$SECTION" frames)"
 PER_STREAM=$((JSON_BATCHES * BATCH_N + FRAMES))
 for tenant in $TENANTS; do
     ST_T="$(curl -fsS "$BASE/t/$tenant/stats")" || die "$tenant stats failed"
@@ -149,7 +158,7 @@ DUP_BEFORE="$(field "$SECTION" duplicates)"
 "$WORKDIR/streamprobe" -addr "$STREAM_ADDR" -tenant t0 -client it-probe -seq 7 -replay \
     || die "streamprobe replay failed"
 ST2="$(curl -fsS "$BASE/stats")"
-SECTION2="$(grep -o '"stream":{[^}]*}' <<<"$ST2")"
+SECTION2="$(stream_section "$ST2")"
 DUP_AFTER="$(field "$SECTION2" duplicates)"
 [[ "$DUP_AFTER" -gt "$DUP_BEFORE" ]] \
     || die "replayed frame was not deduplicated (duplicates $DUP_BEFORE -> $DUP_AFTER)"

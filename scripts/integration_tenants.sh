@@ -73,7 +73,7 @@ go build -o "$WORKDIR/sketchd" ./cmd/sketchd
 
 echo "== boot sketchd (concurrent pipeline)"
 "$WORKDIR/sketchd" -addr "$ADDR" -tables 5 -buckets 512 \
-    -ingest.workers 2 -ingest.batch 64 -ingest.queue 16 &
+    -ingest.workers 2 &
 PID=$!
 wait_ready
 

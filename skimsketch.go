@@ -29,8 +29,8 @@
 //
 // The subpackages under internal/ hold the full implementation: the
 // reference and dyadic-accelerated skimming procedures, the basic AGMS
-// baseline, Count-Min and heavy-hitter synopses, workload generators and
-// the experiment harness reproducing the paper's evaluation.
+// baseline, heavy-hitter synopses, workload generators and the
+// experiment harness reproducing the paper's evaluation.
 package skimsketch
 
 import (
