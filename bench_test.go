@@ -271,12 +271,13 @@ func benchIngestEngine(b *testing.B) *engine.Engine {
 	if err != nil {
 		b.Fatal(err)
 	}
+	tn := e.Tenant(engine.DefaultTenant)
 	for _, s := range []string{"F", "G"} {
-		if err := e.DeclareStream(s, 1<<14); err != nil {
+		if err := tn.DeclareStream(s, 1<<14); err != nil {
 			b.Fatal(err)
 		}
 	}
-	err = e.RegisterQuery(engine.QuerySpec{
+	err = tn.RegisterQuery(engine.QuerySpec{
 		Name:  "q",
 		Agg:   engine.Count,
 		Left:  engine.Side{Stream: "F"},
@@ -307,6 +308,7 @@ func BenchmarkEngineIngestParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer e.StopIngest()
+	tn := e.Tenant(engine.DefaultTenant)
 	us := benchIngestStream(1 << 16)
 	b.SetBytes(16)
 	b.ResetTimer()
@@ -319,7 +321,7 @@ func BenchmarkEngineIngestParallel(b *testing.B) {
 		if lo+n > 1<<16 {
 			lo = 0
 		}
-		if err := e.IngestBatch("F", us[lo:lo+n]); err != nil {
+		if err := tn.IngestBatch("F", us[lo:lo+n]); err != nil {
 			b.Fatal(err)
 		}
 	}

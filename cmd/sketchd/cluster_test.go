@@ -92,7 +92,7 @@ func TestClusterEndToEnd(t *testing.T) {
 
 	// Seeded ingest through the merger, mirrored into a single-node
 	// reference engine.
-	ref := newEngine(t, core.Config{Tables: 5, Buckets: 256, Seed: 42}, engine.IngestConfig{Workers: 2})
+	ref := newEngine(t, core.Config{Tables: 5, Buckets: 256, Seed: 42}, engine.IngestConfig{Workers: 2}).Tenant(engine.DefaultTenant)
 	for _, name := range []string{"F", "G"} {
 		if err := ref.DeclareStream(name, 1024); err != nil {
 			t.Fatal(err)
@@ -325,6 +325,21 @@ func TestClusterUnknownQueryParity(t *testing.T) {
 		if got := pulls() - before; got > float64(len(shards)) {
 			t.Errorf("%s %s: merger pulled %v times from %d shards", row.method, row.path, got, len(shards))
 		}
+	}
+}
+
+// TestStreamNameWithSlashRefused: /stats updateCounts names tenant
+// acme's stream F "acme/F", so no stream may be declared under a name
+// with a '/': a node answers 400, and a merger relays its shards' 400.
+func TestStreamNameWithSlashRefused(t *testing.T) {
+	shards, mbase := startCluster(t, 2)
+	for _, base := range []string{shards[0], mbase} {
+		if code, body := httpJSON(t, "POST", base+"/streams", `{"name":"acme/F","domain":64}`); code != 400 {
+			t.Errorf("POST %s/streams acme/F: %d %s, want 400", base, code, body)
+		}
+	}
+	if code, body := httpJSON(t, "POST", mbase+"/t/acme/streams", `{"name":"F","domain":64}`); code != 201 {
+		t.Fatalf("POST /t/acme/streams F via merger: %d %s", code, body)
 	}
 }
 

@@ -203,11 +203,13 @@ func TestRunWithoutCheckpointDir(t *testing.T) {
 }
 
 // TestIngestTuningFlagsRemoved: the pipeline's batch size and queue
-// depth are fixed; only its worker count is a flag.
+// depth are fixed, only its worker count is a flag, and a merger has no
+// answer cache to tune. Each value parses as its old flag's type, so
+// only an undefined flag fails.
 func TestIngestTuningFlagsRemoved(t *testing.T) {
-	for _, f := range []string{"-ingest.batch", "-ingest.queue"} {
-		if _, err := parseFlags([]string{f, "8"}); err == nil {
-			t.Fatalf("%s accepted", f)
+	for _, f := range [][2]string{{"-ingest.batch", "8"}, {"-ingest.queue", "8"}, {"-cluster.epoch", "1s"}} {
+		if _, err := parseFlags(f[:]); err == nil {
+			t.Fatalf("%s accepted", f[0])
 		}
 	}
 }
@@ -232,7 +234,7 @@ func TestUpdateBackpressure429(t *testing.T) {
 	eng := newEngine(t, core.Config{Tables: 3, Buckets: 64, Seed: 1}, engine.IngestConfig{Workers: 1, BatchSize: 1, QueueDepth: 1})
 	entered := make(chan struct{}, 16)
 	gate := make(chan struct{})
-	err := eng.RegisterPredicate("gate", func(uint64, int64) bool {
+	err := eng.Tenant(engine.DefaultTenant).RegisterPredicate("gate", func(uint64, int64) bool {
 		entered <- struct{}{}
 		<-gate
 		return true
@@ -321,16 +323,17 @@ func TestServerCheckpointRoundTrip(t *testing.T) {
 		return newServer(eng), eng
 	}
 	srcSrv, srcEng := mk()
+	src := srcEng.Tenant(engine.DefaultTenant)
 	if err := srcSrv.registerRangePredicate(predicateDef{Name: "low", Min: 0, Max: 31}); err != nil {
 		t.Fatal(err)
 	}
-	if err := srcEng.DeclareStream("F", 64); err != nil {
+	if err := src.DeclareStream("F", 64); err != nil {
 		t.Fatal(err)
 	}
-	if err := srcEng.DeclareStream("G", 64); err != nil {
+	if err := src.DeclareStream("G", 64); err != nil {
 		t.Fatal(err)
 	}
-	err := srcEng.RegisterQuery(engine.QuerySpec{
+	err := src.RegisterQuery(engine.QuerySpec{
 		Name: "q", Agg: engine.Count,
 		Left:  engine.Side{Stream: "F", Predicate: "low"},
 		Right: engine.Side{Stream: "G"},
@@ -339,10 +342,10 @@ func TestServerCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 300; i++ {
-		if err := srcEng.IngestBatch("F", []stream.Update{stream.Insert(uint64(i % 64))}); err != nil {
+		if err := src.IngestBatch("F", []stream.Update{stream.Insert(uint64(i % 64))}); err != nil {
 			t.Fatal(err)
 		}
-		if err := srcEng.IngestBatch("G", []stream.Update{stream.Insert(uint64((i * 3) % 64))}); err != nil {
+		if err := src.IngestBatch("G", []stream.Update{stream.Insert(uint64((i * 3) % 64))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -355,11 +358,11 @@ func TestServerCheckpointRoundTrip(t *testing.T) {
 	if err := dstSrv.readCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want, err := srcEng.Answer("q")
+	want, err := src.Answer("q")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dstEng.Answer("q")
+	got, err := dstEng.Tenant(engine.DefaultTenant).Answer("q")
 	if err != nil {
 		t.Fatal(err)
 	}

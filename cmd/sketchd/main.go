@@ -41,23 +41,24 @@
 // sketchds named in a static JSON membership file; a merger
 // (`-role=merger -cluster.config ring.json`) serves the same API,
 // hash-routing ingest across the ring (HTTP and SKSP both), keeping
-// registrations schema-uniform by broadcast, and answering global
-// /answer by pulling each shard's slim /sketch payload and merging
-// through sketch linearity. A dead shard degrades the answer (reported
-// shard coverage + widened confidence) instead of failing it. A
-// merger's standing watches evaluate that global answer; they live in
+// registrations schema-uniform by broadcast, and answering every global
+// /answer by pulling each shard's slim /sketch payload afresh and
+// merging through sketch linearity. A dead shard degrades the answer
+// (reported shard coverage + widened confidence) instead of failing it.
+// A merger's standing watches evaluate that global answer; they live in
 // the stateless merger, so a merger restart forgets them.
 //
 // Every piece of state is scoped to a tenant namespace. The flat API
 // below operates on the "default" tenant, so single-tenant deployments
 // are unaffected; prefix any path with /t/{tenant}/ (or add ?tenant= /
-// a "tenant" body field) to scope it. All tenants share one ingest
-// pipeline and one sketch configuration; per-tenant quotas on synopsis
-// memory and ingest queue share (-tenant.max-synopsis-words,
-// -tenant.max-pending-updates, or per-tenant via POST /tenants) reject
-// over-quota requests with 429 + Retry-After. Standing watches
-// (/watches) raise hysteresis alerts on watched query estimates,
-// evaluated on demand or every -watch.interval.
+// a "tenant" body field) to scope it. Stream names may not contain '/',
+// which /stats updateCounts uses to join tenant and stream. All tenants
+// share one ingest pipeline and one sketch configuration; per-tenant
+// quotas on synopsis memory and ingest queue share
+// (-tenant.max-synopsis-words, -tenant.max-pending-updates, or
+// per-tenant via POST /tenants) reject over-quota requests with 429 +
+// Retry-After. Standing watches (/watches) raise hysteresis alerts on
+// watched query estimates, evaluated on demand or every -watch.interval.
 //
 // API (JSON bodies, JSON responses; all but /healthz, /tenants and
 // /flush also under /t/{tenant}/...):
@@ -124,7 +125,6 @@ type options struct {
 
 	role           string
 	clusterConfig  string
-	clusterEpoch   time.Duration
 	clusterTimeout time.Duration
 
 	tenantMaxWords   int
@@ -152,7 +152,6 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.qworkers, "query.workers", 0, "estimation goroutines per /answer (0 or 1 = sequential, -1 = one per CPU); answers are bit-identical for every setting")
 	fs.StringVar(&o.role, "role", "single", "process role: single (standalone), shard (cluster member; same server, conventionally with -checkpoint.dir), or merger (routes ingest across -cluster.config shards and answers global joins)")
 	fs.StringVar(&o.clusterConfig, "cluster.config", "", "merger: path to the static JSON membership file {\"shards\":[{\"name\":...,\"addr\":\"http://...\"}]}")
-	fs.DurationVar(&o.clusterEpoch, "cluster.epoch", 0, "merger: pull-cache TTL — global answers younger than this are served without re-pulling shard sketches (0 = pull fresh every answer)")
 	fs.DurationVar(&o.clusterTimeout, "cluster.timeout", 5*time.Second, "merger: deadline on every cross-node call (routing, pulls, broadcasts)")
 	fs.IntVar(&o.tenantMaxWords, "tenant.max-synopsis-words", 0, "default per-tenant synopsis memory quota in sketch words (0 = unlimited); override per tenant via POST /tenants")
 	fs.Int64Var(&o.tenantMaxPending, "tenant.max-pending-updates", 0, "default per-tenant ingest queue-share quota in pending updates (0 = unlimited); override per tenant via POST /tenants")
@@ -213,12 +212,12 @@ func run(ctx context.Context, opts options, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		m, err := cluster.NewMerger(cfg, cluster.MergerOptions{Timeout: opts.clusterTimeout, Epoch: opts.clusterEpoch})
+		m, err := cluster.NewMerger(cfg, cluster.MergerOptions{Timeout: opts.clusterTimeout})
 		if err != nil {
 			return err
 		}
 		backend = m
-		desc = fmt.Sprintf("merger: %d shards, epoch %s, timeout %s", len(cfg.Shards), opts.clusterEpoch, opts.clusterTimeout)
+		desc = fmt.Sprintf("merger: %d shards, timeout %s", len(cfg.Shards), opts.clusterTimeout)
 	default:
 		return fmt.Errorf("unknown -role %q: want single, shard, or merger", opts.role)
 	}

@@ -107,11 +107,11 @@ func TestLoadHarnessReconciliation(t *testing.T) {
 	build := func(ic engine.IngestConfig) *engine.Engine {
 		eng := newEngine(t, cfg, ic)
 		for _, s := range []string{"F", "G"} {
-			if err := eng.DeclareStream(s, domain); err != nil {
+			if err := eng.Tenant(engine.DefaultTenant).DeclareStream(s, domain); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := eng.RegisterQuery(engine.QuerySpec{
+		if err := eng.Tenant(engine.DefaultTenant).RegisterQuery(engine.QuerySpec{
 			Name: "q", Agg: engine.Count,
 			Left:  engine.Side{Stream: "F"},
 			Right: engine.Side{Stream: "G"},
@@ -140,7 +140,7 @@ func TestLoadHarnessReconciliation(t *testing.T) {
 			batch := make([]jsonUpdate, batchSize)
 			for i := range batch {
 				batch[i] = jsonUpdate{Stream: []string{"F", "G"}[r.Intn(2)], Value: zipf.Uint64(), Weight: 1}
-				if err := ref.IngestBatch(batch[i].Stream, []stream.Update{{Value: batch[i].Value, Weight: batch[i].Weight}}); err != nil {
+				if err := ref.Tenant(engine.DefaultTenant).IngestBatch(batch[i].Stream, []stream.Update{{Value: batch[i].Value, Weight: batch[i].Weight}}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -228,7 +228,7 @@ func TestLoadHarnessReconciliation(t *testing.T) {
 		t.Fatalf("engine applied %d, want %d", got, sent)
 	}
 
-	want, err := ref.Answer("q")
+	want, err := ref.Tenant(engine.DefaultTenant).Answer("q")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,9 +249,10 @@ func TestLoadHarnessReconciliation(t *testing.T) {
 // count.
 func TestLoadgenClientBackoffOn429(t *testing.T) {
 	eng := newEngine(t, core.Config{Tables: 3, Buckets: 64, Seed: 1}, engine.IngestConfig{Workers: 1, BatchSize: 1, QueueDepth: 1})
+	tn := eng.Tenant(engine.DefaultTenant)
 	entered := make(chan struct{}, 16)
 	gate := make(chan struct{})
-	err := eng.RegisterPredicate("gate", func(uint64, int64) bool {
+	err := tn.RegisterPredicate("gate", func(uint64, int64) bool {
 		entered <- struct{}{}
 		<-gate
 		return true
@@ -260,11 +261,11 @@ func TestLoadgenClientBackoffOn429(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []string{"F", "G"} {
-		if err := eng.DeclareStream(s, 64); err != nil {
+		if err := tn.DeclareStream(s, 64); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := eng.RegisterQuery(engine.QuerySpec{
+	if err := tn.RegisterQuery(engine.QuerySpec{
 		Name: "q", Agg: engine.Count,
 		Left:  engine.Side{Stream: "F", Predicate: "gate"},
 		Right: engine.Side{Stream: "G"},

@@ -160,7 +160,7 @@ func TestTenantsListFromOneSnapshot(t *testing.T) {
 // updateLatency.
 func TestStreamFrameLatency(t *testing.T) {
 	eng := newEngine(t, core.Config{Tables: 3, Buckets: 64, Seed: 5}, engine.IngestConfig{Workers: 1})
-	if err := eng.DeclareStream("F", 64); err != nil {
+	if err := eng.Tenant(engine.DefaultTenant).DeclareStream("F", 64); err != nil {
 		t.Fatal(err)
 	}
 	capped := eng.Tenant("capped")

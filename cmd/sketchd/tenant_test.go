@@ -351,15 +351,16 @@ func TestCheckpointV1RestoresIntoDefault(t *testing.T) {
 		return newServer(eng), eng
 	}
 	_, srcEng := mk()
-	if err := srcEng.RegisterPredicate("low", rangePredicate(0, 31)); err != nil {
+	src := srcEng.Tenant(engine.DefaultTenant)
+	if err := src.RegisterPredicate("low", rangePredicate(0, 31)); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []string{"F", "G"} {
-		if err := srcEng.DeclareStream(s, 64); err != nil {
+		if err := src.DeclareStream(s, 64); err != nil {
 			t.Fatal(err)
 		}
 	}
-	err := srcEng.RegisterQuery(engine.QuerySpec{
+	err := src.RegisterQuery(engine.QuerySpec{
 		Name: "q", Agg: engine.Count,
 		Left:  engine.Side{Stream: "F", Predicate: "low"},
 		Right: engine.Side{Stream: "G"},
@@ -368,10 +369,10 @@ func TestCheckpointV1RestoresIntoDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		if err := srcEng.IngestBatch("F", []stream.Update{stream.Insert(uint64(i % 64))}); err != nil {
+		if err := src.IngestBatch("F", []stream.Update{stream.Insert(uint64(i % 64))}); err != nil {
 			t.Fatal(err)
 		}
-		if err := srcEng.IngestBatch("G", []stream.Update{stream.Insert(uint64((i * 7) % 64))}); err != nil {
+		if err := src.IngestBatch("G", []stream.Update{stream.Insert(uint64((i * 7) % 64))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -390,11 +391,11 @@ func TestCheckpointV1RestoresIntoDefault(t *testing.T) {
 	if err := dstSrv.readCheckpoint(strings.NewReader(v1)); err != nil {
 		t.Fatalf("v1 checkpoint refused: %v", err)
 	}
-	want, err := srcEng.Answer("q")
+	want, err := src.Answer("q")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dstEng.Answer("q")
+	got, err := dstEng.Tenant(engine.DefaultTenant).Answer("q")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,23 +36,25 @@ func main() {
 	// pipeline; StopIngest drains it on the way out.
 	must(eng.StartIngest(engine.IngestConfig{}))
 	defer eng.StopIngest()
-	must(eng.DeclareStream("impressionsA", domain))
-	must(eng.DeclareStream("impressionsB", domain))
-	must(eng.DeclareStream("clicks", domain))
+	// One tenant is all this example needs: the default namespace.
+	tn := eng.Tenant(engine.DefaultTenant)
+	must(tn.DeclareStream("impressionsA", domain))
+	must(tn.DeclareStream("impressionsB", domain))
+	must(tn.DeclareStream("clicks", domain))
 	// "premium" users live in the low id range in this toy schema.
-	must(eng.RegisterPredicate("premium", func(v uint64, _ int64) bool { return v < 2048 }))
+	must(tn.RegisterPredicate("premium", func(v uint64, _ int64) bool { return v < 2048 }))
 
 	// Four continuous queries over three streams.
-	must(eng.RegisterQuery(engine.QuerySpec{Name: "overlapAB", Agg: engine.Count,
+	must(tn.RegisterQuery(engine.QuerySpec{Name: "overlapAB", Agg: engine.Count,
 		Left:  engine.Side{Stream: "impressionsA"},
 		Right: engine.Side{Stream: "impressionsB"}}))
-	must(eng.RegisterQuery(engine.QuerySpec{Name: "clickthroughA", Agg: engine.Count,
+	must(tn.RegisterQuery(engine.QuerySpec{Name: "clickthroughA", Agg: engine.Count,
 		Left:  engine.Side{Stream: "impressionsA"},
 		Right: engine.Side{Stream: "clicks"}}))
-	must(eng.RegisterQuery(engine.QuerySpec{Name: "clickthroughB", Agg: engine.Count,
+	must(tn.RegisterQuery(engine.QuerySpec{Name: "clickthroughB", Agg: engine.Count,
 		Left:  engine.Side{Stream: "impressionsB"},
 		Right: engine.Side{Stream: "clicks"}}))
-	must(eng.RegisterQuery(engine.QuerySpec{Name: "premiumClicksA", Agg: engine.Count,
+	must(tn.RegisterQuery(engine.QuerySpec{Name: "premiumClicksA", Agg: engine.Count,
 		Left:  engine.Side{Stream: "impressionsA", Predicate: "premium"},
 		Right: engine.Side{Stream: "clicks", Predicate: "premium"}}))
 
@@ -70,13 +72,13 @@ func main() {
 			cs = append(cs, stream.Insert(gc.Next()))
 		}
 	}
-	must(eng.IngestBatch("impressionsA", as))
-	must(eng.IngestBatch("impressionsB", bs))
-	must(eng.IngestBatch("clicks", cs))
+	must(tn.IngestBatch("impressionsA", as))
+	must(tn.IngestBatch("impressionsB", bs))
+	must(tn.IngestBatch("clicks", cs))
 
 	fmt.Println("query            estimate")
-	for _, q := range eng.Queries() {
-		ans, err := eng.Answer(q)
+	for _, q := range tn.Queries() {
+		ans, err := tn.Answer(q)
 		if err != nil {
 			log.Fatal(err)
 		}

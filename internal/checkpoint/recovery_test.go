@@ -37,13 +37,14 @@ func buildEngine(t *testing.T, seed uint64) *engine.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.DeclareStream("F", 1024); err != nil {
+	tn := e.Tenant(engine.DefaultTenant)
+	if err := tn.DeclareStream("F", 1024); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.DeclareStream("G", 1024); err != nil {
+	if err := tn.DeclareStream("G", 1024); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
+	if err := tn.RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
 		t.Fatal(err)
 	}
 	queries := []engine.QuerySpec{
@@ -56,7 +57,7 @@ func buildEngine(t *testing.T, seed uint64) *engine.Engine {
 			Right: engine.Side{Stream: "G", WindowLen: 400, WindowBuckets: 4}},
 	}
 	for _, q := range queries {
-		if err := e.RegisterQuery(q); err != nil {
+		if err := tn.RegisterQuery(q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,10 +82,10 @@ func makeStreams(t *testing.T, seed uint64, n int) (fs, gs []stream.Update) {
 
 func ingest(t *testing.T, e *engine.Engine, fs, gs []stream.Update) {
 	t.Helper()
-	if err := e.IngestBatch("F", fs); err != nil {
+	if err := e.Tenant(engine.DefaultTenant).IngestBatch("F", fs); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.IngestBatch("G", gs); err != nil {
+	if err := e.Tenant(engine.DefaultTenant).IngestBatch("G", gs); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -93,7 +94,7 @@ func answers(t *testing.T, e *engine.Engine) map[string]engine.Answer {
 	t.Helper()
 	out := make(map[string]engine.Answer, 3)
 	for _, q := range []string{"plain", "pred", "windowed"} {
-		a, err := e.Answer(q)
+		a, err := e.Tenant(engine.DefaultTenant).Answer(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +130,7 @@ func TestRecoveryBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := recovered.RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
+		if err := recovered.Tenant(engine.DefaultTenant).RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
 			t.Fatal(err)
 		}
 		path, err := m.Load(func(r io.Reader) error { return recovered.Restore(r) })
@@ -178,7 +179,7 @@ func TestRecoveryThroughConcurrentPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := recovered.RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
+	if err := recovered.Tenant(engine.DefaultTenant).RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Load(func(r io.Reader) error { return recovered.Restore(r) }); err != nil {
@@ -233,7 +234,7 @@ func TestTornCheckpointFallsBackToPreviousState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := recovered.RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
+	if err := recovered.Tenant(engine.DefaultTenant).RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
 		t.Fatal(err)
 	}
 	path, err := m.Load(func(r io.Reader) error { return recovered.Restore(r) })

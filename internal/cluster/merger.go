@@ -45,23 +45,15 @@ type Merger struct {
 	cfg     Config
 	client  *http.Client
 	timeout time.Duration
-	epoch   time.Duration
 	retry   distributed.Backoff
 	now     func() time.Time
 	watches *monitor.Registry
-
-	// cacheMu guards cache, the epoch-TTL store of global answers. With
-	// epoch 0 every answer pulls fresh payloads — the deterministic mode
-	// the integration harness uses.
-	cacheMu sync.Mutex
-	cache   map[string]cachedAnswer
 
 	// Counters for /stats.
 	updateCalls    atomic.Int64
 	updatesRouted  atomic.Int64
 	updateRejected atomic.Int64
 	answers        atomic.Int64
-	answersCached  atomic.Int64
 	degraded       atomic.Int64
 	pulls          atomic.Int64
 	pullFailures   atomic.Int64
@@ -77,10 +69,6 @@ type MergerOptions struct {
 	// Timeout bounds every cross-node call (dial through body read).
 	// <= 0 defaults to 5s.
 	Timeout time.Duration
-	// Epoch is the pull-cache TTL: a global answer younger than this is
-	// served from cache without re-pulling the shards. 0 pulls fresh on
-	// every /answer.
-	Epoch time.Duration
 	// Client overrides the HTTP client for cross-node calls; nil builds
 	// one with connect and request timeouts derived from Timeout.
 	Client *http.Client
@@ -90,11 +78,6 @@ type MergerOptions struct {
 	Retry distributed.Backoff
 	// Now is the clock, for tests. nil uses time.Now.
 	Now func() time.Time
-}
-
-type cachedAnswer struct {
-	ans serve.Answer
-	at  time.Time
 }
 
 // NewMerger validates the membership config and builds the backend.
@@ -130,11 +113,9 @@ func NewMerger(cfg Config, opts MergerOptions) (*Merger, error) {
 		cfg:     cfg,
 		client:  client,
 		timeout: timeout,
-		epoch:   opts.Epoch,
 		retry:   retry,
 		now:     now,
 		watches: monitor.NewRegistry(),
-		cache:   make(map[string]cachedAnswer),
 	}, nil
 }
 
@@ -559,20 +540,11 @@ func (m *Merger) pullMerged(ctx context.Context, tenant, query string) (*Payload
 	return merged, cov, nil
 }
 
-// Answer estimates the join over the merged shard synopses, serving an
-// answer younger than the epoch from cache.
+// Answer estimates the join over the merged shard synopses, pulled
+// fresh from every shard, so it reflects every update the shards have
+// accepted.
 func (m *Merger) Answer(ctx context.Context, tenant, query string) (serve.Answer, error) {
 	m.answers.Add(1)
-	key := tenant + "\x00" + query
-	if m.epoch > 0 {
-		m.cacheMu.Lock()
-		c, ok := m.cache[key]
-		m.cacheMu.Unlock()
-		if ok && m.now().Sub(c.at) < m.epoch {
-			m.answersCached.Add(1)
-			return c.ans, nil
-		}
-	}
 	p, cov, err := m.pullMerged(ctx, tenant, query)
 	if err != nil {
 		return serve.Answer{}, err
@@ -591,11 +563,6 @@ func (m *Merger) Answer(ctx context.Context, tenant, query string) (serve.Answer
 	}
 	if cov.Answered < cov.Of {
 		m.degraded.Add(1)
-	}
-	if m.epoch > 0 {
-		m.cacheMu.Lock()
-		m.cache[key] = cachedAnswer{ans: ans, at: m.now()}
-		m.cacheMu.Unlock()
 	}
 	return ans, nil
 }
@@ -657,14 +624,12 @@ func (m *Merger) Stats(context.Context, string) (map[string]any, error) {
 		},
 		"answers": map[string]int64{
 			"total":    m.answers.Load(),
-			"cached":   m.answersCached.Load(),
 			"degraded": m.degraded.Load(),
 		},
 		"pulls": map[string]int64{
 			"total":    m.pulls.Load(),
 			"failures": m.pullFailures.Load(),
 		},
-		"watches":      m.watches.Len(),
-		"epochSeconds": m.epoch.Seconds(),
+		"watches": m.watches.Len(),
 	}, nil
 }

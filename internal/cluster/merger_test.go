@@ -332,18 +332,19 @@ func (tc *testCluster) answer(t *testing.T, wantStatus int) answerResp {
 	return ar
 }
 
-// referenceEngine ingests the same batch into one engine — the
-// single-node ground truth the cluster answer must match bit-for-bit.
-func referenceEngine(t *testing.T, batch []testUpdate) *engine.Engine {
+// referenceEngine ingests the same batch into one engine's default
+// tenant — the single-node ground truth the cluster answer must match
+// bit-for-bit.
+func referenceEngine(t *testing.T, batch []testUpdate) *engine.Tenant {
 	t.Helper()
-	eng := newTestEngine(t)
-	if err := eng.DeclareStream("F", 1024); err != nil {
+	tn := newTestEngine(t).Tenant(engine.DefaultTenant)
+	if err := tn.DeclareStream("F", 1024); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.DeclareStream("G", 1024); err != nil {
+	if err := tn.DeclareStream("G", 1024); err != nil {
 		t.Fatal(err)
 	}
-	err := eng.RegisterQuery(engine.QuerySpec{Name: "q", Agg: engine.Count,
+	err := tn.RegisterQuery(engine.QuerySpec{Name: "q", Agg: engine.Count,
 		Left: engine.Side{Stream: "F"}, Right: engine.Side{Stream: "G"}})
 	if err != nil {
 		t.Fatal(err)
@@ -353,11 +354,11 @@ func referenceEngine(t *testing.T, batch []testUpdate) *engine.Engine {
 		if u.Weight != nil {
 			weight = *u.Weight
 		}
-		if err := eng.IngestBatch(u.Stream, []stream.Update{{Value: u.Value, Weight: weight}}); err != nil {
+		if err := tn.IngestBatch(u.Stream, []stream.Update{{Value: u.Value, Weight: weight}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return eng
+	return tn
 }
 
 // TestMergerHealthyBitIdentical is the linearity property as a
@@ -391,6 +392,13 @@ func TestMergerHealthyBitIdentical(t *testing.T) {
 	}
 	if ar.Confidence.Degraded || ar.Confidence.Coverage != 1 || ar.Confidence.ErrorWidening != 1 {
 		t.Fatalf("healthy answer reports degraded confidence %+v", ar.Confidence)
+	}
+
+	// The merger caches nothing: every answer pulls every shard again.
+	pulls := tc.shards[0].sketchCalls.Load()
+	tc.answer(t, http.StatusOK)
+	if tc.shards[0].sketchCalls.Load() == pulls {
+		t.Fatal("a repeated answer was served without pulling the shards")
 	}
 }
 
@@ -567,23 +575,6 @@ func TestDeriveKey(t *testing.T) {
 		if got := deriveKey(tc.in, 3); got != tc.want {
 			t.Errorf("deriveKey(%q, 3) = %q, want %q", tc.in, got, tc.want)
 		}
-	}
-}
-
-// TestMergerEpochCache: with a non-zero epoch the second answer is
-// served from cache (no new pulls); with epoch 0 every answer re-pulls.
-func TestMergerEpochCache(t *testing.T) {
-	tc := newTestCluster(t, 2, MergerOptions{Epoch: time.Hour})
-	tc.registerSchema(t)
-	tc.mustPost(t, "/update", marshalBatch(t, seededBatch(50)))
-	first := tc.answer(t, http.StatusOK)
-	pulls := tc.shards[0].sketchCalls.Load()
-	second := tc.answer(t, http.StatusOK)
-	if tc.shards[0].sketchCalls.Load() != pulls {
-		t.Fatal("cached answer re-pulled the shards inside the epoch")
-	}
-	if first.Estimate != second.Estimate {
-		t.Fatal("cached answer changed the estimate")
 	}
 }
 

@@ -162,21 +162,17 @@ func (n *Node) IngestGroups(_ context.Context, tenant string, key serve.Key, gro
 	for i := range groups {
 		total += int64(len(groups[i].Updates))
 	}
-	tn := n.eng.Tenant(tenant)
-	if err := tn.IngestGroups(groups, release); err != nil {
+	if err := n.eng.Tenant(tenant).IngestGroups(groups, release); err != nil {
 		if errors.Is(err, engine.ErrQuotaExceeded) {
 			return 0, false, err
 		}
 		if errors.Is(err, engine.ErrNotIngesting) {
 			return 0, false, &serve.Error{Status: http.StatusServiceUnavailable, Err: err}
 		}
-		// Name the failing stream; this path runs only on rejection.
 		e := &serve.Error{Status: http.StatusBadRequest, Err: err}
-		for _, g := range groups {
-			if tn.ValidateBatch(g.Name, g.Updates) != nil {
-				e.Stream = g.Name
-				break
-			}
+		var se *engine.StreamError
+		if errors.As(err, &se) {
+			e.Stream = se.Stream
 		}
 		return 0, false, e
 	}

@@ -18,10 +18,10 @@
 // keyed by (tenant, name). One engine therefore cheaply hosts thousands
 // of independent per-tenant registries — the skimmed-sketch synopses are
 // tiny linear summaries — behind a single shared ingest pipeline, with
-// per-tenant quotas on synopsis memory and queue share (Quota). The
-// un-suffixed Engine methods operate on the DefaultTenant namespace, so
-// single-tenant callers are unaffected; multi-tenant callers go through
-// the Tenant handle.
+// per-tenant quotas on synopsis memory and queue share (Quota). Engine
+// methods are engine-wide (pipeline, quotas, stats, snapshots); every
+// scoped operation goes through a Tenant handle, and a single-tenant
+// caller uses Tenant(DefaultTenant).
 //
 // All synopses default to one engine-wide sketch configuration (one
 // seed), which makes every pair of synopses join-compatible; a query may
@@ -237,16 +237,6 @@ func (e *synEntry) updateBatch(batch []stream.Update) {
 	}
 }
 
-// materialize returns a sketch suitable for estimation. For a plain
-// synopsis this is the live sketch itself; use snapshot when the result
-// must outlive the apply lock.
-func (e *synEntry) materialize() *core.HashSketch {
-	if e.win != nil {
-		return e.win.Combined()
-	}
-	return e.sketch
-}
-
 // snapshot returns a private copy suitable for estimation after the
 // apply lock is released: a window's Combined is already a fresh
 // roll-up, a plain synopsis is cloned. Callers hold the exclusive apply
@@ -292,25 +282,6 @@ func New(opts Options) (*Engine, error) {
 		answers:      make(map[nsKey]cachedAnswer),
 		watches:      monitor.NewRegistry(),
 	}, nil
-}
-
-// DeclareStream registers a stream name with its value domain [0, domain)
-// in the default tenant.
-func (e *Engine) DeclareStream(name string, domain uint64) error {
-	return e.Tenant(DefaultTenant).DeclareStream(name, domain)
-}
-
-// RegisterPredicate names a selection predicate for use in query sides of
-// the default tenant.
-func (e *Engine) RegisterPredicate(name string, p Predicate) error {
-	return e.Tenant(DefaultTenant).RegisterPredicate(name, p)
-}
-
-// RegisterQuery installs a continuous query in the default tenant.
-// Synopses are created (or shared) immediately; elements arriving before
-// registration are not reflected in the new synopses.
-func (e *Engine) RegisterQuery(spec QuerySpec) error {
-	return e.Tenant(DefaultTenant).RegisterQuery(spec)
 }
 
 // registerLocked is tenant-scoped query registration with e.mu held
@@ -433,16 +404,9 @@ func (e *Engine) release(entry *synEntry) {
 	}
 }
 
-// RemoveQuery deregisters a default-tenant query, releasing (and possibly
-// freeing) its synopses.
-func (e *Engine) RemoveQuery(name string) error {
-	return e.Tenant(DefaultTenant).RemoveQuery(name)
-}
-
-// Answer serves the current approximate answer of a registered
-// default-tenant query. If the ingestion pipeline is running it is
-// drained first, so the answer reflects every batch enqueued before the
-// call.
+// Answer serves the current approximate answer of a query registered in
+// this tenant. If the ingestion pipeline is running it is drained first,
+// so the answer reflects every batch enqueued before the call.
 //
 // The quiesce/apply lock is held only long enough to clone the two
 // synopses and capture their update epochs; the estimation itself — the
@@ -452,19 +416,16 @@ func (e *Engine) RemoveQuery(name string) error {
 // without re-estimating (the per-(tenant, query) answer cache); any
 // update routed to either synopsis bumps its epoch and so invalidates
 // the entry.
-func (e *Engine) Answer(name string) (Answer, error) {
-	return e.Tenant(DefaultTenant).Answer(name)
-}
-
-func (e *Engine) answerTenant(tenant, name string) (Answer, error) {
+func (t *Tenant) Answer(name string) (Answer, error) {
+	e := t.e
 	release := e.readQuiesce()
-	qk := nsKey{tenant, name}
+	qk := nsKey{t.name, name}
 	q, ok := e.queries[qk]
 	if !ok {
 		release()
 		return Answer{}, fmt.Errorf("engine: %w %q", ErrUnknownQuery, name)
 	}
-	ts := e.tenantLocked(tenant)
+	ts := e.tenantLocked(t.name)
 	le, re := q.left.epoch, q.right.epoch
 	if c, ok := e.answers[qk]; ok && c.leftEpoch == le && c.rightEpoch == re {
 		e.cacheHits++
@@ -553,7 +514,8 @@ type Stats struct {
 	TotalWords   int
 	// UpdateCounts is keyed by bare stream name for the default tenant
 	// (unchanged from the single-tenant engine) and by "tenant/stream"
-	// for every other tenant.
+	// for every other tenant. Neither tenant nor stream names may contain
+	// '/', so the two spellings never collide.
 	UpdateCounts map[string]int64
 	// QueryWorkers is the configured estimation parallelism (Options).
 	QueryWorkers int
@@ -571,8 +533,8 @@ type Stats struct {
 	Ingest monitor.IngestSnapshot
 }
 
-// Stats reports synopsis sharing and memory usage. Like Answer, it
-// drains the ingestion pipeline first.
+// Stats reports synopsis sharing and memory usage. Like Tenant.Answer,
+// it drains the ingestion pipeline first.
 func (e *Engine) Stats() Stats {
 	defer e.readQuiesce()()
 	st := Stats{
@@ -602,16 +564,6 @@ func (e *Engine) Stats() Stats {
 		st.Tenants[name] = e.tenantStatsLocked(name)
 	}
 	return st
-}
-
-// Queries returns the default tenant's registered query names, sorted.
-func (e *Engine) Queries() []string {
-	return e.Tenant(DefaultTenant).Queries()
-}
-
-// Streams returns the default tenant's declared stream names, sorted.
-func (e *Engine) Streams() []string {
-	return e.Tenant(DefaultTenant).Streams()
 }
 
 // tenantNamesLocked is the set of tenants with any state: an explicit

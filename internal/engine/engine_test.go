@@ -62,38 +62,38 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestDeclareStreamValidation(t *testing.T) {
-	e := mustEngine(t)
-	if err := e.DeclareStream("", 16); err == nil {
+	tn := mustEngine(t).Tenant(DefaultTenant)
+	if err := tn.DeclareStream("", 16); err == nil {
 		t.Fatal("expected error for empty name")
 	}
-	if err := e.DeclareStream("F", 0); err == nil {
+	if err := tn.DeclareStream("F", 0); err == nil {
 		t.Fatal("expected error for zero domain")
 	}
-	if err := e.DeclareStream("F", 16); err != nil {
+	if err := tn.DeclareStream("F", 16); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.DeclareStream("F", 16); err == nil {
+	if err := tn.DeclareStream("F", 16); err == nil {
 		t.Fatal("expected duplicate-stream error")
 	}
 }
 
 func TestRegisterPredicateValidation(t *testing.T) {
-	e := mustEngine(t)
-	if err := e.RegisterPredicate("", nil); err == nil {
+	tn := mustEngine(t).Tenant(DefaultTenant)
+	if err := tn.RegisterPredicate("", nil); err == nil {
 		t.Fatal("expected error for empty predicate")
 	}
 	p := func(v uint64, w int64) bool { return true }
-	if err := e.RegisterPredicate("p", p); err != nil {
+	if err := tn.RegisterPredicate("p", p); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RegisterPredicate("p", p); err == nil {
+	if err := tn.RegisterPredicate("p", p); err == nil {
 		t.Fatal("expected duplicate-predicate error")
 	}
 }
 
 func TestRegisterQueryValidation(t *testing.T) {
-	e := mustEngine(t)
-	if err := e.DeclareStream("F", 64); err != nil {
+	tn := mustEngine(t).Tenant(DefaultTenant)
+	if err := tn.DeclareStream("F", 64); err != nil {
 		t.Fatal(err)
 	}
 	cases := []QuerySpec{
@@ -107,44 +107,44 @@ func TestRegisterQueryValidation(t *testing.T) {
 		{Name: "q", Left: Side{Stream: "F"}, Right: Side{Stream: "F"}, SketchConfig: &core.Config{}},
 	}
 	for i, spec := range cases {
-		if err := e.RegisterQuery(spec); err == nil {
+		if err := tn.RegisterQuery(spec); err == nil {
 			t.Fatalf("case %d: expected error for %+v", i, spec)
 		}
 	}
 	good := QuerySpec{Name: "q", Left: Side{Stream: "F"}, Right: Side{Stream: "F"}}
-	if err := e.RegisterQuery(good); err != nil {
+	if err := tn.RegisterQuery(good); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RegisterQuery(good); err == nil {
+	if err := tn.RegisterQuery(good); err == nil {
 		t.Fatal("expected duplicate-query error")
 	}
 }
 
 func TestUpdateValidation(t *testing.T) {
-	e := mustEngine(t)
-	e.DeclareStream("F", 16)
-	if err := e.IngestBatch("missing", []stream.Update{stream.Insert(1)}); err == nil {
+	tn := mustEngine(t).Tenant(DefaultTenant)
+	tn.DeclareStream("F", 16)
+	if err := tn.IngestBatch("missing", []stream.Update{stream.Insert(1)}); err == nil {
 		t.Fatal("expected unknown-stream error")
 	}
-	if err := e.IngestBatch("F", []stream.Update{stream.Insert(16)}); err == nil {
+	if err := tn.IngestBatch("F", []stream.Update{stream.Insert(16)}); err == nil {
 		t.Fatal("expected out-of-domain error")
 	}
-	update(t, e, "F", 15, 1)
+	update(t, tn, "F", 15, 1)
 }
 
 func TestAnswerUnknownQuery(t *testing.T) {
 	e := mustEngine(t)
-	if _, err := e.Answer("missing"); err == nil {
+	if _, err := e.Tenant(DefaultTenant).Answer("missing"); err == nil {
 		t.Fatal("expected unknown-query error")
 	}
 }
 
 func TestCountQueryEndToEnd(t *testing.T) {
-	e := mustEngine(t)
+	tn := mustEngine(t).Tenant(DefaultTenant)
 	const domain = 1 << 10
-	e.DeclareStream("F", domain)
-	e.DeclareStream("G", domain)
-	if err := e.RegisterQuery(QuerySpec{Name: "q", Agg: Count,
+	tn.DeclareStream("F", domain)
+	tn.DeclareStream("G", domain)
+	if err := tn.RegisterQuery(QuerySpec{Name: "q", Agg: Count,
 		Left: Side{Stream: "F"}, Right: Side{Stream: "G"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -153,13 +153,13 @@ func TestCountQueryEndToEnd(t *testing.T) {
 	fv, gv := stream.NewFreqVector(), stream.NewFreqVector()
 	for i := 0; i < 20000; i++ {
 		v := zf.Next()
-		update(t, e, "F", v, 1)
+		update(t, tn, "F", v, 1)
 		fv.Update(v, 1)
 		w := zg.Next()
-		update(t, e, "G", w, 1)
+		update(t, tn, "G", w, 1)
 		gv.Update(w, 1)
 	}
-	ans, err := e.Answer("q")
+	ans, err := tn.Answer("q")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,13 +174,14 @@ func TestCountQueryEndToEnd(t *testing.T) {
 
 func TestSelfJoinQuery(t *testing.T) {
 	e := mustEngine(t)
-	e.DeclareStream("F", 64)
-	e.RegisterQuery(QuerySpec{Name: "f2", Agg: Count,
+	tn := e.Tenant(DefaultTenant)
+	tn.DeclareStream("F", 64)
+	tn.RegisterQuery(QuerySpec{Name: "f2", Agg: Count,
 		Left: Side{Stream: "F"}, Right: Side{Stream: "F"}})
 	for i := 0; i < 9; i++ {
-		update(t, e, "F", 5, 1)
+		update(t, tn, "F", 5, 1)
 	}
-	ans, err := e.Answer("f2")
+	ans, err := tn.Answer("f2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,19 +196,19 @@ func TestSelfJoinQuery(t *testing.T) {
 }
 
 func TestPredicatePushdown(t *testing.T) {
-	e := mustEngine(t)
-	e.DeclareStream("F", 64)
-	e.DeclareStream("G", 64)
-	e.RegisterPredicate("even", func(v uint64, w int64) bool { return v%2 == 0 })
-	e.RegisterQuery(QuerySpec{Name: "q", Agg: Count,
+	tn := mustEngine(t).Tenant(DefaultTenant)
+	tn.DeclareStream("F", 64)
+	tn.DeclareStream("G", 64)
+	tn.RegisterPredicate("even", func(v uint64, w int64) bool { return v%2 == 0 })
+	tn.RegisterQuery(QuerySpec{Name: "q", Agg: Count,
 		Left:  Side{Stream: "F", Predicate: "even"},
 		Right: Side{Stream: "G"}})
 	// Odd F values must be dropped before sketching.
-	update(t, e, "F", 2, 10)
-	update(t, e, "F", 3, 10)
-	update(t, e, "G", 2, 4)
-	update(t, e, "G", 3, 4)
-	ans, err := e.Answer("q")
+	update(t, tn, "F", 2, 10)
+	update(t, tn, "F", 3, 10)
+	update(t, tn, "G", 2, 4)
+	update(t, tn, "G", 3, 4)
+	ans, err := tn.Answer("q")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,17 +218,17 @@ func TestPredicatePushdown(t *testing.T) {
 }
 
 func TestSumQuery(t *testing.T) {
-	e := mustEngine(t)
-	e.DeclareStream("subs", 64)
-	e.DeclareStream("sales", 64)
-	e.RegisterQuery(QuerySpec{Name: "rev", Agg: Sum,
+	tn := mustEngine(t).Tenant(DefaultTenant)
+	tn.DeclareStream("subs", 64)
+	tn.DeclareStream("sales", 64)
+	tn.RegisterQuery(QuerySpec{Name: "rev", Agg: Sum,
 		Left: Side{Stream: "subs"}, Right: Side{Stream: "sales"}})
-	update(t, e, "subs", 9, 1)
-	update(t, e, "subs", 9, 1)
-	update(t, e, "sales", 9, 250) // measure-weighted
-	update(t, e, "sales", 9, 100)
-	update(t, e, "sales", 3, 999) // non-joining
-	ans, err := e.Answer("rev")
+	update(t, tn, "subs", 9, 1)
+	update(t, tn, "subs", 9, 1)
+	update(t, tn, "sales", 9, 250) // measure-weighted
+	update(t, tn, "sales", 9, 100)
+	update(t, tn, "sales", 3, 999) // non-joining
+	ans, err := tn.Answer("rev")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +239,12 @@ func TestSumQuery(t *testing.T) {
 
 func TestSynopsisSharingAcrossQueries(t *testing.T) {
 	e := mustEngine(t)
-	e.DeclareStream("F", 64)
-	e.DeclareStream("G", 64)
-	e.DeclareStream("H", 64)
-	e.RegisterQuery(QuerySpec{Name: "fg", Left: Side{Stream: "F"}, Right: Side{Stream: "G"}})
-	e.RegisterQuery(QuerySpec{Name: "fh", Left: Side{Stream: "F"}, Right: Side{Stream: "H"}})
+	tn := e.Tenant(DefaultTenant)
+	tn.DeclareStream("F", 64)
+	tn.DeclareStream("G", 64)
+	tn.DeclareStream("H", 64)
+	tn.RegisterQuery(QuerySpec{Name: "fg", Left: Side{Stream: "F"}, Right: Side{Stream: "G"}})
+	tn.RegisterQuery(QuerySpec{Name: "fh", Left: Side{Stream: "F"}, Right: Side{Stream: "H"}})
 	st := e.Stats()
 	// F's synopsis is shared: 3 synopses serve 4 query sides.
 	if st.Synopses != 3 || st.SynopsisRefs != 4 {
@@ -252,11 +254,11 @@ func TestSynopsisSharingAcrossQueries(t *testing.T) {
 		t.Fatalf("stats wrong: %+v", st)
 	}
 	// An element on F is visible to both queries.
-	update(t, e, "F", 1, 5)
-	update(t, e, "G", 1, 2)
-	update(t, e, "H", 1, 3)
-	fg, _ := e.Answer("fg")
-	fh, _ := e.Answer("fh")
+	update(t, tn, "F", 1, 5)
+	update(t, tn, "G", 1, 2)
+	update(t, tn, "H", 1, 3)
+	fg, _ := tn.Answer("fg")
+	fh, _ := tn.Answer("fh")
 	if fg.Estimate != 10 || fh.Estimate != 15 {
 		t.Fatalf("estimates %d/%d, want 10/15", fg.Estimate, fh.Estimate)
 	}
@@ -264,48 +266,50 @@ func TestSynopsisSharingAcrossQueries(t *testing.T) {
 
 func TestRemoveQueryGarbageCollects(t *testing.T) {
 	e := mustEngine(t)
-	e.DeclareStream("F", 64)
-	e.DeclareStream("G", 64)
-	e.RegisterQuery(QuerySpec{Name: "fg", Left: Side{Stream: "F"}, Right: Side{Stream: "G"}})
-	e.RegisterQuery(QuerySpec{Name: "fg2", Left: Side{Stream: "F"}, Right: Side{Stream: "G"}})
+	tn := e.Tenant(DefaultTenant)
+	tn.DeclareStream("F", 64)
+	tn.DeclareStream("G", 64)
+	tn.RegisterQuery(QuerySpec{Name: "fg", Left: Side{Stream: "F"}, Right: Side{Stream: "G"}})
+	tn.RegisterQuery(QuerySpec{Name: "fg2", Left: Side{Stream: "F"}, Right: Side{Stream: "G"}})
 	if st := e.Stats(); st.Synopses != 2 || st.SynopsisRefs != 4 {
 		t.Fatalf("pre-remove stats: %+v", st)
 	}
-	if err := e.RemoveQuery("fg"); err != nil {
+	if err := tn.RemoveQuery("fg"); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.Synopses != 2 || st.SynopsisRefs != 2 {
 		t.Fatalf("after removing one of two sharers: %+v", st)
 	}
-	if err := e.RemoveQuery("fg2"); err != nil {
+	if err := tn.RemoveQuery("fg2"); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.Synopses != 0 || st.TotalWords != 0 {
 		t.Fatalf("after removing all queries: %+v", st)
 	}
-	if err := e.RemoveQuery("fg"); err == nil {
+	if err := tn.RemoveQuery("fg"); err == nil {
 		t.Fatal("expected unknown-query error")
 	}
 }
 
 func TestWindowedQuerySide(t *testing.T) {
 	e := mustEngine(t)
-	e.DeclareStream("F", 64)
-	e.DeclareStream("G", 64)
-	if err := e.RegisterQuery(QuerySpec{Name: "w", Agg: Count,
+	tn := e.Tenant(DefaultTenant)
+	tn.DeclareStream("F", 64)
+	tn.DeclareStream("G", 64)
+	if err := tn.RegisterQuery(QuerySpec{Name: "w", Agg: Count,
 		Left:  Side{Stream: "F", WindowLen: 100, WindowBuckets: 4},
 		Right: Side{Stream: "G"}}); err != nil {
 		t.Fatal(err)
 	}
 	// Heavy early F value must expire from the window.
 	for i := 0; i < 90; i++ {
-		update(t, e, "F", 7, 1)
+		update(t, tn, "F", 7, 1)
 	}
 	for i := 0; i < 500; i++ {
-		update(t, e, "F", uint64(i%32)+32, 1)
+		update(t, tn, "F", uint64(i%32)+32, 1)
 	}
-	update(t, e, "G", 7, 100)
-	ans, err := e.Answer("w")
+	update(t, tn, "G", 7, 100)
+	ans, err := tn.Answer("w")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,16 +326,16 @@ func TestWindowedQuerySide(t *testing.T) {
 }
 
 func TestQueriesAndStreamsListing(t *testing.T) {
-	e := mustEngine(t)
-	e.DeclareStream("B", 16)
-	e.DeclareStream("A", 16)
-	e.RegisterQuery(QuerySpec{Name: "z", Left: Side{Stream: "A"}, Right: Side{Stream: "B"}})
-	e.RegisterQuery(QuerySpec{Name: "a", Left: Side{Stream: "A"}, Right: Side{Stream: "B"}})
-	qs := e.Queries()
+	tn := mustEngine(t).Tenant(DefaultTenant)
+	tn.DeclareStream("B", 16)
+	tn.DeclareStream("A", 16)
+	tn.RegisterQuery(QuerySpec{Name: "z", Left: Side{Stream: "A"}, Right: Side{Stream: "B"}})
+	tn.RegisterQuery(QuerySpec{Name: "a", Left: Side{Stream: "A"}, Right: Side{Stream: "B"}})
+	qs := tn.Queries()
 	if len(qs) != 2 || qs[0] != "a" || qs[1] != "z" {
 		t.Fatalf("Queries = %v", qs)
 	}
-	ss := e.Streams()
+	ss := tn.Streams()
 	if len(ss) != 2 || ss[0] != "A" || ss[1] != "B" {
 		t.Fatalf("Streams = %v", ss)
 	}
@@ -339,20 +343,21 @@ func TestQueriesAndStreamsListing(t *testing.T) {
 
 func TestPerQuerySketchConfigOverride(t *testing.T) {
 	e := mustEngine(t)
-	e.DeclareStream("F", 64)
-	e.DeclareStream("G", 64)
+	tn := e.Tenant(DefaultTenant)
+	tn.DeclareStream("F", 64)
+	tn.DeclareStream("G", 64)
 	big := core.Config{Tables: 7, Buckets: 512, Seed: 9}
-	e.RegisterQuery(QuerySpec{Name: "default", Left: Side{Stream: "F"}, Right: Side{Stream: "G"}})
-	e.RegisterQuery(QuerySpec{Name: "big", Left: Side{Stream: "F"}, Right: Side{Stream: "G"}, SketchConfig: &big})
+	tn.RegisterQuery(QuerySpec{Name: "default", Left: Side{Stream: "F"}, Right: Side{Stream: "G"}})
+	tn.RegisterQuery(QuerySpec{Name: "big", Left: Side{Stream: "F"}, Right: Side{Stream: "G"}, SketchConfig: &big})
 	st := e.Stats()
 	// No sharing across different configs: 4 synopses.
 	if st.Synopses != 4 {
 		t.Fatalf("Synopses = %d, want 4", st.Synopses)
 	}
-	update(t, e, "F", 1, 2)
-	update(t, e, "G", 1, 3)
-	a, _ := e.Answer("default")
-	b, _ := e.Answer("big")
+	update(t, tn, "F", 1, 2)
+	update(t, tn, "G", 1, 3)
+	a, _ := tn.Answer("default")
+	b, _ := tn.Answer("big")
 	if a.Estimate != 6 || b.Estimate != 6 {
 		t.Fatalf("estimates %d/%d, want 6/6", a.Estimate, b.Estimate)
 	}
@@ -360,16 +365,17 @@ func TestPerQuerySketchConfigOverride(t *testing.T) {
 
 func TestConcurrentUpdatesAndAnswers(t *testing.T) {
 	e := mustEngine(t)
-	e.DeclareStream("F", 1024)
-	e.DeclareStream("G", 1024)
-	e.RegisterQuery(QuerySpec{Name: "q", Left: Side{Stream: "F"}, Right: Side{Stream: "G"}})
+	tn := e.Tenant(DefaultTenant)
+	tn.DeclareStream("F", 1024)
+	tn.DeclareStream("G", 1024)
+	tn.RegisterQuery(QuerySpec{Name: "q", Left: Side{Stream: "F"}, Right: Side{Stream: "G"}})
 	var wg sync.WaitGroup
 	for p := 0; p < 4; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				if err := e.IngestGroups([]stream.Group{
+				if err := tn.IngestGroups([]stream.Group{
 					{Name: "F", Updates: []stream.Update{stream.Insert(uint64((i*7 + p) % 1024))}},
 					{Name: "G", Updates: []stream.Update{stream.Insert(uint64((i*13 + p) % 1024))}},
 				}, nil); err != nil {
@@ -377,7 +383,7 @@ func TestConcurrentUpdatesAndAnswers(t *testing.T) {
 					return
 				}
 				if i%500 == 0 {
-					if _, err := e.Answer("q"); err != nil {
+					if _, err := tn.Answer("q"); err != nil {
 						t.Error(err)
 						return
 					}

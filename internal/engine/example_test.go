@@ -22,21 +22,23 @@ func Example() {
 		panic(err)
 	}
 	defer eng.StopIngest()
-	eng.DeclareStream("F", 1024)
-	eng.DeclareStream("G", 1024)
-	eng.RegisterQuery(engine.QuerySpec{
+	// Streams, queries and answers live in a tenant namespace.
+	tn := eng.Tenant(engine.DefaultTenant)
+	tn.DeclareStream("F", 1024)
+	tn.DeclareStream("G", 1024)
+	tn.RegisterQuery(engine.QuerySpec{
 		Name: "overlap", Agg: engine.Count,
 		Left:  engine.Side{Stream: "F"},
 		Right: engine.Side{Stream: "G"},
 	})
 
-	eng.IngestBatch("F", []stream.Update{{Value: 7, Weight: 10}})
-	eng.IngestBatch("G", []stream.Update{
+	tn.IngestBatch("F", []stream.Update{{Value: 7, Weight: 10}})
+	tn.IngestBatch("G", []stream.Update{
 		{Value: 7, Weight: 4},
 		{Value: 9, Weight: 100}, // non-joining
 	})
 
-	ans, err := eng.Answer("overlap")
+	ans, err := tn.Answer("overlap")
 	if err != nil {
 		panic(err)
 	}

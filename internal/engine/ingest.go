@@ -255,53 +255,38 @@ func routed(route [][]*synEntry) bool {
 	return false
 }
 
-// ValidateBatch checks that a default-tenant batch could be ingested —
-// the stream is declared and every value lies inside its domain —
-// without applying anything. Callers staging a multi-stream request can
-// validate every group first and only then apply, making the whole
-// request atomic.
-func (e *Engine) ValidateBatch(streamName string, updates []stream.Update) error {
-	return e.Tenant(DefaultTenant).ValidateBatch(streamName, updates)
+// StreamError is a request refused at admission because one group's
+// stream is not declared in the tenant or holds a value outside the
+// stream's domain. Stream names that group; nothing was admitted.
+type StreamError struct {
+	Stream string
+	Err    error
 }
 
-// ValidateBatch is Engine.ValidateBatch scoped to this tenant.
-func (t *Tenant) ValidateBatch(streamName string, updates []stream.Update) error {
-	e := t.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.validateLocked(t.name, streamName, updates)
-}
+func (e *StreamError) Error() string { return e.Err.Error() }
+func (e *StreamError) Unwrap() error { return e.Err }
 
 // validateLocked checks that the tenant's stream is declared and every
-// value lies inside its domain. Callers hold e.mu.
+// value lies inside its domain, failing with a *StreamError. Callers
+// hold e.mu.
 func (e *Engine) validateLocked(tenant, streamName string, updates []stream.Update) error {
 	info, ok := e.streams[nsKey{tenant, streamName}]
 	if !ok {
-		return fmt.Errorf("engine: unknown stream %q", streamName)
+		return &StreamError{Stream: streamName, Err: fmt.Errorf("engine: unknown stream %q", streamName)}
 	}
 	if err := stream.Validate(updates, info.domain); err != nil {
-		return fmt.Errorf("engine: stream %q: %w", streamName, err)
+		return &StreamError{Stream: streamName, Err: fmt.Errorf("engine: stream %q: %w", streamName, err)}
 	}
 	return nil
 }
 
-// IngestBatch validates and ingests a batch of default-tenant updates
-// for one stream: the batch is enqueued to the shard workers and applied
-// asynchronously — a following Flush, Answer, Snapshot or Stats call
-// observes it; a full queue blocks (backpressure). The result is
+// IngestBatch validates and ingests a batch of updates for one of the
+// tenant's streams: the batch is enqueued to the shard workers and
+// applied asynchronously — a following Flush, Answer, Snapshot or Stats
+// call observes it; a full queue blocks (backpressure). The result is
 // bit-for-bit identical to folding the updates into each synopsis one at
-// a time, in order. Validation is synchronous: on error the whole batch
-// is rejected and nothing is applied. Without a running pipeline the
-// batch is refused with an error wrapping ErrNotIngesting.
-func (e *Engine) IngestBatch(streamName string, updates []stream.Update) error {
-	return e.Tenant(DefaultTenant).IngestBatch(streamName, updates)
-}
-
-// IngestBatch is Engine.IngestBatch scoped to this tenant. On top of the
-// validation contract it enforces the tenant's queue-share quota: a
-// batch that would push the tenant's pending-update count past
-// Quota.MaxPendingUpdates is rejected with an error wrapping
-// ErrQuotaExceeded, and nothing is applied or enqueued.
+// a time, in order. It is a one-group IngestGroups, with the same
+// validation, quota and refusal contract.
 func (t *Tenant) IngestBatch(streamName string, updates []stream.Update) error {
 	if len(updates) == 0 {
 		return nil
@@ -309,21 +294,16 @@ func (t *Tenant) IngestBatch(streamName string, updates []stream.Update) error {
 	return t.IngestGroups([]stream.Group{{Name: streamName, Updates: updates}}, nil)
 }
 
-// IngestGroups validates and ingests a multi-stream request of
-// default-tenant update groups; see Tenant.IngestGroups.
-func (e *Engine) IngestGroups(groups []stream.Group, release func()) error {
-	return e.Tenant(DefaultTenant).IngestGroups(groups, release)
-}
-
 // IngestGroups validates and ingests one multi-stream request
 // atomically: every group is validated (stream declared, values in
 // domain) and the tenant's queue-share quota is checked against the
-// request's SUMMED update count before anything is admitted. On error
-// nothing has been applied, enqueued, or counted — a quota rejection
-// (wrapping ErrQuotaExceeded) therefore really means "retry the whole
-// request", never "part of it landed". Without a running pipeline a
-// request is refused with an error wrapping ErrNotIngesting; an empty
-// request is a no-op either way.
+// request's SUMMED update count before anything is admitted. A group
+// that fails validation fails the request with a *StreamError naming its
+// stream. On error nothing has been applied, enqueued, or counted — a
+// quota rejection (wrapping ErrQuotaExceeded) therefore really means
+// "retry the whole request", never "part of it landed". Without a
+// running pipeline a request is refused with an error wrapping
+// ErrNotIngesting; an empty request is a no-op either way.
 //
 // release, when non-nil, transfers buffer ownership: on a nil return
 // the engine references the groups' Updates slices until every element

@@ -23,13 +23,14 @@ func small(v uint64, _ int64) bool { return v < 512 }
 func ingestTestEngine(t *testing.T, cfg IngestConfig) *Engine {
 	t.Helper()
 	e := startEngine(t, defaultOpts(), cfg)
-	if err := e.DeclareStream("F", 1024); err != nil {
+	tn := e.Tenant(DefaultTenant)
+	if err := tn.DeclareStream("F", 1024); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.DeclareStream("G", 1024); err != nil {
+	if err := tn.DeclareStream("G", 1024); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RegisterPredicate("small", small); err != nil {
+	if err := tn.RegisterPredicate("small", small); err != nil {
 		t.Fatal(err)
 	}
 	for _, spec := range []QuerySpec{
@@ -37,7 +38,7 @@ func ingestTestEngine(t *testing.T, cfg IngestConfig) *Engine {
 		{Name: "qp", Agg: Count, Left: Side{Stream: "F", Predicate: "small"}, Right: Side{Stream: "G"}},
 		{Name: "qw", Agg: Count, Left: Side{Stream: "F", WindowLen: 4000, WindowBuckets: 4}, Right: Side{Stream: "G"}},
 	} {
-		if err := e.RegisterQuery(spec); err != nil {
+		if err := tn.RegisterQuery(spec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,18 +122,19 @@ func TestIngestBatchSequentialEquivalence(t *testing.T) {
 		for _, bs := range []int{1, 13, 64} {
 			t.Run(fmt.Sprintf("workers=%d/batch=%d", workers, bs), func(t *testing.T) {
 				e := ingestTestEngine(t, IngestConfig{Workers: workers, BatchSize: bs, QueueDepth: 8})
+				tn := e.Tenant(DefaultTenant)
 				const chunk = 97 // deliberately not a divisor of n
 				for off := 0; off < n; off += chunk {
 					end := min(off+chunk, n)
-					if err := e.IngestBatch("F", fs[off:end]); err != nil {
+					if err := tn.IngestBatch("F", fs[off:end]); err != nil {
 						t.Fatal(err)
 					}
-					if err := e.IngestBatch("G", gs[off:end]); err != nil {
+					if err := tn.IngestBatch("G", gs[off:end]); err != nil {
 						t.Fatal(err)
 					}
 				}
 				for q, left := range want {
-					checkModel(t, e.Tenant(DefaultTenant), q, left, g)
+					checkModel(t, tn, q, left, g)
 				}
 				st := e.IngestStats()
 				if st.UpdatesEnqueued != 2*n || st.UpdatesApplied != 2*n {
@@ -156,13 +158,14 @@ func TestIngestBatchSequentialEquivalence(t *testing.T) {
 // lost update would change the product.
 func TestConcurrentIngestQueryStats(t *testing.T) {
 	e := startEngine(t, defaultOpts(), IngestConfig{Workers: 4, BatchSize: 16, QueueDepth: 4})
-	if err := e.DeclareStream("F", 16); err != nil {
+	tn := e.Tenant(DefaultTenant)
+	if err := tn.DeclareStream("F", 16); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.DeclareStream("G", 16); err != nil {
+	if err := tn.DeclareStream("G", 16); err != nil {
 		t.Fatal(err)
 	}
-	err := e.RegisterQuery(QuerySpec{Name: "q", Agg: Count, Left: Side{Stream: "F"}, Right: Side{Stream: "G"}})
+	err := tn.RegisterQuery(QuerySpec{Name: "q", Agg: Count, Left: Side{Stream: "F"}, Right: Side{Stream: "G"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +189,7 @@ func TestConcurrentIngestQueryStats(t *testing.T) {
 				batch[i] = stream.Insert(0)
 			}
 			for b := 0; b < batches; b++ {
-				if err := e.IngestBatch(name, batch); err != nil {
+				if err := tn.IngestBatch(name, batch); err != nil {
 					t.Error(err)
 					return
 				}
@@ -209,7 +212,7 @@ func TestConcurrentIngestQueryStats(t *testing.T) {
 				}
 				switch r {
 				case 0:
-					if _, err := e.Answer("q"); err != nil {
+					if _, err := tn.Answer("q"); err != nil {
 						t.Error(err)
 						return
 					}
@@ -235,7 +238,7 @@ func TestConcurrentIngestQueryStats(t *testing.T) {
 	if st.UpdateCounts["F"] != perStream || st.UpdateCounts["G"] != perStream {
 		t.Fatalf("update counts F=%d G=%d, want %d each", st.UpdateCounts["F"], st.UpdateCounts["G"], perStream)
 	}
-	a, err := e.Answer("q")
+	a, err := tn.Answer("q")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,17 +259,18 @@ func TestConcurrentIngestQueryStats(t *testing.T) {
 // different shards and every batch is fanned out across workers.
 func TestSnapshotNeverTorn(t *testing.T) {
 	e := startEngine(t, defaultOpts(), IngestConfig{Workers: 4, BatchSize: 8, QueueDepth: 2})
-	if err := e.DeclareStream("F", 16); err != nil {
+	tn := e.Tenant(DefaultTenant)
+	if err := tn.DeclareStream("F", 16); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RegisterPredicate("all", func(uint64, int64) bool { return true }); err != nil {
+	if err := tn.RegisterPredicate("all", func(uint64, int64) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	for _, spec := range []QuerySpec{
 		{Name: "q1", Agg: Count, Left: Side{Stream: "F"}, Right: Side{Stream: "F"}},
 		{Name: "q2", Agg: Count, Left: Side{Stream: "F", Predicate: "all"}, Right: Side{Stream: "F", Predicate: "all"}},
 	} {
-		if err := e.RegisterQuery(spec); err != nil {
+		if err := tn.RegisterQuery(spec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -284,7 +288,7 @@ func TestSnapshotNeverTorn(t *testing.T) {
 				for i := range batch {
 					batch[i] = stream.Insert(uint64((b + i) % 16))
 				}
-				if err := e.IngestBatch("F", batch); err != nil {
+				if err := tn.IngestBatch("F", batch); err != nil {
 					t.Error(err)
 					return
 				}
@@ -333,21 +337,22 @@ func TestSnapshotNeverTorn(t *testing.T) {
 // with any out-of-domain value (or an unknown stream) is rejected whole.
 func TestIngestValidation(t *testing.T) {
 	e := mustEngine(t)
-	if err := e.DeclareStream("F", 8); err != nil {
+	tn := e.Tenant(DefaultTenant)
+	if err := tn.DeclareStream("F", 8); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.IngestBatch("nope", []stream.Update{stream.Insert(1)}); err == nil {
+	if err := tn.IngestBatch("nope", []stream.Update{stream.Insert(1)}); err == nil {
 		t.Fatal("expected unknown-stream error")
 	}
 	bad := []stream.Update{stream.Insert(1), stream.Insert(99)}
-	if err := e.IngestBatch("F", bad); err == nil {
+	if err := tn.IngestBatch("F", bad); err == nil {
 		t.Fatal("expected out-of-domain error")
 	}
 	if got := e.Stats().UpdateCounts["F"]; got != 0 {
 		t.Fatalf("rejected batch still counted: %d updates", got)
 	}
 	// Empty batches are a no-op even for unknown streams' error path.
-	if err := e.IngestBatch("F", nil); err != nil {
+	if err := tn.IngestBatch("F", nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -357,10 +362,11 @@ func TestIngestValidation(t *testing.T) {
 // and the synopses stay readable.
 func TestStartStopIngest(t *testing.T) {
 	e := idleEngine(t, defaultOpts())
-	if err := e.DeclareStream("F", 8); err != nil {
+	tn := e.Tenant(DefaultTenant)
+	if err := tn.DeclareStream("F", 8); err != nil {
 		t.Fatal(err)
 	}
-	err := e.RegisterQuery(QuerySpec{Name: "q", Agg: Count, Left: Side{Stream: "F"}, Right: Side{Stream: "F"}})
+	err := tn.RegisterQuery(QuerySpec{Name: "q", Agg: Count, Left: Side{Stream: "F"}, Right: Side{Stream: "F"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +377,7 @@ func TestStartStopIngest(t *testing.T) {
 	if err := e.StartIngest(IngestConfig{}); err == nil {
 		t.Fatal("expected double-start error")
 	}
-	if err := e.IngestBatch("F", []stream.Update{stream.Insert(3), stream.Insert(3)}); err != nil {
+	if err := tn.IngestBatch("F", []stream.Update{stream.Insert(3), stream.Insert(3)}); err != nil {
 		t.Fatal(err)
 	}
 	e.StopIngest()
@@ -380,10 +386,10 @@ func TestStartStopIngest(t *testing.T) {
 	if got := e.IngestStats().UpdatesApplied; got != 2 {
 		t.Fatalf("applied %d updates after stop, want 2", got)
 	}
-	if err := e.IngestBatch("F", []stream.Update{stream.Insert(3)}); !errors.Is(err, ErrNotIngesting) {
+	if err := tn.IngestBatch("F", []stream.Update{stream.Insert(3)}); !errors.Is(err, ErrNotIngesting) {
 		t.Fatalf("ingest after stop: %v, want ErrNotIngesting", err)
 	}
-	a, err := e.Answer("q")
+	a, err := tn.Answer("q")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +417,7 @@ func TestUnroutedUpdatesCounted(t *testing.T) {
 		}
 	}
 	ingest := func(t *testing.T, e *Engine) {
-		if err := e.IngestGroups(groups, nil); err != nil {
+		if err := e.Tenant(DefaultTenant).IngestGroups(groups, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -424,13 +430,13 @@ func TestUnroutedUpdatesCounted(t *testing.T) {
 			start(t, e)
 			for _, g := range groups {
 				for _, u := range g.Updates {
-					update(t, e, g.Name, u.Value, u.Weight)
+					update(t, e.Tenant(DefaultTenant), g.Name, u.Value, u.Weight)
 				}
 			}
 		}},
 		{"synchronous IngestGroups", func(t *testing.T, e *Engine) {
 			// Refused before StartIngest, admitted after.
-			if err := e.IngestGroups(groups, nil); !errors.Is(err, ErrNotIngesting) {
+			if err := e.Tenant(DefaultTenant).IngestGroups(groups, nil); !errors.Is(err, ErrNotIngesting) {
 				t.Fatalf("IngestGroups before StartIngest: %v, want ErrNotIngesting", err)
 			}
 			start(t, e)
@@ -446,19 +452,20 @@ func TestUnroutedUpdatesCounted(t *testing.T) {
 			start(t, e)
 			ingest(t, e)
 			e.StopIngest()
-			if err := e.IngestGroups(groups, nil); !errors.Is(err, ErrNotIngesting) {
+			if err := e.Tenant(DefaultTenant).IngestGroups(groups, nil); !errors.Is(err, ErrNotIngesting) {
 				t.Fatalf("IngestGroups after StopIngest: %v, want ErrNotIngesting", err)
 			}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := idleEngine(t, defaultOpts())
+			tn := e.Tenant(DefaultTenant)
 			for _, s := range []string{"F", "G", "U"} {
-				if err := e.DeclareStream(s, 16); err != nil {
+				if err := tn.DeclareStream(s, 16); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := e.RegisterQuery(QuerySpec{Name: "q", Agg: Count, Left: Side{Stream: "F"}, Right: Side{Stream: "G"}}); err != nil {
+			if err := tn.RegisterQuery(QuerySpec{Name: "q", Agg: Count, Left: Side{Stream: "F"}, Right: Side{Stream: "G"}}); err != nil {
 				t.Fatal(err)
 			}
 			tc.feed(t, e)
@@ -467,7 +474,7 @@ func TestUnroutedUpdatesCounted(t *testing.T) {
 				t.Fatalf("enqueued=%d applied=%d unrouted=%d, want %d = %d + %d",
 					st.UpdatesEnqueued, st.UpdatesApplied, st.UpdatesUnrouted, listened+unlistened, listened, unlistened)
 			}
-			if p := e.Tenant(DefaultTenant).Stats().PendingUpdates; p != 0 {
+			if p := tn.Stats().PendingUpdates; p != 0 {
 				t.Fatalf("pending gauge %d after flush, want 0", p)
 			}
 		})

@@ -26,7 +26,7 @@ func counters(e *Engine) [5]int64 {
 func refused(t *testing.T, e *Engine) {
 	t.Helper()
 	before, count := counters(e), e.Stats().UpdateCounts["F"]
-	if err := e.IngestBatch("F", []stream.Update{stream.Insert(1)}); !errors.Is(err, ErrNotIngesting) {
+	if err := e.Tenant(DefaultTenant).IngestBatch("F", []stream.Update{stream.Insert(1)}); !errors.Is(err, ErrNotIngesting) {
 		t.Fatalf("IngestBatch without a running pipeline: %v, want ErrNotIngesting", err)
 	}
 	if after := counters(e); after != before {
@@ -39,7 +39,8 @@ func refused(t *testing.T, e *Engine) {
 
 func TestStopFlushNeverStartedPipeline(t *testing.T) {
 	e := idleEngine(t, defaultOpts())
-	if err := e.DeclareStream("F", 8); err != nil {
+	tn := e.Tenant(DefaultTenant)
+	if err := tn.DeclareStream("F", 8); err != nil {
 		t.Fatal(err)
 	}
 	// None of these may panic or block on an engine whose pipeline was
@@ -56,7 +57,7 @@ func TestStopFlushNeverStartedPipeline(t *testing.T) {
 	if err := e.StartIngest(IngestConfig{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.IngestBatch("F", []stream.Update{stream.Insert(1)}); err != nil {
+	if err := tn.IngestBatch("F", []stream.Update{stream.Insert(1)}); err != nil {
 		t.Fatal(err)
 	}
 	e.StopIngest()
@@ -68,10 +69,11 @@ func TestStopFlushNeverStartedPipeline(t *testing.T) {
 
 func TestFlushAfterStopIsNoOp(t *testing.T) {
 	e := mustEngine(t)
-	if err := e.DeclareStream("F", 8); err != nil {
+	tn := e.Tenant(DefaultTenant)
+	if err := tn.DeclareStream("F", 8); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.IngestBatch("F", []stream.Update{stream.Insert(1)}); err != nil {
+	if err := tn.IngestBatch("F", []stream.Update{stream.Insert(1)}); err != nil {
 		t.Fatal(err)
 	}
 	e.StopIngest()
@@ -87,10 +89,11 @@ func TestFlushAfterStopIsNoOp(t *testing.T) {
 // exactly one stop wins and nothing panics. Run with -race.
 func TestConcurrentStopStop(t *testing.T) {
 	e := startEngine(t, defaultOpts(), IngestConfig{Workers: 2, BatchSize: 8})
-	if err := e.DeclareStream("F", 64); err != nil {
+	tn := e.Tenant(DefaultTenant)
+	if err := tn.DeclareStream("F", 64); err != nil {
 		t.Fatal(err)
 	}
-	err := e.RegisterQuery(QuerySpec{Name: "q", Agg: Count, Left: Side{Stream: "F"}, Right: Side{Stream: "F"}})
+	err := tn.RegisterQuery(QuerySpec{Name: "q", Agg: Count, Left: Side{Stream: "F"}, Right: Side{Stream: "F"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +103,7 @@ func TestConcurrentStopStop(t *testing.T) {
 		for j := range batch {
 			batch[j] = stream.Insert(uint64((i + j) % 64))
 		}
-		if err := e.IngestBatch("F", batch); err != nil {
+		if err := tn.IngestBatch("F", batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -128,14 +131,15 @@ func TestConcurrentStopStop(t *testing.T) {
 // synopses stay readable.
 func TestRestartIngestAfterStop(t *testing.T) {
 	e := mustEngine(t)
-	if err := e.DeclareStream("F", 8); err != nil {
+	tn := e.Tenant(DefaultTenant)
+	if err := tn.DeclareStream("F", 8); err != nil {
 		t.Fatal(err)
 	}
-	err := e.RegisterQuery(QuerySpec{Name: "q", Agg: Count, Left: Side{Stream: "F"}, Right: Side{Stream: "F"}})
+	err := tn.RegisterQuery(QuerySpec{Name: "q", Agg: Count, Left: Side{Stream: "F"}, Right: Side{Stream: "F"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.IngestBatch("F", []stream.Update{stream.Insert(3), stream.Insert(3)}); err != nil {
+	if err := tn.IngestBatch("F", []stream.Update{stream.Insert(3), stream.Insert(3)}); err != nil {
 		t.Fatal(err)
 	}
 	e.StopIngest()
@@ -143,7 +147,7 @@ func TestRestartIngestAfterStop(t *testing.T) {
 		t.Fatal("StartIngest after StopIngest succeeded")
 	}
 	refused(t, e)
-	a, err := e.Answer("q")
+	a, err := tn.Answer("q")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,15 +162,16 @@ func TestRestartIngestAfterStop(t *testing.T) {
 // everything and the probe clears.
 func TestIngestSaturated(t *testing.T) {
 	e := idleEngine(t, defaultOpts())
-	if err := e.DeclareStream("F", 8); err != nil {
+	tn := e.Tenant(DefaultTenant)
+	if err := tn.DeclareStream("F", 8); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.DeclareStream("G", 8); err != nil {
+	if err := tn.DeclareStream("G", 8); err != nil {
 		t.Fatal(err)
 	}
 	entered := make(chan struct{}, 16)
 	gate := make(chan struct{})
-	err := e.RegisterPredicate("gate", func(uint64, int64) bool {
+	err := tn.RegisterPredicate("gate", func(uint64, int64) bool {
 		entered <- struct{}{}
 		<-gate
 		return true
@@ -174,7 +179,7 @@ func TestIngestSaturated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = e.RegisterQuery(QuerySpec{
+	err = tn.RegisterQuery(QuerySpec{
 		Name: "q", Agg: Count,
 		Left:  Side{Stream: "F", Predicate: "gate"},
 		Right: Side{Stream: "G"},
@@ -189,12 +194,12 @@ func TestIngestSaturated(t *testing.T) {
 		t.Fatal("fresh pipeline reported saturated")
 	}
 	// First update: dequeued by the worker, which parks in the predicate.
-	if err := e.IngestBatch("F", []stream.Update{stream.Insert(1)}); err != nil {
+	if err := tn.IngestBatch("F", []stream.Update{stream.Insert(1)}); err != nil {
 		t.Fatal(err)
 	}
 	<-entered // the worker is now parked, its queue empty
 	// Second update: sits in the depth-1 queue — the pipeline is full.
-	if err := e.IngestBatch("F", []stream.Update{stream.Insert(2)}); err != nil {
+	if err := tn.IngestBatch("F", []stream.Update{stream.Insert(2)}); err != nil {
 		t.Fatal(err)
 	}
 	if !e.IngestSaturated() {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -16,14 +17,15 @@ import (
 
 func declareFG(t *testing.T, e *Engine, domain uint64) {
 	t.Helper()
-	if err := e.DeclareStream("F", domain); err != nil {
+	tn := e.Tenant(DefaultTenant)
+	if err := tn.DeclareStream("F", domain); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.DeclareStream("G", domain); err != nil {
+	if err := tn.DeclareStream("G", domain); err != nil {
 		t.Fatal(err)
 	}
 	spec := QuerySpec{Name: "q", Agg: Count, Left: Side{Stream: "F"}, Right: Side{Stream: "G"}}
-	if err := e.RegisterQuery(spec); err != nil {
+	if err := tn.RegisterQuery(spec); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -42,19 +44,20 @@ func zipfBatch(t *testing.T, domain uint64, n int, seed int64) []stream.Update {
 // invalidate the entry and force a fresh estimate.
 func TestAnswerCacheHitAndInvalidation(t *testing.T) {
 	e := mustEngine(t)
+	tn := e.Tenant(DefaultTenant)
 	declareFG(t, e, 1<<12)
-	if err := e.IngestBatch("F", zipfBatch(t, 1<<12, 4000, 1)); err != nil {
+	if err := tn.IngestBatch("F", zipfBatch(t, 1<<12, 4000, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.IngestBatch("G", zipfBatch(t, 1<<12, 4000, 2)); err != nil {
+	if err := tn.IngestBatch("G", zipfBatch(t, 1<<12, 4000, 2)); err != nil {
 		t.Fatal(err)
 	}
 
-	a1, err := e.Answer("q")
+	a1, err := tn.Answer("q")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := e.Answer("q")
+	a2, err := tn.Answer("q")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +70,13 @@ func TestAnswerCacheHitAndInvalidation(t *testing.T) {
 	}
 
 	// An update to the LEFT side invalidates.
-	update(t, e, "F", 3, 1)
-	if _, err := e.Answer("q"); err != nil {
+	update(t, tn, "F", 3, 1)
+	if _, err := tn.Answer("q"); err != nil {
 		t.Fatal(err)
 	}
 	// An update to the RIGHT side invalidates too.
-	update(t, e, "G", 3, 1)
-	if _, err := e.Answer("q"); err != nil {
+	update(t, tn, "G", 3, 1)
+	if _, err := tn.Answer("q"); err != nil {
 		t.Fatal(err)
 	}
 	st = e.Stats()
@@ -87,25 +90,26 @@ func TestAnswerCacheHitAndInvalidation(t *testing.T) {
 // synopses reach exactly the epochs the cache entry was keyed on.
 func TestAnswerCacheClearedOnReregister(t *testing.T) {
 	e := mustEngine(t)
+	tn := e.Tenant(DefaultTenant)
 	declareFG(t, e, 1<<10)
 	fOld := zipfBatch(t, 1<<10, 3000, 1)
 	gOld := zipfBatch(t, 1<<10, 3000, 2)
-	if err := e.IngestBatch("F", fOld); err != nil {
+	if err := tn.IngestBatch("F", fOld); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.IngestBatch("G", gOld); err != nil {
+	if err := tn.IngestBatch("G", gOld); err != nil {
 		t.Fatal(err)
 	}
-	old, err := e.Answer("q")
+	old, err := tn.Answer("q")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if err := e.RemoveQuery("q"); err != nil {
+	if err := tn.RemoveQuery("q"); err != nil {
 		t.Fatal(err)
 	}
 	spec := QuerySpec{Name: "q", Agg: Count, Left: Side{Stream: "F"}, Right: Side{Stream: "G"}}
-	if err := e.RegisterQuery(spec); err != nil {
+	if err := tn.RegisterQuery(spec); err != nil {
 		t.Fatal(err)
 	}
 	// Feed the SAME number of updates of different content, driving the
@@ -114,13 +118,13 @@ func TestAnswerCacheClearedOnReregister(t *testing.T) {
 		fOld[i].Value = (fOld[i].Value + 17) % (1 << 10)
 		gOld[i].Value = (gOld[i].Value + 29) % (1 << 10)
 	}
-	if err := e.IngestBatch("F", fOld); err != nil {
+	if err := tn.IngestBatch("F", fOld); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.IngestBatch("G", gOld); err != nil {
+	if err := tn.IngestBatch("G", gOld); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := e.Answer("q")
+	fresh, err := tn.Answer("q")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,14 +141,15 @@ func TestAnswerParallelMatchesSequential(t *testing.T) {
 		opts := defaultOpts()
 		opts.QueryWorkers = workers
 		e := startEngine(t, opts, IngestConfig{Workers: 2})
+		tn := e.Tenant(DefaultTenant)
 		declareFG(t, e, 1<<14)
-		if err := e.IngestBatch("F", zipfBatch(t, 1<<14, 20000, 5)); err != nil {
+		if err := tn.IngestBatch("F", zipfBatch(t, 1<<14, 20000, 5)); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.IngestBatch("G", zipfBatch(t, 1<<14, 20000, 6)); err != nil {
+		if err := tn.IngestBatch("G", zipfBatch(t, 1<<14, 20000, 6)); err != nil {
 			t.Fatal(err)
 		}
-		a, err := e.Answer("q")
+		a, err := tn.Answer("q")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,21 +176,31 @@ func TestStatsReportsQueryWorkers(t *testing.T) {
 	}
 }
 
-// ValidateBatch checks without applying.
+// Admission validates every group before admitting any: a request whose
+// second group names an unknown stream, or holds an out-of-domain value,
+// fails with a *StreamError naming that group's stream, and applies and
+// counts nothing.
 func TestValidateBatch(t *testing.T) {
 	e := mustEngine(t)
 	declareFG(t, e, 16)
-	if err := e.ValidateBatch("nope", []stream.Update{{Value: 1, Weight: 1}}); err == nil {
-		t.Fatal("expected unknown-stream error")
+	tn := e.Tenant(DefaultTenant)
+	good := stream.Group{Name: "F", Updates: []stream.Update{{Value: 3, Weight: 1}}}
+	for _, bad := range []stream.Group{
+		{Name: "nope", Updates: []stream.Update{{Value: 1, Weight: 1}}},
+		{Name: "G", Updates: []stream.Update{{Value: 2, Weight: 1}, {Value: 99, Weight: 1}}},
+	} {
+		err := tn.IngestGroups([]stream.Group{good, bad}, nil)
+		var se *StreamError
+		if !errors.As(err, &se) || se.Stream != bad.Name {
+			t.Fatalf("group %q: got %v, want a *StreamError naming %q", bad.Name, err, bad.Name)
+		}
 	}
-	if err := e.ValidateBatch("F", []stream.Update{{Value: 99, Weight: 1}}); err == nil {
-		t.Fatal("expected out-of-domain error")
+	st := e.Stats()
+	if st.UpdateCounts["F"] != 0 || st.UpdateCounts["G"] != 0 || st.Ingest.UpdatesEnqueued != 0 || st.Ingest.UpdatesApplied != 0 {
+		t.Fatalf("refused requests were counted: counts %v, ingest %+v", st.UpdateCounts, st.Ingest)
 	}
-	if err := e.ValidateBatch("F", []stream.Update{{Value: 3, Weight: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if st := e.Stats(); st.UpdateCounts["F"] != 0 {
-		t.Fatalf("ValidateBatch applied updates: count = %d", st.UpdateCounts["F"])
+	if qs, err := tn.QuerySketches("q"); err != nil || qs.LeftEpoch != 0 || qs.RightEpoch != 0 {
+		t.Fatalf("refused requests reached the synopses: epochs %d/%d, err %v", qs.LeftEpoch, qs.RightEpoch, err)
 	}
 }
 
@@ -202,11 +217,12 @@ func TestIngestProceedsDuringAnswer(t *testing.T) {
 	const domain = 1 << 20
 	opts := Options{SketchConfig: core.Config{Tables: 5, Buckets: 1024, Seed: 7}}
 	e := startEngine(t, opts, IngestConfig{Workers: 4})
+	tn := e.Tenant(DefaultTenant)
 	declareFG(t, e, domain)
-	if err := e.IngestBatch("F", zipfBatch(t, domain, 50000, 1)); err != nil {
+	if err := tn.IngestBatch("F", zipfBatch(t, domain, 50000, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.IngestBatch("G", zipfBatch(t, domain, 50000, 2)); err != nil {
+	if err := tn.IngestBatch("G", zipfBatch(t, domain, 50000, 2)); err != nil {
 		t.Fatal(err)
 	}
 	e.Flush()
@@ -218,7 +234,7 @@ func TestIngestProceedsDuringAnswer(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.Answer("q")
+		_, err := tn.Answer("q")
 		done <- err
 	}()
 	<-held
@@ -226,7 +242,7 @@ func TestIngestProceedsDuringAnswer(t *testing.T) {
 	small := zipfBatch(t, domain, 64, 3)
 	ingested := make(chan error, 1)
 	go func() {
-		err := e.IngestBatch("F", small)
+		err := tn.IngestBatch("F", small)
 		e.Flush()
 		ingested <- err
 	}()
@@ -251,7 +267,7 @@ func TestIngestProceedsDuringAnswer(t *testing.T) {
 			return
 		default:
 		}
-		if err := e.IngestBatch("F", small); err != nil {
+		if err := tn.IngestBatch("F", small); err != nil {
 			t.Fatal(err)
 		}
 		e.Flush()

@@ -9,20 +9,22 @@ import (
 	"skimsketch/internal/stream"
 )
 
-func newSketchTestEngine(t *testing.T) *Engine {
+// newSketchTestTenant returns the default tenant of a fresh engine with
+// streams F, G and query q = COUNT(F join G).
+func newSketchTestTenant(t *testing.T) *Tenant {
 	t.Helper()
-	e := startEngine(t, Options{SketchConfig: core.Config{Tables: 5, Buckets: 128, Seed: 11}},
-		IngestConfig{Workers: 2, BatchSize: 8, QueueDepth: 4})
-	if err := e.DeclareStream("F", 1024); err != nil {
+	tn := startEngine(t, Options{SketchConfig: core.Config{Tables: 5, Buckets: 128, Seed: 11}},
+		IngestConfig{Workers: 2, BatchSize: 8, QueueDepth: 4}).Tenant(DefaultTenant)
+	if err := tn.DeclareStream("F", 1024); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.DeclareStream("G", 1024); err != nil {
+	if err := tn.DeclareStream("G", 1024); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RegisterQuery(QuerySpec{Name: "q", Agg: Count, Left: Side{Stream: "F"}, Right: Side{Stream: "G"}}); err != nil {
+	if err := tn.RegisterQuery(QuerySpec{Name: "q", Agg: Count, Left: Side{Stream: "F"}, Right: Side{Stream: "G"}}); err != nil {
 		t.Fatal(err)
 	}
-	return e
+	return tn
 }
 
 func blob(t *testing.T, sk *core.HashSketch) string {
@@ -35,12 +37,11 @@ func blob(t *testing.T, sk *core.HashSketch) string {
 }
 
 func TestQuerySketchesSnapshotIsPrivate(t *testing.T) {
-	e := newSketchTestEngine(t)
+	tn := newSketchTestTenant(t)
 	for v := uint64(0); v < 100; v++ {
-		update(t, e, "F", v, 1)
-		update(t, e, "G", v%10, 1)
+		update(t, tn, "F", v, 1)
+		update(t, tn, "G", v%10, 1)
 	}
-	tn := e.Tenant(DefaultTenant)
 	qs, err := tn.QuerySketches("q")
 	if err != nil {
 		t.Fatal(err)
@@ -83,10 +84,10 @@ func TestQuerySketchesSnapshotIsPrivate(t *testing.T) {
 // merged pair must equal a single engine's answer over the whole
 // workload exactly.
 func TestQuerySketchesMergeAcrossEngines(t *testing.T) {
-	whole := newSketchTestEngine(t)
-	parts := []*Engine{newSketchTestEngine(t), newSketchTestEngine(t), newSketchTestEngine(t)}
+	tn := newSketchTestTenant(t)
+	parts := []*Tenant{newSketchTestTenant(t), newSketchTestTenant(t), newSketchTestTenant(t)}
 	feed := func(streamName string, v uint64, w int64) {
-		update(t, whole, streamName, v, w)
+		update(t, tn, streamName, v, w)
 		update(t, parts[v%3], streamName, v, w)
 	}
 	for v := uint64(0); v < 600; v++ {
@@ -96,7 +97,7 @@ func TestQuerySketchesMergeAcrossEngines(t *testing.T) {
 
 	var lefts, rights []*core.HashSketch
 	for _, p := range parts {
-		qs, err := p.Tenant(DefaultTenant).QuerySketches("q")
+		qs, err := p.QuerySketches("q")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +112,7 @@ func TestQuerySketchesMergeAcrossEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wq, err := whole.Tenant(DefaultTenant).QuerySketches("q")
+	wq, err := tn.QuerySketches("q")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestQuerySketchesMergeAcrossEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := whole.Answer("q")
+	ans, err := tn.Answer("q")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,15 +136,15 @@ func TestQuerySketchesMergeAcrossEngines(t *testing.T) {
 // TestQuerySketchesDrainsPipeline: a snapshot must reflect every batch
 // enqueued before the call.
 func TestQuerySketchesDrainsPipeline(t *testing.T) {
-	e := newSketchTestEngine(t)
+	tn := newSketchTestTenant(t)
 	batch := make([]stream.Update, 50)
 	for v := range batch {
 		batch[v] = stream.Update{Value: uint64(v), Weight: 1}
 	}
-	if err := e.IngestBatch("F", batch); err != nil {
+	if err := tn.IngestBatch("F", batch); err != nil {
 		t.Fatal(err)
 	}
-	qs, err := e.Tenant(DefaultTenant).QuerySketches("q")
+	qs, err := tn.QuerySketches("q")
 	if err != nil {
 		t.Fatal(err)
 	}

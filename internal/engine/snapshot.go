@@ -420,6 +420,9 @@ func (e *Engine) restoreTenantLocked(tenant string, slice tenantSnap) error {
 		e.tenantLocked(tenant)
 	}
 	for name, s := range slice.Streams {
+		if err := validStreamName(name); err != nil {
+			return fmt.Errorf("engine: restore: %w", err)
+		}
 		e.streams[nsKey{tenant, name}] = &streamInfo{domain: s.Domain, count: s.Count}
 	}
 	// Re-register the queries, rebuilding (empty) shared synopses...

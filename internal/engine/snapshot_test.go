@@ -14,13 +14,14 @@ import (
 func buildLoadedEngine(t *testing.T) *Engine {
 	t.Helper()
 	e := mustEngine(t)
-	if err := e.DeclareStream("F", 1024); err != nil {
+	tn := e.Tenant(DefaultTenant)
+	if err := tn.DeclareStream("F", 1024); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.DeclareStream("G", 1024); err != nil {
+	if err := tn.DeclareStream("G", 1024); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
+	if err := tn.RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
 		t.Fatal(err)
 	}
 	specs := []QuerySpec{
@@ -31,15 +32,15 @@ func buildLoadedEngine(t *testing.T) *Engine {
 			Right: Side{Stream: "G"}},
 	}
 	for _, s := range specs {
-		if err := e.RegisterQuery(s); err != nil {
+		if err := tn.RegisterQuery(s); err != nil {
 			t.Fatal(err)
 		}
 	}
 	zf, _ := workload.NewZipf(1024, 1.2, 1)
 	zg, _ := workload.NewZipf(1024, 1.2, 2)
 	for i := 0; i < 5000; i++ {
-		update(t, e, "F", zf.Next(), 1)
-		update(t, e, "G", zg.Next(), 1)
+		update(t, tn, "F", zf.Next(), 1)
+		update(t, tn, "G", zg.Next(), 1)
 	}
 	return e
 }
@@ -52,7 +53,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 
 	restored := mustEngine(t)
-	if err := restored.RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
+	if err := restored.Tenant(DefaultTenant).RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
 		t.Fatal(err)
 	}
 	if err := restored.Restore(bytes.NewReader(buf.Bytes())); err != nil {
@@ -60,12 +61,13 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 
 	// Every query must answer identically.
-	for _, q := range orig.Queries() {
-		a, err := orig.Answer(q)
+	from, to := orig.Tenant(DefaultTenant), restored.Tenant(DefaultTenant)
+	for _, q := range from.Queries() {
+		a, err := from.Answer(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := restored.Answer(q)
+		b, err := to.Answer(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,12 +84,12 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 
 	// The restored engine keeps working: further updates shift answers in
 	// both engines identically.
-	update(t, orig, "F", 3, 100)
-	update(t, restored, "F", 3, 100)
-	update(t, orig, "G", 3, 7)
-	update(t, restored, "G", 3, 7)
-	a, _ := orig.Answer("plain")
-	b, _ := restored.Answer("plain")
+	update(t, from, "F", 3, 100)
+	update(t, to, "F", 3, 100)
+	update(t, from, "G", 3, 7)
+	update(t, to, "G", 3, 7)
+	a, _ := from.Answer("plain")
+	b, _ := to.Answer("plain")
 	if a.Estimate != b.Estimate {
 		t.Fatalf("post-restore divergence: %d vs %d", a.Estimate, b.Estimate)
 	}
@@ -111,8 +113,9 @@ func TestRestoreRequiresEmptyEngine(t *testing.T) {
 	var buf bytes.Buffer
 	orig.Snapshot(&buf)
 	notEmpty := mustEngine(t)
-	notEmpty.DeclareStream("X", 8)
-	notEmpty.RegisterPredicate("low", func(uint64, int64) bool { return true })
+	tn := notEmpty.Tenant(DefaultTenant)
+	tn.DeclareStream("X", 8)
+	tn.RegisterPredicate("low", func(uint64, int64) bool { return true })
 	if err := notEmpty.Restore(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("expected non-empty-engine error")
 	}
@@ -157,7 +160,7 @@ func TestFailedRestoreLeavesEngineRestorable(t *testing.T) {
 	}
 
 	e := mustEngine(t)
-	if err := e.RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
+	if err := e.Tenant(DefaultTenant).RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Restore(bytes.NewReader(bad)); err == nil {
@@ -166,12 +169,13 @@ func TestFailedRestoreLeavesEngineRestorable(t *testing.T) {
 	if err := e.Restore(bytes.NewReader(good.Bytes())); err != nil {
 		t.Fatalf("good snapshot refused after a failed restore: %v", err)
 	}
-	for _, q := range orig.Queries() {
-		a, err := orig.Answer(q)
+	from, to := orig.Tenant(DefaultTenant), e.Tenant(DefaultTenant)
+	for _, q := range from.Queries() {
+		a, err := from.Answer(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := e.Answer(q)
+		b, err := to.Answer(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,16 +202,17 @@ func TestFailedRestoreKeepsDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := mustEngine(t) // "low" not registered: the restore fails
+	tn := e.Tenant(DefaultTenant)
 	if err := e.Restore(bytes.NewReader(bad)); err == nil {
 		t.Fatal("restore without the predicate succeeded")
 	}
-	if err := e.DeclareStream("F", 64); err != nil {
+	if err := tn.DeclareStream("F", 64); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RegisterQuery(QuerySpec{Name: "q", Agg: Count, Left: Side{Stream: "F"}, Right: Side{Stream: "F"}}); err != nil {
+	if err := tn.RegisterQuery(QuerySpec{Name: "q", Agg: Count, Left: Side{Stream: "F"}, Right: Side{Stream: "F"}}); err != nil {
 		t.Fatal(err)
 	}
-	qs, err := e.Tenant(DefaultTenant).QuerySketches("q")
+	qs, err := tn.QuerySketches("q")
 	if err != nil {
 		t.Fatal(err)
 	}

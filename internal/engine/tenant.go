@@ -8,8 +8,8 @@ import (
 	"sync/atomic"
 )
 
-// DefaultTenant is the namespace the un-suffixed Engine methods operate
-// on. A single-tenant deployment never needs to name it.
+// DefaultTenant is the namespace of a single-tenant deployment: sketchd's
+// unscoped HTTP paths and version-1 snapshots use it.
 const DefaultTenant = "default"
 
 // ErrQuotaExceeded is wrapped by every quota rejection — synopsis memory
@@ -68,6 +68,18 @@ func validTenantName(name string) error {
 	}
 	if strings.ContainsAny(name, "/ \t\n") {
 		return fmt.Errorf("engine: tenant name %q must not contain '/' or whitespace", name)
+	}
+	return nil
+}
+
+// validStreamName rejects names that would collide in Stats.UpdateCounts,
+// where "tenant/stream" names every non-default tenant's stream.
+func validStreamName(name string) error {
+	if name == "" {
+		return fmt.Errorf("engine: stream name must be non-empty")
+	}
+	if strings.Contains(name, "/") {
+		return fmt.Errorf("engine: stream name %q must not contain '/'", name)
 	}
 	return nil
 }
@@ -163,9 +175,8 @@ func (e *Engine) Tenant(name string) *Tenant {
 	return &Tenant{e: e, name: name}
 }
 
-// Tenant scopes the engine API to one namespace: every method behaves
-// exactly like the Engine method of the same name restricted to the
-// tenant's streams, predicates, queries, watches and answer cache.
+// Tenant is the engine's scoped API: every method reads or changes only
+// the tenant's streams, predicates, queries, watches and answer cache.
 type Tenant struct {
 	e    *Engine
 	name string
@@ -175,13 +186,14 @@ type Tenant struct {
 func (t *Tenant) Name() string { return t.name }
 
 // DeclareStream registers a stream name with its value domain
-// [0, domain) in this tenant.
+// [0, domain) in this tenant. The name must be non-empty and free of
+// '/', which Stats.UpdateCounts uses to join tenant and stream.
 func (t *Tenant) DeclareStream(name string, domain uint64) error {
 	if err := validTenantName(t.name); err != nil {
 		return err
 	}
-	if name == "" {
-		return fmt.Errorf("engine: stream name must be non-empty")
+	if err := validStreamName(name); err != nil {
+		return err
 	}
 	if domain == 0 {
 		return fmt.Errorf("engine: stream %q: domain must be positive", name)
@@ -248,12 +260,6 @@ func (t *Tenant) RemoveQuery(name string) error {
 	delete(e.answers, qk)
 	e.watches.Remove(watchKey(t.name, name))
 	return nil
-}
-
-// Answer serves the current approximate answer of a query registered in
-// this tenant; see Engine.Answer for the locking and caching contract.
-func (t *Tenant) Answer(name string) (Answer, error) {
-	return t.e.answerTenant(t.name, name)
 }
 
 // Stats reports this tenant's registry sizes, counters and quota.

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"skimsketch/internal/stream"
+	"strings"
 	"testing"
 
+	"skimsketch/internal/monitor"
+	"skimsketch/internal/stream"
 	"skimsketch/internal/workload"
 )
 
@@ -38,6 +40,15 @@ func feedTenant(t *testing.T, tn *Tenant, n int, seed int64) {
 		update(t, tn, "F", zf.Next(), 1)
 		update(t, tn, "G", zg.Next(), 1)
 	}
+}
+
+// evaluateWatches evaluates a tenant's standing watches through
+// Tenant.Answer, as the serving layer does.
+func evaluateWatches(e *Engine, tenant string) ([]monitor.WatchStatus, error) {
+	return e.Watches().Evaluate(tenant, func(tenant, query string) (int64, error) {
+		ans, err := e.Tenant(tenant).Answer(query)
+		return ans.Estimate, err
+	})
 }
 
 // TestTenantIsolationSameNames is the cross-tenant answer-cache
@@ -119,16 +130,11 @@ func TestTenantUpdateIsolation(t *testing.T) {
 
 func TestDefaultTenantBackCompat(t *testing.T) {
 	e := mustEngine(t)
-	if err := e.DeclareStream("F", 64); err != nil {
+	def := e.Tenant(DefaultTenant)
+	if err := def.DeclareStream("F", 64); err != nil {
 		t.Fatal(err)
 	}
-	// The flat API and the explicit default-tenant handle are the same
-	// namespace.
-	def := e.Tenant(DefaultTenant)
-	if err := def.DeclareStream("F", 64); err == nil {
-		t.Fatal("default-tenant handle sees a different namespace than the flat API")
-	}
-	update(t, e, "F", 7, 1)
+	update(t, def, "F", 7, 1)
 	st := e.Stats()
 	if st.UpdateCounts["F"] != 1 {
 		t.Fatalf("default tenant update counts keyed %v, want bare \"F\"", st.UpdateCounts)
@@ -136,6 +142,20 @@ func TestDefaultTenantBackCompat(t *testing.T) {
 	got := def.Streams()
 	if len(got) != 1 || got[0] != "F" {
 		t.Fatalf("default tenant streams = %v", got)
+	}
+
+	// "acme/F" is how Stats keys tenant acme's stream F, so no stream may
+	// be named that way: neither declared nor restored.
+	if err := def.DeclareStream("acme/F", 64); err == nil {
+		t.Fatal(`default tenant declared stream "acme/F", which collides with tenant acme's F in Stats.UpdateCounts`)
+	}
+	r := mustEngine(t)
+	snap := `{"version":1,"defaults":{"tables":5,"buckets":256,"seed":7},"streams":{"G":{"domain":64},"acme/F":{"domain":64,"count":3}}}`
+	if err := r.Restore(strings.NewReader(snap)); err == nil {
+		t.Fatal(`restore accepted stream "acme/F"`)
+	}
+	if st := r.Stats(); st.Streams != 0 || len(st.UpdateCounts) != 0 {
+		t.Fatalf("refused restore changed the engine: %+v", st)
 	}
 }
 
@@ -308,7 +328,7 @@ func TestMultiTenantSnapshotRoundTrip(t *testing.T) {
 	feedTenant(t, bob, 300, 9)
 	// Drive the watch into alert so the restored state machine has
 	// something to preserve.
-	if _, err := alice.EvaluateWatches(); err != nil {
+	if _, err := evaluateWatches(e, "alice"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -351,11 +371,11 @@ func TestMultiTenantSnapshotRoundTrip(t *testing.T) {
 	if got := r.Tenant("bob").Stats().Quota; got != (Quota{MaxSynopsisWords: 1 << 20, MaxPendingUpdates: 777}) {
 		t.Fatalf("bob's quota did not survive: %+v", got)
 	}
-	watches := r.Tenant("alice").Watches()
+	watches := r.Watches().List("alice")
 	if len(watches) != 1 || watches[0].Query != "q" {
 		t.Fatalf("alice's watches did not survive: %+v", watches)
 	}
-	origWatch := e.Tenant("alice").Watches()[0]
+	origWatch := e.Watches().List("alice")[0]
 	if watches[0].State != origWatch.State {
 		t.Fatalf("watch state %v did not survive restore (orig %v)", watches[0].State, origWatch.State)
 	}
@@ -418,7 +438,7 @@ func TestV1RestoreReplayTailBitIdentical(t *testing.T) {
 	}
 
 	restored := mustEngine(t)
-	if err := restored.RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
+	if err := restored.Tenant(DefaultTenant).RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
 		t.Fatal(err)
 	}
 	if err := restored.Restore(bytes.NewReader(buf.Bytes())); err != nil {
@@ -436,20 +456,21 @@ func TestV1RestoreReplayTailBitIdentical(t *testing.T) {
 			bg[j] = stream.Update{Value: zg.Next(), Weight: 1}
 		}
 		for _, e := range []*Engine{solid, restored} {
-			if err := e.IngestBatch("F", bf); err != nil {
+			if err := e.Tenant(DefaultTenant).IngestBatch("F", bf); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.IngestBatch("G", bg); err != nil {
+			if err := e.Tenant(DefaultTenant).IngestBatch("G", bg); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	for _, q := range solid.Queries() {
-		a, err := solid.Answer(q)
+	from, to := solid.Tenant(DefaultTenant), restored.Tenant(DefaultTenant)
+	for _, q := range from.Queries() {
+		a, err := from.Answer(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := restored.Answer(q)
+		b, err := to.Answer(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -459,7 +480,7 @@ func TestV1RestoreReplayTailBitIdentical(t *testing.T) {
 	}
 	// The restored state must live in the DEFAULT tenant, not some
 	// namespace invented during restore.
-	if streams := restored.Tenant(DefaultTenant).Streams(); len(streams) != 2 {
+	if streams := to.Streams(); len(streams) != 2 {
 		t.Fatalf("v1 restore landed outside the default tenant: %v", streams)
 	}
 }
@@ -478,7 +499,7 @@ func TestWatchHysteresisThroughEngine(t *testing.T) {
 
 	eval := func() bool {
 		t.Helper()
-		sts, err := tn.EvaluateWatches()
+		sts, err := evaluateWatches(e, "ops")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -506,7 +527,7 @@ func TestWatchHysteresisThroughEngine(t *testing.T) {
 	if err := tn.RemoveQuery("q"); err != nil {
 		t.Fatal(err)
 	}
-	if got := tn.Watches(); len(got) != 0 {
+	if got := e.Watches().List("ops"); len(got) != 0 {
 		t.Fatalf("watch survived its query: %+v", got)
 	}
 }

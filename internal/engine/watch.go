@@ -44,24 +44,9 @@ func (t *Tenant) RegisterWatch(spec WatchSpec) error {
 	return e.watches.Register(watchKey(t.name, spec.Query), monitor.WatchConfig{High: spec.High, Low: spec.Low})
 }
 
-// Watches lists the tenant's standing watches without evaluating them.
-func (t *Tenant) Watches() []monitor.WatchStatus {
-	return t.e.watches.List(t.name)
-}
-
-// EvaluateWatches answers every watched query of the tenant and feeds
-// the estimates through the alert state machines, returning the
-// resulting statuses sorted by query name. Unchanged queries are served
-// from the answer cache, so an idle tick is cheap.
-func (t *Tenant) EvaluateWatches() ([]monitor.WatchStatus, error) {
-	return t.e.watches.Evaluate(t.name, func(tenant, query string) (int64, error) {
-		ans, err := t.e.answerTenant(tenant, query)
-		return ans.Estimate, err
-	})
-}
-
 // Watches returns the engine's standing-watch registry, for serving
-// layers that list, remove and evaluate watches across tenants.
+// layers that list, remove and evaluate watches across tenants; an
+// evaluation answers each watched query through Tenant.Answer.
 // Registration goes through Tenant.RegisterWatch, which checks the
 // query exists.
 func (e *Engine) Watches() *monitor.Registry { return e.watches }

@@ -87,7 +87,7 @@ for port in $PORT_S0 $PORT_S1 $PORT_S2 $PORT_REF; do
     wait_ready "http://127.0.0.1:$port"
 done
 
-echo "== boot merger (epoch 0: every answer pulls fresh shard sketches)"
+echo "== boot merger (every answer pulls fresh shard sketches)"
 cat >"$WORKDIR/ring.json" <<EOF
 {"shards":[
   {"name":"s0","addr":"http://127.0.0.1:$PORT_S0"},
