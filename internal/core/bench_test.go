@@ -32,15 +32,27 @@ func BenchmarkUpdate(b *testing.B) {
 // batched update path; compare ns per update against BenchmarkUpdate for
 // the batching win at identical bit-for-bit results.
 func BenchmarkUpdateBatch(b *testing.B) {
-	s := MustNewHashSketch(cfg(7, 1024, 1))
-	z, _ := workload.NewZipf(1<<14, 1.2, 1)
-	batch := workload.MakeStream(z, 256)
+	benchUpdateBatch(b, cfg(7, 1024, 1), 1<<14, 1.2, 256)
+}
+
+// BenchmarkUpdateBatchSketchd is BenchmarkUpdateBatch at the shape a
+// sketchd synopsis takes under skimbench's sksp_ingest workload: d = 7,
+// b = 2048, and batches of 1024 zipf(1.0) values over a 2^16 domain.
+func BenchmarkUpdateBatchSketchd(b *testing.B) {
+	benchUpdateBatch(b, cfg(7, 2048, 1), 1<<16, 1.0, 1024)
+}
+
+func benchUpdateBatch(b *testing.B, c Config, domain uint64, skew float64, n int) {
+	s := MustNewHashSketch(c)
+	z, _ := workload.NewZipf(domain, skew, 1)
+	batch := workload.MakeStream(z, n)
 	b.SetBytes(int64(len(batch)) * 16) // one Update{uint64,int64} per element
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.UpdateBatch(batch)
 	}
 	b.ReportMetric(float64(b.N)*float64(len(batch))/b.Elapsed().Seconds(), "updates/sec")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(len(batch))), "ns/update")
 }
 
 func BenchmarkPointEstimate7Tables(b *testing.B) {

@@ -54,11 +54,10 @@ func (c Config) Validate() error {
 // HashSketch is the d × b counter structure of Section 4.1.
 type HashSketch struct {
 	cfg      Config
-	counters []int64 // row-major: counters[j*b + k] is bucket k of table j
-	hs       []hashfam.Pairwise
-	xs       []hashfam.FourWise
-	net      int64 // Σ weights: the net stream size n for insert-only streams
-	gross    int64 // Σ |weights|: total update volume
+	counters []int64       // row-major: counters[j*b + k] is bucket k of table j
+	rows     []hashfam.Row // rows[j] holds h_j and ξ_j
+	net      int64         // Σ weights: the net stream size n for insert-only streams
+	gross    int64         // Σ |weights|: total update volume
 }
 
 // NewHashSketch returns an empty hash sketch for the configuration.
@@ -73,13 +72,12 @@ func NewHashSketch(cfg Config) (*HashSketch, error) {
 // tables·buckets counter array.
 func withCounters(cfg Config, counters []int64) *HashSketch {
 	ss := hashfam.NewSeedStream(cfg.Seed)
-	hs := make([]hashfam.Pairwise, cfg.Tables)
-	xs := make([]hashfam.FourWise, cfg.Tables)
-	for j := 0; j < cfg.Tables; j++ {
-		hs[j] = hashfam.NewPairwise(ss)
-		xs[j] = hashfam.NewFourWise(ss)
+	rows := make([]hashfam.Row, cfg.Tables)
+	for j := range rows {
+		h := hashfam.NewPairwise(ss) // h_j is drawn before ξ_j
+		rows[j] = hashfam.Row{H: h, Xi: hashfam.NewFourWise(ss)}
 	}
-	return &HashSketch{cfg: cfg, counters: counters, hs: hs, xs: xs}
+	return &HashSketch{cfg: cfg, counters: counters, rows: rows}
 }
 
 // MustNewHashSketch is NewHashSketch for static configurations.
@@ -95,35 +93,22 @@ func MustNewHashSketch(cfg Config) *HashSketch {
 // per table. It implements stream.Sink. Negative weights are deletes;
 // arbitrary weights carry SUM semantics.
 func (s *HashSketch) Update(value uint64, weight int64) {
-	b := s.cfg.Buckets
-	for j := 0; j < s.cfg.Tables; j++ {
-		k := s.hs[j].Bucket(value, b)
-		s.counters[j*b+k] += weight * s.xs[j].Sign(value)
-	}
-	s.net += weight
-	if weight < 0 {
-		s.gross -= weight
-	} else {
-		s.gross += weight
-	}
+	s.UpdateBatch([]stream.Update{{Value: value, Weight: weight}})
 }
 
+// updateChunk is how many updates fold hashes per hashfam.Fold call.
+// fold zeroes a chunk-sized stack buffer on every call, one-element
+// Updates included, so it stays small; 16 updates already amortize the
+// per-call and per-table set-up.
+const updateChunk = 16
+
 // UpdateBatch folds a whole batch of stream elements into the sketch. It
-// is bit-for-bit equivalent to calling Update once per element (int64
+// is bit-for-bit equivalent to folding the elements one at a time (int64
 // addition is exact, commutative and associative, so applying the batch
-// table-by-table reorders only additions) but amortizes the per-update
-// overhead: the hash families and the table's counter row are hoisted out
-// of the inner loop, and the net/gross tallies are folded once per batch.
-// It implements stream.BatchSink.
+// table-by-table reorders only additions), and Update is its one-element
+// call. It implements stream.BatchSink.
 func (s *HashSketch) UpdateBatch(batch []stream.Update) {
-	b := s.cfg.Buckets
-	for j := 0; j < s.cfg.Tables; j++ {
-		h, x := s.hs[j], s.xs[j]
-		row := s.counters[j*b : (j+1)*b]
-		for _, u := range batch {
-			row[h.Bucket(u.Value, b)] += u.Weight * x.Sign(u.Value)
-		}
-	}
+	s.fold(batch)
 	var net, gross int64
 	for _, u := range batch {
 		net += u.Weight
@@ -135,6 +120,24 @@ func (s *HashSketch) UpdateBatch(batch []stream.Update) {
 	}
 	s.net += net
 	s.gross += gross
+}
+
+// fold adds weight·ξ_j(value) to bucket h_j(value) of every table for
+// each update, leaving the net and gross tallies alone. UpdateBatch,
+// Subtract and Unskim all hash into the counters through it. It works
+// chunk by chunk, table-major: each value's powers are computed once,
+// then every table's row takes the whole chunk, so the writes go to one
+// row at a time.
+func (s *HashSketch) fold(batch []stream.Update) {
+	var buf [updateChunk]hashfam.Term
+	for len(batch) > 0 {
+		terms := buf[:min(len(batch), updateChunk)]
+		for i := range terms {
+			terms[i] = hashfam.Term{Powers: hashfam.PowersOf(batch[i].Value), Weight: batch[i].Weight}
+		}
+		batch = batch[len(terms):]
+		hashfam.Fold(s.rows, s.counters, terms)
+	}
 }
 
 // Config returns the sketch configuration.
@@ -155,20 +158,17 @@ func (s *HashSketch) GrossCount() int64 { return s.gross }
 // hence hash families) and may be joined or combined.
 func (s *HashSketch) Compatible(o *HashSketch) bool { return s.cfg == o.cfg }
 
-// PointEstimateTable returns table j's estimate of f_v, the product
-// C[j][h_j(v)]·ξ_j(v) of the COUNTSKETCH point estimator.
-func (s *HashSketch) PointEstimateTable(j int, v uint64) int64 {
-	k := s.hs[j].Bucket(v, s.cfg.Buckets)
-	return s.counters[j*s.cfg.Buckets+k] * s.xs[j].Sign(v)
-}
-
 // PointEstimate returns the boosted estimate of f_v: the median over
-// tables of the per-table estimates (Step 5 of SKIMDENSE). Its additive
-// error is O(‖f‖₂/√b) with probability 1 − 2^{−Ω(d)}.
+// tables of the per-table COUNTSKETCH estimates C[j][h_j(v)]·ξ_j(v)
+// (Step 5 of SKIMDENSE). Its additive error is O(‖f‖₂/√b) with
+// probability 1 − 2^{−Ω(d)}.
 func (s *HashSketch) PointEstimate(v uint64) int64 {
+	b := s.cfg.Buckets
+	p := hashfam.PowersOf(v)
 	ests := make([]int64, s.cfg.Tables)
 	for j := range ests {
-		ests[j] = s.PointEstimateTable(j, v)
+		k, sign := s.rows[j].At(p, uint64(b))
+		ests[j] = s.counters[j*b+k] * sign
 	}
 	return stats.MedianInt64(ests)
 }
@@ -242,14 +242,4 @@ func (s *HashSketch) Reset() {
 // diagnostics.
 func (s *HashSketch) Counter(j, k int) int64 {
 	return s.counters[j*s.cfg.Buckets+k]
-}
-
-// bucketOf returns h_j(v); it is used by the skimming and subjoin code.
-func (s *HashSketch) bucketOf(j int, v uint64) int {
-	return s.hs[j].Bucket(v, s.cfg.Buckets)
-}
-
-// signOf returns ξ_j(v).
-func (s *HashSketch) signOf(j int, v uint64) int64 {
-	return s.xs[j].Sign(v)
 }

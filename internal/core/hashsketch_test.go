@@ -227,11 +227,9 @@ func TestCloneCombineReset(t *testing.T) {
 func TestPairedSketchesShareHashes(t *testing.T) {
 	a := MustNewHashSketch(cfg(5, 64, 123))
 	b := MustNewHashSketch(cfg(5, 64, 123))
-	for v := uint64(0); v < 100; v++ {
-		for j := 0; j < 5; j++ {
-			if a.bucketOf(j, v) != b.bucketOf(j, v) || a.signOf(j, v) != b.signOf(j, v) {
-				t.Fatal("same config must derive identical hash families")
-			}
+	for j := 0; j < 5; j++ {
+		if a.rows[j] != b.rows[j] {
+			t.Fatal("same config must derive identical hash families")
 		}
 	}
 }

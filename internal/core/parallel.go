@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 
+	"skimsketch/internal/hashfam"
 	"skimsketch/internal/stats"
 	"skimsketch/internal/stream"
 )
@@ -111,7 +112,8 @@ func subJoinWorkers(dense stream.FreqVector, sk *HashSketch, workers int) int64 
 	forEachTable(d, workers, func(j int) {
 		var sum int64
 		for v, w := range dense {
-			sum += w * sk.counters[j*b+sk.bucketOf(j, v)] * sk.signOf(j, v)
+			k, sign := sk.rows[j].At(hashfam.PowersOf(v), uint64(b))
+			sum += w * sk.counters[j*b+k] * sign
 		}
 		rows[j] = sum
 	})

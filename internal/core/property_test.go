@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -109,15 +110,52 @@ func TestQuickSkimUnskimIdentity(t *testing.T) {
 	}
 }
 
+// wideStream turns fuzz input into an update stream over the whole
+// uint64 range: odd draws keep all 64 bits, so values ≥ p reach the
+// hash, and even draws fold into [0, 512), so skims of that domain find
+// dense values.
+func wideStream(vals []uint64, weights []int8) []stream.Update {
+	us := make([]stream.Update, 0, len(vals))
+	for i, v := range vals {
+		if v&1 == 0 {
+			v %= 512
+		}
+		w := int64(1)
+		if i < len(weights) && weights[i] != 0 {
+			w = int64(weights[i])
+		}
+		us = append(us, stream.Update{Value: v, Weight: w})
+	}
+	return us
+}
+
+// hornerFold is the reference UpdateBatch is held to: it folds us into
+// s table by table, each update through the table's scalar
+// Pairwise.Bucket and Horner-rule FourWise.Sign, not the row kernel.
+func hornerFold(s *HashSketch, us []stream.Update) {
+	b := s.cfg.Buckets
+	for j, r := range s.rows {
+		row := s.counters[j*b : (j+1)*b]
+		for _, u := range us {
+			row[r.H.Bucket(u.Value, b)] += u.Weight * r.Xi.Sign(u.Value)
+		}
+	}
+	for _, u := range us {
+		s.net += u.Weight
+		s.gross += max(u.Weight, -u.Weight)
+	}
+}
+
 // chunkBy splits updates into consecutive chunks whose sizes are driven
-// by the fuzz bytes (size = b%7 + 1, so empty and tiny chunks both occur).
+// by the fuzz bytes (size = b%40 + 1, so single updates and chunks that
+// cross UpdateBatch's internal 16-update boundary both occur).
 func chunkBy(us []stream.Update, sizes []uint8) [][]stream.Update {
 	var chunks [][]stream.Update
 	i := 0
 	for off := 0; off < len(us); {
 		n := 1
 		if len(sizes) > 0 {
-			n = int(sizes[i%len(sizes)]%7) + 1
+			n = int(sizes[i%len(sizes)]%40) + 1
 			i++
 		}
 		end := off + n
@@ -130,13 +168,23 @@ func chunkBy(us []stream.Update, sizes []uint8) [][]stream.Update {
 	return chunks
 }
 
-// Property: UpdateBatch over any chunking of the stream is bit-for-bit
-// identical to the sequential Update loop — same counters, same counts,
-// and exactly the same skimmed-sketch estimate (components included).
+// sameSketch reports whether two sketches hold identical counters and
+// counts.
+func sameSketch(a, b *HashSketch) bool {
+	return slices.Equal(a.counters, b.counters) && a.net == b.net && a.gross == b.gross
+}
+
+// Property: Update and UpdateBatch over any chunking of a full-range
+// stream are bit-for-bit identical to the per-table Horner loop — same
+// counters, same counts, and exactly the same skimmed-sketch estimate
+// (components included).
 func TestQuickBatchSequentialEquivalence(t *testing.T) {
 	c := cfg(5, 32, 17)
-	f := func(v1 []uint16, w1 []int8, v2 []uint16, w2 []int8, splits []uint8) bool {
-		u1, u2 := miniStream(v1, w1), miniStream(v2, w2)
+	f := func(v1 []uint64, w1 []int8, v2 []uint64, w2 []int8, splits []uint8) bool {
+		u1, u2 := wideStream(v1, w1), wideStream(v2, w2)
+		fRef, gRef := MustNewHashSketch(c), MustNewHashSketch(c)
+		hornerFold(fRef, u1)
+		hornerFold(gRef, u2)
 		fSeq, gSeq := MustNewHashSketch(c), MustNewHashSketch(c)
 		stream.Apply(u1, fSeq)
 		stream.Apply(u2, gSeq)
@@ -147,29 +195,19 @@ func TestQuickBatchSequentialEquivalence(t *testing.T) {
 		for _, chunk := range chunkBy(u2, splits) {
 			gBat.UpdateBatch(chunk)
 		}
-		for _, pair := range [][2]*HashSketch{{fSeq, fBat}, {gSeq, gBat}} {
-			seq, bat := pair[0], pair[1]
-			if seq.NetCount() != bat.NetCount() || seq.GrossCount() != bat.GrossCount() {
-				return false
-			}
-			for j := 0; j < 5; j++ {
-				for k := 0; k < 32; k++ {
-					if seq.Counter(j, k) != bat.Counter(j, k) {
-						return false
-					}
-				}
-			}
+		if !sameSketch(fRef, fSeq) || !sameSketch(fRef, fBat) || !sameSketch(gRef, gSeq) || !sameSketch(gRef, gBat) {
+			return false
 		}
 		// Exact equality of the full decomposed estimate, skim included.
-		estSeq, err1 := EstimateJoin(fSeq, gSeq, 512, nil)
+		estRef, err1 := EstimateJoin(fRef, gRef, 512, nil)
 		estBat, err2 := EstimateJoin(fBat, gBat, 512, nil)
-		if err1 != nil || err2 != nil || estSeq != estBat {
+		if err1 != nil || err2 != nil || estRef != estBat {
 			return false
 		}
 		// And of the no-skim (raw bucket inner product) estimate.
-		rawSeq, err1 := EstimateJoin(fSeq, gSeq, 512, &Options{NoSkim: true})
+		rawRef, err1 := EstimateJoin(fRef, gRef, 512, &Options{NoSkim: true})
 		rawBat, err2 := EstimateJoin(fBat, gBat, 512, &Options{NoSkim: true})
-		return err1 == nil && err2 == nil && rawSeq == rawBat
+		return err1 == nil && err2 == nil && rawRef == rawBat
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

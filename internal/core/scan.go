@@ -111,7 +111,8 @@ func scanRange(sks []*HashSketch, thrs []int64, signed bool, lo, hi uint64, outs
 	}
 	walks := make([]tableWalk, d)
 	for j := range walks {
-		walks[j] = tableWalk{h: sks[0].hs[j].WalkFrom(lo), x: sks[0].xs[j].WalkFrom(lo)}
+		r := &sks[0].rows[j]
+		walks[j] = tableWalk{h: r.H.WalkFrom(lo), x: r.Xi.WalkFrom(lo)}
 	}
 	scratch := make([]int64, d)
 	nb := uint64(b)

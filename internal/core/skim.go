@@ -74,13 +74,7 @@ func (s *HashSketch) Subtract(dense stream.FreqVector) {
 }
 
 func (s *HashSketch) subtract(dense stream.FreqVector) {
-	b := s.cfg.Buckets
-	for v, w := range dense {
-		for j := 0; j < s.cfg.Tables; j++ {
-			k := s.bucketOf(j, v)
-			s.counters[j*b+k] -= w * s.signOf(j, v)
-		}
-	}
+	s.foldDense(dense, -1)
 }
 
 // Unskim adds a previously extracted dense vector back into the sketch,
@@ -88,11 +82,21 @@ func (s *HashSketch) subtract(dense stream.FreqVector) {
 // the cheap alternative to Clone when a caller wants to reuse one sketch
 // across repeated estimates.
 func (s *HashSketch) Unskim(dense stream.FreqVector) {
-	b := s.cfg.Buckets
+	s.foldDense(dense, 1)
+}
+
+// foldDense folds sign·dense into the counters through fold, a chunk at
+// a time. Negating the weight is exact in two's complement, so
+// subtracting w·ξ and adding (−w)·ξ leave the same counters.
+func (s *HashSketch) foldDense(dense stream.FreqVector, sign int64) {
+	var buf [updateChunk]stream.Update
+	n := 0
 	for v, w := range dense {
-		for j := 0; j < s.cfg.Tables; j++ {
-			k := s.bucketOf(j, v)
-			s.counters[j*b+k] += w * s.signOf(j, v)
+		buf[n] = stream.Update{Value: v, Weight: sign * w}
+		if n++; n == len(buf) {
+			s.fold(buf[:n])
+			n = 0
 		}
 	}
+	s.fold(buf[:n])
 }

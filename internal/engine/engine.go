@@ -213,28 +213,27 @@ type synEntry struct {
 	epoch uint64
 }
 
-// updateBatch folds a whole batch, delegating to the synopsis' batched
-// update when no predicate intervenes. Exactly equivalent to folding the
-// elements the predicate accepts one at a time, in order.
-func (e *synEntry) updateBatch(batch []stream.Update) {
+// updateBatch folds a whole batch into the synopsis with one batched
+// update. A predicate synopsis folds only the updates its predicate
+// accepts, in order: they are filtered into scratch, a buffer the
+// calling shard worker owns, which is returned for reuse.
+func (e *synEntry) updateBatch(batch, scratch []stream.Update) []stream.Update {
 	e.epoch += uint64(len(batch))
-	switch {
-	case e.pred != nil:
+	if e.pred != nil {
+		scratch = scratch[:0]
 		for _, u := range batch {
-			if !e.pred(u.Value, u.Weight) {
-				continue
-			}
-			if e.win != nil {
-				e.win.Update(u.Value, u.Weight)
-			} else {
-				e.sketch.Update(u.Value, u.Weight)
+			if e.pred(u.Value, u.Weight) {
+				scratch = append(scratch, u)
 			}
 		}
-	case e.win != nil:
+		batch = scratch
+	}
+	if e.win != nil {
 		e.win.UpdateBatch(batch)
-	default:
+	} else {
 		e.sketch.UpdateBatch(batch)
 	}
+	return scratch
 }
 
 // snapshot returns a private copy suitable for estimation after the

@@ -174,6 +174,7 @@ func (e *Engine) StopIngest() {
 // sets are disjoint — while excluding readers, which take the write side.
 func (ing *ingester) worker(e *Engine, ch chan ingestItem) {
 	defer ing.wg.Done()
+	var scratch []stream.Update // predicate synopses filter into it
 	for item := range ch {
 		if item.barrier != nil {
 			item.barrier.Done()
@@ -181,7 +182,7 @@ func (ing *ingester) worker(e *Engine, ch chan ingestItem) {
 		}
 		e.applyMu.RLock()
 		for _, en := range item.entries {
-			en.updateBatch(item.batch)
+			scratch = en.updateBatch(item.batch, scratch)
 		}
 		e.applyMu.RUnlock()
 		e.metrics.QueueDepth.Add(-1)

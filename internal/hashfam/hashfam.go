@@ -9,6 +9,21 @@
 // intermediate arithmetic gives a (k+1)-wise independent hash, and the low
 // bit of a four-wise independent value in [0, p) is a four-wise
 // independent ±1 variable up to an O(2^−61) bias.
+//
+// Evaluation. Both families are polynomials in x = reduce(v), so a hash
+// sketch, which evaluates d bucket hashes and d sign families at every
+// value, computes the value's Powers (x, x² and x³ mod p) once and hands
+// them to each table's Row. Per row the sign is a0 + a1·x + a2·x² + a3·x³:
+// three 128-bit products and a0 summed without reduction, below 2^124
+// because every term is below p² < 2^122. Two Mersenne folds bring that
+// to at most p + 4 and one conditional subtract makes it canonical, the
+// same residue Horner's rule gives, so the low bit, the sign, is the
+// same. The bucket is a·x + b, below 2^122, folded once to below 2p,
+// made canonical the same way, then taken % nb. Fold runs that loop over
+// a chunk of inputs for every table of a sketch, and Row.At evaluates
+// one input. The scalar Pairwise.Hash and FourWise.Hash, which agms,
+// query and the walkers use, keep Horner's rule; tests hold the row
+// kernel to them and both to math/big.
 package hashfam
 
 import "math/bits"
@@ -30,6 +45,21 @@ func reduce(x uint64) uint64 {
 // high word is below 2^58 and (hi<<3 | lo>>61) cannot overflow.
 func mulmod(a, b uint64) uint64 {
 	hi, lo := bits.Mul64(a, b)
+	r := (lo & MersennePrime) + (hi<<3 | lo>>61)
+	if r >= MersennePrime {
+		r -= MersennePrime
+	}
+	return r
+}
+
+// mulAdd returns a·x + c mod p for a, x, c < p using a 128-bit product
+// and one Mersenne fold. The sum is at most (p−1)·p < 2^122, so the high
+// word is below 2^58, (hi<<3 | lo>>61) cannot overflow, and the fold
+// leaves at most 2p − 2: one conditional subtract makes it canonical.
+func mulAdd(a, x, c uint64) uint64 {
+	hi, lo := bits.Mul64(a, x)
+	lo, carry := bits.Add64(lo, c, 0)
+	hi += carry
 	r := (lo & MersennePrime) + (hi<<3 | lo>>61)
 	if r >= MersennePrime {
 		r -= MersennePrime

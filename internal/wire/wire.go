@@ -35,9 +35,11 @@ package wire
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"skimsketch/internal/binfmt"
 	"skimsketch/internal/stream"
@@ -336,12 +338,12 @@ func DecodeData(payload []byte, d *Data) error {
 			return fmt.Errorf("wire: %d updates declared in %d remaining bytes", count, r.Len())
 		}
 		start := len(d.buf)
-		for ui := uint64(0); ui < count; ui++ {
-			d.buf = append(d.buf, stream.Update{Value: r.Uvarint(), Weight: r.Varint()})
-		}
-		if err := r.Err(); err != nil {
+		rest := r.Bytes(r.Len())
+		n, err := d.appendUpdates(rest, int(count))
+		if err != nil {
 			return err
 		}
+		r = binfmt.NewReader(Magic, rest[n:])
 		spans = append(spans, span{d.intern(nameB), start, len(d.buf)})
 	}
 	if err := r.Done(); err != nil {
@@ -351,6 +353,48 @@ func DecodeData(payload []byte, d *Data) error {
 		d.Groups = append(d.Groups, stream.Group{Name: s.name, Updates: d.buf[s.start:s.end]})
 	}
 	return nil
+}
+
+// The update loop's errors, worded as binfmt.Reader words the same
+// faults.
+var (
+	errBadValue  = errors.New(Magic + ": bad uvarint")
+	errBadWeight = errors.New(Magic + ": bad varint")
+)
+
+// appendUpdates decodes count updates, each a uvarint value and a zigzag
+// varint weight, from the front of b onto d.buf, and returns how many
+// bytes they took. A byte below 0x80 is a whole varint, so both fields
+// take a one-byte fast path before falling back to encoding/binary.
+func (d *Data) appendUpdates(b []byte, count int) (int, error) {
+	buf := slices.Grow(d.buf, count)
+	i := 0
+	for ; count > 0; count-- {
+		var u stream.Update
+		if i < len(b) && b[i] < 0x80 {
+			u.Value = uint64(b[i])
+			i++
+		} else {
+			v, n := binary.Uvarint(b[i:])
+			if n <= 0 {
+				return 0, errBadValue
+			}
+			u.Value, i = v, i+n
+		}
+		if i < len(b) && b[i] < 0x80 {
+			u.Weight = int64(b[i]>>1) ^ -int64(b[i]&1)
+			i++
+		} else {
+			w, n := binary.Varint(b[i:])
+			if n <= 0 {
+				return 0, errBadWeight
+			}
+			u.Weight, i = w, i+n
+		}
+		buf = append(buf, u)
+	}
+	d.buf = buf
+	return i, nil
 }
 
 // DecodeAck decodes an ACK payload.

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -230,6 +233,77 @@ func TestDecodeDataRejectsLyingCounts(t *testing.T) {
 	if err := DecodeData(append(append([]byte{}, payload...), 0xFF), &Data{}); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
+}
+
+// The update loop decodes one-byte and multi-byte varints alike, and
+// words a malformed value or weight as the binfmt reader words it.
+func TestDecodeDataUpdateVarints(t *testing.T) {
+	var ups []stream.Update
+	for _, v := range []uint64{0, 1, 127, 128, 300, 1<<16 - 1, 1 << 40, math.MaxUint64} {
+		for _, w := range []int64{0, 1, -1, 63, -64, 64, -65, 1000, math.MinInt64, math.MaxInt64} {
+			ups = append(ups, stream.Update{Value: v, Weight: w})
+		}
+	}
+	raw := encodeFrames(t, func(w *Writer) error {
+		return w.WriteData(&Data{ClientID: "c", Groups: []stream.Group{{Name: "F", Updates: ups}}})
+	})
+	var d Data
+	if err := DecodeData(raw[envelopeLen:], &d); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Groups) != 1 || !slices.Equal(d.Groups[0].Updates, ups) {
+		t.Fatalf("decoded %+v, want %+v", d.Groups, ups)
+	}
+
+	group := func(updates ...byte) []byte {
+		b := binary.LittleEndian.AppendUint64(nil, 1) // seq
+		b = append(b, 1, 'c', 0, 1, 1, 'F', 1)        // clientID, default tenant, one group "F" of one update
+		return append(b, updates...)
+	}
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		want    string
+	}{
+		{"truncated value", group(0x80), "SKSP: bad uvarint"},
+		{"overlong value", group(0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0x02), "SKSP: bad uvarint"},
+		{"missing weight", group(0x05), "SKSP: bad varint"},
+		{"truncated weight", group(0x05, 0x80), "SKSP: bad varint"},
+	} {
+		if err := DecodeData(c.payload, &Data{}); err == nil || err.Error() != c.want {
+			t.Errorf("%s: %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// BenchmarkDecodeData decodes frames of skimbench's sksp_ingest shape:
+// one F and one G group of 512 inserts each, values below 2^16.
+func BenchmarkDecodeData(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	d := &Data{ClientID: "bench", Groups: []stream.Group{{Name: "F"}, {Name: "G"}}}
+	for g := range d.Groups {
+		for i := 0; i < 512; i++ {
+			d.Groups[g].Updates = append(d.Groups[g].Updates, stream.Update{Value: uint64(rng.Intn(1 << 16)), Weight: 1})
+		}
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if err := w.WriteData(d); err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	payload := buf.Bytes()[envelopeLen:]
+	var dst Data
+	b.SetBytes(int64(len(payload)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := DecodeData(payload, &dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*1024), "ns/update")
 }
 
 func TestWindowDedupe(t *testing.T) {
