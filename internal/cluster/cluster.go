@@ -16,10 +16,8 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"net/url"
 	"os"
 	"strings"
@@ -109,18 +107,48 @@ func LoadConfig(path string) (Config, error) {
 // to a single-node synopsis by linearity. (Routing whole streams to
 // single shards would lose the entire stream with its shard.)
 //
-// Tenant and stream names are length-prefixed in the hash input so the
-// triples ("ab","c",v) and ("a","bc",v) cannot collide.
+// The hash input is u64 len(tenant) · tenant · u64 len(stream) · stream
+// · u64 value, each u64 little-endian. The length prefixes keep the
+// triples ("ab","c",v) and ("a","bc",v) from colliding.
 func (c Config) Route(tenant, stream string, value uint64) int {
-	h := fnv.New64a()
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(tenant)))
-	h.Write(n[:])
-	h.Write([]byte(tenant))
-	binary.LittleEndian.PutUint64(n[:], uint64(len(stream)))
-	h.Write(n[:])
-	h.Write([]byte(stream))
-	binary.LittleEndian.PutUint64(n[:], value)
-	h.Write(n[:])
-	return int(h.Sum64() % uint64(len(c.Shards)))
+	return c.shardOf(routePrefix(tenant, stream), value)
+}
+
+// FNV-1a 64 parameters (hash/fnv).
+const (
+	fnvOffset64 uint64 = 14695981039346656037
+	fnvPrime64  uint64 = 1099511628211
+)
+
+// routePrefix is Route's FNV-1a state after the (tenant, stream)
+// prefix. The merger computes it once per group and finishes it per
+// value with shardOf.
+func routePrefix(tenant, stream string) uint64 {
+	h := fnvU64(fnvOffset64, uint64(len(tenant)))
+	h = fnvString(h, tenant)
+	h = fnvU64(h, uint64(len(stream)))
+	return fnvString(h, stream)
+}
+
+// shardOf finishes a routePrefix state with value and maps it onto the
+// ring.
+func (c Config) shardOf(prefix, value uint64) int {
+	return int(fnvU64(prefix, value) % uint64(len(c.Shards)))
+}
+
+// fnvU64 folds v's 8 little-endian bytes into the FNV-1a state h.
+func fnvU64(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ v&0xff) * fnvPrime64
+		v >>= 8
+	}
+	return h
+}
+
+// fnvString folds s's bytes into the FNV-1a state h.
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
 }

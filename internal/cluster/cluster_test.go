@@ -1,8 +1,14 @@
 package cluster
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -112,5 +118,61 @@ func TestRouteDeterministicAndPartitioning(t *testing.T) {
 	}
 	if collide {
 		t.Fatal("routing concatenates names without length prefixes")
+	}
+}
+
+// refRoute is the placement Route promises, built on hash/fnv: FNV-1a
+// 64 over u64 len(tenant) · tenant · u64 len(stream) · stream · u64
+// value, little-endian, mod the shard count.
+func refRoute(tenant, stream string, value uint64, shards int) int {
+	h := fnv.New64a()
+	var n [8]byte
+	binary.LittleEndian.PutUint64(n[:], uint64(len(tenant)))
+	h.Write(n[:])
+	h.Write([]byte(tenant))
+	binary.LittleEndian.PutUint64(n[:], uint64(len(stream)))
+	h.Write(n[:])
+	h.Write([]byte(stream))
+	binary.LittleEndian.PutUint64(n[:], value)
+	h.Write(n[:])
+	return int(h.Sum64() % uint64(shards))
+}
+
+// ring returns a Config of n shards (addresses are never dialed).
+func ring(n int) Config {
+	var c Config
+	for i := 0; i < n; i++ {
+		c.Shards = append(c.Shards, Shard{Name: fmt.Sprintf("s%d", i), Addr: fmt.Sprintf("http://127.0.0.1:%d", 9100+i)})
+	}
+	return c
+}
+
+// TestRouteMatchesFNVReference: Route, and the per-group prefix path the
+// merger routes with, both place every element exactly where the
+// hash/fnv reference does, on rings of 1–7 shards, for empty, ordinary
+// and 255-byte names and values over the full uint64 range.
+func TestRouteMatchesFNVReference(t *testing.T) {
+	names := []string{"", "default", "F", "ab", strings.Repeat("n", 255)}
+	values := []uint64{0, 1, 255, 256, 1<<32 - 1, 1 << 32, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 64; i++ {
+		values = append(values, rng.Uint64())
+	}
+	for shards := 1; shards <= 7; shards++ {
+		c := ring(shards)
+		for _, tenant := range names {
+			for _, stream := range names {
+				prefix := routePrefix(tenant, stream)
+				for _, v := range values {
+					want := refRoute(tenant, stream, v, shards)
+					if got := c.Route(tenant, stream, v); got != want {
+						t.Fatalf("%d shards: Route(%q, %q, %d) = %d, reference %d", shards, tenant, stream, v, got, want)
+					}
+					if got := c.shardOf(prefix, v); got != want {
+						t.Fatalf("%d shards: shardOf(routePrefix(%q, %q), %d) = %d, reference %d", shards, tenant, stream, v, got, want)
+					}
+				}
+			}
+		}
 	}
 }

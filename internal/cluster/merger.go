@@ -23,6 +23,7 @@ import (
 	"skimsketch/internal/monitor"
 	"skimsketch/internal/serve"
 	"skimsketch/internal/stream"
+	"skimsketch/internal/wire"
 )
 
 // Merger is the serving backend of the cluster's front tier: it
@@ -48,6 +49,8 @@ type Merger struct {
 	retry   distributed.Backoff
 	now     func() time.Time
 	watches *monitor.Registry
+	// splits recycles the per-shard slices of IngestGroups.
+	splits sync.Pool
 
 	// Counters for /stats.
 	updateCalls    atomic.Int64
@@ -109,14 +112,16 @@ func NewMerger(cfg Config, opts MergerOptions) (*Merger, error) {
 	if now == nil {
 		now = time.Now
 	}
-	return &Merger{
+	m := &Merger{
 		cfg:     cfg,
 		client:  client,
 		timeout: timeout,
 		retry:   retry,
 		now:     now,
 		watches: monitor.NewRegistry(),
-	}, nil
+	}
+	m.splits.New = func() any { return new(split) }
+	return m, nil
 }
 
 // shardURL builds a shard API URL with the tenant (if any) and extra
@@ -303,30 +308,30 @@ func (m *Merger) Shed(serve.Key) bool { return false }
 
 // IngestGroups routes one request across the ring: each element goes to
 // the shard Route picks for its (tenant, stream, value), so the
-// per-shard sub-batches partition the request. The request is not
-// atomic across shards, but it is exactly-once per shard under retry:
-// the client's key is derived per shard (deriveKey), so the shard
-// dedupe windows carry the promise across merger restarts and replays,
-// and the merger remembers nothing. A replay is re-forwarded in full;
-// shards that already applied their slice answer from memory, and the
-// result is a duplicate only when every shard's was.
+// per-shard sub-batches partition the request. Each shard receives its
+// slice as an SKSP groups body (wire.GroupsContentType) on its HTTP
+// /update. The request is not atomic across shards, but it is
+// exactly-once per shard under retry: the client's key is derived per
+// shard (deriveKey), so the shard dedupe windows carry the promise
+// across merger restarts and replays, and the merger remembers nothing.
+// A replay is re-forwarded in full; shards that already applied their
+// slice answer from memory, and the result is a duplicate only when
+// every shard's was.
 func (m *Merger) IngestGroups(ctx context.Context, tenant string, key serve.Key, groups []stream.Group, release func()) (int64, bool, error) {
 	m.updateCalls.Add(1)
-	perShard := make(map[int][]serve.UpdateReq)
-	var total int64
-	for _, g := range groups {
-		for _, u := range g.Updates {
-			si := m.cfg.Route(tenant, g.Name, u.Value)
-			w := u.Weight
-			perShard[si] = append(perShard[si], serve.UpdateReq{Stream: g.Name, Value: u.Value, Weight: &w})
-		}
-		total += int64(len(g.Updates))
+	sp := m.splits.Get().(*split)
+	defer m.splits.Put(sp)
+	total := sp.route(m.cfg, tenant, groups)
+	bodies, err := sp.encode()
+	if err != nil {
+		m.updateRejected.Add(1)
+		return 0, false, err
 	}
 	baseKey := ""
 	if key.Client != "" {
 		baseKey = key.Client + ":" + strconv.FormatUint(key.Seq, 10)
 	}
-	dup, err := m.fanOutUpdate(ctx, tenant, perShard, baseKey)
+	dup, err := m.fanOutUpdate(ctx, tenant, bodies, baseKey)
 	if err != nil {
 		m.updateRejected.Add(1)
 		return 0, false, err
@@ -336,6 +341,93 @@ func (m *Merger) IngestGroups(ctx context.Context, tenant string, key serve.Key,
 	}
 	m.updatesRouted.Add(total)
 	return total, dup, nil
+}
+
+// split is one request's per-shard slices: shards[i] holds the groups
+// shard i receives. Merger.splits recycles it, update slices included,
+// so routing a request allocates per shard, not per update.
+type split struct {
+	shards [][]stream.Group
+}
+
+// route fills sp.shards with groups partitioned by Route: each update
+// lands in its shard's copy of its group, in request order, and a shard
+// gets a group only when it holds at least one of its updates. It
+// returns the request's update count.
+func (sp *split) route(c Config, tenant string, groups []stream.Group) int64 {
+	n := len(c.Shards)
+	if cap(sp.shards) < n {
+		sp.shards = make([][]stream.Group, n)
+	}
+	sp.shards = sp.shards[:n]
+	for si := range sp.shards {
+		sp.shards[si] = sp.shards[si][:0]
+	}
+	var total int64
+	for _, g := range groups {
+		for si, gs := range sp.shards {
+			sp.shards[si] = openGroup(gs, g.Name)
+		}
+		prefix := routePrefix(tenant, g.Name)
+		for _, u := range g.Updates {
+			gs := sp.shards[c.shardOf(prefix, u.Value)]
+			last := &gs[len(gs)-1]
+			last.Updates = append(last.Updates, u)
+		}
+		for si, gs := range sp.shards {
+			if len(gs[len(gs)-1].Updates) == 0 {
+				sp.shards[si] = gs[:len(gs)-1]
+			}
+		}
+		total += int64(len(g.Updates))
+	}
+	return total
+}
+
+// openGroup appends an empty group named name to gs, reusing the update
+// slice an earlier request left in that slot.
+func openGroup(gs []stream.Group, name string) []stream.Group {
+	if len(gs) == cap(gs) {
+		return append(gs, stream.Group{Name: name})
+	}
+	gs = gs[:len(gs)+1]
+	g := &gs[len(gs)-1]
+	g.Name, g.Updates = name, g.Updates[:0]
+	return gs
+}
+
+// encode returns each shard's slice as a groups body, empty for a shard
+// that receives nothing. Every body is checked against the frame cap
+// before any is sent, so an oversized request is a 413 that applied
+// nothing anywhere. The bodies share one fresh buffer rather than a
+// pooled one: an HTTP transport may still be reading a request body
+// after the response arrives.
+func (sp *split) encode() ([][]byte, error) {
+	size := 0
+	for _, gs := range sp.shards {
+		for _, g := range gs {
+			size += 4*len(g.Updates) + len(g.Name) + 2
+		}
+	}
+	buf := make([]byte, 0, size+len(sp.shards))
+	bodies := make([][]byte, len(sp.shards))
+	for si, gs := range sp.shards {
+		if len(gs) == 0 {
+			continue
+		}
+		start := len(buf)
+		var err error
+		if buf, err = wire.AppendGroups(buf, gs); err != nil {
+			return nil, &serve.Error{Status: http.StatusBadRequest, Err: err}
+		}
+		if n := len(buf) - start; n > wire.MaxFramePayload {
+			return nil, &serve.Error{Status: http.StatusRequestEntityTooLarge,
+				Err: fmt.Errorf("shard %d's slice encodes to %d bytes, over the %d-byte cap; send smaller batches", si, n, wire.MaxFramePayload)}
+		}
+		// A later append may move buf; this body keeps the bytes it has.
+		bodies[si] = buf[start:len(buf):len(buf)]
+	}
+	return bodies, nil
 }
 
 // deriveKey scopes a client idempotency key "client:seq" to one shard:
@@ -352,30 +444,38 @@ func deriveKey(baseKey string, shard int) string {
 	return fmt.Sprintf("%s.s%d%s", baseKey[:i], shard, baseKey[i:])
 }
 
-// fanOutUpdate forwards per-shard sub-batches concurrently and folds
-// the outcomes: permanent refusals dominate (the request itself is
+// fanOutUpdate forwards the non-empty per-shard bodies concurrently and
+// folds the outcomes: permanent refusals dominate (the request itself is
 // bad), then 429s (retryable, with the largest shard hint), then
 // transport failures. Success requires every involved shard to accept.
-func (m *Merger) fanOutUpdate(ctx context.Context, tenant string, perShard map[int][]serve.UpdateReq, baseKey string) (allDup bool, err error) {
+func (m *Merger) fanOutUpdate(ctx context.Context, tenant string, bodies [][]byte, baseKey string) (allDup bool, err error) {
 	type shardOut struct {
 		dup bool
 		err error
 	}
 	outs := make([]shardOut, len(m.cfg.Shards))
 	var wg sync.WaitGroup
-	for si, items := range perShard {
+	involved := 0
+	for si, body := range bodies {
+		if len(body) == 0 {
+			continue
+		}
+		involved++
 		wg.Add(1)
-		go func(si int, items []serve.UpdateReq) {
+		go func(si int, body []byte) {
 			defer wg.Done()
-			dup, err := m.sendUpdate(ctx, m.cfg.Shards[si], tenant, items, deriveKey(baseKey, si))
+			dup, err := m.sendUpdate(ctx, m.cfg.Shards[si], tenant, body, deriveKey(baseKey, si))
 			outs[si] = shardOut{dup, err}
-		}(si, items)
+		}(si, body)
 	}
 	wg.Wait()
-	allDup = len(perShard) > 0
+	allDup = involved > 0
 	var permanent, rejected, failed error
 	var hint time.Duration
-	for si := range perShard {
+	for si, body := range bodies {
+		if len(body) == 0 {
+			continue
+		}
 		o := outs[si]
 		allDup = allDup && o.err == nil && o.dup
 		var e *serve.Error
@@ -399,14 +499,10 @@ func (m *Merger) fanOutUpdate(ctx context.Context, tenant string, perShard map[i
 	return allDup, nil
 }
 
-// sendUpdate forwards one shard's sub-batch, reporting whether the
+// sendUpdate forwards one shard's groups body, reporting whether the
 // shard answered it from its dedupe window.
-func (m *Merger) sendUpdate(ctx context.Context, s Shard, tenant string, items []serve.UpdateReq, key string) (bool, error) {
-	body, err := json.Marshal(items)
-	if err != nil {
-		return false, err
-	}
-	hdr := http.Header{}
+func (m *Merger) sendUpdate(ctx context.Context, s Shard, tenant string, body []byte, key string) (bool, error) {
+	hdr := http.Header{"Content-Type": {wire.GroupsContentType}}
 	if key != "" {
 		hdr.Set("Idempotency-Key", key)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -19,13 +20,14 @@ import (
 	"skimsketch/internal/engine"
 	"skimsketch/internal/serve"
 	"skimsketch/internal/stream"
+	"skimsketch/internal/wire"
 	wclient "skimsketch/internal/wire/client"
 )
 
 // testShard is a minimal in-process stand-in for a sketchd shard: a
 // real engine behind the handful of endpoints the merger talks to
-// (/streams, /queries, /update with Idempotency-Key dedupe, /sketch,
-// /flush). Fault injection knobs drive the degraded and retry tests.
+// (/streams, /queries, /update with Idempotency-Key dedupe and an SKSP
+// groups body, /sketch, /flush). Fault injection knobs drive the degraded and retry tests.
 type testShard struct {
 	eng *engine.Engine
 	srv *httptest.Server
@@ -150,34 +152,37 @@ func (ts *testShard) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var batch []testUpdate
-	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
+	if ct := r.Header.Get("Content-Type"); ct != wire.GroupsContentType {
+		http.Error(w, "unexpected Content-Type "+ct, http.StatusUnsupportedMediaType)
+		return
+	}
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	var d wire.Data
+	if err := wire.DecodeGroups(body, &d); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	tn := ts.tenant(r)
-	byStream := make(map[string][]stream.Update)
-	for _, u := range batch {
-		weight := int64(1)
-		if u.Weight != nil {
-			weight = *u.Weight
-		}
-		byStream[u.Stream] = append(byStream[u.Stream], stream.Update{Value: u.Value, Weight: weight})
-	}
-	for name, ups := range byStream {
-		if err := tn.IngestBatch(name, ups); err != nil {
+	n := 0
+	for _, g := range d.Groups {
+		if err := tn.IngestBatch(g.Name, g.Updates); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
+		n += len(g.Updates)
 	}
-	ts.updates.Add(int64(len(batch)))
+	ts.updates.Add(int64(n))
 	if key != "" {
 		ts.mu.Lock()
-		ts.applied[key] = int64(len(batch))
+		ts.applied[key] = int64(n)
 		ts.mu.Unlock()
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]int{"applied": len(batch)})
+	_ = json.NewEncoder(w).Encode(map[string]int{"applied": n})
 }
 
 func (ts *testShard) handleSketch(w http.ResponseWriter, r *http.Request) {

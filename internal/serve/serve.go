@@ -200,11 +200,15 @@ type Server struct {
 	updateLat latency
 	// sksp is the SKSP listener, if Listen attached one before serving.
 	sksp *Listener
+	// bodies recycles the *bytes.Buffer a groups body is read into; it
+	// is returned as soon as the body is decoded.
+	bodies sync.Pool
 }
 
 // New builds the HTTP surface over b.
 func New(b Backend) *Server {
 	s := &Server{b: b, mux: http.NewServeMux(), start: time.Now()}
+	s.bodies.New = func() any { return new(bytes.Buffer) }
 	for path, h := range map[string]methods{
 		"/streams":          {"POST": s.declareStream, "GET": s.listStreams},
 		"/predicates":       {"POST": s.registerPredicate},
@@ -484,6 +488,10 @@ func (s *Server) update(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, errBusy, http.StatusTooManyRequests)
 		return
 	}
+	if r.Header.Get("Content-Type") == wire.GroupsContentType {
+		s.updateGroups(w, r, key)
+		return
+	}
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		writeErr(w, err, http.StatusBadRequest)
@@ -531,11 +539,72 @@ func (s *Server) update(w http.ResponseWriter, r *http.Request) {
 		groups[i].Updates = append(groups[i].Updates, stream.Update{Value: u.Value, Weight: weight})
 	}
 	applied, dup, err := s.b.IngestGroups(r.Context(), tenant, key, groups, nil)
+	ackUpdate(w, applied, dup, err)
+}
+
+// ackUpdate writes /update's response, whatever the body's format.
+func ackUpdate(w http.ResponseWriter, applied int64, dup bool, err error) {
 	resp := map[string]any{"applied": applied}
 	if dup {
 		resp["deduplicated"] = true
 	}
 	respond(w, http.StatusOK, resp, err, http.StatusBadRequest)
+}
+
+// errBodyTooLarge refuses a groups body over the SKSP frame cap, the
+// bound a frame carrying the same groups would meet.
+var errBodyTooLarge = &Error{Status: http.StatusRequestEntityTooLarge,
+	Err: fmt.Errorf("groups body exceeds %d bytes", wire.MaxFramePayload)}
+
+// updateGroups is /update for a wire.GroupsContentType body, the groups
+// section of an SKSP DATA payload: what a cluster merger forwards to
+// each shard. The tenant is the URL's alone, since the body names none.
+//
+// Unlike the SKSP listener, it decodes into a fresh wire.Data rather
+// than a pooled one. The groups stay queued in the engine until applied,
+// so a pool holds up to two GC cycles' worth of them; under skimbench's
+// cluster3 load on 2 vCPUs that raised each shard's peak RSS by
+// ~0.6 MiB and did not raise throughput.
+func (s *Server) updateGroups(w http.ResponseWriter, r *http.Request, key Key) {
+	buf := s.bodies.Get().(*bytes.Buffer)
+	var d wire.Data
+	err := readGroupsBody(r, buf)
+	if err == nil {
+		if derr := wire.DecodeGroups(buf.Bytes(), &d); derr != nil {
+			err = badRequest(derr)
+		}
+	}
+	// The decoded groups copy everything they need out of the body.
+	s.bodies.Put(buf)
+	if err != nil {
+		writeErr(w, err, http.StatusBadRequest)
+		return
+	}
+	applied, dup, err := s.b.IngestGroups(r.Context(), urlScope(r), key, d.Groups, nil)
+	ackUpdate(w, applied, dup, err)
+}
+
+// readGroupsBody reads r's body into buf. A body over
+// wire.MaxFramePayload is refused before it is read in full: at once
+// when its declared length says so, else after the first byte past the
+// cap.
+func readGroupsBody(r *http.Request, buf *bytes.Buffer) error {
+	if r.ContentLength > wire.MaxFramePayload {
+		return errBodyTooLarge
+	}
+	buf.Reset()
+	if r.ContentLength > 0 {
+		// ReadFrom keeps MinRead bytes free before each read, so this
+		// reads a declared-length body without growing buf again.
+		buf.Grow(int(r.ContentLength) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(io.LimitReader(r.Body, wire.MaxFramePayload+1)); err != nil {
+		return badRequest(fmt.Errorf("read groups body: %w", err))
+	}
+	if buf.Len() > wire.MaxFramePayload {
+		return errBodyTooLarge
+	}
+	return nil
 }
 
 // flush drains ingestion: once it returns, every previously accepted

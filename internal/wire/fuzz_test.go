@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"io"
+	"slices"
 	"testing"
 
 	"skimsketch/internal/stream"
@@ -43,19 +44,59 @@ func seedCorpus(f *testing.F) {
 		}
 		return w.WriteAck(Ack{Seq: 7, Applied: 2})
 	}))
+	body, err := AppendGroups(nil, d.Groups)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(body) // an HTTP /update groups body
 	f.Add([]byte{})
 	f.Add([]byte("SKSPgarbage that is not a frame"))
 	f.Add([]byte{1, 255, 255, 255, 255, 0, 0, 0, 0}) // huge declared length
+}
+
+// sameGroups fails t unless got and want hold the same groups, names
+// and updates in the same order.
+func sameGroups(t *testing.T, what string, got, want []stream.Group) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d groups, want %d", what, len(got), len(want))
+	}
+	for gi := range want {
+		if got[gi].Name != want[gi].Name || !slices.Equal(got[gi].Updates, want[gi].Updates) {
+			t.Fatalf("%s changed group %d", what, gi)
+		}
+	}
+}
+
+// groupsRoundTrip re-encodes groups as an HTTP /update body and decodes
+// it again: the result must be identical.
+func groupsRoundTrip(t *testing.T, groups []stream.Group) {
+	t.Helper()
+	body, err := AppendGroups(nil, groups)
+	if err != nil {
+		t.Fatalf("re-encode of accepted groups failed: %v", err)
+	}
+	var d Data
+	if err := DecodeGroups(body, &d); err != nil {
+		t.Fatalf("re-decode of own groups body failed: %v", err)
+	}
+	sameGroups(t, "groups round trip", d.Groups, groups)
 }
 
 // FuzzFrameRoundTrip drives the full de-framing + decode + re-encode
 // loop over arbitrary byte streams: whatever the Reader and the payload
 // decoders accept must survive a re-encode/re-decode round trip
 // unchanged; everything else must fail with an error — never a panic,
-// never an over-allocation driven by a lying length.
+// never an over-allocation driven by a lying length. The raw bytes are
+// also tried as an HTTP /update groups body, which must round-trip
+// through AppendGroups and DecodeGroups the same way.
 func FuzzFrameRoundTrip(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		var body Data
+		if DecodeGroups(raw, &body) == nil {
+			groupsRoundTrip(t, body.Groups)
+		}
 		r := NewReader(bytes.NewReader(raw))
 		var d Data
 		for i := 0; i < 64; i++ {
@@ -86,19 +127,11 @@ func FuzzFrameRoundTrip(f *testing.F) {
 				if err := DecodeData(p2, &d2); err != nil {
 					t.Fatalf("re-decode of own output failed: %v", err)
 				}
-				if d2.ClientID != d.ClientID || d2.Seq != d.Seq || d2.Tenant != d.Tenant || len(d2.Groups) != len(d.Groups) {
+				if d2.ClientID != d.ClientID || d2.Seq != d.Seq || d2.Tenant != d.Tenant {
 					t.Fatalf("round trip changed identity: %+v vs %+v", d2, d)
 				}
-				for gi := range d.Groups {
-					if d2.Groups[gi].Name != d.Groups[gi].Name || len(d2.Groups[gi].Updates) != len(d.Groups[gi].Updates) {
-						t.Fatalf("round trip changed group %d", gi)
-					}
-					for ui := range d.Groups[gi].Updates {
-						if d2.Groups[gi].Updates[ui] != d.Groups[gi].Updates[ui] {
-							t.Fatalf("round trip changed group %d update %d", gi, ui)
-						}
-					}
-				}
+				sameGroups(t, "round trip", d2.Groups, d.Groups)
+				groupsRoundTrip(t, d.Groups)
 			case FrameAck:
 				if a, err := DecodeAck(payload); err == nil {
 					var buf bytes.Buffer
@@ -125,9 +158,10 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzFrameDecode hammers the payload decoders directly with garbage
-// and truncations of every prefix length: they must never panic and
-// never accept a payload with trailing bytes.
+// FuzzFrameDecode hammers the payload decoders, and the HTTP groups
+// body decoder, directly with garbage and truncations of every prefix
+// length: they must never panic and never accept a payload with
+// trailing bytes.
 func FuzzFrameDecode(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -143,6 +177,15 @@ func FuzzFrameDecode(f *testing.F) {
 				}
 				if n > len(p) {
 					t.Fatalf("decoded %d updates from %d bytes", n, len(p))
+				}
+			}
+			if err := DecodeGroups(p, &d); err == nil {
+				n := 0
+				for _, g := range d.Groups {
+					n += len(g.Updates)
+				}
+				if n > len(p) {
+					t.Fatalf("decoded %d updates from a %d-byte groups body", n, len(p))
 				}
 			}
 			_, _ = DecodeAck(p)

@@ -20,9 +20,13 @@
 // DATA payload (client → server):
 //
 //	u64 seq · u8 clientID len + bytes · u8 tenant len + bytes (0 ⇒
-//	default tenant) · uvarint group count · per group: u8 stream name
-//	len + bytes · uvarint update count · per update uvarint value +
-//	varint (zigzag) weight.
+//	default tenant) · groups section: uvarint group count · per group:
+//	u8 stream name len + bytes · uvarint update count · per update
+//	uvarint value + varint (zigzag) weight.
+//
+// The groups section alone is also an HTTP /update body
+// (GroupsContentType): a cluster merger forwards each shard its slice
+// of a request that way.
 //
 // ACK payload (server → client): u64 seq · u64 applied · u8 flags
 // (bit 0: duplicate — the frame was already applied and was NOT
@@ -54,6 +58,12 @@ const Version = 1
 // MaxFramePayload bounds a frame's declared payload length; Next
 // rejects larger declarations before reading (or allocating) anything.
 const MaxFramePayload = 1 << 22
+
+// GroupsContentType is the Content-Type of an HTTP /update body that
+// carries a DATA payload's groups section (AppendGroups) in place of
+// JSON. The request's URL names the tenant and its Idempotency-Key
+// header the (clientID, seq), as for a JSON body.
+const GroupsContentType = "application/x-sksp-groups"
 
 // MaxNameLen bounds clientID, tenant and stream names on the wire
 // (they are u8-length-prefixed).
@@ -172,14 +182,28 @@ func (w *Writer) WriteData(d *Data) error {
 	if b, err = appendName(b, "tenant", d.Tenant); err != nil {
 		return err
 	}
-	b = binary.AppendUvarint(b, uint64(len(d.Groups)))
-	for i := range d.Groups {
-		g := &d.Groups[i]
+	if b, err = AppendGroups(b, d.Groups); err != nil {
+		return err
+	}
+	w.scratch = b
+	return w.writeFrame(FrameData)
+}
+
+// AppendGroups appends the groups section of a DATA payload to b: a
+// uvarint group count, then per group a u8-length-prefixed stream name,
+// a uvarint update count and the updates as uvarint value and zigzag
+// varint weight pairs. The section alone is also an HTTP /update body
+// (GroupsContentType).
+func AppendGroups(b []byte, groups []stream.Group) ([]byte, error) {
+	b = binary.AppendUvarint(b, uint64(len(groups)))
+	var err error
+	for i := range groups {
+		g := &groups[i]
 		if g.Name == "" {
-			return fmt.Errorf("wire: group %d has an empty stream name", i)
+			return b, fmt.Errorf("wire: group %d has an empty stream name", i)
 		}
 		if b, err = appendName(b, "stream", g.Name); err != nil {
-			return err
+			return b, err
 		}
 		b = binary.AppendUvarint(b, uint64(len(g.Updates)))
 		for _, u := range g.Updates {
@@ -187,8 +211,7 @@ func (w *Writer) WriteData(d *Data) error {
 			b = binary.AppendVarint(b, u.Weight)
 		}
 	}
-	w.scratch = b
-	return w.writeFrame(FrameData)
+	return b, nil
 }
 
 // WriteAck frames a.
@@ -296,10 +319,9 @@ func (d *Data) intern(b []byte) string {
 	return s
 }
 
-// DecodeData decodes a DATA payload into d, reusing d's buffers.
-// The minimum wire sizes of the variable-count sections (2 bytes per
-// update, 3 per group) bound the declared counts against the remaining
-// payload before anything is allocated or appended.
+// DecodeData decodes a DATA payload into d, reusing d's buffers. It
+// reads the group count before checking the clientID, so a payload that
+// fails both checks reports the count's error.
 func DecodeData(payload []byte, d *Data) error {
 	r := binfmt.NewReader(Magic, payload)
 	d.Seq = r.U64()
@@ -312,6 +334,27 @@ func DecodeData(payload []byte, d *Data) error {
 		return fmt.Errorf("wire: empty clientID")
 	}
 	d.ClientID, d.Tenant = d.intern(id), d.intern(tenant)
+	return d.decodeGroups(r, groups)
+}
+
+// DecodeGroups decodes a groups section (AppendGroups) that fills body
+// exactly into d.Groups, reusing d's buffers. It leaves d's ClientID,
+// Seq and Tenant as they were: an HTTP body carries none of them.
+func DecodeGroups(body []byte, d *Data) error {
+	r := binfmt.NewReader(Magic, body)
+	groups := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	return d.decodeGroups(r, groups)
+}
+
+// decodeGroups decodes the rest of a groups section from r, whose count
+// field (groups) is already read. The minimum wire sizes of the
+// variable-count sections (2 bytes per update, 3 per group) bound the
+// declared counts against the remaining bytes before anything is
+// allocated or appended.
+func (d *Data) decodeGroups(r binfmt.Reader, groups uint64) error {
 	if groups > uint64(r.Len())/3+1 {
 		return fmt.Errorf("wire: %d groups declared in %d remaining bytes", groups, r.Len())
 	}

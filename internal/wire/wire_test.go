@@ -196,6 +196,51 @@ func TestReaderRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestGroupsSectionIsDataPayloadTail: the HTTP groups body is exactly
+// the tail of a DATA payload after its header fields, DecodeGroups reads
+// it back without touching the frame identity, and it refuses what
+// DecodeData refuses in that section.
+func TestGroupsSectionIsDataPayloadTail(t *testing.T) {
+	want := testData(9)
+	raw := encodeFrames(t, func(w *Writer) error { return w.WriteData(want) })
+	body, err := AppendGroups(nil, want.Groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(raw, body) || len(raw) != envelopeLen+8+2+len(want.ClientID)+len(want.Tenant)+len(body) {
+		t.Fatalf("groups body %x is not the DATA payload's tail %x", body, raw)
+	}
+	got := Data{ClientID: "kept", Seq: 5, Tenant: "kept"}
+	if err := DecodeGroups(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.ClientID != "kept" || got.Seq != 5 || got.Tenant != "kept" {
+		t.Fatalf("DecodeGroups changed the frame identity: %+v", got)
+	}
+	if len(got.Groups) != len(want.Groups) {
+		t.Fatalf("%d groups, want %d", len(got.Groups), len(want.Groups))
+	}
+	for i := range want.Groups {
+		if got.Groups[i].Name != want.Groups[i].Name || !slices.Equal(got.Groups[i].Updates, want.Groups[i].Updates) {
+			t.Fatalf("group %d = %+v, want %+v", i, got.Groups[i], want.Groups[i])
+		}
+	}
+
+	for name, bad := range map[string][]byte{
+		"empty body":     {},
+		"trailing bytes": append(append([]byte{}, body...), 0),
+		"lying count":    binary.AppendUvarint(nil, 1<<40),
+		"empty name":     {1, 0, 0},
+	} {
+		if err := DecodeGroups(bad, &Data{}); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := AppendGroups(nil, []stream.Group{{Name: strings.Repeat("x", MaxNameLen+1)}}); err == nil {
+		t.Error("AppendGroups accepted an over-long stream name")
+	}
+}
+
 func TestDecodeDataRejectsLyingCounts(t *testing.T) {
 	// Hand-build payloads whose declared counts exceed what the remaining
 	// bytes could possibly hold; the decoder must refuse BEFORE growing
