@@ -1,47 +1,33 @@
-// Command sketchlint runs the repo's custom static analyzers — the
-// concurrency and determinism invariants of the skimmed-sketch engine
-// — over the packages matching the given go-list patterns.
+// Command sketchlint runs the repo's custom static analyzers — lock
+// scope, overflow, pool ownership, goroutine liveness, decoder
+// allocation and error contracts — over the packages matching the
+// given go-list patterns.
 //
 // Usage:
 //
 //	go run ./cmd/sketchlint ./...
-//	go run ./cmd/sketchlint -analyzers lockscope,detseed ./internal/engine
-//	go run ./cmd/sketchlint -json ./... > findings.json
+//	go run ./cmd/sketchlint -analyzers poolown,ctxleak ./internal/serve
 //	go run ./cmd/sketchlint -list
 //
 // It exits 1 if any analyzer reports a finding, 2 on usage or load
 // errors. Findings are printed one per line as
-// "file:line:col: [analyzer] message", or, with -json, as a JSON array
-// of {file, line, col, analyzer, message} records (an empty array when
-// clean) — the machine-readable form CI archives as its findings
-// artifact. A finding can be suppressed with a trailing or preceding
-// comment:
+// "file:line:col: [analyzer] message". A finding can be suppressed
+// with a trailing or preceding comment:
 //
 //	//sketchlint:ignore <analyzer>[,<analyzer>] -- <reason>
 //
 // The reason is mandatory; a bare or reasonless directive suppresses
 // nothing and is itself reported. See docs/LINTING.md for what each
-// analyzer enforces and why.
+// analyzer enforces and the mutation that earned it its place.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
 	"skimsketch/internal/lint"
 )
-
-// jsonFinding is the -json record shape; field order is the human
-// format's order so the two stay trivially diffable.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -52,9 +38,8 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the available analyzers and exit")
 	analyzers := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of text lines")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: sketchlint [-list] [-json] [-analyzers a,b] [packages]\n")
+		fmt.Fprintf(stderr, "usage: sketchlint [-list] [-analyzers a,b] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -87,27 +72,8 @@ func run(args []string, stdout, stderr *os.File) int {
 	for _, pkg := range pkgs {
 		diags = append(diags, lint.Run(pkg, selected)...)
 	}
-	if *jsonOut {
-		records := make([]jsonFinding, 0, len(diags))
-		for _, d := range diags {
-			records = append(records, jsonFinding{
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Col:      d.Pos.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-			})
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(records); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d)
-		}
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "sketchlint: %d finding(s)\n", len(diags))

@@ -1,12 +1,17 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"skimsketch/internal/lint"
 )
+
+// fixtures is where each analyzer's flagging fixture (<name>) and clean
+// fixture (<name>_clean) live.
+const fixtures = "../../internal/lint/testdata/src/"
 
 // capture runs main.run with stdout/stderr redirected to files and
 // returns the exit code and outputs.
@@ -34,12 +39,9 @@ func TestListAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exited %d", code)
 	}
-	for _, name := range []string{
-		"lockscope", "detseed", "atomicmix", "widenmul",
-		"poolown", "ctxleak", "alloclen", "errctr",
-	} {
-		if !strings.Contains(out, name) {
-			t.Errorf("-list output missing %s:\n%s", name, out)
+	for _, a := range lint.All() {
+		if !strings.Contains(out, a.Name) {
+			t.Errorf("-list output missing %s:\n%s", a.Name, out)
 		}
 	}
 }
@@ -58,7 +60,7 @@ func TestUnknownAnalyzer(t *testing.T) {
 // that violates several invariants and checks the exit code and output
 // format contract that CI depends on.
 func TestFindingsExitNonZero(t *testing.T) {
-	code, out, errOut := capture(t, "../../internal/lint/testdata/src/widenmul")
+	code, out, errOut := capture(t, fixtures+"widenmul")
 	if code != 1 {
 		t.Fatalf("exit = %d (stderr %q), want 1", code, errOut)
 	}
@@ -70,80 +72,35 @@ func TestFindingsExitNonZero(t *testing.T) {
 	}
 }
 
-// TestNewAnalyzerProbes is the injected-violation check for each
-// analyzer added in this PR: running it alone over its flagging
-// fixture must exit 1 with tagged findings — proof that a real
-// violation fails the CI job, not just the unit tests.
+// TestNewAnalyzerProbes is the injected-violation check for every
+// analyzer: running it alone over its flagging fixture must exit 1 with
+// tagged findings — proof that a real violation fails the CI job, not
+// just the unit tests.
 func TestNewAnalyzerProbes(t *testing.T) {
-	for _, name := range []string{"poolown", "ctxleak", "alloclen", "errctr"} {
-		t.Run(name, func(t *testing.T) {
-			code, out, errOut := capture(t, "-analyzers", name,
-				"../../internal/lint/testdata/src/"+name)
+	for _, a := range lint.All() {
+		t.Run(a.Name, func(t *testing.T) {
+			code, out, errOut := capture(t, "-analyzers", a.Name, fixtures+a.Name)
 			if code != 1 {
 				t.Fatalf("exit = %d (stderr %q), want 1", code, errOut)
 			}
-			if !strings.Contains(out, "["+name+"]") {
-				t.Errorf("findings output missing [%s] tag:\n%s", name, out)
+			if !strings.Contains(out, "["+a.Name+"]") {
+				t.Errorf("findings output missing [%s] tag:\n%s", a.Name, out)
 			}
 		})
 	}
 }
 
-// TestCleanFixturesAllAnalyzers runs the full eight-analyzer suite
-// over every clean fixture at once: no analyzer may fire on another's
+// TestCleanFixturesAllAnalyzers runs the full suite over every
+// analyzer's clean fixture at once: no analyzer may fire on another's
 // sanctioned patterns.
 func TestCleanFixturesAllAnalyzers(t *testing.T) {
-	args := []string{}
-	for _, dir := range []string{
-		"detseed_clean", "poolown_clean", "ctxleak_clean", "alloclen_clean", "errctr_clean",
-	} {
-		args = append(args, "../../internal/lint/testdata/src/"+dir)
+	var args []string
+	for _, a := range lint.All() {
+		args = append(args, fixtures+a.Name+"_clean")
 	}
 	code, out, errOut := capture(t, args...)
 	if code != 0 {
 		t.Fatalf("clean fixtures exited %d:\n%s%s", code, out, errOut)
-	}
-}
-
-// TestJSONOutput checks the -json contract CI's findings artifact
-// depends on: exit code unchanged, stdout a parseable array of
-// {file, line, col, analyzer, message} records.
-func TestJSONOutput(t *testing.T) {
-	code, out, errOut := capture(t, "-json", "-analyzers", "errctr",
-		"../../internal/lint/testdata/src/errctr")
-	if code != 1 {
-		t.Fatalf("exit = %d (stderr %q), want 1", code, errOut)
-	}
-	var records []struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Col      int    `json:"col"`
-		Analyzer string `json:"analyzer"`
-		Message  string `json:"message"`
-	}
-	if err := json.Unmarshal([]byte(out), &records); err != nil {
-		t.Fatalf("-json output is not a JSON array: %v\n%s", err, out)
-	}
-	if len(records) == 0 {
-		t.Fatal("-json produced no records over the flagging fixture")
-	}
-	for _, r := range records {
-		if r.File == "" || r.Line == 0 || r.Analyzer != "errctr" || r.Message == "" {
-			t.Errorf("incomplete record: %+v", r)
-		}
-	}
-}
-
-// TestJSONOutputCleanIsEmptyArray pins the clean shape: an empty array
-// (not null, not nothing), so artifact consumers can always parse it.
-func TestJSONOutputCleanIsEmptyArray(t *testing.T) {
-	code, out, errOut := capture(t, "-json", "-analyzers", "poolown",
-		"../../internal/lint/testdata/src/poolown_clean")
-	if code != 0 {
-		t.Fatalf("exit = %d (stderr %q), want 0", code, errOut)
-	}
-	if strings.TrimSpace(out) != "[]" {
-		t.Errorf("clean -json output = %q, want []", out)
 	}
 }
 

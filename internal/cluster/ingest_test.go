@@ -259,6 +259,54 @@ func TestMergerRestartReplayExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestNodeStoppedPipelineIs503: a node whose engine is not ingesting,
+// never started or stopped for shutdown, answers /update with a 503 and
+// a Retry-After hint. A 400 would tell the client its batch is bad and
+// must not be resent; the merger relays the shard's status, so this is
+// what keeps a draining shard's slice replayable. JSON bodies and the
+// merger's groups bodies take the same path.
+func TestNodeStoppedPipelineIs503(t *testing.T) {
+	groupsBody, err := wire.AppendGroups(nil, []stream.Group{{Name: "F", Updates: []stream.Update{{Value: 5, Weight: 1}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := []struct {
+		contentType string
+		body        []byte
+	}{
+		{"application/json", []byte(`[{"stream":"F","value":5,"weight":1}]`)},
+		{wire.GroupsContentType, groupsBody},
+	}
+	for _, stopped := range []bool{false, true} {
+		eng, err := engine.New(engine.Options{SketchConfig: testCfg()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Tenant(engine.DefaultTenant).DeclareStream("F", 64); err != nil {
+			t.Fatal(err)
+		}
+		if stopped {
+			if err := eng.StartIngest(engine.IngestConfig{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+			eng.StopIngest()
+		}
+		srv := httptest.NewServer(serve.New(NewNode(eng)))
+		t.Cleanup(srv.Close)
+		for _, b := range bodies {
+			resp, err := http.Post(srv.URL+"/update", b.contentType, bytes.NewReader(b.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+				t.Errorf("stopped=%v %s: status %d, Retry-After %q; want 503 with a hint",
+					stopped, b.contentType, resp.StatusCode, resp.Header.Get("Retry-After"))
+			}
+		}
+	}
+}
+
 func marshal(t *testing.T, s *core.HashSketch) []byte {
 	t.Helper()
 	b, err := s.MarshalBinary()

@@ -2,44 +2,34 @@ package lint
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"strings"
 )
 
 // ErrCtr enforces the error contracts the retry/backpressure machinery
-// is built on. The whole 429 story — atomic admission, Retry-After
-// floors, exactly-once replay — only composes if every layer honors
-// three conventions:
+// is built on. The 429 story — atomic admission, Retry-After floors,
+// exactly-once replay — only composes if every layer honors three
+// conventions:
 //
 //  1. sentinel errors travel wrapped: ErrQuotaExceeded crosses three
 //     packages inside fmt.Errorf("...: %w", ...) chains, so comparing
 //     with == instead of errors.Is silently stops matching the moment
 //     anyone adds context. Any ==/!= against a declared Err* variable
 //     is flagged (err == nil and io.EOF stay idiomatic).
-//  2. every 429 carries its hint: an http.StatusTooManyRequests
-//     WriteHeader without a Retry-After header in the same function
-//     strands well-behaved clients in blind exponential backoff, and a
-//     wire.Reject composite literal without a RetryAfter field is the
-//     same bug on the binary protocol.
+//  2. the binary 429 carries its hint: a wire.Reject composite literal
+//     without a RetryAfter field drops it, and the client resends on
+//     its own backoff.
 //  3. error context wraps: fmt.Errorf whose final verb formats an
 //     error with %v or %s severs the chain errors.Is/As walks; use %w.
 var ErrCtr = &Analyzer{
 	Name: "errctr",
-	Doc:  "flags == on Err* sentinels, 429s without Retry-After, and fmt.Errorf %v on errors",
+	Doc:  "flags == on Err* sentinels, Reject literals without RetryAfter, and fmt.Errorf %v on errors",
 	Run:  runErrCtr,
 }
 
 func runErrCtr(pass *Pass) {
 	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkRetryAfterPairing(pass, fd.Body)
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.BinaryExpr:
@@ -111,57 +101,6 @@ func sentinelErr(pass *Pass, e ast.Expr) (string, types.Object) {
 		return "", nil
 	}
 	return display, obj
-}
-
-// checkRetryAfterPairing flags functions that write an HTTP 429 status
-// without setting a Retry-After header anywhere in the same function.
-func checkRetryAfterPairing(pass *Pass, body *ast.BlockStmt) {
-	var writes429 []token.Pos
-	hasRetryAfter := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		// w.Header().Set("Retry-After", ...) — any call with the literal
-		// "Retry-After" string counts (Set, Add, helpers).
-		for _, arg := range call.Args {
-			if lit, ok := ast.Unparen(arg).(*ast.BasicLit); ok && lit.Kind == token.STRING &&
-				strings.EqualFold(strings.Trim(lit.Value, "`\""), "Retry-After") {
-				hasRetryAfter = true
-			}
-		}
-		// http.Error / w.WriteHeader with a 429 status.
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "WriteHeader" && len(call.Args) == 1 {
-			if is429(pass, call.Args[0]) {
-				writes429 = append(writes429, call.Pos())
-			}
-		}
-		if f := calleeFunc(pass.Info, call); f != nil && f.Pkg() != nil &&
-			f.Pkg().Path() == "net/http" && f.Name() == "Error" && len(call.Args) == 3 {
-			if is429(pass, call.Args[2]) {
-				writes429 = append(writes429, call.Pos())
-			}
-		}
-		return true
-	})
-	if hasRetryAfter {
-		return
-	}
-	for _, pos := range writes429 {
-		pass.Reportf(pos, "429 written without a Retry-After header in the same function; clients are left guessing the backoff (see the sketchd load-shed contract)")
-	}
-}
-
-// is429 reports whether e is the constant 429 (or
-// http.StatusTooManyRequests).
-func is429(pass *Pass, e ast.Expr) bool {
-	tv, ok := pass.Info.Types[e]
-	if !ok || tv.Value == nil {
-		return false
-	}
-	v, exact := constant.Int64Val(tv.Value)
-	return exact && v == 429
 }
 
 // checkRejectLiteral flags wire.Reject{...} composite literals that
@@ -258,3 +197,6 @@ func formatVerbs(format string) []byte {
 	}
 	return verbs
 }
+
+// errorInterface is the built-in error interface type.
+var errorInterface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)

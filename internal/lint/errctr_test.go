@@ -12,7 +12,7 @@ func TestErrCtr(t *testing.T) {
 }
 
 // TestErrCtrCleanPatterns covers the sanctioned error contracts —
-// errors.Is, Retry-After-paired 429s, %w wrapping. No want comments:
+// errors.Is, Reject literals with RetryAfter, %w wrapping. No want comments:
 // any diagnostic fails the run.
 func TestErrCtrCleanPatterns(t *testing.T) {
 	analysistest.Run(t, lint.ErrCtr, "testdata/src/errctr_clean")

@@ -1,15 +1,14 @@
 // Package lint is a small, dependency-free analysis framework plus the
-// repo's custom analyzers ("sketchlint"). The engine invariants that
-// PRs 1–2 established — non-blocking answers, reproducibly seeded hash
-// families, race-free counters, overflow-safe accumulation — live in
-// tests, which only catch regressions the tests happen to exercise.
-// The analyzers here enforce them mechanically over every package.
+// repo's custom analyzers ("sketchlint"). Each analyzer enforces an
+// invariant the tests cannot see everywhere, and stays only while a
+// recorded mutation of real code shows it catching a defect that go
+// vet, -race and the tests all miss (docs/LINTING.md).
 //
 // The framework mirrors golang.org/x/tools/go/analysis in miniature
 // (Analyzer, Pass, Diagnostic, testdata fixtures with // want
 // comments) but is built entirely on the standard library's go/ast,
 // go/types and go/importer, because this module deliberately has no
-// third-party dependencies. See docs/LINTING.md for the catalogue.
+// third-party dependencies.
 package lint
 
 import (
@@ -174,11 +173,9 @@ func filterSuppressed(pkg *Package, diags []Diagnostic) []Diagnostic {
 	return kept
 }
 
-// All returns every sketchlint analyzer in a stable order: the PR-4
-// concurrency/determinism suite first, then the wire/stream/quota-era
-// ownership and contract analyzers.
+// All returns every sketchlint analyzer in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{LockScope, DetSeed, AtomicMix, WidenMul, PoolOwn, CtxLeak, AllocLen, ErrCtr}
+	return []*Analyzer{LockScope, WidenMul, PoolOwn, CtxLeak, AllocLen, ErrCtr}
 }
 
 // ByName resolves a comma-separated analyzer selection.

@@ -12,8 +12,8 @@ func TestByName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 8 {
-		t.Fatalf("All() has %d analyzers, want 8", len(all))
+	if len(all) != 6 {
+		t.Fatalf("All() has %d analyzers, want 6", len(all))
 	}
 	names := make([]string, 0, len(all))
 	for _, a := range all {
@@ -23,7 +23,7 @@ func TestByName(t *testing.T) {
 		names = append(names, a.Name)
 	}
 	got := strings.Join(names, ",")
-	if got != "lockscope,detseed,atomicmix,widenmul,poolown,ctxleak,alloclen,errctr" {
+	if got != "lockscope,widenmul,poolown,ctxleak,alloclen,errctr" {
 		t.Fatalf("analyzer order = %s", got)
 	}
 

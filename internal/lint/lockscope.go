@@ -6,40 +6,34 @@ import (
 	"strings"
 )
 
-// LockScope enforces PR 2's non-blocking-Answer invariant: the
-// O(domain·tables) estimation and skim entry points must never be
-// called while an engine mutex (or the quiesce lock) is held. Holding
-// a lock across a skim scan re-couples query latency to domain size
-// for every concurrent ingester — exactly the regression PR 2 removed
-// by snapshotting under the lock and estimating outside it.
+// LockScope keeps O(domain) work out of critical sections. The engine
+// answers a query by cloning its two synopses under its locks and
+// estimating on the clones after releasing them
+// (internal/engine/engine.go). An estimate or a skim walks the whole
+// domain, tens of milliseconds at m = 2^20, and every ingest request
+// takes e.mu to be admitted, so an estimate under e.mu stalls ingest
+// for as long as it runs.
 //
-// The analysis is flow-sensitive within a function body: it tracks
-// sync.Mutex/RWMutex Lock/RLock–Unlock pairs (including deferred
-// unlocks, which hold to the end of the function), calls to helpers
-// that acquire locks and return a release closure (the engine's
-// readQuiesce pattern), and intra-package calls that transitively
-// reach an expensive entry point. Branches are analyzed on a copy of
-// the lock state, so a conditional early release does not poison the
-// main path. Function literals are analyzed as separate bodies; calls
-// inside `go` statements are not attributed to the spawning region.
+// It flags a call to one of the expensive entry points below made while
+// a sync.Mutex or RWMutex locked in the same function is held: between
+// x.Lock() (or RLock) and the matching x.Unlock(), or anywhere after a
+// Lock whose Unlock is deferred. Each function and function literal is
+// its own region, and a branch's lock operations do not leak past it.
 var LockScope = &Analyzer{
 	Name: "lockscope",
-	Doc:  "flags O(domain) estimation/skim calls made while a mutex or quiesce lock is held",
+	Doc:  "flags O(domain) estimation/skim calls made while a mutex is held",
 	Run:  runLockScope,
 }
 
-// expensiveEntryPoints names the O(domain)-or-worse estimation surface
-// by defining-package path tail and name prefix. Methods and functions
-// both match.
+// expensiveEntryPoints are matched by defining package path tail and
+// function-name prefix.
 var expensiveEntryPoints = []struct{ pkgTail, namePrefix string }{
-	{"core", "EstimateJoin"},      // EstimateJoin, EstimateJoinSkimmed
-	{"core", "EstSkimJoinSize"},   // historical name, kept for fixtures/forks
-	{"core", "SkimDense"},         // SkimDense, SkimDenseSigned, *Parallel
-	{"core", "EstimateSelfJoin"},  // full-domain self-join decomposition
-	{"core", "DenseValues"},       // O(domain) scan
+	{"core", "EstimateJoin"}, // EstimateJoin, EstimateJoinParallel, EstimateJoinSkimmed
+	{"core", "SkimDense"},    // SkimDense, SkimDenseSigned, *Parallel
+	{"core", "EstimateSelfJoin"},
+	{"core", "DenseValues"},
 	{"core", "DenseEnergyFraction"},
-	{"dyadic", "Skim"},            // Skim, SkimParallel
-	{"dyadic", "EstimateJoin"},    // EstimateJoin, EstimateJoinParallel
+	{"dyadic", "Skim"}, // Skim, SkimParallel
 	{"dyadic", "CandidateValues"},
 }
 
@@ -52,399 +46,181 @@ func isExpensiveEntry(f *types.Func) bool {
 	return false
 }
 
-// isMutexMethod reports whether f is sync.(*Mutex) or sync.(*RWMutex)
-// Lock/RLock (acquire=true) or Unlock/RUnlock (acquire=false). Embedded
-// mutexes resolve to the same method objects, so they are covered.
-func isMutexMethod(f *types.Func) (name string, isLock, isUnlock bool) {
-	if f == nil || f.Pkg() == nil || f.Pkg().Path() != "sync" {
-		return "", false, false
-	}
-	switch f.Name() {
-	case "Lock", "RLock":
-		return f.Name(), true, false
-	case "Unlock", "RUnlock":
-		return f.Name(), false, true
-	}
-	return "", false, false
-}
-
 func runLockScope(pass *Pass) {
-	// Pass 1: classify this package's functions — which transitively
-	// reach an expensive entry point, and which acquire locks they do
-	// not release (the readQuiesce pattern).
-	type funcFacts struct {
-		decl      *ast.FuncDecl
-		callees   map[*types.Func]bool
-		expensive bool // calls an expensive entry point directly
-		netLocks  int  // direct Lock/RLock minus Unlock/RUnlock, FuncLits excluded
-	}
-	facts := make(map[*types.Func]*funcFacts)
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, ok := pass.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			ff := &funcFacts{decl: fd, callees: make(map[*types.Func]bool)}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if _, ok := n.(*ast.FuncLit); ok {
-					return false // separate body; see pass 2
-				}
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				callee := calleeFunc(pass.Info, call)
-				if callee == nil {
-					return true
-				}
-				if _, isLock, isUnlock := isMutexMethod(callee); isLock {
-					ff.netLocks++
-				} else if isUnlock {
-					ff.netLocks--
-				}
-				if isExpensiveEntry(callee) {
-					ff.expensive = true
-				}
-				if callee.Pkg() == pass.Pkg {
-					ff.callees[callee] = true
-				}
-				return true
-			})
-			facts[obj] = ff
-		}
-	}
-
-	// Transitive closure of "reaches an expensive entry point" over the
-	// intra-package call graph.
-	reaches := make(map[*types.Func]bool)
-	var visit func(f *types.Func, stack map[*types.Func]bool) bool
-	visit = func(f *types.Func, stack map[*types.Func]bool) bool {
-		if r, ok := reaches[f]; ok {
-			return r
-		}
-		if stack[f] {
-			return false // break recursion cycles
-		}
-		ff := facts[f]
-		if ff == nil {
-			return false
-		}
-		if ff.expensive {
-			reaches[f] = true
-			return true
-		}
-		stack[f] = true
-		defer delete(stack, f)
-		for callee := range ff.callees {
-			if visit(callee, stack) {
-				reaches[f] = true
-				return true
-			}
-		}
-		reaches[f] = false
-		return false
-	}
-	for f := range facts {
-		visit(f, make(map[*types.Func]bool))
-	}
-
-	acquires := func(f *types.Func) bool {
-		ff := facts[f]
-		return ff != nil && ff.netLocks > 0
-	}
-
-	// Pass 2: flow-sensitive lock-region walk over every body,
-	// including function literals (each as its own region).
-	w := &lockWalker{pass: pass, reaches: reaches, acquires: acquires}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				w.walkBody(fd.Body)
+				walkLockBody(pass, fd.Body)
 			}
 		}
 	}
 }
 
-// lockState is the set of currently-held locks at a program point.
+// lockState is the set of locks held at a program point.
 type lockState struct {
-	// byRecv maps the receiver expression text of a Lock call
-	// ("e.mu") to a hold description, so the matching Unlock can
-	// release it.
+	// byRecv maps the receiver text of a Lock call ("e.mu") to its
+	// description ("e.mu.Lock"), so the matching Unlock releases it.
 	byRecv map[string]string
-	// byVar maps release-closure variables (release := e.readQuiesce())
-	// to a hold description; calling the variable releases it.
-	byVar map[types.Object]string
-	// untilEnd holds descriptions of locks that cannot be released
-	// before the function returns (deferred unlocks, discarded release
-	// closures).
+	// untilEnd holds locks whose Unlock is deferred.
 	untilEnd []string
 }
 
-func newLockState() *lockState {
-	return &lockState{byRecv: map[string]string{}, byVar: map[types.Object]string{}}
-}
-
 func (s *lockState) clone() *lockState {
-	c := newLockState()
+	c := &lockState{byRecv: make(map[string]string, len(s.byRecv))}
 	for k, v := range s.byRecv {
 		c.byRecv[k] = v
-	}
-	for k, v := range s.byVar {
-		c.byVar[k] = v
 	}
 	c.untilEnd = append([]string(nil), s.untilEnd...)
 	return c
 }
 
-func (s *lockState) held() bool {
-	return len(s.byRecv) > 0 || len(s.byVar) > 0 || len(s.untilEnd) > 0
-}
-
-// describe names one held lock for diagnostics.
-func (s *lockState) describe() string {
+// held describes one held lock, or returns "" when none is.
+func (s *lockState) held() string {
 	for _, d := range s.untilEnd {
 		return d
 	}
 	for _, d := range s.byRecv {
 		return d
 	}
-	for _, d := range s.byVar {
-		return d
-	}
-	return "a lock"
+	return ""
 }
 
-type lockWalker struct {
-	pass     *Pass
-	reaches  map[*types.Func]bool
-	acquires func(*types.Func) bool
+// walkLockBody analyzes one function or function-literal body,
+// starting with no locks held.
+func walkLockBody(pass *Pass, body *ast.BlockStmt) {
+	walkLockStmts(pass, body.List, &lockState{byRecv: map[string]string{}})
 }
 
-// walkBody analyzes one function or function-literal body starting
-// with no locks held.
-func (w *lockWalker) walkBody(body *ast.BlockStmt) {
-	w.walkStmts(body.List, newLockState())
-}
-
-func (w *lockWalker) walkStmts(stmts []ast.Stmt, state *lockState) {
+func walkLockStmts(pass *Pass, stmts []ast.Stmt, state *lockState) {
 	for _, stmt := range stmts {
-		w.walkStmt(stmt, state)
+		walkLockStmt(pass, stmt, state)
 	}
 }
 
-func (w *lockWalker) walkStmt(stmt ast.Stmt, state *lockState) {
+func walkLockStmt(pass *Pass, stmt ast.Stmt, state *lockState) {
 	switch s := stmt.(type) {
 	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok && w.applyCallEffect(call, state, false) {
+		if call, ok := s.X.(*ast.CallExpr); ok && applyLockOp(pass, call, state, false) {
 			return
 		}
-		w.scan(s, state)
+		scanLocked(pass, s, state)
 	case *ast.DeferStmt:
-		if w.applyCallEffect(s.Call, state, true) {
+		if applyLockOp(pass, s.Call, state, true) {
 			return
 		}
-		// Other deferred calls run at return; locks deferred-unlocked or
-		// held-until-end are still held there, so scan conservatively.
-		w.scan(s, state)
-	case *ast.AssignStmt:
-		// release := e.readQuiesce()
-		if len(s.Lhs) == 1 && len(s.Rhs) == 1 {
-			if call, ok := s.Rhs[0].(*ast.CallExpr); ok {
-				if callee := calleeFunc(w.pass.Info, call); callee != nil && w.acquires(callee) {
-					if id, ok := s.Lhs[0].(*ast.Ident); ok {
-						if obj := w.pass.Info.Defs[id]; obj != nil {
-							state.byVar[obj] = "the lock acquired by " + callee.Name()
-							return
-						}
-						if obj := w.pass.Info.Uses[id]; obj != nil {
-							state.byVar[obj] = "the lock acquired by " + callee.Name()
-							return
-						}
-					}
-					state.untilEnd = append(state.untilEnd, "the lock acquired by "+callee.Name())
-					return
-				}
-			}
-		}
-		w.scan(s, state)
+		scanLocked(pass, s, state)
 	case *ast.BlockStmt:
-		w.walkStmts(s.List, state)
+		walkLockStmts(pass, s.List, state)
 	case *ast.IfStmt:
 		if s.Init != nil {
-			w.walkStmt(s.Init, state)
+			walkLockStmt(pass, s.Init, state)
 		}
-		w.scanExpr(s.Cond, state)
-		w.walkStmt(s.Body, state.clone())
+		scanLocked(pass, s.Cond, state)
+		walkLockStmt(pass, s.Body, state.clone())
 		if s.Else != nil {
-			w.walkStmt(s.Else, state.clone())
+			walkLockStmt(pass, s.Else, state.clone())
 		}
 	case *ast.ForStmt:
 		if s.Init != nil {
-			w.walkStmt(s.Init, state)
+			walkLockStmt(pass, s.Init, state)
 		}
 		if s.Cond != nil {
-			w.scanExpr(s.Cond, state)
+			scanLocked(pass, s.Cond, state)
 		}
 		inner := state.clone()
-		w.walkStmt(s.Body, inner)
+		walkLockStmt(pass, s.Body, inner)
 		if s.Post != nil {
-			w.walkStmt(s.Post, inner)
+			walkLockStmt(pass, s.Post, inner)
 		}
 	case *ast.RangeStmt:
-		w.scanExpr(s.X, state)
-		w.walkStmt(s.Body, state.clone())
+		scanLocked(pass, s.X, state)
+		walkLockStmt(pass, s.Body, state.clone())
 	case *ast.SwitchStmt:
 		if s.Init != nil {
-			w.walkStmt(s.Init, state)
+			walkLockStmt(pass, s.Init, state)
 		}
 		if s.Tag != nil {
-			w.scanExpr(s.Tag, state)
+			scanLocked(pass, s.Tag, state)
 		}
 		for _, clause := range s.Body.List {
-			if cc, ok := clause.(*ast.CaseClause); ok {
-				inner := state.clone()
-				for _, e := range cc.List {
-					w.scanExpr(e, inner)
-				}
-				w.walkStmts(cc.Body, inner)
+			cc := clause.(*ast.CaseClause)
+			inner := state.clone()
+			for _, e := range cc.List {
+				scanLocked(pass, e, inner)
 			}
+			walkLockStmts(pass, cc.Body, inner)
 		}
 	case *ast.TypeSwitchStmt:
 		if s.Init != nil {
-			w.walkStmt(s.Init, state)
+			walkLockStmt(pass, s.Init, state)
 		}
 		for _, clause := range s.Body.List {
-			if cc, ok := clause.(*ast.CaseClause); ok {
-				w.walkStmts(cc.Body, state.clone())
-			}
+			walkLockStmts(pass, clause.(*ast.CaseClause).Body, state.clone())
 		}
 	case *ast.SelectStmt:
 		for _, clause := range s.Body.List {
-			if cc, ok := clause.(*ast.CommClause); ok {
-				inner := state.clone()
-				if cc.Comm != nil {
-					w.walkStmt(cc.Comm, inner)
-				}
-				w.walkStmts(cc.Body, inner)
+			cc := clause.(*ast.CommClause)
+			inner := state.clone()
+			if cc.Comm != nil {
+				walkLockStmt(pass, cc.Comm, inner)
 			}
+			walkLockStmts(pass, cc.Body, inner)
 		}
 	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt, state)
+		walkLockStmt(pass, s.Stmt, state)
 	case *ast.GoStmt:
-		// The spawned goroutine does not inherit the spawning
-		// goroutine's critical section; its body is analyzed as a
-		// separate region by the FuncLit walk in scan.
-		w.scanFuncLits(s.Call)
+		// The goroutine does not run inside the spawner's critical
+		// section: only its function literals are walked, as regions of
+		// their own.
+		scanLocked(pass, s.Call, &lockState{})
 	default:
-		w.scan(stmt, state)
+		scanLocked(pass, stmt, state)
 	}
 }
 
-// applyCallEffect updates the lock state for lock-shaped calls and
-// reports whether the call was consumed as a pure lock operation.
-// deferred marks calls appearing in a defer statement.
-func (w *lockWalker) applyCallEffect(call *ast.CallExpr, state *lockState, deferred bool) bool {
-	// e.readQuiesce()() — immediate acquire+release (possibly deferred:
-	// then the lock is held from here to the end of the function).
-	if inner, ok := ast.Unparen(call.Fun).(*ast.CallExpr); ok {
-		if callee := calleeFunc(w.pass.Info, inner); callee != nil && w.acquires(callee) {
-			if deferred {
-				state.untilEnd = append(state.untilEnd, "the lock acquired by "+callee.Name())
-			}
-			return true
-		}
-	}
-	callee := calleeFunc(w.pass.Info, call)
-	if callee == nil {
-		// release() of a stored release closure.
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-			if obj := w.pass.Info.Uses[id]; obj != nil {
-				if _, ok := state.byVar[obj]; ok {
-					if deferred {
-						// defer release(): held until return.
-						state.untilEnd = append(state.untilEnd, state.byVar[obj])
-					}
-					delete(state.byVar, obj)
-					return true
-				}
-			}
-		}
+// applyLockOp updates state for a Lock/RLock/Unlock/RUnlock call and
+// reports whether call was one. deferred marks a call in a defer
+// statement: a deferred Unlock keeps its lock held to the end.
+func applyLockOp(pass *Pass, call *ast.CallExpr, state *lockState, deferred bool) bool {
+	f := calleeFunc(pass.Info, call)
+	if f == nil || f.Pkg() == nil || f.Pkg().Path() != "sync" {
 		return false
 	}
-	if name, isLock, isUnlock := isMutexMethod(callee); isLock || isUnlock {
-		recv := ""
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			recv = types.ExprString(sel.X)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	recv := types.ExprString(sel.X)
+	switch f.Name() {
+	case "Lock", "RLock":
+		state.byRecv[recv] = recv + "." + f.Name()
+	case "Unlock", "RUnlock":
+		if d, ok := state.byRecv[recv]; ok && deferred {
+			state.untilEnd = append(state.untilEnd, d)
 		}
-		if isLock {
-			state.byRecv[recv] = recv + "." + name
-		} else if deferred {
-			// defer mu.Unlock(): the lock stays held to the end.
-			if d, ok := state.byRecv[recv]; ok {
-				state.untilEnd = append(state.untilEnd, d)
-			}
-			delete(state.byRecv, recv)
-		} else {
-			delete(state.byRecv, recv)
-		}
-		return true
+		delete(state.byRecv, recv)
+	default:
+		return false
 	}
-	if w.acquires(callee) && !deferred {
-		// Discarded release closure: held until the end.
-		state.untilEnd = append(state.untilEnd, "the lock acquired by "+callee.Name())
-		return true
-	}
-	return false
+	return true
 }
 
-// scan reports expensive calls inside stmt's subtree, given the
-// current lock state, and analyzes any function literals as separate
-// regions.
-func (w *lockWalker) scan(stmt ast.Stmt, state *lockState) {
-	w.scanNode(stmt, state)
-}
-
-func (w *lockWalker) scanExpr(e ast.Expr, state *lockState) {
-	if e != nil {
-		w.scanNode(e, state)
-	}
-}
-
-func (w *lockWalker) scanNode(n ast.Node, state *lockState) {
+// scanLocked reports expensive calls in n made under state's locks, and
+// walks every function literal in n as a region of its own.
+func scanLocked(pass *Pass, n ast.Node, state *lockState) {
 	ast.Inspect(n, func(n ast.Node) bool {
 		if fl, ok := n.(*ast.FuncLit); ok {
-			w.walkBody(fl.Body)
+			walkLockBody(pass, fl.Body)
 			return false
 		}
 		call, ok := n.(*ast.CallExpr)
-		if !ok || !state.held() {
+		if !ok {
 			return true
 		}
-		callee := calleeFunc(w.pass.Info, call)
-		if callee == nil {
-			return true
-		}
-		if isExpensiveEntry(callee) {
-			w.pass.Reportf(call.Pos(), "call to O(domain) entry point %s while %s is held; snapshot under the lock and estimate outside it", callee.Name(), state.describe())
-		} else if w.reaches[callee] {
-			w.pass.Reportf(call.Pos(), "call to %s, which reaches an O(domain) estimation entry point, while %s is held", callee.Name(), state.describe())
-		}
-		return true
-	})
-}
-
-// scanFuncLits analyzes function literals under n as fresh lock
-// regions without scanning n itself against the current state.
-func (w *lockWalker) scanFuncLits(n ast.Node) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok {
-			w.walkBody(fl.Body)
-			return false
+		if held := state.held(); held != "" {
+			if f := calleeFunc(pass.Info, call); f != nil && isExpensiveEntry(f) {
+				pass.Reportf(call.Pos(), "call to O(domain) entry point %s while %s is held; snapshot under the lock and estimate outside it", f.Name(), held)
+			}
 		}
 		return true
 	})

@@ -12,9 +12,9 @@ func TestPoolOwn(t *testing.T) {
 }
 
 // TestPoolOwnCleanPatterns exercises the sanctioned ownership shapes —
-// Put-on-every-path, deferred Put, and the release-callback transfer
-// with error-path reclaim used by the sketchd stream listener. The
-// fixture has no want comments, so any diagnostic fails the run.
+// Put-on-every-path, deferred Put, and the release callback with
+// error-path Puts used by the SKSP listener. The fixture has no want
+// comments, so any diagnostic fails the run.
 func TestPoolOwnCleanPatterns(t *testing.T) {
 	analysistest.Run(t, lint.PoolOwn, "testdata/src/poolown_clean")
 }

@@ -1,12 +1,11 @@
 // Fixture for the errctr analyzer: broken error contracts — sentinel
-// comparisons that wrapping defeats, 429s with no Retry-After hint,
-// and fmt.Errorf chains severed by %v.
+// comparisons that wrapping defeats, binary 429s with no Retry-After
+// hint, and fmt.Errorf chains severed by %v.
 package errctr
 
 import (
 	"errors"
 	"fmt"
-	"net/http"
 )
 
 var ErrQuotaExceeded = errors.New("quota exceeded")
@@ -24,24 +23,14 @@ func stillQuota(err error) bool {
 	return true
 }
 
-// Bad: load-shedding without telling the client when to come back.
-func shed(w http.ResponseWriter) {
-	w.WriteHeader(http.StatusTooManyRequests) // want `429 written without a Retry-After header`
-}
-
-// Bad: http.Error is a WriteHeader in disguise.
-func shedError(w http.ResponseWriter) {
-	http.Error(w, "slow down", http.StatusTooManyRequests) // want `429 written without a Retry-After header`
-}
-
 // Reject mirrors the wire package's binary 429.
 type Reject struct {
 	Code       uint16
 	RetryAfter uint32
 }
 
-// Bad: a Reject without its RetryAfter hint strands the client in
-// blind backoff.
+// Bad: a Reject without its RetryAfter hint leaves the client to
+// guess when to resend.
 func reject() Reject {
 	return Reject{Code: 1} // want `Reject literal without a RetryAfter hint`
 }

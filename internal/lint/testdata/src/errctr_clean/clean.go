@@ -1,12 +1,11 @@
 // Clean fixture for the errctr analyzer: the sanctioned forms —
-// errors.Is for sentinels, Retry-After alongside every 429, %w wraps.
+// errors.Is for sentinels, a RetryAfter on every Reject, %w wraps.
 package errctr_clean
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"net/http"
 )
 
 var ErrQuotaExceeded = errors.New("quota exceeded")
@@ -19,17 +18,6 @@ func checkQuota(err error) bool {
 // nil comparisons are idiomatic, and io.EOF is not an Err* sentinel.
 func done(err error) bool {
 	return err == nil || err == io.EOF
-}
-
-// The 429 carries its hint.
-func shed(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", "1")
-	w.WriteHeader(http.StatusTooManyRequests)
-}
-
-// Other statuses need no pairing.
-func notFound(w http.ResponseWriter) {
-	w.WriteHeader(http.StatusNotFound)
 }
 
 type Reject struct {

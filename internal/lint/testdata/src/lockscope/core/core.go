@@ -30,6 +30,3 @@ func (s *Sketch) SkimDenseParallel(domain uint64, threshold int64, workers int) 
 
 // EstimateJoin is the O(domain·tables) join estimator — expensive.
 func EstimateJoin(f, g *Sketch, domain uint64) int64 { return 0 }
-
-// EstSkimJoinSize is the paper's name for the same estimator.
-func EstSkimJoinSize(f, g *Sketch, domain uint64) int64 { return 0 }

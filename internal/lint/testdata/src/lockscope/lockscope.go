@@ -1,5 +1,5 @@
 // Fixture for the lockscope analyzer: estimation entry points called
-// under engine-style mutexes and quiesce locks.
+// while an engine-style mutex is held.
 package lockscope
 
 import (
@@ -25,83 +25,28 @@ func (e *engine) answerUnderLock() int64 {
 }
 
 // Bad: a deferred unlock holds the mutex for the whole body.
-func (e *engine) answerUnderDeferredLock() int64 {
+func (e *engine) answerUnderDeferredLock() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return core.EstSkimJoinSize(e.left, e.right, e.domain) // want `O\(domain\) entry point EstSkimJoinSize`
+	return len(e.left.SkimDenseParallel(e.domain, 10, 4)) // want `O\(domain\) entry point SkimDenseParallel`
 }
 
 // Bad: the read side of an RWMutex still blocks writers.
 func (e *engine) skimUnderRLock() map[uint64]int64 {
 	e.applyMu.RLock()
 	defer e.applyMu.RUnlock()
-	return e.left.SkimDense(e.domain, 10) // want `O\(domain\) entry point SkimDense`
+	return e.left.SkimDense(e.domain, 10) // want `O\(domain\) entry point SkimDense while e\.applyMu\.RLock is held`
 }
 
-// Good: snapshot under the lock, estimate outside it.
-func (e *engine) answerSnapshotted() int64 {
-	e.mu.Lock()
-	fs, gs := e.left.Clone(), e.right.Clone()
-	e.mu.Unlock()
-	return core.EstimateJoin(fs, gs, e.domain)
-}
-
-// estimateBoth reaches an expensive entry point transitively.
-func (e *engine) estimateBoth() int64 {
-	return core.EstimateJoin(e.left, e.right, e.domain) + int64(len(e.left.SkimDenseParallel(e.domain, 10, 4)))
-}
-
-// Bad: the expensive work is one intra-package call away.
-func (e *engine) answerViaHelper() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.estimateBoth() // want `call to estimateBoth, which reaches an O\(domain\) estimation entry point`
-}
-
-// quiesce acquires locks and hands back their release — the engine's
-// readQuiesce pattern.
-func (e *engine) quiesce() func() {
-	e.mu.Lock()
-	e.applyMu.Lock()
-	return func() {
-		e.applyMu.Unlock()
+// Bad: a lock taken inside a branch covers the rest of that branch.
+func (e *engine) answerLockedInBranch(fresh bool) int64 {
+	if fresh {
+		e.mu.Lock()
+		est := core.EstimateJoin(e.left, e.right, e.domain) // want `EstimateJoin while e\.mu\.Lock is held`
 		e.mu.Unlock()
+		return est
 	}
-}
-
-// Good: the release closure runs before estimation; the early-return
-// branch releasing under a condition must not poison the main path.
-func (e *engine) answerAfterRelease(cached bool) int64 {
-	release := e.quiesce()
-	if cached {
-		release()
-		return 0
-	}
-	fs, gs := e.left.Clone(), e.right.Clone()
-	release()
-	return core.EstimateJoin(fs, gs, e.domain)
-}
-
-// Bad: estimation happens before the release closure is called.
-func (e *engine) answerBeforeRelease() int64 {
-	release := e.quiesce()
-	est := core.EstimateJoin(e.left, e.right, e.domain) // want `O\(domain\) entry point EstimateJoin while the lock acquired by quiesce is held`
-	release()
-	return est
-}
-
-// Bad: deferring the release holds the quiesce lock across the body.
-func (e *engine) answerUnderDeferredQuiesce() int64 {
-	defer e.quiesce()()
-	return core.EstimateJoin(e.left, e.right, e.domain) // want `the lock acquired by quiesce is held`
-}
-
-// Updates under the lock are fine: cheap entry points are not flagged.
-func (e *engine) ingest(v uint64, w int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.left.Update(v, w)
-	e.right.Update(v, w)
+	return 0
 }
 
 // Suppressed: an acknowledged, justified exception stays quiet.

@@ -1,5 +1,5 @@
 // Fixture for the poolown analyzer: sync.Pool ownership violations in
-// the style of the SKSP decode-buffer pool.
+// the style of the serving layer's request-buffer pools.
 package poolown
 
 import "sync"
@@ -12,9 +12,7 @@ type frame struct {
 var pool = sync.Pool{New: func() any { return new(frame) }}
 
 type server struct {
-	pool  sync.Pool
-	stash *frame
-	out   chan *frame
+	pool sync.Pool
 }
 
 // Bad: reading a frame after returning it to the pool.
@@ -24,6 +22,13 @@ func useAfterPut() int {
 	return len(f.buf) // want `pool value f used after Put`
 }
 
+// Bad: the same through a pool field, with the use in a call argument.
+func (s *server) decodeAfterPut(decode func([]byte) error) error {
+	f := s.pool.Get().(*frame)
+	s.pool.Put(f)
+	return decode(f.buf) // want `pool value f used after Put`
+}
+
 // Bad: double Put hands the same buffer to two goroutines.
 func doublePut() {
 	f := pool.Get().(*frame)
@@ -31,44 +36,13 @@ func doublePut() {
 	pool.Put(f) // want `pool value f is Put again`
 }
 
-// Bad: an owned pool value captured by a goroutine outlives the
-// function's ownership scope.
-func escapeGoroutine() {
+// Bad: a deferred Put still fires after the explicit one.
+func deferredThenPut() int {
 	f := pool.Get().(*frame)
-	go func() { // want `pool value f escapes into a goroutine`
-		_ = f.buf
-	}()
-}
-
-// Bad: storing an owned pool value in a field escapes single-owner
-// tracking.
-func (s *server) stashIt() {
-	f := s.pool.Get().(*frame)
-	s.stash = f // want `pool value f is stored outside the function`
-}
-
-// Bad: sending an owned value on a channel hands it to an unknown
-// receiver.
-func (s *server) sendIt() {
-	f := s.pool.Get().(*frame)
-	s.out <- f // want `pool value f is sent on a channel`
-}
-
-// Bad: touching the frame after the release callback transferred
-// ownership — the callee may already have recycled it.
-func useAfterTransfer(ingest func([]int, func()) error) int {
-	f := pool.Get().(*frame)
-	_ = ingest(f.groups, func() { pool.Put(f) })
-	return len(f.buf) // want `pool value f used after ownership transfer`
-}
-
-// Bad: an unconditional Put after the transfer double-releases on the
-// success path (the callee owns the frame and will fire the release
-// itself).
-func putAfterSuccessfulTransfer(ingest func([]int, func()) error) {
-	f := pool.Get().(*frame)
-	_ = ingest(f.groups, func() { pool.Put(f) })
-	pool.Put(f) // want `pool value f is Put again`
+	defer pool.Put(f)
+	n := len(f.buf)
+	pool.Put(f) // want `pool value f is Put again \(deferred Put`
+	return n
 }
 
 // Bad: a second Put after a branch that already may have Put.
@@ -78,4 +52,14 @@ func maybeDoublePut(cond bool) {
 		pool.Put(f)
 	}
 	pool.Put(f) // want `pool value f is Put again`
+}
+
+// Bad: a use after a switch case that may have Put.
+func maybeUseAfterPut(kind int) int {
+	f := pool.Get().(*frame)
+	switch kind {
+	case 0:
+		pool.Put(f)
+	}
+	return len(f.groups) // want `pool value f used after Put`
 }

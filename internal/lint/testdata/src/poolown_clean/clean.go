@@ -1,7 +1,7 @@
 // Clean fixture for the poolown analyzer: the sanctioned ownership
-// patterns — Get/use/Put on every path, deferred Put, the
-// release-callback transfer with error-path reclaim (the sketchd
-// stream listener's exact shape). Nothing here may be flagged.
+// patterns — Get/use/Put on every path, deferred Put, a release
+// callback handed to the callee (the SKSP listener's shape). Nothing
+// here may be flagged.
 package poolown_clean
 
 import (
@@ -47,8 +47,8 @@ func putOnErrorPath(decode func(*frame) error) int {
 }
 
 // The stream-listener shape: copy out what the response needs, hand
-// ownership to the engine via the release callback, and reclaim it
-// only on the error paths where the callee never accepted the frame.
+// the callee a release callback, and Put only on the error paths where
+// the callee never accepted the frame.
 func handleData(ingest func([]int, func()) error) (int, bool) {
 	f := pool.Get().(*frame)
 	total := len(f.groups)
@@ -63,17 +63,6 @@ func handleData(ingest func([]int, func()) error) (int, bool) {
 		pool.Put(f)
 		return 0, false
 	}
-}
-
-// Error-path reclaim in if form.
-func handleDataIf(ingest func([]int, func()) error) int {
-	f := pool.Get().(*frame)
-	total := len(f.groups)
-	if err := ingest(f.groups, func() { pool.Put(f) }); err != nil {
-		pool.Put(f)
-		return 0
-	}
-	return total
 }
 
 // A loop that Gets a fresh frame each iteration.

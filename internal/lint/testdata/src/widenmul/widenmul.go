@@ -1,49 +1,24 @@
-// Fixture for the widenmul analyzer: integer products widened only
-// after the multiply.
+// Fixture for the widenmul analyzer: fixed-width integer products
+// widened only after the multiply.
 package widenmul
 
-// Bad: the product wraps in int before the conversion widens it.
-func selfJoinTerm(freq int, count int) int64 {
-	return int64(freq * count) // want `product is computed in int and only then widened to int64`
+// Bad: uint32 dimensions wrap at 2^32 long before uint64 does.
+func counterCount(s1, s2 uint32) uint64 {
+	return uint64(s1 * s2) // want `product is computed in uint32 and only then widened to uint64`
 }
 
-// Good: widen the operands first.
-func selfJoinTermWide(freq int, count int) int64 {
-	return int64(freq) * int64(count)
-}
-
-// Bad: uint32 buckets overflow at 2^32 long before uint64 does.
-func bucketProduct(rows, cols uint32) uint64 {
-	return uint64(rows * cols) // want `product is computed in uint32 and only then widened to uint64`
-}
-
-// Bad: len products are int-typed and overflow on 32-bit platforms.
-func crossSize(fs, gs []uint64) int64 {
-	return int64(len(fs) * len(gs)) // want `product is computed in int and only then widened to int64`
+// Bad: an int32 product wraps before the conversion widens it.
+func term(freq, count int32) int64 {
+	return int64(freq * count) // want `product is computed in int32 and only then widened to int64`
 }
 
 // Bad: the float conversion happens after the integer multiply wraps.
-func scale(a, b int) float64 {
-	return float64(a * b) // want `product is computed in int and only then widened to float64`
-}
-
-// Good: constant products are folded and overflow-checked by the compiler.
-func constProduct() int64 {
-	return int64(1 << 10 * 3)
-}
-
-// Good: already computed in a 64-bit type.
-func wideProduct(a, b int64) int64 {
-	return int64(a * b)
-}
-
-// Good: a non-multiply operand is not the analyzer's business.
-func sumWiden(a, b int) int64 {
-	return int64(a + b)
+func scale(a, b uint16) float64 {
+	return float64(a * b) // want `product is computed in uint16 and only then widened to float64`
 }
 
 // Suppressed: a justified narrow multiply stays quiet.
-func suppressed(a, b int) int64 {
+func suppressed(a, b uint32) uint64 {
 	//sketchlint:ignore widenmul -- a and b are bounded by small table dimensions
-	return int64(a * b)
+	return uint64(a * b)
 }

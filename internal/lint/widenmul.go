@@ -7,18 +7,19 @@ import (
 )
 
 // WidenMul flags integer products that are widened only after the
-// multiply: int64(a*b) where a and b are narrower (or
-// platform-dependent) integers. Frequency counts in the self-join and
-// subjoin accumulation paths are ints; their product is taken in the
-// narrow type — overflowing silently on 32-bit platforms or for large
-// counts — and the int64 conversion then launders the wrapped value.
-// The fix is to widen the operands first: int64(a)*int64(b).
+// multiply: uint64(a*b) where a and b are fixed-width integers narrower
+// than 64 bits. Decoders read table dimensions as uint32 (agms's SKAG
+// s1 and s2), and their product wraps at 2^32 before the conversion
+// launders it: a blob declaring s1 = 2, s2 = 2^31 would read zero
+// counters and pass its length check. The fix is to widen the operands
+// first: uint64(a)*uint64(b).
 //
-// Constant-folded products and products already computed in a 64-bit
-// type are not flagged.
+// Constant-folded products and products computed in int, uint or a
+// 64-bit type are not flagged: on 64-bit targets, where CI builds and
+// tests, an int product wraps exactly as a 64-bit one does.
 var WidenMul = &Analyzer{
 	Name: "widenmul",
-	Doc:  "flags int×int products widened to a 64-bit type only after the multiply",
+	Doc:  "flags products of sub-64-bit integers widened to a 64-bit type only after the multiply",
 	Run:  runWidenMul,
 }
 
@@ -68,14 +69,11 @@ func runWidenMul(pass *Pass) {
 	}
 }
 
-// narrowerThan64 reports whether the integer kind can overflow a
-// product that would fit in 64 bits. int and uint count: they are
-// 32-bit on 32-bit platforms, and treating them as wide bakes in a
-// portability bug.
+// narrowerThan64 reports whether the integer kind is a fixed-width
+// type that can overflow a product that would fit in 64 bits.
 func narrowerThan64(k types.BasicKind) bool {
 	switch k {
-	case types.Int, types.Int8, types.Int16, types.Int32,
-		types.Uint, types.Uint8, types.Uint16, types.Uint32, types.Uintptr:
+	case types.Int8, types.Int16, types.Int32, types.Uint8, types.Uint16, types.Uint32:
 		return true
 	}
 	return false

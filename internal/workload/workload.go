@@ -27,9 +27,8 @@ type Generator interface {
 // directly (compose generators over one source, or share a source with
 // the caller's other draws), and the seed-taking constructors are
 // shorthand for a private rand.New(rand.NewSource(seed)). Nothing here
-// touches the global math/rand source or the clock — the detseed
-// analyzer (cmd/sketchlint) enforces this, and the golden-stream tests
-// pin the exact byte output per seed.
+// touches the global math/rand source or the clock; the golden-stream
+// tests pin the exact byte output per seed.
 
 // rngFromSeed builds the package's canonical source for a seed.
 func rngFromSeed(seed int64) *rand.Rand {
