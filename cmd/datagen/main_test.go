@@ -9,6 +9,24 @@ import (
 	"skimsketch/internal/workload"
 )
 
+// updateLog is a stream.Sink that records updates in order.
+type updateLog []stream.Update
+
+func (l *updateLog) Update(value uint64, weight int64) {
+	*l = append(*l, stream.Update{Value: value, Weight: weight})
+}
+
+// readStream reads an SKS1 file through stream.Pipe.
+func readStream(t *testing.T, path string) (uint64, []stream.Update) {
+	t.Helper()
+	var log updateLog
+	domain, _, err := stream.Pipe(path, &log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return domain, log
+}
+
 func TestRunValidation(t *testing.T) {
 	if err := run("zipf", "", "", 16, 10, 1.0, 0, 1, 0, "binary"); err == nil {
 		t.Fatal("expected error for missing -out")
@@ -32,10 +50,7 @@ func TestRunZipfWritesStream(t *testing.T) {
 	if err := run("zipf", out, "", 256, 1000, 1.0, 10, 7, 0, "binary"); err != nil {
 		t.Fatal(err)
 	}
-	domain, updates, err := stream.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
+	domain, updates := readStream(t, out)
 	if domain != 256 || len(updates) != 1000 {
 		t.Fatalf("domain=%d len=%d", domain, len(updates))
 	}
@@ -49,10 +64,7 @@ func TestRunUniformWithDeletes(t *testing.T) {
 	if err := run("uniform", out, "", 64, 500, 0, 0, 3, 0.5, "binary"); err != nil {
 		t.Fatal(err)
 	}
-	_, updates, err := stream.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, updates := readStream(t, out)
 	if len(updates) <= 500 {
 		t.Fatalf("delete noise should add updates, got %d", len(updates))
 	}
@@ -77,8 +89,8 @@ func TestRunTextFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	updates, err := stream.ReadText(f)
-	if err != nil {
+	var updates updateLog
+	if _, err := stream.PipeText(f, &updates); err != nil {
 		t.Fatal(err)
 	}
 	if len(updates) != 200 {
@@ -102,14 +114,8 @@ func TestRunCensusWritesBothStreams(t *testing.T) {
 	if err := run("census", w, o, 0, 2000, 0, 0, 5, 0, "binary"); err != nil {
 		t.Fatal(err)
 	}
-	dw, uw, err := stream.ReadFile(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	do, uo, err := stream.ReadFile(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dw, uw := readStream(t, w)
+	do, uo := readStream(t, o)
 	if dw != workload.CensusDomain || do != workload.CensusDomain {
 		t.Fatalf("domains %d/%d", dw, do)
 	}

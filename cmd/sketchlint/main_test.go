@@ -60,11 +60,11 @@ func TestUnknownAnalyzer(t *testing.T) {
 // that violates several invariants and checks the exit code and output
 // format contract that CI depends on.
 func TestFindingsExitNonZero(t *testing.T) {
-	code, out, errOut := capture(t, fixtures+"widenmul")
+	code, out, errOut := capture(t, fixtures+"alloclen")
 	if code != 1 {
 		t.Fatalf("exit = %d (stderr %q), want 1", code, errOut)
 	}
-	if !strings.Contains(out, "[widenmul]") || !strings.Contains(out, "widenmul.go") {
+	if !strings.Contains(out, "[alloclen]") || !strings.Contains(out, "alloclen.go") {
 		t.Errorf("findings output missing file or analyzer tag:\n%s", out)
 	}
 	if !strings.Contains(errOut, "finding(s)") {

@@ -64,7 +64,7 @@ func runBuild(args []string) error {
 	if err != nil {
 		return err
 	}
-	n, err := stream.Pipe(*in, sk)
+	_, n, err := stream.Pipe(*in, sk)
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"skimsketch/internal/agms"
@@ -89,9 +88,9 @@ func run(fPath, gPath string, tables, buckets int, seed uint64, exact, doAGMS, t
 		gSinks = append(gSinks, gAGMS)
 	}
 
-	ingest := pipeWithDomain
+	ingest := stream.Pipe
 	if text {
-		ingest = func(path string, sinks []stream.Sink) (uint64, int64, error) {
+		ingest = func(path string, sinks ...stream.Sink) (uint64, int64, error) {
 			f, err := os.Open(path)
 			if err != nil {
 				return 0, 0, err
@@ -101,11 +100,11 @@ func run(fPath, gPath string, tables, buckets int, seed uint64, exact, doAGMS, t
 			return textDomain, n, err
 		}
 	}
-	domain, nf, err := ingest(fPath, fSinks)
+	domain, nf, err := ingest(fPath, fSinks...)
 	if err != nil {
 		return err
 	}
-	gDomain, ng, err := ingest(gPath, gSinks)
+	gDomain, ng, err := ingest(gPath, gSinks...)
 	if err != nil {
 		return err
 	}
@@ -139,32 +138,4 @@ func run(fPath, gPath string, tables, buckets int, seed uint64, exact, doAGMS, t
 		fmt.Printf("skimmed symmetric error: %.4f\n", stats.SymmetricError(float64(est.Total), float64(j)))
 	}
 	return nil
-}
-
-// pipeWithDomain streams a file into the sinks, returning its header
-// domain and record count.
-func pipeWithDomain(path string, sinks []stream.Sink) (uint64, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	r, err := stream.NewReader(f)
-	if err != nil {
-		return 0, 0, err
-	}
-	var n int64
-	for {
-		u, err := r.Read()
-		if err == io.EOF {
-			return r.Domain(), n, nil
-		}
-		if err != nil {
-			return r.Domain(), n, err
-		}
-		for _, s := range sinks {
-			s.Update(u.Value, u.Weight)
-		}
-		n++
-	}
 }

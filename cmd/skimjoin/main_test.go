@@ -79,21 +79,3 @@ func TestRunWithExactAndAGMS(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPipeWithDomain(t *testing.T) {
-	f, _ := writeStreams(t)
-	fv := stream.NewFreqVector()
-	domain, n, err := pipeWithDomain(f, []stream.Sink{fv})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if domain != 1024 || n != 5000 {
-		t.Fatalf("domain=%d n=%d", domain, n)
-	}
-	if fv.L1() != 5000 {
-		t.Fatalf("L1 = %d", fv.L1())
-	}
-	if _, _, err := pipeWithDomain(filepath.Join(t.TempDir(), "nope"), nil); err == nil {
-		t.Fatal("expected error")
-	}
-}

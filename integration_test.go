@@ -1,6 +1,7 @@
 package skimsketch_test
 
 import (
+	"bytes"
 	"path/filepath"
 	"testing"
 
@@ -43,10 +44,10 @@ func TestFilePipelineEndToEnd(t *testing.T) {
 	f, _ := skimsketch.New(cfg)
 	g, _ := skimsketch.New(cfg)
 	fv, gv := stream.NewFreqVector(), stream.NewFreqVector()
-	if _, err := stream.Pipe(fPath, f, fv); err != nil {
+	if _, _, err := stream.Pipe(fPath, f, fv); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stream.Pipe(gPath, g, gv); err != nil {
+	if _, _, err := stream.Pipe(gPath, g, gv); err != nil {
 		t.Fatal(err)
 	}
 
@@ -84,12 +85,10 @@ func TestCheckpointRestoreMidStream(t *testing.T) {
 	}
 	stream.Apply(updates[10000:], &restored)
 
-	for j := 0; j < 5; j++ {
-		for k := 0; k < 256; k++ {
-			if restored.Counter(j, k) != uninterrupted.Counter(j, k) {
-				t.Fatal("checkpoint/restore diverged from uninterrupted run")
-			}
-		}
+	got, _ := restored.MarshalBinary()
+	want, _ := uninterrupted.MarshalBinary()
+	if !bytes.Equal(got, want) {
+		t.Fatal("checkpoint/restore diverged from uninterrupted run")
 	}
 }
 
@@ -127,23 +126,26 @@ func TestAllPathsAgreeOnTheSameQuery(t *testing.T) {
 	exact := stream.NewFreqVector()
 	stream.Apply(updates, exact)
 
-	for j := 0; j < 5; j++ {
-		for k := 0; k < 128; k++ {
-			if plain.Counter(j, k) != merged.Counter(j, k) {
-				t.Fatal("sharded and plain sketches differ")
-			}
-		}
+	got, _ := merged.MarshalBinary()
+	want, _ := plain.MarshalBinary()
+	if !bytes.Equal(got, want) {
+		t.Fatal("sharded and plain sketches differ")
 	}
 	// Dense sets extracted by every path agree with the ground truth's
 	// heavy values.
 	thr := plain.DefaultSkimThreshold()
-	densePlain := plain.DenseValues(domain, thr)
+	densePlain, err := plain.Clone().SkimDense(domain, thr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	denseHier, err := hier.Skim(thr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trueDense := exact.Dense(thr + thr/2) // comfortably above threshold
-	for v := range trueDense {
+	for v, f := range exact {
+		if f < thr+thr/2 { // comfortably above threshold
+			continue
+		}
 		if _, ok := densePlain[v]; !ok {
 			t.Fatalf("plain sketch missed clearly-dense value %d", v)
 		}

@@ -23,7 +23,6 @@ import (
 
 	"skimsketch/internal/hashfam"
 	"skimsketch/internal/stats"
-	"skimsketch/internal/stream"
 )
 
 // Sketch is an s1 × s2 array of AGMS atomic sketches.
@@ -73,52 +72,14 @@ func (s *Sketch) Update(value uint64, weight int64) {
 	}
 }
 
-// UpdateBatch folds a whole batch of stream elements into every atomic
-// sketch. It is bit-for-bit equivalent to calling Update per element
-// (int64 addition is exact and commutative) but hoists each ξ family out
-// of the inner loop and writes each counter once per batch. It implements
-// stream.BatchSink.
-func (s *Sketch) UpdateBatch(batch []stream.Update) {
-	for i := range s.counters {
-		xi := &s.xis[i]
-		var acc int64
-		for _, u := range batch {
-			acc += u.Weight * xi.Sign(u.Value)
-		}
-		s.counters[i] += acc
-	}
-}
-
 // Words returns the synopsis size in counter words, the unit used for
 // space accounting in the experiments.
 func (s *Sketch) Words() int { return s.s1 * s.s2 }
 
-// Dims returns (s1, s2).
-func (s *Sketch) Dims() (int, int) { return s.s1, s.s2 }
-
-// Seed returns the master seed the ξ families were derived from.
-func (s *Sketch) Seed() uint64 { return s.seed }
-
 // Compatible reports whether two sketches share dimensions and ξ families
-// and can therefore be combined or joined.
+// and can therefore be joined.
 func (s *Sketch) Compatible(o *Sketch) bool {
 	return s.s1 == o.s1 && s.s2 == o.s2 && s.seed == o.seed
-}
-
-// SelfJoinEstimate implements ESTSJSIZE: the estimate of F2 = Σ f_v² as
-// the median over rows of the mean over columns of the squared atomic
-// sketches.
-func (s *Sketch) SelfJoinEstimate() int64 {
-	rows := make([]float64, s.s2)
-	for q := 0; q < s.s2; q++ {
-		sum := 0.0
-		for j := 0; j < s.s1; j++ {
-			c := float64(s.counters[q*s.s1+j])
-			sum += c * c
-		}
-		rows[q] = sum / float64(s.s1)
-	}
-	return int64(math.Round(stats.MedianFloat64(rows)))
 }
 
 // JoinEstimate implements ESTJOINSIZE: the estimate of COUNT(F ⋈ G) as
@@ -139,38 +100,4 @@ func JoinEstimate(f, g *Sketch) (int64, error) {
 		rows[q] = sum / float64(f.s1)
 	}
 	return int64(math.Round(stats.MedianFloat64(rows))), nil
-}
-
-// Combine adds o into s (sketch linearity): the result summarizes the
-// concatenation of the two input streams. This is the property that makes
-// AGMS sketches unions-friendly in distributed settings.
-func (s *Sketch) Combine(o *Sketch) error {
-	if !s.Compatible(o) {
-		return fmt.Errorf("agms: cannot combine incompatible sketches")
-	}
-	for i := range s.counters {
-		s.counters[i] += o.counters[i]
-	}
-	return nil
-}
-
-// Clone returns a deep copy of s.
-func (s *Sketch) Clone() *Sketch {
-	c := *s
-	c.counters = make([]int64, len(s.counters))
-	copy(c.counters, s.counters)
-	return &c
-}
-
-// Reset zeroes all counters, keeping the hash families.
-func (s *Sketch) Reset() {
-	for i := range s.counters {
-		s.counters[i] = 0
-	}
-}
-
-// AtomicSketch exposes the raw counter at (row q, column j) for tests and
-// diagnostics.
-func (s *Sketch) AtomicSketch(q, j int) int64 {
-	return s.counters[q*s.s1+j]
 }

@@ -33,14 +33,3 @@ func BenchmarkJoinEstimate(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkSelfJoinEstimate(b *testing.B) {
-	s := MustNew(256, 11, 1)
-	for v := uint64(0); v < 10000; v++ {
-		s.Update(v%1024, 1)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.SelfJoinEstimate()
-	}
-}

@@ -19,11 +19,3 @@ func ExampleJoinEstimate() {
 	fmt.Println(est)
 	// Output: 48
 }
-
-// Self-join size (F2) estimation, ESTSJSIZE of Section 2.2.
-func ExampleSketch_SelfJoinEstimate() {
-	s := agms.MustNew(16, 5, 9)
-	s.Update(1, 3)
-	fmt.Println(s.SelfJoinEstimate())
-	// Output: 9
-}

@@ -160,17 +160,6 @@ func (r *Reader) Uvarint() uint64 {
 	return v
 }
 
-// Varint reads an encoding/binary (zigzag) varint.
-func (r *Reader) Varint() int64 {
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail("bad varint")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
 // Blob reads a u32-length-prefixed sub-blob, bounding the declared
 // length by the bytes that remain. The result aliases the blob.
 func (r *Reader) Blob() []byte {

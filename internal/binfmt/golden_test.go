@@ -6,11 +6,9 @@ import (
 	"encoding/hex"
 	"testing"
 
-	"skimsketch/internal/agms"
 	"skimsketch/internal/checkpoint"
 	"skimsketch/internal/cluster"
 	"skimsketch/internal/core"
-	"skimsketch/internal/dyadic"
 	"skimsketch/internal/stats"
 	"skimsketch/internal/stream"
 	"skimsketch/internal/window"
@@ -23,7 +21,7 @@ type golden struct {
 	blob []byte
 }
 
-// goldenBlobs encodes one fixed value in every SK* format: the six
+// goldenBlobs encodes one fixed value in every SK* format: the three
 // synopsis formats, an SKSL payload, an SKCP envelope, the opening bytes
 // of an SKSP connection (header plus one DATA frame) and an SKS1 file.
 // Only exported encoders are used, so the digests mean "these bytes on
@@ -44,10 +42,8 @@ func goldenBlobs(t testing.TB) []golden {
 
 	left := core.MustNewHashSketch(core.Config{Tables: 3, Buckets: 8, Seed: 1})
 	right := core.MustNewHashSketch(core.Config{Tables: 3, Buckets: 8, Seed: 1})
-	ag := agms.MustNew(3, 4, 2)
-	dy := dyadic.MustNew(4, core.Config{Tables: 3, Buckets: 4, Seed: 4})
 	win := window.MustNew(28, 4, core.Config{Tables: 3, Buckets: 4, Seed: 5}) // 60 updates end mid-bucket
-	stream.Apply(updates, left, ag, dy, win)
+	stream.Apply(updates, left, win)
 	stream.Apply(updates[:17], right)
 
 	var hist stats.Histogram
@@ -91,8 +87,6 @@ func goldenBlobs(t testing.TB) []golden {
 
 	return []golden{
 		{"SKHS", must(left.MarshalBinary())},
-		{"SKAG", must(ag.MarshalBinary())},
-		{"SKDY", must(dy.MarshalBinary())},
 		{"SKWN", must(win.MarshalBinary())},
 		{"SKLH", must(hist.MarshalBinary())},
 		{"SKSL", must(cluster.EncodePayload(&cluster.Payload{
@@ -112,8 +106,6 @@ func goldenBlobs(t testing.TB) []golden {
 func TestGoldenEncodings(t *testing.T) {
 	want := map[string]string{
 		"SKHS": "a13540061069c26225eb219e141851b41e3fb1586bf0fedb2ba9e601c312565d",
-		"SKAG": "f62b5cf3882b7b8dd318885fd0992dfa3bbc6c3f0bfe81a87e3037605287fedc",
-		"SKDY": "04d6de72c5d137a4386e6c393b6e2d0be4a6e979eff202fe0564c50a3c6655c9",
 		"SKWN": "d840bc8b8250472353e5ac3eae314af356999a9ab18dbffe9681bca2433fb134",
 		"SKLH": "a5394f3dcbe0e1b400b7af8c265db65d3cce8162b99c50615ed75d41b8cdd52b",
 		"SKSL": "249a7d13bb1207e350f1883c5b2b36b35224358c969290d5e2fd350f61acdb3d",

@@ -121,9 +121,6 @@ func NewManager(dir string) (*Manager, error) {
 	return &Manager{dir: dir}, nil
 }
 
-// Dir returns the checkpoint directory.
-func (m *Manager) Dir() string { return m.dir }
-
 // CurrentPath returns the path of the current checkpoint slot.
 func (m *Manager) CurrentPath() string { return filepath.Join(m.dir, CurrentName) }
 

@@ -226,7 +226,7 @@ func TestManagerSaveWriteErrorLeavesStateIntact(t *testing.T) {
 	if _, err := m.Load(readAll(&got)); err != nil || got != "good" {
 		t.Fatalf("Load after failed Save = %q, %v", got, err)
 	}
-	if _, err := os.Stat(filepath.Join(m.Dir(), tmpName)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(m.dir, tmpName)); !os.IsNotExist(err) {
 		t.Fatal("failed Save left a temp file behind")
 	}
 }

@@ -38,11 +38,3 @@ func ExampleHashSketch_PointEstimate() {
 	fmt.Println(s.PointEstimate(10))
 	// Output: 40
 }
-
-// Sizing a sketch for a target error from the Theorem 5 shape.
-func ExampleSuggestBuckets() {
-	// Streams of ~1M elements, anticipated join ≈ 10⁹, target error 10%.
-	b := core.SuggestBuckets(1_000_000, 1_000_000, 1_000_000_000, 0.1)
-	fmt.Println(b)
-	// Output: 16384
-}

@@ -106,7 +106,7 @@ const updateChunk = 16
 // is bit-for-bit equivalent to folding the elements one at a time (int64
 // addition is exact, commutative and associative, so applying the batch
 // table-by-table reorders only additions), and Update is its one-element
-// call. It implements stream.BatchSink.
+// call.
 func (s *HashSketch) UpdateBatch(batch []stream.Update) {
 	s.fold(batch)
 	var net, gross int64
@@ -123,8 +123,8 @@ func (s *HashSketch) UpdateBatch(batch []stream.Update) {
 }
 
 // fold adds weight·ξ_j(value) to bucket h_j(value) of every table for
-// each update, leaving the net and gross tallies alone. UpdateBatch,
-// Subtract and Unskim all hash into the counters through it. It works
+// each update, leaving the net and gross tallies alone. UpdateBatch and
+// Subtract both hash into the counters through it. It works
 // chunk by chunk, table-major: each value's powers are computed once,
 // then every table's row takes the whole chunk, so the writes go to one
 // row at a time.
@@ -236,10 +236,4 @@ func (s *HashSketch) Reset() {
 		s.counters[i] = 0
 	}
 	s.net, s.gross = 0, 0
-}
-
-// Counter exposes the raw counter of bucket k in table j for tests and
-// diagnostics.
-func (s *HashSketch) Counter(j, k int) int64 {
-	return s.counters[j*s.cfg.Buckets+k]
 }

@@ -39,7 +39,7 @@ func TestUpdateTouchesOneCounterPerTable(t *testing.T) {
 	for j := 0; j < 7; j++ {
 		nonzero := 0
 		for k := 0; k < 32; k++ {
-			if c := s.Counter(j, k); c != 0 {
+			if c := s.counters[j*s.cfg.Buckets+k]; c != 0 {
 				nonzero++
 				if c != 1 && c != -1 {
 					t.Fatalf("counter magnitude %d, want ±1", c)
@@ -78,7 +78,7 @@ func TestDeleteInvarianceHashSketch(t *testing.T) {
 	s.Update(77, -4)
 	for j := 0; j < 5; j++ {
 		for k := 0; k < 16; k++ {
-			if s.Counter(j, k) != 0 {
+			if s.counters[j*s.cfg.Buckets+k] != 0 {
 				t.Fatal("deletes must exactly cancel inserts")
 			}
 		}
@@ -202,7 +202,7 @@ func TestCloneCombineReset(t *testing.T) {
 	}
 	for j := 0; j < 3; j++ {
 		for k := 0; k < 8; k++ {
-			if a.Counter(j, k) != both.Counter(j, k) {
+			if a.counters[j*a.cfg.Buckets+k] != both.counters[j*both.cfg.Buckets+k] {
 				t.Fatal("Combine must equal sketching the concatenation")
 			}
 		}
@@ -219,7 +219,7 @@ func TestCloneCombineReset(t *testing.T) {
 		t.Fatal("expected incompatibility error")
 	}
 	a.Reset()
-	if a.NetCount() != 0 || a.GrossCount() != 0 || a.Counter(0, 0) != 0 {
+	if a.NetCount() != 0 || a.GrossCount() != 0 || a.counters[0] != 0 {
 		t.Fatal("Reset must zero everything")
 	}
 }

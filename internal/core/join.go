@@ -78,7 +78,7 @@ func EstimateJoin(f, g *HashSketch, domain uint64, opts *Options) (Estimate, err
 
 	// F and G share every hash function, so one joint scan skims both.
 	fs, gs := f.Clone(), g.Clone()
-	dense, err := skim([]*HashSketch{fs, gs}, []int64{tf, tg}, domain, false, workers)
+	dense, err := skim([]*HashSketch{fs, gs}, []int64{tf, tg}, domain, workers)
 	if err != nil {
 		return Estimate{}, err
 	}

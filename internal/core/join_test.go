@@ -61,7 +61,7 @@ func TestEstimateJoinDoesNotMutateSketches(t *testing.T) {
 	}
 	for j := 0; j < 5; j++ {
 		for k := 0; k < 64; k++ {
-			if f.Counter(j, k) != fc.Counter(j, k) || g.Counter(j, k) != gc.Counter(j, k) {
+			if f.counters[j*f.cfg.Buckets+k] != fc.counters[j*fc.cfg.Buckets+k] || g.counters[j*g.cfg.Buckets+k] != gc.counters[j*gc.cfg.Buckets+k] {
 				t.Fatal("EstimateJoin must not mutate the synopses")
 			}
 		}

@@ -26,7 +26,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 	for j := 0; j < 5; j++ {
 		for k := 0; k < 64; k++ {
-			if r.Counter(j, k) != s.Counter(j, k) {
+			if r.counters[j*r.cfg.Buckets+k] != s.counters[j*s.cfg.Buckets+k] {
 				t.Fatal("counters must round-trip")
 			}
 		}

@@ -38,17 +38,7 @@ func resolveWorkers(n int) int {
 // returned dense vector and the skimmed counters are identical to
 // SkimDense's for every input.
 func (s *HashSketch) SkimDenseParallel(domain uint64, threshold int64, workers int) (stream.FreqVector, error) {
-	return s.skimDenseParallel(domain, threshold, false, workers)
-}
-
-// SkimDenseSignedParallel is SkimDenseSigned with the parallel scan of
-// SkimDenseParallel.
-func (s *HashSketch) SkimDenseSignedParallel(domain uint64, threshold int64, workers int) (stream.FreqVector, error) {
-	return s.skimDenseParallel(domain, threshold, true, workers)
-}
-
-func (s *HashSketch) skimDenseParallel(domain uint64, threshold int64, signed bool, workers int) (stream.FreqVector, error) {
-	dense, err := skim([]*HashSketch{s}, []int64{threshold}, domain, signed, workers)
+	dense, err := skim([]*HashSketch{s}, []int64{threshold}, domain, workers)
 	if err != nil {
 		return nil, err
 	}

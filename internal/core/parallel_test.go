@@ -21,7 +21,7 @@ func sketchesEqual(a, b *HashSketch) bool {
 	}
 	for j := 0; j < a.cfg.Tables; j++ {
 		for k := 0; k < a.cfg.Buckets; k++ {
-			if a.Counter(j, k) != b.Counter(j, k) {
+			if a.counters[j*a.cfg.Buckets+k] != b.counters[j*b.cfg.Buckets+k] {
 				return false
 			}
 		}
@@ -43,25 +43,18 @@ func densesEqual(a, b stream.FreqVector) bool {
 
 // Property: the parallel skim extracts the identical dense vector and
 // leaves identical residual counters, for any stream, any positive
-// threshold, any worker count (including counts exceeding the domain),
-// signed and unsigned.
+// threshold and any worker count (including counts exceeding the
+// domain).
 func TestQuickParallelSkimEquivalence(t *testing.T) {
 	c := cfg(5, 32, 21)
-	f := func(vals []uint16, weights []int8, thrRaw uint8, workersRaw uint8, signed bool) bool {
+	f := func(vals []uint16, weights []int8, thrRaw uint8, workersRaw uint8) bool {
 		s := MustNewHashSketch(c)
 		stream.Apply(miniStream(vals, weights), s)
 		thr := int64(thrRaw%64) + 1
 		workers := int(workersRaw%9) + 2 // 2..10 goroutines
 		seq, par := s.Clone(), s.Clone()
-		var seqDense, parDense stream.FreqVector
-		var err1, err2 error
-		if signed {
-			seqDense, err1 = seq.SkimDenseSigned(512, thr)
-			parDense, err2 = par.SkimDenseSignedParallel(512, thr, workers)
-		} else {
-			seqDense, err1 = seq.SkimDense(512, thr)
-			parDense, err2 = par.SkimDenseParallel(512, thr, workers)
-		}
+		seqDense, err1 := seq.SkimDense(512, thr)
+		parDense, err2 := par.SkimDenseParallel(512, thr, workers)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -116,7 +109,7 @@ func TestSkimDenseParallelValidation(t *testing.T) {
 	if _, err := s.SkimDenseParallel(64, 0, 4); err == nil {
 		t.Fatal("expected error for non-positive threshold")
 	}
-	if _, err := s.SkimDenseSignedParallel(64, -3, 4); err == nil {
+	if _, err := s.SkimDenseParallel(64, -3, 4); err == nil {
 		t.Fatal("expected error for negative threshold")
 	}
 }

@@ -45,7 +45,7 @@ func TestQuickLinearity(t *testing.T) {
 		}
 		for j := 0; j < 3; j++ {
 			for k := 0; k < 32; k++ {
-				if a.Counter(j, k) != both.Counter(j, k) {
+				if a.counters[j*a.cfg.Buckets+k] != both.counters[j*both.cfg.Buckets+k] {
 					return false
 				}
 			}
@@ -70,7 +70,7 @@ func TestQuickOrderInvariance(t *testing.T) {
 		}
 		for j := 0; j < 3; j++ {
 			for k := 0; k < 32; k++ {
-				if fwd.Counter(j, k) != rev.Counter(j, k) {
+				if fwd.counters[j*fwd.cfg.Buckets+k] != rev.counters[j*rev.cfg.Buckets+k] {
 					return false
 				}
 			}
@@ -78,34 +78,6 @@ func TestQuickOrderInvariance(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Skim then Unskim restores the counters exactly, for any
-// stream and any positive threshold.
-func TestQuickSkimUnskimIdentity(t *testing.T) {
-	c := cfg(5, 16, 3)
-	f := func(vals []uint16, weights []int8, thrRaw uint8) bool {
-		s := MustNewHashSketch(c)
-		stream.Apply(miniStream(vals, weights), s)
-		before := s.Clone()
-		thr := int64(thrRaw%32) + 1
-		dense, err := s.SkimDenseSigned(512, thr)
-		if err != nil {
-			return false
-		}
-		s.Unskim(dense)
-		for j := 0; j < 5; j++ {
-			for k := 0; k < 16; k++ {
-				if s.Counter(j, k) != before.Counter(j, k) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -214,30 +186,6 @@ func TestQuickBatchSequentialEquivalence(t *testing.T) {
 	}
 }
 
-// Property: ApplyBatched is equivalent to Apply for any batch size,
-// including batch sizes larger than the stream.
-func TestQuickApplyBatchedEquivalence(t *testing.T) {
-	c := cfg(3, 16, 23)
-	f := func(vals []uint16, weights []int8, bsRaw uint8) bool {
-		us := miniStream(vals, weights)
-		bs := int(bsRaw % 40) // 0 means one chunk
-		seq, bat := MustNewHashSketch(c), MustNewHashSketch(c)
-		stream.Apply(us, seq)
-		stream.ApplyBatched(us, bs, bat)
-		for j := 0; j < 3; j++ {
-			for k := 0; k < 16; k++ {
-				if seq.Counter(j, k) != bat.Counter(j, k) {
-					return false
-				}
-			}
-		}
-		return seq.NetCount() == bat.NetCount() && seq.GrossCount() == bat.GrossCount()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: the estimate's Total always equals the sum of its reported
 // components, and the no-skim estimate is pure sparse×sparse.
 func TestQuickDecompositionConsistency(t *testing.T) {
@@ -281,7 +229,7 @@ func TestQuickMarshalRoundTrip(t *testing.T) {
 		}
 		for j := 0; j < 3; j++ {
 			for k := 0; k < 16; k++ {
-				if s.Counter(j, k) != r.Counter(j, k) {
+				if s.counters[j*s.cfg.Buckets+k] != r.counters[j*r.cfg.Buckets+k] {
 					return false
 				}
 			}

@@ -8,12 +8,11 @@ import (
 )
 
 // The SKIMDENSE domain scan (Figure 3, Steps 1–7), shared by every
-// full-domain extraction: SkimDense and its signed and parallel
-// variants, EstimateJoin, EstimateSelfJoin, DenseValues and
-// DenseEnergyFraction. One pass tests one or two sketches that share a
-// Config, each against its own threshold, and yields exactly the dense
-// set {v : median_j C[j][h_j(v)]·ξ_j(v) ≥ T} (|·| ≥ T when signed) of
-// each. Three things make it cheap, and none changes a result:
+// full-domain extraction: SkimDense and its parallel variant,
+// EstimateJoin and EstimateSelfJoin. One pass tests one or two sketches
+// that share a Config, each against its own threshold, and yields
+// exactly the dense set {v : median_j C[j][h_j(v)]·ξ_j(v) ≥ T} of each.
+// Three things make it cheap, and none changes a result:
 //
 //   - Joint. Sketches with one Config share h_j and ξ_j, so the pass
 //     computes them once per value and tests every sketch's counters;
@@ -23,13 +22,12 @@ import (
 //     in GF(p) (one addmod for h_j, three for ξ_j) instead of a Horner
 //     evaluation per value.
 //   - Early exit. The lower median of d estimates (index ⌊(d−1)/2⌋ of
-//     the sorted order) is ≥ T iff at least d − ⌊(d−1)/2⌋ of them are,
-//     and ≤ −T iff at least ⌊(d−1)/2⌋ + 1 are; the two counts differ
-//     when d is even. Once more tables miss a side than that side can
-//     afford, for every sketch in the pass, the value is rejected: the
-//     remaining tables skip the bucket reduction and the counter loads,
-//     and only their walkers step. A sketch that survives all d tables
-//     qualifies, and only then is its median computed.
+//     the sorted order) is ≥ T iff at most ⌊(d−1)/2⌋ of them are < T.
+//     Once more tables than that miss, for every sketch in the pass, the
+//     value is rejected: the remaining tables skip the bucket reduction
+//     and the counter loads, and only their walkers step. A sketch that
+//     survives all d tables qualifies, and only then is its median
+//     computed.
 
 // scanSide is one sketch's state in a scan: its counters, threshold and
 // output, and the per-table estimates and miss counts of the current
@@ -39,9 +37,9 @@ type scanSide struct {
 	thr      int64
 	out      stream.FreqVector
 
-	ests           []int64
-	missLo, missHi int // tables with estimate < thr, and > −thr
-	live           bool
+	ests []int64
+	miss int // tables with estimate < thr
+	live bool
 }
 
 // tableWalk steps table j's bucket hash and sign family together.
@@ -55,7 +53,7 @@ type tableWalk struct {
 // across workers goroutines, and returns each sketch's dense vector. It
 // only reads the sketches. Ranges are disjoint, so merging the workers'
 // vectors is a plain union and the result is independent of workers.
-func scanDomain(sks []*HashSketch, thrs []int64, domain uint64, signed bool, workers int) []stream.FreqVector {
+func scanDomain(sks []*HashSketch, thrs []int64, domain uint64, workers int) []stream.FreqVector {
 	w := resolveWorkers(workers)
 	if uint64(w) > domain {
 		w = int(domain)
@@ -77,7 +75,7 @@ func scanDomain(sks []*HashSketch, thrs []int64, domain uint64, signed bool, wor
 		wg.Add(1)
 		go func(lo, hi uint64, outs []stream.FreqVector) {
 			defer wg.Done()
-			scanRange(sks, thrs, signed, lo, hi, outs)
+			scanRange(sks, thrs, lo, hi, outs)
 		}(lo, hi, parts[i])
 		lo = hi
 	}
@@ -96,15 +94,10 @@ func scanDomain(sks []*HashSketch, thrs []int64, domain uint64, signed bool, wor
 // scanRange runs the extraction test over [lo, hi), recording each
 // sketch's qualifying estimates in outs. Its per-range buffers are
 // allocated once, so the per-value loop allocates nothing.
-func scanRange(sks []*HashSketch, thrs []int64, signed bool, lo, hi uint64, outs []stream.FreqVector) {
+func scanRange(sks []*HashSketch, thrs []int64, lo, hi uint64, outs []stream.FreqVector) {
 	d, b := sks[0].cfg.Tables, sks[0].cfg.Buckets
-	// Side miss budgets: more than mid tables below T rules out a median
-	// ≥ T; more than limHi tables above −T rules out a median ≤ −T.
+	// Miss budget: more than mid tables below T rules out a median ≥ T.
 	mid := (d - 1) / 2
-	limHi := -1 // unsigned: the ≤ −T side is never open
-	if signed {
-		limHi = d - mid - 1
-	}
 	sides := make([]scanSide, len(sks))
 	for i, sk := range sks {
 		sides[i] = scanSide{counters: sk.counters, thr: thrs[i], out: outs[i], ests: make([]int64, d)}
@@ -118,7 +111,7 @@ func scanRange(sks []*HashSketch, thrs []int64, signed bool, lo, hi uint64, outs
 	nb := uint64(b)
 	for v := lo; v < hi; v++ {
 		for i := range sides {
-			sides[i].missLo, sides[i].missHi, sides[i].live = 0, 0, true
+			sides[i].miss, sides[i].live = 0, true
 		}
 		live := len(sides)
 		for j := range walks {
@@ -134,14 +127,10 @@ func scanRange(sks []*HashSketch, thrs []int64, signed bool, lo, hi uint64, outs
 					est := sd.counters[k] * sign
 					sd.ests[j] = est
 					if est < sd.thr {
-						sd.missLo++
-					}
-					if est > -sd.thr {
-						sd.missHi++
-					}
-					if sd.missLo > mid && sd.missHi > limHi {
-						sd.live = false
-						live--
+						if sd.miss++; sd.miss > mid {
+							sd.live = false
+							live--
+						}
 					}
 				}
 			}
@@ -159,13 +148,13 @@ func scanRange(sks []*HashSketch, thrs []int64, signed bool, lo, hi uint64, outs
 // skim is SKIMDENSE for sketches sharing one Config: one scan extracts
 // every sketch's dense vector, then each is subtracted from its sketch
 // (Steps 8–9).
-func skim(sks []*HashSketch, thrs []int64, domain uint64, signed bool, workers int) ([]stream.FreqVector, error) {
+func skim(sks []*HashSketch, thrs []int64, domain uint64, workers int) ([]stream.FreqVector, error) {
 	for _, thr := range thrs {
 		if thr <= 0 {
 			return nil, errSkimThreshold(thr)
 		}
 	}
-	dense := scanDomain(sks, thrs, domain, signed, workers)
+	dense := scanDomain(sks, thrs, domain, workers)
 	for i, sk := range sks {
 		sk.subtract(dense[i])
 	}

@@ -11,15 +11,15 @@ import (
 )
 
 // Model-based tests of the scan kernel against a reference it shares no
-// code with: the dense set is, by definition, {v : PointEstimate(v) ≥ T}
-// (|PointEstimate(v)| ≥ T when signed), where PointEstimate evaluates
-// every table's hashes by Horner's rule and takes stats.MedianInt64.
+// code with: the dense set is, by definition, {v : PointEstimate(v) ≥ T},
+// where PointEstimate evaluates every table's hashes by Horner's rule
+// and takes stats.MedianInt64.
 
 // refDense is the reference extraction over [lo, hi).
-func refDense(s *HashSketch, lo, hi uint64, thr int64, signed bool) stream.FreqVector {
+func refDense(s *HashSketch, lo, hi uint64, thr int64) stream.FreqVector {
 	out := stream.NewFreqVector()
 	for v := lo; v < hi; v++ {
-		if est := s.PointEstimate(v); est >= thr || (signed && -est >= thr) {
+		if est := s.PointEstimate(v); est >= thr {
 			out[v] = est
 		}
 	}
@@ -35,17 +35,15 @@ type scanCase struct {
 	span   uint64
 	f, g   *HashSketch
 	tf, tg int64
-	signed bool
 }
 
 // randScanCase draws a case whose range starts at base. Streams are
 // skewed (a few heavy values among light noise) and signed, so every
-// case has values on both sides of ±T and the early exit is exercised
-// in both directions.
+// case has values on both sides of T and the early exit is exercised.
 func randScanCase(r *rand.Rand, base uint64) scanCase {
 	c := Config{Tables: 1 + r.Intn(9), Buckets: 1 + r.Intn(64), Seed: r.Uint64()}
 	span := uint64(1 + r.Intn(400))
-	tc := scanCase{c: c, lo: base, span: span, f: MustNewHashSketch(c), g: MustNewHashSketch(c), signed: r.Intn(2) == 0}
+	tc := scanCase{c: c, lo: base, span: span, f: MustNewHashSketch(c), g: MustNewHashSketch(c)}
 	for _, s := range []*HashSketch{tc.f, tc.g} {
 		for i := r.Intn(300); i > 0; i-- {
 			w := int64(r.Intn(7) - 3)
@@ -67,26 +65,22 @@ func TestQuickScanMatchesPointEstimate(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		tc := randScanCase(r, 0)
 		workers := int(workersRaw%6) + 1
-		wantF := refDense(tc.f, 0, tc.span, tc.tf, tc.signed)
-		wantG := refDense(tc.g, 0, tc.span, tc.tg, tc.signed)
+		wantF := refDense(tc.f, 0, tc.span, tc.tf)
+		wantG := refDense(tc.g, 0, tc.span, tc.tg)
 		refF, refG := tc.f.Clone(), tc.g.Clone()
 		refF.Subtract(wantF)
 		refG.Subtract(wantG)
 
 		fs, gs := tc.f.Clone(), tc.g.Clone()
 		if joint {
-			dense, err := skim([]*HashSketch{fs, gs}, []int64{tc.tf, tc.tg}, tc.span, tc.signed, workers)
+			dense, err := skim([]*HashSketch{fs, gs}, []int64{tc.tf, tc.tg}, tc.span, workers)
 			if err != nil || !densesEqual(dense[0], wantF) || !densesEqual(dense[1], wantG) {
 				t.Logf("seed %d joint: dense sets differ", seed)
 				return false
 			}
 			return sketchesEqual(fs, refF) && sketchesEqual(gs, refG)
 		}
-		skimOne := fs.SkimDenseParallel
-		if tc.signed {
-			skimOne = fs.SkimDenseSignedParallel
-		}
-		dense, err := skimOne(tc.span, tc.tf, workers)
+		dense, err := fs.SkimDenseParallel(tc.span, tc.tf, workers)
 		if err != nil || !densesEqual(dense, wantF) {
 			t.Logf("seed %d single: dense set differs", seed)
 			return false
@@ -104,8 +98,8 @@ func TestQuickEstimateJoinMatchesReferenceSkim(t *testing.T) {
 	f := func(seed int64, workersRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		tc := randScanCase(r, 0)
-		fd := refDense(tc.f, 0, tc.span, tc.tf, false)
-		gd := refDense(tc.g, 0, tc.span, tc.tg, false)
+		fd := refDense(tc.f, 0, tc.span, tc.tf)
+		gd := refDense(tc.g, 0, tc.span, tc.tg)
 		fs, gs := tc.f.Clone(), tc.g.Clone()
 		fs.Subtract(fd)
 		gs.Subtract(gd)
@@ -133,21 +127,20 @@ func TestScanRangeAcrossFieldWrap(t *testing.T) {
 			tc := randScanCase(r, base)
 			hi := tc.lo + tc.span
 			outs := []stream.FreqVector{stream.NewFreqVector(), stream.NewFreqVector()}
-			scanRange([]*HashSketch{tc.f, tc.g}, []int64{tc.tf, tc.tg}, tc.signed, tc.lo, hi, outs)
-			if !densesEqual(outs[0], refDense(tc.f, tc.lo, hi, tc.tf, tc.signed)) ||
-				!densesEqual(outs[1], refDense(tc.g, tc.lo, hi, tc.tg, tc.signed)) {
-				t.Fatalf("base %d trial %d (d=%d b=%d signed=%v): scan differs from the reference", base, trial, tc.c.Tables, tc.c.Buckets, tc.signed)
+			scanRange([]*HashSketch{tc.f, tc.g}, []int64{tc.tf, tc.tg}, tc.lo, hi, outs)
+			if !densesEqual(outs[0], refDense(tc.f, tc.lo, hi, tc.tf)) ||
+				!densesEqual(outs[1], refDense(tc.g, tc.lo, hi, tc.tg)) {
+				t.Fatalf("base %d trial %d (d=%d b=%d): scan differs from the reference", base, trial, tc.c.Tables, tc.c.Buckets)
 			}
 		}
 	}
 }
 
-// Even d is where the two sides of the signed test need different table
-// counts: with d = 4 the lower median is the 2nd smallest, so ≥ T needs
-// 3 tables and ≤ −T needs only 2. Dense small sketches with even d and
-// heavy signed weights put many values at that boundary, in both the
-// signed and the unsigned scan.
-func TestScanEvenTablesSignedAsymmetry(t *testing.T) {
+// Even d is where the miss budget is easiest to get wrong: with d = 4
+// the lower median is the 2nd smallest, so ≥ T needs 3 tables, not 2.
+// Dense small sketches with even d and heavy signed weights put many
+// values at that boundary.
+func TestScanEvenTables(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
 		c := Config{Tables: 2 * (1 + r.Intn(4)), Buckets: 2 + r.Intn(6), Seed: r.Uint64()}
@@ -156,23 +149,22 @@ func TestScanEvenTablesSignedAsymmetry(t *testing.T) {
 			s.Update(uint64(r.Intn(64)), int64(r.Intn(21)-10))
 		}
 		thr := 1 + r.Int63n(12)
-		for _, signed := range []bool{false, true} {
-			outs := []stream.FreqVector{stream.NewFreqVector()}
-			scanRange([]*HashSketch{s}, []int64{thr}, signed, 0, 64, outs)
-			if want := refDense(s, 0, 64, thr, signed); !densesEqual(outs[0], want) {
-				t.Fatalf("trial %d d=%d signed=%v: got %v, want %v", trial, c.Tables, signed, outs[0], want)
-			}
+		outs := []stream.FreqVector{stream.NewFreqVector()}
+		scanRange([]*HashSketch{s}, []int64{thr}, 0, 64, outs)
+		if want := refDense(s, 0, 64, thr); !densesEqual(outs[0], want) {
+			t.Fatalf("trial %d d=%d: got %v, want %v", trial, c.Tables, outs[0], want)
 		}
 	}
 }
 
-// DenseValues is the one-sided scan without the subtraction.
+// scanDomain alone is the read-only scan, without the subtraction.
 func TestDenseValuesMatchesPointEstimate(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
 		tc := randScanCase(r, 0)
-		if got, want := tc.f.DenseValues(tc.span, tc.tf), refDense(tc.f, 0, tc.span, tc.tf, false); !densesEqual(got, want) {
-			t.Fatalf("trial %d: DenseValues differs from the reference", trial)
+		got := scanDomain([]*HashSketch{tc.f}, []int64{tc.tf}, tc.span, 1)[0]
+		if want := refDense(tc.f, 0, tc.span, tc.tf); !densesEqual(got, want) {
+			t.Fatalf("trial %d: scanDomain differs from the reference", trial)
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package core
 
-import "skimsketch/internal/stream"
-
 // SelfJoinEstimateOpts tunes EstimateSelfJoin.
 type SelfJoinEstimateOpts struct {
 	// Threshold overrides the skim threshold; zero means the default.
@@ -67,53 +65,4 @@ func (c Config) ErrorBound(nf, ng int64) float64 {
 		ng = -ng
 	}
 	return float64(nf) * float64(ng) / float64(c.Buckets)
-}
-
-// SuggestBuckets returns the bucket count at which the Section 4.3 error
-// shape n_f·n_g/b falls below targetError·J for an anticipated join size
-// J — the inverse of ErrorBound, rounded up to the next power of two.
-func SuggestBuckets(nf, ng, joinSize int64, targetError float64) int {
-	if targetError <= 0 || joinSize <= 0 {
-		return 1
-	}
-	need := float64(nf) * float64(ng) / (targetError * float64(joinSize))
-	b := 1
-	for float64(b) < need && b < 1<<30 {
-		b <<= 1
-	}
-	return b
-}
-
-// DenseEnergyFraction reports what fraction of the stream's estimated F2
-// is carried by frequencies whose |estimate| is at or above the
-// threshold — a cheap diagnostic for whether skimming will pay off on
-// this stream. It runs the signed SKIMDENSE scan and does not mutate
-// the sketch.
-func (s *HashSketch) DenseEnergyFraction(domain uint64, threshold int64) float64 {
-	if threshold <= 0 {
-		threshold = s.DefaultSkimThreshold()
-	}
-	total := s.SelfJoinEstimate()
-	if total <= 0 {
-		return 0
-	}
-	var dense int64
-	for _, est := range scanDomain([]*HashSketch{s}, []int64{threshold}, domain, true, 1)[0] {
-		dense += est * est
-	}
-	f := float64(dense) / float64(total)
-	if f > 1 {
-		f = 1
-	}
-	return f
-}
-
-// DenseValues returns the current dense frequency estimates without
-// skimming them out (a read-only SKIMDENSE Step 1–7, one-sided like
-// SkimDense).
-func (s *HashSketch) DenseValues(domain uint64, threshold int64) stream.FreqVector {
-	if threshold <= 0 {
-		threshold = s.DefaultSkimThreshold()
-	}
-	return scanDomain([]*HashSketch{s}, []int64{threshold}, domain, false, 1)[0]
 }

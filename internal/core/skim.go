@@ -18,8 +18,7 @@ import (
 // extracted: frequencies in the stream model are non-negative, so a large
 // *negative* estimate can only be collision noise, and extracting it
 // would plant a phantom frequency in the residual that corrupts the
-// subjoin estimates. Streams whose net frequencies are genuinely negative
-// (delete-heavy reconciliation feeds) should use SkimDenseSigned.
+// subjoin estimates.
 //
 // This is the reference O(m·d) implementation that scans the whole domain
 // [0, domain); package dyadic provides the O(b·d·log m) dyadic-interval
@@ -28,15 +27,7 @@ import (
 // bit-identical results. The sketch is mutated; callers who need to
 // preserve the synopsis should Clone first (EstimateJoin does).
 func (s *HashSketch) SkimDense(domain uint64, threshold int64) (stream.FreqVector, error) {
-	return s.skimDenseParallel(domain, threshold, false, 1)
-}
-
-// SkimDenseSigned is SkimDense extracting dense frequencies of either
-// sign (|estimate| ≥ threshold), for streams whose net frequencies can be
-// negative. On insert-dominated streams prefer SkimDense: the two-sided
-// test admits collision phantoms that the one-sided test rejects.
-func (s *HashSketch) SkimDenseSigned(domain uint64, threshold int64) (stream.FreqVector, error) {
-	return s.skimDenseParallel(domain, threshold, true, 1)
+	return s.SkimDenseParallel(domain, threshold, 1)
 }
 
 func errSkimThreshold(threshold int64) error {
@@ -73,26 +64,14 @@ func (s *HashSketch) Subtract(dense stream.FreqVector) {
 	s.subtract(dense)
 }
 
+// subtract folds −dense into the counters through fold, a chunk at a
+// time. Negating the weight is exact in two's complement, so subtracting
+// w·ξ and adding (−w)·ξ leave the same counters.
 func (s *HashSketch) subtract(dense stream.FreqVector) {
-	s.foldDense(dense, -1)
-}
-
-// Unskim adds a previously extracted dense vector back into the sketch,
-// restoring the pre-skim state exactly (the inverse of Steps 8–9). It is
-// the cheap alternative to Clone when a caller wants to reuse one sketch
-// across repeated estimates.
-func (s *HashSketch) Unskim(dense stream.FreqVector) {
-	s.foldDense(dense, 1)
-}
-
-// foldDense folds sign·dense into the counters through fold, a chunk at
-// a time. Negating the weight is exact in two's complement, so
-// subtracting w·ξ and adding (−w)·ξ leave the same counters.
-func (s *HashSketch) foldDense(dense stream.FreqVector, sign int64) {
 	var buf [updateChunk]stream.Update
 	n := 0
 	for v, w := range dense {
-		buf[n] = stream.Update{Value: v, Weight: sign * w}
+		buf[n] = stream.Update{Value: v, Weight: -w}
 		if n++; n == len(buf) {
 			s.fold(buf[:n])
 			n = 0

@@ -84,53 +84,16 @@ func TestSkimResidualSmall(t *testing.T) {
 	}
 }
 
-func TestSkimExtractsNegativeDense(t *testing.T) {
+// The skim is one-sided: a large negative frequency is not extracted.
+func TestSkimIgnoresNegativeDense(t *testing.T) {
 	s := MustNewHashSketch(cfg(5, 64, 3))
 	s.Update(7, -500)
-	// The one-sided default must NOT extract a negative frequency...
-	c := s.Clone()
-	dense, err := c.SkimDense(16, 100)
+	dense, err := s.SkimDense(16, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(dense) != 0 {
 		t.Fatalf("one-sided skim extracted %v", dense)
-	}
-	// ...but the signed variant must.
-	dense, err = s.SkimDenseSigned(16, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dense[7] != -500 {
-		t.Fatalf("dense[7] = %d, want -500", dense[7])
-	}
-	if _, err := s.SkimDenseSigned(16, 0); err == nil {
-		t.Fatal("expected threshold error")
-	}
-}
-
-// TestUnskimRestoresExactly: skim followed by unskim is the identity on
-// the counters.
-func TestUnskimRestoresExactly(t *testing.T) {
-	const domain = 512
-	heavy := map[uint64]int64{1: 900, 100: 700}
-	s, _ := buildSkewed(t, cfg(5, 128, 17), domain, heavy, 2000, 3)
-	before := s.Clone()
-
-	dense, err := s.SkimDense(domain, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dense) == 0 {
-		t.Fatal("expected extractions")
-	}
-	s.Unskim(dense)
-	for j := 0; j < 5; j++ {
-		for k := 0; k < 128; k++ {
-			if s.Counter(j, k) != before.Counter(j, k) {
-				t.Fatal("Unskim must restore the pre-skim counters exactly")
-			}
-		}
 	}
 }
 
@@ -166,15 +129,15 @@ func TestSkimValuesMatchesDomainScan(t *testing.T) {
 	}
 	for j := 0; j < 5; j++ {
 		for k := 0; k < 128; k++ {
-			if s1.Counter(j, k) != s2.Counter(j, k) {
+			if s1.counters[j*s1.cfg.Buckets+k] != s2.counters[j*s2.cfg.Buckets+k] {
 				t.Fatal("skimmed counters must agree")
 			}
 		}
 	}
 }
 
-// TestSubtractExported: the exported Subtract is the exact inverse of
-// Unskim (the dyadic skimmer depends on it to keep levels consistent).
+// TestSubtractExported: the exported Subtract is exactly the negated
+// update (the dyadic skimmer depends on it to keep levels consistent).
 func TestSubtractExported(t *testing.T) {
 	s := MustNewHashSketch(cfg(3, 16, 5))
 	s.Update(4, 100)
@@ -185,11 +148,13 @@ func TestSubtractExported(t *testing.T) {
 	if got := s.PointEstimate(4); got != 20 {
 		t.Fatalf("estimate after subtract = %d, want 20", got)
 	}
-	s.Unskim(dense)
+	for v, w := range dense {
+		s.Update(v, w)
+	}
 	for j := 0; j < 3; j++ {
 		for k := 0; k < 16; k++ {
-			if s.Counter(j, k) != before.Counter(j, k) {
-				t.Fatal("Subtract then Unskim must be the identity")
+			if s.counters[j*s.cfg.Buckets+k] != before.counters[j*before.cfg.Buckets+k] {
+				t.Fatal("Subtract then Update must be the identity")
 			}
 		}
 	}
@@ -213,7 +178,7 @@ func TestSkimNothingBelowThreshold(t *testing.T) {
 	}
 	for j := 0; j < 5; j++ {
 		for k := 0; k < 128; k++ {
-			if s.Counter(j, k) != before.Counter(j, k) {
+			if s.counters[j*s.cfg.Buckets+k] != before.counters[j*before.cfg.Buckets+k] {
 				t.Fatal("empty skim must not change counters")
 			}
 		}

@@ -41,12 +41,13 @@ func TestSparseSparseUnbiased(t *testing.T) {
 	exact := float64(fv.InnerProduct(gv))
 
 	var w stats.Welford
-	for seed := uint64(0); seed < 120; seed++ {
+	const trials = 120
+	for seed := uint64(0); seed < trials; seed++ {
 		w.Add(joinTrial(fv, gv, 16, seed))
 	}
 	// Standard error of the mean = sd/sqrt(trials); require the mean to
 	// sit within ~4 standard errors of the exact value.
-	sem := w.StdDev() / math.Sqrt(float64(w.N()))
+	sem := w.StdDev() / math.Sqrt(trials)
 	if diff := math.Abs(w.Mean() - exact); diff > 4*sem+0.02*exact {
 		t.Fatalf("mean estimate %.0f vs exact %.0f (|diff| %.0f > 4·SEM %.0f): bias suspected",
 			w.Mean(), exact, diff, 4*sem)

@@ -86,30 +86,9 @@ func (h *Hierarchy) Update(value uint64, weight int64) {
 	}
 }
 
-// Bits returns log₂ of the domain size.
-func (h *Hierarchy) Bits() int { return h.bits }
-
-// Domain returns the domain size 2^bits.
-func (h *Hierarchy) Domain() uint64 { return 1 << uint(h.bits) }
-
-// Levels returns the number of levels (bits+1).
-func (h *Hierarchy) Levels() int { return len(h.levels) }
-
-// Level returns the sketch at level l.
-func (h *Hierarchy) Level(l int) *core.HashSketch { return h.levels[l] }
-
 // Base returns the level-0 (plain value) sketch; after Skim it is the
 // skimmed sketch to hand to core.EstimateJoinSkimmed.
 func (h *Hierarchy) Base() *core.HashSketch { return h.levels[0] }
-
-// Words returns the total synopsis size in counter words across levels.
-func (h *Hierarchy) Words() int {
-	w := 0
-	for _, sk := range h.levels {
-		w += sk.Words()
-	}
-	return w
-}
 
 // Compatible reports whether two hierarchies share structure and seeds.
 func (h *Hierarchy) Compatible(o *Hierarchy) bool {
@@ -120,13 +99,6 @@ func (h *Hierarchy) Compatible(o *Hierarchy) bool {
 // the base sketch.
 func (h *Hierarchy) DefaultSkimThreshold() int64 {
 	return h.levels[0].DefaultSkimThreshold()
-}
-
-// CandidateValues descends the hierarchy and returns every level-0 value
-// whose ancestors all have estimated frequency ≥ threshold. This is the
-// search phase of the optimized SKIMDENSE; it does not modify any sketch.
-func (h *Hierarchy) CandidateValues(threshold int64) []uint64 {
-	return h.candidateValues(threshold, 1)
 }
 
 // candidateValues is the dyadic descent with each level's frontier split
@@ -255,7 +227,7 @@ func (h *Hierarchy) SkimParallel(threshold int64, workers int) (stream.FreqVecto
 // hierarchies: dyadic skim on each, then the four-way subjoin combination
 // on the base sketches. Thresholds ≤ 0 select the per-stream defaults.
 // The hierarchies ARE mutated (skimmed); clone upstream if the synopsis
-// must survive, or rebuild via Unskim on the base sketches.
+// must survive.
 func EstimateJoin(f, g *Hierarchy, thresholdF, thresholdG int64) (core.Estimate, error) {
 	return EstimateJoinParallel(f, g, thresholdF, thresholdG, 1)
 }

@@ -1,6 +1,7 @@
 package dyadic
 
 import (
+	"bytes"
 	"testing"
 
 	"skimsketch/internal/core"
@@ -10,6 +11,14 @@ import (
 )
 
 func cfg(d, b int, seed uint64) core.Config { return core.Config{Tables: d, Buckets: b, Seed: seed} }
+
+// counterBytes is a sketch's counters as encoded: an SKHS blob is a
+// 40-byte header (magic, version, tables, buckets, seed, net and gross
+// counts) followed by the counters.
+func counterBytes(s *core.HashSketch) []byte {
+	b, _ := s.MarshalBinary()
+	return b[40:]
+}
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(-1, cfg(3, 8, 1)); err == nil {
@@ -34,13 +43,10 @@ func TestMustNewPanics(t *testing.T) {
 
 func TestStructure(t *testing.T) {
 	h := MustNew(10, cfg(5, 64, 7))
-	if h.Bits() != 10 || h.Domain() != 1024 || h.Levels() != 11 {
-		t.Fatalf("Bits=%d Domain=%d Levels=%d", h.Bits(), h.Domain(), h.Levels())
+	if h.bits != 10 || len(h.levels) != 11 {
+		t.Fatalf("bits=%d levels=%d", h.bits, len(h.levels))
 	}
-	if h.Words() != 11*5*64 {
-		t.Fatalf("Words = %d", h.Words())
-	}
-	if h.Base() != h.Level(0) {
+	if h.Base() != h.levels[0] {
 		t.Fatal("Base must be level 0")
 	}
 }
@@ -62,7 +68,7 @@ func TestLevelAggregation(t *testing.T) {
 	h := MustNew(8, cfg(5, 32, 3))
 	h.Update(200, 17)
 	for l := 0; l <= 8; l++ {
-		if got := h.Level(l).PointEstimate(200 >> uint(l)); got != 17 {
+		if got := h.levels[l].PointEstimate(200 >> uint(l)); got != 17 {
 			t.Fatalf("level %d estimate = %d, want 17", l, got)
 		}
 	}
@@ -73,7 +79,7 @@ func TestSiblingsAggregate(t *testing.T) {
 	h := MustNew(4, cfg(5, 32, 9))
 	h.Update(6, 10) // interval 3 at level 1
 	h.Update(7, 5)  // same parent interval
-	if got := h.Level(1).PointEstimate(3); got != 15 {
+	if got := h.levels[1].PointEstimate(3); got != 15 {
 		t.Fatalf("parent estimate = %d, want 15", got)
 	}
 }
@@ -109,12 +115,8 @@ func TestSkimMatchesNaive(t *testing.T) {
 		}
 	}
 	// And the skimmed base sketches must agree counter by counter.
-	for j := 0; j < 7; j++ {
-		for k := 0; k < 256; k++ {
-			if h.Base().Counter(j, k) != naiveSketch.Counter(j, k) {
-				t.Fatal("skimmed base sketches diverge")
-			}
-		}
+	if !bytes.Equal(counterBytes(h.Base()), counterBytes(naiveSketch)) {
+		t.Fatal("skimmed base sketches diverge")
 	}
 }
 
@@ -131,7 +133,7 @@ func TestSkimKeepsLevelsConsistent(t *testing.T) {
 	}
 	before := make([]int64, 11)
 	for l := 0; l <= 10; l++ {
-		before[l] = h.Level(l).PointEstimate(777 >> uint(l))
+		before[l] = h.levels[l].PointEstimate(777 >> uint(l))
 	}
 	dense, err := h.Skim(1000)
 	if err != nil {
@@ -142,7 +144,7 @@ func TestSkimKeepsLevelsConsistent(t *testing.T) {
 		t.Fatal("777 must be extracted")
 	}
 	for l := 0; l <= 10; l++ {
-		after := h.Level(l).PointEstimate(777 >> uint(l))
+		after := h.levels[l].PointEstimate(777 >> uint(l))
 		drop := before[l] - after
 		if diff := drop - extracted; diff > 600 || diff < -600 {
 			t.Fatalf("level %d estimate dropped by %d, want ≈ extracted %d", l, drop, extracted)
@@ -157,7 +159,7 @@ func TestCandidateValuesPrunesLightDomain(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		h.Update(g.Next(), 1)
 	}
-	cands := h.CandidateValues(2000)
+	cands := h.candidateValues(2000, 1)
 	if len(cands) == 0 || len(cands) > 64 {
 		t.Fatalf("candidate set size %d; expected a small pruned set", len(cands))
 	}
@@ -235,12 +237,8 @@ func TestDyadicDeleteInvariance(t *testing.T) {
 		b.Update(u.Value, u.Weight)
 	}
 	for l := 0; l <= 6; l++ {
-		for j := 0; j < 3; j++ {
-			for k := 0; k < 32; k++ {
-				if a.Level(l).Counter(j, k) != b.Level(l).Counter(j, k) {
-					t.Fatal("delete noise changed hierarchy counters")
-				}
-			}
+		if !bytes.Equal(counterBytes(a.levels[l]), counterBytes(b.levels[l])) {
+			t.Fatal("delete noise changed hierarchy counters")
 		}
 	}
 }

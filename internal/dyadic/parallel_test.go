@@ -1,6 +1,7 @@
 package dyadic
 
 import (
+	"bytes"
 	"testing"
 
 	"skimsketch/internal/core"
@@ -31,16 +32,11 @@ func buildPair(t *testing.T, bits int, c core.Config, n int) (*Hierarchy, *Hiera
 	return a, b
 }
 
-func hierarchiesEqual(t *testing.T, a, b *Hierarchy, c core.Config) {
+func hierarchiesEqual(t *testing.T, a, b *Hierarchy) {
 	t.Helper()
-	for l := 0; l < a.Levels(); l++ {
-		for j := 0; j < c.Tables; j++ {
-			for k := 0; k < c.Buckets; k++ {
-				if a.Level(l).Counter(j, k) != b.Level(l).Counter(j, k) {
-					t.Fatalf("level %d counter (%d,%d) differs: %d vs %d",
-						l, j, k, a.Level(l).Counter(j, k), b.Level(l).Counter(j, k))
-				}
-			}
+	for l := range a.levels {
+		if !bytes.Equal(counterBytes(a.levels[l]), counterBytes(b.levels[l])) {
+			t.Fatalf("level %d counters differ", l)
 		}
 	}
 }
@@ -68,7 +64,7 @@ func TestSkimParallelMatchesSequential(t *testing.T) {
 				t.Fatalf("workers=%d: dense[%d] = %d, want %d", workers, v, parDense[v], w)
 			}
 		}
-		hierarchiesEqual(t, seq, par, c)
+		hierarchiesEqual(t, seq, par)
 	}
 }
 
@@ -78,7 +74,7 @@ func TestCandidateValuesParallelOrder(t *testing.T) {
 	c := cfg(5, 64, 3)
 	seq, _ := buildPair(t, 10, c, 20000)
 	thr := seq.DefaultSkimThreshold()
-	want := seq.CandidateValues(thr)
+	want := seq.candidateValues(thr, 1)
 	for _, workers := range []int{2, 3, 8} {
 		got := seq.candidateValues(thr, workers)
 		if len(got) != len(want) {

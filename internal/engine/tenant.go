@@ -182,9 +182,6 @@ type Tenant struct {
 	name string
 }
 
-// Name returns the tenant namespace this handle is scoped to.
-func (t *Tenant) Name() string { return t.name }
-
 // DeclareStream registers a stream name with its value domain
 // [0, domain) in this tenant. The name must be non-empty and free of
 // '/', which Stats.UpdateCounts uses to join tenant and stream.

@@ -175,7 +175,7 @@ func filterSuppressed(pkg *Package, diags []Diagnostic) []Diagnostic {
 
 // All returns every sketchlint analyzer in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{LockScope, WidenMul, PoolOwn, CtxLeak, AllocLen, ErrCtr}
+	return []*Analyzer{LockScope, PoolOwn, CtxLeak, AllocLen, ErrCtr}
 }
 
 // ByName resolves a comma-separated analyzer selection.

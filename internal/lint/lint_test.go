@@ -12,8 +12,8 @@ func TestByName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 6 {
-		t.Fatalf("All() has %d analyzers, want 6", len(all))
+	if len(all) != 5 {
+		t.Fatalf("All() has %d analyzers, want 5", len(all))
 	}
 	names := make([]string, 0, len(all))
 	for _, a := range all {
@@ -23,15 +23,15 @@ func TestByName(t *testing.T) {
 		names = append(names, a.Name)
 	}
 	got := strings.Join(names, ",")
-	if got != "lockscope,widenmul,poolown,ctxleak,alloclen,errctr" {
+	if got != "lockscope,poolown,ctxleak,alloclen,errctr" {
 		t.Fatalf("analyzer order = %s", got)
 	}
 
-	two, err := lint.ByName("widenmul, lockscope")
+	two, err := lint.ByName("poolown, lockscope")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(two) != 2 || two[0].Name != "widenmul" || two[1].Name != "lockscope" {
+	if len(two) != 2 || two[0].Name != "poolown" || two[1].Name != "lockscope" {
 		t.Fatalf("ByName selection = %v", two)
 	}
 

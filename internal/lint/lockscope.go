@@ -29,12 +29,9 @@ var LockScope = &Analyzer{
 // function-name prefix.
 var expensiveEntryPoints = []struct{ pkgTail, namePrefix string }{
 	{"core", "EstimateJoin"}, // EstimateJoin, EstimateJoinParallel, EstimateJoinSkimmed
-	{"core", "SkimDense"},    // SkimDense, SkimDenseSigned, *Parallel
+	{"core", "SkimDense"},    // SkimDense, SkimDenseParallel
 	{"core", "EstimateSelfJoin"},
-	{"core", "DenseValues"},
-	{"core", "DenseEnergyFraction"},
 	{"dyadic", "Skim"}, // Skim, SkimParallel
-	{"dyadic", "CandidateValues"},
 }
 
 func isExpensiveEntry(f *types.Func) bool {

@@ -142,16 +142,6 @@ func (p *Pair) UpdateG(value uint64, weight int64) {
 	p.gRes.Update(value, weight)
 }
 
-// FSink and GSink adapt the two sides to stream.Sink.
-func (p *Pair) FSink() stream.Sink { return sinkFunc(p.UpdateF) }
-
-// GSink adapts the G side to stream.Sink.
-func (p *Pair) GSink() stream.Sink { return sinkFunc(p.UpdateG) }
-
-type sinkFunc func(uint64, int64)
-
-func (f sinkFunc) Update(v uint64, w int64) { f(v, w) }
-
 // Estimate sums the exact singleton subjoins and the residue-sketch
 // estimate.
 func (p *Pair) Estimate() (int64, error) {
@@ -165,10 +155,3 @@ func (p *Pair) Estimate() (int64, error) {
 	}
 	return total + res, nil
 }
-
-// Words returns the synopsis size in counter words per stream: one word
-// per singleton plus the residue sketch.
-func (p *Pair) Words() int { return len(p.fCount) + p.fRes.Words() }
-
-// Singletons returns the number of isolated values.
-func (p *Pair) Singletons() int { return len(p.fCount) }

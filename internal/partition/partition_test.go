@@ -31,8 +31,8 @@ func TestSingletonsAreExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Singletons() != 1 {
-		t.Fatalf("Singletons = %d", p.Singletons())
+	if len(p.fCount) != 1 {
+		t.Fatalf("singletons = %d", len(p.fCount))
 	}
 	// Value 1 must be the isolated one (largest score); its subjoin is
 	// then exact regardless of sketch noise.
@@ -57,8 +57,9 @@ func TestWords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Words() != 2+12 {
-		t.Fatalf("Words = %d", p.Words())
+	// One word per singleton plus the residue sketch.
+	if words := len(p.fCount) + p.fRes.Words(); words != 2+12 {
+		t.Fatalf("words = %d", words)
 	}
 }
 
@@ -68,8 +69,8 @@ func TestSingletonsCappedByCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Singletons() != 1 {
-		t.Fatalf("Singletons = %d, want 1 (only one candidate)", p.Singletons())
+	if len(p.fCount) != 1 {
+		t.Fatalf("singletons = %d, want 1 (only one candidate)", len(p.fCount))
 	}
 }
 
@@ -79,8 +80,9 @@ func TestSinksRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream.Apply([]stream.Update{stream.Insert(1), stream.Insert(2)}, p.FSink())
-	stream.Apply([]stream.Update{stream.Insert(1)}, p.GSink())
+	p.UpdateF(1, 1)
+	p.UpdateF(2, 1)
+	p.UpdateG(1, 1)
 	if p.fCount[0] != 1 || p.gCount[0] != 1 {
 		t.Fatal("singleton counters must receive routed updates")
 	}
@@ -114,8 +116,12 @@ func TestPartitionedBeatsPlainAGMS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stream.Apply(fs, p.FSink())
-		stream.Apply(gs, p.GSink())
+		for _, u := range fs {
+			p.UpdateF(u.Value, u.Weight)
+		}
+		for _, u := range gs {
+			p.UpdateG(u.Value, u.Weight)
+		}
 		pe, err := p.Estimate()
 		if err != nil {
 			t.Fatal(err)

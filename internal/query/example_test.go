@@ -23,20 +23,3 @@ func ExampleSumEstimator() {
 	fmt.Println("SUM ≈", est.Total)
 	// Output: SUM ≈ 198
 }
-
-// A two-join chain aggregate COUNT(R ⋈ S ⋈ T): two join attributes,
-// three streams.
-func ExampleMultiChain() {
-	must := func(err error) {
-		if err != nil {
-			panic(err)
-		}
-	}
-	c, err := query.NewMultiChain(2, 8, 5, 9)
-	must(err)
-	must(c.UpdateEnd(0, 1, 2))         // r_1 = 2
-	must(c.UpdateInterior(1, 1, 5, 3)) // s_{1,5} = 3
-	must(c.UpdateEnd(2, 5, 4))         // t_5 = 4
-	fmt.Println(c.Estimate())
-	// Output: 24
-}

@@ -5,11 +5,7 @@
 //     which each G element is repeated "measure" times, i.e. a weighted
 //     sketch update (SumEstimator);
 //   - selection predicates: elements failing the predicate are dropped
-//     before reaching the synopsis (Filtered);
-//   - multi-join aggregates: chain joins such as COUNT(R ⋈_A S ⋈_B T)
-//     via the multi-dimensional atomic sketches of Dobra, Garofalakis,
-//     Gehrke & Rastogi (SIGMOD 2002), with one ξ family per join
-//     attribute (MultiChain). ExactChain is the two-join reference.
+//     before reaching the synopsis (Filtered).
 package query
 
 import (
@@ -43,12 +39,8 @@ func NewSumEstimator(domain uint64, cfg core.Config) (*SumEstimator, error) {
 	return &SumEstimator{f: f, g: g, domain: domain}, nil
 }
 
-// UpdateFact records one F-side element (count semantics). A deletion is
-// weight −1 via UpdateFactWeighted.
+// UpdateFact records one F-side element (count semantics).
 func (s *SumEstimator) UpdateFact(value uint64) { s.f.Update(value, 1) }
-
-// UpdateFactWeighted records an F-side element with an explicit weight.
-func (s *SumEstimator) UpdateFactWeighted(value uint64, weight int64) { s.f.Update(value, weight) }
 
 // UpdateMeasure records one G-side element with its measure; deleting an
 // element re-issues it with the negated measure.
@@ -81,22 +73,4 @@ func (f Filtered) Update(value uint64, weight int64) {
 	if f.Pred(value, weight) {
 		f.Sink.Update(value, weight)
 	}
-}
-
-// SPair is one S-stream element for ExactChain.
-type SPair struct {
-	A, B   uint64
-	Weight int64
-}
-
-// ExactChain computes the reference chain size Σ_{a,b} r_a·s_{a,b}·t_b.
-func ExactChain(r []stream.Update, s []SPair, t []stream.Update) int64 {
-	rf, tf := stream.NewFreqVector(), stream.NewFreqVector()
-	stream.Apply(r, rf)
-	stream.Apply(t, tf)
-	var total int64
-	for _, p := range s {
-		total += rf.Get(p.A) * p.Weight * tf.Get(p.B)
-	}
-	return total
 }

@@ -84,35 +84,11 @@ func TestSumAccuracySkewed(t *testing.T) {
 	}
 }
 
-func TestUpdateFactWeighted(t *testing.T) {
-	s, _ := NewSumEstimator(16, cfg(3, 16, 1))
-	s.UpdateFactWeighted(2, 4)
-	s.UpdateMeasure(2, 5)
-	est, err := s.Estimate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Total != 20 {
-		t.Fatalf("Total = %d, want 20", est.Total)
-	}
-}
-
 func TestFilteredSink(t *testing.T) {
 	fv := stream.NewFreqVector()
 	sink := Filtered{Sink: fv, Pred: func(v uint64, w int64) bool { return v%2 == 0 }}
 	stream.Apply([]stream.Update{stream.Insert(2), stream.Insert(3), stream.Insert(4)}, sink)
 	if fv.Get(2) != 1 || fv.Get(4) != 1 || fv.Get(3) != 0 {
 		t.Fatalf("predicate not applied: %v", fv)
-	}
-}
-
-func TestExactChainBruteForce(t *testing.T) {
-	r := []stream.Update{stream.Insert(1), stream.Insert(1), stream.Insert(2)}
-	s := []SPair{{A: 1, B: 5, Weight: 2}, {A: 2, B: 6, Weight: 1}, {A: 9, B: 5, Weight: 3}}
-	tt := []stream.Update{stream.Insert(5), stream.Insert(5), stream.Insert(6)}
-	// r_1=2, r_2=1; t_5=2, t_6=1.
-	// Contributions: (1,5): 2·2·2 = 8; (2,6): 1·1·1 = 1; (9,5): r_9=0.
-	if got := ExactChain(r, s, tt); got != 9 {
-		t.Fatalf("ExactChain = %d, want 9", got)
 	}
 }

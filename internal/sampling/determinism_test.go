@@ -33,7 +33,7 @@ func TestGoldenReservoir(t *testing.T) {
 	}
 	feed(r)
 	const want = "0554c73669df29697905491ae21094adf3099867e1cab1a71f7c14c188366707"
-	if got := hashSample(r.Sample()); got != want {
+	if got := hashSample(r.sample); got != want {
 		t.Errorf("reservoir digest = %s, want %s", got, want)
 	}
 }
@@ -51,7 +51,7 @@ func TestSeedAndRandConstructorsAgree(t *testing.T) {
 	}
 	feed(a)
 	feed(b)
-	if hashSample(a.Sample()) != hashSample(b.Sample()) {
+	if hashSample(a.sample) != hashSample(b.sample) {
 		t.Error("NewReservoir(seed) and NewReservoirRand diverge")
 	}
 }

@@ -73,19 +73,6 @@ func (r *Reservoir) Update(value uint64, weight int64) {
 // Size returns the number of sampled elements (≤ k).
 func (r *Reservoir) Size() int { return len(r.sample) }
 
-// SeenCount returns the number of stream elements observed.
-func (r *Reservoir) SeenCount() int64 { return r.n }
-
-// Words returns the synopsis size in words for space accounting.
-func (r *Reservoir) Words() int { return r.k }
-
-// Sample returns a copy of the current sample.
-func (r *Reservoir) Sample() []uint64 {
-	out := make([]uint64, len(r.sample))
-	copy(out, r.sample)
-	return out
-}
-
 // JoinEstimate estimates COUNT(F ⋈ G) from the two reservoirs by scaling
 // the number of matching sample pairs: the expected number of matches
 // between independent uniform samples is |S_F|·|S_G|·J/(n_F·n_G).
@@ -106,29 +93,4 @@ func JoinEstimate(f, g *Reservoir) (int64, error) {
 	}
 	scale := float64(f.n) * float64(g.n) / (float64(f.Size()) * float64(g.Size()))
 	return int64(float64(matches) * scale), nil
-}
-
-// SelfJoinEstimate estimates F2 = Σ f_v² from the reservoir by scaling the
-// number of matching pairs within the sample (with replacement semantics
-// on the diagonal: a pair (i, i) always matches, so it is excluded and the
-// unbiased pair count over distinct indices is scaled by n²/(k(k−1)),
-// then the exact diagonal n is added back).
-func (r *Reservoir) SelfJoinEstimate() (int64, error) {
-	if r.sawDelete {
-		return 0, ErrDeletesUnsupported
-	}
-	k := int64(r.Size())
-	if k < 2 {
-		return r.n, nil
-	}
-	counts := make(map[uint64]int64, r.Size())
-	for _, v := range r.sample {
-		counts[v]++
-	}
-	var pairs int64 // ordered matching pairs over distinct sample indices
-	for _, c := range counts {
-		pairs += c * (c - 1)
-	}
-	scale := float64(r.n) * float64(r.n-1) / (float64(k) * float64(k-1))
-	return int64(float64(pairs)*scale) + r.n, nil
 }

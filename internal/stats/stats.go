@@ -36,18 +36,6 @@ func MedianFloat64(xs []float64) float64 {
 	return tmp[(len(tmp)-1)/2]
 }
 
-// MeanInt64 returns the arithmetic mean of xs as a float64.
-func MeanInt64(xs []int64) float64 {
-	if len(xs) == 0 {
-		panic("stats: mean of empty slice")
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += float64(x)
-	}
-	return s / float64(len(xs))
-}
-
 // ErrorSanityBound is the paper's substitute error when an estimate is
 // non-positive or absurdly small ("we simply consider the error to be a
 // large constant, say 10").
@@ -98,9 +86,6 @@ func (w *Welford) Add(x float64) {
 	w.mean += d / float64(w.n)
 	w.m2 += d * (x - w.mean)
 }
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
 
 // Mean returns the running mean (0 before any observation).
 func (w *Welford) Mean() float64 { return w.mean }

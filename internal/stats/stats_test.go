@@ -72,12 +72,6 @@ func TestMedianFloat64(t *testing.T) {
 	}
 }
 
-func TestMeanInt64(t *testing.T) {
-	if got := MeanInt64([]int64{1, 2, 3, 4}); got != 2.5 {
-		t.Fatalf("got %v", got)
-	}
-}
-
 func TestSymmetricError(t *testing.T) {
 	cases := []struct {
 		est, actual, want float64
@@ -139,9 +133,6 @@ func TestWelford(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	for _, x := range xs {
 		w.Add(x)
-	}
-	if w.N() != len(xs) {
-		t.Fatalf("N = %d", w.N())
 	}
 	if math.Abs(w.Mean()-5) > 1e-12 {
 		t.Fatalf("Mean = %v", w.Mean())

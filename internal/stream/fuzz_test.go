@@ -39,7 +39,8 @@ func FuzzReader(f *testing.F) {
 	})
 }
 
-// FuzzRoundTrip: any updates written must read back identically.
+// FuzzRoundTrip: updates written under the largest domain read back
+// identically, except a value outside it, which the reader refuses.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint64(3), int64(1), uint64(9), int64(-4))
 	f.Fuzz(func(t *testing.T, v1 uint64, w1 int64, v2 uint64, w2 int64) {
@@ -61,7 +62,13 @@ func FuzzRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := r.ReadAll()
+		out, err := readAll(r)
+		if v1 == ^uint64(0) || v2 == ^uint64(0) {
+			if err == nil {
+				t.Fatalf("value %d outside the domain was accepted", ^uint64(0))
+			}
+			return
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

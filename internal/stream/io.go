@@ -54,9 +54,6 @@ func (w *Writer) Write(u Update) error {
 	return nil
 }
 
-// Count returns the number of records written so far.
-func (w *Writer) Count() int64 { return w.n }
-
 // Flush flushes buffered records to the underlying writer.
 func (w *Writer) Flush() error { return w.w.Flush() }
 
@@ -65,6 +62,7 @@ type Reader struct {
 	r      *bufio.Reader
 	domain uint64
 	buf    [16]byte
+	n      int64
 }
 
 // NewReader validates the header and returns a record reader.
@@ -84,36 +82,26 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return &Reader{r: br, domain: domain}, nil
 }
 
-// Domain returns the domain size recorded in the header.
-func (r *Reader) Domain() uint64 { return r.domain }
-
 // Read returns the next update, or io.EOF when the stream is exhausted.
+// A record whose value lies outside the header's domain [0, m) is an
+// error, as it is for an online update (Validate): no skim over [0, m)
+// could extract it.
 func (r *Reader) Read() (Update, error) {
 	if _, err := io.ReadFull(r.r, r.buf[:]); err != nil {
 		if err == io.EOF {
 			return Update{}, io.EOF
 		}
-		return Update{}, fmt.Errorf("stream: reading record: %w", err)
+		return Update{}, fmt.Errorf("stream: reading record %d: %w", r.n, err)
 	}
-	return Update{
+	u := Update{
 		Value:  binary.LittleEndian.Uint64(r.buf[0:8]),
 		Weight: int64(binary.LittleEndian.Uint64(r.buf[8:16])),
-	}, nil
-}
-
-// ReadAll drains the reader into a slice.
-func (r *Reader) ReadAll() ([]Update, error) {
-	var out []Update
-	for {
-		u, err := r.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, u)
 	}
+	if u.Value >= r.domain {
+		return Update{}, fmt.Errorf("stream: record %d has value %d outside domain [0,%d)", r.n, u.Value, r.domain)
+	}
+	r.n++
+	return u, nil
 }
 
 // WriteFile writes updates to path as a stream file.
@@ -140,42 +128,27 @@ func WriteFile(path string, domain uint64, updates []Update) error {
 	return f.Close()
 }
 
-// ReadFile reads a stream file written by WriteFile.
-func ReadFile(path string) (domain uint64, updates []Update, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, nil, fmt.Errorf("stream: %w", err)
-	}
-	defer f.Close()
-	r, err := NewReader(f)
-	if err != nil {
-		return 0, nil, err
-	}
-	updates, err = r.ReadAll()
-	return r.Domain(), updates, err
-}
-
 // Pipe streams a file's records straight into sinks without materializing
-// them, returning the number of records processed. This is the one-pass
-// path used by cmd/skimjoin.
-func Pipe(path string, sinks ...Sink) (int64, error) {
+// them, returning the header's domain and the number of records
+// processed. It is the one file reader of the offline tools
+// (sketchtool build and skimjoin).
+func Pipe(path string, sinks ...Sink) (domain uint64, n int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, fmt.Errorf("stream: %w", err)
+		return 0, 0, fmt.Errorf("stream: %w", err)
 	}
 	defer f.Close()
 	r, err := NewReader(f)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	var n int64
 	for {
 		u, err := r.Read()
 		if err == io.EOF {
-			return n, nil
+			return r.domain, n, nil
 		}
 		if err != nil {
-			return n, err
+			return r.domain, n, err
 		}
 		for _, s := range sinks {
 			s.Update(u.Value, u.Weight)

@@ -47,39 +47,6 @@ func Apply(updates []Update, sinks ...Sink) {
 	}
 }
 
-// BatchSink is implemented by synopses that can fold a whole batch of
-// updates at once. Implementations must be exactly equivalent to calling
-// Update once per element in order — batching is a pure amortization of
-// per-element overhead, never an approximation.
-type BatchSink interface {
-	UpdateBatch(batch []Update)
-}
-
-// ApplyBatched feeds updates to each sink in chunks of batchSize, using
-// UpdateBatch on sinks that implement BatchSink and falling back to
-// per-element Update otherwise. batchSize <= 0 means one chunk.
-func ApplyBatched(updates []Update, batchSize int, sinks ...Sink) {
-	if batchSize <= 0 || batchSize > len(updates) {
-		batchSize = len(updates)
-	}
-	for off := 0; off < len(updates); off += batchSize {
-		end := off + batchSize
-		if end > len(updates) {
-			end = len(updates)
-		}
-		chunk := updates[off:end]
-		for _, s := range sinks {
-			if bs, ok := s.(BatchSink); ok {
-				bs.UpdateBatch(chunk)
-			} else {
-				for _, u := range chunk {
-					s.Update(u.Value, u.Weight)
-				}
-			}
-		}
-	}
-}
-
 // FreqVector is the exact (net) frequency vector of a stream: value →
 // accumulated weight. It is the ground truth against which estimators are
 // evaluated, and also serves as the carrier for skimmed dense frequencies.
@@ -99,7 +66,7 @@ func (f FreqVector) Update(value uint64, weight int64) {
 	}
 }
 
-// UpdateBatch implements BatchSink as a sequential fold.
+// UpdateBatch is Update over a batch, in order.
 func (f FreqVector) UpdateBatch(batch []Update) {
 	for _, u := range batch {
 		f.Update(u.Value, u.Weight)
@@ -108,22 +75,6 @@ func (f FreqVector) UpdateBatch(batch []Update) {
 
 // Get returns the frequency of v (0 if absent).
 func (f FreqVector) Get(v uint64) int64 { return f[v] }
-
-// Support returns the number of values with non-zero frequency.
-func (f FreqVector) Support() int { return len(f) }
-
-// L1 returns Σ|f_v|, the net stream size for insert-only streams.
-func (f FreqVector) L1() int64 {
-	var s int64
-	for _, w := range f {
-		if w < 0 {
-			s -= w
-		} else {
-			s += w
-		}
-	}
-	return s
-}
 
 // SelfJoinSize returns the second frequency moment F2 = Σ f_v², the size
 // of the self-join COUNT(F ⋈ F).
@@ -148,80 +99,6 @@ func (f FreqVector) InnerProduct(g FreqVector) int64 {
 		}
 	}
 	return s
-}
-
-// Dense returns the sub-vector of frequencies with |f_v| ≥ threshold.
-func (f FreqVector) Dense(threshold int64) FreqVector {
-	d := NewFreqVector()
-	for v, w := range f {
-		if w >= threshold || -w >= threshold {
-			d[v] = w
-		}
-	}
-	return d
-}
-
-// Sub returns f − g as a new vector (the sparse residual after skimming g
-// away from f).
-func (f FreqVector) Sub(g FreqVector) FreqVector {
-	r := NewFreqVector()
-	for v, w := range f {
-		r[v] = w
-	}
-	for v, w := range g {
-		n := r[v] - w
-		if n == 0 {
-			delete(r, v)
-		} else {
-			r[v] = n
-		}
-	}
-	return r
-}
-
-// Clone returns a deep copy of f.
-func (f FreqVector) Clone() FreqVector {
-	c := make(FreqVector, len(f))
-	for v, w := range f {
-		c[v] = w
-	}
-	return c
-}
-
-// MaxValue returns the largest value with non-zero frequency and whether
-// the vector is non-empty.
-func (f FreqVector) MaxValue() (uint64, bool) {
-	var max uint64
-	found := false
-	for v := range f {
-		if !found || v > max {
-			max, found = v, true
-		}
-	}
-	return max, found
-}
-
-// ExactJoinSize computes COUNT(F ⋈ G) from two update streams by
-// materializing both frequency vectors. It is the reference answer for
-// every experiment.
-func ExactJoinSize(fs, gs []Update) int64 {
-	f, g := NewFreqVector(), NewFreqVector()
-	Apply(fs, f)
-	Apply(gs, g)
-	return f.InnerProduct(g)
-}
-
-// Filter returns the updates that satisfy pred, modelling the paper's
-// selection-predicate pushdown ("we simply drop from the streams, elements
-// that do not satisfy the predicates").
-func Filter(updates []Update, pred func(Update) bool) []Update {
-	out := make([]Update, 0, len(updates))
-	for _, u := range updates {
-		if pred(u) {
-			out = append(out, u)
-		}
-	}
-	return out
 }
 
 // Validate checks that every update's value lies in [0, domain) and

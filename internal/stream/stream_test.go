@@ -20,11 +20,8 @@ func TestFreqVectorBasics(t *testing.T) {
 	if got := f.Get(99); got != 0 {
 		t.Fatalf("Get(99) = %d, want 0", got)
 	}
-	if got := f.Support(); got != 2 {
-		t.Fatalf("Support = %d, want 2", got)
-	}
-	if got := f.L1(); got != 6 {
-		t.Fatalf("L1 = %d, want 6", got)
+	if got := len(f); got != 2 {
+		t.Fatalf("support = %d, want 2", got)
 	}
 	if got := f.SelfJoinSize(); got != 4+16 {
 		t.Fatalf("SelfJoinSize = %d, want 20", got)
@@ -35,15 +32,12 @@ func TestFreqVectorDeleteCancels(t *testing.T) {
 	f := NewFreqVector()
 	f.Update(7, 1)
 	f.Update(7, -1)
-	if f.Support() != 0 {
+	if len(f) != 0 {
 		t.Fatal("insert followed by delete must leave empty support")
 	}
 	f.Update(8, -3)
 	if got := f.Get(8); got != -3 {
 		t.Fatalf("negative frequencies must be representable, got %d", got)
-	}
-	if got := f.L1(); got != 3 {
-		t.Fatalf("L1 of |-3| = %d, want 3", got)
 	}
 }
 
@@ -99,48 +93,14 @@ func TestSelfJoinEqualsInnerProductWithSelf(t *testing.T) {
 	}
 }
 
-func TestDense(t *testing.T) {
-	f := FreqVector{1: 10, 2: 3, 3: -7, 4: 5}
-	d := f.Dense(5)
-	if len(d) != 3 || d[1] != 10 || d[3] != -7 || d[4] != 5 {
-		t.Fatalf("Dense(5) = %v", d)
-	}
-}
-
-func TestSubResidualIdentity(t *testing.T) {
-	// f = dense + (f − dense) must hold for any threshold.
-	f := func(vals []uint8, thr uint8) bool {
-		fv := NewFreqVector()
-		for _, v := range vals {
-			fv.Update(uint64(v%32), 1)
-		}
-		d := fv.Dense(int64(thr%8) + 1)
-		r := fv.Sub(d)
-		// recombine
-		back := r.Clone()
-		for v, w := range d {
-			back.Update(v, w)
-		}
-		if len(back) != len(fv) {
-			return false
-		}
-		for v, w := range fv {
-			if back[v] != w {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestExactJoinSize(t *testing.T) {
 	fs := []Update{Insert(1), Insert(1), Insert(2), Delete(2)}
 	gs := []Update{Insert(1), Insert(3)}
-	if got := ExactJoinSize(fs, gs); got != 2 {
-		t.Fatalf("ExactJoinSize = %d, want 2", got)
+	f, g := NewFreqVector(), NewFreqVector()
+	Apply(fs, f)
+	Apply(gs, g)
+	if got := f.InnerProduct(g); got != 2 {
+		t.Fatalf("exact join size = %d, want 2", got)
 	}
 }
 
@@ -152,41 +112,12 @@ func TestApplyFansOut(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	us := []Update{Insert(1), Insert(10), Insert(3)}
-	got := Filter(us, func(u Update) bool { return u.Value < 5 })
-	if len(got) != 2 || got[0].Value != 1 || got[1].Value != 3 {
-		t.Fatalf("Filter = %v", got)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	if err := Validate([]Update{Insert(3)}, 4); err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}
 	if err := Validate([]Update{Insert(4)}, 4); err == nil {
 		t.Fatal("expected out-of-domain error")
-	}
-}
-
-func TestMaxValue(t *testing.T) {
-	f := NewFreqVector()
-	if _, ok := f.MaxValue(); ok {
-		t.Fatal("empty vector has no max")
-	}
-	f.Update(9, 1)
-	f.Update(4, 1)
-	if v, ok := f.MaxValue(); !ok || v != 9 {
-		t.Fatalf("MaxValue = %d,%v want 9,true", v, ok)
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	f := FreqVector{1: 1}
-	c := f.Clone()
-	c.Update(1, 5)
-	if f.Get(1) != 1 {
-		t.Fatal("Clone must not alias the original")
 	}
 }
 
@@ -210,8 +141,11 @@ func TestExactJoinMatchesBruteForce(t *testing.T) {
 				}
 			}
 		}
-		if got := ExactJoinSize(fs, gs); got != brute {
-			t.Fatalf("trial %d: ExactJoinSize = %d, brute force = %d", trial, got, brute)
+		f, g := NewFreqVector(), NewFreqVector()
+		Apply(fs, f)
+		Apply(gs, g)
+		if got := f.InnerProduct(g); got != brute {
+			t.Fatalf("trial %d: exact join size = %d, brute force = %d", trial, got, brute)
 		}
 	}
 }

@@ -13,30 +13,6 @@ import (
 // lines skipped. This is the interchange format for piping existing logs
 // into the tools without converting to the binary SKS1 format first.
 
-// ReadText parses updates from r. Lines are 1-indexed in errors.
-func ReadText(r io.Reader) ([]Update, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 64*1024)
-	var out []Update
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		u, err := parseTextUpdate(text)
-		if err != nil {
-			return out, fmt.Errorf("stream: line %d: %w", line, err)
-		}
-		out = append(out, u)
-	}
-	if err := sc.Err(); err != nil {
-		return out, fmt.Errorf("stream: reading text: %w", err)
-	}
-	return out, nil
-}
-
 // PipeText streams text-format updates from r into sinks without
 // materializing them, returning the number applied.
 func PipeText(r io.Reader, sinks ...Sink) (int64, error) {

@@ -6,6 +6,20 @@ import (
 	"testing"
 )
 
+// updateLog is a Sink that records updates in order.
+type updateLog []Update
+
+func (l *updateLog) Update(value uint64, weight int64) {
+	*l = append(*l, Update{Value: value, Weight: weight})
+}
+
+// readText parses r through PipeText.
+func readText(r *strings.Reader) ([]Update, error) {
+	var log updateLog
+	_, err := PipeText(r, &log)
+	return log, err
+}
+
 func TestReadText(t *testing.T) {
 	in := `
 # comment
@@ -14,7 +28,7 @@ func TestReadText(t *testing.T) {
 
   13 , -2
 `
-	got, err := ReadText(strings.NewReader(in))
+	got, err := readText(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,16 +44,16 @@ func TestReadText(t *testing.T) {
 }
 
 func TestReadTextErrors(t *testing.T) {
-	if _, err := ReadText(strings.NewReader("notanumber")); err == nil {
+	if _, err := readText(strings.NewReader("notanumber")); err == nil {
 		t.Fatal("expected value error")
 	}
-	if _, err := ReadText(strings.NewReader("1,notaweight")); err == nil {
+	if _, err := readText(strings.NewReader("1,notaweight")); err == nil {
 		t.Fatal("expected weight error")
 	}
-	if _, err := ReadText(strings.NewReader("3\nbad\n")); err == nil || !strings.Contains(err.Error(), "line 2") {
+	if _, err := readText(strings.NewReader("3\nbad\n")); err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatal("errors must carry line numbers")
 	}
-	if _, err := ReadText(strings.NewReader("-1")); err == nil {
+	if _, err := readText(strings.NewReader("-1")); err == nil {
 		t.Fatal("negative values must be rejected")
 	}
 }
@@ -54,7 +68,7 @@ func TestWriteTextRoundTrip(t *testing.T) {
 	if !strings.HasPrefix(buf.String(), "1\n2,-5\n") {
 		t.Fatalf("unexpected rendering:\n%s", buf.String())
 	}
-	out, err := ReadText(&buf)
+	out, err := readText(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,15 +41,6 @@ func New(k int, cfg core.Config) (*Tracker, error) {
 	return &Tracker{k: k, sketch: sk, pos: make(map[uint64]int)}, nil
 }
 
-// MustNew is New for static configurations.
-func MustNew(k int, cfg core.Config) *Tracker {
-	t, err := New(k, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Update folds one stream element and refreshes the candidate set. It
 // implements stream.Sink.
 func (t *Tracker) Update(value uint64, weight int64) {
@@ -101,13 +92,6 @@ func (t *Tracker) Top() []Entry {
 	})
 	return out
 }
-
-// K returns the tracker capacity.
-func (t *Tracker) K() int { return t.k }
-
-// Sketch exposes the underlying hash sketch (for example to reuse it in a
-// join estimate).
-func (t *Tracker) Sketch() *core.HashSketch { return t.sketch }
 
 // heapEntry keeps the tracker pointer so swaps can maintain pos.
 type heapEntry struct {

@@ -19,17 +19,18 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustNew(0, cfg(1, 1, 1))
+// mustNew is New for a test's fixed, valid arguments.
+func mustNew(t *testing.T, k int, c core.Config) *Tracker {
+	t.Helper()
+	tr, err := New(k, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 func TestTracksPlantedHeavyHitters(t *testing.T) {
-	tr := MustNew(3, cfg(7, 256, 5))
+	tr := mustNew(t, 3, cfg(7, 256, 5))
 	heavy := map[uint64]int64{10: 5000, 200: 3000, 999: 2000}
 	for v, w := range heavy {
 		for i := int64(0); i < w; i++ {
@@ -61,7 +62,7 @@ func TestTracksPlantedHeavyHitters(t *testing.T) {
 
 func TestInterleavedStreamOrder(t *testing.T) {
 	// Heavy values arriving interleaved with noise must still win.
-	tr := MustNew(2, cfg(5, 128, 9))
+	tr := mustNew(t, 2, cfg(5, 128, 9))
 	u := workload.NewUniform(1024, 2)
 	for i := 0; i < 20000; i++ {
 		tr.Update(u.Next(), 1)
@@ -79,7 +80,7 @@ func TestInterleavedStreamOrder(t *testing.T) {
 }
 
 func TestDeletesEvictFromTop(t *testing.T) {
-	tr := MustNew(2, cfg(5, 64, 3))
+	tr := mustNew(t, 2, cfg(5, 64, 3))
 	tr.Update(1, 100)
 	tr.Update(2, 50)
 	if got := len(tr.Top()); got != 2 {
@@ -93,9 +94,9 @@ func TestDeletesEvictFromTop(t *testing.T) {
 }
 
 func TestCapacityAndAccessors(t *testing.T) {
-	tr := MustNew(2, cfg(3, 32, 7))
-	if tr.K() != 2 {
-		t.Fatalf("K = %d", tr.K())
+	tr := mustNew(t, 2, cfg(3, 32, 7))
+	if tr.k != 2 {
+		t.Fatalf("k = %d", tr.k)
 	}
 	for v := uint64(0); v < 10; v++ {
 		tr.Update(v, int64(v+1))
@@ -103,13 +104,13 @@ func TestCapacityAndAccessors(t *testing.T) {
 	if got := len(tr.Top()); got != 2 {
 		t.Fatalf("tracked %d entries, capacity is 2", got)
 	}
-	if tr.Sketch().NetCount() != 55 {
-		t.Fatalf("sketch net = %d", tr.Sketch().NetCount())
+	if tr.sketch.NetCount() != 55 {
+		t.Fatalf("sketch net = %d", tr.sketch.NetCount())
 	}
 }
 
 func TestHeapPositionsStayConsistent(t *testing.T) {
-	tr := MustNew(4, cfg(5, 64, 11))
+	tr := mustNew(t, 4, cfg(5, 64, 11))
 	// Churn hard: many values overtaking each other.
 	for round := 0; round < 50; round++ {
 		for v := uint64(0); v < 20; v++ {
@@ -127,7 +128,7 @@ func TestHeapPositionsStayConsistent(t *testing.T) {
 }
 
 func TestSinkIntegration(t *testing.T) {
-	tr := MustNew(1, cfg(3, 32, 1))
+	tr := mustNew(t, 1, cfg(3, 32, 1))
 	stream.Apply([]stream.Update{stream.Insert(5), stream.Insert(5)}, tr)
 	top := tr.Top()
 	if len(top) != 1 || top[0].Value != 5 || top[0].Estimate != 2 {

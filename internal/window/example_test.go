@@ -20,10 +20,8 @@ func ExampleWindow() {
 		w.Update(uint64(i%16)+20, 1) // later churn pushes the burst out
 	}
 	// 350 updates = 14 full buckets; the ring retains 3 full buckets
-	// plus the (empty, just-rotated) current one: 75 elements covered.
-	fmt.Println("covered elements:", w.CoveredElements())
+	// plus the (empty, just-rotated) current one: the burst is gone.
 	fmt.Println("estimate for expired value:", w.Combined().PointEstimate(7))
 	// Output:
-	// covered elements: 75
 	// estimate for expired value: 0
 }

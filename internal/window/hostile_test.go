@@ -49,6 +49,6 @@ func TestWindowUnmarshalRejectsWindowLengthOverflow(t *testing.T) {
 	binary.LittleEndian.PutUint64(blob[8:], 1<<62+1) // bucketCap·4 wraps to 4
 	var w Window
 	if err := w.UnmarshalBinary(blob); err == nil {
-		t.Fatalf("accepted bucketCap 2^62+1 × 4 buckets as window length %d", w.WindowLen())
+		t.Fatalf("accepted bucketCap 2^62+1 × 4 buckets as window length %d", w.bucketCap*int64(len(w.buckets)))
 	}
 }

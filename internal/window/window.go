@@ -8,9 +8,7 @@
 // the live buckets into one sketch.
 //
 // The window is therefore honoured at bucket granularity: a query covers
-// between W − W/B and W of the most recent elements (CoveredElements
-// reports the exact number, and CoveredRange the exact update-index
-// interval, so tests can compare against a ground-truth suffix).
+// between W − W/B and W of the most recent elements.
 package window
 
 import (
@@ -84,8 +82,7 @@ func (w *Window) Update(value uint64, weight int64) {
 
 // UpdateBatch folds a whole batch, splitting it along bucket boundaries
 // so each piece can use the sketch's batched update; rotation and expiry
-// happen exactly where the sequential loop would trigger them. It
-// implements stream.BatchSink.
+// happen exactly where the sequential loop would trigger them.
 func (w *Window) UpdateBatch(batch []stream.Update) {
 	for len(batch) > 0 {
 		n := w.bucketCap - w.curCount
@@ -119,24 +116,6 @@ func (w *Window) Combined() *core.HashSketch {
 	}
 	return out
 }
-
-// CoveredElements returns how many of the most recent elements the
-// window currently summarizes.
-func (w *Window) CoveredElements() int64 {
-	return int64(w.live)*w.bucketCap + w.curCount
-}
-
-// CoveredRange returns the half-open update-index interval [from, to)
-// the window summarizes, where indices count Update calls from 0.
-func (w *Window) CoveredRange() (from, to int64) {
-	return w.total - w.CoveredElements(), w.total
-}
-
-// Total returns the number of elements ever seen.
-func (w *Window) Total() int64 { return w.total }
-
-// WindowLen returns the configured window length in elements.
-func (w *Window) WindowLen() int64 { return w.bucketCap * int64(len(w.buckets)) }
 
 // Words returns the synopsis size in counter words across buckets.
 func (w *Window) Words() int { return len(w.buckets) * w.cfg.Tables * w.cfg.Buckets }

@@ -132,13 +132,6 @@ func New(addr string, opts Options) *Conn {
 // ClientID returns the dedupe identity frames are sent under.
 func (c *Conn) ClientID() string { return c.opts.ClientID }
 
-// Ping establishes the connection (dial + header exchange) without
-// sending data, so startup errors surface before the first batch.
-func (c *Conn) Ping(ctx context.Context) error {
-	_, err := c.Send(ctx, "", nil)
-	return err
-}
-
 // Send delivers one logical batch — updates grouped by stream, for one
 // tenant ("" = default) — and blocks until the server acknowledges it,
 // permanently rejects it, the retry budget is spent, or ctx is done.
@@ -468,9 +461,6 @@ func (b *Batcher) Add(streamName string, value uint64, weight int64) int {
 	b.count++
 	return b.count
 }
-
-// Pending returns the buffered element count.
-func (b *Batcher) Pending() int { return b.count }
 
 // Flush sends the buffered updates (no-op when empty) and resets the
 // buffers for reuse.

@@ -145,7 +145,8 @@ func TestPingAndGeneratedClientID(t *testing.T) {
 	srv := newFakeServer(t, ackAll)
 	c := New(srv.addr(), Options{Backoff: fastBackoff()})
 	defer c.Close()
-	if err := c.Ping(context.Background()); err != nil {
+	// An empty send dials and exchanges headers without sending data.
+	if _, err := c.Send(context.Background(), "", nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(c.ClientID(), "sksp-") || len(c.ClientID()) != len("sksp-")+16 {
@@ -446,15 +447,15 @@ func TestBatcher(t *testing.T) {
 	if n := b.Add("F", 3, 1); n != 3 {
 		t.Fatalf("Add count %d, want 3", n)
 	}
-	if b.Pending() != 3 {
-		t.Fatalf("Pending %d", b.Pending())
+	if b.count != 3 {
+		t.Fatalf("buffered %d", b.count)
 	}
 	out, err := b.Flush(context.Background())
 	if err != nil || out.Applied != 3 {
 		t.Fatalf("flush: %+v %v", out, err)
 	}
-	if b.Pending() != 0 {
-		t.Fatalf("Pending %d after flush", b.Pending())
+	if b.count != 0 {
+		t.Fatalf("buffered %d after flush", b.count)
 	}
 	mu.Lock()
 	seen := got

@@ -61,13 +61,6 @@ func TestGoldenStreams(t *testing.T) {
 			want: "c076629aa45ded6a0de1fa5283d325d311c7027cae98673c6d060abe057d33a2",
 		},
 		{
-			name: "shifted_permuted",
-			gen: func() []stream.Update {
-				return MakeStream(NewPermuted(NewShifted(zipfBase(42), 100), 17), 2000)
-			},
-			want: "e2f99b12c78393ae0189fd890aef5965d63c64d763359b49e83cdf3bd21779b2",
-		},
-		{
 			name: "census",
 			gen: func() []stream.Update {
 				wage, overtime := CensusPair(3000, 3)
@@ -133,12 +126,6 @@ func TestSeedAndRandConstructorsAgree(t *testing.T) {
 	d2 := WithDeletesRand(u2, 0.3, rand.New(rand.NewSource(23)))
 	if hashStream(d1) != hashStream(d2) {
 		t.Error("WithDeletes(seed) and WithDeletesRand diverge")
-	}
-
-	p1 := MakeStream(NewPermuted(NewUniform(256, 4), 6), 300)
-	p2 := MakeStream(NewPermutedRand(NewUniformRand(256, rand.New(rand.NewSource(4))), rand.New(rand.NewSource(6))), 300)
-	if hashStream(p1) != hashStream(p2) {
-		t.Error("NewPermuted(seed) and NewPermutedRand diverge")
 	}
 }
 

@@ -43,33 +43,3 @@ func (g *Mixture) Next() uint64 {
 
 // Domain returns the base generator's domain.
 func (g *Mixture) Domain() uint64 { return g.base.Domain() }
-
-// Drift switches between two generators after a fixed number of draws,
-// modelling workload migration — the regime sliding-window estimates are
-// for (see examples/windowed).
-type Drift struct {
-	before, after Generator
-	switchAt      int64
-	drawn         int64
-}
-
-// NewDrift draws from before for the first switchAt values and from
-// after subsequently. The two generators must share a domain.
-func NewDrift(before, after Generator, switchAt int64) *Drift {
-	if before.Domain() != after.Domain() {
-		panic("workload: Drift generators must share a domain")
-	}
-	return &Drift{before: before, after: after, switchAt: switchAt}
-}
-
-// Next draws one value.
-func (g *Drift) Next() uint64 {
-	g.drawn++
-	if g.drawn <= g.switchAt {
-		return g.before.Next()
-	}
-	return g.after.Next()
-}
-
-// Domain returns the shared domain.
-func (g *Drift) Domain() uint64 { return g.before.Domain() }

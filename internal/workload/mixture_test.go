@@ -67,31 +67,3 @@ func TestMixtureCopiesHotSlice(t *testing.T) {
 		t.Fatal("Mixture must copy the hot slice")
 	}
 }
-
-func TestDriftSwitches(t *testing.T) {
-	before := NewMixture(NewUniform(64, 1), []uint64{7}, 1, 2) // always 7
-	after := NewMixture(NewUniform(64, 3), []uint64{50}, 1, 4) // always 50
-	g := NewDrift(before, after, 10)
-	if g.Domain() != 64 {
-		t.Fatalf("Domain = %d", g.Domain())
-	}
-	for i := 0; i < 10; i++ {
-		if g.Next() != 7 {
-			t.Fatalf("draw %d should come from the before generator", i)
-		}
-	}
-	for i := 0; i < 10; i++ {
-		if g.Next() != 50 {
-			t.Fatal("post-switch draws should come from the after generator")
-		}
-	}
-}
-
-func TestDriftDomainMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewDrift(NewUniform(16, 1), NewUniform(32, 2), 5)
-}

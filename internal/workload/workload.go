@@ -138,38 +138,6 @@ func (g *Uniform) Next() uint64 { return uint64(g.rng.Int63n(int64(g.domain))) }
 // Domain returns the domain size.
 func (g *Uniform) Domain() uint64 { return g.domain }
 
-// Permuted applies a fixed random bijection of the domain to another
-// generator's output, scattering the (rank-ordered) dense values across
-// the domain. Sketch estimators are invariant to this, which experiments
-// verify; dyadic skimming timings are sensitive to it.
-type Permuted struct {
-	base Generator
-	perm []uint64
-}
-
-// NewPermuted builds the bijection with the given seed.
-func NewPermuted(base Generator, seed int64) *Permuted {
-	return NewPermutedRand(base, rngFromSeed(seed))
-}
-
-// NewPermutedRand builds the bijection by consuming one shuffle from
-// the injected source.
-func NewPermutedRand(base Generator, rng *rand.Rand) *Permuted {
-	m := base.Domain()
-	perm := make([]uint64, m)
-	for i := range perm {
-		perm[i] = uint64(i)
-	}
-	rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-	return &Permuted{base: base, perm: perm}
-}
-
-// Next draws one permuted value.
-func (g *Permuted) Next() uint64 { return g.perm[g.base.Next()] }
-
-// Domain returns the domain size.
-func (g *Permuted) Domain() uint64 { return g.base.Domain() }
-
 // WithDeletes interleaves delete noise into an insert stream: each
 // original insert is kept, and with probability frac a copy of a previous
 // value is inserted and later deleted again, exercising the general-update

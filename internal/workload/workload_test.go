@@ -116,7 +116,10 @@ func TestShiftShrinksJoin(t *testing.T) {
 		b2, _ := NewZipf(m, 1.0, 22)
 		fs := MakeStream(b1, n)
 		gs := MakeStream(NewShifted(b2, shift), n)
-		joins = append(joins, stream.ExactJoinSize(fs, gs))
+		f, g := stream.NewFreqVector(), stream.NewFreqVector()
+		stream.Apply(fs, f)
+		stream.Apply(gs, g)
+		joins = append(joins, f.InnerProduct(g))
 	}
 	if !(joins[0] > joins[1] && joins[1] > joins[2]) {
 		t.Fatalf("join sizes must shrink with shift: %v", joins)
@@ -137,45 +140,6 @@ func TestUniform(t *testing.T) {
 		if c < 700 || c > 1300 {
 			t.Fatalf("value %d count %d far from uniform 1000", v, c)
 		}
-	}
-}
-
-func TestPermutedIsBijection(t *testing.T) {
-	base := NewUniform(128, 1)
-	p := NewPermuted(base, 2)
-	seen := make(map[uint64]bool)
-	for i, v := range p.perm {
-		if v >= 128 {
-			t.Fatalf("perm[%d]=%d out of domain", i, v)
-		}
-		if seen[v] {
-			t.Fatalf("perm repeats %d", v)
-		}
-		seen[v] = true
-	}
-	if p.Domain() != 128 {
-		t.Fatal("domain must pass through")
-	}
-	if v := p.Next(); v >= 128 {
-		t.Fatalf("Next out of domain: %d", v)
-	}
-}
-
-// TestPermutedPreservesFrequencyMultiset: permutation relabels values but
-// keeps the sorted frequency profile identical.
-func TestPermutedPreservesFrequencyMultiset(t *testing.T) {
-	const m, n = 256, 20000
-	b1, _ := NewZipf(m, 1.0, 31)
-	b2, _ := NewZipf(m, 1.0, 31)
-	plain := stream.NewFreqVector()
-	perm := stream.NewFreqVector()
-	pg := NewPermuted(b2, 77)
-	for i := 0; i < n; i++ {
-		plain.Update(b1.Next(), 1)
-		perm.Update(pg.Next(), 1)
-	}
-	if plain.SelfJoinSize() != perm.SelfJoinSize() {
-		t.Fatalf("self-join sizes differ: %d vs %d", plain.SelfJoinSize(), perm.SelfJoinSize())
 	}
 }
 
