@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -27,27 +28,44 @@ func readStream(t *testing.T, path string) (uint64, []stream.Update) {
 	return domain, log
 }
 
-func TestRunValidation(t *testing.T) {
-	if err := run("zipf", "", "", 16, 10, 1.0, 0, 1, 0, "binary"); err == nil {
+func TestGenRunValidation(t *testing.T) {
+	if err := runGen(io.Discard, []string{"-kind", "zipf", "-domain", "16", "-n", "10"}); err == nil {
 		t.Fatal("expected error for missing -out")
 	}
-	if err := run("zipf", "x", "", 16, 0, 1.0, 0, 1, 0, "binary"); err == nil {
+	if err := runGen(io.Discard, []string{"-kind", "zipf", "-out", "x", "-domain", "16", "-n", "0"}); err == nil {
 		t.Fatal("expected error for n=0")
 	}
-	if err := run("nope", "x", "", 16, 10, 1.0, 0, 1, 0, "binary"); err == nil {
+	if err := runGen(io.Discard, []string{"-kind", "nope", "-out", "x", "-domain", "16", "-n", "10"}); err == nil {
 		t.Fatal("expected error for unknown kind")
 	}
-	if err := run("census", filepath.Join(t.TempDir(), "w.sks"), "", 16, 10, 1.0, 0, 1, 0, "binary"); err == nil {
+	if err := runGen(io.Discard, []string{"-kind", "census", "-out", filepath.Join(t.TempDir(), "w.sks"), "-domain", "16", "-n", "10"}); err == nil {
 		t.Fatal("expected error for census without -out2")
 	}
-	if err := run("zipf", "x", "", 0, 10, 1.0, 0, 1, 0, "binary"); err == nil {
+	if err := runGen(io.Discard, []string{"-kind", "zipf", "-out", "x", "-domain", "0", "-n", "10"}); err == nil {
 		t.Fatal("expected error for zero domain")
+	}
+}
+
+// TestGenRefusesZeroDomain pins that -domain 0 is an error for every
+// kind, before any generator is built (uniform used to panic in
+// rand.Int63n) and before any file is written.
+func TestGenRefusesZeroDomain(t *testing.T) {
+	dir := t.TempDir()
+	for _, kind := range []string{"zipf", "uniform", "census"} {
+		out := filepath.Join(dir, kind+".sks")
+		args := []string{"-kind", kind, "-out", out, "-out2", out + "2", "-domain", "0", "-n", "10"}
+		if err := runGen(io.Discard, args); err == nil {
+			t.Fatalf("-kind %s -domain 0 was accepted", kind)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Fatalf("-kind %s -domain 0 wrote %s", kind, out)
+		}
 	}
 }
 
 func TestRunZipfWritesStream(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "f.sks")
-	if err := run("zipf", out, "", 256, 1000, 1.0, 10, 7, 0, "binary"); err != nil {
+	if err := runGen(io.Discard, []string{"-kind", "zipf", "-out", out, "-domain", "256", "-n", "1000", "-zipf", "1.0", "-shift", "10", "-seed", "7"}); err != nil {
 		t.Fatal(err)
 	}
 	domain, updates := readStream(t, out)
@@ -61,7 +79,7 @@ func TestRunZipfWritesStream(t *testing.T) {
 
 func TestRunUniformWithDeletes(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "u.sks")
-	if err := run("uniform", out, "", 64, 500, 0, 0, 3, 0.5, "binary"); err != nil {
+	if err := runGen(io.Discard, []string{"-kind", "uniform", "-out", out, "-domain", "64", "-n", "500", "-zipf", "0", "-seed", "3", "-deletes", "0.5"}); err != nil {
 		t.Fatal(err)
 	}
 	_, updates := readStream(t, out)
@@ -81,7 +99,7 @@ func TestRunUniformWithDeletes(t *testing.T) {
 
 func TestRunTextFormat(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "f.txt")
-	if err := run("zipf", out, "", 64, 200, 1.0, 0, 7, 0, "text"); err != nil {
+	if err := runGen(io.Discard, []string{"-kind", "zipf", "-out", out, "-domain", "64", "-n", "200", "-zipf", "1.0", "-seed", "7", "-format", "text"}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)
@@ -90,7 +108,7 @@ func TestRunTextFormat(t *testing.T) {
 	}
 	defer f.Close()
 	var updates updateLog
-	if _, err := stream.PipeText(f, &updates); err != nil {
+	if _, err := stream.PipeText(f, 64, &updates); err != nil {
 		t.Fatal(err)
 	}
 	if len(updates) != 200 {
@@ -102,7 +120,7 @@ func TestRunTextFormat(t *testing.T) {
 }
 
 func TestRunUnknownFormat(t *testing.T) {
-	if err := run("zipf", filepath.Join(t.TempDir(), "x"), "", 16, 10, 1.0, 0, 1, 0, "yaml"); err == nil {
+	if err := runGen(io.Discard, []string{"-kind", "zipf", "-out", filepath.Join(t.TempDir(), "x"), "-domain", "16", "-n", "10", "-format", "yaml"}); err == nil {
 		t.Fatal("expected format error")
 	}
 }
@@ -111,7 +129,8 @@ func TestRunCensusWritesBothStreams(t *testing.T) {
 	dir := t.TempDir()
 	w := filepath.Join(dir, "wage.sks")
 	o := filepath.Join(dir, "ot.sks")
-	if err := run("census", w, o, 0, 2000, 0, 0, 5, 0, "binary"); err != nil {
+	// Census streams have their own domain; -domain keeps its default.
+	if err := runGen(io.Discard, []string{"-kind", "census", "-out", w, "-out2", o, "-n", "2000", "-seed", "5"}); err != nil {
 		t.Fatal(err)
 	}
 	dw, uw := readStream(t, w)

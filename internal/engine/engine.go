@@ -120,12 +120,7 @@ type Options struct {
 // pipeline (StartIngest): shard workers apply batches concurrently, and
 // reads quiesce the pipeline first.
 type Engine struct {
-	mu sync.Mutex
-	// applyMu arbitrates synopsis counter access: shard workers hold the
-	// read side while applying (their synopsis sets are disjoint, so
-	// sharing it is safe), and readers hold the write side — an inverted
-	// RWMutex.
-	applyMu      sync.RWMutex
+	mu           sync.Mutex
 	defaults     core.Config
 	defaultQuota Quota
 	tenants      map[string]*tenantState
@@ -206,8 +201,8 @@ type synEntry struct {
 	sketch *core.HashSketch
 	win    *window.Window
 	// epoch counts update deliveries to this synopsis. It is written only
-	// by the one shard worker that owns the synopsis, under the apply
-	// lock's read side, and read under its exclusive side, so plain
+	// by the one shard worker that owns the synopsis, and read only by a
+	// quiesced reader (readQuiesce), which no worker overlaps, so plain
 	// arithmetic is race-free. Answer snapshots it to key the answer
 	// cache.
 	epoch uint64
@@ -237,9 +232,9 @@ func (e *synEntry) updateBatch(batch, scratch []stream.Update) []stream.Update {
 }
 
 // snapshot returns a private copy suitable for estimation after the
-// apply lock is released: a window's Combined is already a fresh
-// roll-up, a plain synopsis is cloned. Callers hold the exclusive apply
-// lock for the duration of the copy only.
+// quiesce is released: a window's Combined is already a fresh roll-up,
+// a plain synopsis is cloned. Callers hold the quiesced read locks
+// (readQuiesce) for the duration of the copy only.
 func (e *synEntry) snapshot() *core.HashSketch {
 	if e.win != nil {
 		return e.win.Combined()
@@ -407,7 +402,7 @@ func (e *Engine) release(entry *synEntry) {
 // this tenant. If the ingestion pipeline is running it is drained first,
 // so the answer reflects every batch enqueued before the call.
 //
-// The quiesce/apply lock is held only long enough to clone the two
+// The quiesce is held only long enough to clone the two
 // synopses and capture their update epochs; the estimation itself — the
 // expensive O(domain·tables) skim scan — runs outside every lock, so
 // ingestion proceeds concurrently with a long-running Answer. If both

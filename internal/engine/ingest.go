@@ -16,9 +16,8 @@ import (
 // bounded channels. A batch for stream S is fanned out to every shard
 // holding a synopsis over S; the send blocks when a worker queue is full,
 // which is the pipeline's backpressure. Because each synopsis belongs to
-// exactly one shard, workers never write the same counters and can apply
-// concurrently under a shared (read) apply lock; readers take the
-// exclusive side, so a query never observes a half-applied batch.
+// exactly one shard, workers never write the same counters and apply
+// concurrently without a lock.
 //
 // The pipeline is shared by every tenant: batches are routed on
 // (tenant, stream) and a tenant's queue share is metered by its pending-
@@ -33,11 +32,14 @@ import (
 // Consistency contract: a producer holds ing.fanMu's read side from its
 // closed check through admission (validation, quota and counters, under
 // e.mu) to the last enqueue of its request. Readers quiesce by taking
-// ing.fanMu exclusively, draining every worker queue with a barrier, and
-// only then reading under e.mu and the exclusive apply lock — so a
-// quiesced read sees every request whole or not at all: its counters,
-// its tenant's pending gauge and every synopsis it reaches. The lock
-// order is ing.fanMu, e.mu, applyMu.
+// ing.fanMu exclusively and draining every worker queue with a barrier,
+// and only then read under e.mu. With fanMu held no batch can be
+// enqueued, and past the barrier none is queued or mid-apply, so no
+// worker touches a synopsis while the reader holds fanMu. StopIngest
+// keeps fanMu until its workers have exited, so a reader that finds the
+// pipeline closed finds it drained too. A quiesced read therefore sees
+// every request whole or not at all: its counters, its tenant's pending
+// gauge and every synopsis it reaches. The lock order is ing.fanMu, e.mu.
 
 // IngestConfig tunes the concurrent ingestion pipeline.
 type IngestConfig struct {
@@ -159,19 +161,21 @@ func (e *Engine) StopIngest() {
 		return
 	}
 	ing.fanMu.Lock()
+	defer ing.fanMu.Unlock()
 	if !ing.closed {
 		ing.closed = true
 		for _, ch := range ing.chans {
 			close(ch)
 		}
 	}
-	ing.fanMu.Unlock()
-	ing.wg.Wait() // workers drain their queues before exiting
+	// Workers drain their queues before exiting. Waiting under fanMu
+	// keeps readers out until no worker can touch a synopsis.
+	ing.wg.Wait()
 }
 
-// worker applies queued batches to its shard's synopses. The shared
-// (read) apply lock lets all workers run concurrently — their synopsis
-// sets are disjoint — while excluding readers, which take the write side.
+// worker applies queued batches to its shard's synopses. Workers run
+// concurrently, since their synopsis sets are disjoint; readers exclude
+// them by quiescing (the package comment above).
 func (ing *ingester) worker(e *Engine, ch chan ingestItem) {
 	defer ing.wg.Done()
 	var scratch []stream.Update // predicate synopses filter into it
@@ -180,11 +184,9 @@ func (ing *ingester) worker(e *Engine, ch chan ingestItem) {
 			item.barrier.Done()
 			continue
 		}
-		e.applyMu.RLock()
 		for _, en := range item.entries {
 			scratch = en.updateBatch(item.batch, scratch)
 		}
-		e.applyMu.RUnlock()
 		e.metrics.QueueDepth.Add(-1)
 		if item.count > 0 {
 			e.metrics.UpdatesApplied.Add(int64(item.count))
@@ -469,15 +471,12 @@ func (e *Engine) quiesce() *ingester {
 }
 
 // readQuiesce drains the pipeline and acquires the locks a consistent
-// read needs: ing.fanMu exclusively (quiesce), e.mu (map state), and the
-// exclusive side of applyMu (no worker mid-apply). It is the only taker
-// of applyMu's write side. The returned function releases everything.
+// read needs: ing.fanMu exclusively (quiesce: no worker mid-apply) and
+// e.mu (map state). The returned function releases both.
 func (e *Engine) readQuiesce() func() {
 	ing := e.quiesce()
 	e.mu.Lock()
-	e.applyMu.Lock()
 	return func() {
-		e.applyMu.Unlock()
 		e.mu.Unlock()
 		if ing != nil {
 			ing.fanMu.Unlock()

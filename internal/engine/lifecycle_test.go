@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"io"
 	"sync"
 	"testing"
 
@@ -123,6 +124,70 @@ func TestConcurrentStopStop(t *testing.T) {
 	wg.Wait()
 	if got := e.IngestStats().UpdatesApplied; got != n {
 		t.Fatalf("applied %d updates, want %d (stop must drain)", got, n)
+	}
+}
+
+// TestReadsDuringStopIngestDrain runs Answer, Stats and Snapshot in a
+// loop while StopIngest drains deep queues. A reader that finds the
+// pipeline closed must find it drained too (StopIngest keeps fanMu until
+// its workers exit), so a reader that overlapped a worker's apply would
+// be reported under -race. A stopped pipeline cannot restart, so each
+// round stops a fresh engine.
+func TestReadsDuringStopIngestDrain(t *testing.T) {
+	const rounds, chunks, batch = 8, 256, 64
+	updates := make([]stream.Update, chunks*batch)
+	for i := range updates {
+		updates[i] = stream.Insert(uint64(i % 1024))
+	}
+	for r := 0; r < rounds; r++ {
+		e := startEngine(t, defaultOpts(), IngestConfig{Workers: 2, BatchSize: batch, QueueDepth: chunks})
+		tn := e.Tenant(DefaultTenant)
+		for _, s := range []string{"F", "G"} {
+			if err := tn.DeclareStream(s, 1024); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tn.RegisterQuery(QuerySpec{Name: "q", Agg: Count, Left: Side{Stream: "F"}, Right: Side{Stream: "G"}}); err != nil {
+			t.Fatal(err)
+		}
+		// F's and G's synopses sit on different workers, each now
+		// holding chunks queued batches.
+		groups := []stream.Group{{Name: "F", Updates: updates}, {Name: "G", Updates: updates}}
+		if err := tn.IngestGroups(groups, nil); err != nil {
+			t.Fatal(err)
+		}
+		start, stopped := make(chan struct{}), make(chan struct{})
+		reads := []func() error{
+			func() error { _, err := tn.Answer("q"); return err },
+			func() error { e.Stats(); return nil },
+			func() error { return e.Snapshot(io.Discard) },
+		}
+		var wg sync.WaitGroup
+		for _, read := range reads {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for {
+					if err := read(); err != nil {
+						t.Error(err)
+						return
+					}
+					select {
+					case <-stopped:
+						return
+					default:
+					}
+				}
+			}()
+		}
+		close(start)
+		e.StopIngest()
+		close(stopped)
+		wg.Wait()
+		if got, want := e.IngestStats().UpdatesApplied, int64(2*len(updates)); got != want {
+			t.Fatalf("round %d: applied %d updates, want %d (stop must drain)", r, got, want)
+		}
 	}
 }
 

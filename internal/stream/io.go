@@ -130,8 +130,8 @@ func WriteFile(path string, domain uint64, updates []Update) error {
 
 // Pipe streams a file's records straight into sinks without materializing
 // them, returning the header's domain and the number of records
-// processed. It is the one file reader of the offline tools
-// (sketchtool build and skimjoin).
+// processed. It is the one SKS1 file reader of cmd/sketchtool (build and
+// join).
 func Pipe(path string, sinks ...Sink) (domain uint64, n int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {

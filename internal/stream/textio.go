@@ -14,8 +14,10 @@ import (
 // into the tools without converting to the binary SKS1 format first.
 
 // PipeText streams text-format updates from r into sinks without
-// materializing them, returning the number applied.
-func PipeText(r io.Reader, sinks ...Sink) (int64, error) {
+// materializing them, returning the number applied. A value outside
+// [0, domain) is an error naming its line, as it is for an SKS1 record
+// or an online update: no skim over [0, domain) could extract it.
+func PipeText(r io.Reader, domain uint64, sinks ...Sink) (int64, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 64*1024)
 	var n int64
@@ -27,6 +29,9 @@ func PipeText(r io.Reader, sinks ...Sink) (int64, error) {
 			continue
 		}
 		u, err := parseTextUpdate(text)
+		if err == nil && u.Value >= domain {
+			err = fmt.Errorf("value %d outside domain [0,%d)", u.Value, domain)
+		}
 		if err != nil {
 			return n, fmt.Errorf("stream: line %d: %w", line, err)
 		}

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -13,10 +14,10 @@ func (l *updateLog) Update(value uint64, weight int64) {
 	*l = append(*l, Update{Value: value, Weight: weight})
 }
 
-// readText parses r through PipeText.
+// readText parses r through PipeText over the widest domain.
 func readText(r *strings.Reader) ([]Update, error) {
 	var log updateLog
-	_, err := PipeText(r, &log)
+	_, err := PipeText(r, math.MaxUint64, &log)
 	return log, err
 }
 
@@ -81,7 +82,7 @@ func TestWriteTextRoundTrip(t *testing.T) {
 
 func TestPipeText(t *testing.T) {
 	fv := NewFreqVector()
-	n, err := PipeText(strings.NewReader("5\n5\n9,4\n"), fv)
+	n, err := PipeText(strings.NewReader("5\n5\n9,4\n"), 16, fv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,24 @@ func TestPipeText(t *testing.T) {
 	if fv.Get(5) != 2 || fv.Get(9) != 4 {
 		t.Fatalf("frequencies %v", fv)
 	}
-	if _, err := PipeText(strings.NewReader("x"), fv); err == nil {
+	if _, err := PipeText(strings.NewReader("x"), 16, fv); err == nil {
 		t.Fatal("expected parse error")
+	}
+}
+
+// TestPipeTextRefusesOutOfDomain pins that a text value outside
+// [0, domain) is an error naming its line, as an SKS1 record outside the
+// header's domain is, and that nothing after it reaches the sinks.
+func TestPipeTextRefusesOutOfDomain(t *testing.T) {
+	fv := NewFreqVector()
+	n, err := PipeText(strings.NewReader("7\n# comment\n500\n8\n"), 100, fv)
+	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "500") {
+		t.Fatalf("err = %v, want an out-of-domain error naming line 3", err)
+	}
+	if n != 1 || fv.Get(7) != 1 || fv.Get(8) != 0 {
+		t.Fatalf("applied %d updates (%v), want only the first", n, fv)
+	}
+	if _, err := PipeText(strings.NewReader("99\n"), 100, fv); err != nil {
+		t.Fatalf("domain-1 must be accepted: %v", err)
 	}
 }

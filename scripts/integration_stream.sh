@@ -5,7 +5,7 @@
 #   1. boot sketchd with BOTH listeners: HTTP (-addr) and SKSP
 #      (-listen.stream), sharing one engine and one dedupe window
 #   2. two tenants (t0, t1) each declare F, G and a COUNT query, then
-#      ingest JSON batches over HTTP and a loop of streamprobe frames
+#      ingest JSON batches over HTTP and a loop of sketchtool probe frames
 #      over SKSP (each frame applies 2 updates)
 #   3. reconcile exactly: the /stats "stream" section counts every
 #      frame update, each tenant's updateCounts equal the JSON plus SKSP
@@ -64,7 +64,7 @@ stream_section() {
 
 echo "== build"
 go build -o "$WORKDIR/sketchd" ./cmd/sketchd
-go build -o "$WORKDIR/streamprobe" ./cmd/streamprobe
+go build -o "$WORKDIR/sketchtool" ./cmd/sketchtool
 
 echo "== in-process kill/replay exactly-once checks (same listener code)"
 go test -run 'TestStreamReplayDedupe|TestStreamDrainKeepsAckedFrames|TestRetryDoubleApplyThroughProxy' \
@@ -81,7 +81,7 @@ wait_ready
 TENANTS="t0 t1"
 JSON_BATCHES=3 # per tenant, each BATCH_N F + BATCH_N G updates
 BATCH_N=200
-FRAMES=25      # streamprobe frames per tenant, each one F + one G update
+FRAMES=25      # sketchtool probe frames per tenant, each one F + one G update
 
 post() { # path json
     curl -fsS -X POST -d "$2" "$BASE$1" >/dev/null || die "POST $1 failed"
@@ -115,11 +115,11 @@ ST0="$(curl -fsS "$BASE/stats")"
 SKSP_BEFORE="$(field "$(stream_section "$ST0")" updates)"
 [[ "$SKSP_BEFORE" -eq 0 ]] || die "stream listener counted $SKSP_BEFORE updates before any SKSP traffic"
 
-echo "== SKSP frames into both tenants ($FRAMES streamprobe frames each)"
+echo "== SKSP frames into both tenants ($FRAMES sketchtool probe frames each)"
 for tenant in $TENANTS; do
     for ((i = 1; i <= FRAMES; i++)); do
-        "$WORKDIR/streamprobe" -addr "$STREAM_ADDR" -tenant "$tenant" -client "it-$tenant" -seq "$i" >/dev/null \
-            || die "streamprobe frame $i into $tenant failed"
+        "$WORKDIR/sketchtool" probe -addr "$STREAM_ADDR" -tenant "$tenant" -client "it-$tenant" -seq "$i" >/dev/null \
+            || die "sketchtool probe frame $i into $tenant failed"
     done
 done
 curl -fsS -X POST "$BASE/flush" >/dev/null || die "flush failed"
@@ -130,7 +130,7 @@ SECTION="$(stream_section "$ST1")" || die "no stream section in /stats"
 SKSP_UPDATES="$(field "$SECTION" updates)"
 SKSP_WANT=$((2 * FRAMES * 2))
 [[ "$SKSP_UPDATES" -eq "$SKSP_WANT" ]] \
-    || die "listener counted $SKSP_UPDATES updates, streamprobe sent $SKSP_WANT"
+    || die "listener counted $SKSP_UPDATES updates, sketchtool probe sent $SKSP_WANT"
 [[ "$(field "$SECTION" errors)" -eq 0 ]] || die "stream listener recorded protocol errors"
 [[ "$(field "$SECTION" count)" -eq "$(field "$SECTION" frames)" ]] \
     || die "frameLatency timed $(field "$SECTION" count) frames, listener handled $(field "$SECTION" frames)"
@@ -151,12 +151,12 @@ ENQ="$(field "$INGEST" updatesEnqueued)"
 
 echo "== live replay: a re-sent (clientID, seq) is answered as duplicate"
 DUP_BEFORE="$(field "$SECTION" duplicates)"
-# streamprobe sends one frame, waits for the ACK, then reconnects and
+# sketchtool probe sends one frame, waits for the ACK, then reconnects and
 # replays the SAME frame — the reconnect models a client that never saw
 # the first ACK. Exactly-once means: second ACK is a duplicate, engine
 # applies nothing twice.
-"$WORKDIR/streamprobe" -addr "$STREAM_ADDR" -tenant t0 -client it-probe -seq 7 -replay \
-    || die "streamprobe replay failed"
+"$WORKDIR/sketchtool" probe -addr "$STREAM_ADDR" -tenant t0 -client it-probe -seq 7 -replay \
+    || die "sketchtool probe replay failed"
 ST2="$(curl -fsS "$BASE/stats")"
 SECTION2="$(stream_section "$ST2")"
 DUP_AFTER="$(field "$SECTION2" duplicates)"
