@@ -189,7 +189,7 @@ func TestWindowedVersusLandmark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	win, err := window.EstimateJoin(winF, winG, domain)
+	win, err := core.EstimateJoin(winF.Combined(), winG.Combined(), domain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,16 +51,6 @@ func TestStructure(t *testing.T) {
 	}
 }
 
-func TestCompatibility(t *testing.T) {
-	a := MustNew(8, cfg(5, 64, 7))
-	b := MustNew(8, cfg(5, 64, 7))
-	c := MustNew(8, cfg(5, 64, 8))
-	d := MustNew(9, cfg(5, 64, 7))
-	if !a.Compatible(b) || a.Compatible(c) || a.Compatible(d) {
-		t.Fatal("compatibility must require equal bits and config")
-	}
-}
-
 // TestLevelAggregation: the level-ℓ sketch must summarize interval
 // frequencies, so a single value's point estimate at every level equals
 // its frequency.
@@ -159,7 +149,7 @@ func TestCandidateValuesPrunesLightDomain(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		h.Update(g.Next(), 1)
 	}
-	cands := h.candidateValues(2000, 1)
+	cands := h.candidateValues(2000)
 	if len(cands) == 0 || len(cands) > 64 {
 		t.Fatalf("candidate set size %d; expected a small pruned set", len(cands))
 	}
@@ -182,8 +172,9 @@ func TestSkimDefaultThreshold(t *testing.T) {
 	}
 }
 
-// TestEstimateJoinDyadic: end-to-end join estimation through the
-// hierarchy path must be accurate on skewed data.
+// TestEstimateJoinDyadic: join estimation from dyadic skims (the dense
+// vectors plus the skimmed base sketches) must be accurate on skewed
+// data.
 func TestEstimateJoinDyadic(t *testing.T) {
 	const bits = 12
 	const domain = 1 << bits
@@ -205,20 +196,20 @@ func TestEstimateJoinDyadic(t *testing.T) {
 		gv.Update(u.Value, u.Weight)
 	}
 	exact := float64(fv.InnerProduct(gv))
-	est, err := EstimateJoin(fh, gh, 0, 0)
+	fd, err := fh.Skim(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gd, err := gh.Skim(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := core.EstimateJoinSkimmed(fh.Base(), gh.Base(), fd, gd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e := stats.SymmetricError(float64(est.Total), exact); e > 0.25 {
 		t.Fatalf("dyadic join error %.4f too large (est %d vs exact %.0f)", e, est.Total, exact)
-	}
-}
-
-func TestEstimateJoinIncompatible(t *testing.T) {
-	a := MustNew(4, cfg(3, 16, 1))
-	b := MustNew(4, cfg(3, 16, 2))
-	if _, err := EstimateJoin(a, b, 0, 0); err == nil {
-		t.Fatal("expected pairing error")
 	}
 }
 

@@ -28,10 +28,10 @@ var LockScope = &Analyzer{
 // expensiveEntryPoints are matched by defining package path tail and
 // function-name prefix.
 var expensiveEntryPoints = []struct{ pkgTail, namePrefix string }{
-	{"core", "EstimateJoin"}, // EstimateJoin, EstimateJoinParallel, EstimateJoinSkimmed
+	{"core", "EstimateJoin"}, // EstimateJoin, EstimateJoinSkimmed
 	{"core", "SkimDense"},    // SkimDense, SkimDenseParallel
 	{"core", "EstimateSelfJoin"},
-	{"dyadic", "Skim"}, // Skim, SkimParallel
+	{"dyadic", "Skim"}, // Hierarchy.Skim
 }
 
 func isExpensiveEntry(f *types.Func) bool {

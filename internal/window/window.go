@@ -124,12 +124,3 @@ func (w *Window) Words() int { return len(w.buckets) * w.cfg.Tables * w.cfg.Buck
 func (w *Window) Compatible(o *Window) bool {
 	return w.cfg == o.cfg && w.bucketCap == o.bucketCap && len(w.buckets) == len(o.buckets)
 }
-
-// EstimateJoin estimates COUNT(F_W ⋈ G_W) over [0, domain) from the two
-// windows' combined sketches using the skimmed-sketch estimator.
-func EstimateJoin(f, g *Window, domain uint64) (core.Estimate, error) {
-	if !f.Compatible(g) {
-		return core.Estimate{}, fmt.Errorf("window: windows are not a pair")
-	}
-	return core.EstimateJoin(f.Combined(), g.Combined(), domain, nil)
-}

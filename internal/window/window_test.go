@@ -114,15 +114,20 @@ func TestCombinedMatchesSuffix(t *testing.T) {
 	}
 }
 
+// TestEstimateJoinIncompatible: windows with different seeds are no
+// join pair, and their combined sketches are refused by the estimator;
+// windows of different shapes are no pair either.
 func TestEstimateJoinIncompatible(t *testing.T) {
 	a := MustNew(100, 4, cfg(3, 8, 1))
 	b := MustNew(100, 4, cfg(3, 8, 2))
-	if _, err := EstimateJoin(a, b, 16); err == nil {
+	if a.Compatible(b) {
+		t.Fatal("windows with different seeds must not be compatible")
+	}
+	if _, err := core.EstimateJoin(a.Combined(), b.Combined(), 16, nil); err == nil {
 		t.Fatal("expected pairing error")
 	}
-	c := MustNew(200, 4, cfg(3, 8, 1))
-	if _, err := EstimateJoin(a, c, 16); err == nil {
-		t.Fatal("expected pairing error for different window shapes")
+	if c := MustNew(200, 4, cfg(3, 8, 1)); a.Compatible(c) {
+		t.Fatal("windows of different shapes must not be compatible")
 	}
 }
 
@@ -150,7 +155,7 @@ func TestWindowedJoinAccuracy(t *testing.T) {
 	stream.Apply(gu[gf:gt], gv)
 	exact := float64(fv.InnerProduct(gv))
 
-	est, err := EstimateJoin(fw, gw, m)
+	est, err := core.EstimateJoin(fw.Combined(), gw.Combined(), m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,13 +54,6 @@ func TestGoldenStreams(t *testing.T) {
 			want: "9325c7554a498c5977b77140549616fdd6e6e8ee5e2457dbd38763e037343c3f",
 		},
 		{
-			name: "mixture",
-			gen: func() []stream.Update {
-				return MakeStream(NewMixture(NewUniform(4096, 11), []uint64{1, 2, 3}, 0.3, 13), 2000)
-			},
-			want: "c076629aa45ded6a0de1fa5283d325d311c7027cae98673c6d060abe057d33a2",
-		},
-		{
 			name: "census",
 			gen: func() []stream.Update {
 				wage, overtime := CensusPair(3000, 3)
@@ -114,12 +107,6 @@ func TestSeedAndRandConstructorsAgree(t *testing.T) {
 	w2, o2 := CensusPairRand(500, rand.New(rand.NewSource(21)))
 	if hashStream(w1) != hashStream(w2) || hashStream(o1) != hashStream(o2) {
 		t.Error("CensusPair(seed) and CensusPairRand diverge")
-	}
-
-	m1 := MakeStream(NewMixture(NewUniform(64, 1), []uint64{5}, 0.5, 2), 300)
-	m2 := MakeStream(NewMixtureRand(NewUniformRand(64, rand.New(rand.NewSource(1))), []uint64{5}, 0.5, rand.New(rand.NewSource(2))), 300)
-	if hashStream(m1) != hashStream(m2) {
-		t.Error("NewMixture(seed) and NewMixtureRand diverge")
 	}
 
 	d1 := WithDeletes(u1, 0.3, 23)

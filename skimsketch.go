@@ -29,8 +29,8 @@
 //
 // The subpackages under internal/ hold the full implementation: the
 // reference and dyadic-accelerated skimming procedures, the basic AGMS
-// baseline, heavy-hitter synopses, workload generators and the
-// experiment harness reproducing the paper's evaluation.
+// baseline, workload generators and the experiment harness reproducing
+// the paper's evaluation.
 package skimsketch
 
 import (
