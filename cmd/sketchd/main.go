@@ -21,7 +21,7 @@
 // update. When every queue slot is full, /update sheds load with 429 +
 // Retry-After instead of blocking (counted in /stats ingest.rejected).
 //
-// With -query.workers N the estimation behind /answer runs on N
+// With -query.workers N the skim's domain scan behind /answer runs on N
 // goroutines (-1 = one per CPU) with bit-identical answers; /answer
 // clones the synopses and estimates outside the engine locks, so a slow
 // answer never stalls ingestion, and repeated answers with no
@@ -149,7 +149,7 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.buckets, "buckets", 2048, "default sketch buckets b")
 	fs.Uint64Var(&o.seed, "seed", 42, "default sketch seed")
 	fs.IntVar(&o.workers, "ingest.workers", 0, "ingest pipeline shard workers (<= 0 = one per CPU)")
-	fs.IntVar(&o.qworkers, "query.workers", 0, "estimation goroutines per /answer (0 or 1 = sequential, -1 = one per CPU); answers are bit-identical for every setting")
+	fs.IntVar(&o.qworkers, "query.workers", 0, "domain-scan goroutines per /answer's skim (0 or 1 = sequential, -1 = one per CPU); answers are bit-identical for every setting")
 	fs.StringVar(&o.role, "role", "single", "process role: single (standalone), shard (cluster member; same server, conventionally with -checkpoint.dir), or merger (routes ingest across -cluster.config shards and answers global joins)")
 	fs.StringVar(&o.clusterConfig, "cluster.config", "", "merger: path to the static JSON membership file {\"shards\":[{\"name\":...,\"addr\":\"http://...\"}]}")
 	fs.DurationVar(&o.clusterTimeout, "cluster.timeout", 5*time.Second, "merger: deadline on every cross-node call (routing, pulls, broadcasts)")

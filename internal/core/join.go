@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 
+	"skimsketch/internal/hashfam"
+	"skimsketch/internal/stats"
 	"skimsketch/internal/stream"
 )
 
@@ -41,12 +43,13 @@ type Options struct {
 	// plain per-bucket inner product of the raw hash sketches. This is
 	// the ablation baseline showing what skimming buys.
 	NoSkim bool
-	// Workers parallelizes the skim's domain scan and the per-table
-	// subjoin medians: > 1 uses that many goroutines, 0 or 1 runs
-	// sequentially, < 0 uses one goroutine per CPU. The result is
-	// bit-for-bit identical for every setting — point estimates are
-	// independent reads and counter subtraction commutes — so Workers
-	// trades nothing but wall-clock time.
+	// Workers parallelizes the skim's domain scan: > 1 uses that many
+	// goroutines, 0 or 1 runs sequentially, < 0 uses one goroutine per
+	// CPU. The subjoins that follow read a few dense values and d·b
+	// counters and run sequentially. The result is bit-for-bit
+	// identical for every setting — point estimates are independent
+	// reads and counter subtraction commutes — so Workers trades
+	// nothing but wall-clock time.
 	Workers int
 }
 
@@ -61,9 +64,8 @@ func EstimateJoin(f, g *HashSketch, domain uint64, opts *Options) (Estimate, err
 	if opts == nil {
 		opts = &Options{}
 	}
-	workers := resolveWorkers(opts.Workers)
 	if opts.NoSkim {
-		ss := sparseSparseWorkers(f, g, workers)
+		ss := sparseSparse(f, g)
 		return Estimate{Total: ss, SparseSparse: ss}, nil
 	}
 
@@ -78,11 +80,11 @@ func EstimateJoin(f, g *HashSketch, domain uint64, opts *Options) (Estimate, err
 
 	// F and G share every hash function, so one joint scan skims both.
 	fs, gs := f.Clone(), g.Clone()
-	dense, err := skim([]*HashSketch{fs, gs}, []int64{tf, tg}, domain, workers)
+	dense, err := skim([]*HashSketch{fs, gs}, []int64{tf, tg}, domain, opts.Workers)
 	if err != nil {
 		return Estimate{}, err
 	}
-	return estimateFromSkimmedWorkers(fs, gs, dense[0], dense[1], tf, tg, workers), nil
+	return estimateFromSkimmed(fs, gs, dense[0], dense[1], tf, tg), nil
 }
 
 // EstimateJoinSkimmed is the core of ESTSKIMJOINSIZE for callers that
@@ -97,10 +99,6 @@ func EstimateJoinSkimmed(fSkimmed, gSkimmed *HashSketch, fDense, gDense stream.F
 }
 
 func estimateFromSkimmed(fs, gs *HashSketch, fd, gd stream.FreqVector, tf, tg int64) Estimate {
-	return estimateFromSkimmedWorkers(fs, gs, fd, gd, tf, tg, 1)
-}
-
-func estimateFromSkimmedWorkers(fs, gs *HashSketch, fd, gd stream.FreqVector, tf, tg int64, workers int) Estimate {
 	e := Estimate{
 		ThresholdF:  tf,
 		ThresholdG:  tg,
@@ -108,17 +106,45 @@ func estimateFromSkimmedWorkers(fs, gs *HashSketch, fd, gd stream.FreqVector, tf
 		DenseCountG: len(gd),
 	}
 	e.DenseDense = fd.InnerProduct(gd)
-	e.DenseSparse = subJoinWorkers(fd, gs, workers)
-	e.SparseDense = subJoinWorkers(gd, fs, workers)
-	e.SparseSparse = sparseSparseWorkers(fs, gs, workers)
+	e.DenseSparse = subJoin(fd, gs)
+	e.SparseDense = subJoin(gd, fs)
+	e.SparseSparse = sparseSparse(fs, gs)
 	e.Total = e.DenseDense + e.DenseSparse + e.SparseDense + e.SparseSparse
 	return e
 }
 
-// subJoinWorkers (parallel.go) implements procedure ESTSUBJOINSIZE
-// (Figure 4): the estimate of Σ_v dense_v · sparse_v as, per table j,
+// subJoin implements procedure ESTSUBJOINSIZE (Figure 4): the estimate
+// of Σ_v dense_v · sparse_v as, per table j,
 // Σ_{v ∈ dense} dense_v·C[j][h_j(v)]·ξ_j(v), boosted by the median over
-// tables. sparseSparseWorkers estimates Σ_v f'_v·g'_v as, per table j,
-// the bucket-wise inner product Σ_k F[j][k]·G[j][k] (Steps 3–7 of
-// ESTSKIMJOINSIZE; the two sketches share h_j, so identical values meet
-// in identical buckets), likewise median-boosted.
+// tables.
+func subJoin(dense stream.FreqVector, sk *HashSketch) int64 {
+	if len(dense) == 0 {
+		return 0
+	}
+	d, b := sk.cfg.Tables, sk.cfg.Buckets
+	rows := make([]int64, d)
+	for v, w := range dense {
+		p := hashfam.PowersOf(v)
+		for j := range rows {
+			k, sign := sk.rows[j].At(p, uint64(b))
+			rows[j] += w * sk.counters[j*b+k] * sign
+		}
+	}
+	return stats.MedianInt64(rows)
+}
+
+// sparseSparse estimates Σ_v f'_v·g'_v as, per table j, the bucket-wise
+// inner product Σ_k F[j][k]·G[j][k] (Steps 3–7 of ESTSKIMJOINSIZE; the
+// two sketches share h_j, so identical values meet in identical
+// buckets), likewise median-boosted.
+func sparseSparse(f, g *HashSketch) int64 {
+	d, b := f.cfg.Tables, f.cfg.Buckets
+	rows := make([]int64, d)
+	for j := range rows {
+		fr, gr := f.counters[j*b:(j+1)*b], g.counters[j*b:(j+1)*b]
+		for k := range fr {
+			rows[j] += fr[k] * gr[k]
+		}
+	}
+	return stats.MedianInt64(rows)
+}

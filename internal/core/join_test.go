@@ -258,8 +258,8 @@ func TestJoinWithDeletesMatchesNetStream(t *testing.T) {
 func TestSubJoinEmptyDense(t *testing.T) {
 	s := MustNewHashSketch(cfg(3, 8, 1))
 	s.Update(1, 5)
-	if got := subJoinWorkers(stream.NewFreqVector(), s, 1); got != 0 {
-		t.Fatalf("subJoinWorkers(empty) = %d", got)
+	if got := subJoin(stream.NewFreqVector(), s); got != 0 {
+		t.Fatalf("subJoin(empty) = %d", got)
 	}
 }
 

@@ -2,21 +2,16 @@ package core
 
 import (
 	"runtime"
-	"sync"
 
-	"skimsketch/internal/hashfam"
-	"skimsketch/internal/stats"
 	"skimsketch/internal/stream"
 )
 
-// Parallel variants of the query-time estimation procedures. Every
-// function here is bit-for-bit equivalent to its sequential counterpart:
-// the SKIMDENSE extraction test reads counters without mutating them (the
-// subtraction happens once, after the scan; see scan.go), so partitioning
-// the domain across workers changes nothing but wall-clock time; the
-// per-table rows of the subjoin estimators are independent, so computing them
-// concurrently feeds the exact same slice to the median. Property tests
-// in parallel_test.go pin the equivalence for arbitrary streams, domains,
+// Query-time parallelism splits only the SKIMDENSE domain scan, which is
+// all but microseconds of an estimate. The extraction test reads
+// counters without mutating them (the subtraction happens once, after
+// the scan; see scan.go), so partitioning the domain across workers
+// changes nothing but wall-clock time. Property tests in
+// parallel_test.go pin the equivalence for arbitrary streams, domains,
 // thresholds and worker counts.
 
 // resolveWorkers maps a Workers knob to a goroutine count: n > 1 is taken
@@ -61,67 +56,4 @@ func medianScratch(xs, scratch []int64) int64 {
 		scratch[j+1] = x
 	}
 	return scratch[(len(scratch)-1)/2]
-}
-
-// forEachTable runs fn(j) for every table index in [0, d), striped across
-// at most `workers` goroutines. Rows are independent in every caller, so
-// execution order cannot affect results.
-func forEachTable(d, workers int, fn func(j int)) {
-	w := workers
-	if w > d {
-		w = d
-	}
-	if w <= 1 {
-		for j := 0; j < d; j++ {
-			fn(j)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func(start int) {
-			defer wg.Done()
-			for j := start; j < d; j += w {
-				fn(j)
-			}
-		}(i)
-	}
-	wg.Wait()
-}
-
-// subJoinWorkers is subJoin with per-table rows computed concurrently.
-// Concurrent read-only iteration over the dense map is safe; each worker
-// writes only its own rows[j] slots.
-func subJoinWorkers(dense stream.FreqVector, sk *HashSketch, workers int) int64 {
-	if len(dense) == 0 {
-		return 0
-	}
-	d, b := sk.cfg.Tables, sk.cfg.Buckets
-	rows := make([]int64, d)
-	forEachTable(d, workers, func(j int) {
-		var sum int64
-		for v, w := range dense {
-			k, sign := sk.rows[j].At(hashfam.PowersOf(v), uint64(b))
-			sum += w * sk.counters[j*b+k] * sign
-		}
-		rows[j] = sum
-	})
-	return stats.MedianInt64(rows)
-}
-
-// sparseSparseWorkers is sparseSparse with per-table rows computed
-// concurrently.
-func sparseSparseWorkers(f, g *HashSketch, workers int) int64 {
-	d, b := f.cfg.Tables, f.cfg.Buckets
-	rows := make([]int64, d)
-	forEachTable(d, workers, func(j int) {
-		var sum int64
-		base := j * b
-		for k := 0; k < b; k++ {
-			sum += f.counters[base+k] * g.counters[base+k]
-		}
-		rows[j] = sum
-	})
-	return stats.MedianInt64(rows)
 }

@@ -9,10 +9,9 @@ import (
 )
 
 // Property tests pinning the exactness discipline of the parallel query
-// path: partitioning the skim scan and the per-table medians across
-// goroutines must be bit-for-bit invisible — identical dense vectors,
-// identical residual counters, identical decomposed estimates — for
-// arbitrary streams, thresholds and worker counts, exactly as PR 1's
+// path: partitioning the skim's domain scan across goroutines must be
+// bit-for-bit invisible — identical dense vectors, identical residual
+// counters, identical decomposed estimates — for arbitrary streams, thresholds and worker counts, exactly as PR 1's
 // tests pinned UpdateBatch ≡ sequential Update.
 
 func sketchesEqual(a, b *HashSketch) bool {

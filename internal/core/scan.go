@@ -12,26 +12,28 @@ import (
 // EstimateJoin and EstimateSelfJoin. One pass tests one or two sketches
 // that share a Config, each against its own threshold, and yields
 // exactly the dense set {v : median_j C[j][h_j(v)]·ξ_j(v) ≥ T} of each.
-// Three things make it cheap, and none changes a result:
+// Every hash comes from the hashfam.Row kernel, the one the update and
+// PointEstimate use. Three things make the scan cheap, and none changes
+// a result:
 //
 //   - Joint. Sketches with one Config share h_j and ξ_j, so the pass
-//     computes them once per value and tests every sketch's counters;
-//     EstimateJoin scans [0, m) once, not once per synopsis.
-//   - Stepped. A worker visits consecutive values, so h_j and ξ_j come
-//     from hashfam's range walkers, which step the polynomials exactly
-//     in GF(p) (one addmod for h_j, three for ξ_j) instead of a Horner
-//     evaluation per value.
+//     computes a value's powers and buckets once and tests every
+//     sketch's counters; EstimateJoin scans [0, m) once, not once per
+//     synopsis.
+//   - Signs only where they matter. A counter c with |c| < T misses
+//     whatever ξ_j(v) is, so table j's sign is evaluated, at most once,
+//     only when some live sketch's counter has c ≥ T or c ≤ −T. The test
+//     never negates c, which would overflow at math.MinInt64.
 //   - Early exit. The lower median of d estimates (index ⌊(d−1)/2⌋ of
 //     the sorted order) is ≥ T iff at most ⌊(d−1)/2⌋ of them are < T.
 //     Once more tables than that miss, for every sketch in the pass, the
-//     value is rejected: the remaining tables skip the bucket reduction
-//     and the counter loads, and only their walkers step. A sketch that
-//     survives all d tables qualifies, and only then is its median
-//     computed.
+//     value is rejected and the remaining tables are not evaluated. A
+//     sketch that survives all d tables qualifies; only then are its d
+//     estimates recomputed with Row.At and their median taken.
 
 // scanSide is one sketch's state in a scan: its counters, threshold and
-// output, and the per-table estimates and miss counts of the current
-// value.
+// output, the miss count of the current value, and its estimates when
+// it survives.
 type scanSide struct {
 	counters []int64
 	thr      int64
@@ -40,12 +42,6 @@ type scanSide struct {
 	ests []int64
 	miss int // tables with estimate < thr
 	live bool
-}
-
-// tableWalk steps table j's bucket hash and sign family together.
-type tableWalk struct {
-	h hashfam.PairwiseWalker
-	x hashfam.FourWiseWalker
 }
 
 // scanDomain runs the extraction test over [0, domain) for sketches
@@ -102,40 +98,47 @@ func scanRange(sks []*HashSketch, thrs []int64, lo, hi uint64, outs []stream.Fre
 	for i, sk := range sks {
 		sides[i] = scanSide{counters: sk.counters, thr: thrs[i], out: outs[i], ests: make([]int64, d)}
 	}
-	walks := make([]tableWalk, d)
-	for j := range walks {
-		r := &sks[0].rows[j]
-		walks[j] = tableWalk{h: r.H.WalkFrom(lo), x: r.Xi.WalkFrom(lo)}
-	}
+	rows := sks[0].rows
 	scratch := make([]int64, d)
 	nb := uint64(b)
 	for v := lo; v < hi; v++ {
+		p := hashfam.PowersOf(v)
 		for i := range sides {
 			sides[i].miss, sides[i].live = 0, true
 		}
 		live := len(sides)
-		for j := range walks {
-			tw := &walks[j]
-			if live > 0 {
-				k := j*b + int(tw.h.Hash()%nb)
-				sign := tw.x.Sign()
-				for i := range sides {
-					sd := &sides[i]
-					if !sd.live {
+		for j := 0; j < d && live > 0; j++ {
+			k := j*b + rows[j].Bucket(p, nb)
+			var sign int64 // 0 until some counter needs it
+			for i := range sides {
+				sd := &sides[i]
+				if !sd.live {
+					continue
+				}
+				if c := sd.counters[k]; c >= sd.thr || c <= -sd.thr {
+					if sign == 0 {
+						sign = rows[j].Sign(p)
+					}
+					if c*sign >= sd.thr {
 						continue
 					}
-					est := sd.counters[k] * sign
-					sd.ests[j] = est
-					if est < sd.thr {
-						if sd.miss++; sd.miss > mid {
-							sd.live = false
-							live--
-						}
-					}
+				}
+				if sd.miss++; sd.miss > mid {
+					sd.live = false
+					live--
 				}
 			}
-			tw.h.Next()
-			tw.x.Next()
+		}
+		if live == 0 {
+			continue
+		}
+		for j := range rows {
+			k, sign := rows[j].At(p, nb)
+			for i := range sides {
+				if sd := &sides[i]; sd.live {
+					sd.ests[j] = sd.counters[j*b+k] * sign
+				}
+			}
 		}
 		for i := range sides {
 			if sd := &sides[i]; sd.live {

@@ -7,19 +7,27 @@ import (
 	"testing/quick"
 
 	"skimsketch/internal/hashfam"
+	"skimsketch/internal/stats"
 	"skimsketch/internal/stream"
 )
 
-// Model-based tests of the scan kernel against a reference it shares no
-// code with: the dense set is, by definition, {v : PointEstimate(v) ≥ T},
-// where PointEstimate evaluates every table's hashes by Horner's rule
-// and takes stats.MedianInt64.
+// Model-based tests of the scan kernel against a reference that shares
+// no hash code with it: the scan, PointEstimate and the update all go
+// through the hashfam.Row kernel, while the reference evaluates every
+// table's bucket and sign by Horner's rule (Pairwise.Bucket,
+// FourWise.Sign) and takes stats.MedianInt64. The dense set is, by
+// definition, {v : median_j C[j][h_j(v)]·ξ_j(v) ≥ T}.
 
 // refDense is the reference extraction over [lo, hi).
 func refDense(s *HashSketch, lo, hi uint64, thr int64) stream.FreqVector {
+	d, b := s.cfg.Tables, s.cfg.Buckets
+	ests := make([]int64, d)
 	out := stream.NewFreqVector()
 	for v := lo; v < hi; v++ {
-		if est := s.PointEstimate(v); est >= thr {
+		for j, r := range s.rows {
+			ests[j] = s.counters[j*b+r.H.Bucket(v, b)] * r.Xi.Sign(v)
+		}
+		if est := stats.MedianInt64(ests); est >= thr {
 			out[v] = est
 		}
 	}
@@ -116,9 +124,9 @@ func TestQuickEstimateJoinMatchesReferenceSkim(t *testing.T) {
 	}
 }
 
-// A scan range may start anywhere: the walkers are seeded at lo and
-// stepped in GF(p), so ranges that cross 0, p, 2p or run up to the top
-// of the uint64 range must match the reference value for value.
+// A scan range may start anywhere: each value is reduced into GF(p) on
+// its own, so ranges that cross 0, p, 2p or run up to the top of the
+// uint64 range must match the reference value for value.
 func TestScanRangeAcrossFieldWrap(t *testing.T) {
 	p := hashfam.MersennePrime
 	r := rand.New(rand.NewSource(11))
@@ -167,4 +175,90 @@ func TestDenseValuesMatchesPointEstimate(t *testing.T) {
 			t.Fatalf("trial %d: scanDomain differs from the reference", trial)
 		}
 	}
+}
+
+// scanMatchesReference scans [lo, hi) jointly over sks and each sketch
+// alone, and fails unless every dense set equals the reference's.
+func scanMatchesReference(t *testing.T, sks []*HashSketch, thrs []int64, lo, hi uint64) {
+	t.Helper()
+	joint := make([]stream.FreqVector, len(sks))
+	for i := range joint {
+		joint[i] = stream.NewFreqVector()
+	}
+	scanRange(sks, thrs, lo, hi, joint)
+	for i, sk := range sks {
+		alone := []stream.FreqVector{stream.NewFreqVector()}
+		scanRange(sks[i:i+1], thrs[i:i+1], lo, hi, alone)
+		want := refDense(sk, lo, hi, thrs[i])
+		if !densesEqual(joint[i], want) || !densesEqual(alone[0], want) {
+			t.Fatalf("d=%d b=%d [%d, %d) sketch %d thr %d: joint %v, alone %v, reference %v",
+				sk.cfg.Tables, sk.cfg.Buckets, lo, hi, i, thrs[i], joint[i], alone[0], want)
+		}
+	}
+}
+
+// The scan evaluates a table's sign only when some live sketch's counter
+// has c ≥ T or c ≤ −T. Hand-set counters sit on both sides of that test:
+// at ±T a sign decides the estimate, at ±(T−1) the table misses whatever
+// the sign, and math.MinInt64 is hot but misses for either sign (its
+// product with ξ is itself). Joint scans pair every level of F with
+// every level of G in the same buckets, so one side is hot while the
+// other is cold. A mixed case draws each counter from the levels and
+// gives G the threshold T−1, at which ±(T−1) are hot.
+func TestScanSignSkipBoundaries(t *testing.T) {
+	const thr, span = 5, 200
+	levels := []int64{thr, -thr, thr - 1, -(thr - 1), math.MinInt64, 0}
+	r := rand.New(rand.NewSource(17))
+	for _, d := range []int{1, 2, 7, 9} {
+		c := Config{Tables: d, Buckets: 3, Seed: uint64(40 + d)}
+		f, g := MustNewHashSketch(c), MustNewHashSketch(c)
+		for _, lf := range levels {
+			for _, lg := range levels {
+				for k := range f.counters {
+					f.counters[k], g.counters[k] = lf, lg
+				}
+				scanMatchesReference(t, []*HashSketch{f, g}, []int64{thr, thr}, 0, span)
+			}
+		}
+		for trial := 0; trial < 50; trial++ {
+			for k := range f.counters {
+				f.counters[k], g.counters[k] = levels[r.Intn(len(levels))], levels[r.Intn(len(levels))]
+			}
+			scanMatchesReference(t, []*HashSketch{f, g}, []int64{thr, thr - 1}, 0, span)
+		}
+	}
+}
+
+// fuzzThreshold maps any int64 to a positive threshold.
+func fuzzThreshold(x int64) int64 {
+	return max(x&math.MaxInt64, 1)
+}
+
+// FuzzScanMatchesReference checks the scan against the Horner reference
+// for fuzzed d, b, thresholds and range starts, the seeds putting ranges
+// near 0, p, 2p and the top of the uint64 range. Every counter is drawn
+// from the levels around its sketch's threshold T (±T, ±(T−1), 0 and the
+// int64 extremes), where a skipped or misread sign would show.
+func FuzzScanMatchesReference(f *testing.F) {
+	p := hashfam.MersennePrime
+	for _, base := range []uint64{0, p - 100, p, 2*p - 7, math.MaxUint64 - 300} {
+		f.Add(uint64(1), base, uint16(300), uint8(7), uint8(16), int64(5), int64(5))
+	}
+	f.Add(uint64(2), uint64(0), uint16(100), uint8(2), uint8(1), int64(1), int64(math.MaxInt64))
+	f.Fuzz(func(t *testing.T, seed, base uint64, spanRaw uint16, dRaw, bRaw uint8, tf, tg int64) {
+		c := Config{Tables: 1 + int(dRaw%9), Buckets: 1 + int(bRaw%64), Seed: seed}
+		span := uint64(spanRaw%512) + 1
+		base = min(base, math.MaxUint64-span)
+		thrs := []int64{fuzzThreshold(tf), fuzzThreshold(tg)}
+		r := rand.New(rand.NewSource(int64(seed)))
+		sks := []*HashSketch{MustNewHashSketch(c), MustNewHashSketch(c)}
+		for i, sk := range sks {
+			thr := thrs[i]
+			levels := []int64{thr, -thr, thr - 1, 1 - thr, 0, math.MinInt64, math.MaxInt64}
+			for k := range sk.counters {
+				sk.counters[k] = levels[r.Intn(len(levels))]
+			}
+		}
+		scanMatchesReference(t, sks, thrs, base, base+span)
+	})
 }

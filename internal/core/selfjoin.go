@@ -46,7 +46,7 @@ func (s *HashSketch) EstimateSelfJoin(domain uint64, opts *SelfJoinEstimateOpts)
 	}
 	d := SelfJoinDecomposition{Threshold: thr, DenseCount: len(dense)}
 	d.DenseDense = dense.InnerProduct(dense)
-	d.DenseSparse = subJoinWorkers(dense, c, 1)
+	d.DenseSparse = subJoin(dense, c)
 	d.SparseSparse = c.SelfJoinEstimate()
 	d.Total = d.DenseDense + 2*d.DenseSparse + d.SparseSparse
 	return d, nil

@@ -20,8 +20,9 @@ import (
 // would plant a phantom frequency in the residual that corrupts the
 // subjoin estimates.
 //
-// This is the reference O(m·d) implementation that scans the whole domain
-// [0, domain); package dyadic provides the O(b·d·log m) dyadic-interval
+// This is the O(m·d) implementation that scans the whole domain
+// [0, domain), evaluating each value through the hashfam.Row kernel (see
+// scan.go); package dyadic provides the O(b·d·log m) dyadic-interval
 // variant of Section 4.2 and tests verify the two extract identical dense
 // sets, and SkimDenseParallel partitions this scan across goroutines with
 // bit-identical results. The sketch is mutated; callers who need to

@@ -26,7 +26,7 @@ func joinTrial(fv, gv stream.FreqVector, b int, seed uint64) float64 {
 	for v, w := range gv {
 		g.Update(v, w)
 	}
-	return float64(sparseSparseWorkers(f, g, 1))
+	return float64(sparseSparse(f, g))
 }
 
 // TestSparseSparseUnbiased: the mean of many independent single-table
@@ -109,7 +109,7 @@ func TestMedianBoostingTightensTails(t *testing.T) {
 			for v, wt := range gv {
 				g.Update(v, wt)
 			}
-			e := stats.SymmetricError(float64(sparseSparseWorkers(f, g, 1)), exact)
+			e := stats.SymmetricError(float64(sparseSparse(f, g)), exact)
 			if e > w {
 				w = e
 			}

@@ -104,9 +104,10 @@ type Answer struct {
 type Options struct {
 	// SketchConfig is the default synopsis configuration.
 	SketchConfig core.Config
-	// QueryWorkers parallelizes estimation inside Answer: > 1 uses that
-	// many goroutines for the skim scan and the per-table medians, 0 or 1
-	// estimates sequentially, < 0 uses one goroutine per CPU. Answers are
+	// QueryWorkers parallelizes the skim's domain scan inside Answer:
+	// > 1 uses that many goroutines, 0 or 1 scans sequentially, < 0 uses
+	// one goroutine per CPU. The subjoins after the scan are sequential
+	// (core.Options.Workers). Answers are
 	// bit-identical for every setting (core's parallel-skim exactness
 	// guarantee), so this trades nothing but CPU for latency.
 	QueryWorkers int

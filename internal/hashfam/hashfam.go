@@ -20,10 +20,11 @@
 // same residue Horner's rule gives, so the low bit, the sign, is the
 // same. The bucket is a·x + b, below 2^122, folded once to below 2p,
 // made canonical the same way, then taken % nb. Fold runs that loop over
-// a chunk of inputs for every table of a sketch, and Row.At evaluates
-// one input. The scalar Pairwise.Hash and FourWise.Hash, which agms,
-// query and the walkers use, keep Horner's rule; tests hold the row
-// kernel to them and both to math/big.
+// a chunk of inputs for every table of a sketch; Row.Bucket, Row.Sign
+// and Row.At evaluate one input, for the skim scan, point estimates and
+// subjoins. The scalar Pairwise.Hash and FourWise.Hash, which agms and
+// the benchmark's hash-family rung use, keep Horner's rule; tests hold
+// the row kernel to them and both to math/big.
 package hashfam
 
 import "math/bits"
@@ -170,69 +171,4 @@ func (f FourWise) Sign(x uint64) int64 {
 
 func signOf(hash uint64) int64 {
 	return int64(hash&1)<<1 - 1
-}
-
-// submod returns a−b mod p for a, b < p.
-func submod(a, b uint64) uint64 {
-	return addmod(a, MersennePrime-b)
-}
-
-// Range walkers enumerate a hash over consecutive inputs x, x+1, x+2, …
-// without a multiplication per step. Both families are polynomials in
-// reduce(x), and reduce(x+1) ≡ reduce(x)+1 (mod p) for every x < 2^64−1,
-// so stepping the polynomial by one in GF(p) lands exactly on the next
-// input's hash: a walker's value after i steps equals Hash(x+i) for
-// every start x and every i with x+i < 2^64, including ranges that
-// cross a multiple of p.
-
-// PairwiseWalker yields h(x), h(x+1), … with one addmod per step: h is
-// linear, so consecutive values differ by the slope a.
-type PairwiseWalker struct {
-	hash, a uint64
-}
-
-// WalkFrom seeds a walker at x with one evaluation of h.
-func (h Pairwise) WalkFrom(x uint64) PairwiseWalker {
-	return PairwiseWalker{hash: h.Hash(x), a: h.a}
-}
-
-// Hash returns h at the walker's current input.
-func (w *PairwiseWalker) Hash() uint64 { return w.hash }
-
-// Next advances the walker to the next input.
-func (w *PairwiseWalker) Next() { w.hash = addmod(w.hash, w.a) }
-
-// FourWiseWalker yields f(x), f(x+1), … by forward differences with
-// three addmods per step: for the cubic f, the third difference
-// Δ³ = 6·a3 is constant, and the lower differences are carried along.
-type FourWiseWalker struct {
-	hash, d1, d2, d3 uint64
-}
-
-// WalkFrom seeds a walker at x from three Horner evaluations at
-// reduce(x), reduce(x)+1 and reduce(x)+2 (all below 2^61, so Hash
-// reduces them to the field elements they stand for).
-func (f FourWise) WalkFrom(x uint64) FourWiseWalker {
-	xr := reduce(x)
-	f0, f1, f2 := f.Hash(xr), f.Hash(xr+1), f.Hash(xr+2)
-	d1 := submod(f1, f0)
-	return FourWiseWalker{
-		hash: f0,
-		d1:   d1,
-		d2:   submod(submod(f2, f1), d1),
-		d3:   mulmod(6, f.a3),
-	}
-}
-
-// Hash returns f at the walker's current input.
-func (w *FourWiseWalker) Hash() uint64 { return w.hash }
-
-// Sign returns ξ at the walker's current input, as FourWise.Sign.
-func (w *FourWiseWalker) Sign() int64 { return signOf(w.hash) }
-
-// Next advances the walker to the next input.
-func (w *FourWiseWalker) Next() {
-	w.hash = addmod(w.hash, w.d1)
-	w.d1 = addmod(w.d1, w.d2)
-	w.d2 = addmod(w.d2, w.d3)
 }

@@ -209,7 +209,7 @@ func BenchmarkPairwiseBucket(b *testing.B) {
 
 // polyBig evaluates Σ coeffs[i]·x^i mod p in big.Int arithmetic on the
 // unreduced 64-bit x: an independent reference for both families and
-// both walkers.
+// the row kernel.
 func polyBig(x uint64, coeffs ...uint64) uint64 {
 	p := new(big.Int).SetUint64(MersennePrime)
 	xb := new(big.Int).SetUint64(x)
@@ -220,69 +220,4 @@ func polyBig(x uint64, coeffs ...uint64) uint64 {
 		r.Mod(r, p)
 	}
 	return r.Uint64()
-}
-
-// Walking n steps from x visits exactly Hash(x+i) and Sign(x+i), checked
-// against big.Int evaluation, for starts that put a field wraparound
-// (0, p, 2p) or the top of the uint64 range inside the walk.
-func TestWalkersMatchHashAgainstBigInt(t *testing.T) {
-	const n = 64
-	p := MersennePrime
-	starts := []uint64{0, 1, p - 3, p - 1, p, p + 5, 2*p - n/2, 2 * p, 7*p - 2, math.MaxUint64 - n + 1}
-	s := NewSeedStream(2024)
-	for fam := 0; fam < 8; fam++ {
-		h, f := NewPairwise(s), NewFourWise(s)
-		for _, x := range starts {
-			hw, fw := h.WalkFrom(x), f.WalkFrom(x)
-			for i := uint64(0); i < n; i++ {
-				v := x + i
-				if got, want := hw.Hash(), polyBig(v, h.b, h.a); got != want || got != h.Hash(v) {
-					t.Fatalf("pairwise walk from %d, step %d: %d, Hash %d, big.Int %d", x, i, got, h.Hash(v), want)
-				}
-				want := polyBig(v, f.a0, f.a1, f.a2, f.a3)
-				if got := fw.Hash(); got != want || got != f.Hash(v) {
-					t.Fatalf("four-wise walk from %d, step %d: %d, Hash %d, big.Int %d", x, i, got, f.Hash(v), want)
-				}
-				if fw.Sign() != f.Sign(v) {
-					t.Fatalf("four-wise walk from %d, step %d: sign %d, Sign %d", x, i, fw.Sign(), f.Sign(v))
-				}
-				if i+1 < n {
-					hw.Next()
-					fw.Next()
-				}
-			}
-		}
-	}
-}
-
-// Property: from any start, the walkers agree with Hash and Sign for as
-// many steps as fit below 2^64.
-func TestQuickWalkersMatchHash(t *testing.T) {
-	s := NewSeedStream(77)
-	h, fam := NewPairwise(s), NewFourWise(s)
-	f := func(x uint64, steps uint8) bool {
-		hw, fw := h.WalkFrom(x), fam.WalkFrom(x)
-		for i := uint64(0); i <= uint64(steps) && x+i >= x; i++ {
-			if hw.Hash() != h.Hash(x+i) || fw.Hash() != fam.Hash(x+i) || fw.Sign() != fam.Sign(x+i) {
-				return false
-			}
-			hw.Next()
-			fw.Next()
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func BenchmarkFourWiseWalkerSign(b *testing.B) {
-	s := NewSeedStream(1)
-	w := NewFourWise(s).WalkFrom(0)
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		sink += w.Sign()
-		w.Next()
-	}
-	_ = sink
 }

@@ -26,10 +26,21 @@ type Row struct {
 	Xi FourWise
 }
 
-// At returns the bucket h(v) mod nb and the sign ξ(v) of the input v
-// whose powers are p: exactly H.Bucket(v, nb) and Xi.Sign(v).
+// Bucket returns h(v) mod nb for the input v whose powers are p:
+// exactly H.Bucket(v, nb).
+func (r *Row) Bucket(p Powers, nb uint64) int {
+	return int(mulAdd(r.H.a, p.x1, r.H.b) % nb)
+}
+
+// Sign returns ξ(v) for the input v whose powers are p: exactly
+// Xi.Sign(v).
+func (r *Row) Sign(p Powers) int64 {
+	return signOf(reduce124(r.Xi.sum(p)))
+}
+
+// At returns Bucket and Sign together.
 func (r *Row) At(p Powers, nb uint64) (bucket int, sign int64) {
-	return int(mulAdd(r.H.a, p.x1, r.H.b) % nb), signOf(reduce124(r.Xi.sum(p)))
+	return r.Bucket(p, nb), r.Sign(p)
 }
 
 // Term is one weighted input: the powers of its value and its weight.
