@@ -18,7 +18,7 @@ import (
 	"skimsketch/internal/distributed"
 	"skimsketch/internal/engine"
 	"skimsketch/internal/stream"
-	"skimsketch/internal/wire/client"
+	"skimsketch/internal/wire"
 )
 
 // jsonUpdate is one element of a POST /update body.
@@ -331,9 +331,23 @@ func TestLoadgenClientBackoffOn429(t *testing.T) {
 	}
 }
 
+// sendResending sends d on s and resends the same frame after each
+// REJECT, once its retry-after hint has passed, up to 10 times. It
+// returns the last reply and the number of REJECTs resent.
+func sendResending(s *wire.Session, d *wire.Data) (wire.Ack, int, error) {
+	for resent := 0; ; resent++ {
+		ack, err := s.Send(d)
+		var rej wire.Reject
+		if !errors.As(err, &rej) || resent == 10 {
+			return ack, resent, err
+		}
+		time.Sleep(time.Duration(rej.RetryAfter) * time.Second)
+	}
+}
+
 // TestLoadHarnessSkimpProto is the SKSP mirror of the HTTP
 // reconciliation: a sketchd with both listeners up, several concurrent
-// wire clients (one connection each) spreading seeded batches over two
+// wire sessions (one connection each) spreading seeded batches over two
 // tenants, then exact reconciliation — every ACKed update is in the
 // right tenant and applied, and the listener's counters, read back
 // through the HTTP /stats "stream" section, agree with the clients.
@@ -375,13 +389,18 @@ func TestLoadHarnessSkimpProto(t *testing.T) {
 	)
 	var mu sync.Mutex
 	acked := map[string]int64{}
+	rejects := 0
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c := client.New(ln.Addr().String(), client.Options{Backoff: fastClientBackoff()})
-			defer c.Close()
+			s, err := wire.Dial(ln.Addr().String(), 5*time.Second)
+			if err != nil {
+				t.Errorf("worker %d: %v", w, err)
+				return
+			}
+			defer s.Close()
 			r := rand.New(rand.NewSource(42 + int64(w)))
 			zipf := rand.NewZipf(r, 1.1, 1, 1<<12-1)
 			for f := 0; f < framesPer; f++ {
@@ -391,17 +410,19 @@ func TestLoadHarnessSkimpProto(t *testing.T) {
 					g := &groups[r.Intn(2)]
 					g.Updates = append(g.Updates, stream.Update{Value: zipf.Uint64(), Weight: 1})
 				}
-				out, err := c.Send(context.Background(), tenant, groups)
+				d := &wire.Data{ClientID: fmt.Sprintf("writer-%d", w), Seq: uint64(f + 1), Tenant: tenant, Groups: groups}
+				ack, resent, err := sendResending(s, d)
 				if err != nil {
 					t.Errorf("worker %d frame %d: %v", w, f, err)
 					return
 				}
-				if out.Applied != batchSize {
-					t.Errorf("worker %d frame %d: ACKed %d of %d", w, f, out.Applied, batchSize)
+				if ack.Applied != batchSize || ack.Duplicate {
+					t.Errorf("worker %d frame %d: ACKed %d of %d, duplicate %v", w, f, ack.Applied, batchSize, ack.Duplicate)
 					return
 				}
 				mu.Lock()
-				acked[tenant] += out.Applied
+				acked[tenant] += ack.Applied
+				rejects += resent
 				mu.Unlock()
 			}
 		}(w)
@@ -446,8 +467,11 @@ func TestLoadHarnessSkimpProto(t *testing.T) {
 	if got := sst["connsTotal"].(float64); got != workers {
 		t.Fatalf("/stats stream.connsTotal = %v, want %d (one per client)", got, workers)
 	}
-	if got, min := sst["frames"].(float64), float64(workers*framesPer); got < min {
-		t.Fatalf("/stats stream.frames = %v, want at least the %v ACKed", got, min)
+	if got, want := sst["frames"].(float64), float64(workers*framesPer+rejects); got != want {
+		t.Fatalf("/stats stream.frames = %v, want the %d ACKed plus the %d REJECTed", got, workers*framesPer, rejects)
+	}
+	if got := sst["rejected"].(float64); got != float64(rejects) {
+		t.Fatalf("/stats stream.rejected = %v, clients resent %d REJECTed frames", got, rejects)
 	}
 	if got := sst["errors"].(float64); got != 0 {
 		t.Fatalf("/stats stream.errors = %v, want 0", got)

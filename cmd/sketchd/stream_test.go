@@ -1,8 +1,8 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -14,11 +14,9 @@ import (
 	"time"
 
 	"skimsketch/internal/core"
-	"skimsketch/internal/distributed"
 	"skimsketch/internal/engine"
 	"skimsketch/internal/stream"
 	"skimsketch/internal/wire"
-	"skimsketch/internal/wire/client"
 )
 
 // pipelinedServer boots an httptest server over an engine whose ingest
@@ -290,13 +288,19 @@ func streamListener(t *testing.T, eng *engine.Engine, dedupe *wire.Window) (*str
 	return sv, ln.Addr().String()
 }
 
-func fastClientBackoff() distributed.Backoff {
-	return distributed.Backoff{Base: time.Millisecond, Max: 10 * time.Millisecond, Jitter: 0}
+// dialStream opens an SKSP session to addr.
+func dialStream(t *testing.T, addr string) *wire.Session {
+	t.Helper()
+	s, err := wire.Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
-// TestStreamIngestEndToEnd drives the SKSP listener with the real
-// client across two tenants: admitted batches land in the right tenant
-// exactly once and are applied to its synopses, quota trips come back as
+// TestStreamIngestEndToEnd drives the SKSP listener with a wire session
+// across two tenants: admitted frames land in the right tenant exactly
+// once and are applied to its synopses, quota trips come back as
 // retryable REJECTs, bad frames as permanent errors, and neither is
 // enqueued.
 func TestStreamIngestEndToEnd(t *testing.T) {
@@ -321,25 +325,30 @@ func TestStreamIngestEndToEnd(t *testing.T) {
 	def := tenants[""]
 	sv, addr := streamListener(t, eng, wire.NewWindow(0, 0))
 
-	c := client.New(addr, client.Options{Backoff: fastClientBackoff()})
-	defer c.Close()
-	out, err := c.Send(context.Background(), "", []stream.Group{
+	s := dialStream(t, addr)
+	defer s.Close()
+	var seq uint64
+	send := func(tenant string, groups []stream.Group) (wire.Ack, error) {
+		seq++
+		return s.Send(&wire.Data{ClientID: "e2e", Seq: seq, Tenant: tenant, Groups: groups})
+	}
+	ack, err := send("", []stream.Group{
 		{Name: "F", Updates: []stream.Update{{Value: 1, Weight: 1}, {Value: 2, Weight: 1}}},
 		{Name: "G", Updates: []stream.Update{{Value: 3, Weight: 2}}},
 	})
-	if err != nil || out.Applied != 3 {
-		t.Fatalf("send: %+v %v", out, err)
+	if err != nil || ack.Applied != 3 || ack.Seq != seq {
+		t.Fatalf("send: %+v %v", ack, err)
 	}
-	acked := map[string]int64{"": out.Applied}
+	acked := map[string]int64{"": ack.Applied}
 	for i := uint64(0); i < 5; i++ {
-		out, err := c.Send(context.Background(), "t1", []stream.Group{
+		ack, err := send("t1", []stream.Group{
 			{Name: "F", Updates: []stream.Update{{Value: i, Weight: 1}}},
 			{Name: "G", Updates: []stream.Update{{Value: i, Weight: 1}, {Value: i + 1, Weight: 1}}},
 		})
 		if err != nil {
 			t.Fatalf("t1 send %d: %v", i, err)
 		}
-		acked["t1"] += out.Applied
+		acked["t1"] += ack.Applied
 	}
 	eng.Flush()
 	st := def.Stats()
@@ -359,11 +368,14 @@ func TestStreamIngestEndToEnd(t *testing.T) {
 		t.Fatalf("listener counted %d updates, client was ACKed %d", got, want)
 	}
 
-	// Unknown stream: permanent ERROR frame, nothing applied.
-	if _, err := c.Send(context.Background(), "", []stream.Group{
+	// Unknown stream: permanent ERROR frame, nothing applied, and the
+	// session carries on.
+	_, err = send("", []stream.Group{
 		{Name: "F", Updates: []stream.Update{{Value: 1, Weight: 1}}},
 		{Name: "nope", Updates: []stream.Update{{Value: 1, Weight: 1}}},
-	}); err == nil || !strings.Contains(err.Error(), "unknown stream") {
+	})
+	var ef wire.ErrorFrame
+	if !errors.As(err, &ef) || ef.Seq != seq || !strings.Contains(ef.Msg, "unknown stream") {
 		t.Fatalf("unknown stream: %v", err)
 	}
 	eng.Flush()
@@ -371,8 +383,8 @@ func TestStreamIngestEndToEnd(t *testing.T) {
 		t.Fatalf("F = %d after rejected frame, want 2 (atomic frames)", n)
 	}
 
-	// Quota trip: retryable REJECT until the budget is spent, and the
-	// engine admits nothing.
+	// Quota trip: a retryable REJECT, and the resent frame is REJECTed
+	// again; the engine admits nothing.
 	if err := eng.SetQuota("capped", engine.Quota{MaxPendingUpdates: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -380,27 +392,25 @@ func TestStreamIngestEndToEnd(t *testing.T) {
 	if err := capped.DeclareStream("F", 64); err != nil {
 		t.Fatal(err)
 	}
-	b := fastClientBackoff()
-	b.Attempts = 2
-	c2 := client.New(addr, client.Options{Backoff: b})
-	defer c2.Close()
 	big := make([]stream.Update, 10)
 	for i := range big {
 		big[i] = stream.Update{Value: uint64(i % 64), Weight: 1}
 	}
-	out, err = c2.Send(context.Background(), "capped", []stream.Group{{Name: "F", Updates: big}})
-	if err == nil || !strings.Contains(err.Error(), "retry budget") {
-		t.Fatalf("quota trip: %+v %v", out, err)
-	}
-	if out.Rejected429 != 2 {
-		t.Fatalf("rejected %d times, want 2", out.Rejected429)
+	frame := &wire.Data{ClientID: "e2e-capped", Seq: 1, Tenant: "capped", Groups: []stream.Group{{Name: "F", Updates: big}}}
+	rejects := 0
+	for attempt := 0; attempt < 2; attempt++ {
+		var rej wire.Reject
+		if _, err := s.Send(frame); !errors.As(err, &rej) || rej.Seq != frame.Seq {
+			t.Fatalf("quota trip, attempt %d: %v, want a REJECT", attempt, err)
+		}
+		rejects++
 	}
 	eng.Flush()
 	if n := capped.Stats().UpdateCounts["F"]; n != 0 {
 		t.Fatalf("capped F = %d, want 0", n)
 	}
 
-	if sv.frames.Load() == 0 || sv.rejected.Load() != 2 || sv.errored.Load() != 1 {
+	if sv.frames.Load() == 0 || sv.rejected.Load() != int64(rejects) || sv.errored.Load() != 1 {
 		t.Fatalf("listener counters: %+v", sv.statsJSON())
 	}
 	// Only ACKed frames were enqueued, and each was applied.
@@ -423,56 +433,25 @@ func TestStreamReplayDedupe(t *testing.T) {
 	}
 	_, addr := streamListener(t, eng, wire.NewWindow(0, 0))
 
-	dialSKSP := func() (net.Conn, *wire.Writer, *wire.Reader) {
-		t.Helper()
-		nc, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, rd := wire.NewWriter(nc), wire.NewReader(nc)
-		if err := w.WriteHeader(); err != nil || w.Flush() != nil {
-			t.Fatal("header write failed")
-		}
-		if err := rd.ReadHeader(); err != nil {
-			t.Fatal(err)
-		}
-		return nc, w, rd
-	}
 	frame := &wire.Data{
 		ClientID: "raw-1",
 		Seq:      42,
 		Groups:   []stream.Group{{Name: "F", Updates: []stream.Update{{Value: 5, Weight: 1}, {Value: 6, Weight: 1}}}},
 	}
-	sendAndAck := func(w *wire.Writer, rd *wire.Reader) wire.Ack {
-		t.Helper()
-		if err := w.WriteData(frame); err != nil || w.Flush() != nil {
-			t.Fatal("write failed")
-		}
-		ft, p, err := rd.Next()
-		if err != nil || ft != wire.FrameAck {
-			t.Fatalf("response: type %d err %v", ft, err)
-		}
-		a, err := wire.DecodeAck(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a
-	}
-
-	nc, w, rd := dialSKSP()
-	if a := sendAndAck(w, rd); a.Seq != 42 || a.Applied != 2 || a.Duplicate {
-		t.Fatalf("first ack %+v", a)
+	s := dialStream(t, addr)
+	if a, err := s.Send(frame); err != nil || a.Seq != 42 || a.Applied != 2 || a.Duplicate {
+		t.Fatalf("first ack %+v %v", a, err)
 	}
 	// Same connection replay.
-	if a := sendAndAck(w, rd); a.Applied != 2 || !a.Duplicate {
-		t.Fatalf("same-conn replay ack %+v", a)
+	if a, err := s.Send(frame); err != nil || a.Applied != 2 || !a.Duplicate {
+		t.Fatalf("same-conn replay ack %+v %v", a, err)
 	}
-	nc.Close()
+	s.Close()
 	// Reconnect replay — the disconnect story.
-	nc2, w2, rd2 := dialSKSP()
-	defer nc2.Close()
-	if a := sendAndAck(w2, rd2); a.Applied != 2 || !a.Duplicate {
-		t.Fatalf("reconnect replay ack %+v", a)
+	s2 := dialStream(t, addr)
+	defer s2.Close()
+	if a, err := s2.Send(frame); err != nil || a.Applied != 2 || !a.Duplicate {
+		t.Fatalf("reconnect replay ack %+v %v", a, err)
 	}
 
 	eng.Flush()
@@ -504,17 +483,17 @@ func TestStreamDrainKeepsAckedFrames(t *testing.T) {
 	done := make(chan struct{})
 	go func() { defer close(done); _ = sv.serve() }()
 
-	c := client.New(ln.Addr().String(), client.Options{Backoff: fastClientBackoff()})
+	s := dialStream(t, ln.Addr().String())
 	const batches = 20
 	var want int64
 	for i := 0; i < batches; i++ {
-		out, err := c.Send(context.Background(), "", []stream.Group{
+		ack, err := s.Send(&wire.Data{ClientID: "drain", Seq: uint64(i + 1), Groups: []stream.Group{
 			{Name: "F", Updates: []stream.Update{{Value: uint64(i % 64), Weight: 1}}},
-		})
+		}})
 		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
-		want += out.Applied
+		want += ack.Applied
 	}
 	// The shutdown sequence main.go runs: drain the listener, then the
 	// ingest pipeline.
@@ -522,7 +501,7 @@ func TestStreamDrainKeepsAckedFrames(t *testing.T) {
 	<-done
 	eng.Flush()
 	eng.StopIngest()
-	c.Close()
+	s.Close()
 
 	if n := def.Stats().UpdateCounts["F"]; n != want {
 		t.Fatalf("F = %d after drain, want %d (every ACKed update kept)", n, want)

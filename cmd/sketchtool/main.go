@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"strings"
 	"time"
@@ -370,43 +369,13 @@ func runProbe(w io.Writer, args []string) error {
 	return nil
 }
 
-// sendOnce performs one SKSP session: dial, header exchange, one DATA
-// frame, one response; a REJECT or an ERROR is an error. Unlike
-// wire/client it never retries and sends the caller's own seq.
+// sendOnce sends d on a session of its own, so a replay arrives on a
+// fresh connection; a REJECT or an ERROR is an error.
 func sendOnce(addr string, d *wire.Data, timeout time.Duration) (wire.Ack, error) {
-	nc, err := net.DialTimeout("tcp", addr, timeout)
+	s, err := wire.Dial(addr, timeout)
 	if err != nil {
 		return wire.Ack{}, err
 	}
-	defer nc.Close()
-	nc.SetDeadline(time.Now().Add(timeout))
-	w, rd := wire.NewWriter(nc), wire.NewReader(nc)
-	if err := errors.Join(w.WriteHeader(), w.WriteData(d), w.Flush()); err != nil {
-		return wire.Ack{}, err
-	}
-	if err := rd.ReadHeader(); err != nil {
-		return wire.Ack{}, fmt.Errorf("header exchange: %w", err)
-	}
-	ft, payload, err := rd.Next()
-	if err != nil {
-		return wire.Ack{}, err
-	}
-	switch ft {
-	case wire.FrameAck:
-		return wire.DecodeAck(payload)
-	case wire.FrameReject:
-		rej, err := wire.DecodeReject(payload)
-		if err != nil {
-			return wire.Ack{}, err
-		}
-		return wire.Ack{}, fmt.Errorf("seq %d rejected, retry after %ds", rej.Seq, rej.RetryAfter)
-	case wire.FrameError:
-		ef, err := wire.DecodeError(payload)
-		if err != nil {
-			return wire.Ack{}, err
-		}
-		return wire.Ack{}, fmt.Errorf("seq %d permanent error: %s", ef.Seq, ef.Msg)
-	default:
-		return wire.Ack{}, fmt.Errorf("unexpected frame type %d", ft)
-	}
+	defer s.Close()
+	return s.Send(d)
 }

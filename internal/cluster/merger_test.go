@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -21,7 +22,6 @@ import (
 	"skimsketch/internal/serve"
 	"skimsketch/internal/stream"
 	"skimsketch/internal/wire"
-	wclient "skimsketch/internal/wire/client"
 )
 
 // testShard is a minimal in-process stand-in for a sketchd shard: a
@@ -583,20 +583,38 @@ func TestDeriveKey(t *testing.T) {
 	}
 }
 
-// TestStreamForwarderEndToEnd drives the merger's SKSP ingress with the
-// real wire client: frames are hash-routed to the shards over HTTP, a
-// REJECTed frame is resent by the client and converges to exactly-once
-// via the derived per-shard keys, and the final cluster answer matches
-// the single-node reference bit-for-bit.
+// TestStreamForwarderEndToEnd drives the merger's SKSP ingress over
+// three real nodes with a wire session: frames are hash-routed to the
+// shards over HTTP, a REJECTed frame is resent as is and converges to
+// exactly-once through the nodes' dedupe of the derived per-shard keys,
+// and the final cluster answer matches the single-node reference
+// bit-for-bit.
 func TestStreamForwarderEndToEnd(t *testing.T) {
-	tc := newTestCluster(t, 3, MergerOptions{})
-	tc.registerSchema(t)
+	// One shard refuses its first /update: the session must see a
+	// REJECT for the whole frame, after the other shards applied their
+	// slices, and resend it.
+	var saturate atomic.Bool
+	saturate.Store(true)
+	_, cfg := newRealRing(t, 3, func(i int, h http.Handler) http.Handler {
+		if i != 0 {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/update" && saturate.CompareAndSwap(true, false) {
+				http.Error(w, `{"error":"saturated"}`, http.StatusTooManyRequests)
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	m := newRealMerger(t, cfg)
+	declareFG(t, m, 1024)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fwd := tc.surface.Listen(ln)
+	fwd := serve.New(m).Listen(ln)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- fwd.Serve() }()
 	defer func() {
@@ -606,39 +624,29 @@ func TestStreamForwarderEndToEnd(t *testing.T) {
 		}
 	}()
 
-	// One shard rejects its first /update: the client must see a REJECT
-	// for the whole frame and resend it.
-	tc.shards[0].satHint = 0
-	tc.shards[0].saturate429.Store(1)
-
 	batch := seededBatch(200)
-	groups := []stream.Group{{Name: "F"}, {Name: "G"}}
-	for _, u := range batch {
-		weight := int64(1)
-		if u.Weight != nil {
-			weight = *u.Weight
-		}
-		gi := 0
-		if u.Stream == "G" {
-			gi = 1
-		}
-		groups[gi].Updates = append(groups[gi].Updates, stream.Update{Value: u.Value, Weight: weight})
-	}
-	conn := wclient.New(ln.Addr().String(), wclient.Options{
-		ClientID: "sksp-test",
-		Backoff:  distributed.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond, Attempts: 10, Jitter: 0},
-	})
-	defer conn.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	out, err := conn.Send(ctx, "", groups)
+	s, err := wire.Dial(ln.Addr().String(), 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Applied != int64(len(batch)) {
-		t.Fatalf("ACK applied %d, want %d", out.Applied, len(batch))
+	defer s.Close()
+	frame := &wire.Data{ClientID: "sksp-test", Seq: 1, Groups: batchGroups(200)}
+	var ack wire.Ack
+	rejects := 0
+	for {
+		ack, err = s.Send(frame)
+		if !errors.As(err, new(wire.Reject)) || rejects == 10 {
+			break
+		}
+		rejects++ // nothing was applied: resend the same seq
 	}
-	if out.Rejected429 == 0 {
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.Applied != int64(len(batch)) || ack.Duplicate {
+		t.Fatalf("ACK applied %d, duplicate %v; want %d, false", ack.Applied, ack.Duplicate, len(batch))
+	}
+	if rejects == 0 {
 		t.Fatal("saturated shard produced no REJECT; fault injection broke")
 	}
 
@@ -647,9 +655,12 @@ func TestStreamForwarderEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar := tc.answer(t, http.StatusOK)
-	if ar.Estimate != want.Estimate {
-		t.Fatalf("SKSP-ingested cluster estimate %d != reference %d (replay double-applied?)", ar.Estimate, want.Estimate)
+	got, err := m.Answer(context.Background(), engine.DefaultTenant, "q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Estimate != want.Estimate {
+		t.Fatalf("SKSP-ingested cluster estimate %d != reference %d (replay double-applied?)", got.Estimate, want.Estimate)
 	}
 }
 

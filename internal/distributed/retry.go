@@ -16,15 +16,14 @@ import (
 // a shard sketch that fails is simply retried — sketches are idempotent
 // state, not deltas, so fetching the same blob again is always safe.
 //
-// The zero value is usable: 100ms base delay, doubling, capped at 5s,
-// half of every delay jittered, retrying until the context is done.
+// The delay starts at Base and doubles after each failure, up to Max.
+// The zero value is usable: 100ms base delay, capped at 5s, half of
+// every delay jittered, retrying until the context is done.
 type Backoff struct {
 	// Base is the delay before the first retry. <= 0 defaults to 100ms.
 	Base time.Duration
 	// Max caps the (pre-jitter) delay. <= 0 defaults to 5s.
 	Max time.Duration
-	// Factor multiplies the delay after each failure. < 1 defaults to 2.
-	Factor float64
 	// Jitter is the fraction of each delay that is randomized: the
 	// actual sleep is delay·(1-Jitter) + delay·Jitter·U[0,1). Outside
 	// [0,1] it defaults to 0.5. Jitter decorrelates retry storms from
@@ -54,13 +53,6 @@ func (b Backoff) max() time.Duration {
 	return b.Max
 }
 
-func (b Backoff) factor() float64 {
-	if b.Factor < 1 {
-		return 2
-	}
-	return b.Factor
-}
-
 func (b Backoff) jitter() float64 {
 	if b.Jitter < 0 || b.Jitter > 1 {
 		return 0.5
@@ -76,13 +68,12 @@ func (b Backoff) float64() float64 {
 }
 
 // Delay returns the sleep before retry number attempt (0-based): the
-// exponentially grown, capped, jittered delay. Exposed so tests can pin
+// doubled, capped, jittered delay. Exposed so tests can pin
 // the bounds.
 func (b Backoff) Delay(attempt int) time.Duration {
 	d := float64(b.base())
-	f := b.factor()
 	for i := 0; i < attempt; i++ {
-		d *= f
+		d *= 2
 		if d >= float64(b.max()) {
 			break
 		}

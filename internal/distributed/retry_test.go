@@ -109,7 +109,6 @@ func TestDelayBounds(t *testing.T) {
 	b := Backoff{
 		Base:   time.Millisecond,
 		Max:    16 * time.Millisecond,
-		Factor: 2,
 		Jitter: 0.5,
 		Rand:   rand.New(rand.NewSource(7)),
 	}

@@ -50,7 +50,6 @@ func TestDelayAfterFloorsByHint(t *testing.T) {
 	b := Backoff{
 		Base:   time.Millisecond,
 		Max:    8 * time.Millisecond,
-		Factor: 2,
 		Jitter: 0, // deterministic: delayAfter == max(Delay, hint)
 		Rand:   rand.New(rand.NewSource(1)),
 	}

@@ -8,8 +8,8 @@ import (
 
 // CtxLeak enforces the goroutine-liveness discipline the server's
 // lifecycle depends on: sketchd drains its listeners, checkpointer and
-// watch ticker on SIGTERM, and the wire client's reconnect loop must
-// die with its Conn. A goroutine spawned per loop iteration (per
+// watch ticker on SIGTERM, and a wire session's dial must not outlive
+// its timeout. A goroutine spawned per loop iteration (per
 // accepted connection, per reconnect attempt, per retry) that nobody
 // can stop or join outlives the shutdown drain — the "hung node"
 // failure mode the ROADMAP's cluster work explicitly guards against.

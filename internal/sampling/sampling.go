@@ -35,20 +35,10 @@ type Reservoir struct {
 // NewReservoir returns a reservoir holding at most k elements, drawing
 // its replacement decisions from a fresh source seeded with seed.
 func NewReservoir(k int, seed int64) (*Reservoir, error) {
-	return NewReservoirRand(k, rand.New(rand.NewSource(seed)))
-}
-
-// NewReservoirRand is NewReservoir drawing from an injected source, so
-// a caller can share one seeded *rand.Rand across several reservoirs
-// and other consumers deterministically.
-func NewReservoirRand(k int, rng *rand.Rand) (*Reservoir, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("sampling: reservoir size must be positive, got %d", k)
 	}
-	if rng == nil {
-		return nil, fmt.Errorf("sampling: rng must be non-nil")
-	}
-	return &Reservoir{k: k, sample: make([]uint64, 0, k), rng: rng}, nil
+	return &Reservoir{k: k, sample: make([]uint64, 0, k), rng: rand.New(rand.NewSource(seed))}, nil
 }
 
 // Update implements stream.Sink. Deletes (negative weights) poison the

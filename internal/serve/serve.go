@@ -492,19 +492,10 @@ func (s *Server) update(w http.ResponseWriter, r *http.Request) {
 		s.updateGroups(w, r, key)
 		return
 	}
-	body, err := io.ReadAll(r.Body)
+	batch, err := s.readJSONBatch(r)
 	if err != nil {
 		writeErr(w, err, http.StatusBadRequest)
 		return
-	}
-	var batch []UpdateReq
-	if json.Unmarshal(body, &batch) != nil {
-		var one UpdateReq
-		if err := json.Unmarshal(body, &one); err != nil {
-			writeErr(w, errors.New("expected a JSON update object or array of them"), http.StatusBadRequest)
-			return
-		}
-		batch = []UpdateReq{one}
 	}
 	// One request updates one tenant, so a batch can never be
 	// half-applied across namespaces.
@@ -542,6 +533,26 @@ func (s *Server) update(w http.ResponseWriter, r *http.Request) {
 	ackUpdate(w, applied, dup, err)
 }
 
+// readJSONBatch reads and decodes a JSON /update body: one update
+// object or an array of them. The decoded strings are copies, so the
+// body's buffer goes back to the pool before the batch is admitted.
+func (s *Server) readJSONBatch(r *http.Request) ([]UpdateReq, error) {
+	buf := s.bodies.Get().(*bytes.Buffer)
+	defer s.bodies.Put(buf)
+	if err := readBody(r, buf); err != nil {
+		return nil, err
+	}
+	var batch []UpdateReq
+	if json.Unmarshal(buf.Bytes(), &batch) != nil {
+		var one UpdateReq
+		if err := json.Unmarshal(buf.Bytes(), &one); err != nil {
+			return nil, errors.New("expected a JSON update object or array of them")
+		}
+		batch = []UpdateReq{one}
+	}
+	return batch, nil
+}
+
 // ackUpdate writes /update's response, whatever the body's format.
 func ackUpdate(w http.ResponseWriter, applied int64, dup bool, err error) {
 	resp := map[string]any{"applied": applied}
@@ -551,10 +562,10 @@ func ackUpdate(w http.ResponseWriter, applied int64, dup bool, err error) {
 	respond(w, http.StatusOK, resp, err, http.StatusBadRequest)
 }
 
-// errBodyTooLarge refuses a groups body over the SKSP frame cap, the
-// bound a frame carrying the same groups would meet.
+// errBodyTooLarge refuses an /update body over the SKSP frame cap, the
+// bound a frame carrying the same updates would meet.
 var errBodyTooLarge = &Error{Status: http.StatusRequestEntityTooLarge,
-	Err: fmt.Errorf("groups body exceeds %d bytes", wire.MaxFramePayload)}
+	Err: fmt.Errorf("body exceeds %d bytes", wire.MaxFramePayload)}
 
 // updateGroups is /update for a wire.GroupsContentType body, the groups
 // section of an SKSP DATA payload: what a cluster merger forwards to
@@ -568,7 +579,7 @@ var errBodyTooLarge = &Error{Status: http.StatusRequestEntityTooLarge,
 func (s *Server) updateGroups(w http.ResponseWriter, r *http.Request, key Key) {
 	buf := s.bodies.Get().(*bytes.Buffer)
 	var d wire.Data
-	err := readGroupsBody(r, buf)
+	err := readBody(r, buf)
 	if err == nil {
 		if derr := wire.DecodeGroups(buf.Bytes(), &d); derr != nil {
 			err = badRequest(derr)
@@ -584,11 +595,11 @@ func (s *Server) updateGroups(w http.ResponseWriter, r *http.Request, key Key) {
 	ackUpdate(w, applied, dup, err)
 }
 
-// readGroupsBody reads r's body into buf. A body over
+// readBody reads r's /update body, in either format, into buf. A body over
 // wire.MaxFramePayload is refused before it is read in full: at once
 // when its declared length says so, else after the first byte past the
 // cap.
-func readGroupsBody(r *http.Request, buf *bytes.Buffer) error {
+func readBody(r *http.Request, buf *bytes.Buffer) error {
 	if r.ContentLength > wire.MaxFramePayload {
 		return errBodyTooLarge
 	}
@@ -599,7 +610,7 @@ func readGroupsBody(r *http.Request, buf *bytes.Buffer) error {
 		buf.Grow(int(r.ContentLength) + bytes.MinRead)
 	}
 	if _, err := buf.ReadFrom(io.LimitReader(r.Body, wire.MaxFramePayload+1)); err != nil {
-		return badRequest(fmt.Errorf("read groups body: %w", err))
+		return badRequest(fmt.Errorf("read body: %w", err))
 	}
 	if buf.Len() > wire.MaxFramePayload {
 		return errBodyTooLarge

@@ -251,3 +251,36 @@ func TestUpdateGroupsBodyTooLarge(t *testing.T) {
 		t.Fatalf("oversized bodies applied updates: %v", c)
 	}
 }
+
+// TestUpdateJSONBodyTooLarge: a valid JSON array over the SKSP frame cap
+// is a 413 that applies nothing, on a node and on a merger in front of
+// one, as a groups body is.
+func TestUpdateJSONBodyTooLarge(t *testing.T) {
+	var body bytes.Buffer
+	body.WriteByte('[')
+	for i := 0; body.Len() <= wire.MaxFramePayload; i++ {
+		if i > 0 {
+			body.WriteByte(',')
+		}
+		fmt.Fprintf(&body, `{"stream":"F","value":%d}`, i%1024)
+	}
+	body.WriteByte(']')
+
+	n := newTestNode(t)
+	shard := httptest.NewServer(n.srv)
+	defer shard.Close()
+	m, err := cluster.NewMerger(cluster.Config{Shards: []cluster.Shard{{Name: "s0", Addr: shard.URL}}}, cluster.MergerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, srv := range map[string]*serve.Server{"node": n.srv, "merger": serve.New(m)} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/update", bytes.NewReader(body.Bytes())))
+		if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "exceeds") {
+			t.Fatalf("%s: %d %s, want a 413", name, rec.Code, rec.Body)
+		}
+	}
+	if c := n.counts(engine.DefaultTenant); c["F"] != 0 {
+		t.Fatalf("oversized JSON bodies applied updates: %v", c)
+	}
+}

@@ -32,11 +32,7 @@ const CensusDomain = 1024
 // CensusPair returns the two census-like update streams (wage, overtime)
 // with n records each over domain [0, CensusDomain).
 func CensusPair(n int, seed int64) (wage, overtime []stream.Update) {
-	return CensusPairRand(n, rngFromSeed(seed))
-}
-
-// CensusPairRand is CensusPair drawing from an injected source.
-func CensusPairRand(n int, rng *rand.Rand) (wage, overtime []stream.Update) {
+	rng := rngFromSeed(seed)
 	wage = make([]stream.Update, n)
 	overtime = make([]stream.Update, n)
 	for i := 0; i < n; i++ {

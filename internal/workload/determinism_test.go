@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"math/rand"
 	"testing"
 
 	"skimsketch/internal/stream"
@@ -76,61 +75,5 @@ func TestGoldenStreams(t *testing.T) {
 				t.Errorf("stream digest = %s, want %s", got, tc.want)
 			}
 		})
-	}
-}
-
-// TestSeedAndRandConstructorsAgree checks the refactoring contract:
-// the seed-taking constructors are exactly the ...Rand constructors
-// over rand.New(rand.NewSource(seed)).
-func TestSeedAndRandConstructorsAgree(t *testing.T) {
-	seeded, err := NewZipf(512, 1.0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	injected, err := NewZipfRand(512, 1.0, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := hashStream(MakeStream(seeded, 500))
-	b := hashStream(MakeStream(injected, 500))
-	if a != b {
-		t.Errorf("NewZipf(seed) and NewZipfRand(rand.New(seed)) diverge: %s vs %s", a, b)
-	}
-
-	u1 := MakeStream(NewUniform(1<<20, 9), 500)
-	u2 := MakeStream(NewUniformRand(1<<20, rand.New(rand.NewSource(9))), 500)
-	if hashStream(u1) != hashStream(u2) {
-		t.Error("NewUniform(seed) and NewUniformRand diverge")
-	}
-
-	w1, o1 := CensusPair(500, 21)
-	w2, o2 := CensusPairRand(500, rand.New(rand.NewSource(21)))
-	if hashStream(w1) != hashStream(w2) || hashStream(o1) != hashStream(o2) {
-		t.Error("CensusPair(seed) and CensusPairRand diverge")
-	}
-
-	d1 := WithDeletes(u1, 0.3, 23)
-	d2 := WithDeletesRand(u2, 0.3, rand.New(rand.NewSource(23)))
-	if hashStream(d1) != hashStream(d2) {
-		t.Error("WithDeletes(seed) and WithDeletesRand diverge")
-	}
-}
-
-// TestSharedSourceComposes checks that two generators can share one
-// injected source: draws interleave deterministically instead of each
-// generator owning a private stream.
-func TestSharedSourceComposes(t *testing.T) {
-	run := func() string {
-		rng := rand.New(rand.NewSource(77))
-		a := NewUniformRand(128, rng)
-		b := NewUniformRand(128, rng)
-		out := make([]stream.Update, 0, 200)
-		for i := 0; i < 100; i++ {
-			out = append(out, stream.Insert(a.Next()), stream.Insert(b.Next()))
-		}
-		return hashStream(out)
-	}
-	if run() != run() {
-		t.Error("shared-source composition is not reproducible")
 	}
 }

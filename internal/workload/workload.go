@@ -22,13 +22,10 @@ type Generator interface {
 	Domain() uint64
 }
 
-// Every generator in this package draws randomness exclusively from an
-// injected *rand.Rand: the ...Rand constructors take the source
-// directly (compose generators over one source, or share a source with
-// the caller's other draws), and the seed-taking constructors are
-// shorthand for a private rand.New(rand.NewSource(seed)). Nothing here
-// touches the global math/rand source or the clock; the golden-stream
-// tests pin the exact byte output per seed.
+// Every generator in this package draws randomness exclusively from a
+// private rand.New(rand.NewSource(seed)) built by its constructor.
+// Nothing here touches the global math/rand source or the clock; the
+// golden-stream tests pin the exact byte output per seed.
 
 // rngFromSeed builds the package's canonical source for a seed.
 func rngFromSeed(seed int64) *rand.Rand {
@@ -57,14 +54,6 @@ type Zipf struct {
 // NewZipf builds the CDF table for a Zipf(z) distribution over [0, m),
 // drawing from a fresh source seeded with seed.
 func NewZipf(m uint64, z float64, seed int64) (*Zipf, error) {
-	return NewZipfRand(m, z, rngFromSeed(seed))
-}
-
-// NewZipfRand is NewZipf drawing from an injected source.
-func NewZipfRand(m uint64, z float64, rng *rand.Rand) (*Zipf, error) {
-	if rng == nil {
-		return nil, fmt.Errorf("workload: rng must be non-nil")
-	}
 	if m == 0 {
 		return nil, fmt.Errorf("workload: domain must be positive")
 	}
@@ -80,7 +69,7 @@ func NewZipfRand(m uint64, z float64, rng *rand.Rand) (*Zipf, error) {
 	for i := range cdf {
 		cdf[i] /= total
 	}
-	return &Zipf{cdf: cdf, domain: m, rng: rng}, nil
+	return &Zipf{cdf: cdf, domain: m, rng: rngFromSeed(seed)}, nil
 }
 
 // Next draws one value.
@@ -124,12 +113,7 @@ type Uniform struct {
 // NewUniform returns a uniform generator over [0, m), drawing from a
 // fresh source seeded with seed.
 func NewUniform(m uint64, seed int64) *Uniform {
-	return NewUniformRand(m, rngFromSeed(seed))
-}
-
-// NewUniformRand is NewUniform drawing from an injected source.
-func NewUniformRand(m uint64, rng *rand.Rand) *Uniform {
-	return &Uniform{domain: m, rng: rng}
+	return &Uniform{domain: m, rng: rngFromSeed(seed)}
 }
 
 // Next draws one value.
@@ -143,11 +127,7 @@ func (g *Uniform) Domain() uint64 { return g.domain }
 // value is inserted and later deleted again, exercising the general-update
 // path without changing the net frequency vector.
 func WithDeletes(updates []stream.Update, frac float64, seed int64) []stream.Update {
-	return WithDeletesRand(updates, frac, rngFromSeed(seed))
-}
-
-// WithDeletesRand is WithDeletes drawing from an injected source.
-func WithDeletesRand(updates []stream.Update, frac float64, rng *rand.Rand) []stream.Update {
+	rng := rngFromSeed(seed)
 	out := make([]stream.Update, 0, len(updates)+int(2*frac*float64(len(updates))))
 	var pendingDeletes []uint64
 	for _, u := range updates {
