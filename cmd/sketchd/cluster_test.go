@@ -9,10 +9,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"skimsketch/internal/core"
-	"skimsketch/internal/engine"
-	"skimsketch/internal/stream"
 )
 
 // TestRunRejectsUnknownRole: a typo'd -role must fail loudly at boot,
@@ -31,148 +27,6 @@ func TestRunRejectsUnknownRole(t *testing.T) {
 	}
 	if err := run(context.Background(), opts, os.Stderr); err == nil || !strings.Contains(err.Error(), "cluster.config") {
 		t.Fatalf("merger without a membership file booted: %v", err)
-	}
-}
-
-// TestClusterEndToEnd boots two real shard processes (in-process run()
-// lifecycles, concurrent ingest pipelines) and a real merger over them,
-// and checks the whole tentpole contract: schema broadcast, hash-routed
-// ingest, a global answer bit-identical to a single-node reference, and
-// a degraded (not failed) answer after one shard dies.
-func TestClusterEndToEnd(t *testing.T) {
-	shardArgs := func() options {
-		opts, err := parseFlags([]string{
-			"-role", "shard", "-addr", "127.0.0.1:0",
-			"-tables", "5", "-buckets", "256", "-seed", "42",
-			"-ingest.workers", "2",
-			"-shutdown.timeout", "5s",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return opts
-	}
-	sctx0, cancel0 := context.WithCancel(context.Background())
-	defer cancel0()
-	out0 := &syncBuffer{}
-	base0, done0 := startRun(t, sctx0, shardArgs(), out0)
-	sctx1, cancel1 := context.WithCancel(context.Background())
-	defer cancel1()
-	out1 := &syncBuffer{}
-	base1, done1 := startRun(t, sctx1, shardArgs(), out1)
-
-	ring := filepath.Join(t.TempDir(), "ring.json")
-	ringJSON := fmt.Sprintf(`{"shards":[{"name":"s0","addr":"%s"},{"name":"s1","addr":"%s"}]}`, base0, base1)
-	if err := os.WriteFile(ring, []byte(ringJSON), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mopts, err := parseFlags([]string{
-		"-role", "merger", "-addr", "127.0.0.1:0",
-		"-cluster.config", ring, "-cluster.timeout", "3s",
-		"-shutdown.timeout", "5s",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mctx, mcancel := context.WithCancel(context.Background())
-	defer mcancel()
-	mout := &syncBuffer{}
-	mbase, mdone := startRun(t, mctx, mopts, mout)
-
-	// Schema through the merger broadcast; both shards must hold it.
-	for _, req := range []struct{ path, body string }{
-		{"/streams", `{"name":"F","domain":1024}`},
-		{"/streams", `{"name":"G","domain":1024}`},
-		{"/queries", `{"name":"q","agg":"COUNT","left":{"stream":"F"},"right":{"stream":"G"}}`},
-	} {
-		if code, body := httpJSON(t, "POST", mbase+req.path, req.body); code != 201 {
-			t.Fatalf("POST %s via merger: %d %s", req.path, code, body)
-		}
-	}
-
-	// Seeded ingest through the merger, mirrored into a single-node
-	// reference engine.
-	ref := newEngine(t, core.Config{Tables: 5, Buckets: 256, Seed: 42}, engine.IngestConfig{Workers: 2}).Tenant(engine.DefaultTenant)
-	for _, name := range []string{"F", "G"} {
-		if err := ref.DeclareStream(name, 1024); err != nil {
-			t.Fatal(err)
-		}
-	}
-	err = ref.RegisterQuery(engine.QuerySpec{Name: "q", Agg: engine.Count,
-		Left: engine.Side{Stream: "F"}, Right: engine.Side{Stream: "G"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var batch []string
-	for i := 0; i < 600; i++ {
-		fv, gv := uint64(i*i%811), uint64((i*13+5)%1024)
-		batch = append(batch,
-			fmt.Sprintf(`{"stream":"F","value":%d}`, fv),
-			fmt.Sprintf(`{"stream":"G","value":%d,"weight":2}`, gv))
-		if err := ref.IngestBatch("F", []stream.Update{{Value: fv, Weight: 1}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.IngestBatch("G", []stream.Update{{Value: gv, Weight: 2}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if code, body := httpJSON(t, "POST", mbase+"/update", "["+strings.Join(batch, ",")+"]"); code != 200 {
-		t.Fatalf("POST /update via merger: %d %s", code, body)
-	}
-
-	want, err := ref.Answer("q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ar struct {
-		Estimate int64 `json:"estimate"`
-		Shards   struct {
-			Answered int `json:"answered"`
-			Of       int `json:"of"`
-		} `json:"shards"`
-		Confidence struct {
-			Degraded bool `json:"degraded"`
-		} `json:"confidence"`
-	}
-	code, body := httpJSON(t, "GET", mbase+"/answer?query=q", "")
-	if code != 200 {
-		t.Fatalf("GET /answer: %d %s", code, body)
-	}
-	if err := json.Unmarshal([]byte(body), &ar); err != nil {
-		t.Fatal(err)
-	}
-	if ar.Estimate != want.Estimate {
-		t.Fatalf("cluster estimate %d != single-node %d", ar.Estimate, want.Estimate)
-	}
-	if ar.Shards.Answered != 2 || ar.Shards.Of != 2 || ar.Confidence.Degraded {
-		t.Fatalf("healthy answer misreported: %s", body)
-	}
-
-	// Kill shard 1 (context cancel = SIGTERM path) and require a
-	// degraded answer, not an error.
-	cancel1()
-	if err := <-done1; err != nil {
-		t.Fatalf("shard 1 shutdown: %v", err)
-	}
-	code, body = httpJSON(t, "GET", mbase+"/answer?query=q", "")
-	if code != 200 {
-		t.Fatalf("degraded GET /answer: %d %s", code, body)
-	}
-	if err := json.Unmarshal([]byte(body), &ar); err != nil {
-		t.Fatal(err)
-	}
-	if ar.Shards.Answered != 1 || ar.Shards.Of != 2 || !ar.Confidence.Degraded {
-		t.Fatalf("killed shard did not degrade the answer: %s", body)
-	}
-
-	// Clean shutdown of the rest.
-	mcancel()
-	if err := <-mdone; err != nil {
-		t.Fatalf("merger shutdown: %v", err)
-	}
-	cancel0()
-	if err := <-done0; err != nil {
-		t.Fatalf("shard 0 shutdown: %v", err)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"skimsketch/internal/checkpoint"
 	"skimsketch/internal/core"
 	"skimsketch/internal/engine"
+	"skimsketch/internal/serve"
 	"skimsketch/internal/stream"
 )
 
@@ -324,7 +325,7 @@ func TestServerCheckpointRoundTrip(t *testing.T) {
 	}
 	srcSrv, srcEng := mk()
 	src := srcEng.Tenant(engine.DefaultTenant)
-	if err := srcSrv.registerRangePredicate(predicateDef{Name: "low", Min: 0, Max: 31}); err != nil {
+	if err := srcSrv.node.RegisterPredicate(context.Background(), engine.DefaultTenant, serve.PredicateReq{Name: "low", Min: 0, Max: 31}); err != nil {
 		t.Fatal(err)
 	}
 	if err := src.DeclareStream("F", 64); err != nil {
@@ -350,12 +351,12 @@ func TestServerCheckpointRoundTrip(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := srcSrv.writeCheckpoint(&buf); err != nil {
+	if err := srcSrv.node.WriteCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 
 	dstSrv, dstEng := mk()
-	if err := dstSrv.readCheckpoint(&buf); err != nil {
+	if err := dstSrv.node.ReadCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 	want, err := src.Answer("q")
@@ -372,7 +373,7 @@ func TestServerCheckpointRoundTrip(t *testing.T) {
 	// The restored predicate definition is recorded, so the next
 	// checkpoint of the restored server carries it too.
 	var buf2 bytes.Buffer
-	if err := dstSrv.writeCheckpoint(&buf2); err != nil {
+	if err := dstSrv.node.WriteCheckpoint(&buf2); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf2.String(), `"low"`) {
@@ -382,10 +383,10 @@ func TestServerCheckpointRoundTrip(t *testing.T) {
 
 func TestReadCheckpointRejectsBadPayload(t *testing.T) {
 	s := newServer(newEngine(t, core.Config{Tables: 3, Buckets: 64, Seed: 1}, engine.IngestConfig{Workers: 1}))
-	if err := s.readCheckpoint(strings.NewReader("not json")); err == nil {
+	if err := s.node.ReadCheckpoint(strings.NewReader("not json")); err == nil {
 		t.Fatal("expected decode error")
 	}
-	if err := s.readCheckpoint(strings.NewReader(`{"version":99,"engine":{}}`)); err == nil {
+	if err := s.node.ReadCheckpoint(strings.NewReader(`{"version":99,"engine":{}}`)); err == nil {
 		t.Fatal("expected version error")
 	}
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -15,6 +14,7 @@ import (
 
 	"skimsketch/internal/core"
 	"skimsketch/internal/engine"
+	"skimsketch/internal/serve"
 	"skimsketch/internal/stream"
 	"skimsketch/internal/wire"
 )
@@ -275,16 +275,16 @@ func nUpdates(s string, n int) string {
 
 // streamListener boots the SKSP listener over a pipelined engine and
 // returns its address plus the server for counter inspection.
-func streamListener(t *testing.T, eng *engine.Engine, dedupe *wire.Window) (*streamServer, string) {
+func streamListener(t *testing.T, eng *engine.Engine) (*serve.Listener, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv := newStreamServer(eng, dedupe, ln)
+	sv := newListener(eng, ln)
 	done := make(chan struct{})
-	go func() { defer close(done); _ = sv.serve() }()
-	t.Cleanup(func() { sv.shutdown(); <-done })
+	go func() { defer close(done); _ = sv.Serve() }()
+	t.Cleanup(func() { sv.Shutdown(); <-done })
 	return sv, ln.Addr().String()
 }
 
@@ -298,129 +298,6 @@ func dialStream(t *testing.T, addr string) *wire.Session {
 	return s
 }
 
-// TestStreamIngestEndToEnd drives the SKSP listener with a wire session
-// across two tenants: admitted frames land in the right tenant exactly
-// once and are applied to its synopses, quota trips come back as
-// retryable REJECTs, bad frames as permanent errors, and neither is
-// enqueued.
-func TestStreamIngestEndToEnd(t *testing.T) {
-	eng := newEngine(t, core.Config{Tables: 5, Buckets: 128, Seed: 7}, engine.IngestConfig{Workers: 2, BatchSize: 64, QueueDepth: 64})
-	// The empty wire tenant addresses the default one. A query gives F
-	// and G synopses, so every ACKed update must also be applied.
-	tenants := map[string]*engine.Tenant{"": eng.Tenant(engine.DefaultTenant), "t1": eng.Tenant("t1")}
-	for _, tn := range tenants {
-		for _, s := range []string{"F", "G"} {
-			if err := tn.DeclareStream(s, 64); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := tn.RegisterQuery(engine.QuerySpec{
-			Name: "q", Agg: engine.Count,
-			Left:  engine.Side{Stream: "F"},
-			Right: engine.Side{Stream: "G"},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	def := tenants[""]
-	sv, addr := streamListener(t, eng, wire.NewWindow(0, 0))
-
-	s := dialStream(t, addr)
-	defer s.Close()
-	var seq uint64
-	send := func(tenant string, groups []stream.Group) (wire.Ack, error) {
-		seq++
-		return s.Send(&wire.Data{ClientID: "e2e", Seq: seq, Tenant: tenant, Groups: groups})
-	}
-	ack, err := send("", []stream.Group{
-		{Name: "F", Updates: []stream.Update{{Value: 1, Weight: 1}, {Value: 2, Weight: 1}}},
-		{Name: "G", Updates: []stream.Update{{Value: 3, Weight: 2}}},
-	})
-	if err != nil || ack.Applied != 3 || ack.Seq != seq {
-		t.Fatalf("send: %+v %v", ack, err)
-	}
-	acked := map[string]int64{"": ack.Applied}
-	for i := uint64(0); i < 5; i++ {
-		ack, err := send("t1", []stream.Group{
-			{Name: "F", Updates: []stream.Update{{Value: i, Weight: 1}}},
-			{Name: "G", Updates: []stream.Update{{Value: i, Weight: 1}, {Value: i + 1, Weight: 1}}},
-		})
-		if err != nil {
-			t.Fatalf("t1 send %d: %v", i, err)
-		}
-		acked["t1"] += ack.Applied
-	}
-	eng.Flush()
-	st := def.Stats()
-	if st.UpdateCounts["F"] != 2 || st.UpdateCounts["G"] != 1 {
-		t.Fatalf("counts after SKSP ingest: %v", st.UpdateCounts)
-	}
-	for name, tn := range tenants {
-		var sum int64
-		for _, n := range tn.Stats().UpdateCounts {
-			sum += n
-		}
-		if sum != acked[name] {
-			t.Fatalf("tenant %q holds %d updates, client was ACKed %d", name, sum, acked[name])
-		}
-	}
-	if got, want := sv.Updates.Load(), acked[""]+acked["t1"]; got != want {
-		t.Fatalf("listener counted %d updates, client was ACKed %d", got, want)
-	}
-
-	// Unknown stream: permanent ERROR frame, nothing applied, and the
-	// session carries on.
-	_, err = send("", []stream.Group{
-		{Name: "F", Updates: []stream.Update{{Value: 1, Weight: 1}}},
-		{Name: "nope", Updates: []stream.Update{{Value: 1, Weight: 1}}},
-	})
-	var ef wire.ErrorFrame
-	if !errors.As(err, &ef) || ef.Seq != seq || !strings.Contains(ef.Msg, "unknown stream") {
-		t.Fatalf("unknown stream: %v", err)
-	}
-	eng.Flush()
-	if n := def.Stats().UpdateCounts["F"]; n != 2 {
-		t.Fatalf("F = %d after rejected frame, want 2 (atomic frames)", n)
-	}
-
-	// Quota trip: a retryable REJECT, and the resent frame is REJECTed
-	// again; the engine admits nothing.
-	if err := eng.SetQuota("capped", engine.Quota{MaxPendingUpdates: 2}); err != nil {
-		t.Fatal(err)
-	}
-	capped := eng.Tenant("capped")
-	if err := capped.DeclareStream("F", 64); err != nil {
-		t.Fatal(err)
-	}
-	big := make([]stream.Update, 10)
-	for i := range big {
-		big[i] = stream.Update{Value: uint64(i % 64), Weight: 1}
-	}
-	frame := &wire.Data{ClientID: "e2e-capped", Seq: 1, Tenant: "capped", Groups: []stream.Group{{Name: "F", Updates: big}}}
-	rejects := 0
-	for attempt := 0; attempt < 2; attempt++ {
-		var rej wire.Reject
-		if _, err := s.Send(frame); !errors.As(err, &rej) || rej.Seq != frame.Seq {
-			t.Fatalf("quota trip, attempt %d: %v, want a REJECT", attempt, err)
-		}
-		rejects++
-	}
-	eng.Flush()
-	if n := capped.Stats().UpdateCounts["F"]; n != 0 {
-		t.Fatalf("capped F = %d, want 0", n)
-	}
-
-	if sv.frames.Load() == 0 || sv.rejected.Load() != int64(rejects) || sv.errored.Load() != 1 {
-		t.Fatalf("listener counters: %+v", sv.statsJSON())
-	}
-	// Only ACKed frames were enqueued, and each was applied.
-	if ist := eng.IngestStats(); ist.UpdatesEnqueued != acked[""]+acked["t1"] ||
-		ist.UpdatesApplied != ist.UpdatesEnqueued || ist.UpdatesUnrouted != 0 {
-		t.Fatalf("ingest counters enqueued=%d applied=%d unrouted=%d, want %d ACKed, all applied",
-			ist.UpdatesEnqueued, ist.UpdatesApplied, ist.UpdatesUnrouted, acked[""]+acked["t1"])
-	}
-}
-
 // TestStreamReplayDedupe speaks raw SKSP: the same (clientID, seq)
 // DATA frame sent twice — on one connection, then again after a
 // reconnect — applies exactly once, and each replay is answered with a
@@ -431,7 +308,7 @@ func TestStreamReplayDedupe(t *testing.T) {
 	if err := def.DeclareStream("F", 64); err != nil {
 		t.Fatal(err)
 	}
-	_, addr := streamListener(t, eng, wire.NewWindow(0, 0))
+	_, addr := streamListener(t, eng)
 
 	frame := &wire.Data{
 		ClientID: "raw-1",
@@ -479,9 +356,9 @@ func TestStreamDrainKeepsAckedFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv := newStreamServer(eng, wire.NewWindow(0, 0), ln)
+	sv := newListener(eng, ln)
 	done := make(chan struct{})
-	go func() { defer close(done); _ = sv.serve() }()
+	go func() { defer close(done); _ = sv.Serve() }()
 
 	s := dialStream(t, ln.Addr().String())
 	const batches = 20
@@ -497,7 +374,7 @@ func TestStreamDrainKeepsAckedFrames(t *testing.T) {
 	}
 	// The shutdown sequence main.go runs: drain the listener, then the
 	// ingest pipeline.
-	sv.shutdown()
+	sv.Shutdown()
 	<-done
 	eng.Flush()
 	eng.StopIngest()

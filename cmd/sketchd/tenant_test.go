@@ -388,7 +388,7 @@ func TestCheckpointV1RestoresIntoDefault(t *testing.T) {
 	v1 := fmt.Sprintf(`{"version":1,"predicates":[{"name":"low","min":0,"max":31}],"engine":%s}`, engSnap.Bytes())
 
 	dstSrv, dstEng := mk()
-	if err := dstSrv.readCheckpoint(strings.NewReader(v1)); err != nil {
+	if err := dstSrv.node.ReadCheckpoint(strings.NewReader(v1)); err != nil {
 		t.Fatalf("v1 checkpoint refused: %v", err)
 	}
 	want, err := src.Answer("q")
@@ -409,7 +409,7 @@ func TestCheckpointV1RestoresIntoDefault(t *testing.T) {
 	// And the restored server re-checkpoints as version 2 with the same
 	// predicate, default-tenant spelled canonically (no tenant field).
 	var buf2 bytes.Buffer
-	if err := dstSrv.writeCheckpoint(&buf2); err != nil {
+	if err := dstSrv.node.WriteCheckpoint(&buf2); err != nil {
 		t.Fatal(err)
 	}
 	var cp sketchdCheckpoint

@@ -31,6 +31,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -139,14 +140,12 @@ type Engine struct {
 	routes    map[nsKey][][]*synEntry
 	metrics   *monitor.IngestMetrics
 
-	// Query-path state (see Answer): the number of estimation workers,
-	// the per-(tenant, query) answer cache keyed on the synopsis epochs
-	// captured at snapshot time, and its hit/miss counters (engine-wide;
-	// each tenant also counts its own). All guarded by e.mu.
+	// Query-path state (see Answer): the number of estimation workers
+	// and the per-(tenant, query) answer cache keyed on the synopsis
+	// epochs captured at snapshot time (each tenant counts its own hits
+	// and misses). Guarded by e.mu.
 	queryWorkers int
 	answers      map[nsKey]cachedAnswer
-	cacheHits    int64
-	cacheMisses  int64
 	// beforeEstimate, when set, runs in Answer after the locks are
 	// released and before the estimate: tests hold an answer there to
 	// show that ingestion proceeds meanwhile.
@@ -241,13 +240,6 @@ func (e *synEntry) snapshot() *core.HashSketch {
 		return e.win.Combined()
 	}
 	return e.sketch.Clone()
-}
-
-func (e *synEntry) words() int {
-	if e.win != nil {
-		return e.win.Words()
-	}
-	return e.sketch.Words()
 }
 
 type queryState struct {
@@ -360,7 +352,16 @@ func (e *Engine) acquireSynopsis(tenant string, s Side, cfg core.Config) (*synEn
 		entry.refs++
 		return entry, nil
 	}
-	entry := &synEntry{key: key, id: e.nextSynID, refs: 1, pred: pred}
+	words, err := synopsisWords(cfg, s.WindowBuckets)
+	if err != nil {
+		return nil, err
+	}
+	ts := e.tenantLocked(tenant)
+	if max := ts.quota.MaxSynopsisWords; max > 0 && ts.words+words > max {
+		return nil, fmt.Errorf("engine: tenant %q: synopsis memory %d + %d words over quota %d: %w",
+			tenant, ts.words, words, max, ErrQuotaExceeded)
+	}
+	entry := &synEntry{key: key, id: e.nextSynID, refs: 1, pred: pred, allocWords: words}
 	if s.WindowLen > 0 {
 		w, err := window.New(s.WindowLen, s.WindowBuckets, cfg)
 		if err != nil {
@@ -377,17 +378,25 @@ func (e *Engine) acquireSynopsis(tenant string, s Side, cfg core.Config) (*synEn
 		}
 		entry.sketch = sk
 	}
-	entry.allocWords = entry.words()
-	ts := e.tenantLocked(tenant)
-	if max := ts.quota.MaxSynopsisWords; max > 0 && ts.words+entry.allocWords > max {
-		return nil, fmt.Errorf("engine: tenant %q: synopsis memory %d + %d words over quota %d: %w",
-			tenant, ts.words, entry.allocWords, max, ErrQuotaExceeded)
-	}
 	ts.words += entry.allocWords
 	e.nextSynID++
 	e.routes = nil // the synopsis set is changing
 	e.synopses[key] = entry
 	return entry, nil
+}
+
+// synopsisWords is the counter-word footprint of a synopsis with cfg and
+// windowBuckets buckets (0 for a plain sketch), computed before anything
+// is allocated so the memory quota refuses a synopsis it would not fit.
+func synopsisWords(cfg core.Config, windowBuckets int) (int, error) {
+	words, n := cfg.Tables, max(1, windowBuckets)
+	for _, f := range []int{cfg.Buckets, n} {
+		if f <= 0 || words > math.MaxInt/f {
+			return 0, fmt.Errorf("synopsis of %+v over %d window buckets has no representable size", cfg, windowBuckets)
+		}
+		words *= f
+	}
+	return words, nil
 }
 
 func (e *Engine) release(entry *synEntry) {
@@ -423,12 +432,10 @@ func (t *Tenant) Answer(name string) (Answer, error) {
 	ts := e.tenantLocked(t.name)
 	le, re := q.left.epoch, q.right.epoch
 	if c, ok := e.answers[qk]; ok && c.leftEpoch == le && c.rightEpoch == re {
-		e.cacheHits++
 		ts.cacheHits++
 		release()
 		return c.ans, nil
 	}
-	e.cacheMisses++
 	ts.cacheMisses++
 	fs, gs := q.left.snapshot(), q.right.snapshot()
 	domain, workers, agg := q.domain, e.queryWorkers, q.spec.Agg
@@ -528,55 +535,34 @@ type Stats struct {
 	Ingest monitor.IngestSnapshot
 }
 
-// Stats reports synopsis sharing and memory usage. Like Tenant.Answer,
-// it drains the ingestion pipeline first.
+// Stats reports synopsis sharing and memory usage: the sum of every
+// tenant's TenantStats. Like Tenant.Answer, it drains the ingestion
+// pipeline first.
 func (e *Engine) Stats() Stats {
 	defer e.readQuiesce()()
 	st := Stats{
-		Streams:           len(e.streams),
-		Queries:           len(e.queries),
-		Synopses:          len(e.synopses),
-		UpdateCounts:      make(map[string]int64, len(e.streams)),
-		QueryWorkers:      e.queryWorkers,
-		AnswerCacheHits:   e.cacheHits,
-		AnswerCacheMisses: e.cacheMisses,
-		Watches:           e.watches.Len(),
-		Tenants:           make(map[string]TenantStats),
-		Ingest:            e.metrics.Snapshot(),
+		UpdateCounts: make(map[string]int64, len(e.streams)),
+		QueryWorkers: e.queryWorkers,
+		Tenants:      make(map[string]TenantStats, len(e.tenants)),
+		Ingest:       e.metrics.Snapshot(),
 	}
-	for key, info := range e.streams {
-		name := key.name
-		if key.tenant != DefaultTenant {
-			name = key.tenant + "/" + key.name
+	for name := range e.tenants {
+		ts := e.tenantStatsLocked(name)
+		st.Tenants[name] = ts
+		st.Streams += ts.Streams
+		st.Queries += ts.Queries
+		st.Synopses += ts.Synopses
+		st.SynopsisRefs += ts.SynopsisRefs
+		st.TotalWords += ts.TotalWords
+		st.AnswerCacheHits += ts.AnswerCacheHits
+		st.AnswerCacheMisses += ts.AnswerCacheMisses
+		st.Watches += ts.Watches
+		for s, n := range ts.UpdateCounts {
+			if name != DefaultTenant {
+				s = name + "/" + s
+			}
+			st.UpdateCounts[s] = n
 		}
-		st.UpdateCounts[name] = info.count
-	}
-	for _, entry := range e.synopses {
-		st.SynopsisRefs += entry.refs
-		st.TotalWords += entry.words()
-	}
-	for name := range e.tenantNamesLocked() {
-		st.Tenants[name] = e.tenantStatsLocked(name)
 	}
 	return st
-}
-
-// tenantNamesLocked is the set of tenants with any state: an explicit
-// quota/counter record, or a stream, predicate, query or watch scoped to
-// them. Callers hold e.mu.
-func (e *Engine) tenantNamesLocked() map[string]struct{} {
-	names := make(map[string]struct{}, len(e.tenants))
-	for name := range e.tenants {
-		names[name] = struct{}{}
-	}
-	for key := range e.streams {
-		names[key.tenant] = struct{}{}
-	}
-	for key := range e.predicates {
-		names[key.tenant] = struct{}{}
-	}
-	for _, t := range e.watches.Tenants() {
-		names[t] = struct{}{}
-	}
-	return names
 }

@@ -16,14 +16,14 @@ func defaultOpts() Options {
 
 // mustEngine returns an engine whose ingest pipeline runs two workers
 // and stops when the test ends.
-func mustEngine(t *testing.T) *Engine {
+func mustEngine(t testing.TB) *Engine {
 	t.Helper()
 	return startEngine(t, defaultOpts(), IngestConfig{Workers: 2})
 }
 
 // startEngine returns an engine built from opts whose pipeline, tuned
 // by cfg, runs until the test ends.
-func startEngine(t *testing.T, opts Options, cfg IngestConfig) *Engine {
+func startEngine(t testing.TB, opts Options, cfg IngestConfig) *Engine {
 	t.Helper()
 	e := idleEngine(t, opts)
 	if err := e.StartIngest(cfg); err != nil {
@@ -34,7 +34,7 @@ func startEngine(t *testing.T, opts Options, cfg IngestConfig) *Engine {
 
 // idleEngine returns an engine built from opts whose pipeline is not
 // started yet; whatever the test starts is stopped when it ends.
-func idleEngine(t *testing.T, opts Options) *Engine {
+func idleEngine(t testing.TB, opts Options) *Engine {
 	t.Helper()
 	e, err := New(opts)
 	if err != nil {
@@ -46,7 +46,7 @@ func idleEngine(t *testing.T, opts Options) *Engine {
 
 // update ingests one element through the pipeline; reads quiesce, so
 // the next Answer, Stats or snapshot sees it.
-func update(t *testing.T, b interface {
+func update(t testing.TB, b interface {
 	IngestBatch(string, []stream.Update) error
 }, streamName string, value uint64, weight int64) {
 	t.Helper()

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"maps"
+	"slices"
 	"sort"
 
 	"skimsketch/internal/core"
@@ -104,18 +106,9 @@ func (e *Engine) v1ExpressibleLocked() bool {
 	if e.defaultQuota != (Quota{}) || e.watches.Len() != 0 {
 		return false
 	}
+	// Every stream, predicate and query has its tenant's record.
 	for name, ts := range e.tenants {
 		if name != DefaultTenant || ts.quota != (Quota{}) {
-			return false
-		}
-	}
-	for key := range e.streams {
-		if key.tenant != DefaultTenant {
-			return false
-		}
-	}
-	for key := range e.predicates {
-		if key.tenant != DefaultTenant {
 			return false
 		}
 	}
@@ -123,7 +116,8 @@ func (e *Engine) v1ExpressibleLocked() bool {
 }
 
 // tenantSliceLocked assembles one tenant's streams/queries/synopses/
-// watches. Callers hold the quiesced read locks.
+// watches, queries by name and synopses by key, so equal engines write
+// equal bytes. Callers hold the quiesced read locks.
 func (e *Engine) tenantSliceLocked(tenant string) (tenantSnap, error) {
 	slice := tenantSnap{Streams: make(map[string]streamSnap)}
 	if ts, ok := e.tenants[tenant]; ok {
@@ -170,6 +164,17 @@ func (e *Engine) tenantSliceLocked(tenant string) (tenantSnap, error) {
 			Blob:          blob,
 		})
 	}
+	slices.SortFunc(slice.Synopses, func(a, b synSnap) int {
+		return cmp.Or(
+			cmp.Compare(a.Stream, b.Stream),
+			cmp.Compare(a.Predicate, b.Predicate),
+			cmp.Compare(a.WindowLen, b.WindowLen),
+			cmp.Compare(a.WindowBuckets, b.WindowBuckets),
+			cmp.Compare(a.Config.Tables, b.Config.Tables),
+			cmp.Compare(a.Config.Buckets, b.Config.Buckets),
+			cmp.Compare(a.Config.Seed, b.Config.Seed),
+		)
+	})
 	for _, w := range e.watches.List(tenant) {
 		slice.Watches = append(slice.Watches, watchSnap{
 			Query: w.Query, High: w.High, Low: w.Low, Alert: w.State == monitor.Alert,
@@ -211,7 +216,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 		q := e.defaultQuota
 		snap.DefaultQuota = &q
 	}
-	for tenant := range e.tenantNamesLocked() {
+	for tenant := range e.tenants {
 		slice, err := e.tenantSliceLocked(tenant)
 		if err != nil {
 			return err
@@ -254,6 +259,10 @@ func (e *Engine) Restore(r io.Reader) error {
 	var snap snapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
 		return fmt.Errorf("engine: restore: %w", err)
+	}
+
+	if err := snap.Defaults.Validate(); err != nil {
+		return fmt.Errorf("engine: restore: default sketch config: %w", err)
 	}
 
 	e.mu.Lock()
@@ -392,37 +401,79 @@ func (e *Engine) commitLocked(st *Engine) {
 	e.routes = nil
 }
 
-// restoreTenantLocked loads one tenant slice: quota first (so synopsis
-// rebuilding is charged against the restored quota), then streams,
-// queries (rebuilding empty shared synopses), synopsis counters, and
-// watches. It runs on a staged engine (stageLocked) while the caller
-// holds the live engine's mu.
+// restoreTenantLocked loads one tenant slice. Everything the slice
+// names is checked before any synopsis is allocated: the quota, the
+// streams (as DeclareStream checks them), the synopsis blobs, and that
+// the slice carries every query side's synopsis with the side's config
+// and window shape, so a small body cannot allocate a large synopsis it
+// does not carry. Then the quota is installed (so rebuilding synopses is
+// charged against it), the queries are re-registered, their synopses
+// overwritten from the blobs, and the watches re-armed. It runs on a
+// staged engine (stageLocked) while the caller holds the live engine's mu.
 func (e *Engine) restoreTenantLocked(tenant string, slice tenantSnap) error {
-	for _, q := range slice.Queries {
-		if q.Left.Predicate != "" {
-			if _, ok := e.predicates[nsKey{tenant, q.Left.Predicate}]; !ok {
-				return fmt.Errorf("engine: restore: predicate %q must be re-registered first", q.Left.Predicate)
-			}
+	if err := slice.Quota.validate(); err != nil {
+		return fmt.Errorf("engine: restore: tenant %q quota: %w", tenant, err)
+	}
+	for name, s := range slice.Streams {
+		if err := validStream(name, s.Domain); err != nil {
+			return fmt.Errorf("engine: restore: %w", err)
 		}
-		if q.Right.Predicate != "" {
-			if _, ok := e.predicates[nsKey{tenant, q.Right.Predicate}]; !ok {
-				return fmt.Errorf("engine: restore: predicate %q must be re-registered first", q.Right.Predicate)
+		if s.Count < 0 {
+			return fmt.Errorf("engine: restore: stream %q: negative update count %d", name, s.Count)
+		}
+	}
+	carried := make(map[synKey]any, len(slice.Synopses)) // *window.Window or *core.HashSketch
+	for _, s := range slice.Synopses {
+		key := synKey{
+			tenant:        tenant,
+			stream:        s.Stream,
+			predicate:     s.Predicate,
+			windowLen:     s.WindowLen,
+			windowBuckets: s.WindowBuckets,
+			cfg:           s.Config,
+		}
+		if s.WindowLen > 0 {
+			w := new(window.Window)
+			if err := w.UnmarshalBinary(s.Blob); err != nil {
+				return fmt.Errorf("engine: restore: %w", err)
+			}
+			if !w.Fits(s.WindowLen, s.WindowBuckets, s.Config) {
+				return fmt.Errorf("engine: restore: synopsis %+v: window blob has another shape", key)
+			}
+			carried[key] = w
+		} else {
+			sk := new(core.HashSketch)
+			if err := sk.UnmarshalBinary(s.Blob); err != nil {
+				return fmt.Errorf("engine: restore: %w", err)
+			}
+			if sk.Config() != s.Config {
+				return fmt.Errorf("engine: restore: synopsis %+v: sketch blob has config %+v", key, sk.Config())
+			}
+			carried[key] = sk
+		}
+	}
+	for _, q := range slice.Queries {
+		cfg := e.defaults
+		if q.Config != nil {
+			cfg = *q.Config
+		}
+		for _, side := range []sideSnap{q.Left, q.Right} {
+			if side.Predicate != "" {
+				if _, ok := e.predicates[nsKey{tenant, side.Predicate}]; !ok {
+					return fmt.Errorf("engine: restore: predicate %q must be re-registered first", side.Predicate)
+				}
+			}
+			key := synKey{tenant, side.Stream, side.Predicate, side.WindowLen, side.WindowBuckets, cfg}
+			if _, ok := carried[key]; !ok {
+				return fmt.Errorf("engine: restore: query %q: snapshot carries no synopsis %+v", q.Name, key)
 			}
 		}
 	}
 
-	if err := slice.Quota.validate(); err != nil {
-		return fmt.Errorf("engine: restore: tenant %q quota: %w", tenant, err)
-	}
-	if slice.Quota != (Quota{}) {
-		e.tenantLocked(tenant).quota = slice.Quota
-	} else {
-		e.tenantLocked(tenant)
+	if ts := e.tenantLocked(tenant); slice.Quota != (Quota{}) {
+		ts.quota = slice.Quota
 	}
 	for name, s := range slice.Streams {
-		if err := validStreamName(name); err != nil {
-			return fmt.Errorf("engine: restore: %w", err)
-		}
 		e.streams[nsKey{tenant, name}] = &streamInfo{domain: s.Domain, count: s.Count}
 	}
 	// Re-register the queries, rebuilding (empty) shared synopses...
@@ -439,37 +490,15 @@ func (e *Engine) restoreTenantLocked(tenant string, slice tenantSnap) error {
 		}
 	}
 	// ...then overwrite each synopsis' state from its blob.
-	for _, s := range slice.Synopses {
-		key := synKey{
-			tenant:        tenant,
-			stream:        s.Stream,
-			predicate:     s.Predicate,
-			windowLen:     s.WindowLen,
-			windowBuckets: s.WindowBuckets,
-			cfg:           s.Config,
-		}
+	for key, syn := range carried {
 		entry, ok := e.synopses[key]
 		if !ok {
 			return fmt.Errorf("engine: restore: snapshot synopsis %+v matches no restored query side", key)
 		}
-		if entry.win != nil {
-			var w window.Window
-			if err := w.UnmarshalBinary(s.Blob); err != nil {
-				return fmt.Errorf("engine: restore: %w", err)
-			}
-			if !w.Compatible(entry.win) {
-				return fmt.Errorf("engine: restore: synopsis %+v: window blob has another shape", key)
-			}
-			*entry.win = w
+		if w, ok := syn.(*window.Window); ok {
+			*entry.win = *w
 		} else {
-			var sk core.HashSketch
-			if err := sk.UnmarshalBinary(s.Blob); err != nil {
-				return fmt.Errorf("engine: restore: %w", err)
-			}
-			if sk.Config() != s.Config {
-				return fmt.Errorf("engine: restore: synopsis %+v: sketch blob has config %+v", key, sk.Config())
-			}
-			*entry.sketch = sk
+			*entry.sketch = *syn.(*core.HashSketch)
 		}
 	}
 	// ...and re-arm the standing watches with their checkpointed state.

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -11,7 +13,7 @@ import (
 
 // buildLoadedEngine populates an engine with streams, predicates,
 // queries (plain, predicated, windowed) and traffic.
-func buildLoadedEngine(t *testing.T) *Engine {
+func buildLoadedEngine(t testing.TB) *Engine {
 	t.Helper()
 	e := mustEngine(t)
 	tn := e.Tenant(DefaultTenant)
@@ -218,5 +220,63 @@ func TestFailedRestoreKeepsDefaults(t *testing.T) {
 	}
 	if got, want := qs.Left.Config(), defaultOpts().SketchConfig; got != want {
 		t.Fatalf("synopsis config %+v after a failed restore, want the engine default %+v", got, want)
+	}
+}
+
+// buildDeterministicEngine is two queries over four streams, one side
+// windowed, fed a fixed sequence; with a quota on a second tenant it
+// snapshots as version 2, without it as version 1.
+func buildDeterministicEngine(t *testing.T, v2 bool) *Engine {
+	t.Helper()
+	e := mustEngine(t)
+	tn := e.Tenant(DefaultTenant)
+	for _, s := range []string{"A", "B", "C", "D"} {
+		if err := tn.DeclareStream(s, 256); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, spec := range []QuerySpec{
+		{Name: "ab", Agg: Count, Left: Side{Stream: "A"}, Right: Side{Stream: "B"}},
+		{Name: "cd", Agg: Sum, Left: Side{Stream: "C", WindowLen: 40, WindowBuckets: 4}, Right: Side{Stream: "D"}},
+	} {
+		if err := tn.RegisterQuery(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := uint64(0); i < 100; i++ {
+		for j, s := range []string{"A", "B", "C", "D"} {
+			update(t, tn, s, (i*7+uint64(j)*31)%256, int64(j+1))
+		}
+	}
+	if v2 {
+		if err := e.SetQuota("other", Quota{MaxSynopsisWords: 1 << 20}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e
+}
+
+// TestSnapshotBytesDeterministic: the same engine, built 20 times,
+// writes one snapshot, byte for byte, in each version; the digests are
+// pinned so a layout change shows up here.
+func TestSnapshotBytesDeterministic(t *testing.T) {
+	for _, tc := range []struct {
+		v2   bool
+		want string
+	}{
+		{false, "a441ee7386822413c22ee736c55fa7625437144a7468d9bc8bb50584003a207c"},
+		{true, "df1e94cec20ff6775451ee4c282990a7e0a1aafc66e5dd7dc7a86ca0cec827a9"},
+	} {
+		digests := make(map[string]bool)
+		for i := 0; i < 20; i++ {
+			var buf bytes.Buffer
+			if err := buildDeterministicEngine(t, tc.v2).Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			digests[fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))] = true
+		}
+		if len(digests) != 1 || !digests[tc.want] {
+			t.Errorf("v2=%v: %d distinct snapshot digests %v, want only %s", tc.v2, len(digests), digests, tc.want)
+		}
 	}
 }

@@ -72,14 +72,19 @@ func validTenantName(name string) error {
 	return nil
 }
 
-// validStreamName rejects names that would collide in Stats.UpdateCounts,
-// where "tenant/stream" names every non-default tenant's stream.
-func validStreamName(name string) error {
+// validStream rejects a stream DeclareStream or Restore would install
+// but no update could reach: an empty domain, or a name that would
+// collide in Stats.UpdateCounts, where "tenant/stream" names every
+// non-default tenant's stream.
+func validStream(name string, domain uint64) error {
 	if name == "" {
 		return fmt.Errorf("engine: stream name must be non-empty")
 	}
 	if strings.Contains(name, "/") {
 		return fmt.Errorf("engine: stream name %q must not contain '/'", name)
+	}
+	if domain == 0 {
+		return fmt.Errorf("engine: stream %q: domain must be positive", name)
 	}
 	return nil
 }
@@ -189,11 +194,8 @@ func (t *Tenant) DeclareStream(name string, domain uint64) error {
 	if err := validTenantName(t.name); err != nil {
 		return err
 	}
-	if err := validStreamName(name); err != nil {
+	if err := validStream(name, domain); err != nil {
 		return err
-	}
-	if domain == 0 {
-		return fmt.Errorf("engine: stream %q: domain must be positive", name)
 	}
 	e := t.e
 	e.mu.Lock()

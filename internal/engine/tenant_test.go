@@ -496,6 +496,9 @@ func TestWatchHysteresisThroughEngine(t *testing.T) {
 	if err := tn.RegisterWatch(WatchSpec{Query: "nope", High: 1, Low: 0}); err == nil {
 		t.Fatal("watch on unknown query accepted")
 	}
+	if st := e.Stats(); st.Watches != 1 || st.Tenants["ops"].Watches != 1 {
+		t.Fatalf("stats count %d watches (ops %d), want 1", st.Watches, st.Tenants["ops"].Watches)
+	}
 
 	eval := func() bool {
 		t.Helper()

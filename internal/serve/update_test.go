@@ -28,16 +28,9 @@ type testNode struct {
 
 func newTestNode(t *testing.T) *testNode {
 	t.Helper()
-	eng, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 5, Buckets: 64, Seed: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.StartIngest(engine.IngestConfig{Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(eng.StopIngest)
+	n := newEmptyNode(t)
 	for _, tenant := range []string{engine.DefaultTenant, "acme"} {
-		tn := eng.Tenant(tenant)
+		tn := n.eng.Tenant(tenant)
 		for _, name := range []string{"F", "G"} {
 			if err := tn.DeclareStream(name, 1024); err != nil {
 				t.Fatal(err)
@@ -48,6 +41,20 @@ func newTestNode(t *testing.T) *testNode {
 			t.Fatal(err)
 		}
 	}
+	return n
+}
+
+// newEmptyNode is a node whose engine has nothing declared yet.
+func newEmptyNode(t *testing.T) *testNode {
+	t.Helper()
+	eng, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 5, Buckets: 64, Seed: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.StartIngest(engine.IngestConfig{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.StopIngest)
 	return &testNode{eng: eng, srv: serve.New(cluster.NewNode(eng))}
 }
 

@@ -67,22 +67,12 @@ func MustNew(windowLen int64, numBuckets int, cfg core.Config) *Window {
 // stream.Sink. Deletes count as elements for window-position purposes,
 // matching the "sequence of updates" window model.
 func (w *Window) Update(value uint64, weight int64) {
-	w.buckets[w.cur].Update(value, weight)
-	w.curCount++
-	w.total++
-	if w.curCount == w.bucketCap {
-		w.cur = (w.cur + 1) % len(w.buckets)
-		w.buckets[w.cur].Reset() // expire the oldest bucket
-		w.curCount = 0
-		if w.live < len(w.buckets)-1 {
-			w.live++
-		}
-	}
+	w.UpdateBatch([]stream.Update{{Value: value, Weight: weight}})
 }
 
 // UpdateBatch folds a whole batch, splitting it along bucket boundaries
 // so each piece can use the sketch's batched update; rotation and expiry
-// happen exactly where the sequential loop would trigger them.
+// happen exactly where one Update at a time would trigger them.
 func (w *Window) UpdateBatch(batch []stream.Update) {
 	for len(batch) > 0 {
 		n := w.bucketCap - w.curCount
@@ -119,6 +109,12 @@ func (w *Window) Combined() *core.HashSketch {
 
 // Words returns the synopsis size in counter words across buckets.
 func (w *Window) Words() int { return len(w.buckets) * w.cfg.Tables * w.cfg.Buckets }
+
+// Fits reports whether w has the shape New(windowLen, numBuckets, cfg)
+// builds.
+func (w *Window) Fits(windowLen int64, numBuckets int, cfg core.Config) bool {
+	return w.cfg == cfg && len(w.buckets) == numBuckets && w.bucketCap*int64(numBuckets) == windowLen
+}
 
 // Compatible reports whether two windows can be joined.
 func (w *Window) Compatible(o *Window) bool {
