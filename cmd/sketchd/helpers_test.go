@@ -12,7 +12,7 @@ import (
 
 // server is the stack run() builds for the single and shard roles — the
 // HTTP surface over a node backend — for tests that drive a handler
-// directly or reach the node's checkpoint payload.
+// directly or reach the node's checkpoint reader.
 type server struct {
 	*serve.Server
 	node *cluster.Node
@@ -37,21 +37,6 @@ func newServer(eng *engine.Engine) *server {
 	node := cluster.NewNode(eng)
 	return &server{Server: serve.New(node), node: node}
 }
-
-// rangePredicate is the engine predicate a registered [min, max]
-// definition stands for.
-func rangePredicate(min, max uint64) engine.Predicate {
-	return func(v uint64, _ int64) bool { return v >= min && v <= max }
-}
-
-// sketchdCheckpoint is the checkpoint payload's JSON layout, as tests
-// inspect it.
-type sketchdCheckpoint struct {
-	Version    int                  `json:"version"`
-	Predicates []serve.PredicateReq `json:"predicates"`
-}
-
-const sketchdCheckpointVersion = 2
 
 // newListener is an SKSP listener on ln over a fresh node of eng, the
 // node bringing its own dedupe window.

@@ -27,9 +27,9 @@
 // answer never stalls ingestion, and repeated answers with no
 // intervening updates are served from an epoch-keyed cache.
 //
-// With -checkpoint.dir a node's state (and the range predicates needed
-// to restore it) is persisted crash-safely: restored at boot, saved
-// every -checkpoint.interval, and saved once more on shutdown.
+// With -checkpoint.dir a node's state — the engine snapshot, range
+// predicates included — is persisted crash-safely: restored at boot,
+// saved every -checkpoint.interval, and saved once more on shutdown.
 // SIGINT/SIGTERM trigger a graceful exit — stop accepting connections,
 // drain in-flight requests and the ingest pipeline, write the final
 // checkpoint, exit 0 — so `kill -TERM` during active ingestion loses
@@ -263,7 +263,7 @@ func run(ctx context.Context, opts options, out io.Writer) error {
 		loops.Add(1)
 		go func() {
 			defer loops.Done()
-			mgr.Run(loopCtx, opts.checkpointInterval, node.WriteCheckpoint, func(err error) {
+			mgr.Run(loopCtx, opts.checkpointInterval, eng.Snapshot, func(err error) {
 				log.Print("sketchd: periodic checkpoint: ", err)
 			})
 		}()
@@ -320,7 +320,7 @@ func run(ctx context.Context, opts options, out io.Writer) error {
 	// 3. Final checkpoint: the state a restarted sketchd resumes from,
 	// bit-identical to what this process would have answered.
 	if mgr != nil {
-		if err := mgr.Save(node.WriteCheckpoint); err != nil {
+		if err := mgr.Save(eng.Snapshot); err != nil {
 			return fmt.Errorf("final checkpoint: %w", err)
 		}
 		fmt.Fprintf(out, "sketchd final checkpoint written to %s\n", mgr.CurrentPath())

@@ -151,6 +151,10 @@ func TestHTTPErrors(t *testing.T) {
 		{"PUT", "/streams", nil, 405},
 		{"POST", "/predicates", map[string]any{"name": "bad", "min": 9, "max": 1}, 400},
 		{"POST", "/queries", map[string]any{"name": "q", "agg": "AVG"}, 400},
+		// An unknown aggregate over a declared stream registers nothing.
+		{"POST", "/streams", map[string]any{"name": "F", "domain": 8}, 201},
+		{"POST", "/queries", map[string]any{"name": "q", "agg": "MAX", "left": map[string]any{"stream": "F"}, "right": map[string]any{"stream": "F"}}, 400},
+		{"GET", "/answer?query=q", nil, 404},
 		{"POST", "/queries", map[string]any{"name": "q", "left": map[string]any{"stream": "missing"}, "right": map[string]any{"stream": "missing"}}, 400},
 		{"PATCH", "/queries", nil, 405},
 		{"GET", "/queries/x", nil, 405},
@@ -202,17 +206,28 @@ func TestWindowedQueryOverHTTP(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestoreOverHTTP: a /snapshot restores into a fresh
+// server with no /predicates call, since it carries the predicate its
+// query "qp" names, and answers byte-identically. A server holding
+// another range under that name refuses it with 400.
 func TestSnapshotRestoreOverHTTP(t *testing.T) {
 	ts := testServer(t)
 	do(t, "POST", ts.URL+"/streams", map[string]any{"name": "F", "domain": 64})
 	do(t, "POST", ts.URL+"/streams", map[string]any{"name": "G", "domain": 64})
+	do(t, "POST", ts.URL+"/predicates", map[string]any{"name": "low", "min": 0, "max": 31})
 	do(t, "POST", ts.URL+"/queries", map[string]any{
 		"name": "q",
 		"left": map[string]any{"stream": "F"}, "right": map[string]any{"stream": "G"},
 	})
+	do(t, "POST", ts.URL+"/queries", map[string]any{
+		"name": "qp",
+		"left": map[string]any{"stream": "F", "predicate": "low"}, "right": map[string]any{"stream": "G"},
+	})
 	do(t, "POST", ts.URL+"/update", []map[string]any{
 		{"stream": "F", "value": 7, "weight": 6},
 		{"stream": "G", "value": 7, "weight": 5},
+		{"stream": "F", "value": 40, "weight": 2},
+		{"stream": "G", "value": 40, "weight": 3},
 	})
 	// Fetch the snapshot.
 	resp, err := http.Get(ts.URL + "/snapshot")
@@ -234,9 +249,26 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("restore status %d", resp.StatusCode)
 	}
-	_, body := do(t, "GET", ts2.URL+"/answer?query=q", nil)
+	for _, q := range []string{"q", "qp"} {
+		_, want := httpJSON(t, "GET", ts.URL+"/answer?query="+q, "")
+		if _, got := httpJSON(t, "GET", ts2.URL+"/answer?query="+q, ""); got != want {
+			t.Fatalf("query %s: restored answer %s, want %s", q, got, want)
+		}
+	}
+	// "low" keeps F's value 40 out of qp: 6*5, where q counts 6*5 + 2*3.
+	_, body := do(t, "GET", ts2.URL+"/answer?query=qp", nil)
 	if est := body["estimate"].(float64); est != 30 {
 		t.Fatalf("restored estimate = %v, want 30", est)
+	}
+	conflicting := testServer(t)
+	do(t, "POST", conflicting.URL+"/predicates", map[string]any{"name": "low", "min": 0, "max": 7})
+	resp, err = http.Post(conflicting.URL+"/restore", "application/json", bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("restore over a conflicting predicate: status %d, want 400", resp.StatusCode)
 	}
 	// Restore into a non-empty server fails.
 	if code, _ := do(t, "POST", ts2.URL+"/restore", map[string]any{"version": 1}); code != 400 {

@@ -343,8 +343,8 @@ func readAll(t *testing.T, resp *http.Response) ([]byte, int) {
 // contract at the sketchd layer: a version-1 checkpoint payload —
 // tenant-free predicates and a version-1 engine snapshot — restores
 // into the default tenant and answers bit-identically, and the restored
-// server's next checkpoint is a version-2 document carrying the same
-// state.
+// server's next checkpoint, a version-1 engine snapshot, carries the
+// predicate itself.
 func TestCheckpointV1RestoresIntoDefault(t *testing.T) {
 	mk := func() (*server, *engine.Engine) {
 		eng := newEngine(t, core.Config{Tables: 5, Buckets: 128, Seed: 9}, engine.IngestConfig{Workers: 2})
@@ -352,7 +352,7 @@ func TestCheckpointV1RestoresIntoDefault(t *testing.T) {
 	}
 	_, srcEng := mk()
 	src := srcEng.Tenant(engine.DefaultTenant)
-	if err := src.RegisterPredicate("low", rangePredicate(0, 31)); err != nil {
+	if err := src.RegisterPredicate("low", engine.Predicate{Min: 0, Max: 31}); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []string{"F", "G"} {
@@ -384,8 +384,18 @@ func TestCheckpointV1RestoresIntoDefault(t *testing.T) {
 		t.Fatalf("fixture is not a v1 engine snapshot: %.80s", engSnap.Bytes())
 	}
 	// Assemble the payload exactly as a pre-tenant sketchd wrote it:
-	// version 1, predicates without tenant fields.
-	v1 := fmt.Sprintf(`{"version":1,"predicates":[{"name":"low","min":0,"max":31}],"engine":%s}`, engSnap.Bytes())
+	// version 1, predicates without tenant fields, and an engine snapshot
+	// that does not carry them.
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(engSnap.Bytes(), &fields); err != nil {
+		t.Fatal(err)
+	}
+	delete(fields, "predicates")
+	oldSnap, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := fmt.Sprintf(`{"version":1,"predicates":[{"name":"low","min":0,"max":31}],"engine":%s}`, oldSnap)
 
 	dstSrv, dstEng := mk()
 	if err := dstSrv.node.ReadCheckpoint(strings.NewReader(v1)); err != nil {
@@ -406,20 +416,20 @@ func TestCheckpointV1RestoresIntoDefault(t *testing.T) {
 	if tenants := dstEng.Stats().Tenants; len(tenants) != 1 || tenants[engine.DefaultTenant].Tenant != engine.DefaultTenant {
 		t.Fatalf("v1 restore created tenants %v", tenants)
 	}
-	// And the restored server re-checkpoints as version 2 with the same
-	// predicate, default-tenant spelled canonically (no tenant field).
+	// And the restored server re-checkpoints as the engine snapshot
+	// sketchd saves, with the predicate in it.
 	var buf2 bytes.Buffer
-	if err := dstSrv.node.WriteCheckpoint(&buf2); err != nil {
+	if err := dstEng.Snapshot(&buf2); err != nil {
 		t.Fatal(err)
 	}
-	var cp sketchdCheckpoint
+	var cp struct {
+		Version    int                         `json:"version"`
+		Predicates map[string]engine.Predicate `json:"predicates"`
+	}
 	if err := json.Unmarshal(buf2.Bytes(), &cp); err != nil {
 		t.Fatal(err)
 	}
-	if cp.Version != sketchdCheckpointVersion {
-		t.Fatalf("re-checkpoint version %d", cp.Version)
-	}
-	if len(cp.Predicates) != 1 || cp.Predicates[0].Tenant != "" || cp.Predicates[0].Name != "low" {
-		t.Fatalf("re-checkpoint predicates: %+v", cp.Predicates)
+	if cp.Version != 1 || len(cp.Predicates) != 1 || cp.Predicates["low"] != (engine.Predicate{Min: 0, Max: 31}) {
+		t.Fatalf("re-checkpoint version %d, predicates %+v", cp.Version, cp.Predicates)
 	}
 }

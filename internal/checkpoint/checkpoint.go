@@ -127,11 +127,11 @@ func (m *Manager) CurrentPath() string { return filepath.Join(m.dir, CurrentName
 // PreviousPath returns the path of the previous checkpoint slot.
 func (m *Manager) PreviousPath() string { return filepath.Join(m.dir, PreviousName) }
 
-// Save captures one checkpoint: write produces the payload (for the
-// engine, Engine.Snapshot or the server's checkpoint envelope), which is
-// buffered, wrapped in the SKCP envelope, written to a temporary file,
-// fsynced, and rotated into place. The prior current checkpoint survives
-// in the previous slot until the next Save.
+// Save captures one checkpoint: write produces the payload (sketchd
+// passes Engine.Snapshot), which is buffered, wrapped in the SKCP
+// envelope, written to a temporary file, fsynced, and rotated into
+// place. The prior current checkpoint survives in the previous slot
+// until the next Save.
 func (m *Manager) Save(write func(io.Writer) error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

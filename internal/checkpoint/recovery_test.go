@@ -44,7 +44,7 @@ func buildEngine(t *testing.T, seed uint64) *engine.Engine {
 	if err := tn.DeclareStream("G", 1024); err != nil {
 		t.Fatal(err)
 	}
-	if err := tn.RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
+	if err := tn.RegisterPredicate("low", engine.Predicate{Max: 511}); err != nil {
 		t.Fatal(err)
 	}
 	queries := []engine.QuerySpec{
@@ -122,15 +122,10 @@ func TestRecoveryBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// "Crash": a fresh engine restores the checkpoint. Predicates are
-		// functions and must be re-registered first, which buildEngine
-		// would do — but the restored engine must be empty, so rebuild by
-		// hand.
+		// "Crash": a fresh engine restores the checkpoint, predicates
+		// included.
 		recovered, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 5, Buckets: 256, Seed: seed}})
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := recovered.Tenant(engine.DefaultTenant).RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
 			t.Fatal(err)
 		}
 		path, err := m.Load(func(r io.Reader) error { return recovered.Restore(r) })
@@ -177,9 +172,6 @@ func TestRecoveryThroughConcurrentPipeline(t *testing.T) {
 
 	recovered, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 5, Buckets: 256, Seed: seed}})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := recovered.Tenant(engine.DefaultTenant).RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Load(func(r io.Reader) error { return recovered.Restore(r) }); err != nil {
@@ -232,9 +224,6 @@ func TestTornCheckpointFallsBackToPreviousState(t *testing.T) {
 
 	recovered, err := engine.New(engine.Options{SketchConfig: core.Config{Tables: 5, Buckets: 256, Seed: seed}})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := recovered.Tenant(engine.DefaultTenant).RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
 		t.Fatal(err)
 	}
 	path, err := m.Load(func(r io.Reader) error { return recovered.Restore(r) })

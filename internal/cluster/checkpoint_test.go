@@ -5,8 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"strings"
-	"sync"
 	"testing"
 
 	"skimsketch/internal/engine"
@@ -46,65 +44,102 @@ func predicateNode(t *testing.T) *Node {
 	return n
 }
 
-// TestNodeCheckpointRoundTripsTenantPredicates: a checkpoint carries each
-// predicate under its own tenant, with the default tenant spelled "", and
-// restores both tenants' answers into a fresh node.
+// editJSON decodes doc, lets edit change it, and encodes it again.
+// Numbers stay json.Numbers, so no integer is rounded through a float.
+func editJSON(t *testing.T, doc []byte, edit func(map[string]any)) []byte {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(doc))
+	dec.UseNumber()
+	var v map[string]any
+	if err := dec.Decode(&v); err != nil {
+		t.Fatal(err)
+	}
+	edit(v)
+	out, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// snapshotOf is n's engine snapshot: the checkpoint payload sketchd
+// saves.
+func snapshotOf(t *testing.T, n *Node) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := n.eng.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// legacyV2Payload assembles predicateNode's checkpoint as nodes wrote
+// it before engine snapshots carried predicates: version 2, predicates
+// with tenant fields and the default tenant spelled "", and a two-tenant
+// engine snapshot without them.
+func legacyV2Payload(t *testing.T, n *Node) []byte {
+	t.Helper()
+	eng := editJSON(t, snapshotOf(t, n), func(snap map[string]any) {
+		for _, slice := range snap["tenants"].(map[string]any) {
+			delete(slice.(map[string]any), "predicates")
+		}
+	})
+	return fmt.Appendf(nil, `{"version":2,"predicates":[{"name":"low","min":0,"max":31},`+
+		`{"tenant":"acme","name":"low","min":0,"max":31}],"engine":%s}`, eng)
+}
+
+// TestNodeCheckpointRoundTripsTenantPredicates: the engine snapshot
+// sketchd checkpoints, and the legacy version-2 payload, each restore
+// both tenants' answers into a fresh node bit-identically.
 func TestNodeCheckpointRoundTripsTenantPredicates(t *testing.T) {
 	src := predicateNode(t)
-	var buf bytes.Buffer
-	if err := src.WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var cp checkpointPayload
-	if err := json.Unmarshal(buf.Bytes(), &cp); err != nil {
-		t.Fatal(err)
-	}
-	if len(cp.Predicates) != 2 || cp.Predicates[0].Tenant != "" || cp.Predicates[1].Tenant != "acme" {
-		t.Fatalf("checkpoint predicates %+v, want low in \"\" and in acme", cp.Predicates)
-	}
-	dst := NewNode(newTestEngine(t))
-	if err := dst.ReadCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, tenant := range []string{engine.DefaultTenant, "acme"} {
-		want, err := src.eng.Tenant(tenant).Answer("q")
-		if err != nil {
-			t.Fatal(err)
+	for name, payload := range map[string][]byte{
+		"engine snapshot": snapshotOf(t, src),
+		"legacy v2":       legacyV2Payload(t, src),
+	} {
+		dst := NewNode(newTestEngine(t))
+		if err := dst.ReadCheckpoint(bytes.NewReader(payload)); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		got, err := dst.eng.Tenant(tenant).Answer("q")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("%s: restored answer %+v, want %+v", tenant, got, want)
+		for _, tenant := range []string{engine.DefaultTenant, "acme"} {
+			want, err := src.eng.Tenant(tenant).Answer("q")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := dst.eng.Tenant(tenant).Answer("q")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%s, %s: restored answer %+v, want %+v", name, tenant, got, want)
+			}
 		}
 	}
 }
 
-// TestNodeReadCheckpointRefusals: a payload of an unknown version, one
-// whose predicate definition the node refuses, or one that does not
-// decode, is an error even when its engine snapshot would restore, and
-// leaves the engine empty.
+// TestNodeReadCheckpointRefusals: a legacy payload of an unknown
+// version, one whose predicate definition the node refuses, or one that
+// does not decode, is an error even when its engine snapshot would
+// restore, and leaves the engine empty. A refused engine snapshot also
+// leaves no predicate registered, not even one of a tenant slice that
+// restored before the failing one.
 func TestNodeReadCheckpointRefusals(t *testing.T) {
-	var good bytes.Buffer
-	if err := predicateNode(t).WriteCheckpoint(&good); err != nil {
-		t.Fatal(err)
-	}
-	for name, edit := range map[string]func(*checkpointPayload){
-		"version 99": func(cp *checkpointPayload) { cp.Version = 99 },
-		"max below min": func(cp *checkpointPayload) {
-			cp.Predicates = append(cp.Predicates, serve.PredicateReq{Name: "bad", Min: 9, Max: 1})
-		},
+	src := predicateNode(t)
+	legacy := legacyV2Payload(t, src)
+	for name, bad := range map[string][]byte{
+		"version 99": editJSON(t, legacy, func(cp map[string]any) { cp["version"] = 99 }),
+		"max below min": editJSON(t, legacy, func(cp map[string]any) {
+			cp["predicates"] = append(cp["predicates"].([]any), map[string]any{"name": "bad", "min": 9, "max": 1})
+		}),
+		// The engine snapshot here carries its predicates, so it would
+		// restore if the decoder skipped the mistyped field.
+		"predicates not a list": fmt.Appendf(nil, `{"version":2,"predicates":"low","engine":%s}`, snapshotOf(t, src)),
+		// Tenants restore in name order: "acme" before "default".
+		"engine snapshot": editJSON(t, snapshotOf(t, src), func(snap map[string]any) {
+			def := snap["tenants"].(map[string]any)[engine.DefaultTenant].(map[string]any)
+			def["streams"].(map[string]any)["F"].(map[string]any)["domain"] = 0
+		}),
 	} {
-		var cp checkpointPayload
-		if err := json.Unmarshal(good.Bytes(), &cp); err != nil {
-			t.Fatal(err)
-		}
-		edit(&cp)
-		bad, err := json.Marshal(&cp)
-		if err != nil {
-			t.Fatal(err)
-		}
 		n := NewNode(newTestEngine(t))
 		if err := n.ReadCheckpoint(bytes.NewReader(bad)); err == nil {
 			t.Errorf("%s: ReadCheckpoint accepted the payload", name)
@@ -112,91 +147,13 @@ func TestNodeReadCheckpointRefusals(t *testing.T) {
 		if st := n.eng.Stats(); st.Streams != 0 {
 			t.Errorf("%s: refused checkpoint left %d streams", name, st.Streams)
 		}
-	}
-	// A field of the wrong type fails the decode even though the
-	// decoder fills in the fields around it, here an engine snapshot
-	// that needs no predicate.
-	plain := NewNode(newTestEngine(t))
-	if err := plain.eng.Tenant(engine.DefaultTenant).DeclareStream("F", 64); err != nil {
-		t.Fatal(err)
-	}
-	good.Reset()
-	if err := plain.WriteCheckpoint(&good); err != nil {
-		t.Fatal(err)
-	}
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(good.Bytes(), &raw); err != nil {
-		t.Fatal(err)
-	}
-	raw["predicates"] = json.RawMessage(`"low"`)
-	bad, err := json.Marshal(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := NewNode(newTestEngine(t))
-	if err := n.ReadCheckpoint(bytes.NewReader(bad)); err == nil || n.eng.Stats().Streams != 0 {
-		t.Fatalf("checkpoint with a string for predicates: err %v, %d streams", err, n.eng.Stats().Streams)
-	}
-}
-
-// TestNodeRegisterPredicateRecordsOnlyWhatItRegisters: re-registering an
-// identical definition is a no-op, a conflicting one is refused naming
-// the registered range, and a name the engine already holds is refused
-// without being recorded for the checkpoint.
-func TestNodeRegisterPredicateRecordsOnlyWhatItRegisters(t *testing.T) {
-	n := NewNode(newTestEngine(t))
-	ctx := context.Background()
-	low := serve.PredicateReq{Name: "low", Min: 0, Max: 31}
-	for i := 0; i < 2; i++ {
-		if err := n.RegisterPredicate(ctx, engine.DefaultTenant, low); err != nil {
-			t.Fatalf("registration %d: %v", i+1, err)
+		if name != "engine snapshot" {
+			continue // a legacy payload registers its predicates first
 		}
-	}
-	if err := n.RegisterPredicate(ctx, engine.DefaultTenant, serve.PredicateReq{Name: "low", Min: 0, Max: 7}); err == nil ||
-		!strings.Contains(err.Error(), "[0,31]") {
-		t.Fatalf("conflicting definition: %v, want a refusal naming [0,31]", err)
-	}
-	if err := n.eng.Tenant(engine.DefaultTenant).RegisterPredicate("direct", func(uint64, int64) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.RegisterPredicate(ctx, engine.DefaultTenant, serve.PredicateReq{Name: "direct", Min: 1, Max: 2}); err == nil {
-		t.Fatal("node registered a name the engine already holds")
-	}
-	var buf bytes.Buffer
-	if err := n.WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var cp checkpointPayload
-	if err := json.Unmarshal(buf.Bytes(), &cp); err != nil {
-		t.Fatal(err)
-	}
-	if len(cp.Predicates) != 1 || cp.Predicates[0] != low {
-		t.Fatalf("checkpoint predicates %+v, want only %+v", cp.Predicates, low)
-	}
-}
-
-// TestNodeCheckpointWhileRegistering: checkpoints written while
-// predicates are being registered read the definitions under the lock
-// (the race detector checks).
-func TestNodeCheckpointWhileRegistering(t *testing.T) {
-	n := NewNode(newTestEngine(t))
-	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				def := serve.PredicateReq{Name: fmt.Sprintf("p%d-%d", g, i), Max: uint64(i)}
-				if err := n.RegisterPredicate(context.Background(), engine.DefaultTenant, def); err != nil {
-					t.Error(err)
-				}
+		for _, tenant := range []string{engine.DefaultTenant, "acme"} {
+			if err := n.RegisterPredicate(context.Background(), tenant, serve.PredicateReq{Name: "low", Max: 7}); err != nil {
+				t.Errorf("%s: refused checkpoint left a predicate in %s: %v", name, tenant, err)
 			}
-		}()
-	}
-	for i := 0; i < 20; i++ {
-		if err := n.WriteCheckpoint(new(bytes.Buffer)); err != nil {
-			t.Fatal(err)
 		}
 	}
-	wg.Wait()
 }

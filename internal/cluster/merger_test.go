@@ -339,7 +339,7 @@ func (tc *testCluster) answer(t *testing.T, wantStatus int) answerResp {
 
 // referenceEngine ingests the same batch into one engine's default
 // tenant — the single-node ground truth the cluster answer must match
-// bit-for-bit.
+// bit-for-bit. Beside q it holds s, SUM over the same sides.
 func referenceEngine(t *testing.T, batch []testUpdate) *engine.Tenant {
 	t.Helper()
 	tn := newTestEngine(t).Tenant(engine.DefaultTenant)
@@ -349,10 +349,13 @@ func referenceEngine(t *testing.T, batch []testUpdate) *engine.Tenant {
 	if err := tn.DeclareStream("G", 1024); err != nil {
 		t.Fatal(err)
 	}
-	err := tn.RegisterQuery(engine.QuerySpec{Name: "q", Agg: engine.Count,
-		Left: engine.Side{Stream: "F"}, Right: engine.Side{Stream: "G"}})
-	if err != nil {
-		t.Fatal(err)
+	for _, spec := range []engine.QuerySpec{
+		{Name: "q", Agg: engine.Count, Left: engine.Side{Stream: "F"}, Right: engine.Side{Stream: "G"}},
+		{Name: "s", Agg: engine.Sum, Left: engine.Side{Stream: "F"}, Right: engine.Side{Stream: "G"}},
+	} {
+		if err := tn.RegisterQuery(spec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, u := range batch {
 		weight := int64(1)
@@ -587,8 +590,8 @@ func TestDeriveKey(t *testing.T) {
 // three real nodes with a wire session: frames are hash-routed to the
 // shards over HTTP, a REJECTed frame is resent as is and converges to
 // exactly-once through the nodes' dedupe of the derived per-shard keys,
-// and the final cluster answer matches the single-node reference
-// bit-for-bit.
+// and the final cluster answers match the single-node reference
+// bit-for-bit, naming the same aggregate.
 func TestStreamForwarderEndToEnd(t *testing.T) {
 	// One shard refuses its first /update: the session must see a
 	// REJECT for the whole frame, after the other shards applied their
@@ -609,6 +612,10 @@ func TestStreamForwarderEndToEnd(t *testing.T) {
 	})
 	m := newRealMerger(t, cfg)
 	declareFG(t, m, 1024)
+	sum := serve.QueryReq{Name: "s", Agg: "SUM", Left: serve.SideReq{Stream: "F"}, Right: serve.SideReq{Stream: "G"}}
+	if err := m.RegisterQuery(context.Background(), engine.DefaultTenant, sum); err != nil {
+		t.Fatal(err)
+	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -651,16 +658,21 @@ func TestStreamForwarderEndToEnd(t *testing.T) {
 	}
 
 	ref := referenceEngine(t, batch)
-	want, err := ref.Answer("q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.Answer(context.Background(), engine.DefaultTenant, "q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Estimate != want.Estimate {
-		t.Fatalf("SKSP-ingested cluster estimate %d != reference %d (replay double-applied?)", got.Estimate, want.Estimate)
+	for _, q := range []string{"q", "s"} {
+		want, err := ref.Answer(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.Answer(context.Background(), engine.DefaultTenant, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Estimate != want.Estimate {
+			t.Fatalf("%s: SKSP-ingested cluster estimate %d != reference %d (replay double-applied?)", q, got.Estimate, want.Estimate)
+		}
+		if got.Agg != want.Agg.String() {
+			t.Fatalf("%s: cluster answers aggregate %s, a node %s", q, got.Agg, want.Agg)
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 
 	"skimsketch/internal/engine"
 	"skimsketch/internal/monitor"
@@ -20,19 +19,14 @@ import (
 )
 
 // Node is the serving backend over one in-process engine: the single
-// and shard roles. Beyond the engine it keeps two things the engine
+// and shard roles. Beyond the engine it keeps one thing the engine
 // cannot: the (clientID, seq) dedupe window shared by HTTP
-// Idempotency-Keys and SKSP frames, and the wire definitions of range
-// predicates, which the engine holds only as opaque functions — so a
-// node checkpoint can re-register them before restoring.
+// Idempotency-Keys and SKSP frames.
 type Node struct {
 	eng *engine.Engine
 	// dedupe answers a replayed (clientID, seq) — a client that lost a
 	// response retries under the same identity — without re-applying.
 	dedupe *wire.Window
-
-	predMu sync.Mutex
-	preds  []serve.PredicateReq // Tenant "" is the default tenant
 }
 
 // NewNode wraps eng. The caller owns eng's lifecycle: restore a
@@ -51,34 +45,8 @@ func (n *Node) Streams(_ context.Context, tenant string) ([]string, error) {
 	return n.eng.Tenant(tenant).Streams(), nil
 }
 
-// RegisterPredicate registers a [Min, Max] value-range predicate and
-// records its definition for checkpointing. Re-registering an identical
-// definition is a no-op, so checkpoint restore is idempotent; a
-// conflicting one under an existing (tenant, name) is an error.
 func (n *Node) RegisterPredicate(_ context.Context, tenant string, def serve.PredicateReq) error {
-	if def.Max < def.Min {
-		return fmt.Errorf("max %d below min %d", def.Max, def.Min)
-	}
-	def.Tenant = tenant
-	if tenant == engine.DefaultTenant {
-		def.Tenant = "" // canonical spelling, so dedup and checkpoints agree
-	}
-	n.predMu.Lock()
-	defer n.predMu.Unlock()
-	for _, p := range n.preds {
-		if p.Name == def.Name && p.Tenant == def.Tenant {
-			if p == def {
-				return nil
-			}
-			return fmt.Errorf("predicate %q already registered with range [%d,%d]", p.Name, p.Min, p.Max)
-		}
-	}
-	lo, hi := def.Min, def.Max
-	if err := n.eng.Tenant(tenant).RegisterPredicate(def.Name, func(v uint64, _ int64) bool { return v >= lo && v <= hi }); err != nil {
-		return err
-	}
-	n.preds = append(n.preds, def)
-	return nil
+	return n.eng.Tenant(tenant).RegisterPredicate(def.Name, engine.Predicate{Min: def.Min, Max: def.Max})
 }
 
 func (n *Node) RegisterQuery(_ context.Context, tenant string, req serve.QueryReq) error {
@@ -295,9 +263,7 @@ func (n *Node) Snapshot(_ context.Context, tenant string, w io.Writer) error {
 }
 
 // Restore loads a snapshot into the empty engine, or a single-tenant
-// snapshot into one empty tenant. Range predicates registered via
-// /predicates must be registered before restoring a snapshot that
-// references them.
+// snapshot into one empty tenant.
 func (n *Node) Restore(_ context.Context, tenant string, r io.Reader) error {
 	if tenant != "" {
 		return n.eng.Tenant(tenant).Restore(r)
@@ -305,51 +271,36 @@ func (n *Node) Restore(_ context.Context, tenant string, r io.Reader) error {
 	return n.eng.Restore(r)
 }
 
-// checkpointPayload is what a node stores inside the SKCP checkpoint
-// envelope (internal/checkpoint): the predicate definitions plus the
-// engine's own JSON snapshot. Carrying the predicates makes the
-// checkpoint self-contained — Engine.Restore requires every predicate a
-// snapshot names to be registered first, which a bare engine snapshot
-// cannot do across a restart.
-//
-// Version 2 scopes each predicate to its tenant and may carry a
-// multi-tenant engine snapshot. Version 1 payloads, written before
-// tenants existed, decode with every predicate in the default tenant,
-// and their engine snapshot restores into the default tenant
-// bit-identically.
-type checkpointPayload struct {
+// legacyCheckpoint is the checkpoint payload nodes wrote before engine
+// snapshots carried predicates: the range predicates, then the engine
+// snapshot, which needs them registered first. Version 1 predicates have
+// no tenant; version 2 spells the default tenant "". Nodes read this
+// layout but write the bare engine snapshot.
+type legacyCheckpoint struct {
 	Version    int                  `json:"version"`
-	Predicates []serve.PredicateReq `json:"predicates,omitempty"`
+	Predicates []serve.PredicateReq `json:"predicates"`
 	Engine     json.RawMessage      `json:"engine"`
 }
 
-const checkpointVersion = 2
-
-// WriteCheckpoint produces the node's checkpoint payload, for
-// checkpoint.Manager.Save to wrap in the SKCP envelope.
-func (n *Node) WriteCheckpoint(w io.Writer) error {
-	var engBuf bytes.Buffer
-	if err := n.eng.Snapshot(&engBuf); err != nil {
-		return err
-	}
-	n.predMu.Lock()
-	preds := append([]serve.PredicateReq(nil), n.preds...)
-	n.predMu.Unlock()
-	return json.NewEncoder(w).Encode(&checkpointPayload{
-		Version:    checkpointVersion,
-		Predicates: preds,
-		Engine:     engBuf.Bytes(),
-	})
-}
-
-// ReadCheckpoint restores a checkpoint payload (version 1 or 2) into
-// the empty engine: predicates first, then the engine snapshot.
+// ReadCheckpoint restores a checkpoint payload into the empty engine:
+// an engine snapshot (Engine.Snapshot), or a legacy payload, told apart
+// by its "engine" key.
 func (n *Node) ReadCheckpoint(r io.Reader) error {
-	var cp checkpointPayload
-	if err := json.NewDecoder(r).Decode(&cp); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("read checkpoint: %w", err)
+	}
+	// An engine snapshot's predicates are a map, which fails this decode
+	// but leaves Engine nil: json.Unmarshal fills every field it can.
+	var cp legacyCheckpoint
+	err = json.Unmarshal(data, &cp)
+	if cp.Engine == nil {
+		return n.eng.Restore(bytes.NewReader(data))
+	}
+	if err != nil {
 		return fmt.Errorf("decode checkpoint: %w", err)
 	}
-	if cp.Version != 1 && cp.Version != checkpointVersion {
+	if cp.Version != 1 && cp.Version != 2 {
 		return fmt.Errorf("unsupported sketchd checkpoint version %d", cp.Version)
 	}
 	for _, def := range cp.Predicates {

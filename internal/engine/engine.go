@@ -65,8 +65,13 @@ func (a Aggregate) String() string {
 	}
 }
 
-// Predicate filters stream elements before they reach a synopsis.
-type Predicate func(value uint64, weight int64) bool
+// Predicate is a selection predicate: a query side over it sketches
+// only the stream elements whose value lies in [Min, Max]. Being data,
+// not code, it travels in snapshots with the queries that name it.
+type Predicate struct {
+	Min uint64 `json:"min"`
+	Max uint64 `json:"max"`
+}
 
 // Side describes one input of a join query.
 type Side struct {
@@ -193,7 +198,7 @@ type synEntry struct {
 	key  synKey
 	id   int // creation-order identity; shard = id mod workers
 	refs int
-	pred Predicate // nil means accept all
+	pred *Predicate // nil means accept all
 	// allocWords is the synopsis' word footprint at creation, charged
 	// against (and refunded to) its tenant's memory quota.
 	allocWords int
@@ -214,10 +219,10 @@ type synEntry struct {
 // calling shard worker owns, which is returned for reuse.
 func (e *synEntry) updateBatch(batch, scratch []stream.Update) []stream.Update {
 	e.epoch += uint64(len(batch))
-	if e.pred != nil {
+	if p := e.pred; p != nil {
 		scratch = scratch[:0]
 		for _, u := range batch {
-			if e.pred(u.Value, u.Weight) {
+			if u.Value >= p.Min && u.Value <= p.Max {
 				scratch = append(scratch, u)
 			}
 		}
@@ -332,13 +337,13 @@ func (e *Engine) sideDomain(tenant string, s Side) (uint64, error) {
 // charging a fresh one against the tenant's memory quota. Callers hold
 // e.mu.
 func (e *Engine) acquireSynopsis(tenant string, s Side, cfg core.Config) (*synEntry, error) {
-	var pred Predicate
+	var pred *Predicate
 	if s.Predicate != "" {
 		p, ok := e.predicates[nsKey{tenant, s.Predicate}]
 		if !ok {
 			return nil, fmt.Errorf("unknown predicate %q", s.Predicate)
 		}
-		pred = p
+		pred = &p
 	}
 	key := synKey{
 		tenant:        tenant,

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -79,15 +80,33 @@ func TestDeclareStreamValidation(t *testing.T) {
 
 func TestRegisterPredicateValidation(t *testing.T) {
 	tn := mustEngine(t).Tenant(DefaultTenant)
-	if err := tn.RegisterPredicate("", nil); err == nil {
-		t.Fatal("expected error for empty predicate")
+	if err := tn.RegisterPredicate("", Predicate{}); err == nil {
+		t.Fatal("expected error for an empty predicate name")
 	}
-	p := func(v uint64, w int64) bool { return true }
-	if err := tn.RegisterPredicate("p", p); err != nil {
-		t.Fatal(err)
+	if err := tn.RegisterPredicate("p", Predicate{Min: 9, Max: 1}); err == nil {
+		t.Fatal("expected error for max below min")
 	}
-	if err := tn.RegisterPredicate("p", p); err == nil {
-		t.Fatal("expected duplicate-predicate error")
+}
+
+// TestRegisterPredicateIdenticalOrConflicting: re-registering the same
+// range is a no-op, and another range under the name is refused naming
+// the registered one, which stays in force.
+func TestRegisterPredicateIdenticalOrConflicting(t *testing.T) {
+	e := mustEngine(t)
+	tn := e.Tenant(DefaultTenant)
+	for i := 0; i < 2; i++ {
+		if err := tn.RegisterPredicate("low", Predicate{Max: 31}); err != nil {
+			t.Fatalf("registration %d: %v", i+1, err)
+		}
+	}
+	if err := tn.RegisterPredicate("low", Predicate{Max: 7}); err == nil || !strings.Contains(err.Error(), "[0,31]") {
+		t.Fatalf("conflicting range: %v, want a refusal naming [0,31]", err)
+	}
+	e.mu.Lock()
+	got := e.predicates[nsKey{DefaultTenant, "low"}]
+	e.mu.Unlock()
+	if got != (Predicate{Max: 31}) {
+		t.Fatalf("registered range %+v after the refusal, want [0,31]", got)
 	}
 }
 
@@ -199,11 +218,11 @@ func TestPredicatePushdown(t *testing.T) {
 	tn := mustEngine(t).Tenant(DefaultTenant)
 	tn.DeclareStream("F", 64)
 	tn.DeclareStream("G", 64)
-	tn.RegisterPredicate("even", func(v uint64, w int64) bool { return v%2 == 0 })
+	tn.RegisterPredicate("upTo2", Predicate{Max: 2})
 	tn.RegisterQuery(QuerySpec{Name: "q", Agg: Count,
-		Left:  Side{Stream: "F", Predicate: "even"},
+		Left:  Side{Stream: "F", Predicate: "upTo2"},
 		Right: Side{Stream: "G"}})
-	// Odd F values must be dropped before sketching.
+	// F values above the range must be dropped before sketching.
 	update(t, tn, "F", 2, 10)
 	update(t, tn, "F", 3, 10)
 	update(t, tn, "G", 2, 4)
@@ -213,7 +232,7 @@ func TestPredicatePushdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ans.Estimate != 40 {
-		t.Fatalf("estimate = %d, want 40 (only even values join)", ans.Estimate)
+		t.Fatalf("estimate = %d, want 40 (only values in range join)", ans.Estimate)
 	}
 }
 

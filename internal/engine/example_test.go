@@ -72,7 +72,7 @@ func ExampleEngine_multiquery() {
 	must(tn.DeclareStream("impressionsB", domain))
 	must(tn.DeclareStream("clicks", domain))
 	// "premium" users live in the low id range in this toy schema.
-	must(tn.RegisterPredicate("premium", func(v uint64, _ int64) bool { return v < 2048 }))
+	must(tn.RegisterPredicate("premium", engine.Predicate{Max: 2047}))
 	query := func(name string, left, right engine.Side) {
 		must(tn.RegisterQuery(engine.QuerySpec{Name: name, Agg: engine.Count, Left: left, Right: right}))
 	}

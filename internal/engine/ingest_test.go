@@ -14,8 +14,9 @@ import (
 	"skimsketch/internal/workload"
 )
 
-// small is the predicate ingestTestEngine registers for query "qp".
-func small(v uint64, _ int64) bool { return v < 512 }
+// small is the model of the predicate ingestTestEngine registers for
+// query "qp", [0, 511].
+func small(v uint64) bool { return v < 512 }
 
 // ingestTestEngine builds an engine with streams F and G, a plain COUNT
 // query, a predicated query and a windowed query, so batches exercise
@@ -30,7 +31,7 @@ func ingestTestEngine(t *testing.T, cfg IngestConfig) *Engine {
 	if err := tn.DeclareStream("G", 1024); err != nil {
 		t.Fatal(err)
 	}
-	if err := tn.RegisterPredicate("small", small); err != nil {
+	if err := tn.RegisterPredicate("small", Predicate{Max: 511}); err != nil {
 		t.Fatal(err)
 	}
 	for _, spec := range []QuerySpec{
@@ -60,11 +61,11 @@ func ingestWorkload(t *testing.T, n int) (fs, gs []stream.Update) {
 }
 
 // modelBlob is the reference a served synopsis must match byte for
-// byte: the updates folded one at a time, in order, through pred (nil
+// byte: the updates folded one at a time, in order, through keep (nil
 // accepts all) into a fresh synopsis with the engine's seeds — a
 // core.HashSketch, or for a windowed side a window rolled up by
 // Combined, as QuerySketches serves it.
-func modelBlob(t *testing.T, side Side, pred Predicate, updates []stream.Update) string {
+func modelBlob(t *testing.T, side Side, keep func(v uint64) bool, updates []stream.Update) string {
 	t.Helper()
 	cfg := defaultOpts().SketchConfig
 	var fold func(v uint64, w int64)
@@ -83,7 +84,7 @@ func modelBlob(t *testing.T, side Side, pred Predicate, updates []stream.Update)
 		fold, served = sk.Update, func() *core.HashSketch { return sk }
 	}
 	for _, u := range updates {
-		if pred == nil || pred(u.Value, u.Weight) {
+		if keep == nil || keep(u.Value) {
 			fold(u.Value, u.Weight)
 		}
 	}
@@ -263,7 +264,7 @@ func TestSnapshotNeverTorn(t *testing.T) {
 	if err := tn.DeclareStream("F", 16); err != nil {
 		t.Fatal(err)
 	}
-	if err := tn.RegisterPredicate("all", func(uint64, int64) bool { return true }); err != nil {
+	if err := tn.RegisterPredicate("all", Predicate{Max: 15}); err != nil {
 		t.Fatal(err)
 	}
 	for _, spec := range []QuerySpec{

@@ -221,10 +221,9 @@ func TestRestartIngestAfterStop(t *testing.T) {
 	}
 }
 
-// TestIngestSaturated drives the pipeline into saturation with a gated
-// predicate: the worker blocks mid-apply, a second batch fills the
-// depth-1 queue, and the probe must report it. Releasing the gate drains
-// everything and the probe clears.
+// TestIngestSaturated drives the pipeline into saturation: with the
+// worker parked, a batch fills the depth-1 queue, and the probe must
+// report it. Unparking drains everything and the probe clears.
 func TestIngestSaturated(t *testing.T) {
 	e := idleEngine(t, defaultOpts())
 	tn := e.Tenant(DefaultTenant)
@@ -234,21 +233,7 @@ func TestIngestSaturated(t *testing.T) {
 	if err := tn.DeclareStream("G", 8); err != nil {
 		t.Fatal(err)
 	}
-	entered := make(chan struct{}, 16)
-	gate := make(chan struct{})
-	err := tn.RegisterPredicate("gate", func(uint64, int64) bool {
-		entered <- struct{}{}
-		<-gate
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = tn.RegisterQuery(QuerySpec{
-		Name: "q", Agg: Count,
-		Left:  Side{Stream: "F", Predicate: "gate"},
-		Right: Side{Stream: "G"},
-	})
+	err := tn.RegisterQuery(QuerySpec{Name: "q", Agg: Count, Left: Side{Stream: "F"}, Right: Side{Stream: "G"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,11 +243,11 @@ func TestIngestSaturated(t *testing.T) {
 	if e.IngestSaturated() {
 		t.Fatal("fresh pipeline reported saturated")
 	}
-	// First update: dequeued by the worker, which parks in the predicate.
+	// The first update is applied; then the worker parks, its queue empty.
 	if err := tn.IngestBatch("F", []stream.Update{stream.Insert(1)}); err != nil {
 		t.Fatal(err)
 	}
-	<-entered // the worker is now parked, its queue empty
+	unpark := ParkWorker(e)
 	// Second update: sits in the depth-1 queue — the pipeline is full.
 	if err := tn.IngestBatch("F", []stream.Update{stream.Insert(2)}); err != nil {
 		t.Fatal(err)
@@ -274,7 +259,7 @@ func TestIngestSaturated(t *testing.T) {
 	if got := e.IngestStats().Rejected; got != 1 {
 		t.Fatalf("Rejected = %d, want 1", got)
 	}
-	close(gate)
+	unpark()
 	e.Flush()
 	if e.IngestSaturated() {
 		t.Fatal("drained pipeline still reported saturated")

@@ -78,6 +78,30 @@ func TestQuerySketchesSnapshotIsPrivate(t *testing.T) {
 	}
 }
 
+// TestQueryDomainIsTheLargerSide: a query over a side of domain 64 and
+// one of domain 1024 scans domain 1024, in either order.
+func TestQueryDomainIsTheLargerSide(t *testing.T) {
+	tn := newSketchTestTenant(t)
+	if err := tn.DeclareStream("S", 64); err != nil {
+		t.Fatal(err)
+	}
+	for name, spec := range map[string]QuerySpec{
+		"small left":  {Name: "sl", Agg: Count, Left: Side{Stream: "S"}, Right: Side{Stream: "F"}},
+		"small right": {Name: "sr", Agg: Count, Left: Side{Stream: "F"}, Right: Side{Stream: "S"}},
+	} {
+		if err := tn.RegisterQuery(spec); err != nil {
+			t.Fatal(err)
+		}
+		qs, err := tn.QuerySketches(spec.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if qs.Domain != 1024 {
+			t.Errorf("%s: domain %d, want 1024", name, qs.Domain)
+		}
+	}
+}
+
 // TestQuerySketchesMergeAcrossEngines is the cluster linearity property
 // end to end at the engine layer: value-partition one workload across 3
 // engines, merge their per-side snapshots, and the estimate over the

@@ -54,7 +54,9 @@ func TestQuotaRefusesBeforeAllocating(t *testing.T) {
 
 // TestRestoreRefusals: each edit of a good snapshot that the live API
 // would refuse, or that leaves a query without its carried synopsis, is
-// an error that installs nothing; the good snapshot restores after it.
+// an error that installs nothing, not even a carried predicate; the good
+// snapshot restores after it into the engine, which has the snapshot's
+// predicate "low" registered already.
 func TestRestoreRefusals(t *testing.T) {
 	var good bytes.Buffer
 	if err := buildLoadedEngine(t).Snapshot(&good); err != nil {
@@ -71,7 +73,7 @@ func TestRestoreRefusals(t *testing.T) {
 	}
 	// v2 moves the version-1 body into tenant's slice of a version-2 one.
 	v2 := func(s *snapshot, tenant string, edit func(*tenantSnap)) {
-		slice := tenantSnap{Streams: s.Streams, Queries: s.Queries, Synopses: s.Synopses}
+		slice := s.v1Slice()
 		edit(&slice)
 		*s = snapshot{Version: snapshotVersionV2, Defaults: s.Defaults, Tenants: map[string]tenantSnap{tenant: slice}}
 	}
@@ -85,6 +87,11 @@ func TestRestoreRefusals(t *testing.T) {
 		"window shape":   func(s *snapshot) { window(s).WindowBuckets *= 2 },
 		"unused synopsis": func(s *snapshot) {
 			s.Synopses = append(s.Synopses, synSnap{Stream: "G", Predicate: "low", Config: s.Defaults, Blob: s.Synopses[0].Blob})
+		},
+		"predicate range": func(s *snapshot) { s.Predicates["mid"] = Predicate{Min: 9, Max: 1} },
+		"predicate name":  func(s *snapshot) { s.Predicates[""] = Predicate{} },
+		"conflicting predicate": func(s *snapshot) {
+			s.Predicates = map[string]Predicate{"low": {Max: 7}, "mid": {Min: 8, Max: 9}}
 		},
 		"version":         func(s *snapshot) { s.Version = 99 },
 		"duplicate query": func(s *snapshot) { s.Queries = append(s.Queries, s.Queries[0]) },
@@ -107,13 +114,22 @@ func TestRestoreRefusals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := restoreFuzzEngine(t, DefaultTenant)
+		e := mustEngine(t)
+		if err := e.Tenant(DefaultTenant).RegisterPredicate("low", Predicate{Max: 511}); err != nil {
+			t.Fatal(err)
+		}
 		if err := e.Restore(bytes.NewReader(bad)); err == nil {
 			t.Errorf("%s: restore accepted the snapshot", name)
 			continue
 		}
 		if st := e.Stats(); st.Streams != 0 || st.Queries != 0 {
 			t.Errorf("%s: refused restore left %d streams, %d queries", name, st.Streams, st.Queries)
+		}
+		e.mu.Lock()
+		preds := len(e.predicates)
+		e.mu.Unlock()
+		if preds != 1 {
+			t.Errorf("%s: refused restore left %d predicates, want the 1 registered", name, preds)
 		}
 		if err := e.Restore(bytes.NewReader(good.Bytes())); err != nil {
 			t.Errorf("%s: good snapshot refused after it: %v", name, err)
@@ -137,9 +153,6 @@ func TestTenantRestoreBesideOtherTenants(t *testing.T) {
 		t.Fatal(err)
 	}
 	tn := e.Tenant("t")
-	if err := tn.RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
-		t.Fatal(err)
-	}
 	if err := tn.Restore(bytes.NewReader(v1.Bytes())); err != nil {
 		t.Fatalf("restore into an empty tenant beside a populated one: %v", err)
 	}
@@ -183,13 +196,12 @@ const (
 )
 
 // restoreFuzzEngine is an empty engine, its pipeline not started, with
-// the predicate "low" registered in each of tenants.
+// the predicate "low" = [0, 31] registered in each of tenants.
 func restoreFuzzEngine(t testing.TB, tenants ...string) *Engine {
 	t.Helper()
 	e := idleEngine(t, fuzzOpts())
-	low := func(v uint64, _ int64) bool { return v < 32 }
 	for _, tenant := range tenants {
-		if err := e.Tenant(tenant).RegisterPredicate("low", low); err != nil {
+		if err := e.Tenant(tenant).RegisterPredicate("low", Predicate{Max: 31}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -197,14 +209,19 @@ func restoreFuzzEngine(t testing.TB, tenants ...string) *Engine {
 }
 
 // fuzzSeedSnapshot is a snapshot with a plain, a predicate and two
-// windowed queries (one a single element) over fed streams; v2 adds a
-// quota and a watch, which only the version-2 layout carries.
+// windowed queries (one a single element) over fed streams. It carries
+// the fuzz engines' predicate "low" and one they lack, "mid", which no
+// query uses. v2 adds a quota and a watch, which only the version-2
+// layout carries.
 func fuzzSeedSnapshot(f *testing.F, v2 bool) []byte {
 	e := restoreFuzzEngine(f, DefaultTenant)
 	if err := e.StartIngest(IngestConfig{Workers: 2}); err != nil {
 		f.Fatal(err)
 	}
 	tn := e.Tenant(DefaultTenant)
+	if err := tn.RegisterPredicate("mid", Predicate{Min: 16, Max: 47}); err != nil {
+		f.Fatal(err)
+	}
 	for _, s := range []string{"F", "G"} {
 		if err := tn.DeclareStream(s, 64); err != nil {
 			f.Fatal(err)
@@ -246,7 +263,18 @@ func fuzzSeedSnapshot(f *testing.F, v2 bool) []byte {
 // pipeline starts (started only then, to keep the refusals cheap).
 func FuzzRestore(f *testing.F) {
 	v1, v2 := fuzzSeedSnapshot(f, false), fuzzSeedSnapshot(f, true)
-	for _, seed := range [][]byte{v1, v2, []byte(badDefaultsBody), []byte(badStreamBody), []byte(uncarriedBody)} {
+	// conflicting carries "low" with a range other than the fuzz
+	// engines' registered one.
+	var snap snapshot
+	if err := json.Unmarshal(v1, &snap); err != nil {
+		f.Fatal(err)
+	}
+	snap.Predicates["low"] = Predicate{Max: 7}
+	conflicting, err := json.Marshal(&snap)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{v1, v2, []byte(badDefaultsBody), []byte(badStreamBody), []byte(uncarriedBody), conflicting} {
 		f.Add(seed, false)
 		f.Add(seed, true)
 	}

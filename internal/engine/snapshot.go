@@ -15,11 +15,11 @@ import (
 )
 
 // Snapshot/Restore persist the engine — declared streams, registered
-// queries, standing watches, tenant quotas, and every synopsis'
-// counters — so a stream processor can restart without losing its
-// summaries. The container is JSON (sketch blobs are base64-encoded by
-// encoding/json); the sketch payloads are the same binary formats used
-// everywhere else.
+// predicates and queries, standing watches, tenant quotas, and every
+// synopsis' counters — so a stream processor can restart without losing
+// its summaries. The container is JSON (sketch blobs are base64-encoded
+// by encoding/json); the sketch payloads are the same binary formats
+// used everywhere else.
 //
 // Two snapshot versions exist. Version 1 is the pre-tenant layout: one
 // flat set of streams/queries/synopses. Version 2 nests one such slice
@@ -30,10 +30,9 @@ import (
 // accepts both, loading a version-1 snapshot into the default tenant
 // bit-identically.
 //
-// Predicates are functions and cannot be serialized: Restore requires
-// every predicate named by the snapshot to have been re-registered on
-// the receiving engine (under the same tenant) first, and fails
-// otherwise.
+// A snapshot carries every registered predicate, so it restores into a
+// fresh engine on its own. A snapshot written before predicates were
+// carried restores once the predicates its queries name are registered.
 
 const (
 	snapshotVersionV1 = 1
@@ -80,23 +79,43 @@ type watchSnap struct {
 // fields a version-1 snapshot holds at its top level, plus the quota and
 // the standing watches.
 type tenantSnap struct {
-	Quota    Quota                 `json:"quota"`
-	Streams  map[string]streamSnap `json:"streams"`
-	Queries  []querySnap           `json:"queries,omitempty"`
-	Synopses []synSnap             `json:"synopses,omitempty"`
-	Watches  []watchSnap           `json:"watches,omitempty"`
+	Quota      Quota                 `json:"quota"`
+	Streams    map[string]streamSnap `json:"streams"`
+	Predicates map[string]Predicate  `json:"predicates,omitempty"`
+	Queries    []querySnap           `json:"queries,omitempty"`
+	Synopses   []synSnap             `json:"synopses,omitempty"`
+	Watches    []watchSnap           `json:"watches,omitempty"`
 }
 
 type snapshot struct {
 	Version  int         `json:"version"`
 	Defaults core.Config `json:"defaults"`
 	// Version-1 (single-tenant) body: the default tenant's slice.
-	Streams  map[string]streamSnap `json:"streams,omitempty"`
-	Queries  []querySnap           `json:"queries,omitempty"`
-	Synopses []synSnap             `json:"synopses,omitempty"`
+	Streams    map[string]streamSnap `json:"streams,omitempty"`
+	Predicates map[string]Predicate  `json:"predicates,omitempty"`
+	Queries    []querySnap           `json:"queries,omitempty"`
+	Synopses   []synSnap             `json:"synopses,omitempty"`
 	// Version-2 body: one slice per tenant namespace.
 	DefaultQuota *Quota                `json:"defaultQuota,omitempty"`
 	Tenants      map[string]tenantSnap `json:"tenants,omitempty"`
+}
+
+// v1Snapshot lays one tenant's slice out as a version-1 snapshot; the
+// slice's quota and watches have no place in it.
+func v1Snapshot(defaults core.Config, slice tenantSnap) *snapshot {
+	return &snapshot{
+		Version:    snapshotVersionV1,
+		Defaults:   defaults,
+		Streams:    slice.Streams,
+		Predicates: slice.Predicates,
+		Queries:    slice.Queries,
+		Synopses:   slice.Synopses,
+	}
+}
+
+// v1Slice is the tenant slice a version-1 snapshot holds.
+func (s *snapshot) v1Slice() tenantSnap {
+	return tenantSnap{Streams: s.Streams, Predicates: s.Predicates, Queries: s.Queries, Synopses: s.Synopses}
 }
 
 // v1ExpressibleLocked reports whether the engine state round-trips
@@ -115,17 +134,22 @@ func (e *Engine) v1ExpressibleLocked() bool {
 	return true
 }
 
-// tenantSliceLocked assembles one tenant's streams/queries/synopses/
-// watches, queries by name and synopses by key, so equal engines write
-// equal bytes. Callers hold the quiesced read locks.
+// tenantSliceLocked assembles one tenant's streams/predicates/queries/
+// synopses/watches, queries by name and synopses by key, so equal
+// engines write equal bytes. Callers hold the quiesced read locks.
 func (e *Engine) tenantSliceLocked(tenant string) (tenantSnap, error) {
-	slice := tenantSnap{Streams: make(map[string]streamSnap)}
+	slice := tenantSnap{Streams: make(map[string]streamSnap), Predicates: make(map[string]Predicate)}
 	if ts, ok := e.tenants[tenant]; ok {
 		slice.Quota = ts.quota
 	}
 	for key, info := range e.streams {
 		if key.tenant == tenant {
 			slice.Streams[key.name] = streamSnap{Domain: info.domain, Count: info.count}
+		}
+	}
+	for key, p := range e.predicates {
+		if key.tenant == tenant {
+			slice.Predicates[key.name] = p
 		}
 	}
 	for key, q := range e.queries {
@@ -198,13 +222,7 @@ func (e *Engine) Snapshot(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		return json.NewEncoder(w).Encode(&snapshot{
-			Version:  snapshotVersionV1,
-			Defaults: e.defaults,
-			Streams:  slice.Streams,
-			Queries:  slice.Queries,
-			Synopses: slice.Synopses,
-		})
+		return json.NewEncoder(w).Encode(v1Snapshot(e.defaults, slice))
 	}
 
 	snap := snapshot{
@@ -227,8 +245,9 @@ func (e *Engine) Snapshot(w io.Writer) error {
 }
 
 // Snapshot writes this tenant's slice of the engine — its streams,
-// queries, synopsis counters and watches — as a version-1 (tenant-free)
-// snapshot, restorable into any empty tenant via Tenant.Restore.
+// predicates, queries, synopsis counters and watches — as a version-1
+// (tenant-free) snapshot, restorable into any empty tenant via
+// Tenant.Restore.
 func (t *Tenant) Snapshot(w io.Writer) error {
 	e := t.e
 	defer e.readQuiesce()()
@@ -236,24 +255,19 @@ func (t *Tenant) Snapshot(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	snap := snapshot{
-		Version:  snapshotVersionV1,
-		Defaults: e.defaults,
-		Streams:  slice.Streams,
-		Queries:  slice.Queries,
-		Synopses: slice.Synopses,
-	}
 	if len(slice.Watches) != 0 {
 		return fmt.Errorf("engine: snapshot: tenant %q has standing watches, which the single-tenant layout cannot carry; snapshot the whole engine instead", t.name)
 	}
-	return json.NewEncoder(w).Encode(&snap)
+	return json.NewEncoder(w).Encode(v1Snapshot(e.defaults, slice))
 }
 
 // Restore loads a snapshot into e, which must have no streams or queries
-// in any tenant yet (predicates must already be re-registered under
-// their tenants). A version-1 snapshot restores into the default tenant
-// bit-identically; a version-2 snapshot restores every tenant slice,
-// quotas and watches included. On success the engine answers queries
+// in any tenant yet. Predicates may be registered already: a carried
+// predicate must then have the registered range, and a query may name a
+// registered predicate the snapshot does not carry. A version-1
+// snapshot restores into the default tenant bit-identically; a
+// version-2 snapshot restores every tenant slice, quotas and watches
+// included. On success the engine answers queries
 // exactly as the snapshotted engine did; on failure it is unchanged.
 func (e *Engine) Restore(r io.Reader) error {
 	var snap snapshot
@@ -273,11 +287,7 @@ func (e *Engine) Restore(r io.Reader) error {
 	st := e.stageLocked(snap.Defaults)
 	switch snap.Version {
 	case snapshotVersionV1:
-		if err := st.restoreTenantLocked(DefaultTenant, tenantSnap{
-			Streams:  snap.Streams,
-			Queries:  snap.Queries,
-			Synopses: snap.Synopses,
-		}); err != nil {
+		if err := st.restoreTenantLocked(DefaultTenant, snap.v1Slice()); err != nil {
 			return err
 		}
 	case snapshotVersionV2:
@@ -342,11 +352,7 @@ func (t *Tenant) Restore(r io.Reader) error {
 		}
 	}
 	st := e.stageLocked(e.defaults)
-	if err := st.restoreTenantLocked(t.name, tenantSnap{
-		Streams:  snap.Streams,
-		Queries:  snap.Queries,
-		Synopses: snap.Synopses,
-	}); err != nil {
+	if err := st.restoreTenantLocked(t.name, snap.v1Slice()); err != nil {
 		return err
 	}
 	for key := range e.answers {
@@ -359,9 +365,9 @@ func (t *Tenant) Restore(r io.Reader) error {
 }
 
 // stageLocked returns a private engine for a restore to build into, so
-// a snapshot that fails part-way leaves e untouched. It shares e's
-// predicates and copies its tenant quotas, word charges and synopsis
-// numbering, so every check runs exactly as it would against e itself.
+// a snapshot that fails part-way leaves e untouched. It copies e's
+// predicates, tenant quotas, word charges and synopsis numbering, so
+// every check runs exactly as it would against e itself.
 // Callers hold e.mu.
 func (e *Engine) stageLocked(defaults core.Config) *Engine {
 	st := &Engine{
@@ -369,7 +375,7 @@ func (e *Engine) stageLocked(defaults core.Config) *Engine {
 		defaultQuota: e.defaultQuota,
 		tenants:      make(map[string]*tenantState, len(e.tenants)),
 		streams:      make(map[nsKey]*streamInfo),
-		predicates:   e.predicates,
+		predicates:   maps.Clone(e.predicates),
 		synopses:     make(map[synKey]*synEntry),
 		queries:      make(map[nsKey]*queryState),
 		nextSynID:    e.nextSynID,
@@ -386,6 +392,7 @@ func (e *Engine) stageLocked(defaults core.Config) *Engine {
 // queries, so no watch of theirs is registered yet. Callers hold e.mu.
 func (e *Engine) commitLocked(st *Engine) {
 	e.defaults, e.defaultQuota, e.nextSynID = st.defaults, st.defaultQuota, st.nextSynID
+	e.predicates = st.predicates
 	for name, staged := range st.tenants {
 		ts := e.tenantLocked(name)
 		ts.quota, ts.words = staged.quota, staged.words
@@ -403,10 +410,11 @@ func (e *Engine) commitLocked(st *Engine) {
 
 // restoreTenantLocked loads one tenant slice. Everything the slice
 // names is checked before any synopsis is allocated: the quota, the
-// streams (as DeclareStream checks them), the synopsis blobs, and that
-// the slice carries every query side's synopsis with the side's config
-// and window shape, so a small body cannot allocate a large synopsis it
-// does not carry. Then the quota is installed (so rebuilding synopses is
+// streams (as DeclareStream checks them), the predicates (installed as
+// RegisterPredicate installs them), the synopsis blobs, and that the
+// slice carries every query side's synopsis with the side's config and
+// window shape, so a small body cannot allocate a large synopsis it does
+// not carry. Then the quota is installed (so rebuilding synopses is
 // charged against it), the queries are re-registered, their synopses
 // overwritten from the blobs, and the watches re-armed. It runs on a
 // staged engine (stageLocked) while the caller holds the live engine's mu.
@@ -420,6 +428,11 @@ func (e *Engine) restoreTenantLocked(tenant string, slice tenantSnap) error {
 		}
 		if s.Count < 0 {
 			return fmt.Errorf("engine: restore: stream %q: negative update count %d", name, s.Count)
+		}
+	}
+	for name, p := range slice.Predicates {
+		if err := e.putPredicateLocked(tenant, name, p); err != nil {
+			return fmt.Errorf("engine: restore: %w", err)
 		}
 	}
 	carried := make(map[synKey]any, len(slice.Synopses)) // *window.Window or *core.HashSketch
@@ -460,7 +473,7 @@ func (e *Engine) restoreTenantLocked(tenant string, slice tenantSnap) error {
 		for _, side := range []sideSnap{q.Left, q.Right} {
 			if side.Predicate != "" {
 				if _, ok := e.predicates[nsKey{tenant, side.Predicate}]; !ok {
-					return fmt.Errorf("engine: restore: predicate %q must be re-registered first", side.Predicate)
+					return fmt.Errorf("engine: restore: predicate %q is neither carried nor registered", side.Predicate)
 				}
 			}
 			key := synKey{tenant, side.Stream, side.Predicate, side.WindowLen, side.WindowBuckets, cfg}

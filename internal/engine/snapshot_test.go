@@ -23,7 +23,7 @@ func buildLoadedEngine(t testing.TB) *Engine {
 	if err := tn.DeclareStream("G", 1024); err != nil {
 		t.Fatal(err)
 	}
-	if err := tn.RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
+	if err := tn.RegisterPredicate("low", Predicate{Max: 511}); err != nil {
 		t.Fatal(err)
 	}
 	specs := []QuerySpec{
@@ -47,6 +47,9 @@ func buildLoadedEngine(t testing.TB) *Engine {
 	return e
 }
 
+// TestSnapshotRestoreRoundTrip: the snapshot carries the predicate
+// "low", so it restores into a fresh engine with nothing registered,
+// and every query answers bit-identically.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	orig := buildLoadedEngine(t)
 	var buf bytes.Buffer
@@ -55,9 +58,6 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 
 	restored := mustEngine(t)
-	if err := restored.Tenant(DefaultTenant).RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
-		t.Fatal(err)
-	}
 	if err := restored.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +73,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Estimate != b.Estimate {
-			t.Fatalf("query %q: restored estimate %d differs from %d", q, b.Estimate, a.Estimate)
+		if a != b {
+			t.Fatalf("query %q: restored answer %+v differs from %+v", q, b, a)
 		}
 	}
 	// Stats (counts, sharing, words) must survive.
@@ -97,16 +97,36 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoreRequiresPredicates: a snapshot written before snapshots
+// carried predicates (here, one with its predicates stripped) restores
+// only once the predicates its queries name are registered.
 func TestRestoreRequiresPredicates(t *testing.T) {
-	orig := buildLoadedEngine(t)
 	var buf bytes.Buffer
-	if err := orig.Snapshot(&buf); err != nil {
+	if err := buildLoadedEngine(t).Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored := mustEngine(t) // "low" not registered
-	if err := restored.Restore(bytes.NewReader(buf.Bytes())); err == nil ||
+	var snap snapshot
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Predicates["low"] != (Predicate{Max: 511}) {
+		t.Fatalf("snapshot carries predicates %+v, want low = [0,511]", snap.Predicates)
+	}
+	snap.Predicates = nil
+	old, err := json.Marshal(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := mustEngine(t)
+	if err := restored.Restore(bytes.NewReader(old)); err == nil ||
 		!strings.Contains(err.Error(), "predicate") {
 		t.Fatalf("expected predicate error, got %v", err)
+	}
+	if err := restored.Tenant(DefaultTenant).RegisterPredicate("low", Predicate{Max: 511}); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Restore(bytes.NewReader(old)); err != nil {
+		t.Fatalf("snapshot without predicates refused after registering them: %v", err)
 	}
 }
 
@@ -117,7 +137,7 @@ func TestRestoreRequiresEmptyEngine(t *testing.T) {
 	notEmpty := mustEngine(t)
 	tn := notEmpty.Tenant(DefaultTenant)
 	tn.DeclareStream("X", 8)
-	tn.RegisterPredicate("low", func(uint64, int64) bool { return true })
+	tn.RegisterPredicate("low", Predicate{Max: 511})
 	if err := notEmpty.Restore(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("expected non-empty-engine error")
 	}
@@ -162,7 +182,7 @@ func TestFailedRestoreLeavesEngineRestorable(t *testing.T) {
 	}
 
 	e := mustEngine(t)
-	if err := e.Tenant(DefaultTenant).RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
+	if err := e.Tenant(DefaultTenant).RegisterPredicate("low", Predicate{Max: 511}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Restore(bytes.NewReader(bad)); err == nil {
@@ -203,10 +223,12 @@ func TestFailedRestoreKeepsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := mustEngine(t) // "low" not registered: the restore fails
+	e := mustEngine(t)
 	tn := e.Tenant(DefaultTenant)
+	// The carried synopses keep the old seed, which the queries rebuilt
+	// under the new defaults do not match: the restore fails.
 	if err := e.Restore(bytes.NewReader(bad)); err == nil {
-		t.Fatal("restore without the predicate succeeded")
+		t.Fatal("restore with mismatched default seed succeeded")
 	}
 	if err := tn.DeclareStream("F", 64); err != nil {
 		t.Fatal(err)
@@ -257,26 +279,35 @@ func buildDeterministicEngine(t *testing.T, v2 bool) *Engine {
 }
 
 // TestSnapshotBytesDeterministic: the same engine, built 20 times,
-// writes one snapshot, byte for byte, in each version; the digests are
-// pinned so a layout change shows up here.
+// writes one snapshot, byte for byte, in each version, with and without
+// a registered predicate; the digests are pinned so a layout change
+// shows up here.
 func TestSnapshotBytesDeterministic(t *testing.T) {
 	for _, tc := range []struct {
-		v2   bool
-		want string
+		v2, pred bool
+		want     string
 	}{
-		{false, "a441ee7386822413c22ee736c55fa7625437144a7468d9bc8bb50584003a207c"},
-		{true, "df1e94cec20ff6775451ee4c282990a7e0a1aafc66e5dd7dc7a86ca0cec827a9"},
+		{false, false, "a441ee7386822413c22ee736c55fa7625437144a7468d9bc8bb50584003a207c"},
+		{true, false, "df1e94cec20ff6775451ee4c282990a7e0a1aafc66e5dd7dc7a86ca0cec827a9"},
+		{false, true, "d14324d96e31b33a5a72664f3715cff672c23d2fb2a3e248fe72c9a623c86b34"},
+		{true, true, "98fda43ef82dd784b7957d48801e19981221bdb49c46748d5b94a21df5ecfd04"},
 	} {
 		digests := make(map[string]bool)
 		for i := 0; i < 20; i++ {
+			e := buildDeterministicEngine(t, tc.v2)
+			if tc.pred {
+				if err := e.Tenant(DefaultTenant).RegisterPredicate("low", Predicate{Min: 1, Max: 127}); err != nil {
+					t.Fatal(err)
+				}
+			}
 			var buf bytes.Buffer
-			if err := buildDeterministicEngine(t, tc.v2).Snapshot(&buf); err != nil {
+			if err := e.Snapshot(&buf); err != nil {
 				t.Fatal(err)
 			}
 			digests[fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))] = true
 		}
 		if len(digests) != 1 || !digests[tc.want] {
-			t.Errorf("v2=%v: %d distinct snapshot digests %v, want only %s", tc.v2, len(digests), digests, tc.want)
+			t.Errorf("v2=%v pred=%v: %d distinct snapshot digests %v, want only %s", tc.v2, tc.pred, len(digests), digests, tc.want)
 		}
 	}
 }

@@ -209,23 +209,35 @@ func (t *Tenant) DeclareStream(name string, domain uint64) error {
 	return nil
 }
 
-// RegisterPredicate names a selection predicate for use in this tenant's
-// query sides.
+// RegisterPredicate names a value-range predicate for use in this
+// tenant's query sides. Re-registering the same range under the same
+// name is a no-op, so a replayed registration is harmless; another
+// range under a registered name is refused.
 func (t *Tenant) RegisterPredicate(name string, p Predicate) error {
 	if err := validTenantName(t.name); err != nil {
 		return err
 	}
-	if name == "" || p == nil {
-		return fmt.Errorf("engine: predicate name and function must be non-empty")
+	t.e.mu.Lock()
+	defer t.e.mu.Unlock()
+	return t.e.putPredicateLocked(t.name, name, p)
+}
+
+// putPredicateLocked installs p under the tenant's name, for
+// RegisterPredicate and Restore alike. It refuses an empty name, an
+// empty range, and another range under a registered name. Callers hold
+// e.mu.
+func (e *Engine) putPredicateLocked(tenant, name string, p Predicate) error {
+	if name == "" {
+		return fmt.Errorf("engine: predicate name must be non-empty")
 	}
-	e := t.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	key := nsKey{t.name, name}
-	if _, ok := e.predicates[key]; ok {
-		return fmt.Errorf("engine: predicate %q already registered", name)
+	if p.Max < p.Min {
+		return fmt.Errorf("engine: predicate %q: max %d below min %d", name, p.Max, p.Min)
 	}
-	e.tenantLocked(t.name)
+	key := nsKey{tenant, name}
+	if old, ok := e.predicates[key]; ok && old != p {
+		return fmt.Errorf("engine: predicate %q already registered with range [%d,%d]", name, old.Min, old.Max)
+	}
+	e.tenantLocked(tenant)
 	e.predicates[key] = p
 	return nil
 }

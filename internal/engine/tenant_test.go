@@ -311,7 +311,7 @@ func TestMultiTenantSnapshotRoundTrip(t *testing.T) {
 	alice, bob := e.Tenant("alice"), e.Tenant("bob")
 	setupTenant(t, alice)
 	setupTenant(t, bob)
-	if err := alice.RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
+	if err := alice.RegisterPredicate("low", Predicate{Max: 511}); err != nil {
 		t.Fatal(err)
 	}
 	if err := alice.RegisterQuery(QuerySpec{Name: "pred", Agg: Count,
@@ -346,10 +346,7 @@ func TestMultiTenantSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("multi-tenant snapshot version %d, want 2", probe.Version)
 	}
 
-	r := mustEngine(t)
-	if err := r.Tenant("alice").RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
-		t.Fatal(err)
-	}
+	r := mustEngine(t) // "low" travels in the snapshot
 	if err := r.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -382,11 +379,18 @@ func TestMultiTenantSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestTenantSliceSnapshotRestore moves one tenant between engines (and
-// names) via the single-tenant snapshot layout.
+// names) via the single-tenant snapshot layout, its predicate included.
 func TestTenantSliceSnapshotRestore(t *testing.T) {
 	e := mustEngine(t)
 	alice := e.Tenant("alice")
 	setupTenant(t, alice)
+	if err := alice.RegisterPredicate("low", Predicate{Max: 511}); err != nil {
+		t.Fatal(err)
+	}
+	if err := alice.RegisterQuery(QuerySpec{Name: "pred", Agg: Count,
+		Left: Side{Stream: "F", Predicate: "low"}, Right: Side{Stream: "G"}}); err != nil {
+		t.Fatal(err)
+	}
 	setupTenant(t, e.Tenant("bob"))
 	feedTenant(t, alice, 1500, 4)
 	feedTenant(t, e.Tenant("bob"), 100, 8)
@@ -400,16 +404,18 @@ func TestTenantSliceSnapshotRestore(t *testing.T) {
 	if err := r.Tenant("carol").Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	a, err := alice.Answer("q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := r.Tenant("carol").Answer("q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Estimate != b.Estimate {
-		t.Fatalf("tenant slice moved wrong: %d vs %d", a.Estimate, b.Estimate)
+	for _, q := range alice.Queries() {
+		a, err := alice.Answer(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := r.Tenant("carol").Answer(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Fatalf("query %s: tenant slice moved wrong: %+v vs %+v", q, b, a)
+		}
 	}
 	// Bob must not have traveled along.
 	if streams := r.Tenant("bob").Streams(); len(streams) != 0 {
@@ -438,9 +444,6 @@ func TestV1RestoreReplayTailBitIdentical(t *testing.T) {
 	}
 
 	restored := mustEngine(t)
-	if err := restored.Tenant(DefaultTenant).RegisterPredicate("low", func(v uint64, _ int64) bool { return v < 512 }); err != nil {
-		t.Fatal(err)
-	}
 	if err := restored.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}

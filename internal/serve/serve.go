@@ -122,10 +122,9 @@ type (
 		Name   string `json:"name"`
 		Domain uint64 `json:"domain"`
 	}
-	// PredicateReq is a value-range predicate [Min, Max], the predicate
-	// form expressible over the wire. A node also stores it, with Tenant
-	// set (empty for the default tenant), as the persistent definition
-	// its checkpoints carry.
+	// PredicateReq registers a value-range predicate [Min, Max]. Legacy
+	// node checkpoints hold it too, with Tenant set (empty for the
+	// default tenant).
 	PredicateReq struct {
 		Tenant string `json:"tenant,omitempty"`
 		Name   string `json:"name"`

@@ -7,6 +7,10 @@
 #      after writing a final checkpoint
 #   4. restart sketchd on the same checkpoint dir -> /answer must be
 #      byte-identical to the pre-kill answer (sketch linearity)
+#   5. GET /snapshot and POST it to /restore on a third sketchd with no
+#      checkpoint dir and no /predicates call -> /answer must be
+#      byte-identical, and an update through the carried predicate is
+#      accepted (snapshots are self-contained)
 #
 # The mid-kill traffic targets a stream no query references, so it keeps
 # the ingest pipeline active without (legitimately) moving the answer.
@@ -16,29 +20,35 @@ set -euo pipefail
 
 ADDR="127.0.0.1:18431"
 BASE="http://$ADDR"
+FRESH_ADDR="127.0.0.1:18432"
+FRESH="http://$FRESH_ADDR"
 WORKDIR="$(mktemp -d)"
 CKPT="$WORKDIR/ckpt"
 BIN="$WORKDIR/sketchd"
 PID=""
+FRESH_PID=""
 
 cleanup() {
-    if [[ -n "$PID" ]] && kill -0 "$PID" 2>/dev/null; then
-        kill -9 "$PID" 2>/dev/null || true
-    fi
+    for p in "$PID" "$FRESH_PID"; do
+        if [[ -n "$p" ]] && kill -0 "$p" 2>/dev/null; then
+            kill -9 "$p" 2>/dev/null || true
+        fi
+    done
     rm -rf "$WORKDIR"
 }
 trap cleanup EXIT
 
 die() { echo "FAIL: $*" >&2; exit 1; }
 
-wait_ready() {
+wait_ready() { # [base URL], default $BASE
+    local base="${1:-$BASE}"
     for _ in $(seq 1 100); do
-        if curl -fsS "$BASE/stats" >/dev/null 2>&1; then
+        if curl -fsS "$base/stats" >/dev/null 2>&1; then
             return 0
         fi
         sleep 0.1
     done
-    die "sketchd did not become ready on $ADDR"
+    die "sketchd did not become ready on $base"
 }
 
 start_sketchd() {
@@ -110,6 +120,23 @@ ANSWER_AFTER="$(curl -fsS "$BASE/answer?query=q")" || die "recovered answer fail
 echo "   answer after restart: $ANSWER_AFTER"
 [[ "$ANSWER_BEFORE" == "$ANSWER_AFTER" ]] \
     || die "recovered answer differs: before=$ANSWER_BEFORE after=$ANSWER_AFTER"
+
+echo "== /snapshot -> /restore into a fresh sketchd, no /predicates call"
+curl -fsS "$BASE/snapshot" -o "$WORKDIR/snapshot.json" || die "snapshot failed"
+"$BIN" -addr "$FRESH_ADDR" -tables 5 -buckets 512 -ingest.workers 2 &
+FRESH_PID=$!
+wait_ready "$FRESH"
+curl -fsS -X POST --data-binary @"$WORKDIR/snapshot.json" "$FRESH/restore" >/dev/null \
+    || die "restore into a fresh sketchd failed"
+ANSWER_FRESH="$(curl -fsS "$FRESH/answer?query=q")" || die "answer from the restored sketchd failed"
+[[ "$ANSWER_FRESH" == "$ANSWER_AFTER" ]] \
+    || die "restored answer differs: snapshot source=$ANSWER_AFTER restored=$ANSWER_FRESH"
+curl -fsS -X POST -d '{"stream":"F","value":3}' "$FRESH/update" >/dev/null \
+    || die "update through the carried predicate refused"
+kill -TERM "$FRESH_PID"
+wait "$FRESH_PID" || die "fresh sketchd exited nonzero on SIGTERM"
+FRESH_PID=""
+echo "   restored answer byte-identical: $ANSWER_FRESH"
 
 # The restored predicate definition must still be live: updates through
 # it are accepted and the restored server keeps checkpointing.
