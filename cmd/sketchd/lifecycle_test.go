@@ -236,7 +236,7 @@ func TestServerCheckpointRoundTrip(t *testing.T) {
 	}
 	srcSrv, srcEng := mk()
 	src := srcEng.Tenant(engine.DefaultTenant)
-	if err := srcSrv.node.RegisterPredicate(context.Background(), engine.DefaultTenant, serve.PredicateReq{Name: "low", Min: 0, Max: 31}); err != nil {
+	if err := srcSrv.node.RegisterPredicate(context.Background(), engine.DefaultTenant, serve.PredicateReq{Name: "low", Predicate: engine.Predicate{Max: 31}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := src.DeclareStream("F", 64); err != nil {

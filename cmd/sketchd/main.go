@@ -21,11 +21,12 @@
 // update. When every queue slot is full, /update sheds load with 429 +
 // Retry-After instead of blocking (counted in /stats ingest.rejected).
 //
-// With -query.workers N the skim's domain scan behind /answer runs on N
-// goroutines (-1 = one per CPU) with bit-identical answers; /answer
-// clones the synopses and estimates outside the engine locks, so a slow
-// answer never stalls ingestion, and repeated answers with no
-// intervening updates are served from an epoch-keyed cache.
+// With -query.workers N the skim's domain scan behind a node's /answer
+// runs on N goroutines (-1 = one per CPU) with bit-identical answers; a
+// merger's /answer skims sequentially. A node's /answer clones the
+// synopses and estimates outside the engine locks, so a slow answer
+// never stalls ingestion, and repeated answers with no intervening
+// updates are served from an epoch-keyed cache.
 //
 // With -checkpoint.dir a node's state — the engine snapshot, range
 // predicates included — is persisted crash-safely: restored at boot,
@@ -46,7 +47,9 @@
 // merging through sketch linearity. A dead shard degrades the answer
 // (reported shard coverage + widened confidence) instead of failing it.
 // A merger's standing watches evaluate that global answer; they live in
-// the stateless merger, so a merger restart forgets them.
+// the stateless merger, so a merger restart forgets them. A merger
+// refuses a query with a windowed side (400), since each shard would
+// window only the updates routed to it.
 //
 // Every piece of state is scoped to a tenant namespace. The flat API
 // below operates on the "default" tenant, so single-tenant deployments
@@ -149,7 +152,7 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.buckets, "buckets", 2048, "default sketch buckets b")
 	fs.Uint64Var(&o.seed, "seed", 42, "default sketch seed")
 	fs.IntVar(&o.workers, "ingest.workers", 0, "ingest pipeline shard workers (<= 0 = one per CPU)")
-	fs.IntVar(&o.qworkers, "query.workers", 0, "domain-scan goroutines per /answer's skim (0 or 1 = sequential, -1 = one per CPU); answers are bit-identical for every setting")
+	fs.IntVar(&o.qworkers, "query.workers", 0, "domain-scan goroutines per /answer's skim on a node (0 or 1 = sequential, -1 = one per CPU; a merger's skim is always sequential); answers are bit-identical for every setting")
 	fs.StringVar(&o.role, "role", "single", "process role: single (standalone), shard (cluster member; same server, conventionally with -checkpoint.dir), or merger (routes ingest across -cluster.config shards and answers global joins)")
 	fs.StringVar(&o.clusterConfig, "cluster.config", "", "merger: path to the static JSON membership file {\"shards\":[{\"name\":...,\"addr\":\"http://...\"}]}")
 	fs.DurationVar(&o.clusterTimeout, "cluster.timeout", 5*time.Second, "merger: deadline on every cross-node call (routing, pulls, broadcasts)")

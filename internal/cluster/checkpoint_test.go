@@ -20,7 +20,7 @@ func predicateNode(t *testing.T) *Node {
 	n := NewNode(newTestEngine(t))
 	ctx := context.Background()
 	for _, tenant := range []string{engine.DefaultTenant, "acme"} {
-		if err := n.RegisterPredicate(ctx, tenant, serve.PredicateReq{Name: "low", Min: 0, Max: 31}); err != nil {
+		if err := n.RegisterPredicate(ctx, tenant, serve.PredicateReq{Name: "low", Predicate: engine.Predicate{Max: 31}}); err != nil {
 			t.Fatal(err)
 		}
 		tn := n.eng.Tenant(tenant)
@@ -151,7 +151,7 @@ func TestNodeReadCheckpointRefusals(t *testing.T) {
 			continue // a legacy payload registers its predicates first
 		}
 		for _, tenant := range []string{engine.DefaultTenant, "acme"} {
-			if err := n.RegisterPredicate(context.Background(), tenant, serve.PredicateReq{Name: "low", Max: 7}); err != nil {
+			if err := n.RegisterPredicate(context.Background(), tenant, serve.PredicateReq{Name: "low", Predicate: engine.Predicate{Max: 7}}); err != nil {
 				t.Errorf("%s: refused checkpoint left a predicate in %s: %v", name, tenant, err)
 			}
 		}

@@ -154,7 +154,7 @@ func declareFG(t testing.TB, m *Merger, domain uint64) {
 			t.Fatal(err)
 		}
 	}
-	q := serve.QueryReq{Name: "q", Agg: "COUNT", Left: serve.SideReq{Stream: "F"}, Right: serve.SideReq{Stream: "G"}}
+	q := serve.QueryReq{Name: "q", Agg: engine.Count, Left: engine.Side{Stream: "F"}, Right: engine.Side{Stream: "G"}}
 	if err := m.RegisterQuery(ctx, engine.DefaultTenant, q); err != nil {
 		t.Fatal(err)
 	}
@@ -323,9 +323,7 @@ func marshal(t *testing.T, s *core.HashSketch) []byte {
 func TestMergerRefusesOversizedSlice(t *testing.T) {
 	tc := newTestCluster(t, 2, MergerOptions{})
 	tc.registerSchema(t)
-	m, err := NewMerger(Config{Shards: []Shard{
-		{Name: "s0", Addr: tc.shards[0].srv.URL}, {Name: "s1", Addr: tc.shards[1].srv.URL},
-	}}, MergerOptions{})
+	m, err := NewMerger(tc.cfg, MergerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +347,7 @@ func TestMergerRefusesOversizedSlice(t *testing.T) {
 		t.Fatalf("oversized slice: %v, want a 413", err)
 	}
 	for i, sh := range tc.shards {
-		if n := sh.updates.Load(); n != 0 {
+		if n := sh.updates(); n != 0 {
 			t.Fatalf("shard %d applied %d updates of a refused request", i, n)
 		}
 	}

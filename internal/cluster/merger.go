@@ -268,7 +268,16 @@ func (m *Merger) RegisterPredicate(ctx context.Context, tenant string, req serve
 	return m.broadcast(ctx, http.MethodPost, "/predicates", tenant, req)
 }
 
+// RegisterQuery broadcasts a query to every shard, but refuses a
+// windowed side before any shard sees it: routing gives each shard a
+// window over only the elements routed to it, and the shards share no
+// time axis, so their merge is not the window a node keeps.
 func (m *Merger) RegisterQuery(ctx context.Context, tenant string, req serve.QueryReq) error {
+	for _, side := range []engine.Side{req.Left, req.Right} {
+		if side.WindowLen > 0 {
+			return fmt.Errorf("query %q: a merger refuses windowed sides (stream %q, windowLen %d): each shard would window only the updates routed to it", req.Name, side.Stream, side.WindowLen)
+		}
+	}
 	return m.broadcast(ctx, http.MethodPost, "/queries", tenant, req)
 }
 
@@ -649,12 +658,8 @@ func (m *Merger) Answer(ctx context.Context, tenant, query string) (serve.Answer
 	if err != nil {
 		return serve.Answer{}, &serve.Error{Status: http.StatusInternalServerError, Err: fmt.Errorf("estimate over merged synopses: %w", err)}
 	}
-	agg := "COUNT"
-	if p.Agg == AggSum {
-		agg = "SUM"
-	}
 	ans := serve.Answer{
-		Query: query, Agg: agg, Estimate: est.Total, Detail: est,
+		Answer: engine.Answer{Query: query, Agg: aggOf(p.Agg), Estimate: est.Total, Detail: est},
 		Shards: cov, LeftEpoch: p.LeftEpoch, RightEpoch: p.RightEpoch,
 	}
 	if cov.Answered < cov.Of {
@@ -688,7 +693,7 @@ func (m *Merger) RegisterWatch(ctx context.Context, tenant string, req serve.Wat
 	}
 	for _, q := range queries {
 		if q == req.Query {
-			return m.watches.Register(monitor.WatchKey{Tenant: tenant, Query: req.Query}, monitor.WatchConfig{High: req.High, Low: req.Low})
+			return m.watches.Register(monitor.WatchKey{Tenant: tenant, Query: req.Query}, req.WatchConfig)
 		}
 	}
 	return fmt.Errorf("watch: %w %q", engine.ErrUnknownQuery, req.Query)

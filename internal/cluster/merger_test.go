@@ -5,13 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
-	"sync"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,26 +22,6 @@ import (
 	"skimsketch/internal/stream"
 	"skimsketch/internal/wire"
 )
-
-// testShard is a minimal in-process stand-in for a sketchd shard: a
-// real engine behind the handful of endpoints the merger talks to
-// (/streams, /queries, /update with Idempotency-Key dedupe and an SKSP
-// groups body, /sketch, /flush). Fault injection knobs drive the degraded and retry tests.
-type testShard struct {
-	eng *engine.Engine
-	srv *httptest.Server
-
-	mu      sync.Mutex
-	applied map[string]int64 // Idempotency-Key → applied count
-
-	updates atomic.Int64
-	// saturate429 forces the next N /update calls to answer 429 with
-	// Retry-After satHint; sketch429 does the same for /sketch pulls.
-	saturate429 atomic.Int64
-	sketch429   atomic.Int64
-	sketchCalls atomic.Int64
-	satHint     int
-}
 
 func testCfg() core.Config { return core.Config{Tables: 5, Buckets: 128, Seed: 11} }
 
@@ -61,157 +40,53 @@ func newTestEngine(t *testing.T) *engine.Engine {
 	return eng
 }
 
-func newTestShard(t *testing.T) *testShard {
-	t.Helper()
-	eng := newTestEngine(t)
-	ts := &testShard{eng: eng, applied: make(map[string]int64), satHint: 2}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/streams", ts.handleStreams)
-	mux.HandleFunc("/queries", ts.handleQueries)
-	mux.HandleFunc("/update", ts.handleUpdate)
-	mux.HandleFunc("/sketch", ts.handleSketch)
-	mux.HandleFunc("/flush", func(w http.ResponseWriter, r *http.Request) {
-		ts.eng.Flush()
-		writeOK(w)
-	})
-	ts.srv = httptest.NewServer(mux)
-	t.Cleanup(ts.srv.Close)
-	return ts
+// testShard is one real node of a test cluster and the faults injected
+// in front of it: the next saturate429 /update calls and the next
+// sketch429 /sketch calls answer 429 with Retry-After satHint seconds,
+// and down drops every connection, as a killed process would.
+type testShard struct {
+	eng *engine.Engine
+
+	saturate429, sketch429 atomic.Int64
+	satHint                atomic.Int64
+	sketchCalls            atomic.Int64
+	down                   atomic.Bool
 }
 
-func writeOK(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write([]byte(`{"status":"ok"}`))
-}
-
-func (ts *testShard) tenant(r *http.Request) *engine.Tenant {
-	name := r.URL.Query().Get("tenant")
-	if name == "" {
-		name = engine.DefaultTenant
-	}
-	return ts.eng.Tenant(name)
-}
-
-func (ts *testShard) handleStreams(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Name   string `json:"name"`
-		Domain uint64 `json:"domain"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := ts.tenant(r).DeclareStream(req.Name, req.Domain); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeOK(w)
-}
-
-func (ts *testShard) handleQueries(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Name  string `json:"name"`
-		Agg   string `json:"agg"`
-		Left  struct{ Stream string }
-		Right struct{ Stream string }
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	agg := engine.Count
-	if req.Agg == "SUM" {
-		agg = engine.Sum
-	}
-	spec := engine.QuerySpec{
-		Name: req.Name, Agg: agg,
-		Left:  engine.Side{Stream: req.Left.Stream},
-		Right: engine.Side{Stream: req.Right.Stream},
-	}
-	if err := ts.tenant(r).RegisterQuery(spec); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeOK(w)
-}
-
-func (ts *testShard) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if n := ts.saturate429.Load(); n > 0 && ts.saturate429.CompareAndSwap(n, n-1) {
-		w.Header().Set("Retry-After", strconv.Itoa(ts.satHint))
-		http.Error(w, `{"error":"saturated"}`, http.StatusTooManyRequests)
-		return
-	}
-	key := r.Header.Get("Idempotency-Key")
-	if key != "" {
-		ts.mu.Lock()
-		applied, seen := ts.applied[key]
-		ts.mu.Unlock()
-		if seen {
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(map[string]any{"applied": applied, "deduplicated": true})
+func (sh *testShard) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if sh.down.Load() {
+			if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+				conn.Close()
+			}
 			return
 		}
-	}
-	if ct := r.Header.Get("Content-Type"); ct != wire.GroupsContentType {
-		http.Error(w, "unexpected Content-Type "+ct, http.StatusUnsupportedMediaType)
-		return
-	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	var d wire.Data
-	if err := wire.DecodeGroups(body, &d); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	tn := ts.tenant(r)
-	n := 0
-	for _, g := range d.Groups {
-		if err := tn.IngestBatch(g.Name, g.Updates); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+		var busy *atomic.Int64
+		switch r.URL.Path {
+		case "/update":
+			busy = &sh.saturate429
+		case "/sketch":
+			sh.sketchCalls.Add(1)
+			busy = &sh.sketch429
 		}
-		n += len(g.Updates)
-	}
-	ts.updates.Add(int64(n))
-	if key != "" {
-		ts.mu.Lock()
-		ts.applied[key] = int64(n)
-		ts.mu.Unlock()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]int{"applied": n})
+		if busy != nil {
+			if n := busy.Load(); n > 0 && busy.CompareAndSwap(n, n-1) {
+				w.Header().Set("Retry-After", strconv.FormatInt(sh.satHint.Load(), 10))
+				http.Error(w, `{"error":"busy"}`, http.StatusTooManyRequests)
+				return
+			}
+		}
+		h.ServeHTTP(w, r)
+	})
 }
 
-func (ts *testShard) handleSketch(w http.ResponseWriter, r *http.Request) {
-	ts.sketchCalls.Add(1)
-	if n := ts.sketch429.Load(); n > 0 && ts.sketch429.CompareAndSwap(n, n-1) {
-		w.Header().Set("Retry-After", strconv.Itoa(ts.satHint))
-		http.Error(w, `{"error":"busy"}`, http.StatusTooManyRequests)
-		return
+// updates is the number of updates the shard has admitted.
+func (sh *testShard) updates() int64 {
+	var n int64
+	for _, c := range sh.eng.Stats().UpdateCounts {
+		n += c
 	}
-	qs, err := ts.tenant(r).QuerySketches(r.URL.Query().Get("query"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	agg := AggCount
-	if qs.Agg == engine.Sum {
-		agg = AggSum
-	}
-	blob, err := EncodePayload(&Payload{
-		Agg: agg, Domain: qs.Domain,
-		LeftEpoch: qs.LeftEpoch, RightEpoch: qs.RightEpoch,
-		Left: qs.Left, Right: qs.Right,
-	})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(blob)
+	return n
 }
 
 // testUpdate is one element of a JSON /update batch.
@@ -221,22 +96,25 @@ type testUpdate struct {
 	Weight *int64 `json:"weight,omitempty"`
 }
 
-// cluster boots n test shards plus a merger over them, served by the
-// same surface as a node.
+// testCluster is a merger over n real nodes (newRealRing), served by
+// the same surface as a node.
 type testCluster struct {
-	shards  []*testShard
-	surface *serve.Server
-	srv     *httptest.Server
+	shards []*testShard
+	cfg    Config
+	srv    *httptest.Server
 }
 
 func newTestCluster(t *testing.T, n int, opts MergerOptions) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
-	cfg := Config{}
-	for i := 0; i < n; i++ {
-		sh := newTestShard(t)
+	engines, cfg := newRealRing(t, n, func(_ int, h http.Handler) http.Handler {
+		sh := &testShard{}
+		sh.satHint.Store(2)
 		tc.shards = append(tc.shards, sh)
-		cfg.Shards = append(cfg.Shards, Shard{Name: fmt.Sprintf("s%d", i), Addr: sh.srv.URL})
+		return sh.wrap(h)
+	})
+	for i, eng := range engines {
+		tc.shards[i].eng = eng
 	}
 	if opts.Retry == (distributed.Backoff{}) {
 		opts.Retry = distributed.Backoff{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond, Attempts: 2, Jitter: 0}
@@ -248,8 +126,8 @@ func newTestCluster(t *testing.T, n int, opts MergerOptions) *testCluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc.surface = serve.New(m)
-	tc.srv = httptest.NewServer(tc.surface)
+	tc.cfg = cfg
+	tc.srv = httptest.NewServer(serve.New(m))
 	t.Cleanup(tc.srv.Close)
 	return tc
 }
@@ -337,6 +215,23 @@ func (tc *testCluster) answer(t *testing.T, wantStatus int) answerResp {
 	return ar
 }
 
+// degradedAnswers reads the merger's /stats answers.degraded.
+func (tc *testCluster) degradedAnswers(t *testing.T) int64 {
+	t.Helper()
+	resp, err := http.Get(tc.srv.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Answers struct{ Degraded int64 } `json:"answers"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st.Answers.Degraded
+}
+
 // referenceEngine ingests the same batch into one engine's default
 // tenant — the single-node ground truth the cluster answer must match
 // bit-for-bit. Beside q it holds s, SUM over the same sides.
@@ -381,7 +276,7 @@ func TestMergerHealthyBitIdentical(t *testing.T) {
 	// Every shard must have received a share (the routing test proper is
 	// elsewhere; this guards against the merger collapsing to one shard).
 	for i, sh := range tc.shards {
-		if sh.updates.Load() == 0 {
+		if sh.updates() == 0 {
 			t.Fatalf("shard %d received no updates", i)
 		}
 	}
@@ -400,6 +295,9 @@ func TestMergerHealthyBitIdentical(t *testing.T) {
 	}
 	if ar.Confidence.Degraded || ar.Confidence.Coverage != 1 || ar.Confidence.ErrorWidening != 1 {
 		t.Fatalf("healthy answer reports degraded confidence %+v", ar.Confidence)
+	}
+	if n := tc.degradedAnswers(t); n != 0 {
+		t.Fatalf("/stats counts %d degraded answers after a healthy one", n)
 	}
 
 	// The merger caches nothing: every answer pulls every shard again.
@@ -421,7 +319,7 @@ func TestMergerDegradedKilledShard(t *testing.T) {
 	tc.mustPost(t, "/update", marshalBatch(t, batch))
 
 	const killed = 1
-	tc.shards[killed].srv.Close()
+	tc.shards[killed].down.Store(true)
 
 	ar := tc.answer(t, http.StatusOK)
 	if ar.Shards.Answered != 2 || ar.Shards.Of != 3 {
@@ -438,6 +336,9 @@ func TestMergerDegradedKilledShard(t *testing.T) {
 	}
 	if ar.Confidence.ErrorWidening != 1.5 {
 		t.Fatalf("errorWidening = %v, want 1.5", ar.Confidence.ErrorWidening)
+	}
+	if n := tc.degradedAnswers(t); n != 1 {
+		t.Fatalf("/stats counts %d degraded answers, want 1", n)
 	}
 
 	// Exactness: merge the two surviving shard engines' sketches by hand
@@ -474,24 +375,25 @@ func TestMergerDegradedKilledShard(t *testing.T) {
 // TestMergerAllShardsDown: zero answering shards is the one case that
 // IS an error — 503 with a Retry-After hint, not a fabricated zero. With
 // no shard reachable, no shard can say a name is unknown either, so an
-// unknown name is a 503 too.
+// unknown name is a 503 too. A schema read, which asks shard 0 alone,
+// is a 503 as well.
 func TestMergerAllShardsDown(t *testing.T) {
 	tc := newTestCluster(t, 2, MergerOptions{})
 	tc.registerSchema(t)
 	for _, sh := range tc.shards {
-		sh.srv.Close()
+		sh.down.Store(true)
 	}
-	for _, query := range []string{"q", "nope"} {
-		resp, err := http.Get(tc.srv.URL + "/answer?query=" + query)
+	for _, path := range []string{"/answer?query=q", "/answer?query=nope", "/queries"} {
+		resp, err := http.Get(tc.srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("%s: status %d, want 503", query, resp.StatusCode)
+			t.Fatalf("%s: status %d, want 503", path, resp.StatusCode)
 		}
 		if resp.Header.Get("Retry-After") == "" {
-			t.Fatalf("%s: 503 without a Retry-After hint", query)
+			t.Fatalf("%s: 503 without a Retry-After hint", path)
 		}
 	}
 }
@@ -505,7 +407,7 @@ func TestMergerPullRetriesBusyShard(t *testing.T) {
 	})
 	tc.registerSchema(t)
 	tc.mustPost(t, "/update", marshalBatch(t, seededBatch(50)))
-	tc.shards[0].satHint = 0 // keep the hint tiny so the test stays fast
+	tc.shards[0].satHint.Store(0) // keep the hint tiny so the test stays fast
 	tc.shards[0].sketch429.Store(1)
 	ar := tc.answer(t, http.StatusOK)
 	if ar.Shards.Answered != 2 || ar.Confidence.Degraded {
@@ -522,9 +424,9 @@ func TestMergerPullRetriesBusyShard(t *testing.T) {
 func TestMergerUpdateRejectPropagates(t *testing.T) {
 	tc := newTestCluster(t, 2, MergerOptions{})
 	tc.registerSchema(t)
-	tc.shards[0].satHint = 7
+	tc.shards[0].satHint.Store(7)
 	tc.shards[0].saturate429.Store(1)
-	tc.shards[1].satHint = 7
+	tc.shards[1].satHint.Store(7)
 	tc.shards[1].saturate429.Store(1)
 	req, err := http.NewRequest(http.MethodPost, tc.srv.URL+"/update", bytes.NewReader([]byte(marshalBatch(t, seededBatch(20)))))
 	if err != nil {
@@ -571,6 +473,70 @@ func TestMergerUpdateRejectPropagates(t *testing.T) {
 	}
 }
 
+// TestMergerUpdateRejectTakesLargestHint: when every shard sheds its
+// slice, the merger's 429 carries the largest of their Retry-After
+// hints, so a client that honors it does not come back too early.
+func TestMergerUpdateRejectTakesLargestHint(t *testing.T) {
+	tc := newTestCluster(t, 2, MergerOptions{})
+	tc.registerSchema(t)
+	for i, hint := range []int64{1, 3} {
+		tc.shards[i].satHint.Store(hint)
+		tc.shards[i].saturate429.Store(1)
+	}
+	resp := tc.post(t, "/update", marshalBatch(t, seededBatch(20)))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "3" {
+		t.Fatalf("status %d, Retry-After %q; want 429 with the largest shard hint, 3", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	for i, sh := range tc.shards {
+		if n := sh.saturate429.Load(); n != 0 {
+			t.Fatalf("shard %d was sent no slice (%d 429s left unspent)", i, n)
+		}
+	}
+}
+
+// TestMergerRefusesWindowedQuery: each shard's window would cover only
+// the updates routed to it, so a merger refuses a windowed side with a
+// 400 and registers the query on no shard, while a node accepts it. An
+// unknown aggregate is a 400 at the merger's decode as at a node's.
+func TestMergerRefusesWindowedQuery(t *testing.T) {
+	engines, cfg := newRealRing(t, 3, nil)
+	m := newRealMerger(t, cfg)
+	declareFG(t, m, 1024)
+	srv := httptest.NewServer(serve.New(m))
+	defer srv.Close()
+	const windowedLeft = `{"name":"w","left":{"stream":"F","windowLen":100,"windowBuckets":4},"right":{"stream":"G"}}`
+	for body, why := range map[string]string{
+		windowedLeft: "windowed",
+		`{"name":"w","left":{"stream":"F"},"right":{"stream":"G","windowLen":100,"windowBuckets":4}}`: "windowed",
+		`{"name":"w","agg":"MAX","left":{"stream":"F"},"right":{"stream":"G"}}`:                       `unknown aggregate "MAX"`,
+	} {
+		resp, err := http.Post(srv.URL+"/queries", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(out.Error, why) {
+			t.Fatalf("%s: status %d, error %q (%v); want a 400 saying %s", body, resp.StatusCode, out.Error, err, why)
+		}
+	}
+	for i, eng := range engines {
+		if qs := eng.Tenant(engine.DefaultTenant).Queries(); slices.Contains(qs, "w") {
+			t.Fatalf("shard %d registered a refused query: %v", i, qs)
+		}
+	}
+	resp, err := http.Post(cfg.Shards[0].Addr+"/queries", "application/json", strings.NewReader(windowedLeft))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("a node answered %d to the windowed query, want 201", resp.StatusCode)
+	}
+}
+
 func TestDeriveKey(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"client:42", "client.s3:42"},
@@ -612,7 +578,7 @@ func TestStreamForwarderEndToEnd(t *testing.T) {
 	})
 	m := newRealMerger(t, cfg)
 	declareFG(t, m, 1024)
-	sum := serve.QueryReq{Name: "s", Agg: "SUM", Left: serve.SideReq{Stream: "F"}, Right: serve.SideReq{Stream: "G"}}
+	sum := serve.QueryReq{Name: "s", Agg: engine.Sum, Left: engine.Side{Stream: "F"}, Right: engine.Side{Stream: "G"}}
 	if err := m.RegisterQuery(context.Background(), engine.DefaultTenant, sum); err != nil {
 		t.Fatal(err)
 	}
@@ -670,7 +636,7 @@ func TestStreamForwarderEndToEnd(t *testing.T) {
 		if got.Estimate != want.Estimate {
 			t.Fatalf("%s: SKSP-ingested cluster estimate %d != reference %d (replay double-applied?)", q, got.Estimate, want.Estimate)
 		}
-		if got.Agg != want.Agg.String() {
+		if got.Agg != want.Agg {
 			t.Fatalf("%s: cluster answers aggregate %s, a node %s", q, got.Agg, want.Agg)
 		}
 	}
@@ -699,7 +665,7 @@ func TestMergerRejectsMalformedIdempotencyKey(t *testing.T) {
 		}
 	}
 	for i, sh := range tc.shards {
-		if n := sh.updates.Load(); n != 0 {
+		if n := sh.updates(); n != 0 {
 			t.Fatalf("shard %d applied %d updates from rejected batches", i, n)
 		}
 	}

@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"strings"
 
 	"skimsketch/internal/engine"
 	"skimsketch/internal/monitor"
@@ -46,27 +44,13 @@ func (n *Node) Streams(_ context.Context, tenant string) ([]string, error) {
 }
 
 func (n *Node) RegisterPredicate(_ context.Context, tenant string, def serve.PredicateReq) error {
-	return n.eng.Tenant(tenant).RegisterPredicate(def.Name, engine.Predicate{Min: def.Min, Max: def.Max})
+	return n.eng.Tenant(tenant).RegisterPredicate(def.Name, def.Predicate)
 }
 
 func (n *Node) RegisterQuery(_ context.Context, tenant string, req serve.QueryReq) error {
-	var agg engine.Aggregate
-	switch strings.ToUpper(req.Agg) {
-	case "COUNT", "":
-		agg = engine.Count
-	case "SUM":
-		agg = engine.Sum
-	default:
-		return fmt.Errorf("unknown aggregate %q", req.Agg)
-	}
 	// A fresh synopsis pair over the memory quota is refused with an
 	// error wrapping engine.ErrQuotaExceeded: a 429.
-	return n.eng.Tenant(tenant).RegisterQuery(engine.QuerySpec{
-		Name:  req.Name,
-		Agg:   agg,
-		Left:  engine.Side(req.Left),
-		Right: engine.Side(req.Right),
-	})
+	return n.eng.Tenant(tenant).RegisterQuery(engine.QuerySpec{Name: req.Name, Agg: req.Agg, Left: req.Left, Right: req.Right})
 }
 
 func (n *Node) Queries(_ context.Context, tenant string) ([]string, error) {
@@ -116,7 +100,7 @@ func (n *Node) Shed(key serve.Key) bool {
 
 // IngestGroups is the node's admission path for both /update and SKSP:
 // replays are answered from the dedupe window, and the engine admits
-// every group or none.
+// every group or none. Its errors reach the surface as they are.
 func (n *Node) IngestGroups(_ context.Context, tenant string, key serve.Key, groups []stream.Group, release func()) (int64, bool, error) {
 	if key.Client != "" {
 		if out, ok := n.dedupe.Lookup(key.Client, key.Seq); ok {
@@ -131,18 +115,7 @@ func (n *Node) IngestGroups(_ context.Context, tenant string, key serve.Key, gro
 		total += int64(len(groups[i].Updates))
 	}
 	if err := n.eng.Tenant(tenant).IngestGroups(groups, release); err != nil {
-		if errors.Is(err, engine.ErrQuotaExceeded) {
-			return 0, false, err
-		}
-		if errors.Is(err, engine.ErrNotIngesting) {
-			return 0, false, &serve.Error{Status: http.StatusServiceUnavailable, Err: err}
-		}
-		e := &serve.Error{Status: http.StatusBadRequest, Err: err}
-		var se *engine.StreamError
-		if errors.As(err, &se) {
-			e.Stream = se.Stream
-		}
-		return 0, false, e
+		return 0, false, err
 	}
 	if key.Client != "" {
 		n.dedupe.Record(key.Client, key.Seq, wire.Outcome{Applied: total})
@@ -157,10 +130,7 @@ func (n *Node) Flush(context.Context) error {
 
 func (n *Node) Answer(_ context.Context, tenant, query string) (serve.Answer, error) {
 	ans, err := n.eng.Tenant(tenant).Answer(query)
-	if err != nil {
-		return serve.Answer{}, err
-	}
-	return serve.Answer{Query: ans.Query, Agg: ans.Agg.String(), Estimate: ans.Estimate, Detail: ans.Detail}, nil
+	return serve.Answer{Answer: ans}, err
 }
 
 // Sketch serves the shard side of cluster mode: the fat update-side
@@ -174,12 +144,8 @@ func (n *Node) Sketch(_ context.Context, tenant, query string) ([]byte, *serve.C
 	if err != nil {
 		return nil, nil, err
 	}
-	agg := AggCount
-	if qs.Agg == engine.Sum {
-		agg = AggSum
-	}
 	blob, err := EncodePayload(&Payload{
-		Agg: agg, Domain: qs.Domain,
+		Agg: aggCode(qs.Agg), Domain: qs.Domain,
 		LeftEpoch: qs.LeftEpoch, RightEpoch: qs.RightEpoch,
 		Left: qs.Left, Right: qs.Right,
 	})
@@ -190,7 +156,7 @@ func (n *Node) Sketch(_ context.Context, tenant, query string) ([]byte, *serve.C
 }
 
 func (n *Node) RegisterWatch(_ context.Context, tenant string, req serve.WatchReq) error {
-	return n.eng.Tenant(tenant).RegisterWatch(engine.WatchSpec{Query: req.Query, High: req.High, Low: req.Low})
+	return n.eng.Tenant(tenant).RegisterWatch(req.Query, req.WatchConfig)
 }
 
 func (n *Node) Watches() *monitor.Registry { return n.eng.Watches() }

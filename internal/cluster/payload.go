@@ -6,6 +6,7 @@ import (
 
 	"skimsketch/internal/binfmt"
 	"skimsketch/internal/core"
+	"skimsketch/internal/engine"
 )
 
 // The SKSL ("SKimmed Sketch sLim payload") format is what a shard ships
@@ -36,6 +37,22 @@ const (
 	AggCount uint8 = 0
 	AggSum   uint8 = 1
 )
+
+// aggCode and aggOf are the one mapping between the engine's Aggregate
+// and its SKSL code, in each direction.
+func aggCode(a engine.Aggregate) uint8 {
+	if a == engine.Sum {
+		return AggSum
+	}
+	return AggCount
+}
+
+func aggOf(code uint8) engine.Aggregate {
+	if code == AggSum {
+		return engine.Sum
+	}
+	return engine.Count
+}
 
 const (
 	payloadMagic   = "SKSL"

@@ -6,32 +6,31 @@
 //
 // The engine applies synopsis sharing in the spirit of the companion
 // paper ("Sketch-Based Multi-Query Processing over Data Streams", Dobra
-// et al.): two query sides over the same stream with the same predicate,
-// window and sketch configuration share a single synopsis, so the
-// per-element work and the memory footprint grow with the number of
-// *distinct* synopses, not the number of queries. Reference counts
-// garbage-collect synopses when the last query using them is removed.
+// et al.): two query sides over the same stream with the same predicate
+// and window share a single synopsis, so the per-element work and the
+// memory footprint grow with the number of *distinct* synopses, not the
+// number of queries. Reference counts garbage-collect synopses when the
+// last query using them is removed.
 //
 // Every piece of engine state is scoped to a tenant namespace: synopsis
-// identity is (tenant, stream, predicate, window, config), and streams,
-// predicates, queries, standing watches and the answer cache are all
-// keyed by (tenant, name). One engine therefore cheaply hosts thousands
-// of independent per-tenant registries — the skimmed-sketch synopses are
-// tiny linear summaries — behind a single shared ingest pipeline, with
-// per-tenant quotas on synopsis memory and queue share (Quota). Engine
-// methods are engine-wide (pipeline, quotas, stats, snapshots); every
-// scoped operation goes through a Tenant handle, and a single-tenant
-// caller uses Tenant(DefaultTenant).
+// identity is (tenant, Side), and streams, predicates, queries, standing
+// watches and the answer cache are all keyed by (tenant, name). One
+// engine therefore cheaply hosts thousands of independent per-tenant
+// registries — the skimmed-sketch synopses are tiny linear summaries —
+// behind a single shared ingest pipeline, with per-tenant quotas on
+// synopsis memory and queue share (Quota). Engine methods are
+// engine-wide (pipeline, quotas, stats, snapshots); every scoped
+// operation goes through a Tenant handle, and a single-tenant caller
+// uses Tenant(DefaultTenant).
 //
-// All synopses default to one engine-wide sketch configuration (one
-// seed), which makes every pair of synopses join-compatible; a query may
-// override the configuration for both of its sides at the cost of a
-// dedicated synopsis pair.
+// Every synopsis has the one engine-wide sketch configuration (one
+// seed), which makes every pair of synopses join-compatible.
 package engine
 
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -65,6 +64,29 @@ func (a Aggregate) String() string {
 	}
 }
 
+// MarshalText writes the aggregate's name, so it travels as "COUNT" or
+// "SUM" in JSON.
+func (a Aggregate) MarshalText() ([]byte, error) {
+	if a != Count && a != Sum {
+		return nil, fmt.Errorf("engine: unknown aggregate %v", a)
+	}
+	return []byte(a.String()), nil
+}
+
+// UnmarshalText reads an aggregate name in any case; the empty name is
+// COUNT.
+func (a *Aggregate) UnmarshalText(text []byte) error {
+	switch strings.ToUpper(string(text)) {
+	case "COUNT", "":
+		*a = Count
+	case "SUM":
+		*a = Sum
+	default:
+		return fmt.Errorf("unknown aggregate %q", text)
+	}
+	return nil
+}
+
 // Predicate is a selection predicate: a query side over it sketches
 // only the stream elements whose value lies in [Min, Max]. Being data,
 // not code, it travels in snapshots with the queries that name it.
@@ -73,17 +95,18 @@ type Predicate struct {
 	Max uint64 `json:"max"`
 }
 
-// Side describes one input of a join query.
+// Side describes one input of a join query. Within a tenant it is also
+// the identity of the synopsis that sketches the input.
 type Side struct {
 	// Stream is the declared stream name.
-	Stream string
+	Stream string `json:"stream"`
 	// Predicate optionally names a registered predicate applied to this
 	// side before sketching (predicate pushdown).
-	Predicate string
+	Predicate string `json:"predicate,omitempty"`
 	// WindowLen, if positive, restricts this side to (approximately) its
 	// most recent WindowLen elements, tiled into WindowBuckets buckets.
-	WindowLen     int64
-	WindowBuckets int
+	WindowLen     int64 `json:"windowLen,omitempty"`
+	WindowBuckets int   `json:"windowBuckets,omitempty"`
 }
 
 // QuerySpec registers one continuous query.
@@ -92,9 +115,6 @@ type QuerySpec struct {
 	Agg   Aggregate
 	Left  Side
 	Right Side
-	// SketchConfig optionally overrides the engine default for this
-	// query's pair of synopses. Seed and dimensions apply to both sides.
-	SketchConfig *core.Config
 }
 
 // Answer is one approximate query result.
@@ -145,10 +165,10 @@ type Engine struct {
 	routes    map[nsKey][][]*synEntry
 	metrics   *monitor.IngestMetrics
 
-	// Query-path state (see Answer): the number of estimation workers
-	// and the per-(tenant, query) answer cache keyed on the synopsis
-	// epochs captured at snapshot time (each tenant counts its own hits
-	// and misses). Guarded by e.mu.
+	// Query-path state (see Answer): the number of estimation workers,
+	// fixed by New, and the per-(tenant, query) answer cache keyed on the
+	// synopsis epochs captured at snapshot time (each tenant counts its
+	// own hits and misses), guarded by e.mu.
 	queryWorkers int
 	answers      map[nsKey]cachedAnswer
 	// beforeEstimate, when set, runs in Answer after the locks are
@@ -186,12 +206,8 @@ type streamInfo struct {
 // identity: two tenants registering byte-identical sides get two
 // independent synopses, never a shared one.
 type synKey struct {
-	tenant        string
-	stream        string
-	predicate     string
-	windowLen     int64
-	windowBuckets int
-	cfg           core.Config
+	tenant string
+	Side
 }
 
 type synEntry struct {
@@ -289,13 +305,6 @@ func (e *Engine) registerLocked(tenant string, spec QuerySpec) error {
 	if _, ok := e.queries[qk]; ok {
 		return fmt.Errorf("engine: query %q already registered", spec.Name)
 	}
-	cfg := e.defaults
-	if spec.SketchConfig != nil {
-		if err := spec.SketchConfig.Validate(); err != nil {
-			return fmt.Errorf("engine: query %q: %w", spec.Name, err)
-		}
-		cfg = *spec.SketchConfig
-	}
 	lDomain, err := e.sideDomain(tenant, spec.Left)
 	if err != nil {
 		return fmt.Errorf("engine: query %q: left: %w", spec.Name, err)
@@ -309,11 +318,11 @@ func (e *Engine) registerLocked(tenant string, spec QuerySpec) error {
 		domain = rDomain
 	}
 
-	left, err := e.acquireSynopsis(tenant, spec.Left, cfg)
+	left, err := e.acquireSynopsis(tenant, spec.Left)
 	if err != nil {
 		return fmt.Errorf("engine: query %q: left: %w", spec.Name, err)
 	}
-	right, err := e.acquireSynopsis(tenant, spec.Right, cfg)
+	right, err := e.acquireSynopsis(tenant, spec.Right)
 	if err != nil {
 		e.release(left)
 		return fmt.Errorf("engine: query %q: right: %w", spec.Name, err)
@@ -336,7 +345,7 @@ func (e *Engine) sideDomain(tenant string, s Side) (uint64, error) {
 // acquireSynopsis returns a shared or fresh synopsis for the side,
 // charging a fresh one against the tenant's memory quota. Callers hold
 // e.mu.
-func (e *Engine) acquireSynopsis(tenant string, s Side, cfg core.Config) (*synEntry, error) {
+func (e *Engine) acquireSynopsis(tenant string, s Side) (*synEntry, error) {
 	var pred *Predicate
 	if s.Predicate != "" {
 		p, ok := e.predicates[nsKey{tenant, s.Predicate}]
@@ -345,18 +354,12 @@ func (e *Engine) acquireSynopsis(tenant string, s Side, cfg core.Config) (*synEn
 		}
 		pred = &p
 	}
-	key := synKey{
-		tenant:        tenant,
-		stream:        s.Stream,
-		predicate:     s.Predicate,
-		windowLen:     s.WindowLen,
-		windowBuckets: s.WindowBuckets,
-		cfg:           cfg,
-	}
+	key := synKey{tenant, s}
 	if entry, ok := e.synopses[key]; ok {
 		entry.refs++
 		return entry, nil
 	}
+	cfg := e.defaults
 	words, err := synopsisWords(cfg, s.WindowBuckets)
 	if err != nil {
 		return nil, err
@@ -427,40 +430,41 @@ func (e *Engine) release(entry *synEntry) {
 // the entry.
 func (t *Tenant) Answer(name string) (Answer, error) {
 	e := t.e
-	release := e.readQuiesce()
 	qk := nsKey{t.name, name}
-	q, ok := e.queries[qk]
-	if !ok {
-		release()
-		return Answer{}, fmt.Errorf("engine: %w %q", ErrUnknownQuery, name)
+	var hit Answer
+	qs, q, err := t.cut(name, func(qs QuerySnapshot) bool {
+		ts := e.tenantLocked(t.name)
+		c, ok := e.answers[qk]
+		if ok && c.leftEpoch == qs.LeftEpoch && c.rightEpoch == qs.RightEpoch {
+			ts.cacheHits++
+			hit = c.ans
+			return true
+		}
+		ts.cacheMisses++
+		return false
+	})
+	if err != nil {
+		return Answer{}, err
 	}
-	ts := e.tenantLocked(t.name)
-	le, re := q.left.epoch, q.right.epoch
-	if c, ok := e.answers[qk]; ok && c.leftEpoch == le && c.rightEpoch == re {
-		ts.cacheHits++
-		release()
-		return c.ans, nil
+	if qs.Left == nil {
+		return hit, nil
 	}
-	ts.cacheMisses++
-	fs, gs := q.left.snapshot(), q.right.snapshot()
-	domain, workers, agg := q.domain, e.queryWorkers, q.spec.Agg
-	release()
 
 	if e.beforeEstimate != nil {
 		e.beforeEstimate()
 	}
-	est, err := core.EstimateJoin(fs, gs, domain, &core.Options{Workers: workers})
+	est, err := core.EstimateJoin(qs.Left, qs.Right, qs.Domain, &core.Options{Workers: e.queryWorkers})
 	if err != nil {
 		return Answer{}, fmt.Errorf("engine: query %q: %w", name, err)
 	}
-	ans := Answer{Query: name, Agg: agg, Estimate: est.Total, Detail: est}
+	ans := Answer{Query: name, Agg: qs.Agg, Estimate: est.Total, Detail: est}
 
 	// Store under e.mu, but only if the query we snapshotted is still the
 	// registered one — a concurrent Remove+Register must not resurrect an
 	// answer computed over the old synopses.
 	e.mu.Lock()
 	if cur, ok := e.queries[qk]; ok && cur == q {
-		e.answers[qk] = cachedAnswer{leftEpoch: le, rightEpoch: re, ans: ans}
+		e.answers[qk] = cachedAnswer{leftEpoch: qs.LeftEpoch, rightEpoch: qs.RightEpoch, ans: ans}
 	}
 	e.mu.Unlock()
 	return ans, nil
@@ -492,12 +496,21 @@ type QuerySnapshot struct {
 // for the clone, so a slow puller never stalls ingestion. Windowed sides
 // are rolled up via the window's Combined sketch.
 func (t *Tenant) QuerySketches(name string) (QuerySnapshot, error) {
+	qs, _, err := t.cut(name, nil)
+	return qs, err
+}
+
+// cut looks up the tenant's query and, under the quiesce, captures its
+// synopses' epochs and clones both sides; the quiesce is held for the
+// copy only. A non-nil reuse sees the epochs first, under the same
+// quiesce: when it returns true the clones are skipped (Answer's cache
+// hit), and Left and Right stay nil.
+func (t *Tenant) cut(name string, reuse func(QuerySnapshot) bool) (QuerySnapshot, *queryState, error) {
 	e := t.e
-	release := e.readQuiesce()
+	defer e.readQuiesce()()
 	q, ok := e.queries[nsKey{t.name, name}]
 	if !ok {
-		release()
-		return QuerySnapshot{}, fmt.Errorf("engine: %w %q", ErrUnknownQuery, name)
+		return QuerySnapshot{}, nil, fmt.Errorf("engine: %w %q", ErrUnknownQuery, name)
 	}
 	qs := QuerySnapshot{
 		Query:      name,
@@ -505,11 +518,11 @@ func (t *Tenant) QuerySketches(name string) (QuerySnapshot, error) {
 		Domain:     q.domain,
 		LeftEpoch:  q.left.epoch,
 		RightEpoch: q.right.epoch,
-		Left:       q.left.snapshot(),
-		Right:      q.right.snapshot(),
 	}
-	release()
-	return qs, nil
+	if reuse == nil || !reuse(qs) {
+		qs.Left, qs.Right = q.left.snapshot(), q.right.snapshot()
+	}
+	return qs, q, nil
 }
 
 // Stats summarizes the engine state across every tenant.

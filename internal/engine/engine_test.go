@@ -123,7 +123,6 @@ func TestRegisterQueryValidation(t *testing.T) {
 		{Name: "q", Left: Side{Stream: "F", Predicate: "missing"}, Right: Side{Stream: "F"}},
 		{Name: "q", Left: Side{Stream: "F", WindowBuckets: 3}, Right: Side{Stream: "F"}},
 		{Name: "q", Left: Side{Stream: "F", WindowLen: 10, WindowBuckets: 3}, Right: Side{Stream: "F"}},
-		{Name: "q", Left: Side{Stream: "F"}, Right: Side{Stream: "F"}, SketchConfig: &core.Config{}},
 	}
 	for i, spec := range cases {
 		if err := tn.RegisterQuery(spec); err == nil {
@@ -360,28 +359,6 @@ func TestQueriesAndStreamsListing(t *testing.T) {
 	}
 }
 
-func TestPerQuerySketchConfigOverride(t *testing.T) {
-	e := mustEngine(t)
-	tn := e.Tenant(DefaultTenant)
-	tn.DeclareStream("F", 64)
-	tn.DeclareStream("G", 64)
-	big := core.Config{Tables: 7, Buckets: 512, Seed: 9}
-	tn.RegisterQuery(QuerySpec{Name: "default", Left: Side{Stream: "F"}, Right: Side{Stream: "G"}})
-	tn.RegisterQuery(QuerySpec{Name: "big", Left: Side{Stream: "F"}, Right: Side{Stream: "G"}, SketchConfig: &big})
-	st := e.Stats()
-	// No sharing across different configs: 4 synopses.
-	if st.Synopses != 4 {
-		t.Fatalf("Synopses = %d, want 4", st.Synopses)
-	}
-	update(t, tn, "F", 1, 2)
-	update(t, tn, "G", 1, 3)
-	a, _ := tn.Answer("default")
-	b, _ := tn.Answer("big")
-	if a.Estimate != 6 || b.Estimate != 6 {
-		t.Fatalf("estimates %d/%d, want 6/6", a.Estimate, b.Estimate)
-	}
-}
-
 func TestConcurrentUpdatesAndAnswers(t *testing.T) {
 	e := mustEngine(t)
 	tn := e.Tenant(DefaultTenant)
@@ -417,11 +394,30 @@ func TestConcurrentUpdatesAndAnswers(t *testing.T) {
 	}
 }
 
+// TestAggregateString: an aggregate prints its name, and only a known
+// one is written as text. Request bodies name it in any case, the empty
+// name is COUNT, and an unknown name is refused by name.
 func TestAggregateString(t *testing.T) {
 	if Count.String() != "COUNT" || Sum.String() != "SUM" {
 		t.Fatal("aggregate names")
 	}
 	if Aggregate(9).String() == "" {
 		t.Fatal("unknown aggregate must still print")
+	}
+	if _, err := Aggregate(9).MarshalText(); err == nil {
+		t.Fatal("an unknown aggregate was written")
+	}
+	for text, want := range map[string]Aggregate{"COUNT": Count, "count": Count, "": Count, "SUM": Sum, "Sum": Sum} {
+		got := Aggregate(9)
+		if err := got.UnmarshalText([]byte(text)); err != nil || got != want {
+			t.Fatalf("%q reads as %v (%v), want %v", text, got, err, want)
+		}
+		if b, err := want.MarshalText(); err != nil || string(b) != want.String() {
+			t.Fatalf("%v writes as %q (%v)", want, b, err)
+		}
+	}
+	var a Aggregate
+	if err := a.UnmarshalText([]byte("MAX")); err == nil || err.Error() != `unknown aggregate "MAX"` {
+		t.Fatalf("MAX: %v, want unknown aggregate \"MAX\"", err)
 	}
 }

@@ -409,7 +409,7 @@ func (e *Engine) routeLocked(tenant, streamName string, shards int) [][]*synEntr
 	}
 	r := make([][]*synEntry, shards)
 	for _, en := range e.synopses {
-		if en.key.tenant == tenant && en.key.stream == streamName {
+		if en.key.tenant == tenant && en.key.Stream == streamName {
 			s := en.id % shards
 			r[s] = append(r[s], en)
 		}

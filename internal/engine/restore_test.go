@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"runtime"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"skimsketch/internal/core"
+	"skimsketch/internal/monitor"
 	"skimsketch/internal/stream"
 )
 
@@ -26,7 +28,7 @@ func allocatedBy(f func()) uint64 {
 // refused before its buckets are built, and so is a synopsis whose word
 // count overflows int.
 func TestQuotaRefusesBeforeAllocating(t *testing.T) {
-	e := mustEngine(t)
+	e := startEngine(t, Options{SketchConfig: core.Config{Tables: 7, Buckets: 2048, Seed: 1}}, IngestConfig{Workers: 2})
 	if err := e.SetQuota("capped", Quota{MaxSynopsisWords: 1000}); err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +36,10 @@ func TestQuotaRefusesBeforeAllocating(t *testing.T) {
 	if err := tn.DeclareStream("F", 1024); err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.Config{Tables: 7, Buckets: 2048, Seed: 1}
 	side := Side{Stream: "F", WindowLen: 2000, WindowBuckets: 2000}
 	var err error
 	n := allocatedBy(func() {
-		err = tn.RegisterQuery(QuerySpec{Name: "w", Left: side, Right: side, SketchConfig: &cfg})
+		err = tn.RegisterQuery(QuerySpec{Name: "w", Left: side, Right: side})
 	})
 	if !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("want ErrQuotaExceeded, got %v", err)
@@ -46,8 +47,11 @@ func TestQuotaRefusesBeforeAllocating(t *testing.T) {
 	if n >= 1<<20 {
 		t.Fatalf("refused registration allocated %d bytes, want < 1 MiB", n)
 	}
-	huge := core.Config{Tables: 1 << 32, Buckets: 1 << 32, Seed: 1}
-	if err := tn.RegisterQuery(QuerySpec{Name: "huge", Left: Side{Stream: "F"}, Right: Side{Stream: "F"}, SketchConfig: &huge}); err == nil {
+	huge := idleEngine(t, Options{SketchConfig: core.Config{Tables: 1 << 32, Buckets: 1 << 32, Seed: 1}}).Tenant(DefaultTenant)
+	if err := huge.DeclareStream("F", 1024); err != nil {
+		t.Fatal(err)
+	}
+	if err := huge.RegisterQuery(QuerySpec{Name: "huge", Left: Side{Stream: "F"}, Right: Side{Stream: "F"}}); err == nil {
 		t.Fatal("registered a synopsis whose word count overflows int")
 	}
 }
@@ -78,15 +82,21 @@ func TestRestoreRefusals(t *testing.T) {
 		*s = snapshot{Version: snapshotVersionV2, Defaults: s.Defaults, Tenants: map[string]tenantSnap{tenant: slice}}
 	}
 	for name, edit := range map[string]func(*snapshot){
-		"defaults":       func(s *snapshot) { s.Defaults.Tables = 0 },
-		"domain 0":       func(s *snapshot) { s.Streams["F"] = streamSnap{Domain: 0, Count: 1} },
-		"negative count": func(s *snapshot) { s.Streams["F"] = streamSnap{Domain: 1024, Count: -1} },
-		"stream name":    func(s *snapshot) { s.Streams["a/b"] = streamSnap{Domain: 8} },
-		"uncarried":      func(s *snapshot) { s.Queries[0].Config = &core.Config{Tables: 16, Buckets: 1 << 20, Seed: 1} },
-		"blob config":    func(s *snapshot) { s.Synopses[0].Config.Seed++ },
-		"window shape":   func(s *snapshot) { window(s).WindowBuckets *= 2 },
+		"defaults":        func(s *snapshot) { s.Defaults.Tables = 0 },
+		"domain 0":        func(s *snapshot) { s.Streams["F"] = streamSnap{Domain: 0, Count: 1} },
+		"negative count":  func(s *snapshot) { s.Streams["F"] = streamSnap{Domain: 1024, Count: -1} },
+		"stream name":     func(s *snapshot) { s.Streams["a/b"] = streamSnap{Domain: 8} },
+		"uncarried":       func(s *snapshot) { s.Synopses = s.Synopses[1:] },
+		"synopsis config": func(s *snapshot) { s.Synopses[0].Config.Seed++ },
+		"blob config": func(s *snapshot) {
+			s.Defaults.Seed++
+			for i := range s.Synopses {
+				s.Synopses[i].Config = s.Defaults
+			}
+		},
+		"window shape": func(s *snapshot) { window(s).WindowBuckets *= 2 },
 		"unused synopsis": func(s *snapshot) {
-			s.Synopses = append(s.Synopses, synSnap{Stream: "G", Predicate: "low", Config: s.Defaults, Blob: s.Synopses[0].Blob})
+			s.Synopses = append(s.Synopses, synSnap{Side: Side{Stream: "G", Predicate: "low"}, Config: s.Defaults, Blob: s.Synopses[0].Blob})
 		},
 		"predicate range": func(s *snapshot) { s.Predicates["mid"] = Predicate{Min: 9, Max: 1} },
 		"predicate name":  func(s *snapshot) { s.Predicates[""] = Predicate{} },
@@ -191,9 +201,51 @@ func fuzzOpts() Options {
 const (
 	badDefaultsBody = `{"version":1,"defaults":{"Tables":0,"Buckets":0,"Seed":0}}`
 	badStreamBody   = `{"version":1,"defaults":{"Tables":2,"Buckets":4,"Seed":7},"streams":{"F":{"domain":0,"count":-1}}}`
-	uncarriedBody   = `{"version":1,"defaults":{"Tables":2,"Buckets":4,"Seed":7},"streams":{"F":{"domain":1024,"count":0}},` +
-		`"queries":[{"name":"q","agg":0,"left":{"stream":"F"},"right":{"stream":"F"},"config":{"Tables":16,"Buckets":1048576,"Seed":1}}]}`
+	uncarriedBody   = `{"version":1,"defaults":{"Tables":16,"Buckets":1048576,"Seed":1},"streams":{"F":{"domain":1024,"count":0}},` +
+		`"queries":[{"name":"q","agg":0,"left":{"stream":"F"},"right":{"stream":"F"}}]}`
 )
+
+// offDefaultsBody is a snapshot as an engine that let a query override
+// the sketch config wrote it: the query and the synopsis it carries name
+// a 3 × 8 config, and the defaults are the fuzz engines' 2 × 4.
+func offDefaultsBody(t testing.TB) []byte {
+	t.Helper()
+	sk, err := core.NewHashSketch(core.Config{Tables: 3, Buckets: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := sk.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := `{"Tables":3,"Buckets":8,"Seed":1}`
+	return []byte(`{"version":1,"defaults":{"Tables":2,"Buckets":4,"Seed":7},"streams":{"F":{"domain":64,"count":0}},` +
+		`"queries":[{"name":"q","agg":0,"left":{"stream":"F"},"right":{"stream":"F"},"config":` + cfg + `}],` +
+		`"synopses":[{"stream":"F","config":` + cfg + `,"blob":"` + base64.StdEncoding.EncodeToString(blob) + `"}]}`)
+}
+
+// TestRestoreRefusesSynopsisOffDefaults: a synopsis whose config differs
+// from the body's defaults is refused by both restores, which install
+// nothing and then take a good snapshot.
+func TestRestoreRefusesSynopsisOffDefaults(t *testing.T) {
+	body := offDefaultsBody(t)
+	e := restoreFuzzEngine(t, DefaultTenant, "t")
+	for _, tenant := range []string{"", "t"} {
+		restore := e.Restore
+		if tenant != "" {
+			restore = e.Tenant(tenant).Restore
+		}
+		if err := restore(bytes.NewReader(body)); err == nil || !strings.Contains(err.Error(), "differs from the defaults") {
+			t.Fatalf("tenant %q: restore of a synopsis off the defaults: %v, want a refusal", tenant, err)
+		}
+		if st := e.Stats(); st.Streams != 0 || st.Queries != 0 || st.Synopses != 0 {
+			t.Fatalf("tenant %q: refused restore left %d streams, %d queries, %d synopses", tenant, st.Streams, st.Queries, st.Synopses)
+		}
+	}
+	if err := e.Restore(bytes.NewReader(fuzzSeedSnapshot(t, false))); err != nil {
+		t.Fatalf("good snapshot refused after it: %v", err)
+	}
+}
 
 // restoreFuzzEngine is an empty engine, its pipeline not started, with
 // the predicate "low" = [0, 31] registered in each of tenants.
@@ -213,7 +265,7 @@ func restoreFuzzEngine(t testing.TB, tenants ...string) *Engine {
 // the fuzz engines' predicate "low" and one they lack, "mid", which no
 // query uses. v2 adds a quota and a watch, which only the version-2
 // layout carries.
-func fuzzSeedSnapshot(f *testing.F, v2 bool) []byte {
+func fuzzSeedSnapshot(f testing.TB, v2 bool) []byte {
 	e := restoreFuzzEngine(f, DefaultTenant)
 	if err := e.StartIngest(IngestConfig{Workers: 2}); err != nil {
 		f.Fatal(err)
@@ -245,7 +297,7 @@ func fuzzSeedSnapshot(f *testing.F, v2 bool) []byte {
 		if err := e.SetQuota(DefaultTenant, Quota{MaxSynopsisWords: 1000}); err != nil {
 			f.Fatal(err)
 		}
-		if err := tn.RegisterWatch(WatchSpec{Query: "plain", High: 10, Low: 5}); err != nil {
+		if err := tn.RegisterWatch("plain", monitor.WatchConfig{High: 10, Low: 5}); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -274,7 +326,7 @@ func FuzzRestore(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, seed := range [][]byte{v1, v2, []byte(badDefaultsBody), []byte(badStreamBody), []byte(uncarriedBody), conflicting} {
+	for _, seed := range [][]byte{v1, v2, []byte(badDefaultsBody), []byte(badStreamBody), []byte(uncarriedBody), conflicting, offDefaultsBody(f)} {
 		f.Add(seed, false)
 		f.Add(seed, true)
 	}

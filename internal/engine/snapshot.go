@@ -44,35 +44,26 @@ type streamSnap struct {
 	Count  int64  `json:"count"`
 }
 
-type sideSnap struct {
-	Stream        string `json:"stream"`
-	Predicate     string `json:"predicate,omitempty"`
-	WindowLen     int64  `json:"windowLen,omitempty"`
-	WindowBuckets int    `json:"windowBuckets,omitempty"`
-}
-
+// querySnap keeps the aggregate as its number, the version-1 encoding.
 type querySnap struct {
-	Name   string       `json:"name"`
-	Agg    int          `json:"agg"`
-	Left   sideSnap     `json:"left"`
-	Right  sideSnap     `json:"right"`
-	Config *core.Config `json:"config,omitempty"`
+	Name  string `json:"name"`
+	Agg   int    `json:"agg"`
+	Left  Side   `json:"left"`
+	Right Side   `json:"right"`
 }
 
+// synSnap is one synopsis: its side's fields, then its config, which is
+// always the snapshot's defaults, and its counters.
 type synSnap struct {
-	Stream        string      `json:"stream"`
-	Predicate     string      `json:"predicate,omitempty"`
-	WindowLen     int64       `json:"windowLen,omitempty"`
-	WindowBuckets int         `json:"windowBuckets,omitempty"`
-	Config        core.Config `json:"config"`
-	Blob          []byte      `json:"blob"`
+	Side
+	Config core.Config `json:"config"`
+	Blob   []byte      `json:"blob"`
 }
 
 type watchSnap struct {
 	Query string `json:"query"`
-	High  int64  `json:"high"`
-	Low   int64  `json:"low"`
-	Alert bool   `json:"alert,omitempty"`
+	monitor.WatchConfig
+	Alert bool `json:"alert,omitempty"`
 }
 
 // tenantSnap is one tenant's slice of a version-2 snapshot — exactly the
@@ -157,11 +148,7 @@ func (e *Engine) tenantSliceLocked(tenant string) (tenantSnap, error) {
 			continue
 		}
 		slice.Queries = append(slice.Queries, querySnap{
-			Name:   key.name,
-			Agg:    int(q.spec.Agg),
-			Left:   sideSnap(q.spec.Left),
-			Right:  sideSnap(q.spec.Right),
-			Config: q.spec.SketchConfig,
+			Name: key.name, Agg: int(q.spec.Agg), Left: q.spec.Left, Right: q.spec.Right,
 		})
 	}
 	sort.Slice(slice.Queries, func(i, j int) bool { return slice.Queries[i].Name < slice.Queries[j].Name })
@@ -179,14 +166,7 @@ func (e *Engine) tenantSliceLocked(tenant string) (tenantSnap, error) {
 		if err != nil {
 			return tenantSnap{}, fmt.Errorf("engine: snapshot: %w", err)
 		}
-		slice.Synopses = append(slice.Synopses, synSnap{
-			Stream:        key.stream,
-			Predicate:     key.predicate,
-			WindowLen:     key.windowLen,
-			WindowBuckets: key.windowBuckets,
-			Config:        key.cfg,
-			Blob:          blob,
-		})
+		slice.Synopses = append(slice.Synopses, synSnap{Side: key.Side, Config: e.defaults, Blob: blob})
 	}
 	slices.SortFunc(slice.Synopses, func(a, b synSnap) int {
 		return cmp.Or(
@@ -194,14 +174,11 @@ func (e *Engine) tenantSliceLocked(tenant string) (tenantSnap, error) {
 			cmp.Compare(a.Predicate, b.Predicate),
 			cmp.Compare(a.WindowLen, b.WindowLen),
 			cmp.Compare(a.WindowBuckets, b.WindowBuckets),
-			cmp.Compare(a.Config.Tables, b.Config.Tables),
-			cmp.Compare(a.Config.Buckets, b.Config.Buckets),
-			cmp.Compare(a.Config.Seed, b.Config.Seed),
 		)
 	})
 	for _, w := range e.watches.List(tenant) {
 		slice.Watches = append(slice.Watches, watchSnap{
-			Query: w.Query, High: w.High, Low: w.Low, Alert: w.State == monitor.Alert,
+			Query: w.Query, WatchConfig: monitor.WatchConfig{High: w.High, Low: w.Low}, Alert: w.State == monitor.Alert,
 		})
 	}
 	return slice, nil
@@ -322,8 +299,8 @@ func (e *Engine) Restore(r io.Reader) error {
 
 // Restore loads a version-1 (single-tenant layout) snapshot into this
 // tenant, which must be empty. The snapshot's default sketch config must
-// match the engine's, since queries without a per-query override rebuild
-// their synopses from it. On failure the engine is unchanged.
+// match the engine's, since every synopsis is rebuilt from the engine's.
+// On failure the engine is unchanged.
 func (t *Tenant) Restore(r io.Reader) error {
 	if err := validTenantName(t.name); err != nil {
 		return err
@@ -411,13 +388,14 @@ func (e *Engine) commitLocked(st *Engine) {
 // restoreTenantLocked loads one tenant slice. Everything the slice
 // names is checked before any synopsis is allocated: the quota, the
 // streams (as DeclareStream checks them), the predicates (installed as
-// RegisterPredicate installs them), the synopsis blobs, and that the
-// slice carries every query side's synopsis with the side's config and
-// window shape, so a small body cannot allocate a large synopsis it does
-// not carry. Then the quota is installed (so rebuilding synopses is
-// charged against it), the queries are re-registered, their synopses
-// overwritten from the blobs, and the watches re-armed. It runs on a
-// staged engine (stageLocked) while the caller holds the live engine's mu.
+// RegisterPredicate installs them), that every synopsis has the
+// defaults' config, the synopsis blobs, and that the slice carries every
+// query side's synopsis, so a small body cannot allocate a large
+// synopsis it does not carry. Then the quota is installed (so rebuilding
+// synopses is charged against it), the queries are re-registered, their
+// synopses overwritten from the blobs, and the watches re-armed. It runs
+// on a staged engine (stageLocked) while the caller holds the live
+// engine's mu.
 func (e *Engine) restoreTenantLocked(tenant string, slice tenantSnap) error {
 	if err := slice.Quota.validate(); err != nil {
 		return fmt.Errorf("engine: restore: tenant %q quota: %w", tenant, err)
@@ -437,13 +415,9 @@ func (e *Engine) restoreTenantLocked(tenant string, slice tenantSnap) error {
 	}
 	carried := make(map[synKey]any, len(slice.Synopses)) // *window.Window or *core.HashSketch
 	for _, s := range slice.Synopses {
-		key := synKey{
-			tenant:        tenant,
-			stream:        s.Stream,
-			predicate:     s.Predicate,
-			windowLen:     s.WindowLen,
-			windowBuckets: s.WindowBuckets,
-			cfg:           s.Config,
+		key := synKey{tenant, s.Side}
+		if s.Config != e.defaults {
+			return fmt.Errorf("engine: restore: synopsis %+v: config %+v differs from the defaults %+v", key, s.Config, e.defaults)
 		}
 		if s.WindowLen > 0 {
 			w := new(window.Window)
@@ -466,17 +440,13 @@ func (e *Engine) restoreTenantLocked(tenant string, slice tenantSnap) error {
 		}
 	}
 	for _, q := range slice.Queries {
-		cfg := e.defaults
-		if q.Config != nil {
-			cfg = *q.Config
-		}
-		for _, side := range []sideSnap{q.Left, q.Right} {
+		for _, side := range []Side{q.Left, q.Right} {
 			if side.Predicate != "" {
 				if _, ok := e.predicates[nsKey{tenant, side.Predicate}]; !ok {
 					return fmt.Errorf("engine: restore: predicate %q is neither carried nor registered", side.Predicate)
 				}
 			}
-			key := synKey{tenant, side.Stream, side.Predicate, side.WindowLen, side.WindowBuckets, cfg}
+			key := synKey{tenant, side}
 			if _, ok := carried[key]; !ok {
 				return fmt.Errorf("engine: restore: query %q: snapshot carries no synopsis %+v", q.Name, key)
 			}
@@ -491,13 +461,7 @@ func (e *Engine) restoreTenantLocked(tenant string, slice tenantSnap) error {
 	}
 	// Re-register the queries, rebuilding (empty) shared synopses...
 	for _, q := range slice.Queries {
-		spec := QuerySpec{
-			Name:         q.Name,
-			Agg:          Aggregate(q.Agg),
-			Left:         Side(q.Left),
-			Right:        Side(q.Right),
-			SketchConfig: q.Config,
-		}
+		spec := QuerySpec{Name: q.Name, Agg: Aggregate(q.Agg), Left: q.Left, Right: q.Right}
 		if err := e.registerLocked(tenant, spec); err != nil {
 			return fmt.Errorf("engine: restore: %w", err)
 		}
@@ -523,7 +487,7 @@ func (e *Engine) restoreTenantLocked(tenant string, slice tenantSnap) error {
 		if _, ok := e.queries[nsKey{tenant, w.Query}]; !ok {
 			return fmt.Errorf("engine: restore: watch on unknown query %q", w.Query)
 		}
-		if err := e.watches.Restore(watchKey(tenant, w.Query), monitor.WatchConfig{High: w.High, Low: w.Low}, state); err != nil {
+		if err := e.watches.Restore(watchKey(tenant, w.Query), w.WatchConfig, state); err != nil {
 			return fmt.Errorf("engine: restore: %w", err)
 		}
 	}

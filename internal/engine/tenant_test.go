@@ -321,7 +321,7 @@ func TestMultiTenantSnapshotRoundTrip(t *testing.T) {
 	if err := e.SetQuota("bob", Quota{MaxSynopsisWords: 1 << 20, MaxPendingUpdates: 777}); err != nil {
 		t.Fatal(err)
 	}
-	if err := alice.RegisterWatch(WatchSpec{Query: "q", High: 10, Low: 5}); err != nil {
+	if err := alice.RegisterWatch("q", monitor.WatchConfig{High: 10, Low: 5}); err != nil {
 		t.Fatal(err)
 	}
 	feedTenant(t, alice, 2000, 1)
@@ -492,11 +492,11 @@ func TestWatchHysteresisThroughEngine(t *testing.T) {
 	e := mustEngine(t)
 	tn := e.Tenant("ops")
 	setupTenant(t, tn)
-	if err := tn.RegisterWatch(WatchSpec{Query: "q", High: 50, Low: 10}); err != nil {
+	if err := tn.RegisterWatch("q", monitor.WatchConfig{High: 50, Low: 10}); err != nil {
 		t.Fatal(err)
 	}
 	// Watch on an unknown query is refused.
-	if err := tn.RegisterWatch(WatchSpec{Query: "nope", High: 1, Low: 0}); err == nil {
+	if err := tn.RegisterWatch("nope", monitor.WatchConfig{High: 1, Low: 0}); err == nil {
 		t.Fatal("watch on unknown query accepted")
 	}
 	if st := e.Stats(); st.Watches != 1 || st.Tenants["ops"].Watches != 1 {

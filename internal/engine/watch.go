@@ -16,32 +16,23 @@ import (
 // thousands of O(domain) estimations — the incremental evaluation the
 // cache was built for.
 
-// WatchSpec registers one standing watch on a query of this tenant.
-type WatchSpec struct {
-	// Query names a query already registered in the same tenant.
-	Query string
-	// High raises the alert when the estimate reaches it; Low clears the
-	// alert when the estimate falls to it or below (hysteresis).
-	High, Low int64
-}
-
 func watchKey(tenant, query string) monitor.WatchKey {
 	return monitor.WatchKey{Tenant: tenant, Query: query}
 }
 
-// RegisterWatch installs a standing watch on one of the tenant's
-// registered queries. Removing the query removes the watch.
-func (t *Tenant) RegisterWatch(spec WatchSpec) error {
+// RegisterWatch installs a standing watch with band cfg on one of the
+// tenant's registered queries. Removing the query removes the watch.
+func (t *Tenant) RegisterWatch(query string, cfg monitor.WatchConfig) error {
 	if err := validTenantName(t.name); err != nil {
 		return err
 	}
 	e := t.e
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.queries[nsKey{t.name, spec.Query}]; !ok {
-		return fmt.Errorf("engine: watch: %w %q", ErrUnknownQuery, spec.Query)
+	if _, ok := e.queries[nsKey{t.name, query}]; !ok {
+		return fmt.Errorf("engine: watch: %w %q", ErrUnknownQuery, query)
 	}
-	return e.watches.Register(watchKey(t.name, spec.Query), monitor.WatchConfig{High: spec.High, Low: spec.Low})
+	return e.watches.Register(watchKey(t.name, query), cfg)
 }
 
 // Watches returns the engine's standing-watch registry, for serving

@@ -9,8 +9,9 @@ import (
 
 // TestRestoreRefusesWhatTheLiveAPIRefuses: POST /restore answers 400 to
 // a snapshot with default dimensions RegisterQuery would reject, to a
-// stream DeclareStream would reject, and to a 229-byte body naming a
-// 16 × 2^20 query synopsis it does not carry. Each restores nothing,
+// stream DeclareStream would reject, and to a 185-byte body whose
+// defaults make its query's synopsis 16 × 2^20, which it does not
+// carry. Each restores nothing,
 // allocates less than 1 MiB, and the node then restores a good snapshot.
 func TestRestoreRefusesWhatTheLiveAPIRefuses(t *testing.T) {
 	var good bytes.Buffer
@@ -20,8 +21,8 @@ func TestRestoreRefusesWhatTheLiveAPIRefuses(t *testing.T) {
 	for name, body := range map[string]string{
 		"defaults": `{"version":1,"defaults":{"Tables":0,"Buckets":0,"Seed":0}}`,
 		"stream":   `{"version":1,"defaults":{"Tables":5,"Buckets":64,"Seed":3},"streams":{"F":{"domain":0,"count":-1}}}`,
-		"uncarried": `{"version":1,"defaults":{"Tables":5,"Buckets":64,"Seed":3},"streams":{"F":{"domain":1024,"count":0}},` +
-			`"queries":[{"name":"q","agg":0,"left":{"stream":"F"},"right":{"stream":"F"},"config":{"Tables":16,"Buckets":1048576,"Seed":1}}]}`,
+		"uncarried": `{"version":1,"defaults":{"Tables":16,"Buckets":1048576,"Seed":1},"streams":{"F":{"domain":1024,"count":0}},` +
+			`"queries":[{"name":"q","agg":0,"left":{"stream":"F"},"right":{"stream":"F"}}]}`,
 	} {
 		n := newEmptyNode(t)
 		var before, after runtime.MemStats

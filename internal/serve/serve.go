@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"skimsketch/internal/core"
 	"skimsketch/internal/engine"
 	"skimsketch/internal/monitor"
 	"skimsketch/internal/stats"
@@ -36,10 +35,11 @@ import (
 // Stats, Snapshot and Restore means the whole process.
 //
 // Errors reach the wire as follows: an *Error carries its own status;
-// an error wrapping engine.ErrQuotaExceeded is a 429; on /answer and
-// /sketch, one wrapping engine.ErrUnknownQuery is a 404; anything else
-// gets the endpoint's default (400 for a mutation, 404 for removing a
-// query or watch, 500 otherwise).
+// an error wrapping engine.ErrQuotaExceeded is a 429, one wrapping
+// engine.ErrNotIngesting a 503; on /answer and /sketch, one wrapping
+// engine.ErrUnknownQuery is a 404; anything else gets the endpoint's
+// default (400 for a mutation, 404 for removing a query or watch, 500
+// otherwise). An *engine.StreamError names its stream in the body.
 type Backend interface {
 	DeclareStream(ctx context.Context, tenant string, req StreamReq) error
 	Streams(ctx context.Context, tenant string) ([]string, error)
@@ -122,27 +122,21 @@ type (
 		Name   string `json:"name"`
 		Domain uint64 `json:"domain"`
 	}
-	// PredicateReq registers a value-range predicate [Min, Max]. Legacy
+	// PredicateReq registers a value-range predicate under Name. Legacy
 	// node checkpoints hold it too, with Tenant set (empty for the
 	// default tenant).
 	PredicateReq struct {
 		Tenant string `json:"tenant,omitempty"`
 		Name   string `json:"name"`
-		Min    uint64 `json:"min"`
-		Max    uint64 `json:"max"`
+		engine.Predicate
 	}
-	SideReq struct {
-		Stream        string `json:"stream"`
-		Predicate     string `json:"predicate,omitempty"`
-		WindowLen     int64  `json:"windowLen,omitempty"`
-		WindowBuckets int    `json:"windowBuckets,omitempty"`
-	}
+	// QueryReq registers a query; an unknown aggregate fails its decode.
 	QueryReq struct {
-		Tenant string  `json:"tenant,omitempty"`
-		Name   string  `json:"name"`
-		Agg    string  `json:"agg"`
-		Left   SideReq `json:"left"`
-		Right  SideReq `json:"right"`
+		Tenant string           `json:"tenant,omitempty"`
+		Name   string           `json:"name"`
+		Agg    engine.Aggregate `json:"agg"`
+		Left   engine.Side      `json:"left"`
+		Right  engine.Side      `json:"right"`
 	}
 	UpdateReq struct {
 		Tenant string `json:"tenant,omitempty"`
@@ -160,17 +154,14 @@ type (
 	WatchReq struct {
 		Tenant string `json:"tenant,omitempty"`
 		Query  string `json:"query"`
-		High   int64  `json:"high"`
-		Low    int64  `json:"low"`
+		monitor.WatchConfig
 	}
 )
 
-// Answer is one query result.
+// Answer is one query result: the engine's, plus a cluster answer's
+// coverage and epochs.
 type Answer struct {
-	Query    string
-	Agg      string
-	Estimate int64
-	Detail   core.Estimate
+	engine.Answer
 	// Shards is the coverage of a cluster answer; nil from a node.
 	Shards *Coverage
 	// LeftEpoch and RightEpoch sum the merged shards' synopsis epochs
@@ -353,17 +344,25 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // classify maps err to its wire status (fallback when it names none),
 // its Retry-After hint and the stream that failed validation. It walks
 // the Unwrap chain itself because errors.As moves its target to the
-// heap, and the SKSP reject path must not allocate per frame.
+// heap, and the SKSP reject path must not allocate per frame. An *Error
+// anywhere in the chain decides alone.
 func classify(err error, fallback int) (status int, after time.Duration, stream string) {
+	status = fallback
 	for x := err; x != nil; x = errors.Unwrap(x) {
-		if e, ok := x.(*Error); ok {
-			return e.Status, e.RetryAfter, e.Stream
+		switch x := x.(type) {
+		case *Error:
+			return x.Status, x.RetryAfter, x.Stream
+		case *engine.StreamError:
+			stream = x.Stream
+		}
+		switch x {
+		case engine.ErrQuotaExceeded:
+			status = http.StatusTooManyRequests
+		case engine.ErrNotIngesting:
+			status = http.StatusServiceUnavailable
 		}
 	}
-	if errors.Is(err, engine.ErrQuotaExceeded) {
-		return http.StatusTooManyRequests, 0, ""
-	}
-	return fallback, 0, ""
+	return status, 0, stream
 }
 
 // retryStatus reports whether status is a rejection that applied

@@ -4,7 +4,8 @@
 #   1. boot 3 shard sketchds and 1 merger over a static JSON ring,
 #      plus a single-node reference sketchd with the same sketch config
 #   2. register the same schema through the merger (broadcast) and on
-#      the reference node; ingest an identical seeded shape into both
+#      the reference node; a windowed query through the merger is a 400
+#      that reaches no shard; ingest an identical seeded shape into both
 #   3. the merger's global /answer must be BIT-IDENTICAL to the
 #      single-node answer — sketch linearity as a multi-process system
 #   4. SIGKILL one shard -> /answer must still be 200, reporting
@@ -105,6 +106,17 @@ for base in "$MBASE" "$RBASE"; do
     post "$base" /streams '{"name":"F","domain":1024}'
     post "$base" /streams '{"name":"G","domain":1024}'
     post "$base" /queries '{"name":"q","agg":"COUNT","left":{"stream":"F"},"right":{"stream":"G"}}'
+done
+
+echo "== a windowed query is refused by the merger and registered on no shard"
+WQ='{"name":"w","agg":"COUNT","left":{"stream":"F","windowLen":100,"windowBuckets":4},"right":{"stream":"G"}}'
+CODE="$(curl -s -o "$WORKDIR/windowed.out" -w '%{http_code}' -X POST -d "$WQ" "$MBASE/queries")"
+[[ "$CODE" == "400" ]] || die "windowed query through the merger returned $CODE, want 400: $(cat "$WORKDIR/windowed.out")"
+for port in $PORT_S0 $PORT_S1 $PORT_S2; do
+    QS="$(curl -fsS "http://127.0.0.1:$port/queries")" || die "GET /queries on shard :$port failed"
+    if grep -q '"w"' <<<"$QS"; then
+        die "shard :$port lists the refused windowed query: $QS"
+    fi
 done
 
 echo "== seeded ingest into cluster and reference"
