@@ -96,11 +96,11 @@ func BenchmarkEstimateJoin(b *testing.B) {
 
 // benchEstimateJoin1M measures the full skimmed-join estimate at the
 // answer_m20 workload's shape (d = 7, b = 2048, zipf 1.0, m = 2^20), the
-// regime where the O(m·d) skim scan dominates and the parallel scan
-// pays. Compare the Workers variants for the query-path speedup; outputs
-// are bit-identical by TestQuickEstimateJoinWorkersEquivalence, so only
-// wall-clock differs.
-func benchEstimateJoin1M(b *testing.B, workers int) {
+// regime where the domain scan dominates and the parallel scan pays.
+// Compare the Workers variants for the query-path speedup; outputs are
+// bit-identical by TestQuickEstimateJoinWorkersEquivalence, so only
+// wall-clock differs. A threshold of 0 keeps EstimateJoin's default.
+func benchEstimateJoin1M(b *testing.B, workers int, thr int64) {
 	const domain = 1 << 20
 	c := cfg(7, 2048, 9)
 	f, g := MustNewHashSketch(c), MustNewHashSketch(c)
@@ -108,7 +108,7 @@ func benchEstimateJoin1M(b *testing.B, workers int) {
 	z2, _ := workload.NewZipf(domain, 1.0, 2)
 	stream.Apply(workload.MakeStream(z1, 200000), f)
 	stream.Apply(workload.MakeStream(z2, 200000), g)
-	opts := &Options{Workers: workers}
+	opts := &Options{Workers: workers, ThresholdF: thr, ThresholdG: thr}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := EstimateJoin(f, g, domain, opts); err != nil {
@@ -117,9 +117,15 @@ func benchEstimateJoin1M(b *testing.B, workers int) {
 	}
 }
 
-func BenchmarkEstimateJoin1MSequential(b *testing.B) { benchEstimateJoin1M(b, 1) }
-func BenchmarkEstimateJoin1MWorkers2(b *testing.B)   { benchEstimateJoin1M(b, 2) }
-func BenchmarkEstimateJoin1MWorkers4(b *testing.B)   { benchEstimateJoin1M(b, 4) }
+func BenchmarkEstimateJoin1MSequential(b *testing.B) { benchEstimateJoin1M(b, 1, 0) }
+func BenchmarkEstimateJoin1MWorkers2(b *testing.B)   { benchEstimateJoin1M(b, 2, 0) }
+func BenchmarkEstimateJoin1MWorkers4(b *testing.B)   { benchEstimateJoin1M(b, 4, 0) }
+
+// BenchmarkEstimateJoin1MAllHot is the sequential 1M shape with both
+// thresholds at 1, so every nonzero counter is hot and the candidate
+// pass marks nearly every value: the skim's worst case, with every value
+// also paying the exact test.
+func BenchmarkEstimateJoin1MAllHot(b *testing.B) { benchEstimateJoin1M(b, 1, 1) }
 
 func BenchmarkClone(b *testing.B) {
 	s := benchSketch(b, cfg(7, 1024, 1), 10000)

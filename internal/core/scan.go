@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+	"slices"
 	"sync"
 
 	"skimsketch/internal/hashfam"
@@ -12,37 +14,30 @@ import (
 // EstimateJoin and EstimateSelfJoin. One pass tests one or two sketches
 // that share a Config, each against its own threshold, and yields
 // exactly the dense set {v : median_j C[j][h_j(v)]·ξ_j(v) ≥ T} of each.
-// Every hash comes from the hashfam.Row kernel, the one the update and
-// PointEstimate use. Three things make the scan cheap, and none changes
-// a result:
+// Sketches with one Config share h_j and ξ_j, so EstimateJoin scans
+// [0, m) once, not once per synopsis. The test is PointEstimate's: d
+// estimates through the hashfam.Row kernel and their lower median. The
+// scan is cheap because few values reach that test:
 //
-//   - Joint. Sketches with one Config share h_j and ξ_j, so the pass
-//     computes a value's powers and buckets once and tests every
-//     sketch's counters; EstimateJoin scans [0, m) once, not once per
-//     synopsis.
-//   - Signs only where they matter. A counter c with |c| < T misses
-//     whatever ξ_j(v) is, so table j's sign is evaluated, at most once,
-//     only when some live sketch's counter has c ≥ T or c ≤ −T. The test
-//     never negates c, which would overflow at math.MinInt64.
-//   - Early exit. The lower median of d estimates (index ⌊(d−1)/2⌋ of
-//     the sorted order) is ≥ T iff at most ⌊(d−1)/2⌋ of them are < T.
-//     Once more tables than that miss, for every sketch in the pass, the
-//     value is rejected and the remaining tables are not evaluated. A
-//     sketch that survives all d tables qualifies; only then are its d
-//     estimates recomputed with Row.At and their median taken.
+//   - The hot mask. Bucket k of table j is hot iff some sketch's counter
+//     there has c ≥ T or c ≤ −T; the test never negates c, which would
+//     overflow at math.MinInt64. A value whose bucket in table j is cold
+//     has an estimate below T there, whatever ξ_j(v) is.
+//   - The superset argument. With mid = ⌊(d−1)/2⌋, the lower median of d
+//     estimates (index mid of the sorted order) is ≥ T only if at most
+//     mid of them are below T. So a qualifying value has a hot bucket in
+//     at least one of any mid+1 tables, and the values with a hot bucket
+//     in some chosen mid+1 tables are a superset of the dense set.
+//   - The candidate pass. The scan chooses the mid+1 tables with the
+//     fewest hot buckets and, block by block, marks every value whose
+//     bucket in one of them is hot. Within a block the bucket hash is
+//     stepped, not evaluated (hashfam.Row.Line), so a mark costs an add,
+//     a % nb and a mask read, with no powers and no sign. Only marked
+//     values get the exact test.
 
-// scanSide is one sketch's state in a scan: its counters, threshold and
-// output, the miss count of the current value, and its estimates when
-// it survives.
-type scanSide struct {
-	counters []int64
-	thr      int64
-	out      stream.FreqVector
-
-	ests []int64
-	miss int // tables with estimate < thr
-	live bool
-}
+// scanBlock is the number of values the candidate pass marks before the
+// exact test runs on the marked ones: its bitmap is 2 KiB.
+const scanBlock = 1 << 14
 
 // scanDomain runs the extraction test over [0, domain) for sketches
 // sharing one Config, partitioned into disjoint contiguous value ranges
@@ -88,63 +83,69 @@ func scanDomain(sks []*HashSketch, thrs []int64, domain uint64, workers int) []s
 }
 
 // scanRange runs the extraction test over [lo, hi), recording each
-// sketch's qualifying estimates in outs. Its per-range buffers are
-// allocated once, so the per-value loop allocates nothing.
+// sketch's qualifying estimates in outs. Its buffers are allocated once
+// per range, so the per-value loops allocate nothing.
 func scanRange(sks []*HashSketch, thrs []int64, lo, hi uint64, outs []stream.FreqVector) {
 	d, b := sks[0].cfg.Tables, sks[0].cfg.Buckets
-	// Miss budget: more than mid tables below T rules out a median ≥ T.
-	mid := (d - 1) / 2
-	sides := make([]scanSide, len(sks))
-	for i, sk := range sks {
-		sides[i] = scanSide{counters: sk.counters, thr: thrs[i], out: outs[i], ests: make([]int64, d)}
+	rows, nb := sks[0].rows, uint64(b)
+	hot := make([]bool, d*b)
+	hotIn := make([]int, d)
+	for k := range hot {
+		for i, sk := range sks {
+			if c, t := sk.counters[k], thrs[i]; c >= t || c <= -t {
+				hot[k] = true
+				hotIn[k/b]++
+				break
+			}
+		}
 	}
-	rows := sks[0].rows
+	// Any mid+1 tables give a superset; the coldest mark the fewest values.
+	tables := make([]int, d)
+	for j := range tables {
+		tables[j] = j
+	}
+	slices.SortStableFunc(tables, func(x, y int) int { return hotIn[x] - hotIn[y] })
+	tables = tables[:(d-1)/2+1]
+
+	var marks [scanBlock / 64]uint64
+	ests := make([]int64, len(sks)*d) // sketch i's estimates at ests[i*d:]
 	scratch := make([]int64, d)
-	nb := uint64(b)
-	for v := lo; v < hi; v++ {
-		p := hashfam.PowersOf(v)
-		for i := range sides {
-			sides[i].miss, sides[i].live = 0, true
-		}
-		live := len(sides)
-		for j := 0; j < d && live > 0; j++ {
-			k := j*b + rows[j].Bucket(p, nb)
-			var sign int64 // 0 until some counter needs it
-			for i := range sides {
-				sd := &sides[i]
-				if !sd.live {
-					continue
+	for base := lo; base < hi; {
+		n := min(hi-base, scanBlock)
+		clear(marks[:])
+		for _, j := range tables {
+			if hotIn[j] == 0 {
+				continue
+			}
+			mask := hot[j*b : (j+1)*b]
+			y, slope := rows[j].Line(base)
+			for i := range n {
+				if mask[y%nb] {
+					marks[i/64] |= 1 << (i % 64)
 				}
-				if c := sd.counters[k]; c >= sd.thr || c <= -sd.thr {
-					if sign == 0 {
-						sign = rows[j].Sign(p)
+				if y += slope; y >= hashfam.MersennePrime {
+					y -= hashfam.MersennePrime
+				}
+			}
+		}
+		for w, word := range marks[:(n+63)/64] {
+			for ; word != 0; word &= word - 1 {
+				v := base + uint64(w*64+bits.TrailingZeros64(word))
+				p := hashfam.PowersOf(v)
+				for j := range rows {
+					k, sign := rows[j].At(p, nb)
+					for i, sk := range sks {
+						ests[i*d+j] = sk.counters[j*b+k] * sign
 					}
-					if c*sign >= sd.thr {
-						continue
+				}
+				for i := range sks {
+					if est := medianScratch(ests[i*d:(i+1)*d], scratch); est >= thrs[i] {
+						outs[i][v] = est
 					}
 				}
-				if sd.miss++; sd.miss > mid {
-					sd.live = false
-					live--
-				}
 			}
 		}
-		if live == 0 {
-			continue
-		}
-		for j := range rows {
-			k, sign := rows[j].At(p, nb)
-			for i := range sides {
-				if sd := &sides[i]; sd.live {
-					sd.ests[j] = sd.counters[j*b+k] * sign
-				}
-			}
-		}
-		for i := range sides {
-			if sd := &sides[i]; sd.live {
-				sd.out[v] = medianScratch(sd.ests, scratch)
-			}
-		}
+		base += n
 	}
 }
 

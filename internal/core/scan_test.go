@@ -47,7 +47,7 @@ type scanCase struct {
 
 // randScanCase draws a case whose range starts at base. Streams are
 // skewed (a few heavy values among light noise) and signed, so every
-// case has values on both sides of T and the early exit is exercised.
+// case has values on both sides of T and both hot and cold buckets.
 func randScanCase(r *rand.Rand, base uint64) scanCase {
 	c := Config{Tables: 1 + r.Intn(9), Buckets: 1 + r.Intn(64), Seed: r.Uint64()}
 	span := uint64(1 + r.Intn(400))
@@ -197,8 +197,8 @@ func scanMatchesReference(t *testing.T, sks []*HashSketch, thrs []int64, lo, hi 
 	}
 }
 
-// The scan evaluates a table's sign only when some live sketch's counter
-// has c ≥ T or c ≤ −T. Hand-set counters sit on both sides of that test:
+// The scan's hot mask marks a bucket when some sketch's counter there has
+// c ≥ T or c ≤ −T. Hand-set counters sit on both sides of that test:
 // at ±T a sign decides the estimate, at ±(T−1) the table misses whatever
 // the sign, and math.MinInt64 is hot but misses for either sign (its
 // product with ξ is itself). Joint scans pair every level of F with
@@ -238,16 +238,22 @@ func fuzzThreshold(x int64) int64 {
 // for fuzzed d, b, thresholds and range starts, the seeds putting ranges
 // near 0, p, 2p and the top of the uint64 range. Every counter is drawn
 // from the levels around its sketch's threshold T (±T, ±(T−1), 0 and the
-// int64 extremes), where a skipped or misread sign would show.
+// int64 extremes), where a skipped or misread sign would show. Spans up
+// to 2^16 cross candidate blocks. A nonzero sparse zeroes, in each table
+// of both sketches, a fraction of counters drawn from [0, sparse/256],
+// so tables differ in hot counts and some have none, and the candidate
+// pass's choice of tables matters.
 func FuzzScanMatchesReference(f *testing.F) {
 	p := hashfam.MersennePrime
 	for _, base := range []uint64{0, p - 100, p, 2*p - 7, math.MaxUint64 - 300} {
-		f.Add(uint64(1), base, uint16(300), uint8(7), uint8(16), int64(5), int64(5))
+		f.Add(uint64(1), base, uint16(300), uint8(7), uint8(16), int64(5), int64(5), uint8(0))
 	}
-	f.Add(uint64(2), uint64(0), uint16(100), uint8(2), uint8(1), int64(1), int64(math.MaxInt64))
-	f.Fuzz(func(t *testing.T, seed, base uint64, spanRaw uint16, dRaw, bRaw uint8, tf, tg int64) {
+	f.Add(uint64(2), uint64(0), uint16(100), uint8(2), uint8(1), int64(1), int64(math.MaxInt64), uint8(0))
+	// Crosses p and two candidate blocks; table 1 has no hot counter.
+	f.Add(uint64(31), p-20000, uint16(40000), uint8(6), uint8(16), int64(5), int64(3), uint8(250))
+	f.Fuzz(func(t *testing.T, seed, base uint64, spanRaw uint16, dRaw, bRaw uint8, tf, tg int64, sparse uint8) {
 		c := Config{Tables: 1 + int(dRaw%9), Buckets: 1 + int(bRaw%64), Seed: seed}
-		span := uint64(spanRaw%512) + 1
+		span := uint64(spanRaw) + 1
 		base = min(base, math.MaxUint64-span)
 		thrs := []int64{fuzzThreshold(tf), fuzzThreshold(tg)}
 		r := rand.New(rand.NewSource(int64(seed)))
@@ -257,6 +263,16 @@ func FuzzScanMatchesReference(f *testing.F) {
 			levels := []int64{thr, -thr, thr - 1, 1 - thr, 0, math.MinInt64, math.MaxInt64}
 			for k := range sk.counters {
 				sk.counters[k] = levels[r.Intn(len(levels))]
+			}
+		}
+		for j := 0; sparse > 0 && j < c.Tables; j++ {
+			cut := r.Intn(int(sparse) + 1)
+			for _, sk := range sks {
+				for k := j * c.Buckets; k < (j+1)*c.Buckets; k++ {
+					if r.Intn(256) < cut {
+						sk.counters[k] = 0
+					}
+				}
 			}
 		}
 		scanMatchesReference(t, sks, thrs, base, base+span)

@@ -20,11 +20,14 @@ import (
 // would plant a phantom frequency in the residual that corrupts the
 // subjoin estimates.
 //
-// This is the O(m·d) implementation that scans the whole domain
-// [0, domain), evaluating each value through the hashfam.Row kernel (see
-// scan.go); package dyadic provides the O(b·d·log m) dyadic-interval
-// variant of Section 4.2 and tests verify the two extract identical dense
-// sets, and SkimDenseParallel partitions this scan across goroutines with
+// This implementation scans the whole domain [0, domain) (see scan.go).
+// A candidate pass marks each value whose bucket is hot (|counter| ≥
+// threshold) in one of ⌊(d−1)/2⌋+1 tables, a superset of the dense set,
+// and only marked values get the exact test through the hashfam.Row
+// kernel: about ⌈d/2⌉ cheap steps per value, plus O(d) per candidate.
+// Package dyadic provides the O(b·d·log m) dyadic-interval variant of
+// Section 4.2 and tests verify the two extract identical dense sets, and
+// SkimDenseParallel partitions this scan across goroutines with
 // bit-identical results. The sketch is mutated; callers who need to
 // preserve the synopsis should Clone first (EstimateJoin does).
 func (s *HashSketch) SkimDense(domain uint64, threshold int64) (stream.FreqVector, error) {

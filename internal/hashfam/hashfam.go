@@ -20,9 +20,11 @@
 // same residue Horner's rule gives, so the low bit, the sign, is the
 // same. The bucket is a·x + b, below 2^122, folded once to below 2p,
 // made canonical the same way, then taken % nb. Fold runs that loop over
-// a chunk of inputs for every table of a sketch; Row.Bucket, Row.Sign
-// and Row.At evaluate one input, for the skim scan, point estimates and
-// subjoins. The scalar Pairwise.Hash and FourWise.Hash, which agms and
+// a chunk of inputs for every table of a sketch; Row.At evaluates one
+// input, for the skim's exact test, point estimates and subjoins.
+// Row.Line gives the bucket hash before % nb and its slope, from which
+// the skim's candidate pass steps consecutive inputs with one add each.
+// The scalar Pairwise.Hash and FourWise.Hash, which agms and
 // the benchmark's hash-family rung use, keep Horner's rule; tests hold
 // the row kernel to them and both to math/big.
 package hashfam
