@@ -95,8 +95,8 @@ func BenchmarkEstimateJoin(b *testing.B) {
 }
 
 // benchEstimateJoin1M measures the full skimmed-join estimate at the
-// answer_m20 workload's shape (d = 7, b = 2048, zipf 1.0, m = 2^20), the
-// regime where the domain scan dominates and the parallel scan pays.
+// answer_m20 workload's shape (d = 7, b = 2048, zipf 1.0, m = 2^20),
+// where ~3 buckets per table are hot and the skim tests 6,112 values.
 // Compare the Workers variants for the query-path speedup; outputs are
 // bit-identical by TestQuickEstimateJoinWorkersEquivalence, so only
 // wall-clock differs. A threshold of 0 keeps EstimateJoin's default.
@@ -122,9 +122,9 @@ func BenchmarkEstimateJoin1MWorkers2(b *testing.B)   { benchEstimateJoin1M(b, 2,
 func BenchmarkEstimateJoin1MWorkers4(b *testing.B)   { benchEstimateJoin1M(b, 4, 0) }
 
 // BenchmarkEstimateJoin1MAllHot is the sequential 1M shape with both
-// thresholds at 1, so every nonzero counter is hot and the candidate
-// pass marks nearly every value: the skim's worst case, with every value
-// also paying the exact test.
+// thresholds at 1, so every nonzero counter is hot and nearly every
+// value is a candidate: the skim's worst case, with every value paying
+// the enumeration step and the exact test.
 func BenchmarkEstimateJoin1MAllHot(b *testing.B) { benchEstimateJoin1M(b, 1, 1) }
 
 func BenchmarkClone(b *testing.B) {

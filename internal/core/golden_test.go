@@ -11,7 +11,7 @@ import (
 // zipf(1.0) streams of 200,000 inserts over m = 2^20. The literals were
 // recorded from the scan that ran a full Horner evaluation of every
 // table at every value, one pass per sketch, so they pin the joint
-// candidate-pass scan to that reference: a change to which values
+// preimage-enumerating skim to that reference: a change to which values
 // are extracted, or to their estimates, moves at least one field. The
 // low-threshold cases extract ~100 dense values per stream rather
 // than 3.

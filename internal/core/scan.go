@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -28,16 +27,15 @@ import (
 //     mid of them are below T. So a qualifying value has a hot bucket in
 //     at least one of any mid+1 tables, and the values with a hot bucket
 //     in some chosen mid+1 tables are a superset of the dense set.
-//   - The candidate pass. The scan chooses the mid+1 tables with the
-//     fewest hot buckets and, block by block, marks every value whose
-//     bucket in one of them is hot. Within a block the bucket hash is
-//     stepped, not evaluated (hashfam.Row.Line), so a mark costs an add,
-//     a % nb and a mask read, with no powers and no sign. Only marked
-//     values get the exact test.
-
-// scanBlock is the number of values the candidate pass marks before the
-// exact test runs on the marked ones: its bitmap is 2 KiB.
-const scanBlock = 1 << 14
+//   - The candidates. The scan chooses the mid+1 tables with the fewest
+//     hot buckets and, for each hot bucket k of table j, lists the
+//     values in the range whose bucket in table j is k. The bucket hash
+//     is invertible (hashfam.Preimages), so the listing costs one step
+//     per preimage after an O(log p) search for the first, and the
+//     candidates are (hot buckets in the chosen tables)·m/b values, not
+//     m. A candidate whose bucket is hot in an earlier chosen table was
+//     already listed there and is skipped, so each gets the exact test
+//     once, and the scan costs O(m·d) only when every bucket is hot.
 
 // scanDomain runs the extraction test over [0, domain) for sketches
 // sharing one Config, partitioned into disjoint contiguous value ranges
@@ -84,7 +82,7 @@ func scanDomain(sks []*HashSketch, thrs []int64, domain uint64, workers int) []s
 
 // scanRange runs the extraction test over [lo, hi), recording each
 // sketch's qualifying estimates in outs. Its buffers are allocated once
-// per range, so the per-value loops allocate nothing.
+// per range, so the per-candidate work allocates nothing.
 func scanRange(sks []*HashSketch, thrs []int64, lo, hi uint64, outs []stream.FreqVector) {
 	d, b := sks[0].cfg.Tables, sks[0].cfg.Buckets
 	rows, nb := sks[0].rows, uint64(b)
@@ -99,53 +97,53 @@ func scanRange(sks []*HashSketch, thrs []int64, lo, hi uint64, outs []stream.Fre
 			}
 		}
 	}
-	// Any mid+1 tables give a superset; the coldest mark the fewest values.
+	// Any mid+1 tables give a superset; the coldest list the fewest values.
 	tables := make([]int, d)
 	for j := range tables {
 		tables[j] = j
 	}
 	slices.SortStableFunc(tables, func(x, y int) int { return hotIn[x] - hotIn[y] })
-	tables = tables[:(d-1)/2+1]
+	tables = slices.DeleteFunc(tables[:(d-1)/2+1], func(j int) bool { return hotIn[j] == 0 })
 
-	var marks [scanBlock / 64]uint64
 	ests := make([]int64, len(sks)*d) // sketch i's estimates at ests[i*d:]
 	scratch := make([]int64, d)
-	for base := lo; base < hi; {
-		n := min(hi-base, scanBlock)
-		clear(marks[:])
-		for _, j := range tables {
-			if hotIn[j] == 0 {
-				continue
-			}
-			mask := hot[j*b : (j+1)*b]
-			y, slope := rows[j].Line(base)
-			for i := range n {
-				if mask[y%nb] {
-					marks[i/64] |= 1 << (i % 64)
-				}
-				if y += slope; y >= hashfam.MersennePrime {
-					y -= hashfam.MersennePrime
-				}
+	test := func(v uint64) {
+		p := hashfam.PowersOf(v)
+		for j := range rows {
+			k, sign := rows[j].At(p, nb)
+			for i, sk := range sks {
+				ests[i*d+j] = sk.counters[j*b+k] * sign
 			}
 		}
-		for w, word := range marks[:(n+63)/64] {
-			for ; word != 0; word &= word - 1 {
-				v := base + uint64(w*64+bits.TrailingZeros64(word))
-				p := hashfam.PowersOf(v)
-				for j := range rows {
-					k, sign := rows[j].At(p, nb)
-					for i, sk := range sks {
-						ests[i*d+j] = sk.counters[j*b+k] * sign
-					}
-				}
-				for i := range sks {
-					if est := medianScratch(ests[i*d:(i+1)*d], scratch); est >= thrs[i] {
-						outs[i][v] = est
-					}
-				}
+		for i := range sks {
+			if est := medianScratch(ests[i*d:(i+1)*d], scratch); est >= thrs[i] {
+				outs[i][v] = est
 			}
 		}
-		base += n
+	}
+	for n, j := range tables {
+		// v in [q·p, (q+1)·p) reduces to x = v − q·p, so [lo, hi) is one
+		// span of the field per multiple of p it reaches.
+		for v := lo; v < hi; {
+			x0 := v % hashfam.MersennePrime
+			span := min(hi-v, hashfam.MersennePrime-x0)
+			pre := rows[j].Preimages(nb, x0, x0+span-1)
+			base := v - x0
+			for k, isHot := range hot[j*b : (j+1)*b] {
+				if !isHot {
+					continue
+				}
+				pre.Each(uint64(k), func(x uint64) {
+					for _, e := range tables[:n] {
+						if hot[e*b+rows[e].H.Bucket(x, b)] {
+							return // listed under table e
+						}
+					}
+					test(base + x)
+				})
+			}
+			v += span
+		}
 	}
 }
 

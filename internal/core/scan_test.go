@@ -238,19 +238,28 @@ func fuzzThreshold(x int64) int64 {
 // for fuzzed d, b, thresholds and range starts, the seeds putting ranges
 // near 0, p, 2p and the top of the uint64 range. Every counter is drawn
 // from the levels around its sketch's threshold T (±T, ±(T−1), 0 and the
-// int64 extremes), where a skipped or misread sign would show. Spans up
-// to 2^16 cross candidate blocks. A nonzero sparse zeroes, in each table
-// of both sketches, a fraction of counters drawn from [0, sparse/256],
-// so tables differ in hot counts and some have none, and the candidate
-// pass's choice of tables matters.
+// int64 extremes), where a skipped or misread sign would show. Spans run
+// up to 2^16 values, so a range holds from none to thousands of each hot
+// bucket's preimages. A nonzero sparse zeroes, in each table of both
+// sketches, a fraction of counters drawn from [0, sparse/256], so tables
+// differ in hot counts and some have none: which tables list candidates,
+// and which hits are skipped as listed by an earlier table, varies.
 func FuzzScanMatchesReference(f *testing.F) {
 	p := hashfam.MersennePrime
 	for _, base := range []uint64{0, p - 100, p, 2*p - 7, math.MaxUint64 - 300} {
 		f.Add(uint64(1), base, uint16(300), uint8(7), uint8(16), int64(5), int64(5), uint8(0))
 	}
 	f.Add(uint64(2), uint64(0), uint16(100), uint8(2), uint8(1), int64(1), int64(math.MaxInt64), uint8(0))
-	// Crosses p and two candidate blocks; table 1 has no hot counter.
+	// Crosses p; table 1 has no hot counter.
 	f.Add(uint64(31), p-20000, uint16(40000), uint8(6), uint8(16), int64(5), int64(3), uint8(250))
+	// Starts at p with b = 64 > 20 values, so most hot buckets have no
+	// preimage in range.
+	f.Add(uint64(7), p, uint16(19), uint8(6), uint8(63), int64(5), int64(5), uint8(0))
+	// Ends exactly at p − 1, the last element of the field.
+	f.Add(uint64(8), p-301, uint16(300), uint8(4), uint8(9), int64(4), int64(6), uint8(100))
+	// d = 3, b = 4: the coldest table has one hot bucket and the next is
+	// all hot, so every candidate the first lists is skipped by the second.
+	f.Add(uint64(62), uint64(0), uint16(1999), uint8(2), uint8(3), int64(5), int64(5), uint8(200))
 	f.Fuzz(func(t *testing.T, seed, base uint64, spanRaw uint16, dRaw, bRaw uint8, tf, tg int64, sparse uint8) {
 		c := Config{Tables: 1 + int(dRaw%9), Buckets: 1 + int(bRaw%64), Seed: seed}
 		span := uint64(spanRaw) + 1

@@ -20,14 +20,17 @@ import (
 // would plant a phantom frequency in the residual that corrupts the
 // subjoin estimates.
 //
-// This implementation scans the whole domain [0, domain) (see scan.go).
-// A candidate pass marks each value whose bucket is hot (|counter| ≥
-// threshold) in one of ⌊(d−1)/2⌋+1 tables, a superset of the dense set,
-// and only marked values get the exact test through the hashfam.Row
-// kernel: about ⌈d/2⌉ cheap steps per value, plus O(d) per candidate.
+// This implementation tests the whole domain [0, domain) (see scan.go)
+// without visiting it: the candidates are the values whose bucket is
+// hot (|counter| ≥ threshold) in one of ⌊(d−1)/2⌋+1 tables, a superset
+// of the dense set, listed by inverting the bucket hash, and only they
+// get the exact test through the hashfam.Row kernel. That is O(d) per
+// candidate, (hot buckets in those tables)·domain/b of them, plus
+// O(log p) per hot bucket, and O(domain·d) only when every bucket is
+// hot.
 // Package dyadic provides the O(b·d·log m) dyadic-interval variant of
 // Section 4.2 and tests verify the two extract identical dense sets, and
-// SkimDenseParallel partitions this scan across goroutines with
+// SkimDenseParallel partitions the domain across goroutines with
 // bit-identical results. The sketch is mutated; callers who need to
 // preserve the synopsis should Clone first (EstimateJoin does).
 func (s *HashSketch) SkimDense(domain uint64, threshold int64) (stream.FreqVector, error) {

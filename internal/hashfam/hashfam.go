@@ -22,8 +22,10 @@
 // made canonical the same way, then taken % nb. Fold runs that loop over
 // a chunk of inputs for every table of a sketch; Row.At evaluates one
 // input, for the skim's exact test, point estimates and subjoins.
-// Row.Line gives the bucket hash before % nb and its slope, from which
-// the skim's candidate pass steps consecutive inputs with one add each.
+// Row.Preimages inverts the bucket hash: it lists the inputs in a span
+// of the field whose bucket is k, one O(1) step per input after an
+// O(log p) search for the first, so the skim visits only the hot
+// buckets' preimages.
 // The scalar Pairwise.Hash and FourWise.Hash, which agms and
 // the benchmark's hash-family rung use, keep Horner's rule; tests hold
 // the row kernel to them and both to math/big.

@@ -26,15 +26,6 @@ type Row struct {
 	Xi FourWise
 }
 
-// Line returns the bucket hash at v before the final % nb,
-// y = a·reduce(v) + b mod p, and its slope a. Because
-// reduce(v+1) ≡ reduce(v) + 1 (mod p), y at v+1 is y + a mod p, so
-// stepping y by slope walks consecutive inputs, across multiples of p
-// too, and y % nb is At's bucket at each.
-func (r *Row) Line(v uint64) (y, slope uint64) {
-	return mulAdd(r.H.a, reduce(v), r.H.b), r.H.a
-}
-
 // At returns h(v) mod nb and ξ(v) for the input v whose powers are p:
 // exactly H.Bucket(v, nb) and Xi.Sign(v).
 func (r *Row) At(p Powers, nb uint64) (bucket int, sign int64) {
