@@ -1,8 +1,8 @@
 // Package cluster runs sketchd as a multi-process system: shard
 // processes each hold a value-partition of every registered synopsis,
 // and a merger tier routes ingest to shards, pulls their slim sketch
-// payloads, and answers global joins over distributed.Merge of the
-// shard synopses. The whole design rides on sketch linearity (the
+// payloads, and answers global joins over the sum of the shard
+// synopses. The whole design rides on sketch linearity (the
 // paper's central property): because every synopsis is a linear
 // projection of the frequency vector, the merge of per-shard sketches
 // over a value partition is bit-identical to one sketch maintained

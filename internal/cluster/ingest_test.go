@@ -101,14 +101,15 @@ func sameSlice(t *testing.T, what string, got, want []stream.Group) {
 }
 
 // newRealRing boots n real shards, each a node backend behind the
-// serving surface, and returns their engines and ring. wrap, when
-// non-nil, wraps shard i's handler (fault injection).
-func newRealRing(t testing.TB, n int, wrap func(i int, h http.Handler) http.Handler) ([]*engine.Engine, Config) {
+// serving surface with sketches of shape sk, and returns their engines
+// and ring. wrap, when non-nil, wraps shard i's handler (fault
+// injection).
+func newRealRing(t testing.TB, n int, sk core.Config, wrap func(i int, h http.Handler) http.Handler) ([]*engine.Engine, Config) {
 	t.Helper()
 	var engines []*engine.Engine
 	var cfg Config
 	for i := 0; i < n; i++ {
-		eng, err := engine.New(engine.Options{SketchConfig: testCfg()})
+		eng, err := engine.New(engine.Options{SketchConfig: sk})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +187,7 @@ func batchGroups(n int) []stream.Group {
 func TestMergerRestartReplayExactlyOnce(t *testing.T) {
 	var fail atomic.Bool
 	fail.Store(true)
-	shards, cfg := newRealRing(t, 3, func(i int, h http.Handler) http.Handler {
+	shards, cfg := newRealRing(t, 3, testCfg(), func(i int, h http.Handler) http.Handler {
 		if i != 1 {
 			return h
 		}
@@ -353,16 +354,9 @@ func TestMergerRefusesOversizedSlice(t *testing.T) {
 	}
 }
 
-// BenchmarkMergerIngest is the in-process 3-shard cluster rung: a merger
-// forwarding keyed 1024-update requests (512 to F and 512 to G, values
-// below 2^16, the shape skimbench's cluster3 sends) to 3 real nodes over
-// loopback HTTP. Each iteration is one request, and the final flush of
-// every node is timed, so ns/update covers routing, encoding, HTTP,
-// decoding, admission and the sketch updates.
-func BenchmarkMergerIngest(b *testing.B) {
-	shards, cfg := newRealRing(b, 3, nil)
-	m := newRealMerger(b, cfg)
-	declareFG(b, m, 1<<16)
+// cluster3Groups is the request skimbench's cluster3 sends: 512
+// updates to F and 512 to G, values below 2^16.
+func cluster3Groups() []stream.Group {
 	rng := rand.New(rand.NewSource(1))
 	groups := []stream.Group{{Name: "F"}, {Name: "G"}}
 	for gi := range groups {
@@ -370,6 +364,19 @@ func BenchmarkMergerIngest(b *testing.B) {
 			groups[gi].Updates = append(groups[gi].Updates, stream.Update{Value: uint64(rng.Intn(1 << 16)), Weight: 1})
 		}
 	}
+	return groups
+}
+
+// BenchmarkMergerIngest is the in-process 3-shard cluster rung: a merger
+// forwarding keyed 1024-update requests (cluster3Groups) to 3 real
+// nodes over loopback HTTP. Each iteration is one request, and the
+// final flush of every node is timed, so ns/update covers routing,
+// encoding, HTTP, decoding, admission and the sketch updates.
+func BenchmarkMergerIngest(b *testing.B) {
+	shards, cfg := newRealRing(b, 3, testCfg(), nil)
+	m := newRealMerger(b, cfg)
+	declareFG(b, m, 1<<16)
+	groups := cluster3Groups()
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -383,4 +390,43 @@ func BenchmarkMergerIngest(b *testing.B) {
 		eng.Flush()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*1024), "ns/update")
+}
+
+// cluster3Sketch is the sketch shape skimbench runs: d = 7, b = 2048.
+var cluster3Sketch = core.Config{Tables: 7, Buckets: 2048, Seed: 11}
+
+// newAnswerRing boots 3 real nodes at the cluster3Sketch shape behind a
+// merger, declares F, G and the COUNT query q over domain 2^16, and
+// ingests one cluster3Groups request. The nodes then sit idle, so an
+// answer's cost is the pull, decode, merge and skim alone.
+func newAnswerRing(tb testing.TB) *Merger {
+	tb.Helper()
+	shards, cfg := newRealRing(tb, 3, cluster3Sketch, nil)
+	m := newRealMerger(tb, cfg)
+	declareFG(tb, m, 1<<16)
+	key := serve.Key{Client: "answer", Seq: 1}
+	if _, _, err := m.IngestGroups(context.Background(), engine.DefaultTenant, key, cluster3Groups(), nil); err != nil {
+		tb.Fatal(err)
+	}
+	for _, eng := range shards {
+		eng.Flush()
+	}
+	return m
+}
+
+// BenchmarkMergerAnswer is the in-process cluster answer rung: one
+// global answer over newAnswerRing per iteration, which pulls each
+// node's SKSL payload over loopback HTTP, decodes and merges the three,
+// and skims the sum. B/op counts the nodes' side too, since they run in
+// the same process.
+func BenchmarkMergerAnswer(b *testing.B) {
+	m := newAnswerRing(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Answer(ctx, engine.DefaultTenant, "q"); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

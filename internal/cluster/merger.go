@@ -29,9 +29,9 @@ import (
 // Merger is the serving backend of the cluster's front tier: it
 // hash-routes ingest to the shard ring, broadcasts registrations so
 // every shard holds the same schema, and answers global joins by
-// pulling each shard's slim SKSL payload and merging the synopses
-// through distributed.Merge. It holds no synopsis state, only its
-// standing watches, which evaluate the global estimate.
+// pulling each shard's slim SKSL payload and adding the synopses into
+// the first one decoded (sketch linearity). It holds no synopsis state,
+// only its standing watches, which evaluate the global estimate.
 //
 // Failure handling is first-class. Every cross-node call carries a
 // context deadline, and a lagging or dead shard degrades an answer
@@ -66,6 +66,11 @@ type Merger struct {
 // payload (two 64×(1<<18) sketches) is well under this; a response
 // exceeding it is a broken or hostile peer, not a big sketch.
 const maxPayloadBytes = 1 << 28
+
+// maxPresizeBytes caps how much buffer a declared Content-Length may
+// allocate before any byte arrives. It is well above a d = 7, b = 2048
+// payload (229 KiB); a larger body grows only as it is read.
+const maxPresizeBytes = 4 << 20
 
 // MergerOptions tunes a Merger. The zero value is usable.
 type MergerOptions struct {
@@ -164,7 +169,7 @@ func (m *Merger) forward(ctx context.Context, method, u string, body []byte, hea
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxPayloadBytes+1))
+	b, err := readBody(resp)
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -172,6 +177,23 @@ func (m *Merger) forward(ctx context.Context, method, u string, body []byte, hea
 		return 0, nil, nil, fmt.Errorf("cluster: response from %s exceeds %d bytes", u, maxPayloadBytes)
 	}
 	return resp.StatusCode, b, resp.Header, nil
+}
+
+// readBody reads resp's body, or its first maxPayloadBytes+1 bytes.
+// A declared Content-Length up to maxPresizeBytes sizes one buffer
+// exactly, where io.ReadAll would regrow it about a dozen times for one
+// shard payload. A larger or missing length falls back to io.ReadAll,
+// whose buffer grows only as bytes arrive, so a hostile header cannot
+// demand memory the peer never sends.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxPresizeBytes {
+		b := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, b); err != nil {
+			return nil, err
+		}
+		return b, nil
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxPayloadBytes+1))
 }
 
 // unreachable is a transport failure to a shard: a 503 the caller
@@ -598,14 +620,15 @@ func (m *Merger) fetchPayload(ctx context.Context, s Shard, tenant, query string
 
 // pullMerged pulls one query's payload from every shard and merges the
 // survivors into the global payload: /answer estimates from it, /sketch
-// serves it. Shards that disagree on the query's aggregate or domain
-// mean the ring's schema has diverged, which is an error, not a merge.
-// A query no shard knows is unknown to the cluster, as to a node.
+// serves it. Each pull decodes a payload of its own, so the first one
+// becomes the sum and the others are added into it in place. Shards
+// that disagree on the query's aggregate or domain mean the ring's
+// schema has diverged, which is an error, not a merge. A query no shard
+// knows is unknown to the cluster, as to a node.
 func (m *Merger) pullMerged(ctx context.Context, tenant, query string) (*Payload, *serve.Coverage, error) {
 	internal := func(err error) error { return &serve.Error{Status: http.StatusInternalServerError, Err: err} }
 	cov := &serve.Coverage{Of: len(m.cfg.Shards), Missing: []string{}}
-	var lefts, rights []*core.HashSketch
-	merged := &Payload{}
+	var merged *Payload
 	unknown := 0
 	for _, pr := range m.pullPayloads(ctx, tenant, query) {
 		if pr.err != nil {
@@ -615,32 +638,31 @@ func (m *Merger) pullMerged(ctx context.Context, tenant, query string) (*Payload
 			cov.Missing = append(cov.Missing, pr.shard.Name)
 			continue
 		}
+		cov.Answered++
 		p := pr.payload
-		if lefts == nil {
-			merged.Agg, merged.Domain = p.Agg, p.Domain
-		} else if p.Agg != merged.Agg || p.Domain != merged.Domain {
+		if merged == nil {
+			merged = p
+			continue
+		}
+		if p.Agg != merged.Agg || p.Domain != merged.Domain {
 			return nil, nil, internal(fmt.Errorf("shard %s disagrees on query metadata (agg %d domain %d vs agg %d domain %d): ring schema has diverged",
 				pr.shard.Name, p.Agg, p.Domain, merged.Agg, merged.Domain))
 		}
-		lefts = append(lefts, p.Left)
-		rights = append(rights, p.Right)
+		if err := merged.Left.Combine(p.Left); err != nil {
+			return nil, nil, internal(fmt.Errorf("merge shard %s's left synopsis: %w", pr.shard.Name, err))
+		}
+		if err := merged.Right.Combine(p.Right); err != nil {
+			return nil, nil, internal(fmt.Errorf("merge shard %s's right synopsis: %w", pr.shard.Name, err))
+		}
 		merged.LeftEpoch += p.LeftEpoch
 		merged.RightEpoch += p.RightEpoch
 	}
-	cov.Answered = len(lefts)
 	if unknown == cov.Of {
 		return nil, nil, fmt.Errorf("cluster: %w %q on every shard", engine.ErrUnknownQuery, query)
 	}
-	if cov.Answered == 0 {
+	if merged == nil {
 		return nil, nil, &serve.Error{Status: http.StatusServiceUnavailable,
 			Err: fmt.Errorf("no shard answered for query %q (%d tried)", query, cov.Of)}
-	}
-	var err error
-	if merged.Left, err = distributed.Merge(lefts...); err != nil {
-		return nil, nil, internal(fmt.Errorf("merge left synopses: %w", err))
-	}
-	if merged.Right, err = distributed.Merge(rights...); err != nil {
-		return nil, nil, internal(fmt.Errorf("merge right synopses: %w", err))
 	}
 	return merged, cov, nil
 }

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -107,7 +108,7 @@ type testCluster struct {
 func newTestCluster(t *testing.T, n int, opts MergerOptions) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
-	engines, cfg := newRealRing(t, n, func(_ int, h http.Handler) http.Handler {
+	engines, cfg := newRealRing(t, n, testCfg(), func(_ int, h http.Handler) http.Handler {
 		sh := &testShard{}
 		sh.satHint.Store(2)
 		tc.shards = append(tc.shards, sh)
@@ -418,6 +419,71 @@ func TestMergerPullRetriesBusyShard(t *testing.T) {
 	}
 }
 
+// TestMergerPullBoundsDeclaredLength: a shard whose /sketch declares a
+// Content-Length just under maxPayloadBytes, sends a few bytes and
+// hangs up, fails its pull and is reported missing, and the merger
+// allocates nothing near the declared size: a hostile header cannot
+// demand memory the peer never sends.
+func TestMergerPullBoundsDeclaredLength(t *testing.T) {
+	_, ring := newRealRing(t, 1, testCfg(), nil)
+	declareFG(t, newRealMerger(t, ring), 1024)
+	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(maxPayloadBytes-1))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write([]byte("SKSL\x01\x00\x00\x00"))
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
+	}))
+	defer liar.Close()
+	ring.Shards = append(ring.Shards, Shard{Name: "liar", Addr: liar.URL})
+	m := newRealMerger(t, ring)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ans, err := m.Answer(context.Background(), engine.DefaultTenant, "q")
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans.Shards.Answered != 1 || !slices.Equal(ans.Shards.Missing, []string{"liar"}) {
+		t.Fatalf("coverage %+v, want the liar missing", ans.Shards)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+		t.Fatalf("the answer allocated %d bytes; a declared length must not size a buffer past maxPresizeBytes", grew)
+	}
+}
+
+// TestMergerAnswerAllocBudget pins what one global answer allocates
+// over 3 idle nodes at the cluster3 shape, the nodes' side included, in
+// units of one SKHS blob (114,728 bytes). Each node clones and encodes
+// its pair; the merger reads each body into one exactly sized buffer,
+// decodes it, adds the pairs in place and clones the sum to skim:
+// about 27 blobs. A body read that regrows its buffer, or a shard
+// encoding through intermediate blobs, breaks the budget of 32.
+func TestMergerAnswerAllocBudget(t *testing.T) {
+	m := newAnswerRing(t)
+	answer := func() {
+		if _, err := m.Answer(context.Background(), engine.DefaultTenant, "q"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		answer()
+	}
+	const n = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		answer()
+	}
+	runtime.ReadMemStats(&after)
+	blob := float64(core.MustNewHashSketch(cluster3Sketch).BinarySize())
+	perAnswer := float64(after.TotalAlloc-before.TotalAlloc) / n / blob
+	t.Logf("%.1f SKHS blobs allocated per answer", perAnswer)
+	if perAnswer > 32 {
+		t.Fatalf("one answer allocates %.1f SKHS blobs, budget 32", perAnswer)
+	}
+}
+
 // TestMergerUpdateRejectPropagates: a saturated shard turns the whole
 // batch into a 429 with the shard's Retry-After hint (nothing may be
 // assumed applied; the client retries the batch under the same key).
@@ -500,7 +566,7 @@ func TestMergerUpdateRejectTakesLargestHint(t *testing.T) {
 // 400 and registers the query on no shard, while a node accepts it. An
 // unknown aggregate is a 400 at the merger's decode as at a node's.
 func TestMergerRefusesWindowedQuery(t *testing.T) {
-	engines, cfg := newRealRing(t, 3, nil)
+	engines, cfg := newRealRing(t, 3, testCfg(), nil)
 	m := newRealMerger(t, cfg)
 	declareFG(t, m, 1024)
 	srv := httptest.NewServer(serve.New(m))
@@ -564,7 +630,7 @@ func TestStreamForwarderEndToEnd(t *testing.T) {
 	// slices, and resend it.
 	var saturate atomic.Bool
 	saturate.Store(true)
-	_, cfg := newRealRing(t, 3, func(i int, h http.Handler) http.Handler {
+	_, cfg := newRealRing(t, 3, testCfg(), func(i int, h http.Handler) http.Handler {
 		if i != 0 {
 			return h
 		}

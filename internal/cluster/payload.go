@@ -81,20 +81,26 @@ func EncodePayload(p *Payload) ([]byte, error) {
 	if p.Agg != AggCount && p.Agg != AggSum {
 		return nil, fmt.Errorf("cluster: unknown aggregate code %d", p.Agg)
 	}
-	left, err := p.Left.MarshalBinary()
-	if err != nil {
-		return nil, fmt.Errorf("cluster: marshal left sketch: %w", err)
-	}
-	right, err := p.Right.MarshalBinary()
-	if err != nil {
-		return nil, fmt.Errorf("cluster: marshal right sketch: %w", err)
-	}
-	buf := binfmt.AppendHeader(make([]byte, 0, 41+len(left)+len(right)), payloadMagic, payloadVersion)
+	buf := binfmt.AppendHeader(make([]byte, 0, 41+p.Left.BinarySize()+p.Right.BinarySize()), payloadMagic, payloadVersion)
 	buf = append(buf, p.Agg)
 	buf = binary.LittleEndian.AppendUint64(buf, p.Domain)
 	buf = binary.LittleEndian.AppendUint64(buf, p.LeftEpoch)
 	buf = binary.LittleEndian.AppendUint64(buf, p.RightEpoch)
-	return binfmt.AppendBlob(binfmt.AppendBlob(buf, left), right), nil
+	buf, err := appendSketch(buf, p.Left)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: marshal left sketch: %w", err)
+	}
+	if buf, err = appendSketch(buf, p.Right); err != nil {
+		return nil, fmt.Errorf("cluster: marshal right sketch: %w", err)
+	}
+	return buf, nil
+}
+
+// appendSketch appends s as a length-prefixed SKHS sub-blob: the bytes
+// binfmt.AppendBlob writes for s.MarshalBinary(), encoded in place.
+func appendSketch(b []byte, s *core.HashSketch) ([]byte, error) {
+	b = binary.LittleEndian.AppendUint32(b, uint32(s.BinarySize()))
+	return s.AppendBinary(b)
 }
 
 // DecodePayload parses an SKSL blob. Every declared length is bounded

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"strings"
 	"testing"
 
+	"skimsketch/internal/binfmt"
 	"skimsketch/internal/core"
 )
 
@@ -39,6 +41,40 @@ func TestPayloadRoundTrip(t *testing.T) {
 	rg, _ := got.Right.MarshalBinary()
 	if string(lw) != string(lg) || string(rw) != string(rg) {
 		t.Fatal("sketches did not survive the round trip bit-identically")
+	}
+}
+
+// TestEncodePayloadMatchesBlobComposition: EncodePayload's single
+// exactly sized buffer holds the bytes of the composition it replaced,
+// header and fields followed by binfmt.AppendBlob of each side's
+// MarshalBinary, for both aggregates and for sides of unequal shapes.
+func TestEncodePayloadMatchesBlobComposition(t *testing.T) {
+	small := testPayload(t)
+	wide := core.MustNewHashSketch(core.Config{Tables: 7, Buckets: 256, Seed: 3})
+	for v := uint64(0); v < 300; v++ {
+		wide.Update(v%211, int64(v%5)-2)
+	}
+	for _, p := range []*Payload{
+		small,
+		{Agg: AggSum, Domain: 1 << 20, LeftEpoch: 5, RightEpoch: 300, Left: small.Left, Right: wide},
+		{Agg: AggCount, Domain: 7, LeftEpoch: 300, Right: small.Right, Left: wide},
+	} {
+		want := binfmt.AppendHeader(nil, payloadMagic, payloadVersion)
+		want = append(want, p.Agg)
+		want = binary.LittleEndian.AppendUint64(want, p.Domain)
+		want = binary.LittleEndian.AppendUint64(want, p.LeftEpoch)
+		want = binary.LittleEndian.AppendUint64(want, p.RightEpoch)
+		want = binfmt.AppendBlob(binfmt.AppendBlob(want, marshal(t, p.Left)), marshal(t, p.Right))
+		got, err := EncodePayload(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("agg %d: EncodePayload differs from the blob composition", p.Agg)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("agg %d: buffer cap %d for %d bytes, want it sized exactly", p.Agg, cap(got), len(got))
+		}
 	}
 }
 

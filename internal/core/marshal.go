@@ -21,13 +21,23 @@ const (
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (s *HashSketch) MarshalBinary() ([]byte, error) {
-	buf := binfmt.AppendHeader(make([]byte, 0, 40+8*len(s.counters)), hashSketchMagic, hashSketchVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.cfg.Tables))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.cfg.Buckets))
-	buf = binary.LittleEndian.AppendUint64(buf, s.cfg.Seed)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.net))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.gross))
-	return binfmt.AppendInt64s(buf, s.counters), nil
+	return s.AppendBinary(make([]byte, 0, s.BinarySize()))
+}
+
+// BinarySize is the length of the sketch's binary encoding.
+func (s *HashSketch) BinarySize() int { return 40 + 8*len(s.counters) }
+
+// AppendBinary appends the sketch's binary encoding to b and returns the
+// extended slice (encoding.BinaryAppender's contract). It never fails;
+// the error keeps that signature.
+func (s *HashSketch) AppendBinary(b []byte) ([]byte, error) {
+	b = binfmt.AppendHeader(b, hashSketchMagic, hashSketchVersion)
+	b = binary.LittleEndian.AppendUint32(b, uint32(s.cfg.Tables))
+	b = binary.LittleEndian.AppendUint32(b, uint32(s.cfg.Buckets))
+	b = binary.LittleEndian.AppendUint64(b, s.cfg.Seed)
+	b = binary.LittleEndian.AppendUint64(b, uint64(s.net))
+	b = binary.LittleEndian.AppendUint64(b, uint64(s.gross))
+	return binfmt.AppendInt64s(b, s.counters), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler, replacing the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"skimsketch/internal/stream"
@@ -43,6 +44,32 @@ func TestMarshalRoundTrip(t *testing.T) {
 	s.Update(9, 1)
 	if r.PointEstimate(9) != s.PointEstimate(9) {
 		t.Fatal("restored sketch must continue identically")
+	}
+}
+
+// TestAppendBinaryKeepsPrefix: AppendBinary onto a non-empty prefix
+// leaves the prefix intact and appends exactly MarshalBinary's bytes,
+// BinarySize of them, so a caller can pack several sketches into one
+// exactly sized buffer.
+func TestAppendBinaryKeepsPrefix(t *testing.T) {
+	s := MustNewHashSketch(cfg(5, 64, 77))
+	z, _ := workload.NewZipf(512, 1.2, 3)
+	stream.Apply(workload.MakeStream(z, 5000), s)
+	s.Update(3, -17)
+	blob, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blob) != s.BinarySize() || cap(blob) != s.BinarySize() {
+		t.Fatalf("MarshalBinary: len %d cap %d, BinarySize %d", len(blob), cap(blob), s.BinarySize())
+	}
+	prefix := []byte("prefix bytes")
+	got, err := s.AppendBinary(append([]byte(nil), prefix...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], blob) {
+		t.Fatal("AppendBinary must keep the prefix and append MarshalBinary's bytes")
 	}
 }
 

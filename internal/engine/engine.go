@@ -420,14 +420,14 @@ func (e *Engine) release(entry *synEntry) {
 // this tenant. If the ingestion pipeline is running it is drained first,
 // so the answer reflects every batch enqueued before the call.
 //
-// The quiesce is held only long enough to clone the two
-// synopses and capture their update epochs; the estimation itself — the
-// expensive O(domain·tables) skim scan — runs outside every lock, so
-// ingestion proceeds concurrently with a long-running Answer. If both
-// epochs match a previously computed answer, that answer is returned
-// without re-estimating (the per-(tenant, query) answer cache); any
-// update routed to either synopsis bumps its epoch and so invalidates
-// the entry.
+// The quiesce is held only long enough to clone the two synopses and
+// capture their update epochs; the estimation itself (the skim, which
+// tests only the preimages of hot buckets, then the sub-joins) runs
+// outside every lock, so ingestion proceeds concurrently with it. If
+// both epochs match a previously computed answer, that answer is
+// returned without re-estimating (the per-(tenant, query) answer
+// cache); any update routed to either synopsis bumps its epoch and so
+// invalidates the entry.
 func (t *Tenant) Answer(name string) (Answer, error) {
 	e := t.e
 	qk := nsKey{t.name, name}
