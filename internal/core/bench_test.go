@@ -96,7 +96,8 @@ func BenchmarkEstimateJoin(b *testing.B) {
 
 // benchEstimateJoin1M measures the full skimmed-join estimate at the
 // answer_m20 workload's shape (d = 7, b = 2048, zipf 1.0, m = 2^20),
-// where ~3 buckets per table are hot and the skim tests 6,112 values.
+// where ~3 buckets per table are hot: the skim lists 6,112 candidates
+// and tests 3 of them (TestScanRejectCost).
 // Compare the Workers variants for the query-path speedup; outputs are
 // bit-identical by TestQuickEstimateJoinWorkersEquivalence, so only
 // wall-clock differs. A threshold of 0 keeps EstimateJoin's default.

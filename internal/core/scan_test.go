@@ -9,6 +9,7 @@ import (
 	"skimsketch/internal/hashfam"
 	"skimsketch/internal/stats"
 	"skimsketch/internal/stream"
+	"skimsketch/internal/workload"
 )
 
 // Model-based tests of the scan kernel against a reference that shares
@@ -32,6 +33,12 @@ func refDense(s *HashSketch, lo, hi uint64, thr int64) stream.FreqVector {
 		}
 	}
 	return out
+}
+
+// scanRange plans a scan of sks and runs it over [lo, hi), recording
+// each sketch's dense set in outs.
+func scanRange(sks []*HashSketch, thrs []int64, lo, hi uint64, outs []stream.FreqVector) {
+	newScanPlan(sks, thrs).scan(lo, hi, outs)
 }
 
 // scanCase is one randomized scan: a config with any d in 1..9 (even d
@@ -229,6 +236,103 @@ func TestScanSignSkipBoundaries(t *testing.T) {
 	}
 }
 
+// The reject drops a candidate whose bucket is cold in the mask in more
+// than mid tables. A bucket hot for F only is hot in the mask, so it is
+// no miss there, and F's value can still be dense; G's exact test reads
+// the same bucket as a miss. Value v has F's estimate T and G's T − 1 in
+// d − c tables, each with no other hot bucket, and a bucket cold for
+// both in the other c tables, whose other buckets are all hot for F. So
+// v is listed under the coldest table, order[0], and the reject walks
+// the rest: with c = mid, F's median is T; with c = mid + 1, v is
+// dropped. G's median is below T either way.
+func TestScanRejectAsymmetricHot(t *testing.T) {
+	const thr, span, v = 5, 64, 17
+	for _, d := range []int{2, 4, 7, 8} {
+		mid := (d - 1) / 2
+		for _, c := range []int{mid, mid + 1} {
+			cf := Config{Tables: d, Buckets: 8, Seed: uint64(70 + d)}
+			f, g := MustNewHashSketch(cf), MustNewHashSketch(cf)
+			p := hashfam.PowersOf(v)
+			for j := range f.rows {
+				k, sign := f.rows[j].At(p, uint64(cf.Buckets))
+				row := f.counters[j*cf.Buckets : (j+1)*cf.Buckets]
+				if j >= c {
+					row[k], g.counters[j*cf.Buckets+k] = thr*sign, (thr-1)*sign
+					continue
+				}
+				for kk := range row {
+					if kk != k {
+						row[kk] = thr
+					}
+				}
+			}
+			sks, thrs := []*HashSketch{f, g}, []int64{thr, thr}
+			if got, want := newScanPlan(sks, thrs).tested(v, 0), c <= mid; got != want {
+				t.Fatalf("d=%d, %d cold tables: tested = %v, want %v", d, c, got, want)
+			}
+			outs := []stream.FreqVector{stream.NewFreqVector(), stream.NewFreqVector()}
+			scanRange(sks, thrs, 0, span, outs)
+			est, dense := outs[0][v]
+			if dense != (c <= mid) || (dense && est != thr) {
+				t.Fatalf("d=%d, %d cold tables: F's dense set holds v = %v (estimate %d)", d, c, dense, est)
+			}
+			if _, dense := outs[1][v]; dense {
+				t.Fatalf("d=%d, %d cold tables: v is dense for G", d, c)
+			}
+			scanMatchesReference(t, sks, thrs, 0, span)
+			scanMatchesReference(t, []*HashSketch{g, f}, thrs, 0, span)
+		}
+	}
+}
+
+// Exactness tests cannot see a weak reject: a scan that rejected nothing
+// would extract the same dense sets, only slower. This pins the cost at
+// benchEstimateJoin1M's shape (d = 7, b = 2048, zipf 1.0, m = 2^20): the
+// values that reach the exact test are exactly those cold in the mask in
+// at most mid tables, and at the default thresholds, where thousands of
+// candidates are listed, at most 16 are. At an eighth of the defaults
+// about a hundred values are cold in exactly mid + 1 tables, which a
+// reject off by one would let through.
+func TestScanRejectCost(t *testing.T) {
+	const domain = 1 << 20
+	c := cfg(7, 2048, 9)
+	f, g := MustNewHashSketch(c), MustNewHashSketch(c)
+	z1, _ := workload.NewZipf(domain, 1.0, 1)
+	z2, _ := workload.NewZipf(domain, 1.0, 2)
+	stream.Apply(workload.MakeStream(z1, 200000), f)
+	stream.Apply(workload.MakeStream(z2, 200000), g)
+	sks := []*HashSketch{f, g}
+	for _, div := range []int64{1, 8} {
+		pl := newScanPlan(sks, []int64{f.DefaultSkimThreshold() / div, g.DefaultSkimThreshold() / div})
+		listed, want := 0, 0
+		for v := uint64(0); v < domain; v++ {
+			cold, isListed := 0, false
+			for i, j := range pl.order {
+				if !pl.hotAt(j, v) {
+					cold++
+				} else if i <= pl.mid {
+					isListed = true
+				}
+			}
+			if isListed {
+				listed++
+			}
+			if cold <= pl.mid {
+				want++
+			}
+		}
+		tested := 0
+		pl.each(0, domain, func(uint64) { tested++ })
+		t.Logf("thresholds / %d: %d candidates listed, %d tested", div, listed, tested)
+		if tested != want {
+			t.Fatalf("thresholds / %d: %d values tested, want the %d cold in at most %d tables", div, tested, want, pl.mid)
+		}
+		if div == 1 && (listed < 1000 || tested > 16) {
+			t.Fatalf("%d candidates listed, %d tested; want ≥ 1000 listed and ≤ 16 tested", listed, tested)
+		}
+	}
+}
+
 // fuzzThreshold maps any int64 to a positive threshold.
 func fuzzThreshold(x int64) int64 {
 	return max(x&math.MaxInt64, 1)
@@ -260,6 +364,12 @@ func FuzzScanMatchesReference(f *testing.F) {
 	// d = 3, b = 4: the coldest table has one hot bucket and the next is
 	// all hot, so every candidate the first lists is skipped by the second.
 	f.Add(uint64(62), uint64(0), uint16(1999), uint8(2), uint8(3), int64(5), int64(5), uint8(200))
+	// d = 2, 4, 7, 8 with G's threshold one below F's, so G's ±(T−1)
+	// are hot for G only and F's are cold for both: the reject's miss
+	// count sits at mid and mid + 1 with buckets hot for one side.
+	for _, dRaw := range []uint8{1, 3, 6, 7} {
+		f.Add(uint64(90+dRaw), uint64(0), uint16(2999), dRaw, uint8(15), int64(5), int64(4), uint8(120))
+	}
 	f.Fuzz(func(t *testing.T, seed, base uint64, spanRaw uint16, dRaw, bRaw uint8, tf, tg int64, sparse uint8) {
 		c := Config{Tables: 1 + int(dRaw%9), Buckets: 1 + int(bRaw%64), Seed: seed}
 		span := uint64(spanRaw) + 1

@@ -23,11 +23,12 @@ import (
 // This implementation tests the whole domain [0, domain) (see scan.go)
 // without visiting it: the candidates are the values whose bucket is
 // hot (|counter| ≥ threshold) in one of ⌊(d−1)/2⌋+1 tables, a superset
-// of the dense set, listed by inverting the bucket hash, and only they
-// get the exact test through the hashfam.Row kernel. That is O(d) per
-// candidate, (hot buckets in those tables)·domain/b of them, plus
-// O(log p) per hot bucket, and O(domain·d) only when every bucket is
-// hot.
+// of the dense set, listed by inverting the bucket hash: (hot buckets
+// in those tables)·domain/b of them, plus O(log p) per hot bucket. A
+// candidate whose bucket is cold in more than ⌊(d−1)/2⌋ tables is
+// rejected after at most d bucket hashes, and only the rest get the
+// exact test through the hashfam.Row kernel; the scan is O(domain·d)
+// only when every bucket is hot.
 // Package dyadic provides the O(b·d·log m) dyadic-interval variant of
 // Section 4.2 and tests verify the two extract identical dense sets, and
 // SkimDenseParallel partitions the domain across goroutines with
