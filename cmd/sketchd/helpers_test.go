@@ -41,5 +41,5 @@ func newServer(eng *engine.Engine) *server {
 // newListener is an SKSP listener on ln over a fresh node of eng, the
 // node bringing its own dedupe window.
 func newListener(eng *engine.Engine, ln net.Listener) *serve.Listener {
-	return newServer(eng).Listen(ln)
+	return newServer(eng).Listen(ln, 1)
 }

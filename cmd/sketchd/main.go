@@ -116,6 +116,18 @@ import (
 	"skimsketch/internal/serve"
 )
 
+// mergerInFlight caps the SKSP frames of one connection a merger
+// admits at once, since its admission waits on shard round trips. Each
+// such frame holds its decoded updates, 16 bytes each and at most 2 Mi
+// of them in a 4 MiB frame (2 wire bytes each at least): 32 MiB, and as
+// much again in the merger's per-shard copy plus up to 4 MiB of shard
+// bodies while it routes them. The cap keeps a connection's worst case
+// near 8 × 68 MiB; a typical 1024-update frame holds about 36 KiB. A
+// node admits one frame at a time, in arrival order: its admission
+// never waits on the network, and its windowed synopses depend on that
+// order.
+const mergerInFlight = 8
+
 // options collects every flag so run is testable without a flag set.
 type options struct {
 	addr       string
@@ -200,6 +212,7 @@ func run(ctx context.Context, opts options, out io.Writer) error {
 		node    *cluster.Node
 		mgr     *checkpoint.Manager
 	)
+	inFlight := 1 // SKSP frames of one connection in admission at once
 	switch opts.role {
 	case "", "single", "shard":
 		var err error
@@ -219,7 +232,7 @@ func run(ctx context.Context, opts options, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		backend = m
+		backend, inFlight = m, mergerInFlight
 		desc = fmt.Sprintf("merger: %d shards, timeout %s", len(cfg.Shards), opts.clusterTimeout)
 	default:
 		return fmt.Errorf("unknown -role %q: want single, shard, or merger", opts.role)
@@ -239,7 +252,7 @@ func run(ctx context.Context, opts options, out io.Writer) error {
 			ln.Close()
 			return err
 		}
-		sksp = srv.Listen(sln)
+		sksp = srv.Listen(sln, inFlight)
 	}
 	httpSrv := &http.Server{
 		Handler:           srv,

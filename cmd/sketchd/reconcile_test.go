@@ -60,7 +60,7 @@ func TestLoadHarnessSkimpProto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sksp := srv.Listen(ln)
+	sksp := srv.Listen(ln, 1)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	done := make(chan struct{})

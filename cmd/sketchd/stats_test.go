@@ -175,7 +175,7 @@ func TestStreamFrameLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sksp := srv.Listen(ln)
+	sksp := srv.Listen(ln, 1)
 	served := make(chan struct{})
 	go func() { defer close(served); _ = sksp.Serve() }()
 	ts := httptest.NewServer(srv)

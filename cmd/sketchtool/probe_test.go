@@ -40,7 +40,7 @@ func TestProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := serve.New(cluster.NewNode(eng)).Listen(ln)
+	l := serve.New(cluster.NewNode(eng)).Listen(ln, 1)
 	go l.Serve()
 	defer l.Shutdown()
 	addr := ln.Addr().String()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -384,6 +385,55 @@ func BenchmarkMergerIngest(b *testing.B) {
 		key := serve.Key{Client: "bench", Seq: uint64(i)}
 		if _, _, err := m.IngestGroups(ctx, engine.DefaultTenant, key, groups, nil); err != nil {
 			b.Fatal(err)
+		}
+	}
+	for _, eng := range shards {
+		eng.Flush()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*1024), "ns/update")
+}
+
+// BenchmarkMergerSKSP is the same rung through the merger's SKSP front
+// end: one connection into a merger's listener, with its cap of 8,
+// over the 3 real nodes, keeping 8 cluster3Groups frames in flight as
+// skimbench's cluster3 driver does. Each iteration is one frame, and
+// the final flush of every node is timed.
+func BenchmarkMergerSKSP(b *testing.B) {
+	const window = 8
+	shards, cfg := newRealRing(b, 3, testCfg(), nil)
+	m := newRealMerger(b, cfg)
+	declareFG(b, m, 1<<16)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	l := serve.New(m).Listen(ln, window)
+	go l.Serve()
+	b.Cleanup(l.Shutdown)
+	nc, err := net.DialTimeout("tcp", ln.Addr().String(), 5*time.Second)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer nc.Close()
+	w, rd := wire.NewWriter(nc), wire.NewReader(nc)
+	if err := errors.Join(w.WriteHeader(), w.Flush(), rd.ReadHeader()); err != nil {
+		b.Fatal(err)
+	}
+	frame := &wire.Data{ClientID: "bench", Groups: cluster3Groups()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for sent, acked := 0, 0; acked < b.N; acked++ {
+		for ; sent < b.N && sent-acked < window; sent++ {
+			frame.Seq = uint64(sent)
+			if err := w.WriteData(frame); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		if ft, _, err := rd.Next(); err != nil || ft != wire.FrameAck {
+			b.Fatalf("reply: frame type %d, err %v; want an ACK", ft, err)
 		}
 	}
 	for _, eng := range shards {

@@ -653,7 +653,7 @@ func TestStreamForwarderEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fwd := serve.New(m).Listen(ln)
+	fwd := serve.New(m).Listen(ln, 8)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- fwd.Serve() }()
 	defer func() {

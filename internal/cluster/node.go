@@ -100,10 +100,13 @@ func (n *Node) Shed(key serve.Key) bool {
 
 // IngestGroups is the node's admission path for both /update and SKSP:
 // replays are answered from the dedupe window, and the engine admits
-// every group or none. Its errors reach the surface as they are.
+// every group or none. A keyed admission holds the key's claim in the
+// window until it ends, so a concurrent delivery of the same key waits
+// for its outcome instead of applying a second time. Its errors reach
+// the surface as they are.
 func (n *Node) IngestGroups(_ context.Context, tenant string, key serve.Key, groups []stream.Group, release func()) (int64, bool, error) {
 	if key.Client != "" {
-		if out, ok := n.dedupe.Lookup(key.Client, key.Seq); ok {
+		if out, ok := n.dedupe.Claim(key.Client, key.Seq); ok {
 			if release != nil {
 				release()
 			}
@@ -115,6 +118,9 @@ func (n *Node) IngestGroups(_ context.Context, tenant string, key serve.Key, gro
 		total += int64(len(groups[i].Updates))
 	}
 	if err := n.eng.Tenant(tenant).IngestGroups(groups, release); err != nil {
+		if key.Client != "" {
+			n.dedupe.Release(key.Client, key.Seq)
+		}
 		return 0, false, err
 	}
 	if key.Client != "" {

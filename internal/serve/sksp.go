@@ -22,6 +22,14 @@ import (
 // and recycles every decode buffer through a sync.Pool, so steady-state
 // ingest into a node allocates nothing per frame.
 //
+// Each connection has one reader, inFlight-1 long-lived helpers and one
+// reply writer. The reader decodes frames in arrival order and hands
+// each to an idle helper, or admits it itself when none is idle. With
+// no helper (a node) frames are admitted and answered in arrival order.
+// With more (a merger, whose admission waits on shard round trips) up
+// to inFlight frames of a connection are in admission at once, and
+// replies go out in completion order, each carrying its frame's seq.
+//
 // Reliability contract (the frame-level mirror of /update's):
 //
 //   - ACK means the frame was admitted — exactly what HTTP 200 means.
@@ -38,6 +46,9 @@ import (
 type Listener struct {
 	b  Backend
 	ln net.Listener
+	// inFlight caps the decoded frames of one connection not yet
+	// answered: its helpers and its reader.
+	inFlight int
 
 	// pool recycles decode buffers: each *wire.Data keeps its update
 	// slab and name intern table across frames. The backend's release
@@ -60,10 +71,11 @@ type Listener struct {
 }
 
 // Listen attaches an SKSP listener on ln to the server, whose /stats
-// then reports its counters. Call it before serving HTTP; call Serve to
-// accept and Shutdown to drain.
-func (s *Server) Listen(ln net.Listener) *Listener {
-	l := &Listener{b: s.b, ln: ln, conns: make(map[net.Conn]struct{})}
+// then reports its counters. inFlight, at least 1, caps how many frames
+// of one connection are in admission at once. Call it before serving
+// HTTP; call Serve to accept and Shutdown to drain.
+func (s *Server) Listen(ln net.Listener, inFlight int) *Listener {
+	l := &Listener{b: s.b, ln: ln, inFlight: inFlight, conns: make(map[net.Conn]struct{})}
 	l.pool.New = func() any { return &wire.Data{} }
 	s.sksp = l
 	return l
@@ -104,7 +116,7 @@ func (l *Listener) Serve() error {
 }
 
 // Shutdown drains the listener: stop accepting, close every connection,
-// wait for the handlers to finish their in-flight frame. Once it
+// wait for the handlers to finish every in-flight frame. Once it
 // returns, every ACKed frame has been admitted to the backend; clients
 // mid-frame never got an ACK and replay on reconnect.
 func (l *Listener) Shutdown() {
@@ -118,10 +130,16 @@ func (l *Listener) Shutdown() {
 	l.wg.Wait()
 }
 
+// frame is one decoded DATA frame on its way to admission.
+type frame struct {
+	d     *wire.Data
+	start time.Time
+}
+
 // serveConn runs one SKSP session: header exchange, then a frame loop.
 // Any protocol violation ends the session — the framing's CRC and
 // length checks mean a violation is a broken peer, not a recoverable
-// hiccup.
+// hiccup. It returns once every frame it decoded has been answered.
 func (l *Listener) serveConn(nc net.Conn) {
 	const headerTimeout = 5 * time.Second // slow-header guard, like http.Server's
 	rd := wire.NewReader(nc)
@@ -134,29 +152,57 @@ func (l *Listener) serveConn(nc net.Conn) {
 	if err := w.WriteHeader(); err != nil || w.Flush() != nil {
 		return
 	}
+	r := &replier{nc: nc, w: w}
+	// inFlight-1 helpers take frames from the reader; when none is free
+	// the reader admits the frame itself and reads no further until it
+	// is answered, so at most inFlight frames are decoded at once. With
+	// no helper (a node) every frame is admitted in arrival order.
+	// busy counts the frames handed to helpers and not yet answered;
+	// only the reader adds to it, so a send on frames never blocks.
+	var busy atomic.Int32
+	frames := make(chan frame, l.inFlight-1)
+	var helpers sync.WaitGroup
+	for range l.inFlight - 1 {
+		helpers.Add(1)
+		go func() {
+			defer helpers.Done()
+			for f := range frames {
+				l.admit(f, r)
+				busy.Add(-1)
+			}
+		}()
+	}
+	defer helpers.Wait()
+	defer close(frames)
 	for {
 		ft, payload, err := rd.Next()
 		if err != nil || ft != wire.FrameData { // closed or broken; clients only send DATA
 			return
 		}
 		l.Frames.Add(1)
-		if !l.handleData(payload, w) {
+		// The payload buffer is reused by the next Next: decode now.
+		f := frame{d: l.pool.Get().(*wire.Data), start: time.Now()}
+		if err := wire.DecodeData(payload, f.d); err != nil {
+			// Framing passed CRC but the payload is malformed: broken peer.
+			l.pool.Put(f.d)
+			l.Errors.Add(1)
+			l.frameLat.since(f.start)
 			return
+		}
+		if int(busy.Load()) < l.inFlight-1 {
+			busy.Add(1)
+			frames <- f
+		} else {
+			l.admit(f, r)
 		}
 	}
 }
 
-// handleData decodes and admits one DATA frame, writing exactly one
-// response frame. Returns false to drop the connection.
-func (l *Listener) handleData(payload []byte, w *wire.Writer) bool {
-	defer l.frameLat.since(time.Now())
-	d := l.pool.Get().(*wire.Data)
-	if err := wire.DecodeData(payload, d); err != nil {
-		// Framing passed CRC but the payload is malformed: broken peer.
-		l.pool.Put(d)
-		l.Errors.Add(1)
-		return false
-	}
+// admit admits one decoded DATA frame and sends exactly one response
+// frame for it.
+func (l *Listener) admit(f frame, r *replier) {
+	defer l.frameLat.since(f.start)
+	d := f.d
 	// Everything the response needs is copied out now: on admission the
 	// backend owns d until its release fires.
 	seq, tenant := d.Seq, d.Tenant
@@ -165,43 +211,74 @@ func (l *Listener) handleData(payload []byte, w *wire.Writer) bool {
 	} else if err := engine.ValidTenantName(tenant); err != nil {
 		l.pool.Put(d)
 		l.Errors.Add(1)
-		return l.reply(w, func() error { return w.WriteError(wire.ErrorFrame{Seq: seq, Msg: err.Error()}) })
+		r.send(func(w *wire.Writer) error { return w.WriteError(wire.ErrorFrame{Seq: seq, Msg: err.Error()}) })
+		return
 	}
 	key := Key{Client: d.ClientID, Seq: seq}
 	if l.b.Shed(key) {
 		l.pool.Put(d)
-		return l.reject(w, seq, 0)
+		l.reject(r, seq, 0)
+		return
 	}
 	applied, dup, err := l.b.IngestGroups(context.Background(), tenant, key, d.Groups, func() { l.pool.Put(d) })
 	if err != nil {
 		// Not admitted: d is ours again.
 		l.pool.Put(d)
 		if status, after, _ := classify(err, http.StatusBadRequest); retryStatus(status) {
-			return l.reject(w, seq, after)
+			l.reject(r, seq, after)
+			return
 		}
 		l.Errors.Add(1)
-		return l.reply(w, func() error { return w.WriteError(wire.ErrorFrame{Seq: seq, Msg: err.Error()}) })
+		r.send(func(w *wire.Writer) error { return w.WriteError(wire.ErrorFrame{Seq: seq, Msg: err.Error()}) })
+		return
 	}
 	if dup {
 		l.Duplicates.Add(1)
 	} else {
 		l.Updates.Add(applied)
 	}
-	return l.reply(w, func() error { return w.WriteAck(wire.Ack{Seq: seq, Applied: applied, Duplicate: dup}) })
+	r.send(func(w *wire.Writer) error { return w.WriteAck(wire.Ack{Seq: seq, Applied: applied, Duplicate: dup}) })
 }
 
 // reject answers a frame that applied nothing, so its seq stays
 // replayable: resend it after the hint.
-func (l *Listener) reject(w *wire.Writer, seq uint64, after time.Duration) bool {
+func (l *Listener) reject(r *replier, seq uint64, after time.Duration) {
 	l.Rejected.Add(1)
-	return l.reply(w, func() error {
+	r.send(func(w *wire.Writer) error {
 		return w.WriteReject(wire.Reject{Seq: seq, RetryAfter: uint32(retryAfterSeconds(after))})
 	})
 }
 
-// reply writes and flushes one response frame; false drops the session.
-func (l *Listener) reply(w *wire.Writer, write func() error) bool {
-	return write() == nil && w.Flush() == nil
+// replier is one connection's reply writer, shared by its reader and
+// helpers. A reply is flushed only when no other reply is waiting to be
+// written, so a burst of completions leaves in one write. A failed
+// write closes the connection, which ends its reader.
+type replier struct {
+	nc      net.Conn
+	w       *wire.Writer
+	mu      sync.Mutex
+	waiting atomic.Int32
+	failed  bool
+}
+
+// send writes one response frame.
+func (r *replier) send(write func(*wire.Writer) error) {
+	r.waiting.Add(1)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	// A reply that arrives after this check flushes its own write.
+	last := r.waiting.Add(-1) == 0
+	if r.failed {
+		return
+	}
+	err := write(r.w)
+	if err == nil && last {
+		err = r.w.Flush()
+	}
+	if err != nil {
+		r.failed = true
+		r.nc.Close()
+	}
 }
 
 // stats renders the counters for /stats "stream".

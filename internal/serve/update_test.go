@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"skimsketch/internal/cluster"
@@ -142,6 +143,50 @@ func TestUpdateGroupsBodyMatchesJSON(t *testing.T) {
 		if byGroups.sketches(t, tenant) != byJSON.sketches(t, tenant) {
 			t.Fatalf("%s: groups-body synopses differ from JSON-body synopses", path)
 		}
+	}
+}
+
+// TestUpdateConcurrentIdempotencyKeyAppliesOnce is the HTTP twin of
+// the node's concurrent same-key test: two POST /update requests with
+// one Idempotency-Key race each other, and in every round both answer
+// 200, exactly one of them not deduplicated.
+func TestUpdateConcurrentIdempotencyKeyAppliesOnce(t *testing.T) {
+	n := newTestNode(t)
+	const rounds = 500
+	body := []byte(`[{"stream":"F","value":3}]`)
+	for r := 0; r < rounds; r++ {
+		key := fmt.Sprintf("racer:%d", r)
+		start := make(chan struct{})
+		recs := [2]*httptest.ResponseRecorder{httptest.NewRecorder(), httptest.NewRecorder()}
+		var wg sync.WaitGroup
+		for _, rec := range recs {
+			req := httptest.NewRequest(http.MethodPost, "/update", bytes.NewReader(body))
+			req.Header.Set("Idempotency-Key", key)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				n.srv.ServeHTTP(rec, req)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		fresh := 0
+		for _, rec := range recs {
+			var out map[string]any
+			if err := json.Unmarshal(rec.Body.Bytes(), &out); rec.Code != http.StatusOK || err != nil || out["applied"] != float64(1) {
+				t.Fatalf("round %d: %d %s", r, rec.Code, rec.Body.String())
+			}
+			if out["deduplicated"] != true {
+				fresh++
+			}
+		}
+		if fresh != 1 {
+			t.Fatalf("round %d: %d of 2 concurrent requests with one Idempotency-Key applied, want 1", r, fresh)
+		}
+	}
+	if got := n.counts(engine.DefaultTenant)["F"]; got != rounds {
+		t.Fatalf("F counted %d updates after %d rounds, want %d", got, rounds, rounds)
 	}
 }
 

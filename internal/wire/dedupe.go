@@ -14,6 +14,10 @@ type Outcome struct {
 // outcomes are recorded: a rejected frame (quota 429) applied nothing,
 // so the same seq must be retryable and is deliberately not remembered.
 //
+// An admission brackets itself with Claim and then Record (admitted) or
+// Release (applied nothing), so two concurrent deliveries of one key
+// never both apply: the second waits in Claim for the first's outcome.
+//
 // Per client the window keeps the last perClient recorded seqs (FIFO);
 // across clients it keeps at most maxClients entries, evicting the
 // least-recently-used client. A replay falling outside the window is
@@ -27,6 +31,16 @@ type Window struct {
 	maxClients int
 	clock      int64
 	clients    map[string]*clientWindow
+	// claimed holds the keys whose admission is in flight. It lives
+	// outside clients so an LRU eviction cannot drop a claim, and
+	// settled wakes the Claims waiting on one whenever a claim ends.
+	claimed map[claimKey]struct{}
+	settled sync.Cond
+}
+
+type claimKey struct {
+	client string
+	seq    uint64
 }
 
 type clientWindow struct {
@@ -46,11 +60,14 @@ func NewWindow(perClient, maxClients int) *Window {
 	if maxClients <= 0 {
 		maxClients = 1024
 	}
-	return &Window{
+	w := &Window{
 		perClient:  perClient,
 		maxClients: maxClients,
 		clients:    make(map[string]*clientWindow),
+		claimed:    make(map[claimKey]struct{}),
 	}
+	w.settled.L = &w.mu
+	return w
 }
 
 // Lookup reports whether (client, seq) was recorded within the window,
@@ -58,6 +75,48 @@ func NewWindow(perClient, maxClients int) *Window {
 func (w *Window) Lookup(client string, seq uint64) (Outcome, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.lookupLocked(client, seq)
+}
+
+// Claim reserves (client, seq) for one admission. If the key is
+// recorded it returns the remembered outcome and true: a replay, which
+// applies nothing. Otherwise the caller holds the claim and must end it
+// with Record once the admission succeeds or Release once it fails. A
+// Claim of a key another admission holds waits until that one ends,
+// then returns the outcome it recorded or, if it released, claims the
+// key itself.
+func (w *Window) Claim(client string, seq uint64) (Outcome, bool) {
+	k := claimKey{client, seq}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for {
+		if out, ok := w.lookupLocked(client, seq); ok {
+			return out, true
+		}
+		if _, busy := w.claimed[k]; !busy {
+			w.claimed[k] = struct{}{}
+			return Outcome{}, false
+		}
+		w.settled.Wait()
+	}
+}
+
+// Release ends a claim whose admission applied nothing, so the key stays
+// retryable.
+func (w *Window) Release(client string, seq uint64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.endClaimLocked(client, seq)
+}
+
+// endClaimLocked drops a claim on (client, seq), if any, and wakes the
+// Claims waiting for one to end.
+func (w *Window) endClaimLocked(client string, seq uint64) {
+	delete(w.claimed, claimKey{client, seq})
+	w.settled.Broadcast()
+}
+
+func (w *Window) lookupLocked(client string, seq uint64) (Outcome, bool) {
 	cw, ok := w.clients[client]
 	if !ok {
 		return Outcome{}, false
@@ -68,12 +127,13 @@ func (w *Window) Lookup(client string, seq uint64) (Outcome, bool) {
 	return out, ok
 }
 
-// Record remembers (client, seq) → out, evicting the client's oldest
-// recorded seq beyond the per-client bound and the least-recently-used
-// client beyond the client bound.
+// Record remembers (client, seq) → out and ends its claim, if any,
+// evicting the client's oldest recorded seq beyond the per-client bound
+// and the least-recently-used client beyond the client bound.
 func (w *Window) Record(client string, seq uint64, out Outcome) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	defer w.endClaimLocked(client, seq)
 	w.clock++
 	cw, ok := w.clients[client]
 	if !ok {
