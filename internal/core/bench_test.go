@@ -42,6 +42,19 @@ func BenchmarkUpdateBatchSketchd(b *testing.B) {
 	benchUpdateBatch(b, cfg(7, 2048, 1), 1<<16, 1.0, 1024)
 }
 
+// BenchmarkUpdateBatchBacklog is the sketchd shape with the batch a
+// saturated shard worker folds: its drained backlog, 4096 updates of
+// one stream, about half of them distinct.
+func BenchmarkUpdateBatchBacklog(b *testing.B) {
+	benchUpdateBatch(b, cfg(7, 2048, 1), 1<<16, 1.0, 4096)
+}
+
+// BenchmarkUpdateBatchShard is the sketchd shape with the batch one of
+// cluster3's shards folds: its third of a 512-update group, 170 updates.
+func BenchmarkUpdateBatchShard(b *testing.B) {
+	benchUpdateBatch(b, cfg(7, 2048, 1), 1<<16, 1.0, 170)
+}
+
 func benchUpdateBatch(b *testing.B, c Config, domain uint64, skew float64, n int) {
 	s := MustNewHashSketch(c)
 	z, _ := workload.NewZipf(domain, skew, 1)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -183,6 +184,90 @@ func TestQuickBatchSequentialEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// combineBatch turns fuzz input into a batch long enough for
+// UpdateBatch to combine, spanning up to three combine tables: values
+// from at most five keys, int8 weights of both signs, MinInt64 and
+// MaxInt64 weights whose sums wrap, and runs that cancel to zero (an
+// update followed, later, by its negation). With collide set it adds a
+// key family that all hash to one combine slot, so values past the
+// probe bound fold uncombined.
+func combineBatch(keys []uint64, weights []int8, extra uint16, collide bool) []stream.Update {
+	if len(keys) == 0 {
+		keys = []uint64{0}
+	}
+	keys = keys[:min(len(keys), 5)]
+	if collide {
+		// v = (slot<<(64−combineBits) + i)·combineMul⁻¹ hashes to slot.
+		inv := uint64(combineMul)
+		for range 5 {
+			inv *= 2 - combineMul*inv // Newton: doubles the correct low bits
+		}
+		for i := range uint64(3 * combineProbe) {
+			keys = append(keys, (5<<(64-combineBits)+i)*inv)
+		}
+	}
+	n := combineMin + int(extra)%(2*combineSpan)
+	us := make([]stream.Update, 0, n)
+	for i := 0; len(us) < n; i++ {
+		w := int64(1)
+		if len(weights) > 0 {
+			w = int64(weights[i%len(weights)])
+		}
+		switch i % 11 {
+		case 3:
+			w = math.MinInt64
+		case 7:
+			w = math.MaxInt64
+		}
+		u := stream.Update{Value: keys[(uint64(i)*7+uint64(w))%uint64(len(keys))], Weight: w}
+		us = append(us, u)
+		if i%5 == 0 && len(us) > 3 {
+			// cancel an earlier update
+			v := us[len(us)-3]
+			us = append(us, stream.Update{Value: v.Value, Weight: -v.Weight})
+		}
+	}
+	return us[:n]
+}
+
+// Property: a batch long enough to combine duplicate values folds to
+// the same counters, net and gross as the per-table Horner loop applied
+// one update at a time.
+func TestQuickCombinedBatchMatchesSequential(t *testing.T) {
+	c := cfg(5, 64, 23)
+	check := func(us []stream.Update) bool {
+		ref, got := MustNewHashSketch(c), MustNewHashSketch(c)
+		for i := range us {
+			hornerFold(ref, us[i:i+1])
+		}
+		got.UpdateBatch(us)
+		return sameSketch(ref, got)
+	}
+	f := func(keys []uint64, weights []int8, extra uint16, collide bool) bool {
+		return check(combineBatch(keys, weights, extra, collide))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+	// Every value cancels: the counters stay zero, net is 0, and gross
+	// still counts every update.
+	us := make([]stream.Update, 0, 2*combineMin)
+	for i := range combineMin {
+		us = append(us, stream.Update{Value: uint64(i % 3), Weight: int64(i%9 - 4)})
+	}
+	for i := range combineMin {
+		us = append(us, stream.Update{Value: uint64(i % 3), Weight: -int64(i%9 - 4)})
+	}
+	if !check(us) {
+		t.Fatal("a cancelling batch differs from the sequential fold")
+	}
+	s := MustNewHashSketch(c)
+	s.UpdateBatch(us)
+	if s.NetCount() != 0 || s.GrossCount() == 0 || slices.ContainsFunc(s.counters, func(x int64) bool { return x != 0 }) {
+		t.Fatalf("cancelling batch: net %d, gross %d, nonzero counters %v", s.NetCount(), s.GrossCount(), s.counters)
 	}
 }
 

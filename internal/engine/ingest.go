@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -82,17 +83,17 @@ type ingestItem struct {
 	tenant  *tenantState
 	barrier *sync.WaitGroup
 	// done, when non-nil, is the refcount of an IngestGroups request with
-	// a release callback; the worker drops one reference after the item's
-	// batch has been folded into every entry.
+	// a release callback; the worker drops one reference once it has
+	// copied the item's batch out for folding.
 	done *groupDone
 }
 
 // groupDone refcounts one IngestGroups request across the items it fans
 // out to. refs starts at 1 (the creator's reference, dropped when the
 // fan-out finishes enqueueing) and each queued item holds one more, so
-// release fires exactly once, after every chunk of every group has been
-// applied — at which point the engine no longer references the caller's
-// update buffers and they may be reused.
+// release fires exactly once, after a worker has copied out every chunk
+// of every group — at which point the engine no longer references the
+// caller's update buffers and they may be reused.
 type groupDone struct {
 	refs    atomic.Int64
 	release func()
@@ -178,14 +179,112 @@ func (e *Engine) StopIngest() {
 // them by quiescing (the package comment above).
 func (ing *ingester) worker(e *Engine, ch chan ingestItem) {
 	defer ing.wg.Done()
-	var scratch []stream.Update // predicate synopses filter into it
+	var b backlog
 	for item := range ch {
+		for {
+			next, held := b.take(item, ch)
+			b.apply(e)
+			if !held {
+				break
+			}
+			item = next
+		}
+	}
+}
+
+// backlogCap is how many queued updates a worker takes in one round.
+// One route's run of a full round is long enough for UpdateBatch to
+// fold each distinct value once.
+const backlogCap = 4096
+
+// backlog is one worker round: an item and whatever was queued behind
+// it, grouped into runs by route. A route is the []*synEntry slice one
+// (tenant, stream) shares on this shard, and each run folds its items'
+// batches joined, in queue order, with one updateBatch per synopsis.
+type backlog struct {
+	items   []ingestItem
+	run     []int // run[i] indexes routes for items[i]; -1 when it has no entries
+	routes  [][]*synEntry
+	updates int
+	joined  []stream.Update // the run being folded, copied end to end
+	scratch []stream.Update // predicate synopses filter into it
+}
+
+// take starts a round with first and adds the items already queued
+// behind it, up to backlogCap updates or a queue's worth of items. It
+// stops after a barrier, and before an item whose route is new to the
+// round but shares a synopsis with one of its routes: folding the two
+// runs one after the other could reorder that synopsis' updates. That
+// item is returned held, to start the next round.
+func (b *backlog) take(first ingestItem, ch chan ingestItem) (held ingestItem, ok bool) {
+	b.items, b.run, b.routes, b.updates = b.items[:0], b.run[:0], b.routes[:0], 0
+	for item := first; ; {
+		if !b.add(item) {
+			return item, true
+		}
+		if item.barrier != nil || b.updates >= backlogCap || len(b.items) >= cap(ch) {
+			return ingestItem{}, false
+		}
+		select {
+		case next, open := <-ch:
+			if !open {
+				return ingestItem{}, false
+			}
+			item = next
+		default:
+			return ingestItem{}, false
+		}
+	}
+}
+
+// add appends item to its route's run, unless the route is new and
+// shares a synopsis with a route already in the round.
+func (b *backlog) add(item ingestItem) bool {
+	r := -1
+	if len(item.entries) > 0 {
+		if r = b.routeOf(item.entries); r < 0 {
+			return false
+		}
+	}
+	b.items = append(b.items, item)
+	b.run = append(b.run, r)
+	b.updates += len(item.batch)
+	return true
+}
+
+// routeOf returns the index of entries in b.routes, adding it if it is
+// new, or -1 if it is new and overlaps a route of the round.
+func (b *backlog) routeOf(entries []*synEntry) int {
+	for i, r := range b.routes {
+		if &r[0] == &entries[0] && len(r) == len(entries) {
+			return i
+		}
+	}
+	for _, r := range b.routes {
+		for _, en := range r {
+			if slices.Contains(entries, en) {
+				return -1
+			}
+		}
+	}
+	b.routes = append(b.routes, entries)
+	return len(b.routes) - 1
+}
+
+// apply folds every run, then settles each item in queue order: the
+// counters, the tenant's pending gauge, and a barrier last of all.
+func (b *backlog) apply(e *Engine) {
+	for r, entries := range b.routes {
+		batch := b.join(r)
+		for _, en := range entries {
+			b.scratch = en.updateBatch(batch, b.scratch)
+		}
+	}
+	e.metrics.Folds.Add(int64(len(b.routes)))
+	for _, item := range b.items {
 		if item.barrier != nil {
 			item.barrier.Done()
 			continue
-		}
-		for _, en := range item.entries {
-			scratch = en.updateBatch(item.batch, scratch)
 		}
 		e.metrics.QueueDepth.Add(-1)
 		if item.count > 0 {
@@ -197,6 +296,28 @@ func (ing *ingester) worker(e *Engine, ch chan ingestItem) {
 			item.done.done()
 		}
 	}
+	clear(b.items) // hold no caller buffer or synopsis past the round
+	clear(b.routes)
+}
+
+// join copies route r's batches end to end, in queue order, into
+// b.joined. Each copied item drops its reference on its request at
+// once, since the worker reads only the copy from then on, so a
+// producer gets its buffers back before the round's folds.
+func (b *backlog) join(r int) []stream.Update {
+	b.joined = b.joined[:0]
+	for i := range b.items {
+		if b.run[i] != r {
+			continue
+		}
+		item := &b.items[i]
+		b.joined = append(b.joined, item.batch...)
+		if item.done != nil {
+			item.done.done()
+			item.done = nil
+		}
+	}
+	return b.joined
 }
 
 // barrierLocked drains every worker queue: the barrier items are FIFO
@@ -215,8 +336,8 @@ func (ing *ingester) barrierLocked() {
 // into BatchSize chunks. A batch no synopsis listens to is counted as
 // unrouted, settled in the tenant's pending gauge and never queued.
 // done, when non-nil, gains one reference per queued item (the worker
-// drops it after applying). Callers hold ing.fanMu's read side and have
-// checked that the pipeline is open.
+// drops it once it has copied the item's batch). Callers hold
+// ing.fanMu's read side and have checked that the pipeline is open.
 func (ing *ingester) enqueue(e *Engine, ts *tenantState, route [][]*synEntry, updates []stream.Update, done *groupDone) {
 	if !routed(route) {
 		e.metrics.UpdatesUnrouted.Add(int64(len(updates)))
@@ -309,10 +430,10 @@ func (t *Tenant) IngestBatch(streamName string, updates []stream.Update) error {
 // ErrNotIngesting; an empty request is a no-op either way.
 //
 // release, when non-nil, transfers buffer ownership: on a nil return
-// the engine references the groups' Updates slices until every element
-// has been folded into every listening synopsis, and then calls release
-// exactly once — after which the caller may reuse the buffers. On a
-// non-nil return the engine retains nothing and release is never
+// the engine references the groups' Updates slices until the shard
+// workers have copied out every element to fold it, and then calls
+// release exactly once — after which the caller may reuse the buffers.
+// On a non-nil return the engine retains nothing and release is never
 // called. A nil release keeps IngestBatch's historical contract (the
 // caller must not reuse the slices).
 func (t *Tenant) IngestGroups(groups []stream.Group, release func()) error {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -149,6 +150,99 @@ func TestIngestBatchSequentialEquivalence(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestBacklogMatchesModel holds a coalesced backlog to the model: with
+// the one worker parked, many small two-stream requests with deletes
+// and mixed weights queue up; unparked, the worker folds them in runs of
+// thousands of updates per route, so the sketches combine duplicate
+// values and the window rotates inside a run. Every synopsis, net and
+// gross included, must still be byte-equal to the one-at-a-time model.
+func TestBacklogMatchesModel(t *testing.T) {
+	const requests = 300
+	e := ingestTestEngine(t, IngestConfig{Workers: 1, BatchSize: 64, QueueDepth: 2 * requests})
+	tn := e.Tenant(DefaultTenant)
+	zf, err := workload.NewZipf(1024, 1.1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fs, gs []stream.Update
+	var groups [][]stream.Group
+	for r := range requests {
+		n := 10 + r%21
+		f, g := make([]stream.Update, n), make([]stream.Update, n)
+		for i := range n {
+			w := int64((r+i)%7 - 3) // deletes, inserts and heavier weights
+			if w == 0 {
+				w = 5
+			}
+			f[i] = stream.Update{Value: zf.Next(), Weight: w}
+			g[i] = stream.Update{Value: zf.Next(), Weight: -w}
+		}
+		fs, gs = append(fs, f...), append(gs, g...)
+		groups = append(groups, []stream.Group{{Name: "F", Updates: f}, {Name: "G", Updates: g}})
+	}
+	unpark := ParkWorker(e)
+	for _, req := range groups {
+		if err := tn.IngestGroups(req, nil); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	if depth := e.IngestStats().QueueDepth; depth != 2*requests {
+		t.Errorf("queue depth %d behind the parked worker, want %d", depth, 2*requests)
+	}
+	unpark()
+	g := modelBlob(t, Side{}, nil, gs)
+	checkModel(t, tn, "q", modelBlob(t, Side{}, nil, fs), g)
+	checkModel(t, tn, "qp", modelBlob(t, Side{}, small, fs), g)
+	checkModel(t, tn, "qw", modelBlob(t, Side{WindowLen: 4000, WindowBuckets: 4}, nil, fs), g)
+	st := e.IngestStats()
+	total := int64(len(fs) + len(gs))
+	if st.UpdatesEnqueued != total || st.UpdatesApplied != total || st.QueueDepth != 0 {
+		t.Fatalf("enqueued %d, applied %d, queue depth %d; want %d, %d, 0", st.UpdatesEnqueued, st.UpdatesApplied, st.QueueDepth, total, total)
+	}
+	// Runs of at least a window bucket (1000 updates): the backlog was
+	// folded coalesced, not item by item.
+	if st.Folds == 0 || st.UpdatesApplied/st.Folds < 1000 {
+		t.Fatalf("%d updates in %d folds: the backlog was not coalesced", st.UpdatesApplied, st.Folds)
+	}
+}
+
+// TestBacklogRounds pins where a worker round ends. Routes r1 and r2
+// share synopsis a, as a stream's route before and after a query
+// registration does, so a round holds back the first item on the other
+// one; and a round ends after a barrier, leaving what is queued behind
+// it for the next.
+func TestBacklogRounds(t *testing.T) {
+	a, c := &synEntry{id: 0}, &synEntry{id: 1}
+	r1, r2, other := []*synEntry{a}, []*synEntry{a, c}, []*synEntry{{id: 2}}
+	item := func(route []*synEntry) ingestItem {
+		return ingestItem{entries: route, batch: make([]stream.Update, 3)}
+	}
+	ch := make(chan ingestItem, 8)
+	for _, it := range []ingestItem{item(other), item(r1), item(other), item(r2), item(r1), {barrier: new(sync.WaitGroup)}, item(r1)} {
+		ch <- it
+	}
+	var b backlog
+	type round struct {
+		items, routes int
+		held          bool
+	}
+	var got []round
+	first := <-ch
+	for {
+		next, held := b.take(first, ch)
+		got = append(got, round{len(b.items), len(b.routes), held})
+		if !held {
+			break
+		}
+		first = next
+	}
+	want := []round{{3, 2, true}, {1, 1, true}, {2, 1, false}}
+	if !slices.Equal(got, want) || len(ch) != 1 {
+		t.Fatalf("rounds %v with %d left queued, want %v with 1", got, len(ch), want)
 	}
 }
 

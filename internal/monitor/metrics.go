@@ -23,6 +23,10 @@ type IngestMetrics struct {
 	// Batches counts applied batches; together with UpdatesApplied it
 	// yields the mean batch fill.
 	Batches atomic.Int64
+	// Folds counts the runs workers fold: one per route per worker
+	// round, however many queued batches the run joins. UpdatesApplied
+	// over Folds is the mean run length.
+	Folds atomic.Int64
 	// QueueDepth is the number of batch items currently sitting in worker
 	// queues (a gauge: incremented on enqueue, decremented on apply).
 	QueueDepth atomic.Int64
@@ -48,6 +52,7 @@ type IngestSnapshot struct {
 	UpdatesApplied  int64   `json:"updatesApplied"`
 	UpdatesUnrouted int64   `json:"updatesUnrouted"`
 	Batches         int64   `json:"batches"`
+	Folds           int64   `json:"folds"`
 	QueueDepth      int64   `json:"queueDepth"`
 	Flushes         int64   `json:"flushes"`
 	Rejected        int64   `json:"rejected"`
@@ -64,6 +69,7 @@ func (m *IngestMetrics) Snapshot() IngestSnapshot {
 		UpdatesApplied:  m.UpdatesApplied.Load(),
 		UpdatesUnrouted: m.UpdatesUnrouted.Load(),
 		Batches:         m.Batches.Load(),
+		Folds:           m.Folds.Load(),
 		QueueDepth:      m.QueueDepth.Load(),
 		Flushes:         m.Flushes.Load(),
 		Rejected:        m.Rejected.Load(),
